@@ -1,9 +1,10 @@
 """Command line interface: run / list / validate.
 
-Exit codes: 0 when every slack is above -tolerance, 2 when any report
-is violated, 3 when the scenario itself is invalid.  Reports are
-byte-stable across runs: numbers serialize as shortest round-trip
-decimals and wall-clock timing goes to stderr only.
+Exit codes: 2 when any report's verdict is "violated", else 3 when the
+scenario is invalid or a point could not be evaluated, else 0; raw
+slacks play no part.  Reports are byte-stable across runs: numbers
+serialize as shortest round-trip decimals and wall-clock timing goes to
+stderr only.
 """
 
 from __future__ import annotations
@@ -113,12 +114,6 @@ def _cmd_run(args) -> int:
     print(f"elapsed: {report.elapsed_seconds:.3f}s", file=sys.stderr)
 
     if report.has_violation():
-        return 2
-    if args.strict and report.aggregate["point_errors"]:
-        return 3
-    tol = float(tolerances.get("equality", 1e-8))
-    min_slack = report.min_slack()
-    if min_slack is not None and min_slack < -tol:
         return 2
     if report.aggregate["point_errors"]:
         return 3

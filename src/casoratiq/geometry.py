@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -27,6 +28,7 @@ from .jets import Jet2, seed_point
 
 __all__ = [
     "MetricChart",
+    "ChartPoint",
     "CurvaturePoint",
     "OrthoFrame",
     "christoffel",
@@ -34,11 +36,11 @@ __all__ = [
     "riemann",
     "gram_schmidt",
     "complete_frame",
+    "frame_contraction",
     "scalar_curvature_of_frame",
     "normalized_scalar_curvature",
     "mixed_scalar",
     "chart",
-    "builtin_chart_names",
 ]
 
 _SYM_TOL = 1e-14
@@ -155,6 +157,83 @@ class CurvaturePoint:
         }
 
 
+@dataclass(frozen=True, eq=False)
+class ChartPoint:
+    """The metric jets of a chart at one point, and what derives from them.
+
+    Built from one ``metric_jets`` call.  The inverse metric, the
+    Christoffel symbols, their gradient and the curvature are computed
+    from those jets on first use and kept, so every consumer at the point
+    shares one copy.
+    """
+
+    x: np.ndarray
+    G0: np.ndarray
+    G1: np.ndarray  # G1[a, b, c] = d_c g_ab
+    G2: np.ndarray  # G2[a, b, c, d] = d_c d_d g_ab
+
+    @classmethod
+    def at(cls, chart: MetricChart, x) -> "ChartPoint":
+        x = np.asarray(x, dtype=float)
+        return cls(x, *chart.metric_jets(x))
+
+    @cached_property
+    def ginv(self) -> np.ndarray:
+        try:
+            return np.linalg.inv(self.G0)
+        except np.linalg.LinAlgError as e:
+            raise DegenerateMetricError(f"singular metric at {self.x.tolist()}") from e
+
+    @cached_property
+    def dginv(self) -> np.ndarray:
+        """``dginv[m, k, l] = d_m g^kl``."""
+        return -np.einsum("kp,pqm,ql->mkl", self.ginv, self.G1, self.ginv)
+
+    @cached_property
+    def _first_kind(self) -> np.ndarray:
+        # D[i, j, l] = d_i g_jl; returns d_i g_jl + d_j g_il - d_l g_ij
+        D = np.transpose(self.G1, (2, 0, 1))
+        return D + D.transpose(1, 0, 2) - np.transpose(D, (1, 2, 0))
+
+    @cached_property
+    def gamma(self) -> np.ndarray:
+        """Levi-Civita connection coefficients ``gamma[k, i, j] = Gamma^k_ij``."""
+        return 0.5 * np.einsum("kl,ijl->kij", self.ginv, self._first_kind)
+
+    @cached_property
+    def dgamma(self) -> np.ndarray:
+        """``dgamma[m, k, i, j] = d_m Gamma^k_ij``, exact from the jets."""
+        # DD[m, i, j, l] = d_m d_i g_jl
+        DD = np.transpose(self.G2, (3, 2, 0, 1))
+        Am = DD + DD.transpose(0, 2, 1, 3) - DD.transpose(0, 2, 3, 1)
+        return 0.5 * (
+            np.einsum("mkl,ijl->mkij", self.dginv, self._first_kind)
+            + np.einsum("kl,mijl->mkij", self.ginv, Am)
+        )
+
+    @cached_property
+    def curvature(self) -> CurvaturePoint:
+        """Fully covariant curvature, checked for the curvature symmetries."""
+        gamma, dgamma = self.gamma, self.dgamma
+        # Rup[i, j, k, m] = d_i Gamma^m_jk - d_j Gamma^m_ik
+        #                 + Gamma^p_jk Gamma^m_ip - Gamma^p_ik Gamma^m_jp
+        rup = (
+            np.transpose(dgamma, (0, 2, 3, 1))
+            - np.transpose(dgamma, (2, 0, 3, 1))
+            + np.einsum("pjk,mip->ijkm", gamma, gamma)
+            - np.einsum("pik,mjp->ijkm", gamma, gamma)
+        )
+        R = np.einsum("ijkm,ml->ijkl", rup, self.G0)
+        cp = CurvaturePoint(x=self.x, gamma=gamma, riemann=R, metric=self.G0)
+        worst = max(cp.symmetry_residuals().values())
+        if worst > 1e-6:
+            raise DegenerateMetricError(
+                f"curvature symmetries violated ({worst:.3e}) at {self.x.tolist()}; "
+                "metric field is likely not smooth enough here"
+            )
+        return cp
+
+
 def christoffel(chart: MetricChart, x) -> np.ndarray:
     """Levi-Civita connection coefficients ``Gamma[k, i, j]`` at ``x``."""
     return christoffel_with_grad(chart, x)[0]
@@ -166,47 +245,26 @@ def christoffel_with_grad(chart: MetricChart, x) -> tuple[np.ndarray, np.ndarray
     Returns ``(Gamma, dGamma)`` with ``dGamma[m, k, i, j] = d_m Gamma^k_ij``,
     assembled exactly from the metric jets (no differencing of Gamma).
     """
-    G0, G1, G2 = chart.metric_jets(x)
-    try:
-        ginv = np.linalg.inv(G0)
-    except np.linalg.LinAlgError as e:
-        raise DegenerateMetricError(f"singular metric at {np.asarray(x).tolist()}") from e
-    # D[i, j, l] = d_i g_jl
-    D = np.transpose(G1, (2, 0, 1))
-    A = D + D.transpose(1, 0, 2) - np.transpose(D, (1, 2, 0))
-    gamma = 0.5 * np.einsum("kl,ijl->kij", ginv, A)
-    # DD[m, i, j, l] = d_m d_i g_jl
-    DD = np.transpose(G2, (3, 2, 0, 1))
-    Am = DD + DD.transpose(0, 2, 1, 3) - DD.transpose(0, 2, 3, 1)
-    dginv = -np.einsum("kp,pqm,ql->mkl", ginv, G1, ginv)
-    dgamma = 0.5 * (
-        np.einsum("mkl,ijl->mkij", dginv, A) + np.einsum("kl,mijl->mkij", ginv, Am)
-    )
-    return gamma, dgamma
+    pt = ChartPoint.at(chart, x)
+    return pt.gamma, pt.dgamma
 
 
 def riemann(chart: MetricChart, x) -> CurvaturePoint:
     """Fully covariant curvature tensor of ``chart`` at ``x``."""
-    x = np.asarray(x, dtype=float)
-    G0, _, _ = chart.metric_jets(x)
-    gamma, dgamma = christoffel_with_grad(chart, x)
-    # Rup[i, j, k, m] = d_i Gamma^m_jk - d_j Gamma^m_ik
-    #                 + Gamma^p_jk Gamma^m_ip - Gamma^p_ik Gamma^m_jp
-    rup = (
-        np.transpose(dgamma, (0, 2, 3, 1))
-        - np.transpose(dgamma, (2, 0, 3, 1))
-        + np.einsum("pjk,mip->ijkm", gamma, gamma)
-        - np.einsum("pik,mjp->ijkm", gamma, gamma)
-    )
-    R = np.einsum("ijkm,ml->ijkl", rup, G0)
-    cp = CurvaturePoint(x=x, gamma=gamma, riemann=R, metric=G0)
-    worst = max(cp.symmetry_residuals().values())
-    if worst > 1e-6:
-        raise DegenerateMetricError(
-            f"curvature symmetries violated ({worst:.3e}) at {x.tolist()}; "
-            "metric field is likely not smooth enough here"
-        )
-    return cp
+    return ChartPoint.at(chart, x).curvature
+
+
+def frame_contraction(R: np.ndarray, E1, E2, E3, E4) -> np.ndarray:
+    """Components ``R[a, b, c, d] E1[i, a] E2[j, b] E3[k, c] E4[l, d]``.
+
+    Each frame is contracted into one slot in turn, which costs O(k n^4)
+    per step where the single four-fold sum costs O(k^4 n^4); see Smith &
+    Gray, *opt_einsum*, JOSS 2018, on contraction order.
+    """
+    out = R
+    for E in (E1, E2, E3, E4):
+        out = np.tensordot(out, E, axes=([0], [1]))
+    return out
 
 
 def gram_schmidt(vectors: Sequence, g_at: np.ndarray) -> "OrthoFrame":
@@ -230,15 +288,19 @@ def gram_schmidt(vectors: Sequence, g_at: np.ndarray) -> "OrthoFrame":
     return OrthoFrame(np.array(out) if out else np.zeros((0, g.shape[0])), g)
 
 
-def complete_frame(frame: "OrthoFrame") -> "OrthoFrame":
-    """Extend an orthonormal frame to a full frame of the ambient space."""
+def complete_frame(frame: "OrthoFrame", candidates) -> "OrthoFrame":
+    """Extend an orthonormal frame to a full frame of the ambient space.
+
+    The candidate vectors are taken in order, made orthogonal to the
+    frame built so far and kept unless numerically dependent on it.
+    """
     g = frame.metric_at
     n = g.shape[0]
     vecs = [v for v in frame.vectors]
-    for cand in np.eye(n):
+    for cand in candidates:
         if len(vecs) == n:
             break
-        v = cand.copy()
+        v = np.asarray(cand, dtype=float).copy()
         for _ in range(2):
             for e in vecs:
                 v = v - (e @ g @ v) * e
@@ -389,6 +451,3 @@ def chart(name: str) -> MetricChart:
             return _sphere3(float(param))
     raise KeyError(f"unknown chart {name!r}")
 
-
-def builtin_chart_names() -> list[str]:
-    return ["flat:n", "sphere:r", "sphere3:r", "half-plane", "polar"]

@@ -23,7 +23,12 @@ from .casorati import (
     hyperplane_extrema,
 )
 from .errors import ConfigurationError, DimensionError, OracleError
-from .geometry import OrthoFrame, mixed_scalar, scalar_curvature_of_frame
+from .geometry import (
+    OrthoFrame,
+    frame_contraction,
+    mixed_scalar,
+    scalar_curvature_of_frame,
+)
 from .quaternionic import QSFOracle, decompose_J
 
 __all__ = [
@@ -113,7 +118,8 @@ class TheoremReport:
 def _resolve_tol(data) -> float:
     if data.equality_tol is not None:
         return float(data.equality_tol)
-    return CHART_EQUALITY_TOL if data.chartlike else ORACLE_EQUALITY_TOL
+    # chart scenes come with a space-form residual; oracle scenes do not
+    return CHART_EQUALITY_TOL if data.space_form_residual is not None else ORACLE_EQUALITY_TOL
 
 
 def _verdict(lhs: float, rhs: float, tol: float, extra_equality: bool = True) -> str:
@@ -212,9 +218,10 @@ def algebraic_gap(B: CasoratiInput, certify: bool = False):
 class MapSceneData:
     """Everything the map-theorem checker needs at one point.
 
-    ``ambient_quad`` evaluates the target curvature on target vectors;
-    ``chartlike`` selects the chart-mode tolerance and triggers the
-    space-form validation of the target curvature.
+    ``ambient_quad`` evaluates the target curvature on target vectors.
+    Chart scenes give ``space_form_residual``, the deviation of the target
+    curvature from the space form; it must be small, and it selects the
+    chart-mode equality tolerance.
     """
 
     B: CasoratiInput
@@ -224,8 +231,7 @@ class MapSceneData:
     J2: np.ndarray
     c: float
     ambient_quad: Callable
-    chartlike: bool = False
-    space_form_residual: Optional[float] = None  # precomputed by chart scenes
+    space_form_residual: Optional[float] = None  # chart scenes only
     equality_tol: Optional[float] = None  # scene override of the verdict tolerance
     _extrema: Optional[HyperplaneExtrema] = None
 
@@ -252,8 +258,7 @@ class SubmersionSceneData:
     c: float
     ambient_quad: Callable
     deltaN: Optional[float] = None
-    chartlike: bool = False
-    space_form_residual: Optional[float] = None  # precomputed by chart scenes
+    space_form_residual: Optional[float] = None  # chart scenes only
     equality_tol: Optional[float] = None  # scene override of the verdict tolerance
     bracket_residual: Optional[float] = None
     _extrema_T: Optional[HyperplaneExtrema] = None
@@ -278,26 +283,12 @@ class SubmersionSceneData:
         return self._extrema_A
 
 
-def _validate_space_form(quad, oracle: QSFOracle, frame_vectors: np.ndarray) -> float:
-    """Max deviation of the ambient curvature from the space-form oracle."""
-    E = np.atleast_2d(frame_vectors)
-    expected = oracle.curvature_tensor(E)
-    k = E.shape[0]
-    actual = np.empty_like(expected)
-    for a in range(k):
-        for b in range(k):
-            for c in range(k):
-                for d in range(k):
-                    actual[a, b, c, d] = quad(E[a], E[b], E[c], E[d])
-    return float(np.abs(actual - expected).max())
-
-
 def space_form_residual_from_tensor(
     riemann_tensor: np.ndarray, oracle: QSFOracle, frame_vectors: np.ndarray
 ) -> float:
     """Vectorized space-form deviation from a full covariant curvature array."""
     E = np.atleast_2d(frame_vectors)
-    actual = np.einsum("abcd,ia,jb,kc,ld->ijkl", riemann_tensor, E, E, E, E)
+    actual = frame_contraction(riemann_tensor, E, E, E, E)
     return float(np.abs(actual - oracle.curvature_tensor(E)).max())
 
 
@@ -308,19 +299,7 @@ def check_map_theorem(data: MapSceneData) -> list[TheoremReport]:
         raise DimensionError(f"map theorem needs rank s >= 3, got {s}")
     tol = _resolve_tol(data)
 
-    sf_residual = None
-    if data.chartlike:
-        if data.space_form_residual is not None:
-            sf_residual = data.space_form_residual
-        else:
-            oracle = QSFOracle(data.c, data.J2, data.g2)
-            frame = np.vstack([data.range_frame.vectors, data.range_perp_frame.vectors])
-            sf_residual = _validate_space_form(data.ambient_quad, oracle, frame)
-        if sf_residual > SPACE_FORM_TOL:
-            raise OracleError(
-                f"target curvature deviates from the c={data.c} space form "
-                f"by {sf_residual:.3e}"
-            )
+    sf_residual = _checked_space_form(data, "target")
 
     two_tau_r = scalar_curvature_of_frame(data.ambient_quad, data.range_frame)
     rho_r = two_tau_r / (s * (s - 1))
@@ -378,7 +357,7 @@ def check_vertical_theorem(data: SubmersionSceneData) -> list[TheoremReport]:
     if data.T is None:
         raise ConfigurationError("vertical theorem needs the T tensor")
     tol = _resolve_tol(data)
-    sf_residual = _maybe_validate_source(data)
+    sf_residual = _checked_space_form(data, "source")
 
     two_tau_v = scalar_curvature_of_frame(data.ambient_quad, data.vertical)
     rho_v_amb = two_tau_v / (ell * (ell - 1))
@@ -434,7 +413,7 @@ def check_horizontal_theorem(data: SubmersionSceneData) -> list[TheoremReport]:
     if data.A is None:
         raise ConfigurationError("horizontal theorem needs the A tensor")
     tol = _resolve_tol(data)
-    sf_residual = _maybe_validate_source(data)
+    sf_residual = _checked_space_form(data, "source")
 
     two_tau_h = scalar_curvature_of_frame(data.ambient_quad, data.horizontal)
     rho_h_amb = two_tau_h / (s * (s - 1))
@@ -500,7 +479,7 @@ def check_combined_theorem(data: SubmersionSceneData) -> list[TheoremReport]:
             "deltaN is required for the combined theorem and has no default"
         )
     tol = _resolve_tol(data)
-    sf_residual = _maybe_validate_source(data)
+    sf_residual = _checked_space_form(data, "source")
     D = s * (s - 1) * ell * (ell - 1)
 
     two_tau_v = scalar_curvature_of_frame(data.ambient_quad, data.vertical)
@@ -573,17 +552,11 @@ def check_combined_theorem(data: SubmersionSceneData) -> list[TheoremReport]:
     return reports
 
 
-def _maybe_validate_source(data: SubmersionSceneData) -> Optional[float]:
-    if not data.chartlike:
-        return None
-    if data.space_form_residual is not None:
-        residual = data.space_form_residual
-    else:
-        oracle = QSFOracle(data.c, data.J1, data.g1)
-        frame = np.vstack([data.horizontal.vectors, data.vertical.vectors])
-        residual = _validate_space_form(data.ambient_quad, oracle, frame)
-    if residual > SPACE_FORM_TOL:
+def _checked_space_form(data, curvature: str) -> Optional[float]:
+    """The space-form residual of a chart scene; raises when it is too large."""
+    residual = data.space_form_residual
+    if residual is not None and residual > SPACE_FORM_TOL:
         raise OracleError(
-            f"source curvature deviates from the c={data.c} space form by {residual:.3e}"
+            f"{curvature} curvature deviates from the c={data.c} space form by {residual:.3e}"
         )
     return residual

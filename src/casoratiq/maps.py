@@ -1,5 +1,12 @@
 """Riemannian maps and submersions: splits, fundamental tensors, Gauss residuals.
 
+Everything at one source point is read from one ``MapPoint``: the map
+jets and the source metric jets are computed once there, and the
+Christoffel symbols, the curvature of source and target and the
+horizontal projector are derived from them on first use.
+``differential`` builds the point and hangs it on the ``SceneSplit``
+that every other function here takes.
+
 The O'Neill tensors are evaluated through projected constant-component
 extensions: a frame vector is extended with constant chart components,
 the vertical/horizontal projector fields are applied to the extension,
@@ -9,8 +16,8 @@ result extension independent, which the tests assert rather than assume.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -21,16 +28,18 @@ from .errors import (
     RankError,
 )
 from .geometry import (
+    ChartPoint,
     MetricChart,
     OrthoFrame,
-    christoffel,
+    complete_frame,
+    frame_contraction,
     gram_schmidt,
-    riemann,
 )
 from .jets import Jet2, seed_point
 
 __all__ = [
     "SmoothMap",
+    "MapPoint",
     "SceneSplit",
     "FundamentalTensor",
     "SubmersionResiduals",
@@ -47,6 +56,7 @@ __all__ = [
 
 _KERNEL_TOL = 1e-8
 _ISOMETRY_TOL = 1e-6
+_FD_STEP = 1e-5  # relative step of the central differences in the mixed residual
 
 RIEMANNIAN_MAP = "riemannian_map"
 RIEMANNIAN_SUBMERSION = "riemannian_submersion"
@@ -101,13 +111,76 @@ class SmoothMap:
         return y, dF, d2F
 
 
-@dataclass(frozen=True)
-class SceneSplit:
-    """Vertical/horizontal frames in the source plus range frames in the target."""
+@dataclass(frozen=True, eq=False)
+class MapPoint:
+    """The jets of a map at one source point, and what derives from them.
 
+    Built from one ``smap.jets`` call and the checked source metric.  The
+    source and target chart points and the submersion projector are
+    computed from jets on first use and kept, so each is paid for once
+    and only by the consumers that need it.
+    """
+
+    smap: SmoothMap
     x: np.ndarray
     y: np.ndarray
-    dF: np.ndarray
+    dF: np.ndarray  # dF[a, mu] = d_mu F^a
+    d2F: np.ndarray  # d2F[a, mu, nu] = d_mu d_nu F^a
+    g1: np.ndarray  # source metric at x
+
+    @classmethod
+    def at(cls, smap: SmoothMap, x) -> "MapPoint":
+        x = np.asarray(x, dtype=float)
+        y, dF, d2F = smap.jets(x)
+        return cls(smap, x, y, dF, d2F, smap.source.metric_at(x))
+
+    @cached_property
+    def source(self) -> ChartPoint:
+        return ChartPoint.at(self.smap.source, self.x)
+
+    @cached_property
+    def target(self) -> ChartPoint:
+        return ChartPoint.at(self.smap.target, self.y)
+
+    @cached_property
+    def submersion(self) -> "_SubmersionPoint":
+        """Horizontal projector P_h, its coordinate derivative and the connection.
+
+        P_h = g1^-1 dF^T (dF g1^-1 dF^T)^-1 dF projects onto the
+        g1-orthogonal complement of ker dF; everything is closed-form in the
+        jets of F and g1, so the derivative is exact.
+        """
+        if self.smap.mode != RIEMANNIAN_SUBMERSION:
+            raise DimensionError("O'Neill tensors are defined for submersions only")
+        dF = self.dF
+        ginv, dginv = self.source.ginv, self.source.dginv
+        ddF = np.transpose(self.d2F, (2, 0, 1))  # ddF[nu, a, mu] = d_nu dF[a, mu]
+
+        W = ginv @ dF.T
+        M = dF @ W
+        Minv = np.linalg.inv(M)
+        Ph = W @ Minv @ dF
+
+        dW = np.einsum("mkl,al->mka", dginv, dF) + np.einsum("kl,mal->mka", ginv, ddF)
+        dM = np.einsum("mak,kb->mab", ddF, W) + np.einsum("ak,mkb->mab", dF, dW)
+        dMinv = -np.einsum("ab,mbc,cd->mad", Minv, dM, Minv)
+        dPh = (
+            np.einsum("mka,ab,bl->mkl", dW, Minv, dF)
+            + np.einsum("ka,mab,bl->mkl", W, dMinv, dF)
+            + np.einsum("ka,ab,mbl->mkl", W, Minv, ddF)
+        )
+        return _SubmersionPoint(gamma1=self.source.gamma, Ph=Ph, dPh=dPh)
+
+
+@dataclass(frozen=True)
+class SceneSplit:
+    """Vertical/horizontal frames in the source plus range frames in the target.
+
+    ``point`` is the context the split was taken at; every quantity that
+    depends only on the point is read from it.
+    """
+
+    point: MapPoint
     vertical: OrthoFrame
     horizontal: OrthoFrame
     range: OrthoFrame
@@ -125,25 +198,7 @@ class SceneSplit:
     def kernel_residual(self) -> float:
         if self.vertical.k == 0:
             return 0.0
-        return float(np.abs(self.dF @ self.vertical.vectors.T).max())
-
-
-def _complement(candidates, existing, g, needed, tol=1e-8):
-    out = []
-    base = [np.asarray(v, float) for v in existing]
-    for cand in candidates:
-        if len(out) == needed:
-            break
-        v = np.asarray(cand, float).copy()
-        for _ in range(2):
-            for e in base + out:
-                v = v - (e @ g @ v) * e
-        norm = math.sqrt(max(v @ g @ v, 0.0))
-        if norm > tol:
-            out.append(v / norm)
-    if len(out) != needed:
-        raise RankError(f"could not build a {needed}-dimensional complement")
-    return np.array(out) if out else np.zeros((0, g.shape[0]))
+        return float(np.abs(self.point.dF @ self.vertical.vectors.T).max())
 
 
 def differential(smap: SmoothMap, x) -> SceneSplit:
@@ -155,52 +210,41 @@ def differential(smap: SmoothMap, x) -> SceneSplit:
     (checked to be orthonormal in the target metric) and range_perp
     completes it.
     """
-    x = np.asarray(x, dtype=float)
-    y, dF, _ = smap.jets(x)
-    g1 = smap.source.metric_at(x)
-    g2 = smap.target.metric_at(y)
+    pt = MapPoint.at(smap, x)
+    g1 = pt.g1
+    g2 = smap.target.metric_at(pt.y)
     n1 = smap.source.dim
 
-    _, svals, vt = np.linalg.svd(dF)
+    _, svals, vt = np.linalg.svd(pt.dF)
     svals = np.concatenate([svals, np.zeros(n1 - svals.shape[0])])
     rank = int(np.sum(svals > _KERNEL_TOL))
     if rank != smap.rank:
         raise RankError(
             f"differential rank {rank} does not match declared rank {smap.rank} "
-            f"at {x.tolist()} (singular values {svals.tolist()})"
+            f"at {pt.x.tolist()} (singular values {svals.tolist()})"
         )
     if smap.mode == RIEMANNIAN_SUBMERSION and rank != smap.target.dim:
         raise RankError("submersion differential is not surjective")
 
-    kernel = vt[rank:]
-    vertical = (
-        gram_schmidt(list(kernel), g1)
-        if kernel.shape[0]
-        else OrthoFrame(np.zeros((0, n1)), g1)
-    )
-    hor_vectors = _complement(list(vt[:rank]), list(vertical.vectors), g1, rank)
-    horizontal = OrthoFrame(hor_vectors, g1)
+    vertical = gram_schmidt(list(vt[rank:]), g1)
+    horizontal = OrthoFrame(complete_frame(vertical, vt[:rank]).vectors[vertical.k :], g1)
 
-    range_vectors = horizontal.vectors @ dF.T
+    range_vectors = horizontal.vectors @ pt.dF.T
     gram = range_vectors @ g2 @ range_vectors.T if rank else np.zeros((0, 0))
     iso_residual = float(np.abs(gram - np.eye(rank)).max()) if rank else 0.0
     if iso_residual > _ISOMETRY_TOL:
         raise NotRiemannianMapError(
-            f"differential is not isometric on the horizontal space at {x.tolist()} "
+            f"differential is not isometric on the horizontal space at {pt.x.tolist()} "
             f"(residual {iso_residual:.3e})"
         )
     rng = OrthoFrame(range_vectors, g2)
-    perp_vectors = _complement(
-        list(np.eye(smap.target.dim)), list(range_vectors), g2, smap.target.dim - rank
-    )
+    perp = complete_frame(rng, np.eye(smap.target.dim)).vectors[rank:]
     return SceneSplit(
-        x=x,
-        y=y,
-        dF=dF,
+        point=pt,
         vertical=vertical,
         horizontal=horizontal,
         range=rng,
-        range_perp=OrthoFrame(perp_vectors, g2),
+        range_perp=OrthoFrame(perp, g2),
         isometry_residual=iso_residual,
     )
 
@@ -241,82 +285,37 @@ class FundamentalTensor:
         return self.raw_symmetry_residual
 
 
-def second_fundamental_form(smap: SmoothMap, x, split: SceneSplit) -> FundamentalTensor:
+def second_fundamental_form(split: SceneSplit) -> FundamentalTensor:
     """B(h_i, h_j) = (nabla dF)(h_i, h_j) in target components."""
-    x = np.asarray(x, dtype=float)
-    _, dF, d2F = smap.jets(x)
-    gamma1 = christoffel(smap.source, x)
-    gamma2 = christoffel(smap.target, split.y)
+    pt = split.point
+    gamma1 = pt.source.gamma
+    gamma2 = pt.target.gamma
     H = split.horizontal.vectors
-    g2 = smap.target.metric_at(split.y)
+    g2 = split.range.metric_at
 
     # nabla dF in chart components:
     #   B^a_{mu nu} = d2F^a_{mu nu} + Gamma2^a_{bc} dF^b_mu dF^c_nu
     #               - dF^a_lam Gamma1^lam_{mu nu}
     core = (
-        d2F
-        + np.einsum("abc,bm,cn->amn", gamma2, dF, dF)
-        - np.einsum("al,lmn->amn", dF, gamma1)
+        pt.d2F
+        + np.einsum("abc,bm,cn->amn", gamma2, pt.dF, pt.dF)
+        - np.einsum("al,lmn->amn", pt.dF, gamma1)
     )
     vectors = np.einsum("amn,im,jn->ija", core, H, H)
     coeffs = np.einsum("ija,ab,vb->vij", vectors, g2, split.range_perp.vectors)
     return FundamentalTensor.from_raw("B", coeffs, vectors, g2)
 
 
-# -- projector machinery for submersions -----------------------------------
+# -- O'Neill tensors of submersions -------------------------------------------
 
 
-def _projector_jets(smap: SmoothMap, x) -> tuple[np.ndarray, np.ndarray]:
-    """Horizontal projector P_h and its coordinate derivative at ``x``.
-
-    P_h = g1^-1 dF^T (dF g1^-1 dF^T)^-1 dF projects onto the
-    g1-orthogonal complement of ker dF; everything is closed-form in the
-    jets of F and g1, so the derivative is exact.
-    """
-    x = np.asarray(x, dtype=float)
-    _, dF, d2F = smap.jets(x)
-    G0, G1, _ = smap.source.metric_jets(x)
-    n1 = smap.source.dim
-    ginv = np.linalg.inv(G0)
-    dginv = -np.einsum("kp,pqm,ql->mkl", ginv, G1, ginv)
-    ddF = np.transpose(d2F, (2, 0, 1))  # ddF[nu, a, mu] = d_nu dF[a, mu]
-
-    W = ginv @ dF.T
-    M = dF @ W
-    Minv = np.linalg.inv(M)
-    Ph = W @ Minv @ dF
-
-    dW = np.einsum("mkl,al->mka", dginv, dF) + np.einsum("kl,mal->mka", ginv, ddF)
-    dM = np.einsum("mak,kb->mab", ddF, W) + np.einsum("ak,mkb->mab", dF, dW)
-    dMinv = -np.einsum("ab,mbc,cd->mad", Minv, dM, Minv)
-    dPh = (
-        np.einsum("mka,ab,bl->mkl", dW, Minv, dF)
-        + np.einsum("ka,mab,bl->mkl", W, dMinv, dF)
-        + np.einsum("ka,ab,mbl->mkl", W, Minv, ddF)
-    )
-    return Ph, dPh
-
-
-@dataclass
+@dataclass(frozen=True, eq=False)
 class _SubmersionPoint:
-    """Cached per-point data for O'Neill tensor evaluation."""
+    """Source connection and horizontal projector jets at one point of a submersion."""
 
-    g1: np.ndarray
     gamma1: np.ndarray
     Ph: np.ndarray
     dPh: np.ndarray
-
-    @classmethod
-    def at(cls, smap: SmoothMap, x) -> "_SubmersionPoint":
-        if smap.mode != RIEMANNIAN_SUBMERSION:
-            raise DimensionError("O'Neill tensors are defined for submersions only")
-        Ph, dPh = _projector_jets(smap, x)
-        return cls(
-            g1=smap.source.metric_at(x),
-            gamma1=christoffel(smap.source, x),
-            Ph=Ph,
-            dPh=dPh,
-        )
 
     def oneill_T_vec(self, E, F) -> np.ndarray:
         """Full T_E F for arbitrary vectors at the point."""
@@ -341,57 +340,59 @@ class _SubmersionPoint:
         return Pv @ cov_h + self.Ph @ cov_v
 
 
-def oneill_T(smap: SmoothMap, x, split: SceneSplit) -> FundamentalTensor:
+def oneill_T(split: SceneSplit) -> FundamentalTensor:
     """T^alpha_{ij} = g1(T_{v_i} v_j, h_alpha) over the vertical frame."""
-    pt = _SubmersionPoint.at(smap, x)
+    sub = split.point.submersion
+    g1 = split.point.g1
     V = split.vertical.vectors
     H = split.horizontal.vectors
     ell = V.shape[0]
-    vectors = np.empty((ell, ell, smap.source.dim))
+    vectors = np.empty((ell, ell, V.shape[1]))
     for i in range(ell):
         for j in range(ell):
-            vectors[i, j] = pt.oneill_T_vec(V[i], V[j])
-    coeffs = np.einsum("ija,ab,vb->vij", vectors, pt.g1, H)
-    return FundamentalTensor.from_raw("T", coeffs, vectors, pt.g1)
+            vectors[i, j] = sub.oneill_T_vec(V[i], V[j])
+    coeffs = np.einsum("ija,ab,vb->vij", vectors, g1, H)
+    return FundamentalTensor.from_raw("T", coeffs, vectors, g1)
 
 
-def oneill_A(smap: SmoothMap, x, split: SceneSplit) -> FundamentalTensor:
+def oneill_A(split: SceneSplit) -> FundamentalTensor:
     """A^alpha_{ij} = g1(A_{h_i} h_j, v_alpha) over the horizontal frame."""
-    pt = _SubmersionPoint.at(smap, x)
+    sub = split.point.submersion
+    g1 = split.point.g1
     V = split.vertical.vectors
     H = split.horizontal.vectors
     s = H.shape[0]
-    vectors = np.empty((s, s, smap.source.dim))
+    vectors = np.empty((s, s, H.shape[1]))
     for i in range(s):
         for j in range(s):
-            vectors[i, j] = pt.oneill_A_vec(H[i], H[j])
-    coeffs = np.einsum("ija,ab,vb->vij", vectors, pt.g1, V)
-    return FundamentalTensor.from_raw("A", coeffs, vectors, pt.g1)
+            vectors[i, j] = sub.oneill_A_vec(H[i], H[j])
+    coeffs = np.einsum("ija,ab,vb->vij", vectors, g1, V)
+    return FundamentalTensor.from_raw("A", coeffs, vectors, g1)
 
 
 def oneill_T_full(smap: SmoothMap, x, E, F) -> np.ndarray:
-    return _SubmersionPoint.at(smap, x).oneill_T_vec(np.asarray(E, float), np.asarray(F, float))
+    return MapPoint.at(smap, x).submersion.oneill_T_vec(np.asarray(E, float), np.asarray(F, float))
 
 
 def oneill_A_full(smap: SmoothMap, x, E, F) -> np.ndarray:
-    return _SubmersionPoint.at(smap, x).oneill_A_vec(np.asarray(E, float), np.asarray(F, float))
+    return MapPoint.at(smap, x).submersion.oneill_A_vec(np.asarray(E, float), np.asarray(F, float))
 
 
-def vertical_bracket(smap: SmoothMap, x, split: SceneSplit) -> np.ndarray:
+def vertical_bracket(split: SceneSplit) -> np.ndarray:
     """Vertical part of [H_i, H_j] for the projected horizontal frame fields.
 
     ``H_i(y) = P_h(y) c_i`` with constant components c_i; the bracket is
     differentiated directly, giving the cross-check v[H_i, H_j] = 2 A_{h_i} h_j.
     """
-    pt = _SubmersionPoint.at(smap, x)
-    Pv = np.eye(pt.Ph.shape[0]) - pt.Ph
+    sub = split.point.submersion
+    Pv = np.eye(sub.Ph.shape[0]) - sub.Ph
     H = split.horizontal.vectors
     s = H.shape[0]
-    out = np.empty((s, s, smap.source.dim))
+    out = np.empty((s, s, H.shape[1]))
     for i in range(s):
-        dP_i = np.einsum("m,mkl->kl", H[i], pt.dPh)
+        dP_i = np.einsum("m,mkl->kl", H[i], sub.dPh)
         for j in range(s):
-            dP_j = np.einsum("m,mkl->kl", H[j], pt.dPh)
+            dP_j = np.einsum("m,mkl->kl", H[j], sub.dPh)
             bracket = dP_i @ H[j] - dP_j @ H[i]
             out[i, j] = Pv @ bracket
     return out
@@ -400,23 +401,21 @@ def vertical_bracket(smap: SmoothMap, x, split: SceneSplit) -> np.ndarray:
 # -- Gauss-type residuals ---------------------------------------------------
 
 
-def gauss_residual_map(
-    smap: SmoothMap, x, split: SceneSplit, B: Optional[FundamentalTensor] = None
-) -> float:
+def gauss_residual_map(split: SceneSplit, B: Optional[FundamentalTensor] = None) -> float:
     """Max residual of the Gauss equation over horizontal quadruples.
 
     R2(dF W1, ..., dF W4) - [ R1(W1..W4) + g2(B(W1,W3), B(W2,W4))
                                         - g2(B(W1,W4), B(W2,W3)) ].
     """
     if B is None:
-        B = second_fundamental_form(smap, x, split)
-    R1 = riemann(smap.source, x)
-    R2 = riemann(smap.target, split.y)
+        B = second_fundamental_form(split)
+    R1 = split.point.source.curvature.riemann
+    R2 = split.point.target.curvature.riemann
     H = split.horizontal.vectors
     s = H.shape[0]
     rng = split.range.vectors
-    lhs = np.einsum("abcd,ia,jb,kc,ld->ijkl", R2.riemann, rng, rng, rng, rng)
-    rhs = np.einsum("abcd,ia,jb,kc,ld->ijkl", R1.riemann, H, H, H, H)
+    lhs = frame_contraction(R2, rng, rng, rng, rng)
+    rhs = frame_contraction(R1, H, H, H, H)
     inner = np.einsum("ija,ab,klb->ijkl", B.vectors, B.metric, B.vectors)
     # g2(B(W1,W3), B(W2,W4)) - g2(B(W1,W4), B(W2,W3)) with slots (i,j,k,l)
     rhs = rhs + inner.transpose(0, 2, 1, 3) - inner.transpose(0, 2, 3, 1)
@@ -444,21 +443,18 @@ def _space_form_tensor(kappa: float, g: np.ndarray, frame: np.ndarray) -> np.nda
     return kappa * (np.einsum("bc,ad->abcd", G, G) - np.einsum("ac,bd->abcd", G, G))
 
 
-def _covariant_tensor_derivative(smap, x, split, tensor_at, direction, args, h=1e-5):
+def _covariant_tensor_derivative(x, gamma, tensor_at, X, a, b) -> np.ndarray:
     """(nabla_X S)(a, b) for a vector-valued 2-tensor field S.
 
     ``tensor_at(y, a, b)`` evaluates the tensor at a nearby point on
-    constant-component extensions of the vectors ``args = (a, b)``.
+    constant-component extensions of the vectors ``a`` and ``b``.
     Central finite differences supply the coordinate derivative of the
-    tensor field; the connection terms use the Christoffel symbols at x.
+    tensor field; the connection terms use the Christoffel symbols
+    ``gamma`` at x.
     """
-    x = np.asarray(x, dtype=float)
-    a, b = args
-    gamma = christoffel(smap.source, x)
-    X = np.asarray(direction, float)
-    step = h * max(1.0, float(np.abs(x).max()))
-    partial = np.zeros(smap.source.dim)
-    for nu in range(smap.source.dim):
+    step = _FD_STEP * max(1.0, float(np.abs(x).max()))
+    partial = np.zeros(x.shape[0])
+    for nu in range(x.shape[0]):
         if X[nu] == 0.0:
             continue
         e = np.zeros_like(x)
@@ -474,8 +470,6 @@ def _covariant_tensor_derivative(smap, x, split, tensor_at, direction, args, h=1
 
 
 def gauss_residual_submersion(
-    smap: SmoothMap,
-    x,
     split: SceneSplit,
     T: Optional[FundamentalTensor] = None,
     A: Optional[FundamentalTensor] = None,
@@ -491,20 +485,20 @@ def gauss_residual_submersion(
       ambient curvature and the A-tensor terms.
     * mixed: the mixed identity with covariant derivatives of T and A.
     """
-    x = np.asarray(x, dtype=float)
     if T is None:
-        T = oneill_T(smap, x, split)
+        T = oneill_T(split)
     if A is None:
-        A = oneill_A(smap, x, split)
-    R1 = riemann(smap.source, x)
-    g1 = smap.source.metric_at(x)
+        A = oneill_A(split)
+    pt = split.point
+    R1 = pt.source.curvature.riemann
+    g1 = pt.g1
     V = split.vertical.vectors
     H = split.horizontal.vectors
     ell, s = V.shape[0], H.shape[0]
 
     # vertical identity
     if ell >= 2:
-        amb = np.einsum("abcd,ia,jb,kc,ld->ijkl", R1.riemann, V, V, V, V)
+        amb = frame_contraction(R1, V, V, V, V)
         tt = np.einsum("ija,ab,klb->ijkl", T.vectors, g1, T.vectors)
         # R_fiber[ijkl] = R1[ijkl] + g(T(i,l), T(j,k)) - g(T(i,k), T(j,l))
         recon = amb + tt.transpose(0, 2, 3, 1) - tt.transpose(0, 2, 1, 3)
@@ -529,10 +523,10 @@ def gauss_residual_submersion(
 
     # horizontal identity against the target curvature
     if s >= 2:
-        R2 = riemann(smap.target, split.y)
+        R2 = pt.target.curvature.riemann
         rngv = split.range.vectors
-        base = np.einsum("abcd,ia,jb,kc,ld->ijkl", R2.riemann, rngv, rngv, rngv, rngv)
-        amb_h = np.einsum("abcd,ia,jb,kc,ld->ijkl", R1.riemann, H, H, H, H)
+        base = frame_contraction(R2, rngv, rngv, rngv, rngv)
+        amb_h = frame_contraction(R1, H, H, H, H)
         aa = np.einsum("ija,ab,klb->ijkl", A.vectors, g1, A.vectors)
         # R1[ijkl] = base[ijkl] + 2 g(A(i,j), A(k,l)) - g(A(j,k), A(i,l))
         #                       + g(A(i,k), A(j,l))
@@ -541,44 +535,45 @@ def gauss_residual_submersion(
     else:
         horizontal = 0.0
 
-    # mixed identity with covariant derivatives of T and A; the projector
-    # jets at each finite-difference point are shared across all pairs
-    cache: dict[tuple, _SubmersionPoint] = {}
+    # mixed identity with covariant derivatives of T and A; every
+    # finite-difference neighbour is one MapPoint, shared by all pairs
+    sub = pt.submersion
+    cache = {tuple(np.round(pt.x, 14)): sub}
 
-    def _point(y) -> _SubmersionPoint:
-        key = tuple(np.round(np.asarray(y, float), 14))
+    def neighbour(y) -> _SubmersionPoint:
+        key = tuple(np.round(y, 14))
         if key not in cache:
-            cache[key] = _SubmersionPoint.at(smap, y)
+            cache[key] = MapPoint.at(pt.smap, y).submersion
         return cache[key]
 
     def T_at(y, a, b):
-        return _point(y).oneill_T_vec(a, b)
+        return neighbour(y).oneill_T_vec(a, b)
 
     def A_at(y, a, b):
-        return _point(y).oneill_A_vec(a, b)
+        return neighbour(y).oneill_A_vec(a, b)
 
-    pt = _point(x)
+    lhs = frame_contraction(R1, H, V, H, V)
+    T_vh = [[sub.oneill_T_vec(v, h) for h in H] for v in V]  # T_vh[j][i] = T_{v_j} h_i
+    A_hv = [[sub.oneill_A_vec(h, v) for v in V] for h in H]  # A_hv[i][j] = A_{h_i} v_j
     mixed = 0.0
     for i in range(s):
         for j in range(ell):
-            nabla_T = {}
-            for l in range(ell):
-                nabla_T[l] = _covariant_tensor_derivative(
-                    smap, x, split, T_at, H[i], (V[j], V[l])
-                )
+            nabla_T = [
+                _covariant_tensor_derivative(pt.x, sub.gamma1, T_at, H[i], V[j], V[l])
+                for l in range(ell)
+            ]
             for k in range(s):
                 nabla_A = _covariant_tensor_derivative(
-                    smap, x, split, A_at, V[j], (H[i], H[k])
+                    pt.x, sub.gamma1, A_at, V[j], H[i], H[k]
                 )
                 for l in range(ell):
-                    lhs = R1.quad(H[i], V[j], H[k], V[l])
                     rhs = (
                         float(nabla_T[l] @ g1 @ H[k])
                         + float(nabla_A @ g1 @ V[l])
-                        - float(pt.oneill_T_vec(V[j], H[i]) @ g1 @ pt.oneill_T_vec(V[l], H[k]))
-                        + float(pt.oneill_A_vec(H[k], V[l]) @ g1 @ pt.oneill_A_vec(H[i], V[j]))
+                        - float(T_vh[j][i] @ g1 @ T_vh[l][k])
+                        + float(A_hv[k][l] @ g1 @ A_hv[i][j])
                     )
-                    mixed = max(mixed, abs(lhs - rhs))
+                    mixed = max(mixed, abs(lhs[i, j, k, l] - rhs))
 
     return SubmersionResiduals(
         vertical=vertical,

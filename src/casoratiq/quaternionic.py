@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
 
 import numpy as np
 
@@ -46,23 +45,19 @@ def quat_units(m: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class QuaternionicStructure:
-    """Three anti-commuting orthogonal anti-involutions, fixed or as a field."""
+    """Three anti-commuting orthogonal anti-involutions with constant components."""
 
     dim: int
-    J_const: Optional[np.ndarray] = None  # (3, n, n)
-    J_field: Optional[Callable] = None  # x -> (3, n, n)
+    J_const: np.ndarray  # (3, n, n)
     name: str = ""
 
     def __post_init__(self):
         if self.dim % 4 != 0:
             raise StructureError(f"dimension {self.dim} is not a multiple of 4")
-        if (self.J_const is None) == (self.J_field is None):
-            raise StructureError("exactly one of J_const / J_field must be given")
-        if self.J_const is not None:
-            J = np.asarray(self.J_const, dtype=float)
-            if J.shape != (3, self.dim, self.dim):
-                raise StructureError(f"J matrices have shape {J.shape}")
-            object.__setattr__(self, "J_const", J)
+        J = np.asarray(self.J_const, dtype=float)
+        if J.shape != (3, self.dim, self.dim):
+            raise StructureError(f"J matrices have shape {J.shape}")
+        object.__setattr__(self, "J_const", J)
 
     @classmethod
     def quat_flat(cls, m: int) -> "QuaternionicStructure":
@@ -73,10 +68,8 @@ class QuaternionicStructure:
         J = np.asarray(J, dtype=float)
         return cls(J.shape[-1], J_const=J, name="explicit")
 
-    def at(self, x=None) -> np.ndarray:
-        if self.J_const is not None:
-            return self.J_const
-        return np.asarray(self.J_field(x), dtype=float)
+    def at(self) -> np.ndarray:
+        return self.J_const
 
 
 def structure(name: str) -> QuaternionicStructure:

@@ -387,12 +387,6 @@ class RunReport:
             "aggregate": self.aggregate,
         }
 
-    def min_slack(self) -> Optional[float]:
-        slacks = [
-            r.slack for p in self.points for r in p.reports
-        ]
-        return min(slacks) if slacks else None
-
     def has_violation(self) -> bool:
         return any(
             r.equality_verdict == "violated" for p in self.points for r in p.reports
@@ -408,8 +402,27 @@ def _requested_families(theorems) -> dict[str, list[str]]:
     return out
 
 
-def _bracket_residual(smap, x, split, A: maps.FundamentalTensor) -> float:
-    br = maps.vertical_bracket(smap, x, split)
+def _check_structure(J: np.ndarray, g: np.ndarray, validation: dict) -> None:
+    """Check J against the metric g, record it in ``validation``, raise when it fails."""
+    srep = check_quaternionic_structure(J, g)
+    validation["structure"] = {
+        "passed": srep.passed,
+        "worst": srep.worst,
+        "failed_identities": srep.failed_identities(),
+    }
+    if not srep.passed:
+        raise SceneValidationError(
+            "quaternionic structure invalid: " + ", ".join(srep.failed_identities())
+        )
+
+
+def _structure_metric(scn: Scenario, split: maps.SceneSplit) -> np.ndarray:
+    """Metric at the point where a chart scene's structure lives."""
+    return split.point.g1 if scn.structure_on == "source" else split.range.metric_at
+
+
+def _bracket_residual(split: maps.SceneSplit, A: maps.FundamentalTensor) -> float:
+    br = maps.vertical_bracket(split)
     g1 = A.metric
     diff = br - 2.0 * A.vectors
     worst = 0.0
@@ -432,32 +445,18 @@ def _evaluate_chart_point(scn: Scenario, x: np.ndarray):
 
     J = None
     if scn.structure is not None:
-        g_for_structure = (
-            smap.source.metric_at(x)
-            if scn.structure_on == "source"
-            else smap.target.metric_at(split.y)
-        )
-        J = scn.structure.at(x if scn.structure_on == "source" else split.y)
-        srep = check_quaternionic_structure(J, g_for_structure)
-        validation["structure"] = {
-            "passed": srep.passed,
-            "worst": srep.worst,
-            "failed_identities": srep.failed_identities(),
-        }
-        if not srep.passed:
-            raise SceneValidationError(
-                "quaternionic structure invalid: " + ", ".join(srep.failed_identities())
-            )
+        J = scn.structure.at()
+        _check_structure(J, _structure_metric(scn, split), validation)
 
     if smap.mode == maps.RIEMANNIAN_SUBMERSION:
-        T = maps.oneill_T(smap, x, split)
-        A = maps.oneill_A(smap, x, split)
+        T = maps.oneill_T(split)
+        A = maps.oneill_A(split)
         validation["T_symmetry_residual"] = T.symmetry_residual()
         validation["A_skew_residual"] = A.symmetry_residual()
         kappa = None
         if scn.fiber_kappa is not None:
             kappa = float(scn.fiber_kappa([float(v) for v in x]))
-        res = maps.gauss_residual_submersion(smap, x, split, T, A, fiber_kappa=kappa)
+        res = maps.gauss_residual_submersion(split, T, A, fiber_kappa=kappa)
         gauss = res.as_dict()
         residual_tol = float(scn.tolerances.get("residual", 1e-6))
         worst_res = max(res.vertical, res.horizontal, res.mixed)
@@ -466,15 +465,15 @@ def _evaluate_chart_point(scn: Scenario, x: np.ndarray):
                 f"Gauss residual {worst_res:.3e} exceeds the scene tolerance "
                 f"{residual_tol:.1e}"
             )
-        bracket = _bracket_residual(smap, x, split, A)
+        bracket = _bracket_residual(split, A)
         validation["bracket_verticality_residual"] = bracket
         if families:
             if J is None or scn.structure_on != "source":
                 raise ConfigurationError(
                     "submersion theorems need a quaternionic structure on the source"
                 )
-            R1 = geometry.riemann(smap.source, x)
-            g1 = smap.source.metric_at(x)
+            R1 = split.point.source.curvature
+            g1 = split.point.g1
             frame = np.vstack([split.horizontal.vectors, split.vertical.vectors])
             sf_res = space_form_residual_from_tensor(
                 R1.riemann, QSFOracle(scn.c, J, g1), frame
@@ -489,7 +488,6 @@ def _evaluate_chart_point(scn: Scenario, x: np.ndarray):
                 c=scn.c,
                 ambient_quad=R1.quad,
                 deltaN=scn.delta_n,
-                chartlike=True,
                 space_form_residual=sf_res,
                 equality_tol=scn.tolerances.get("equality"),
                 bracket_residual=bracket,
@@ -512,9 +510,9 @@ def _evaluate_chart_point(scn: Scenario, x: np.ndarray):
             if "map" in families:
                 raise ConfigurationError("map theorems do not apply to a submersion scene")
     else:
-        B = maps.second_fundamental_form(smap, x, split)
+        B = maps.second_fundamental_form(split)
         validation["B_symmetry_residual"] = B.symmetry_residual()
-        gauss = {"map": maps.gauss_residual_map(smap, x, split, B)}
+        gauss = {"map": maps.gauss_residual_map(split, B)}
         residual_tol = float(scn.tolerances.get("residual", 1e-6))
         if gauss["map"] > residual_tol:
             raise SceneValidationError(
@@ -531,8 +529,8 @@ def _evaluate_chart_point(scn: Scenario, x: np.ndarray):
                 raise ConfigurationError(
                     "map theorems need a quaternionic structure on the target"
                 )
-            R2 = geometry.riemann(smap.target, split.y)
-            g2 = smap.target.metric_at(split.y)
+            R2 = split.point.target.curvature
+            g2 = split.range.metric_at
             frame = np.vstack([split.range.vectors, split.range_perp.vectors])
             sf_res = space_form_residual_from_tensor(
                 R2.riemann, QSFOracle(scn.c, J, g2), frame
@@ -545,7 +543,6 @@ def _evaluate_chart_point(scn: Scenario, x: np.ndarray):
                 J2=J,
                 c=scn.c,
                 ambient_quad=R2.quad,
-                chartlike=True,
                 space_form_residual=sf_res,
                 equality_tol=scn.tolerances.get("equality"),
             )
@@ -558,18 +555,8 @@ def _evaluate_chart_point(scn: Scenario, x: np.ndarray):
 def _evaluate_pointwise(scn: Scenario):
     g = scn.g
     J = scn.structure.at()
-    srep = check_quaternionic_structure(J, g)
-    validation = {
-        "structure": {
-            "passed": srep.passed,
-            "worst": srep.worst,
-            "failed_identities": srep.failed_identities(),
-        }
-    }
-    if not srep.passed:
-        raise SceneValidationError(
-            "quaternionic structure invalid: " + ", ".join(srep.failed_identities())
-        )
+    validation = {}
+    _check_structure(J, g, validation)
     oracle = QSFOracle(scn.c, J, g)
     families = _requested_families(scn.theorems)
     reports = []
@@ -662,32 +649,14 @@ def validate_scenario(scn: Scenario) -> list[PointResult]:
         try:
             scn.smap.source.metric_at(x)
             split = maps.differential(scn.smap, x)
-            scn.smap.target.metric_at(split.y)
             validation = {
                 "isometry_residual": split.isometry_residual,
                 "kernel_residual": split.kernel_residual(),
             }
             if scn.structure is not None:
-                g_for = (
-                    scn.smap.source.metric_at(x)
-                    if scn.structure_on == "source"
-                    else scn.smap.target.metric_at(split.y)
-                )
-                srep = check_quaternionic_structure(
-                    scn.structure.at(x if scn.structure_on == "source" else split.y), g_for
-                )
-                validation["structure"] = {
-                    "passed": srep.passed,
-                    "worst": srep.worst,
-                    "failed_identities": srep.failed_identities(),
-                }
-                if not srep.passed:
-                    raise SceneValidationError(
-                        "quaternionic structure invalid: "
-                        + ", ".join(srep.failed_identities())
-                    )
+                _check_structure(scn.structure.at(), _structure_metric(scn, split), validation)
             errors = []
-            ypt = split.y.tolist()
+            ypt = split.point.y.tolist()
         except CasoratiqError as e:
             validation, errors, ypt = {}, [str(e)], None
         results.append(
@@ -717,7 +686,7 @@ def evaluate_scenario(scn: Scenario, strict: bool = False) -> RunReport:
                 split, validation, gauss, reports = _evaluate_chart_point(scn, x)
                 points.append(
                     PointResult(
-                        i, [float(v) for v in x], split.y.tolist(), validation, gauss,
+                        i, [float(v) for v in x], split.point.y.tolist(), validation, gauss,
                         reports, [],
                     )
                 )

@@ -83,18 +83,18 @@ def test_c03_gauss_self_validation():
         scn = builtin_scenario(name)
         for x in scn.evaluation_points():
             split = differential(scn.smap, x)
-            assert gauss_residual_map(scn.smap, x, split) < 1e-6, name
+            assert gauss_residual_map(split) < 1e-6, name
 
     proj = builtin_scenario("product-projection:8to4")
     for x in proj.evaluation_points():
         split = differential(proj.smap, x)
-        res = gauss_residual_submersion(proj.smap, x, split, fiber_kappa=0.0)
+        res = gauss_residual_submersion(split, fiber_kappa=0.0)
         assert res.vertical < 1e-6 and res.horizontal < 1e-6 and res.mixed < 1e-6
 
     radial = builtin_scenario("radial:4")
     for x, r in zip(radial.evaluation_points(), (0.5, 1.0, 2.0)):
         split = differential(radial.smap, x)
-        res = gauss_residual_submersion(radial.smap, x, split, fiber_kappa=1.0 / r**2)
+        res = gauss_residual_submersion(split, fiber_kappa=1.0 / r**2)
         assert res.vertical < 1e-6 and res.horizontal < 1e-6 and res.mixed < 1e-6
     print("\n[criterion 3] Gauss self-validation: PASS")
 

@@ -137,7 +137,7 @@ class TestFrames:
     def test_complete_frame(self):
         g = np.diag([2.0, 1.0, 0.5, 1.0])
         fr = gram_schmidt([np.array([1.0, 1.0, 0.0, 0.0])], g)
-        full = complete_frame(fr)
+        full = complete_frame(fr, np.eye(4))
         assert full.k == 4
         assert full.orthonormality_residual() < 1e-10
 

@@ -14,6 +14,7 @@ from casoratiq.inequalities import (
     check_map_theorem,
     check_vertical_theorem,
     equality_diagnostics,
+    space_form_residual_from_tensor,
 )
 from casoratiq.quaternionic import QSFOracle, quat_units
 
@@ -80,7 +81,7 @@ class TestAlgebraicGap:
 
 
 class TestMapTheorem:
-    def make_data(self, B, c, rng=None, chartlike=False, quad=None):
+    def make_data(self, B, c, rng=None, quad=None, space_form_residual=None):
         rng = rng or np.random.default_rng(7)
         rows = orthonormal_rows(rng, 8)
         J = quat_units(2)
@@ -94,7 +95,7 @@ class TestMapTheorem:
             J2=J,
             c=c,
             ambient_quad=quad or oracle.quad,
-            chartlike=chartlike,
+            space_form_residual=space_form_residual,
         )
 
     def test_equality_pattern_delta(self):
@@ -127,8 +128,12 @@ class TestMapTheorem:
 
     def test_space_form_mismatch_raises(self):
         # declare c = 4 but feed flat curvature in chart mode
-        data = self.make_data(np.zeros((4, 4, 4)), 4.0, chartlike=True,
-                              quad=lambda *z: 0.0)
+        frame = orthonormal_rows(np.random.default_rng(7), 8)
+        residual = space_form_residual_from_tensor(
+            np.zeros((8,) * 4), QSFOracle(4.0, quat_units(2), np.eye(8)), frame
+        )
+        data = self.make_data(np.zeros((4, 4, 4)), 4.0, quad=lambda *z: 0.0,
+                              space_form_residual=residual)
         with pytest.raises(OracleError):
             check_map_theorem(data)
 

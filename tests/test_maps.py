@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,6 @@ from casoratiq.errors import DimensionError, NotRiemannianMapError, RankError
 from casoratiq.geometry import OrthoFrame, chart, gram_schmidt, riemann
 from casoratiq.maps import (
     FundamentalTensor,
-    SceneSplit,
     SmoothMap,
     differential,
     gauss_residual_map,
@@ -70,13 +71,13 @@ class TestSecondFundamentalForm:
                         lambda c: [c[0], c[1], 0.0, 0.0], "riemannian_map", 2)
         x = np.array([0.7, -0.4])
         sp = differential(emb, x)
-        B = second_fundamental_form(emb, x, sp)
+        B = second_fundamental_form(sp)
         assert np.abs(B.coeffs).max() < 1e-14
 
     def test_paraboloid_vertex(self, paraboloid_map):
         x = np.zeros(2)
         sp = differential(paraboloid_map, x)
-        B = second_fundamental_form(paraboloid_map, x, sp)
+        B = second_fundamental_form(sp)
         assert B.coeffs.shape == (1, 2, 2)
         assert B.coeffs[0, 0, 0] == pytest.approx(1.0, abs=1e-10)
         assert B.coeffs[0, 1, 1] == pytest.approx(1.0, abs=1e-10)
@@ -87,7 +88,7 @@ class TestSecondFundamentalForm:
         # projections in map mode: rank 4 with 0 codistribution slices
         x = np.full(8, 0.2)
         sp = differential(projection_map, x)
-        B = second_fundamental_form(projection_map, x, sp)
+        B = second_fundamental_form(sp)
         assert B.coeffs.shape[0] == 0
         assert np.abs(B.vectors).max() < 1e-14
 
@@ -96,15 +97,14 @@ class TestSecondFundamentalForm:
         # equivariantly, so its scalar norms are invariant
         x = np.array([0.4, -0.3])
         sp = differential(paraboloid_map, x)
-        B = second_fundamental_form(paraboloid_map, x, sp)
+        B = second_fundamental_form(sp)
         rng = np.random.default_rng(2)
         Q = orthonormal_rows(rng, 2)
         g1 = paraboloid_map.source.metric_at(x)
         hor2 = OrthoFrame(Q @ sp.horizontal.vectors, g1)
-        rng2 = OrthoFrame(hor2.vectors @ sp.dF.T, sp.range.metric_at)
-        sp2 = SceneSplit(sp.x, sp.y, sp.dF, sp.vertical, hor2, rng2, sp.range_perp,
-                         sp.isometry_residual)
-        B2 = second_fundamental_form(paraboloid_map, x, sp2)
+        rng2 = OrthoFrame(hor2.vectors @ sp.point.dF.T, sp.range.metric_at)
+        sp2 = dataclasses.replace(sp, horizontal=hor2, range=rng2)
+        B2 = second_fundamental_form(sp2)
         assert abs(B.norm_sq() - B2.norm_sq()) < 1e-9
         assert abs(B.trace_norm_sq() - B2.trace_norm_sq()) < 1e-9
 
@@ -113,14 +113,14 @@ class TestONeillTensors:
     def test_projection_vanishes(self, projection_map):
         x = np.full(8, 0.3)
         sp = differential(projection_map, x)
-        assert oneill_T(projection_map, x, sp).norm_sq() == pytest.approx(0.0, abs=1e-20)
-        assert oneill_A(projection_map, x, sp).norm_sq() == pytest.approx(0.0, abs=1e-20)
+        assert oneill_T(sp).norm_sq() == pytest.approx(0.0, abs=1e-20)
+        assert oneill_A(sp).norm_sq() == pytest.approx(0.0, abs=1e-20)
 
     @pytest.mark.parametrize("r", [0.5, 1.0, 2.0])
     def test_radial_umbilical(self, radial_map, r):
         x = np.full(4, r / 2.0)
         sp = differential(radial_map, x)
-        T = oneill_T(radial_map, x, sp)
+        T = oneill_T(sp)
         diag = np.diagonal(T.coeffs[0])
         assert np.abs(np.abs(diag) - 1.0 / r).max() < 1e-9
         off = T.coeffs[0] - np.diag(diag)
@@ -130,7 +130,7 @@ class TestONeillTensors:
     def test_hopf_A_nonzero(self, hopf_map):
         x = np.array([0.5, 0.3, 0.4, 0.2])
         sp = differential(hopf_map, x)
-        A = oneill_A(hopf_map, x, sp)
+        A = oneill_A(sp)
         assert A.norm_sq() > 1e-4
         assert A.symmetry_residual() < 1e-9
         assert np.abs(np.trace(A.coeffs, axis1=1, axis2=2)).max() == 0.0
@@ -138,7 +138,7 @@ class TestONeillTensors:
     def test_T_symmetry(self, radial_map):
         x = np.array([0.6, 0.5, 0.55, 0.48])
         sp = differential(radial_map, x)
-        assert oneill_T(radial_map, x, sp).symmetry_residual() < 1e-9
+        assert oneill_T(sp).symmetry_residual() < 1e-9
 
     def test_alternation_identities(self, hopf_map):
         x = np.array([0.9, 0.2, 0.6, 0.3])
@@ -158,16 +158,17 @@ class TestONeillTensors:
     def test_scalar_invariance_under_split_rotation(self, hopf_map):
         x = np.array([0.4, 0.4, 0.4, 0.4])
         sp = differential(hopf_map, x)
-        T = oneill_T(hopf_map, x, sp)
-        A = oneill_A(hopf_map, x, sp)
+        T = oneill_T(sp)
+        A = oneill_A(sp)
         rng = np.random.default_rng(9)
         Qh = orthonormal_rows(rng, sp.s)
         hor2 = OrthoFrame(Qh @ sp.horizontal.vectors, sp.horizontal.metric_at)
-        sp2 = SceneSplit(sp.x, sp.y, sp.dF, sp.vertical, hor2,
-                         OrthoFrame(hor2.vectors @ sp.dF.T, sp.range.metric_at),
-                         sp.range_perp, sp.isometry_residual)
-        T2 = oneill_T(hopf_map, x, sp2)
-        A2 = oneill_A(hopf_map, x, sp2)
+        sp2 = dataclasses.replace(
+            sp, horizontal=hor2,
+            range=OrthoFrame(hor2.vectors @ sp.point.dF.T, sp.range.metric_at),
+        )
+        T2 = oneill_T(sp2)
+        A2 = oneill_A(sp2)
         assert abs(T.norm_sq() - T2.norm_sq()) < 1e-9
         assert abs(T.trace_norm_sq() - T2.trace_norm_sq()) < 1e-9
         assert abs(A.norm_sq() - A2.norm_sq()) < 1e-9
@@ -176,7 +177,7 @@ class TestONeillTensors:
         x = np.zeros(2)
         sp = differential(paraboloid_map, x)
         with pytest.raises(DimensionError):
-            oneill_T(paraboloid_map, x, sp)
+            oneill_T(sp)
 
 
 class TestGaussResiduals:
@@ -185,28 +186,28 @@ class TestGaussResiduals:
                         lambda c: [c[0], c[1], 0.0, 0.0], "riemannian_map", 2)
         x = np.array([0.1, 0.9])
         sp = differential(emb, x)
-        assert gauss_residual_map(emb, x, sp) < 1e-14
+        assert gauss_residual_map(sp) < 1e-14
 
     def test_paraboloid(self, paraboloid_map):
         for xv in ([0.0, 0.0], [0.4, -0.3], [1.0, 0.7]):
             x = np.array(xv)
             sp = differential(paraboloid_map, x)
-            assert gauss_residual_map(paraboloid_map, x, sp) < 1e-6
+            assert gauss_residual_map(sp) < 1e-6
 
     def test_corrupted_B_detected(self, paraboloid_map):
         x = np.zeros(2)
         sp = differential(paraboloid_map, x)
-        B = second_fundamental_form(paraboloid_map, x, sp)
+        B = second_fundamental_form(sp)
         vecs = B.vectors.copy()
         vecs[0, 0] = vecs[0, 0] + 0.1 * sp.range_perp.vectors[0]
         coeffs = np.einsum("ija,ab,vb->vij", vecs, B.metric, sp.range_perp.vectors)
         bad = FundamentalTensor("B", coeffs, vecs, B.metric)
-        assert gauss_residual_map(paraboloid_map, x, sp, bad) >= 0.005
+        assert gauss_residual_map(sp, bad) >= 0.005
 
     def test_projection_all_zero(self, projection_map):
         x = np.full(8, -0.2)
         sp = differential(projection_map, x)
-        res = gauss_residual_submersion(projection_map, x, sp, fiber_kappa=0.0)
+        res = gauss_residual_submersion(sp, fiber_kappa=0.0)
         assert res.vertical < 1e-14
         assert res.horizontal < 1e-14
         assert res.mixed < 1e-14
@@ -216,7 +217,7 @@ class TestGaussResiduals:
     def test_radial_all_residuals(self, radial_map, r):
         x = np.full(4, r / 2.0)
         sp = differential(radial_map, x)
-        res = gauss_residual_submersion(radial_map, x, sp, fiber_kappa=1.0 / r**2)
+        res = gauss_residual_submersion(sp, fiber_kappa=1.0 / r**2)
         assert res.vertical < 1e-6
         assert res.horizontal < 1e-6
         assert res.mixed < 1e-6
@@ -225,7 +226,7 @@ class TestGaussResiduals:
         for xv in ([0.5, 0.3, 0.4, 0.2], [0.9, 0.2, 0.6, 0.3]):
             x = np.array(xv)
             sp = differential(hopf_map, x)
-            res = gauss_residual_submersion(hopf_map, x, sp)
+            res = gauss_residual_submersion(sp)
             assert res.horizontal < 1e-6
             assert res.mixed < 1e-6
             assert not res.vertical_independent
@@ -247,13 +248,13 @@ class TestBracketConsistency:
     def test_hopf(self, hopf_map):
         x = np.array([0.5, 0.3, 0.4, 0.2])
         sp = differential(hopf_map, x)
-        A = oneill_A(hopf_map, x, sp)
-        br = vertical_bracket(hopf_map, x, sp)
+        A = oneill_A(sp)
+        br = vertical_bracket(sp)
         assert np.abs(br - 2.0 * A.vectors).max() < 1e-6
 
     def test_projection(self, projection_map):
         x = np.full(8, 0.1)
         sp = differential(projection_map, x)
-        A = oneill_A(projection_map, x, sp)
-        br = vertical_bracket(projection_map, x, sp)
+        A = oneill_A(sp)
+        br = vertical_bracket(sp)
         assert np.abs(br - 2.0 * A.vectors).max() < 1e-12

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import subprocess
 import sys
@@ -281,6 +282,52 @@ class TestRunReports:
         path = tmp_path / "violation.json"
         path.write_text(json.dumps(doc))
         assert main(["run", str(path), "-o", str(tmp_path / "out.json")]) == 2
+
+    def test_exit_code_follows_verdicts_not_raw_slack(self, tmp_path):
+        # raw delta slack -5e-8 on a scene with lhs 16.4: the normalized slack
+        # is inside the equality tolerance, so no report is violated and the
+        # exit code must say so
+        from casoratiq.scenes import _equality_pattern
+
+        doc = dict(builtin_scenario("pw-equality-combined:s4l4").raw)
+        T = _equality_pattern(4, [10.0, 5.0, 2.5, 0.0])
+        doc["tensors"] = {**doc["tensors"], "T": T}
+        doc["deltaN"] = f"user:{float(np.sum(np.square(T))) / 2.0 - 3.6e-6!r}"
+        doc["theorems"] = ["combined_7_2"]
+        path = tmp_path / "near-equality.json"
+        out = tmp_path / "out.json"
+        path.write_text(json.dumps(doc))
+        assert main(["run", str(path), "-o", str(out)]) == 0
+        reports = json.loads(out.read_text())["points"][0]["reports"]
+        assert sorted(r["verdict"] for r in reports) == ["equality", "strict"]
+        assert min(r["slack"] for r in reports) < -1e-8
+
+
+class TestComputeOnce:
+    """Each chart point computes its metric and map jets once, plus one
+    source-metric and one map jet per finite-difference neighbour of the
+    mixed Gauss residual: at most 2n + 2 of each for source dimension n."""
+
+    @pytest.mark.parametrize("name", ["product-projection:8to4", "hopf-radial:4to3"])
+    def test_jets_per_point(self, name, monkeypatch):
+        from casoratiq.geometry import MetricChart
+        from casoratiq.maps import SmoothMap
+
+        scn = builtin_scenario(name)
+        x = scn.evaluation_points()[0]
+        one_point = dataclasses.replace(scn, points=(tuple(x),), sample_spec=None)
+        calls = {"metric_jets": 0, "jets": 0}
+        for cls, attr in ((MetricChart, "metric_jets"), (SmoothMap, "jets")):
+            def counted(self, y, _original=getattr(cls, attr), _attr=attr):
+                calls[_attr] += 1
+                return _original(self, y)
+
+            monkeypatch.setattr(cls, attr, counted)
+        rep = evaluate_scenario(one_point)
+        assert rep.aggregate["point_errors"] == 0 and rep.points[0].reports
+        n = scn.smap.source.dim
+        assert 0 < calls["metric_jets"] <= 2 * n + 2, calls
+        assert 0 < calls["jets"] <= 2 * n + 2, calls
 
 
 @pytest.fixture()
