@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import sys
@@ -23,6 +24,7 @@ from .scenes import (
     builtin_scenario,
     evaluate_scenario,
     load_scenario,
+    parse_tolerances,
     validate_scenario,
 )
 
@@ -77,22 +79,15 @@ def report_csv(report) -> str:
 
 
 def _cmd_run(args) -> int:
+    pairs = [item.partition("=") for item in args.tolerance or []]
     try:
         scn = load_scenario(args.scenario)
+        overrides = parse_tolerances({key: value for key, _, value in pairs}, "--tolerance")
     except SceneValidationError as e:
         print(f"scenario error: {e}", file=sys.stderr)
         return 3
-    tolerances = dict(scn.tolerances)
-    for item in args.tolerance or []:
-        key, _, value = item.partition("=")
-        if key not in ("equality", "residual") or not value:
-            print(f"bad --tolerance {item!r} (use equality=V or residual=V)", file=sys.stderr)
-            return 3
-        tolerances[key] = float(value)
-    if tolerances != scn.tolerances:
-        import dataclasses
-
-        scn = dataclasses.replace(scn, tolerances=tolerances)
+    if overrides:
+        scn = dataclasses.replace(scn, tolerances={**scn.tolerances, **overrides})
     try:
         report = evaluate_scenario(scn, strict=args.strict)
     except SceneValidationError as e:

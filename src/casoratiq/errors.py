@@ -6,7 +6,7 @@ class CasoratiqError(Exception):
 
 
 class DomainError(CasoratiqError):
-    """A point lies outside (or on the boundary of) a chart domain."""
+    """A point is not strictly inside a chart domain, or an expression is undefined there."""
 
 
 class DegenerateMetricError(CasoratiqError):

@@ -16,11 +16,12 @@ closed under the jet arithmetic in :mod:`casoratiq.jets`.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 
 from . import jets
-from .errors import SceneValidationError
+from .errors import DomainError, SceneValidationError
 
 __all__ = ["compile_expression", "CompiledExpression"]
 
@@ -181,7 +182,9 @@ def _evaluate(node, coords):
         return _evaluate(node[1], coords) / _evaluate(node[2], coords)
     if op == "pow":
         expo = _evaluate(node[2], [])
-        return _evaluate(node[1], coords) ** expo
+        base = _evaluate(node[1], coords)
+        # math.pow raises where float ** would return a complex number
+        return base**expo if isinstance(base, jets.Jet2) else math.pow(base, expo)
     if op == "call":
         return _FUNCTIONS[node[1]](_evaluate(node[2], coords))
     if op == "norm":
@@ -191,13 +194,20 @@ def _evaluate(node, coords):
 
 @dataclass(frozen=True)
 class CompiledExpression:
-    """A parsed expression, callable on a coordinate list of jets or floats."""
+    """A parsed expression, callable on a coordinate list of jets or floats.
+
+    A value or derivative that is undefined at the point raises
+    :class:`DomainError` naming the expression.
+    """
 
     source: str
     _ast: tuple
 
     def __call__(self, coords):
-        return _evaluate(self._ast, coords)
+        try:
+            return _evaluate(self._ast, coords)
+        except (ValueError, ZeroDivisionError, OverflowError) as e:
+            raise DomainError(f"expression {self.source!r} is undefined at this point: {e}") from e
 
 
 def compile_expression(text) -> CompiledExpression:

@@ -11,6 +11,7 @@ horizontal equality case is exactly "A vanishes".
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -29,7 +30,7 @@ from .geometry import (
     mixed_scalar,
     scalar_curvature_of_frame,
 )
-from .quaternionic import QSFOracle, decompose_J
+from .quaternionic import JDecomposition, QSFOracle, decompose_J
 
 __all__ = [
     "TheoremReport",
@@ -42,6 +43,7 @@ __all__ = [
     "check_horizontal_theorem",
     "check_combined_theorem",
     "equality_diagnostics",
+    "FAMILIES",
     "THEOREM_IDS",
 ]
 
@@ -50,16 +52,14 @@ CHART_EQUALITY_TOL = 1e-5
 SPACE_FORM_TOL = 1e-6
 A_VANISHING_TOL = 1e-8
 
-THEOREM_IDS = (
-    "map_3_2",
-    "vertical_5_2",
-    "horizontal_6_2",
-    "combined_7_2",
-    "lemma_map_3_1",
-    "lemma_vertical_5_1",
-    "lemma_horizontal_6_1",
-    "lemma_combined_7_1",
-)
+# each family is checked by one checker: (theorem, generic-curvature lemma)
+FAMILIES = {
+    "map": ("map_3_2", "lemma_map_3_1"),
+    "vertical": ("vertical_5_2", "lemma_vertical_5_1"),
+    "horizontal": ("horizontal_6_2", "lemma_horizontal_6_1"),
+    "combined": ("combined_7_2", "lemma_combined_7_1"),
+}
+THEOREM_IDS = tuple(t for ids in zip(*FAMILIES.values()) for t in ids)
 
 
 @dataclass(frozen=True)
@@ -113,13 +113,6 @@ class TheoremReport:
             "diagnostics": self.diagnostics.as_dict() if self.diagnostics else None,
             "extras": self.extras,
         }
-
-
-def _resolve_tol(data) -> float:
-    if data.equality_tol is not None:
-        return float(data.equality_tol)
-    # chart scenes come with a space-form residual; oracle scenes do not
-    return CHART_EQUALITY_TOL if data.space_form_residual is not None else ORACLE_EQUALITY_TOL
 
 
 def _verdict(lhs: float, rhs: float, tol: float, extra_equality: bool = True) -> str:
@@ -233,16 +226,20 @@ class MapSceneData:
     ambient_quad: Callable
     space_form_residual: Optional[float] = None  # chart scenes only
     equality_tol: Optional[float] = None  # scene override of the verdict tolerance
-    _extrema: Optional[HyperplaneExtrema] = None
 
     @property
     def s(self) -> int:
         return self.range_frame.k
 
+    @cached_property
+    def decomp(self) -> JDecomposition:
+        return decompose_J(
+            self.J2, self.g2, self.range_frame.vectors, self.range_perp_frame.vectors
+        )
+
+    @cached_property
     def extrema(self) -> HyperplaneExtrema:
-        if self._extrema is None:
-            self._extrema = hyperplane_extrema(self.B, certify=False)
-        return self._extrema
+        return hyperplane_extrema(self.B, certify=False)
 
 
 @dataclass
@@ -261,8 +258,6 @@ class SubmersionSceneData:
     space_form_residual: Optional[float] = None  # chart scenes only
     equality_tol: Optional[float] = None  # scene override of the verdict tolerance
     bracket_residual: Optional[float] = None
-    _extrema_T: Optional[HyperplaneExtrema] = None
-    _extrema_A: Optional[HyperplaneExtrema] = None
 
     @property
     def s(self) -> int:
@@ -272,15 +267,17 @@ class SubmersionSceneData:
     def ell(self) -> int:
         return self.vertical.k
 
-    def extrema_T(self) -> HyperplaneExtrema:
-        if self._extrema_T is None:
-            self._extrema_T = hyperplane_extrema(self.T, certify=False)
-        return self._extrema_T
+    @cached_property
+    def decomp(self) -> JDecomposition:
+        return decompose_J(self.J1, self.g1, self.horizontal.vectors, self.vertical.vectors)
 
+    @cached_property
+    def extrema_T(self) -> HyperplaneExtrema:
+        return hyperplane_extrema(self.T, certify=False)
+
+    @cached_property
     def extrema_A(self) -> HyperplaneExtrema:
-        if self._extrema_A is None:
-            self._extrema_A = hyperplane_extrema(self.A, certify=False)
-        return self._extrema_A
+        return hyperplane_extrema(self.A, certify=False)
 
 
 def space_form_residual_from_tensor(
@@ -292,37 +289,30 @@ def space_form_residual_from_tensor(
     return float(np.abs(actual - oracle.curvature_tensor(E)).max())
 
 
-def check_map_theorem(data: MapSceneData) -> list[TheoremReport]:
-    """Map-mode inequality (theorem and generic-lemma assemblies)."""
-    s = data.s
-    if s < 3:
-        raise DimensionError(f"map theorem needs rank s >= 3, got {s}")
-    tol = _resolve_tol(data)
+def _family_reports(
+    family: str, lhs: float, rhs: list, tol: float, diag: EqualityDiagnostics,
+    extras: dict, extra_equality: bool = True,
+) -> list[TheoremReport]:
+    """The theorem and lemma reports of one family, each in both delta variants.
 
-    sf_residual = _checked_space_form(data, "target")
+    ``rhs[0]`` holds the (delta, delta_hat) right sides of the theorem,
+    ``rhs[1]`` those of its generic-curvature lemma.
+    """
+    return [
+        TheoremReport(
+            theorem_id, variant, lhs, r, r - lhs,
+            _verdict(lhs, r, tol, extra_equality), diag, extras,
+        )
+        for theorem_id, pair in zip(FAMILIES[family], rhs)
+        for variant, r in zip(("delta", "delta_hat"), pair)
+    ]
 
-    two_tau_r = scalar_curvature_of_frame(data.ambient_quad, data.range_frame)
-    rho_r = two_tau_r / (s * (s - 1))
-    gap = (data.B.trace_norm_sq() - data.B.norm_sq()) / (s * (s - 1))
-    lhs = rho_r + gap
 
-    C = casorati(data.B)
-    ex = data.extrema()
-    delta, delta_hat = delta_casorati(C, ex, s)
-    decomp = decompose_J(
-        data.J2, data.g2, data.range_frame.vectors, data.range_perp_frame.vectors
-    )
-    c_term = data.c / 4.0 + (3.0 * data.c / (4.0 * s * (s - 1))) * float(
-        decomp.norms_P.sum()
-    )
-    diag = equality_diagnostics(data.B, ex)
-
-    extras = {
-        "c": data.c,
-        "equality_tol": tol,
-        "rho_range": rho_r,
-        "space_form_residual": sf_residual,
-        "norms_P_range": decomp.norms_P.tolist(),
+def _casorati_terms(h: CasoratiInput, ex: HyperplaneExtrema, n: int) -> dict:
+    """Casorati curvature, hyperplane extrema and delta pair of one tensor."""
+    C = casorati(h)
+    delta, delta_hat = delta_casorati(C, ex, n)
+    return {
         "casorati": C,
         "inf_CL": ex.inf_CL,
         "sup_CL": ex.sup_CL,
@@ -330,23 +320,56 @@ def check_map_theorem(data: MapSceneData) -> list[TheoremReport]:
         "delta_C_hat": delta_hat,
         "optimizer_audit": ex.audit,
     }
-    reports = []
-    for theorem_id, amb in (("map_3_2", c_term), ("lemma_map_3_1", rho_r)):
-        for variant, d in (("delta", delta), ("delta_hat", delta_hat)):
-            rhs = d + amb
-            reports.append(
-                TheoremReport(
-                    theorem_id=theorem_id,
-                    variant=variant,
-                    lhs=lhs,
-                    rhs=rhs,
-                    slack=rhs - lhs,
-                    equality_verdict=_verdict(lhs, rhs, tol),
-                    diagnostics=diag,
-                    extras=extras,
-                )
-            )
-    return reports
+
+
+def _c_term(c: float, k: int, norms: np.ndarray) -> float:
+    """Space-form part of the right side over a k-dimensional distribution."""
+    return c / 4.0 + (3.0 * c / (4.0 * k * (k - 1))) * float(norms.sum())
+
+
+def _symmetric_tensor_reports(
+    data, family: str, h: CasoratiInput, frame: OrthoFrame, ex: HyperplaneExtrema,
+    norms: np.ndarray, tol: float, sf_residual: Optional[float], *,
+    rho_key: str, norms_key: str, A_norm_sq: float = 0.0,
+    bracket_residual: Optional[float] = None,
+) -> list[TheoremReport]:
+    """Map and vertical inequalities: a symmetric tensor over one distribution.
+
+    ``frame`` spans the distribution and ``norms`` are its J-block norms;
+    the lhs is the distribution's normalized scalar curvature through the
+    Gauss relation.
+    """
+    k = frame.k
+    two_tau = scalar_curvature_of_frame(data.ambient_quad, frame)
+    rho = two_tau / (k * (k - 1))
+    gap = (h.trace_norm_sq() - h.norm_sq()) / (k * (k - 1))
+    lhs = rho + gap
+
+    terms = _casorati_terms(h, ex, k)
+    c_term = _c_term(data.c, k, norms)
+    diag = equality_diagnostics(h, ex, A_norm_sq=A_norm_sq, bracket_residual=bracket_residual)
+    extras = {
+        "c": data.c,
+        "equality_tol": tol,
+        rho_key: rho,
+        "space_form_residual": sf_residual,
+        norms_key: norms.tolist(),
+        **terms,
+    }
+    rhs = [(terms["delta_C"] + amb, terms["delta_C_hat"] + amb) for amb in (c_term, rho)]
+    return _family_reports(family, lhs, rhs, tol, diag, extras)
+
+
+def check_map_theorem(data: MapSceneData) -> list[TheoremReport]:
+    """Map-mode inequality (theorem and generic-lemma assemblies)."""
+    s = data.s
+    if s < 3:
+        raise DimensionError(f"map theorem needs rank s >= 3, got {s}")
+    tol, sf_residual = _checked_scene(data, "target")
+    return _symmetric_tensor_reports(
+        data, "map", data.B, data.range_frame, data.extrema, data.decomp.norms_P,
+        tol, sf_residual, rho_key="rho_range", norms_key="norms_P_range",
+    )
 
 
 def check_vertical_theorem(data: SubmersionSceneData) -> list[TheoremReport]:
@@ -356,53 +379,19 @@ def check_vertical_theorem(data: SubmersionSceneData) -> list[TheoremReport]:
         raise DimensionError(f"vertical theorem needs ell >= 3, got {ell}")
     if data.T is None:
         raise ConfigurationError("vertical theorem needs the T tensor")
-    tol = _resolve_tol(data)
-    sf_residual = _checked_space_form(data, "source")
-
-    two_tau_v = scalar_curvature_of_frame(data.ambient_quad, data.vertical)
-    rho_v_amb = two_tau_v / (ell * (ell - 1))
-    gap = (data.T.trace_norm_sq() - data.T.norm_sq()) / (ell * (ell - 1))
-    lhs = rho_v_amb + gap  # fiber curvature through the Gauss relation
-
-    C = casorati(data.T)
-    ex = data.extrema_T()
-    delta, delta_hat = delta_casorati(C, ex, ell)
-    decomp = decompose_J(
-        data.J1, data.g1, data.horizontal.vectors, data.vertical.vectors
-    )
-    c_term = data.c / 4.0 + (3.0 * data.c / (4.0 * ell * (ell - 1))) * float(
-        decomp.norms_Q.sum()
-    )
-    diag = equality_diagnostics(
-        data.T,
-        ex,
+    tol, sf_residual = _checked_scene(data, "source")
+    return _symmetric_tensor_reports(
+        data, "vertical", data.T, data.vertical, data.extrema_T, data.decomp.norms_Q,
+        tol, sf_residual, rho_key="rho_vertical_ambient", norms_key="norms_Q",
         A_norm_sq=data.A.norm_sq() if data.A is not None else 0.0,
         bracket_residual=data.bracket_residual,
     )
-    extras = {
-        "c": data.c,
-        "equality_tol": tol,
-        "rho_vertical_ambient": rho_v_amb,
-        "space_form_residual": sf_residual,
-        "norms_Q": decomp.norms_Q.tolist(),
-        "casorati": C,
-        "inf_CL": ex.inf_CL,
-        "sup_CL": ex.sup_CL,
-        "delta_C": delta,
-        "delta_C_hat": delta_hat,
-        "optimizer_audit": ex.audit,
-    }
-    reports = []
-    for theorem_id, amb in (("vertical_5_2", c_term), ("lemma_vertical_5_1", rho_v_amb)):
-        for variant, d in (("delta", delta), ("delta_hat", delta_hat)):
-            rhs = d + amb
-            reports.append(
-                TheoremReport(
-                    theorem_id, variant, lhs, rhs, rhs - lhs,
-                    _verdict(lhs, rhs, tol), diag, extras,
-                )
-            )
-    return reports
+
+
+def _integrable(A: CasoratiInput, a_norm: float) -> bool:
+    """Whether A vanishes relative to its largest coefficient."""
+    a_scale = max(1.0, float(np.abs(A.coeffs).max()))
+    return a_norm / a_scale < A_VANISHING_TOL
 
 
 def check_horizontal_theorem(data: SubmersionSceneData) -> list[TheoremReport]:
@@ -412,59 +401,35 @@ def check_horizontal_theorem(data: SubmersionSceneData) -> list[TheoremReport]:
         raise DimensionError(f"horizontal theorem needs s >= 3, got {s}")
     if data.A is None:
         raise ConfigurationError("horizontal theorem needs the A tensor")
-    tol = _resolve_tol(data)
-    sf_residual = _checked_space_form(data, "source")
+    tol, sf_residual = _checked_scene(data, "source")
 
     two_tau_h = scalar_curvature_of_frame(data.ambient_quad, data.horizontal)
     rho_h_amb = two_tau_h / (s * (s - 1))
-    lhs = rho_h_amb - 3.0 * data.A.norm_sq() / (s * (s - 1))
+    a_norm_sq = data.A.norm_sq()
+    lhs = rho_h_amb - 3.0 * a_norm_sq / (s * (s - 1))
 
-    C = casorati(data.A)
-    ex = data.extrema_A()
-    delta, delta_hat = delta_casorati(C, ex, s)
-    decomp = decompose_J(
-        data.J1, data.g1, data.horizontal.vectors, data.vertical.vectors
-    )
-    c_term = data.c / 4.0 + (3.0 * data.c / (4.0 * s * (s - 1))) * float(
-        decomp.norms_P.sum()
-    )
-    a_norm = float(np.sqrt(data.A.norm_sq()))
-    a_scale = max(1.0, float(np.abs(data.A.coeffs).max()))
-    integrable = a_norm / a_scale < A_VANISHING_TOL
+    terms = _casorati_terms(data.A, data.extrema_A, s)
+    norms_P = data.decomp.norms_P
+    c_term = _c_term(data.c, s, norms_P)
+    a_norm = float(np.sqrt(a_norm_sq))
+    integrable = _integrable(data.A, a_norm)
     if data.bracket_residual is not None:
         # chart scenes: the bracket cross-check must back the A = 0 reading
         integrable = integrable and data.bracket_residual < 1e-6
     diag = equality_diagnostics(
-        data.A, ex, A_norm_sq=data.A.norm_sq(), bracket_residual=data.bracket_residual
+        data.A, data.extrema_A, A_norm_sq=a_norm_sq, bracket_residual=data.bracket_residual
     )
     extras = {
         "c": data.c,
         "equality_tol": tol,
         "rho_horizontal_ambient": rho_h_amb,
         "space_form_residual": sf_residual,
-        "norms_P": decomp.norms_P.tolist(),
+        "norms_P": norms_P.tolist(),
         "A_norm": a_norm,
-        "casorati": C,
-        "inf_CL": ex.inf_CL,
-        "sup_CL": ex.sup_CL,
-        "delta_C": delta,
-        "delta_C_hat": delta_hat,
-        "optimizer_audit": ex.audit,
+        **terms,
     }
-    reports = []
-    for theorem_id, amb in (
-        ("horizontal_6_2", c_term),
-        ("lemma_horizontal_6_1", rho_h_amb),
-    ):
-        for variant, d in (("delta", delta), ("delta_hat", delta_hat)):
-            rhs = d + amb
-            reports.append(
-                TheoremReport(
-                    theorem_id, variant, lhs, rhs, rhs - lhs,
-                    _verdict(lhs, rhs, tol, extra_equality=integrable), diag, extras,
-                )
-            )
-    return reports
+    rhs = [(terms["delta_C"] + amb, terms["delta_C_hat"] + amb) for amb in (c_term, rho_h_amb)]
+    return _family_reports("horizontal", lhs, rhs, tol, diag, extras, integrable)
 
 
 def check_combined_theorem(data: SubmersionSceneData) -> list[TheoremReport]:
@@ -478,8 +443,7 @@ def check_combined_theorem(data: SubmersionSceneData) -> list[TheoremReport]:
         raise ConfigurationError(
             "deltaN is required for the combined theorem and has no default"
         )
-    tol = _resolve_tol(data)
-    sf_residual = _checked_space_form(data, "source")
+    tol, sf_residual = _checked_scene(data, "source")
     D = s * (s - 1) * ell * (ell - 1)
 
     two_tau_v = scalar_curvature_of_frame(data.ambient_quad, data.vertical)
@@ -494,14 +458,10 @@ def check_combined_theorem(data: SubmersionSceneData) -> list[TheoremReport]:
     rho_h = rho_h_amb - 3.0 * a_norm / (s * (s - 1))
     lhs = rho_h / (ell * (ell - 1)) + rho_v / (s * (s - 1))
 
-    ex_t = data.extrema_T()
-    ex_a = data.extrema_A()
-    delta_v, delta_hat_v = delta_casorati(casorati(data.T), ex_t, ell)
-    delta_h, delta_hat_h = delta_casorati(casorati(data.A), ex_a, s)
+    vert = _casorati_terms(data.T, data.extrema_T, ell)
+    hor = _casorati_terms(data.A, data.extrema_A, s)
 
-    decomp = decompose_J(
-        data.J1, data.g1, data.horizontal.vectors, data.vertical.vectors
-    )
+    decomp = data.decomp
     tail = (2.0 * data.deltaN - t_norm + a_norm) / D
     generic_amb = (
         rho_v_amb / (s * (s - 1)) + rho_h_amb / (ell * (ell - 1)) + 2.0 * mixed / D
@@ -511,10 +471,9 @@ def check_combined_theorem(data: SubmersionSceneData) -> list[TheoremReport]:
         (decomp.norms_Q + decomp.norms_P + 2.0 * decomp.norms_PV).sum()
     )
 
-    a_scale = max(1.0, float(np.abs(data.A.coeffs).max()))
-    integrable = float(np.sqrt(a_norm)) / a_scale < A_VANISHING_TOL
+    integrable = _integrable(data.A, float(np.sqrt(a_norm)))
     diag = equality_diagnostics(
-        data.T, ex_t, A_norm_sq=a_norm, bracket_residual=data.bracket_residual
+        data.T, data.extrema_T, A_norm_sq=a_norm, bracket_residual=data.bracket_residual
     )
     extras = {
         "c": data.c,
@@ -526,37 +485,36 @@ def check_combined_theorem(data: SubmersionSceneData) -> list[TheoremReport]:
         # |A^H|^2 in one section and |T^H|^2, |A^V|^2 in others
         "T_norm_sq": t_norm,
         "A_norm_sq": a_norm,
-        "delta_C_vertical": delta_v,
-        "delta_C_hat_vertical": delta_hat_v,
-        "delta_C_horizontal": delta_h,
-        "delta_C_hat_horizontal": delta_hat_h,
+        "delta_C_vertical": vert["delta_C"],
+        "delta_C_hat_vertical": vert["delta_C_hat"],
+        "delta_C_horizontal": hor["delta_C"],
+        "delta_C_hat_horizontal": hor["delta_C_hat"],
         "assembly_agreement": abs(generic_amb - closed_amb),
-        "optimizer_audit": {"T": ex_t.audit, "A": ex_a.audit},
+        "optimizer_audit": {"T": vert["optimizer_audit"], "A": hor["optimizer_audit"]},
     }
-    reports = []
-    for theorem_id, amb in (
-        ("combined_7_2", closed_amb),
-        ("lemma_combined_7_1", generic_amb),
-    ):
-        for variant, dv, dh in (
-            ("delta", delta_v, delta_h),
-            ("delta_hat", delta_hat_v, delta_hat_h),
-        ):
-            rhs = dv / (s * (s - 1)) + dh / (ell * (ell - 1)) + amb + tail
-            reports.append(
-                TheoremReport(
-                    theorem_id, variant, lhs, rhs, rhs - lhs,
-                    _verdict(lhs, rhs, tol, extra_equality=integrable), diag, extras,
-                )
-            )
-    return reports
+    rhs = [
+        tuple(
+            vert[d] / (s * (s - 1)) + hor[d] / (ell * (ell - 1)) + amb + tail
+            for d in ("delta_C", "delta_C_hat")
+        )
+        for amb in (closed_amb, generic_amb)
+    ]
+    return _family_reports("combined", lhs, rhs, tol, diag, extras, integrable)
 
 
-def _checked_space_form(data, curvature: str) -> Optional[float]:
-    """The space-form residual of a chart scene; raises when it is too large."""
+def _checked_scene(data, curvature: str) -> tuple[float, Optional[float]]:
+    """Verdict tolerance and space-form residual of a scene.
+
+    Raises when the residual of a chart scene is too large.
+    """
     residual = data.space_form_residual
+    if data.equality_tol is not None:
+        tol = float(data.equality_tol)
+    else:
+        # chart scenes come with a space-form residual; oracle scenes do not
+        tol = CHART_EQUALITY_TOL if residual is not None else ORACLE_EQUALITY_TOL
     if residual is not None and residual > SPACE_FORM_TOL:
         raise OracleError(
             f"{curvature} curvature deviates from the c={data.c} space form by {residual:.3e}"
         )
-    return residual
+    return tol, residual

@@ -107,7 +107,7 @@ class Jet2:
         v = self.value
         if v < 0 and p != int(p):
             raise ValueError(f"fractional power of negative base {v}")
-        return self._chain(v**p, p * v ** (p - 1), p * (p - 1) * v ** (p - 2) if p != 1 else 0.0)
+        return self._chain(v**p, p * v ** (p - 1), p * (p - 1) * v ** (p - 2))
 
     def _reciprocal(self):
         v = self.value

@@ -274,13 +274,6 @@ class FundamentalTensor:
         vectors = 0.5 * (vectors + sign * vectors.transpose(1, 0, 2))
         return cls(kind, coeffs, vectors, metric, residual)
 
-    def norm_sq(self) -> float:
-        return float(np.sum(self.coeffs**2))
-
-    def trace_norm_sq(self) -> float:
-        traces = np.trace(self.coeffs, axis1=1, axis2=2)
-        return float(np.sum(traces**2))
-
     def symmetry_residual(self) -> float:
         return self.raw_symmetry_residual
 

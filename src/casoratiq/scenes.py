@@ -10,21 +10,19 @@ points, and every numeric knob is echoed into the run report.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+import time
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
 
 from . import geometry, maps
 from .casorati import CasoratiInput
-from .errors import (
-    CasoratiqError,
-    ConfigurationError,
-    SceneValidationError,
-)
+from .errors import CasoratiqError, SceneValidationError
 from .expressions import compile_expression
 from .geometry import MetricChart, OrthoFrame
 from .inequalities import (
+    FAMILIES,
     MapSceneData,
     SubmersionSceneData,
     THEOREM_IDS,
@@ -47,19 +45,13 @@ __all__ = [
     "RunReport",
     "load_scenario",
     "parse_scenario",
+    "parse_tolerances",
     "validate_scenario",
     "evaluate_scenario",
     "builtin_names",
     "builtin_scenario",
     "random_pointwise_submersion",
 ]
-
-_FAMILIES = {
-    "map": ("map_3_2", "lemma_map_3_1"),
-    "vertical": ("vertical_5_2", "lemma_vertical_5_1"),
-    "horizontal": ("horizontal_6_2", "lemma_horizontal_6_1"),
-    "combined": ("combined_7_2", "lemma_combined_7_1"),
-}
 
 _TOP_KEYS_COMMON = {
     "version",
@@ -96,6 +88,45 @@ def _require(obj: dict, key: str, where: str):
     return obj[key]
 
 
+def _numeric(raw, where: str, ndim: int = 0):
+    """A number (``ndim`` 0) or an ``ndim``-dimensional float array from a scenario field.
+
+    Anything that is not made of finite numbers is a scene error.
+    """
+    try:
+        value = np.asarray(raw, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        value = None
+    if value is None or value.ndim != ndim or not np.isfinite(value).all():
+        shape = "a finite number" if ndim == 0 else f"a {ndim}-d array of finite numbers"
+        raise SceneValidationError(f"{where} must be {shape}, got {raw!r}")
+    return float(value) if ndim == 0 else value
+
+
+def _integer(raw, where: str) -> int:
+    """A whole-number scenario field: a dimension, a rank, a sample count or seed."""
+    value = _numeric(raw, where)
+    if not value.is_integer():
+        raise SceneValidationError(f"{where} must be a whole number, got {raw!r}")
+    return raw if isinstance(raw, int) else int(value)
+
+
+def _box(raw, dim: int, where: str) -> tuple:
+    """``dim`` [lo, hi] coordinate intervals."""
+    box = _numeric(raw, where, ndim=2)
+    if box.shape != (dim, 2):
+        raise SceneValidationError(f"{where} must be {dim} [lo, hi] pairs")
+    return tuple(map(tuple, box.tolist()))
+
+
+def parse_tolerances(raw, where: str = "tolerances") -> dict:
+    """Tolerance overrides ``equality`` and ``residual`` as finite numbers."""
+    if not isinstance(raw, dict):
+        raise SceneValidationError(f"{where} must be an object")
+    _reject_unknown(raw, {"equality", "residual"}, where)
+    return {k: _numeric(v, f"{where}.{k}") for k, v in raw.items()}
+
+
 def _parse_delta_n(raw) -> tuple[str, Optional[float]]:
     if raw is None:
         return "unset", None
@@ -120,10 +151,8 @@ def _chart_from_spec(spec, where: str) -> MetricChart:
     if not isinstance(spec, dict):
         raise SceneValidationError(f"{where} must be a chart name or object")
     _reject_unknown(spec, {"dim", "box", "metric", "name"}, where)
-    dim = int(_require(spec, "dim", where))
-    box = _require(spec, "box", where)
-    if len(box) != dim or any(len(iv) != 2 for iv in box):
-        raise SceneValidationError(f"{where}.box must be {dim} [lo, hi] pairs")
+    dim = _integer(_require(spec, "dim", where), f"{where}.dim")
+    box = _box(_require(spec, "box", where), dim, f"{where}.box")
     rows = _require(spec, "metric", where)
     if len(rows) != dim or any(len(r) != dim for r in rows):
         raise SceneValidationError(f"{where}.metric must be a {dim}x{dim} expression matrix")
@@ -134,7 +163,7 @@ def _chart_from_spec(spec, where: str) -> MetricChart:
 
     return MetricChart(
         dim,
-        tuple((float(lo), float(hi)) for lo, hi in box),
+        box,
         g,
         name=str(spec.get("name", "custom")),
     )
@@ -172,6 +201,7 @@ class Scenario:
     theorems: tuple[str, ...]
     tolerances: dict
     raw: dict
+    kind: str = ""  # "submersion" | "map"
     # chart mode
     smap: Optional[maps.SmoothMap] = None
     structure: Optional[QuaternionicStructure] = None
@@ -181,7 +211,6 @@ class Scenario:
     sample_spec: Optional[dict] = None
     # pointwise mode
     dim: int = 0
-    kind: str = ""
     g: Optional[np.ndarray] = None
     frames: dict = field(default_factory=dict)
     tensors: dict = field(default_factory=dict)
@@ -190,15 +219,27 @@ class Scenario:
         if self.mode != "chart":
             return np.zeros((1, 0))
         if self.sample_spec is not None:
-            rng = np.random.default_rng(int(self.sample_spec["seed"]))
-            box = self.sample_spec.get("box")
-            if box is None:
-                box = self.smap.source.domain
-            lo = np.array([b[0] for b in box])
-            hi = np.array([b[1] for b in box])
-            count = int(self.sample_spec["count"])
-            return lo + (hi - lo) * rng.random((count, len(box)))
+            rng = np.random.default_rng(self.sample_spec["seed"])
+            lo, hi = np.array(self.sample_spec["box"]).T
+            return lo + (hi - lo) * rng.random((self.sample_spec["count"], len(lo)))
         return np.asarray(self.points, dtype=float)
+
+
+def _check_theorems_fit(theorems, kind: str, structure_on: Optional[str]) -> None:
+    """Reject theorems the scene cannot carry, before any point is evaluated.
+
+    Map theorems need a map scene and the others a submersion scene; in
+    chart scenes (``structure_on`` not None) the quaternionic structure
+    must live on the target of a map or on the source of a submersion.
+    """
+    wrong = [t for t in theorems if (t in FAMILIES["map"]) != (kind == "map")]
+    if wrong:
+        raise SceneValidationError(f"theorems {wrong} do not apply to a {kind} scene")
+    side = "target" if kind == "map" else "source"
+    if theorems and structure_on is not None and structure_on != side:
+        raise SceneValidationError(
+            f"{kind} theorems need a quaternionic structure on the {side}"
+        )
 
 
 def parse_scenario(doc: dict, name_hint: str = "") -> Scenario:
@@ -215,12 +256,9 @@ def parse_scenario(doc: dict, name_hint: str = "") -> Scenario:
     for t in theorems:
         if t not in THEOREM_IDS:
             raise SceneValidationError(f"unknown theorem id {t!r}; known: {THEOREM_IDS}")
-    c = float(_require(doc, "c", "scenario"))
+    c = _numeric(_require(doc, "c", "scenario"), "c")
     delta_label, delta_n = _parse_delta_n(doc.get("deltaN"))
-    tolerances = doc.get("tolerances", {})
-    if not isinstance(tolerances, dict):
-        raise SceneValidationError("tolerances must be an object")
-    _reject_unknown(tolerances, {"equality", "residual"}, "tolerances")
+    tolerances = parse_tolerances(doc.get("tolerances", {}))
 
     if mode == "chart":
         _reject_unknown(doc, _TOP_KEYS_CHART, "scenario")
@@ -244,9 +282,10 @@ def parse_scenario(doc: dict, name_hint: str = "") -> Scenario:
             target,
             F,
             str(_require(mspec, "map_mode", "map")),
-            int(_require(mspec, "rank", "map")),
+            _integer(_require(mspec, "rank", "map"), "map.rank"),
             name=name,
         )
+        kind = "submersion" if smap.mode == maps.RIEMANNIAN_SUBMERSION else "map"
         structure = None
         structure_on = ""
         if "structure" in doc:
@@ -255,6 +294,7 @@ def parse_scenario(doc: dict, name_hint: str = "") -> Scenario:
                 raise SceneValidationError("structure.on must be 'source' or 'target'")
             sdim = source.dim if structure_on == "source" else target.dim
             structure = _structure_from_spec(doc["structure"], sdim, "structure")
+        _check_theorems_fit(theorems, kind, structure_on)
         fiber_kappa = None
         if "fiber_curvature" in doc:
             fspec = doc["fiber_curvature"]
@@ -269,12 +309,22 @@ def parse_scenario(doc: dict, name_hint: str = "") -> Scenario:
             _reject_unknown(sample, {"count", "seed", "box"}, "points.sample")
             if "seed" not in sample:
                 raise SceneValidationError("sampled points require an explicit seed")
-            _require(sample, "count", "points.sample")
-            sample_spec = sample
+            count = _integer(_require(sample, "count", "points.sample"), "points.sample.count")
+            seed = _integer(sample["seed"], "points.sample.seed")
+            if count < 1 or seed < 0:
+                raise SceneValidationError("points.sample needs count >= 1 and seed >= 0")
+            sample_spec = {
+                "count": count,
+                "seed": seed,
+                "box": _box(sample.get("box", source.domain), source.dim, "points.sample.box"),
+            }
         else:
-            points = tuple(tuple(float(v) for v in p) for p in pts)
-            if not points:
+            if isinstance(pts, list) and not pts:
                 raise SceneValidationError("points list is empty")
+            coords = _numeric(pts, "points", ndim=2)
+            if coords.shape[1] != source.dim:
+                raise SceneValidationError(f"points must have {source.dim} coordinates each")
+            points = tuple(map(tuple, coords.tolist()))
         return Scenario(
             name=name,
             mode=mode,
@@ -282,7 +332,7 @@ def parse_scenario(doc: dict, name_hint: str = "") -> Scenario:
             delta_n_label=delta_label,
             delta_n=delta_n,
             theorems=theorems,
-            tolerances=dict(tolerances),
+            tolerances=tolerances,
             raw=doc,
             smap=smap,
             structure=structure,
@@ -290,13 +340,15 @@ def parse_scenario(doc: dict, name_hint: str = "") -> Scenario:
             fiber_kappa=fiber_kappa,
             points=points,
             sample_spec=sample_spec,
+            kind=kind,
         )
 
     _reject_unknown(doc, _TOP_KEYS_POINTWISE, "scenario")
-    dim = int(_require(doc, "dim", "scenario"))
+    dim = _integer(_require(doc, "dim", "scenario"), "dim")
     kind = str(_require(doc, "kind", "scenario"))
     if kind not in ("submersion", "map"):
         raise SceneValidationError("pointwise kind must be 'submersion' or 'map'")
+    _check_theorems_fit(theorems, kind, None)
     g = np.asarray(doc.get("metric", np.eye(dim)), dtype=float)
     if g.shape != (dim, dim):
         raise SceneValidationError(f"pointwise metric has shape {g.shape}")
@@ -318,7 +370,7 @@ def parse_scenario(doc: dict, name_hint: str = "") -> Scenario:
         delta_n_label=delta_label,
         delta_n=delta_n,
         theorems=theorems,
-        tolerances=dict(tolerances),
+        tolerances=tolerances,
         raw=doc,
         dim=dim,
         kind=kind,
@@ -395,7 +447,7 @@ class RunReport:
 
 def _requested_families(theorems) -> dict[str, list[str]]:
     out = {}
-    for fam, ids in _FAMILIES.items():
+    for fam, ids in FAMILIES.items():
         hits = [t for t in theorems if t in ids]
         if hits:
             out[fam] = hits
@@ -432,23 +484,65 @@ def _bracket_residual(split: maps.SceneSplit, A: maps.FundamentalTensor) -> floa
     return worst
 
 
+def _check_gauss(scn: Scenario, worst: float) -> None:
+    residual_tol = scn.tolerances.get("residual", 1e-6)
+    if worst > residual_tol:
+        raise SceneValidationError(
+            f"Gauss residual {worst:.3e} exceeds the scene tolerance {residual_tol:.1e}"
+        )
+
+
+def _checker_data(scn: Scenario, J, g: np.ndarray, quad, frames, tensors: dict, **chart):
+    """Checker input at one point of a map or submersion scene.
+
+    ``frames`` are the (range, range_perp) or (horizontal, vertical)
+    frames; ``chart`` holds what only chart scenes measure, the space-form
+    residual and, for submersions, the bracket residual.
+    """
+    first, second = frames
+    common = dict(
+        c=scn.c, ambient_quad=quad, equality_tol=scn.tolerances.get("equality"), **chart
+    )
+    if scn.kind == "map":
+        return MapSceneData(
+            B=CasoratiInput(tensors["B"], kind="symmetric"),
+            range_frame=first,
+            range_perp_frame=second,
+            g2=g,
+            J2=J,
+            **common,
+        )
+    T = tensors.get("T")
+    A = tensors.get("A")
+    return SubmersionSceneData(
+        T=CasoratiInput(T, kind="symmetric") if T is not None else None,
+        A=CasoratiInput(A, kind="skew") if A is not None else None,
+        horizontal=first,
+        vertical=second,
+        g1=g,
+        J1=J,
+        deltaN=scn.delta_n,
+        **common,
+    )
+
+
 def _evaluate_chart_point(scn: Scenario, x: np.ndarray):
-    smap = scn.smap
-    split = maps.differential(smap, x)
+    """Map point, validation, Gauss residuals and checker data of one chart point.
+
+    The checker data is None when the scene requests no theorem.
+    """
+    split = maps.differential(scn.smap, x)
     validation = {
         "isometry_residual": split.isometry_residual,
         "kernel_residual": split.kernel_residual(),
     }
-    reports = []
-    gauss = None
-    families = _requested_families(scn.theorems)
-
     J = None
     if scn.structure is not None:
         J = scn.structure.at()
         _check_structure(J, _structure_metric(scn, split), validation)
 
-    if smap.mode == maps.RIEMANNIAN_SUBMERSION:
+    chart = {}
+    if scn.kind == "submersion":
         T = maps.oneill_T(split)
         A = maps.oneill_A(split)
         validation["T_symmetry_residual"] = T.symmetry_residual()
@@ -458,244 +552,91 @@ def _evaluate_chart_point(scn: Scenario, x: np.ndarray):
             kappa = float(scn.fiber_kappa([float(v) for v in x]))
         res = maps.gauss_residual_submersion(split, T, A, fiber_kappa=kappa)
         gauss = res.as_dict()
-        residual_tol = float(scn.tolerances.get("residual", 1e-6))
-        worst_res = max(res.vertical, res.horizontal, res.mixed)
-        if worst_res > residual_tol:
-            raise SceneValidationError(
-                f"Gauss residual {worst_res:.3e} exceeds the scene tolerance "
-                f"{residual_tol:.1e}"
-            )
-        bracket = _bracket_residual(split, A)
-        validation["bracket_verticality_residual"] = bracket
-        if families:
-            if J is None or scn.structure_on != "source":
-                raise ConfigurationError(
-                    "submersion theorems need a quaternionic structure on the source"
-                )
-            R1 = split.point.source.curvature
-            g1 = split.point.g1
-            frame = np.vstack([split.horizontal.vectors, split.vertical.vectors])
-            sf_res = space_form_residual_from_tensor(
-                R1.riemann, QSFOracle(scn.c, J, g1), frame
-            )
-            data = SubmersionSceneData(
-                T=CasoratiInput(T.coeffs, kind="symmetric"),
-                A=CasoratiInput(A.coeffs, kind="skew"),
-                horizontal=split.horizontal,
-                vertical=split.vertical,
-                g1=g1,
-                J1=J,
-                c=scn.c,
-                ambient_quad=R1.quad,
-                deltaN=scn.delta_n,
-                space_form_residual=sf_res,
-                equality_tol=scn.tolerances.get("equality"),
-                bracket_residual=bracket,
-            )
-            if "vertical" in families:
-                reports += [
-                    r for r in check_vertical_theorem(data)
-                    if r.theorem_id in families["vertical"]
-                ]
-            if "horizontal" in families:
-                reports += [
-                    r for r in check_horizontal_theorem(data)
-                    if r.theorem_id in families["horizontal"]
-                ]
-            if "combined" in families:
-                reports += [
-                    r for r in check_combined_theorem(data)
-                    if r.theorem_id in families["combined"]
-                ]
-            if "map" in families:
-                raise ConfigurationError("map theorems do not apply to a submersion scene")
+        _check_gauss(scn, max(res.vertical, res.horizontal, res.mixed))
+        chart["bracket_residual"] = _bracket_residual(split, A)
+        validation["bracket_verticality_residual"] = chart["bracket_residual"]
+        tensors = {"T": T.coeffs, "A": A.coeffs}
+        frames = (split.horizontal, split.vertical)
     else:
         B = maps.second_fundamental_form(split)
         validation["B_symmetry_residual"] = B.symmetry_residual()
         gauss = {"map": maps.gauss_residual_map(split, B)}
-        residual_tol = float(scn.tolerances.get("residual", 1e-6))
-        if gauss["map"] > residual_tol:
-            raise SceneValidationError(
-                f"Gauss residual {gauss['map']:.3e} exceeds the scene tolerance "
-                f"{residual_tol:.1e}"
-            )
-        if families:
-            bad = [f for f in families if f != "map"]
-            if bad:
-                raise ConfigurationError(
-                    f"submersion theorems {bad} do not apply to a map scene"
-                )
-            if J is None or scn.structure_on != "target":
-                raise ConfigurationError(
-                    "map theorems need a quaternionic structure on the target"
-                )
-            R2 = split.point.target.curvature
-            g2 = split.range.metric_at
-            frame = np.vstack([split.range.vectors, split.range_perp.vectors])
-            sf_res = space_form_residual_from_tensor(
-                R2.riemann, QSFOracle(scn.c, J, g2), frame
-            )
-            data = MapSceneData(
-                B=CasoratiInput(B.coeffs, kind="symmetric"),
-                range_frame=split.range,
-                range_perp_frame=split.range_perp,
-                g2=g2,
-                J2=J,
-                c=scn.c,
-                ambient_quad=R2.quad,
-                space_form_residual=sf_res,
-                equality_tol=scn.tolerances.get("equality"),
-            )
-            reports += [
-                r for r in check_map_theorem(data) if r.theorem_id in families["map"]
-            ]
-    return split, validation, gauss, reports
+        _check_gauss(scn, gauss["map"])
+        tensors = {"B": B.coeffs}
+        frames = (split.range, split.range_perp)
+    data = None
+    if scn.theorems:
+        # the parse-time fit check put the structure on the curved side
+        curved = split.point.source if scn.kind == "submersion" else split.point.target
+        R = curved.curvature
+        g = _structure_metric(scn, split)
+        chart["space_form_residual"] = space_form_residual_from_tensor(
+            R.riemann, QSFOracle(scn.c, J, g), np.vstack([f.vectors for f in frames])
+        )
+        data = _checker_data(scn, J, g, R.quad, frames, tensors, **chart)
+    return split.point.y.tolist(), validation, gauss, data
 
 
 def _evaluate_pointwise(scn: Scenario):
+    """Validation and checker data of a pointwise scene, shaped like a chart point's."""
     g = scn.g
     J = scn.structure.at()
     validation = {}
     _check_structure(J, g, validation)
-    oracle = QSFOracle(scn.c, J, g)
-    families = _requested_families(scn.theorems)
-    reports = []
+    tags = ("horizontal", "vertical") if scn.kind == "submersion" else ("range", "range_perp")
+    frames = tuple(OrthoFrame(scn.frames[tag], g) for tag in tags)
+    for fr, tag in zip(frames, tags):
+        res = fr.orthonormality_residual()
+        validation[f"{tag}_frame_residual"] = res
+        if res > 1e-10:
+            raise SceneValidationError(f"{tag} frame is not orthonormal ({res:.3e})")
     if scn.kind == "submersion":
-        hor = OrthoFrame(scn.frames["horizontal"], g)
-        vert = OrthoFrame(scn.frames["vertical"], g)
-        for fr, tag in ((hor, "horizontal"), (vert, "vertical")):
-            res = fr.orthonormality_residual()
-            validation[f"{tag}_frame_residual"] = res
-            if res > 1e-10:
-                raise SceneValidationError(f"{tag} frame is not orthonormal ({res:.3e})")
+        hor, vert = frames
         cross = float(np.abs(hor.vectors @ g @ vert.vectors.T).max()) if vert.k else 0.0
         validation["cross_orthogonality"] = cross
         if cross > 1e-10:
             raise SceneValidationError(f"frames are not mutually orthogonal ({cross:.3e})")
-        T = scn.tensors.get("T")
-        A = scn.tensors.get("A")
-        data = SubmersionSceneData(
-            T=CasoratiInput(T, kind="symmetric") if T is not None else None,
-            A=CasoratiInput(A, kind="skew") if A is not None else None,
-            horizontal=hor,
-            vertical=vert,
-            g1=g,
-            J1=J,
-            c=scn.c,
-            ambient_quad=oracle.quad,
-            deltaN=scn.delta_n,
-            equality_tol=scn.tolerances.get("equality"),
-        )
-        if "map" in families:
-            raise ConfigurationError("map theorems do not apply to a submersion scene")
-        if "vertical" in families:
-            reports += [
-                r for r in check_vertical_theorem(data)
-                if r.theorem_id in families["vertical"]
-            ]
-        if "horizontal" in families:
-            reports += [
-                r for r in check_horizontal_theorem(data)
-                if r.theorem_id in families["horizontal"]
-            ]
-        if "combined" in families:
-            reports += [
-                r for r in check_combined_theorem(data)
-                if r.theorem_id in families["combined"]
-            ]
-    else:
-        rng_frame = OrthoFrame(scn.frames["range"], g)
-        perp = OrthoFrame(scn.frames["range_perp"], g)
-        for fr, tag in ((rng_frame, "range"), (perp, "range_perp")):
-            res = fr.orthonormality_residual()
-            validation[f"{tag}_frame_residual"] = res
-            if res > 1e-10:
-                raise SceneValidationError(f"{tag} frame is not orthonormal ({res:.3e})")
-        data = MapSceneData(
-            B=CasoratiInput(scn.tensors["B"], kind="symmetric"),
-            range_frame=rng_frame,
-            range_perp_frame=perp,
-            g2=g,
-            J2=J,
-            c=scn.c,
-            ambient_quad=oracle.quad,
-            equality_tol=scn.tolerances.get("equality"),
-        )
-        bad = [f for f in families if f != "map"]
-        if bad:
-            raise ConfigurationError(f"theorems {bad} do not apply to a map scene")
-        if "map" in families:
-            reports += [
-                r for r in check_map_theorem(data) if r.theorem_id in families["map"]
-            ]
-    return validation, reports
+    quad = QSFOracle(scn.c, J, g).quad
+    return None, validation, None, _checker_data(scn, J, g, quad, frames, scn.tensors)
+
+
+def _theorem_reports(data, theorems) -> list:
+    """Run the checker of every requested family and keep the requested ids."""
+    # looked up at call time so that wrappers installed on the module names see the calls
+    checkers = {
+        "map": check_map_theorem,
+        "vertical": check_vertical_theorem,
+        "horizontal": check_horizontal_theorem,
+        "combined": check_combined_theorem,
+    }
+    reports = []
+    for family, ids in _requested_families(theorems).items():
+        reports += [r for r in checkers[family](data) if r.theorem_id in ids]
+    return reports
 
 
 def validate_scenario(scn: Scenario) -> list[PointResult]:
     """Run all scene invariants without theorem evaluation."""
-    import dataclasses
-
-    results = []
-    if scn.mode == "pointwise":
-        stripped = dataclasses.replace(scn, theorems=())
-        try:
-            validation, _ = _evaluate_pointwise(stripped)
-            errors = []
-        except CasoratiqError as e:
-            validation, errors = {}, [str(e)]
-        results.append(PointResult(0, [], None, validation, None, [], errors))
-        return results
-    for i, x in enumerate(scn.evaluation_points()):
-        try:
-            scn.smap.source.metric_at(x)
-            split = maps.differential(scn.smap, x)
-            validation = {
-                "isometry_residual": split.isometry_residual,
-                "kernel_residual": split.kernel_residual(),
-            }
-            if scn.structure is not None:
-                _check_structure(scn.structure.at(), _structure_metric(scn, split), validation)
-            errors = []
-            ypt = split.point.y.tolist()
-        except CasoratiqError as e:
-            validation, errors, ypt = {}, [str(e)], None
-        results.append(
-            PointResult(i, [float(v) for v in x], ypt, validation, None, [], errors)
-        )
-    return results
+    return evaluate_scenario(replace(scn, theorems=())).points
 
 
 def evaluate_scenario(scn: Scenario, strict: bool = False) -> RunReport:
     """Evaluate every requested theorem at every point of the scenario."""
-    import time
-
     start = time.perf_counter()
     points: list[PointResult] = []
-    if scn.mode == "pointwise":
+    for i, x in enumerate(scn.evaluation_points()):
+        coords = [float(v) for v in x]
         try:
-            validation, reports = _evaluate_pointwise(scn)
-            errors = []
+            if scn.mode == "pointwise":
+                map_point, validation, gauss, data = _evaluate_pointwise(scn)
+            else:
+                map_point, validation, gauss, data = _evaluate_chart_point(scn, x)
+            reports = _theorem_reports(data, scn.theorems)
+            points.append(PointResult(i, coords, map_point, validation, gauss, reports, []))
         except CasoratiqError as e:
             if strict:
                 raise
-            validation, reports, errors = {}, [], [str(e)]
-        points.append(PointResult(0, [], None, validation, None, reports, errors))
-    else:
-        for i, x in enumerate(scn.evaluation_points()):
-            try:
-                split, validation, gauss, reports = _evaluate_chart_point(scn, x)
-                points.append(
-                    PointResult(
-                        i, [float(v) for v in x], split.point.y.tolist(), validation, gauss,
-                        reports, [],
-                    )
-                )
-            except CasoratiqError as e:
-                if strict:
-                    raise
-                points.append(
-                    PointResult(i, [float(v) for v in x], None, {}, None, [], [str(e)])
-                )
+            points.append(PointResult(i, coords, None, {}, None, [], [str(e)]))
 
     aggregate = _aggregate(points)
     scenario_info = {
@@ -708,8 +649,8 @@ def evaluate_scenario(scn: Scenario, strict: bool = False) -> RunReport:
     }
     if scn.sample_spec is not None:
         scenario_info["sample"] = {
-            "count": int(scn.sample_spec["count"]),
-            "seed": int(scn.sample_spec["seed"]),
+            "count": scn.sample_spec["count"],
+            "seed": scn.sample_spec["seed"],
         }
     return RunReport(
         scenario=scenario_info,

@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from casoratiq.casorati import CasoratiInput
 from casoratiq.errors import DimensionError, NotRiemannianMapError, RankError
 from casoratiq.geometry import OrthoFrame, chart, gram_schmidt, riemann
 from casoratiq.maps import (
@@ -105,16 +106,19 @@ class TestSecondFundamentalForm:
         rng2 = OrthoFrame(hor2.vectors @ sp.point.dF.T, sp.range.metric_at)
         sp2 = dataclasses.replace(sp, horizontal=hor2, range=rng2)
         B2 = second_fundamental_form(sp2)
-        assert abs(B.norm_sq() - B2.norm_sq()) < 1e-9
-        assert abs(B.trace_norm_sq() - B2.trace_norm_sq()) < 1e-9
+        h, h2 = CasoratiInput(B.coeffs), CasoratiInput(B2.coeffs)
+        assert abs(h.norm_sq() - h2.norm_sq()) < 1e-9
+        assert abs(h.trace_norm_sq() - h2.trace_norm_sq()) < 1e-9
 
 
 class TestONeillTensors:
     def test_projection_vanishes(self, projection_map):
         x = np.full(8, 0.3)
         sp = differential(projection_map, x)
-        assert oneill_T(sp).norm_sq() == pytest.approx(0.0, abs=1e-20)
-        assert oneill_A(sp).norm_sq() == pytest.approx(0.0, abs=1e-20)
+        T = CasoratiInput(oneill_T(sp).coeffs)
+        A = CasoratiInput(oneill_A(sp).coeffs, kind="skew")
+        assert T.norm_sq() == pytest.approx(0.0, abs=1e-20)
+        assert A.norm_sq() == pytest.approx(0.0, abs=1e-20)
 
     @pytest.mark.parametrize("r", [0.5, 1.0, 2.0])
     def test_radial_umbilical(self, radial_map, r):
@@ -125,13 +129,13 @@ class TestONeillTensors:
         assert np.abs(np.abs(diag) - 1.0 / r).max() < 1e-9
         off = T.coeffs[0] - np.diag(diag)
         assert np.abs(off).max() < 1e-9
-        assert T.norm_sq() == pytest.approx(3.0 / r**2, abs=1e-9)
+        assert CasoratiInput(T.coeffs).norm_sq() == pytest.approx(3.0 / r**2, abs=1e-9)
 
     def test_hopf_A_nonzero(self, hopf_map):
         x = np.array([0.5, 0.3, 0.4, 0.2])
         sp = differential(hopf_map, x)
         A = oneill_A(sp)
-        assert A.norm_sq() > 1e-4
+        assert CasoratiInput(A.coeffs, kind="skew").norm_sq() > 1e-4
         assert A.symmetry_residual() < 1e-9
         assert np.abs(np.trace(A.coeffs, axis1=1, axis2=2)).max() == 0.0
 
@@ -169,9 +173,11 @@ class TestONeillTensors:
         )
         T2 = oneill_T(sp2)
         A2 = oneill_A(sp2)
-        assert abs(T.norm_sq() - T2.norm_sq()) < 1e-9
-        assert abs(T.trace_norm_sq() - T2.trace_norm_sq()) < 1e-9
-        assert abs(A.norm_sq() - A2.norm_sq()) < 1e-9
+        t, t2 = CasoratiInput(T.coeffs), CasoratiInput(T2.coeffs)
+        a, a2 = CasoratiInput(A.coeffs, kind="skew"), CasoratiInput(A2.coeffs, kind="skew")
+        assert abs(t.norm_sq() - t2.norm_sq()) < 1e-9
+        assert abs(t.trace_norm_sq() - t2.trace_norm_sq()) < 1e-9
+        assert abs(a.norm_sq() - a2.norm_sq()) < 1e-9
 
     def test_map_mode_rejected(self, paraboloid_map):
         x = np.zeros(2)

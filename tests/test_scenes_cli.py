@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 import subprocess
 import sys
 
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 from casoratiq.cli import main, report_csv, report_json
-from casoratiq.errors import SceneValidationError
+from casoratiq.errors import DomainError, SceneValidationError
 from casoratiq.expressions import compile_expression
 from casoratiq.scenes import (
     builtin_names,
@@ -48,6 +49,17 @@ class TestExpressions:
     def test_rejects(self, bad):
         with pytest.raises(SceneValidationError):
             compile_expression(bad)
+
+    @pytest.mark.parametrize(
+        "text, coords",
+        [("log(x1)", [-0.5]), ("1/x1", [0.0]), ("x1^0.5", [-1.0]), ("exp(x1)", [1e4])],
+    )
+    def test_undefined_value_is_domain_error(self, text, coords):
+        from casoratiq.jets import seed_point
+
+        for point in (coords, seed_point(coords)):
+            with pytest.raises(DomainError, match=re.escape(text)):
+                compile_expression(text)(point)
 
     def test_jet_evaluation(self):
         from casoratiq.jets import eval_jet2
@@ -189,6 +201,119 @@ class TestValidation:
         results = validate_scenario(builtin_scenario("radial:4"))
         assert all(not r.errors for r in results)
         assert all(r.validation["isometry_residual"] < 1e-9 for r in results)
+        assert all(r.gauss_residuals["mixed"] < 1e-6 and not r.reports for r in results)
+
+    def test_gauss_residual_over_tolerance_flagged(self):
+        doc = dict(builtin_scenario("radial:4").raw, tolerances={"residual": 1e-12})
+        results = validate_scenario(parse_scenario(doc))
+        assert all("Gauss residual" in r.errors[0] for r in results)
+
+
+def _chart_doc(**overrides):
+    doc = {
+        "version": 1,
+        "name": "plain",
+        "mode": "chart",
+        "map": {
+            "source": {"dim": 2, "box": [[-1.0, 1.0], [-1.0, 1.0]],
+                       "metric": [["1", "0"], ["0", "1"]]},
+            "target": "flat:2",
+            "exprs": ["x1", "x2"],
+            "map_mode": "riemannian_map",
+            "rank": 2,
+        },
+        "c": 0.0,
+        "points": [[-0.5, 0.5]],
+        "theorems": [],
+    }
+    doc.update(overrides)
+    return doc
+
+
+def _run_file(tmp_path, doc):
+    path = tmp_path / "scene.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "out.json"
+    return main(["run", str(path), "-o", str(out)]), out
+
+
+class TestBadInput:
+    @pytest.mark.parametrize(
+        "exprs, point", [(["log(x1)", "x2"], [-0.5, 0.5]), (["sqrt(x1^2)", "x2"], [0.0, 0.5])]
+    )
+    def test_undefined_expression_is_point_error(self, tmp_path, exprs, point):
+        doc = _chart_doc(points=[point])
+        doc["map"] = {**doc["map"], "exprs": exprs}
+        code, out = _run_file(tmp_path, doc)
+        assert code == 3
+        errors = json.loads(out.read_text())["points"][0]["errors"]
+        assert len(errors) == 1 and exprs[0] in errors[0]
+
+    @pytest.mark.parametrize(
+        "path, value",
+        [
+            (("c",), "four"),
+            (("tolerances",), {"equality": "abc"}),
+            (("tolerances",), {"residual": float("nan")}),
+            (("map", "rank"), "two"),
+            (("map", "source", "dim"), "x"),
+            (("map", "source", "box"), [[-1.0, "a"], [-1.0, 1.0]]),
+            (("points",), [["a", 0.5]]),
+            (("points",), [[0.5]]),
+            (("points",), {"sample": {"count": "many", "seed": 1}}),
+            (("points",), {"sample": {"count": 2, "seed": 1.5}}),
+            (("points",), {"sample": {"count": 2, "seed": 1, "box": [[0.0, 1.0]]}}),
+        ],
+    )
+    def test_bad_number_field_is_scene_error(self, tmp_path, path, value):
+        doc = json.loads(json.dumps(_chart_doc()))
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        with pytest.raises(SceneValidationError):
+            parse_scenario(doc)
+        assert _run_file(tmp_path, doc)[0] == 3
+        assert main(["validate", str(tmp_path / "scene.json")]) == 3
+
+    def test_non_numeric_tolerance_flag(self, tmp_path):
+        out = str(tmp_path / "o.json")
+        assert main(["run", "radial:4", "-o", out, "--tolerance", "equality=abc"]) == 3
+        assert main(["run", "radial:4", "-o", out, "--tolerance", "residual="]) == 3
+
+
+class TestParseTimeFit:
+    @staticmethod
+    def _swapped(name, **changes):
+        """A builtin's document with keys replaced, or removed where the new value is None."""
+        doc = {**builtin_scenario(name).raw, **changes}
+        return {k: v for k, v in doc.items() if v is not None}
+
+    @pytest.mark.parametrize(
+        "name, changes, message",
+        [
+            ("flat-embedding:4in8", {"theorems": ["vertical_5_2"]}, "map scene"),
+            ("pw-equality-map:s4", {"theorems": ["vertical_5_2"]}, "map scene"),
+            ("pw-equality-combined:s4l4", {"theorems": ["map_3_2"]}, "submersion scene"),
+            ("radial:4", {"theorems": ["lemma_map_3_1"]}, "submersion scene"),
+            ("product-projection:8to4",
+             {"structure": {"on": "target", "name": "quat-flat:1"}}, "on the source"),
+            ("flat-embedding:4in8",
+             {"structure": {"on": "source", "name": "quat-flat:1"}}, "on the target"),
+            ("radial:4", {"structure": None}, "on the source"),
+        ],
+    )
+    def test_theorem_scene_mismatch_rejected(self, tmp_path, name, changes, message):
+        doc = self._swapped(name, **changes)
+        with pytest.raises(SceneValidationError, match=message):
+            parse_scenario(doc)
+        assert _run_file(tmp_path, doc)[0] == 3
+
+    def test_structure_side_free_without_theorems(self):
+        doc = self._swapped("product-projection:8to4", theorems=[],
+                            structure={"on": "target", "name": "quat-flat:1"})
+        rep = evaluate_scenario(parse_scenario(doc))
+        assert rep.aggregate["point_errors"] == 0
 
 
 class TestRegistry:
