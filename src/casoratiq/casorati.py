@@ -114,38 +114,66 @@ def casorati_subspace(inp: CasoratiInput, indices=None, normal=None) -> float:
     return float(np.sum(proj**2)) / (inp.n - 1)
 
 
-def _phi_batch(h: np.ndarray, U: np.ndarray) -> np.ndarray:
+@dataclass(frozen=True)
+class _Quartic:
+    """phi(u) = |h|^2 - u^T S u + sum_a (u^T h_a u)^2, built once per call.
+
+    ``S`` is sum_a (h_a^T h_a + h_a h_a^T) and ``sym`` holds the
+    symmetric parts h_a + h_a^T.  ``stacked`` puts S and every sym_a
+    side by side as one (n, (a+1)*n) matrix, so one product gives all of
+    them at once.  The formula holds for any slices, symmetric or skew.
+    """
+
+    total_sq: float
+    S: np.ndarray
+    sym: np.ndarray
+    stacked: np.ndarray
+
+    @classmethod
+    def of(cls, h: np.ndarray) -> "_Quartic":
+        sym = h + h.transpose(0, 2, 1)
+        S = np.einsum("aji,ajk->ik", h, h) + np.einsum("aij,akj->ik", h, h)
+        blocks = np.concatenate([S[None], sym])
+        stacked = blocks.transpose(1, 0, 2).reshape(S.shape[0], -1)
+        return cls(float(np.sum(h**2)), S, sym, stacked)
+
+    def products(self, U: np.ndarray):
+        """W[m] = (S u, sym_1 u, ...) and r[m] = (u^T S u, 2 u^T h_1 u, ...)."""
+        W = (U @ self.stacked).reshape(U.shape[0], -1, U.shape[1])
+        return W, np.einsum("mkn,mn->mk", W, U)
+
+
+def _phi(Q: _Quartic, r: np.ndarray) -> np.ndarray:
+    """phi from the quadratic forms ``r`` of ``_Quartic.products``."""
+    q2 = r[:, 1:]
+    return Q.total_sq - r[:, 0] + 0.25 * np.einsum("ma,ma->m", q2, q2)
+
+
+def _grad(W: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """-2 S u + 2 sum_a (u^T h_a u) sym_a u from ``_Quartic.products``."""
+    coef = r.copy()
+    coef[:, 0] = -2.0
+    return np.einsum("mk,mkn->mn", coef, W)
+
+
+def _phi_batch(Q: _Quartic, U: np.ndarray) -> np.ndarray:
     """sum_a |P h_a P|_F^2 for every row of U (unit normals)."""
-    total_sq = float(np.sum(h**2))
-    out = np.full(U.shape[0], total_sq)
-    for ha in h:
-        hu = U @ ha.T
-        htu = U @ ha
-        quad = np.einsum("mn,mn->m", U, hu)
-        out -= np.einsum("mn,mn->m", hu, hu)
-        out -= np.einsum("mn,mn->m", htu, htu)
-        out += quad * quad
-    return out
+    return _phi(Q, Q.products(U)[1])
 
 
-def _grad_batch(h: np.ndarray, U: np.ndarray) -> np.ndarray:
-    grad = np.zeros_like(U)
-    for ha in h:
-        sym2 = ha.T @ ha + ha @ ha.T
-        sym1 = ha + ha.T
-        quad = np.einsum("mn,mn->m", U, U @ ha.T)
-        grad += -2.0 * U @ sym2.T + 2.0 * quad[:, None] * (U @ sym1.T)
-    return grad
+def _grad_batch(Q: _Quartic, U: np.ndarray) -> np.ndarray:
+    return _grad(*Q.products(U))
 
 
-def _hess_single(h: np.ndarray, u: np.ndarray) -> np.ndarray:
-    H = np.zeros((u.shape[0], u.shape[0]))
-    for ha in h:
-        sym2 = ha.T @ ha + ha @ ha.T
-        sym1 = ha + ha.T
-        su = sym1 @ u
-        H += -2.0 * sym2 + 2.0 * float(u @ ha @ u) * sym1 + 2.0 * np.outer(su, su)
-    return H
+def _phi_grad_batch(Q: _Quartic, U: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    W, r = Q.products(U)
+    return _phi(Q, r), _grad(W, r)
+
+
+def _hess_single(Q: _Quartic, u: np.ndarray) -> np.ndarray:
+    W, r = Q.products(u[None, :])
+    V = W[0, 1:]
+    return -2.0 * Q.S + np.tensordot(r[0, 1:], Q.sym, axes=1) + 2.0 * (V.T @ V)
 
 
 def _sphere_starts(n: int, count: int, seed: int) -> np.ndarray:
@@ -169,7 +197,7 @@ def _tangent_basis(u: np.ndarray) -> np.ndarray:
     return Q[:, 1:]
 
 
-def _newton_polish(h, u, sign, tol, max_iters=60):
+def _newton_polish(Q, u, sign, tol, max_iters=60):
     """Riemannian Newton on the sphere, safeguarded by gradient descent.
 
     Value-gated descent bottoms out at the value rounding floor well
@@ -178,13 +206,13 @@ def _newton_polish(h, u, sign, tol, max_iters=60):
     convergence at nondegenerate extrema.
     """
     for _ in range(max_iters):
-        grad = sign * _grad_batch(h, u[None, :])[0]
+        grad = sign * _grad_batch(Q, u[None, :])[0]
         rgrad = grad - (grad @ u) * u
         gnorm = np.linalg.norm(rgrad)
         if gnorm < tol:
             return u, True
         Qt = _tangent_basis(u)
-        H = sign * _hess_single(h, u)
+        H = sign * _hess_single(Q, u)
         Ht = Qt.T @ H @ Qt - (grad @ u) * np.eye(Qt.shape[1])
         gt = Qt.T @ rgrad
         try:
@@ -198,7 +226,7 @@ def _newton_polish(h, u, sign, tol, max_iters=60):
         for _ in range(30):
             cand = u + step * (Qt @ z)
             cand /= np.linalg.norm(cand)
-            cgrad = sign * _grad_batch(h, cand[None, :])[0]
+            cgrad = sign * _grad_batch(Q, cand[None, :])[0]
             crg = cgrad - (cgrad @ cand) * cand
             if np.linalg.norm(crg) < gnorm:
                 u = cand
@@ -207,45 +235,42 @@ def _newton_polish(h, u, sign, tol, max_iters=60):
             step *= 0.5
         if not improved:
             return u, gnorm < tol
-    grad = sign * _grad_batch(h, u[None, :])[0]
+    grad = sign * _grad_batch(Q, u[None, :])[0]
     rgrad = grad - (grad @ u) * u
     return u, bool(np.linalg.norm(rgrad) < tol)
 
 
-def _projected_descent(h, U, sign, tol, max_iters):
+def _projected_descent(Q, U, sign, tol, max_iters):
     """Batched projected-gradient descent of sign * phi on the sphere.
 
-    Returns (U, values, converged_mask, iterations_used).  Convergence
-    here means the value-gated phase stalled or the gradient already
-    meets the tolerance; callers polish afterwards.
+    Returns (U, values, iterations_used).  A start stops when its
+    gradient meets the tolerance or its value-gated step stalls; callers
+    polish afterwards.  A start's gradient is carried over from its last
+    accepted step.
     """
-    vals = sign * _phi_batch(h, U)
+    vals, grad = _phi_grad_batch(Q, U)
+    vals, grad = sign * vals, sign * grad
     steps = np.full(U.shape[0], 0.1)
     done = np.zeros(U.shape[0], dtype=bool)
     iters = 0
     for iters in range(1, max_iters + 1):
-        grad = sign * _grad_batch(h, U)
         rgrad = grad - np.einsum("mn,mn->m", grad, U)[:, None] * U
-        gnorm = np.linalg.norm(rgrad, axis=1)
-        done |= gnorm < tol
-        active = ~done
-        if not active.any():
+        done |= np.einsum("mn,mn->m", rgrad, rgrad) < tol * tol
+        if done.all():
             break
         cand = U - steps[:, None] * rgrad
-        cand /= np.linalg.norm(cand, axis=1, keepdims=True)
-        cand_vals = sign * _phi_batch(h, cand)
-        accept = active & (cand_vals < vals)
-        U[accept] = cand[accept]
-        vals[accept] = cand_vals[accept]
-        steps[accept] *= 1.2
-        steps[active & ~accept] *= 0.5
+        cand /= np.sqrt(np.einsum("mn,mn->m", cand, cand))[:, None]
+        cand_vals, cand_grad = _phi_grad_batch(Q, cand)
+        cand_vals *= sign
+        accept = ~done & (cand_vals < vals)
+        U = np.where(accept[:, None], cand, U)
+        vals = np.where(accept, cand_vals, vals)
+        grad = np.where(accept[:, None], sign * cand_grad, grad)
+        steps *= np.where(accept, 1.2, np.where(done, 1.0, 0.5))
         done |= steps < 1e-13  # value rounding floor reached
         if done.all():
             break
-    grad = sign * _grad_batch(h, U)
-    rgrad = grad - np.einsum("mn,mn->m", grad, U)[:, None] * U
-    converged = np.linalg.norm(rgrad, axis=1) < tol
-    return U, vals, converged, iters
+    return U, vals, iters
 
 
 @dataclass(frozen=True)
@@ -262,15 +287,15 @@ class HyperplaneExtrema:
     audit: dict = field(default_factory=dict)
 
 
-def _run_side(h, n, sign, seed_offset):
-    tol = _GRAD_TOL * max(1.0, float(np.sum(h**2)))
+def _run_side(Q, n, sign, seed_offset):
+    tol = _GRAD_TOL * max(1.0, Q.total_sq)
     starts = _sphere_starts(n, _START_COUNT, _SOBOL_SEED + seed_offset)
-    U, vals, _, iters = _projected_descent(h, starts.copy(), sign, tol, _MAX_ITERS)
+    U, vals, iters = _projected_descent(Q, starts, sign, tol, _MAX_ITERS)
     order = np.argsort(vals)
     polished = []  # (phi value, direction, converged, start index)
     for idx in order[:_POLISH_COUNT]:
-        u, ok = _newton_polish(h, U[idx].copy(), sign, tol)
-        polished.append((float(_phi_batch(h, u[None, :])[0]), u, ok, int(idx)))
+        u, ok = _newton_polish(Q, U[idx].copy(), sign, tol)
+        polished.append((float(_phi_batch(Q, u[None, :])[0]), u, ok, int(idx)))
     polished.sort(key=lambda rec: sign * rec[0])
     if not any(rec[2] for rec in polished):
         raise OptimizationError(
@@ -279,7 +304,7 @@ def _run_side(h, n, sign, seed_offset):
         )
     best_val, best_u, _, best_idx = polished[0]
     degenerate = False
-    scale = max(1.0, float(np.sum(h**2)))
+    scale = max(1.0, Q.total_sq)
     for val, u, _, _ in polished[1:]:
         if abs(val - best_val) >= _TIE_VALUE * scale:
             break
@@ -306,45 +331,86 @@ def _dense_directions(n: int, count: int) -> np.ndarray:
 def hyperplane_extrema(inp: CasoratiInput, certify: bool = True) -> HyperplaneExtrema:
     """Extremize the hyperplane Casorati curvature over all unit normals.
 
-    Deterministic multi-start projected gradient on the sphere; for
-    n <= 5 a dense low-discrepancy sweep (with a local polish of the top
-    candidates) certifies that no basin was missed.  The dense sweep is
-    an independent evaluation path: its candidates never come from the
-    multi-start optimizer.  Pass ``certify=False`` to skip it in bulk
-    sweeps where only the extrema are needed.
+    Skew slices (the A tensor) and all-zero slices take the exact path
+    (``_exact_extrema``); everything else takes the multi-start
+    (``_multistart_extrema``).  ``audit["path"]`` names the path taken.
+    Pass ``certify=False`` to skip the multi-start's dense certification
+    in bulk sweeps where only the extrema are needed; the exact path
+    reports ``certified_gap`` 0 either way.
     """
     h = inp.coeffs
     n = inp.n
     if n < 3:
         raise DimensionError(f"hyperplane extremization needs n >= 3, got {n}")
-    inf_phi, u_min, deg_min, audit_min = _run_side(h, n, +1.0, 0)
-    sup_phi, u_max, deg_max, audit_max = _run_side(h, n, -1.0, 1)
+    if inp.kind == "skew" or not h.any():
+        return _exact_extrema(h)
+    return _multistart_extrema(h, certify)
+
+
+def _exact_extrema(h: np.ndarray) -> HyperplaneExtrema:
+    """Closed form for slices whose quartic term vanishes (skew or zero).
+
+    Then (u^T h_a u)^2 = 0 and h_a^T h_a = h_a h_a^T, so
+    phi(u) = |h|^2 - 2 u^T M u with M = sum_a h_a^T h_a, and the extrema
+    over unit normals are the extreme eigenpairs of M.  An extremum is
+    degenerate when its eigenvalue is (numerically) repeated.
+    """
+    n = h.shape[1]
+    total_sq = float(np.sum(h**2))
+    lam, V = np.linalg.eigh(np.einsum("aji,ajk->ik", h, h))
+    tie = _TIE_VALUE * max(1.0, total_sq)
+    counters = {"iterations": 0, "converged_starts": 0}
+    return HyperplaneExtrema(
+        inf_CL=(total_sq - 2.0 * lam[-1]) / (n - 1),
+        sup_CL=(total_sq - 2.0 * lam[0]) / (n - 1),
+        argmin_normal=V[:, -1],
+        argmax_normal=V[:, 0],
+        certified_gap=0.0,
+        degenerate_min=bool(2.0 * (lam[-1] - lam[-2]) < tie),
+        degenerate_max=bool(2.0 * (lam[1] - lam[0]) < tie),
+        audit={"path": "exact", "min": dict(counters), "max": dict(counters)},
+    )
+
+
+def _multistart_extrema(h: np.ndarray, certify: bool) -> HyperplaneExtrema:
+    """Deterministic multi-start projected gradient on the sphere.
+
+    For n <= 5 a dense low-discrepancy sweep (with a local polish of the
+    top candidates) certifies that no basin was missed.  The dense sweep
+    is an independent evaluation path: its candidates never come from
+    the multi-start optimizer.  Valid for any slices, so it also serves
+    as the test oracle of ``_exact_extrema``.
+    """
+    n = h.shape[1]
+    Q = _Quartic.of(h)
+    inf_phi, u_min, deg_min, audit_min = _run_side(Q, n, +1.0, 0)
+    sup_phi, u_max, deg_max, audit_max = _run_side(Q, n, -1.0, 1)
     inf_cl = inf_phi / (n - 1)
     sup_cl = sup_phi / (n - 1)
-    audit = {"min": audit_min, "max": audit_max, "starts": _START_COUNT}
+    audit = {"path": "multistart", "min": audit_min, "max": audit_max, "starts": _START_COUNT}
 
     certified_gap = None
     if not certify:
         pass
     elif n <= _DENSE_LIMIT:
         U = _dense_directions(n, _DENSE_COUNT)
-        dense_vals = _phi_batch(h, U)
-        tol = _GRAD_TOL * max(1.0, float(np.sum(h**2)))
+        dense_vals = _phi_batch(Q, U)
+        tol = _GRAD_TOL * max(1.0, Q.total_sq)
         gaps = []
         for sign, opt_phi in ((+1.0, inf_phi), (-1.0, sup_phi)):
             order = np.argsort(sign * dense_vals)[:8]
-            cand, vals, _, _ = _projected_descent(h, U[order].copy(), sign, tol, _MAX_ITERS)
+            cand, _, _ = _projected_descent(Q, U[order], sign, tol, _MAX_ITERS)
             best = np.inf
             for u in cand:
-                u, _ = _newton_polish(h, u.copy(), sign, tol)
-                best = min(best, sign * float(_phi_batch(h, u[None, :])[0]))
+                u, _ = _newton_polish(Q, u.copy(), sign, tol)
+                best = min(best, sign * float(_phi_batch(Q, u[None, :])[0]))
             gaps.append(abs(sign * best - opt_phi) / (n - 1))
         certified_gap = float(max(gaps))
         audit["dense_count"] = int(U.shape[0])
     else:
         # spot check only: flag (never certify) at higher dimension
         U = _dense_directions(n, 1 << 14)
-        dense_vals = _phi_batch(h, U) / (n - 1)
+        dense_vals = _phi_batch(Q, U) / (n - 1)
         audit["sampling_flag"] = bool(
             dense_vals.min() < inf_cl - 1e-8 or dense_vals.max() > sup_cl + 1e-8
         )

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import geometry, maps
 from .casorati import CasoratiInput
-from .errors import CasoratiqError, SceneValidationError
+from .errors import CasoratiqError, RankError, SceneValidationError
 from .expressions import compile_expression
 from .geometry import MetricChart, OrthoFrame
 from .inequalities import (
@@ -242,6 +242,58 @@ def _check_theorems_fit(theorems, kind: str, structure_on: Optional[str]) -> Non
         )
 
 
+# frame tags of a pointwise scene, and each tensor's (normal, tangent) frames
+_POINTWISE_FRAMES = {"submersion": ("horizontal", "vertical"), "map": ("range", "range_perp")}
+_TENSOR_FRAMES = {
+    "B": ("range_perp", "range"),
+    "T": ("horizontal", "vertical"),
+    "A": ("vertical", "horizontal"),
+}
+# tensors each submersion theorem family reads
+_FAMILY_TENSORS = {"vertical": {"T"}, "horizontal": {"A"}, "combined": {"T", "A"}}
+
+
+def _pointwise_frames_tensors(doc: dict, dim: int, kind: str, theorems) -> tuple[dict, dict]:
+    """The frames and tensors of a pointwise scene, as finite arrays of matching shapes.
+
+    Both frames of the scene's kind are required, as rows of ``dim``
+    coordinates.  A map scene needs B; a submersion scene needs the
+    tensors its theorems read (T for vertical, A for horizontal, both
+    for combined).  Tensor h[a, i, j] has one slice per vector of its
+    normal frame and one row and column per vector of its tangent frame.
+    """
+    tags = _POINTWISE_FRAMES[kind]
+    frames_spec = _require(doc, "frames", "scenario")
+    tensors_spec = _require(doc, "tensors", "scenario")
+    for spec, where in ((frames_spec, "frames"), (tensors_spec, "tensors")):
+        if not isinstance(spec, dict):
+            raise SceneValidationError(f"{where} must be an object")
+    _reject_unknown(frames_spec, set(tags), "frames")
+    _reject_unknown(tensors_spec, {"B"} if kind == "map" else {"T", "A"}, "tensors")
+    frames = {}
+    for tag in tags:
+        frame = _numeric(_require(frames_spec, tag, "frames"), f"frames.{tag}", ndim=2)
+        if frame.shape[1] != dim:
+            raise SceneValidationError(f"frames.{tag} vectors must have {dim} entries")
+        frames[tag] = frame
+    if kind == "map":
+        needed = {"B"}  # read at every map point
+    else:
+        needed = set().union(*(_FAMILY_TENSORS[f] for f in _requested_families(theorems)))
+    missing = sorted(needed - set(tensors_spec))
+    if missing:
+        raise SceneValidationError(f"missing tensors {missing} for this {kind} scene")
+    tensors = {}
+    for key, raw in tensors_spec.items():
+        tensor = _numeric(raw, f"tensors.{key}", ndim=3)
+        normal, tangent = (len(frames[tag]) for tag in _TENSOR_FRAMES[key])
+        want = (normal, tangent, tangent)
+        if tensor.shape != want:
+            raise SceneValidationError(f"tensors.{key} has shape {tensor.shape}, not {want}")
+        tensors[key] = tensor
+    return frames, tensors
+
+
 def parse_scenario(doc: dict, name_hint: str = "") -> Scenario:
     if not isinstance(doc, dict):
         raise SceneValidationError("scenario document must be a JSON object")
@@ -277,14 +329,12 @@ def parse_scenario(doc: dict, name_hint: str = "") -> Scenario:
         def F(coords, _exprs=exprs):
             return [e(coords) for e in _exprs]
 
-        smap = maps.SmoothMap(
-            source,
-            target,
-            F,
-            str(_require(mspec, "map_mode", "map")),
-            _integer(_require(mspec, "rank", "map"), "map.rank"),
-            name=name,
-        )
+        map_mode = str(_require(mspec, "map_mode", "map"))
+        rank = _integer(_require(mspec, "rank", "map"), "map.rank")
+        try:
+            smap = maps.SmoothMap(source, target, F, map_mode, rank, name=name)
+        except (ValueError, RankError) as e:
+            raise SceneValidationError(f"map: {e}") from e
         kind = "submersion" if smap.mode == maps.RIEMANNIAN_SUBMERSION else "map"
         structure = None
         structure_on = ""
@@ -349,20 +399,11 @@ def parse_scenario(doc: dict, name_hint: str = "") -> Scenario:
     if kind not in ("submersion", "map"):
         raise SceneValidationError("pointwise kind must be 'submersion' or 'map'")
     _check_theorems_fit(theorems, kind, None)
-    g = np.asarray(doc.get("metric", np.eye(dim)), dtype=float)
+    g = _numeric(doc.get("metric", np.eye(dim)), "metric", ndim=2)
     if g.shape != (dim, dim):
         raise SceneValidationError(f"pointwise metric has shape {g.shape}")
     structure = _structure_from_spec(_require(doc, "structure", "scenario"), dim, "structure")
-    frames_spec = _require(doc, "frames", "scenario")
-    tensors_spec = _require(doc, "tensors", "scenario")
-    if kind == "submersion":
-        _reject_unknown(frames_spec, {"horizontal", "vertical"}, "frames")
-        _reject_unknown(tensors_spec, {"T", "A"}, "tensors")
-    else:
-        _reject_unknown(frames_spec, {"range", "range_perp"}, "frames")
-        _reject_unknown(tensors_spec, {"B"}, "tensors")
-    frames = {k: np.asarray(v, dtype=float) for k, v in frames_spec.items()}
-    tensors = {k: np.asarray(v, dtype=float) for k, v in tensors_spec.items()}
+    frames, tensors = _pointwise_frames_tensors(doc, dim, kind, theorems)
     return Scenario(
         name=name,
         mode=mode,
@@ -583,7 +624,7 @@ def _evaluate_pointwise(scn: Scenario):
     J = scn.structure.at()
     validation = {}
     _check_structure(J, g, validation)
-    tags = ("horizontal", "vertical") if scn.kind == "submersion" else ("range", "range_perp")
+    tags = _POINTWISE_FRAMES[scn.kind]
     frames = tuple(OrthoFrame(scn.frames[tag], g) for tag in tags)
     for fr, tag in zip(frames, tags):
         res = fr.orthonormality_residual()

@@ -12,8 +12,25 @@ from casoratiq.casorati import (
     tripathi_minimize,
     tripathi_minimize_numeric,
     tripathi_objective,
+    _Quartic,
+    _grad_batch,
+    _hess_single,
+    _multistart_extrema,
+    _phi_batch,
 )
 from casoratiq.errors import DimensionError, ProvisoError
+
+
+def skew_coeffs(rng, n_alpha, n):
+    raw = rng.uniform(-1.0, 1.0, size=(n_alpha, n, n))
+    return 0.5 * (raw - raw.transpose(0, 2, 1))
+
+
+def assert_audit_shape(ex, path):
+    assert ex.audit["path"] == path
+    for side in ("min", "max"):
+        for key in ("iterations", "converged_starts"):
+            assert type(ex.audit[side][key]) is int
 
 
 def sym_input(rng, n_alpha, n):
@@ -125,6 +142,100 @@ class TestExtrema:
         assert ex.audit["starts"] == 64
         assert "start_index" in ex.audit["min"]
         assert ex.audit["dense_count"] >= 100_000
+
+
+class TestQuartic:
+    """The slice-stacked phi, gradient and Hessian against per-slice loops."""
+
+    @staticmethod
+    def _loops(h, u):
+        phi, grad, hess = float(np.sum(h**2)), np.zeros_like(u), np.zeros((u.size, u.size))
+        for ha in h:
+            sym2, sym1, quad = ha.T @ ha + ha @ ha.T, ha + ha.T, float(u @ ha @ u)
+            phi += -u @ sym2 @ u + quad * quad
+            grad += -2.0 * sym2 @ u + 2.0 * quad * sym1 @ u
+            hess += -2.0 * sym2 + 2.0 * quad * sym1 + 2.0 * np.outer(sym1 @ u, sym1 @ u)
+        return phi, grad, hess
+
+    @pytest.mark.parametrize("kind", ["symmetric", "skew"])
+    def test_matches_per_slice_loops(self, kind):
+        rng = np.random.default_rng(11)
+        for n, n_alpha in ((3, 1), (4, 3), (5, 4)):
+            if kind == "symmetric":
+                h = sym_input(rng, n_alpha, n).coeffs
+            else:
+                h = skew_coeffs(rng, n_alpha, n)
+            Q = _Quartic.of(h)
+            U = rng.normal(size=(6, n))
+            U /= np.linalg.norm(U, axis=1, keepdims=True)
+            phi, grad = _phi_batch(Q, U), _grad_batch(Q, U)
+            for m, u in enumerate(U):
+                want_phi, want_grad, want_hess = self._loops(h, u)
+                assert phi[m] == pytest.approx(want_phi, abs=1e-12)
+                assert phi[m] == pytest.approx(
+                    (n - 1) * casorati_subspace(CasoratiInput(h, kind=kind), normal=u), abs=1e-12
+                )
+                np.testing.assert_allclose(grad[m], want_grad, rtol=0, atol=1e-12)
+                np.testing.assert_allclose(_hess_single(Q, u), want_hess, rtol=0, atol=1e-12)
+
+
+class TestExactPath:
+    """The closed form for skew and zero slices against the multi-start."""
+
+    @staticmethod
+    def _agree(h, kind):
+        n = h.shape[1]
+        exact = hyperplane_extrema(CasoratiInput(h, kind=kind))
+        search = _multistart_extrema(h, certify=False)
+        assert_audit_shape(exact, "exact")
+        assert_audit_shape(search, "multistart")
+        assert exact.certified_gap == 0.0
+        tol = 1e-10 * max(1.0, float(np.sum(h**2))) / (n - 1)
+        assert abs(exact.inf_CL - search.inf_CL) <= tol
+        assert abs(exact.sup_CL - search.sup_CL) <= tol
+        for u, want in ((exact.argmin_normal, exact.inf_CL), (exact.argmax_normal, exact.sup_CL)):
+            assert abs(casorati_subspace(CasoratiInput(h, kind=kind), normal=u) - want) <= tol
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    @pytest.mark.parametrize("n_alpha", [1, 2, 3, 4])
+    def test_skew_matches_multistart(self, n, n_alpha):
+        rng = np.random.default_rng(100 * n + n_alpha)
+        self._agree(skew_coeffs(rng, n_alpha, n), "skew")
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    @pytest.mark.parametrize("n_alpha", [1, 4])
+    @pytest.mark.parametrize("kind", ["symmetric", "skew"])
+    def test_zero_matches_multistart(self, n, n_alpha, kind):
+        self._agree(np.zeros((n_alpha, n, n)), kind)
+
+    def test_zero_is_degenerate_on_both_sides(self):
+        ex = hyperplane_extrema(CasoratiInput(np.zeros((1, 3, 3))))
+        assert ex.audit["path"] == "exact"
+        assert ex.inf_CL == 0.0 and ex.sup_CL == 0.0
+        assert ex.degenerate_min and ex.degenerate_max
+
+    def test_single_3x3_skew_slice_ties_at_the_inf(self):
+        # A^T A has eigenvalues a^2, a^2, 0: the inf normal is any unit
+        # vector of a plane, the sup normal is the kernel of A
+        a = 0.7
+        A = np.array([[[0.0, a, 0.0], [-a, 0.0, 0.0], [0.0, 0.0, 0.0]]])
+        ex = hyperplane_extrema(CasoratiInput(A, kind="skew"))
+        assert ex.inf_CL == pytest.approx(0.0, abs=1e-15)
+        assert ex.sup_CL == pytest.approx(a * a, abs=1e-15)
+        assert ex.degenerate_min and not ex.degenerate_max
+        assert abs(ex.argmax_normal[2]) == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("certify", [True, False])
+    def test_every_result_carries_the_audit(self, certify):
+        rng = np.random.default_rng(3)
+        cases = [
+            (sym_input(rng, 2, 4), "multistart"),
+            (CasoratiInput(skew_coeffs(rng, 2, 4), kind="skew"), "exact"),
+            (CasoratiInput(np.zeros((2, 5, 5))), "exact"),
+            (sym_input(rng, 1, 6), "multistart"),
+        ]
+        for inp, path in cases:
+            assert_audit_shape(hyperplane_extrema(inp, certify=certify), path)
 
 
 class TestDelta:

@@ -282,6 +282,46 @@ class TestBadInput:
         assert main(["run", "radial:4", "-o", out, "--tolerance", "residual="]) == 3
 
 
+    @pytest.mark.parametrize(
+        "mode, rank, message",
+        [("bogus", 2, "unknown map mode"), ("riemannian_submersion", 1, "rank 1")],
+    )
+    def test_map_spec_error_is_scene_error(self, tmp_path, mode, rank, message):
+        doc = _chart_doc()
+        doc["map"] = {**doc["map"], "map_mode": mode, "rank": rank}
+        with pytest.raises(SceneValidationError, match=message):
+            parse_scenario(doc)
+        assert _run_file(tmp_path, doc)[0] == 3
+
+    @pytest.mark.parametrize(
+        "name, path, value, message",
+        [
+            ("pw-equality-map:s4", ("tensors", "B"), None, "missing tensors"),
+            ("pw-equality-combined:s4l4", ("tensors", "T"), None, "missing tensors"),
+            ("pw-equality-combined:s4l4", ("tensors", "A"), None, "missing tensors"),
+            ("pw-equality-map:s4", ("frames", "range_perp"), None, "range_perp"),
+            ("pw-equality-map:s4", ("frames", "range", 0, 0), "x", "frames.range"),
+            ("pw-equality-map:s4", ("tensors", "B", 0, 0, 0), "y", "tensors.B"),
+            ("pw-equality-combined:s4l4", ("tensors", "A", 0), None, "tensors.A has shape"),
+            ("pw-equality-map:s4", ("metric", 0, 0), "z", "metric"),
+        ],
+    )
+    def test_pointwise_frames_and_tensors_checked(self, tmp_path, name, path, value, message):
+        doc = json.loads(json.dumps(builtin_scenario(name).raw))
+        if path[0] == "metric":
+            doc["metric"] = np.eye(doc["dim"]).tolist()
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        if value is None:
+            del node[path[-1]]
+        else:
+            node[path[-1]] = value
+        with pytest.raises(SceneValidationError, match=message):
+            parse_scenario(doc)
+        assert _run_file(tmp_path, doc)[0] == 3
+
+
 class TestParseTimeFit:
     @staticmethod
     def _swapped(name, **changes):
@@ -584,6 +624,13 @@ class TestCli:
         )
         assert proc.returncode == 0
         assert "elapsed" in proc.stderr
+
+    def test_package_runs_as_module(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "casoratiq", "--help"], capture_output=True, text=True
+        )
+        assert proc.returncode == 0
+        assert "run" in proc.stdout and "validate" in proc.stdout
 
     def test_cross_process_determinism(self, tmp_path):
         outs = []
