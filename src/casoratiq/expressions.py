@@ -20,6 +20,8 @@ import math
 import re
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import jets
 from .errors import DomainError, SceneValidationError
 
@@ -196,8 +198,8 @@ def _evaluate(node, coords):
 class CompiledExpression:
     """A parsed expression, callable on a coordinate list of jets or floats.
 
-    A value or derivative that is undefined at the point raises
-    :class:`DomainError` naming the expression.
+    A value or derivative that is undefined or not finite at the point
+    raises :class:`DomainError` naming the expression.
     """
 
     source: str
@@ -205,9 +207,15 @@ class CompiledExpression:
 
     def __call__(self, coords):
         try:
-            return _evaluate(self._ast, coords)
+            # an overflow or an inf * 0 inside the jet arrays is caught below
+            with np.errstate(over="ignore", invalid="ignore"):
+                out = _evaluate(self._ast, coords)
         except (ValueError, ZeroDivisionError, OverflowError) as e:
             raise DomainError(f"expression {self.source!r} is undefined at this point: {e}") from e
+        parts = (out.value, out.grad, out.hess, out.d3) if isinstance(out, jets.Jet2) else (out,)
+        if not all(np.isfinite(part).all() for part in parts):
+            raise DomainError(f"expression {self.source!r} is not finite at this point")
+        return out
 
 
 def compile_expression(text) -> CompiledExpression:

@@ -24,7 +24,7 @@ from .errors import (
     DimensionError,
     DomainError,
 )
-from .jets import Jet2, seed_point
+from .jets import Jet2, jet_arrays, matrix_inverse, seed_point
 
 __all__ = [
     "MetricChart",
@@ -103,20 +103,9 @@ class MetricChart:
         """
         x = self.require_inside(x)
         n = self.dim
-        coords = seed_point(x)
-        rows = self.g(coords)
-        G0 = np.empty((n, n))
-        G1 = np.zeros((n, n, n))
-        G2 = np.zeros((n, n, n, n))
-        for a in range(n):
-            for b in range(n):
-                entry = rows[a][b]
-                if isinstance(entry, Jet2):
-                    G0[a, b] = entry.value
-                    G1[a, b] = entry.grad
-                    G2[a, b] = 0.5 * (entry.hess + entry.hess.T)
-                else:
-                    G0[a, b] = float(entry)
+        rows = self.g(seed_point(x))
+        flat = jet_arrays([rows[a][b] for a in range(n) for b in range(n)], n)
+        G0, G1, G2 = (m.reshape((n, n) + m.shape[1:]) for m in flat[:3])
         G0 = 0.5 * (G0 + G0.T)
         G1 = 0.5 * (G1 + G1.transpose(1, 0, 2))
         G2 = 0.5 * (G2 + G2.transpose(1, 0, 2, 3))
@@ -161,10 +150,10 @@ class CurvaturePoint:
 class ChartPoint:
     """The metric jets of a chart at one point, and what derives from them.
 
-    Built from one ``metric_jets`` call.  The inverse metric, the
-    Christoffel symbols, their gradient and the curvature are computed
-    from those jets on first use and kept, so every consumer at the point
-    shares one copy.
+    Built from one ``metric_jets`` call.  The inverse metric and its two
+    derivatives, the Christoffel symbols, their gradient and the curvature
+    are computed from those jets on first use and kept, so every consumer
+    at the point shares one copy.
     """
 
     x: np.ndarray
@@ -178,16 +167,13 @@ class ChartPoint:
         return cls(x, *chart.metric_jets(x))
 
     @cached_property
-    def ginv(self) -> np.ndarray:
+    def ginv_jet(self) -> tuple:
+        """Matrix jet of g^-1: ``(g^kl, d_m g^kl, d_m d_n g^kl)``, derivative axes first."""
+        g = (self.G0, np.moveaxis(self.G1, 2, 0), self.G2.transpose(2, 3, 0, 1))
         try:
-            return np.linalg.inv(self.G0)
+            return matrix_inverse(g)
         except np.linalg.LinAlgError as e:
             raise DegenerateMetricError(f"singular metric at {self.x.tolist()}") from e
-
-    @cached_property
-    def dginv(self) -> np.ndarray:
-        """``dginv[m, k, l] = d_m g^kl``."""
-        return -np.einsum("kp,pqm,ql->mkl", self.ginv, self.G1, self.ginv)
 
     @cached_property
     def _first_kind(self) -> np.ndarray:
@@ -198,7 +184,7 @@ class ChartPoint:
     @cached_property
     def gamma(self) -> np.ndarray:
         """Levi-Civita connection coefficients ``gamma[k, i, j] = Gamma^k_ij``."""
-        return 0.5 * np.einsum("kl,ijl->kij", self.ginv, self._first_kind)
+        return 0.5 * np.einsum("kl,ijl->kij", self.ginv_jet[0], self._first_kind)
 
     @cached_property
     def dgamma(self) -> np.ndarray:
@@ -207,8 +193,8 @@ class ChartPoint:
         DD = np.transpose(self.G2, (3, 2, 0, 1))
         Am = DD + DD.transpose(0, 2, 1, 3) - DD.transpose(0, 2, 3, 1)
         return 0.5 * (
-            np.einsum("mkl,ijl->mkij", self.dginv, self._first_kind)
-            + np.einsum("kl,mijl->mkij", self.ginv, Am)
+            np.einsum("mkl,ijl->mkij", self.ginv_jet[1], self._first_kind)
+            + np.einsum("kl,mijl->mkij", self.ginv_jet[0], Am)
         )
 
     @cached_property

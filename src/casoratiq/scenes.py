@@ -10,6 +10,7 @@ points, and every numeric knob is echoed into the run report.
 from __future__ import annotations
 
 import json
+import math
 import time
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
@@ -88,16 +89,30 @@ def _require(obj: dict, key: str, where: str):
     return obj[key]
 
 
+def _first_bad_entry(raw, where: str, ndim: int) -> Optional[tuple]:
+    """``(path, ndim, value)`` of the first entry of ``raw`` that is not made of finite numbers."""
+    if ndim and isinstance(raw, (list, tuple)):
+        bad = (_first_bad_entry(item, f"{where}[{i}]", ndim - 1) for i, item in enumerate(raw))
+        return next(filter(None, bad), None)
+    try:
+        ok = ndim == 0 and math.isfinite(float(raw))
+    except (TypeError, ValueError, OverflowError):
+        ok = False
+    return None if ok else (where, ndim, raw)
+
+
 def _numeric(raw, where: str, ndim: int = 0):
     """A number (``ndim`` 0) or an ``ndim``-dimensional float array from a scenario field.
 
-    Anything that is not made of finite numbers is a scene error.
+    Anything that is not made of finite numbers is a scene error naming
+    the first offending entry.
     """
     try:
         value = np.asarray(raw, dtype=float)
     except (TypeError, ValueError, OverflowError):
         value = None
     if value is None or value.ndim != ndim or not np.isfinite(value).all():
+        where, ndim, raw = _first_bad_entry(raw, where, ndim) or (where, ndim, raw)
         shape = "a finite number" if ndim == 0 else f"a {ndim}-d array of finite numbers"
         raise SceneValidationError(f"{where} must be {shape}, got {raw!r}")
     return float(value) if ndim == 0 else value
@@ -515,14 +530,10 @@ def _structure_metric(scn: Scenario, split: maps.SceneSplit) -> np.ndarray:
 
 
 def _bracket_residual(split: maps.SceneSplit, A: maps.FundamentalTensor) -> float:
-    br = maps.vertical_bracket(split)
-    g1 = A.metric
-    diff = br - 2.0 * A.vectors
-    worst = 0.0
-    for i in range(diff.shape[0]):
-        for j in range(diff.shape[1]):
-            worst = max(worst, float(np.sqrt(max(diff[i, j] @ g1 @ diff[i, j], 0.0))))
-    return worst
+    """Largest g1-length of v[h_i, h_j] - 2 A_{h_i} h_j."""
+    diff = maps.vertical_bracket(split) - 2.0 * A.vectors
+    sq = np.einsum("ija,ab,ijb->ij", diff, A.metric, diff)
+    return float(np.sqrt(max(sq.max(), 0.0))) if sq.size else 0.0
 
 
 def _check_gauss(scn: Scenario, worst: float) -> None:

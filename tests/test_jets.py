@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from casoratiq import jets
 from casoratiq.errors import DomainError
+from casoratiq.expressions import compile_expression
 from casoratiq.jets import Jet2, eval_jet2
 
 
@@ -80,6 +81,15 @@ def test_matches_finite_differences(field, x):
     assert out.value == pytest.approx(f0, abs=1e-12)
     assert np.abs(out.grad - grad).max() < 1e-5
     assert np.abs(out.hess - hess).max() < 1e-5
+    # third derivative against central differences of the exact Hessian
+    h = 1e-4
+    for k in range(len(x)):
+        e = np.zeros(len(x))
+        e[k] = h
+        d3_k = (eval_jet2(field, x + e).hess - eval_jet2(field, x - e).hess) / (2 * h)
+        assert np.abs(out.d3[:, :, k] - d3_k).max() < 1e-5
+    assert np.abs(out.d3 - out.d3.transpose(1, 0, 2)).max() < 1e-12
+    assert np.abs(out.d3 - out.d3.transpose(0, 2, 1)).max() < 1e-12
 
 
 def test_metric_fields_match_finite_differences():
@@ -132,3 +142,36 @@ def test_power_and_chain():
     assert out.hess[0, 0] == pytest.approx(12.0)
     with pytest.raises(ValueError):
         eval_jet2(lambda c: (c[0] - 3.0) ** 0.5, [1.0])
+
+
+@pytest.mark.parametrize("p, d2, d3", [(2, 2.0, 0.0), (3, 0.0, 6.0)])
+def test_integer_power_at_zero(p, d2, d3):
+    # a vanishing falling factorial drops its term instead of evaluating 0^-1
+    out = compile_expression(f"x1^{p}")(jets.seed_point([0.0]))
+    assert (out.value, out.grad[0], out.hess[0, 0], out.d3[0, 0, 0]) == (0.0, 0.0, d2, d3)
+
+
+def test_matrix_jets_match_finite_differences():
+    def matrix(c):
+        return [[jets.exp(c[0]) + 2.0, c[0] * c[1]], [c[1] * c[1], 3.0 + jets.sin(c[0] * c[1])]]
+
+    def matrix_jet(x):
+        # (M, dM, d2M) with the derivative axes first
+        jet = [[eval_jet2(lambda c, i=i, j=j: matrix(c)[i][j], x) for j in range(2)]
+               for i in range(2)]
+        parts = [np.array([[getattr(e, name) for e in row] for row in jet])
+                 for name in ("value", "grad", "hess")]
+        return tuple(np.moveaxis(m, (0, 1), (-2, -1)) for m in parts)
+
+    x = np.array([0.3, 0.7])
+    a = matrix_jet(x)
+    inv = jets.matrix_inverse(a)
+    ident = jets.matrix_product(a, inv)
+    assert np.abs(ident[0] - np.eye(2)).max() < 1e-14
+    assert np.abs(ident[1]).max() < 1e-14 and np.abs(ident[2]).max() < 1e-14
+    h = 1e-5
+    for p in range(2):
+        e = np.zeros(2)
+        e[p] = h
+        fd = jets.matrix_inverse(matrix_jet(x + e))[1] - jets.matrix_inverse(matrix_jet(x - e))[1]
+        assert np.abs(inv[2][p] - fd / (2 * h)).max() < 1e-8

@@ -5,9 +5,11 @@ import pytest
 
 from casoratiq.casorati import CasoratiInput
 from casoratiq.errors import DimensionError, NotRiemannianMapError, RankError
-from casoratiq.geometry import OrthoFrame, chart, gram_schmidt, riemann
+from casoratiq import jets
+from casoratiq.geometry import MetricChart, OrthoFrame, chart, gram_schmidt, riemann
 from casoratiq.maps import (
     FundamentalTensor,
+    MapPoint,
     SmoothMap,
     differential,
     gauss_residual_map,
@@ -21,6 +23,46 @@ from casoratiq.maps import (
 )
 
 from conftest import orthonormal_rows
+
+
+@pytest.fixture(scope="module")
+def sheared_hopf_map(hopf_map) -> SmoothMap:
+    """The Hopf submersion in the sheared coordinates x = (u1, u2, u3, u4 + s u1^3).
+
+    The source metric is the pulled-back flat metric, so the map is still a
+    Riemannian submersion, but neither its Christoffel symbols nor their
+    derivatives vanish.
+    """
+    s = 0.3
+
+    def g1(c):
+        w = 3.0 * s * c[0] * c[0]  # d x4 / d u1
+        return [[1.0 + w * w, 0.0, 0.0, w],
+                [0.0, 1.0, 0.0, 0.0],
+                [0.0, 0.0, 1.0, 0.0],
+                [w, 0.0, 0.0, 1.0]]
+
+    def F(c):
+        return hopf_map.F([c[0], c[1], c[2], c[3] + s * c[0] ** 3])
+
+    src = MetricChart(4, ((0.1, 1.5),) * 4, g1, name="sheared-flat:4")
+    return SmoothMap(src, hopf_map.target, F, "riemannian_submersion", 3, "sheared-hopf")
+
+
+def _oneill_by_definition(pt: MapPoint, kind: str, E, F) -> np.ndarray:
+    """T_E F = h nabla_{vE} vF + v nabla_{vE} hF, A_E F = v nabla_{hE} hF + h nabla_{hE} vF,
+    read off the definitions with constant-component extensions of E and F."""
+    sub, gamma = pt.submersion, pt.source.gamma
+    P = sub.Ph
+    Q = np.eye(P.shape[0]) - P
+    X = Q @ E if kind == "T" else P @ E
+
+    def nabla(proj, dproj):  # nabla_X (proj F)
+        return np.einsum("m,mkl,l->k", X, dproj, F) + np.einsum("kml,m,l->k", gamma, X, proj @ F)
+
+    same, other = (Q, P) if kind == "T" else (P, Q)
+    sign = -1.0 if kind == "T" else 1.0  # d(1 - P_h) = -dP_h
+    return other @ nabla(same, sign * sub.dPh) + same @ nabla(other, -sign * sub.dPh)
 
 
 class TestDifferential:
@@ -179,6 +221,31 @@ class TestONeillTensors:
         assert abs(t.trace_norm_sq() - t2.trace_norm_sq()) < 1e-9
         assert abs(a.norm_sq() - a2.norm_sq()) < 1e-9
 
+    def test_fields_match_definitions(self, sheared_hopf_map):
+        pt = MapPoint.at(sheared_hopf_map, np.array([0.5, 0.3, 0.4, 0.2]))
+        assert np.abs(pt.source.gamma).max() > 0.1 and np.abs(pt.source.dgamma).max() > 0.1
+        rng = np.random.default_rng(5)
+        for _ in range(5):
+            E, F = rng.normal(size=(2, 4))
+            for kind in ("T", "A"):
+                field = getattr(pt.submersion, kind)
+                got = np.einsum("kmn,m,n->k", field, E, F)
+                assert np.abs(got - _oneill_by_definition(pt, kind, E, F)).max() < 1e-12
+
+    @pytest.mark.parametrize("name", ["hopf_map", "radial_map", "sheared_hopf_map"])
+    def test_field_derivatives_match_finite_differences(self, request, name):
+        smap = request.getfixturevalue(name)
+        x = np.array([0.5, 0.3, 0.4, 0.2])
+        sub = MapPoint.at(smap, x).submersion
+        h = 1e-5
+        for p in range(4):
+            e = np.zeros(4)
+            e[p] = h
+            plus, minus = MapPoint.at(smap, x + e).submersion, MapPoint.at(smap, x - e).submersion
+            for field, deriv in (("Ph", "dPh"), ("T", "dT"), ("A", "dA")):
+                fd = (getattr(plus, field) - getattr(minus, field)) / (2 * h)
+                assert np.abs(getattr(sub, deriv)[p] - fd).max() < 1e-7, (field, p)
+
     def test_map_mode_rejected(self, paraboloid_map):
         x = np.zeros(2)
         sp = differential(paraboloid_map, x)
@@ -236,6 +303,13 @@ class TestGaussResiduals:
             assert res.horizontal < 1e-6
             assert res.mixed < 1e-6
             assert not res.vertical_independent
+
+    def test_curved_chart_mixed_identity_is_exact(self, sheared_hopf_map):
+        # the connection terms of the covariant derivatives do not vanish here
+        for xv in ([0.5, 0.3, 0.4, 0.2], [0.9, 0.2, 0.6, 0.3]):
+            res = gauss_residual_submersion(differential(sheared_hopf_map, np.array(xv)))
+            assert res.horizontal < 1e-12
+            assert res.mixed < 1e-13
 
     def test_fiber_kappa_cross_check_against_sphere_chart(self):
         # the radial fiber is a round 3-sphere; the sphere3 chart gives the
