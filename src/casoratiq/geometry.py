@@ -2,11 +2,15 @@
 
 Conventions used throughout the engine:
 
-* stored curvature is fully covariant, ``R[i, j, k, l]`` meaning the
-  quadrilinear form evaluated on coordinate vectors in slot order, so
-  ``quad(X, Y, Z, W) = R[ijkl] X^i Y^j Z^k W^l``;
+* stored curvature is fully covariant: ``R[i, j, k, l]`` is the
+  curvature form on the coordinate vectors in slot order, so
+  ``R(X, Y, Z, W) = R[i, j, k, l] X^i Y^j Z^k W^l``;
 * the sign is fixed so that the round unit 2-sphere has sectional
-  curvature +1, i.e. ``quad(X, Y, Y, X) > 0`` on the sphere.
+  curvature +1, i.e. ``R(X, Y, Y, X) > 0`` on the sphere;
+* over an orthonormal frame with rows ``e_a`` the curvature is read from
+  one frame tensor ``R_E[a, b, c, d] = R(e_a, e_b, e_c, e_d)``
+  (``frame_contraction``); every ambient curvature sum is a block or
+  trace of it (``curvature_sums``).
 """
 
 from __future__ import annotations
@@ -37,9 +41,8 @@ __all__ = [
     "gram_schmidt",
     "complete_frame",
     "frame_contraction",
-    "scalar_curvature_of_frame",
-    "normalized_scalar_curvature",
-    "mixed_scalar",
+    "curvature_sums",
+    "plane_area_sq",
     "chart",
 ]
 
@@ -112,6 +115,14 @@ class MetricChart:
         return G0, G1, G2
 
 
+def plane_area_sq(g: np.ndarray, u, v) -> float:
+    """Squared g-area of the parallelogram on u and v; raises when it is degenerate."""
+    area = (u @ g @ u) * (v @ g @ v) - (u @ g @ v) ** 2
+    if not area > 0:
+        raise DimensionError("sectional curvature of a degenerate 2-plane")
+    return float(area)
+
+
 @dataclass(frozen=True)
 class CurvaturePoint:
     """Christoffel symbols and covariant curvature at one chart point."""
@@ -121,18 +132,9 @@ class CurvaturePoint:
     riemann: np.ndarray  # R[i, j, k, l] fully covariant
     metric: np.ndarray
 
-    def quad(self, z1, z2, z3, z4) -> float:
-        return float(np.einsum("ijkl,i,j,k,l->", self.riemann, z1, z2, z3, z4))
-
     def sectional(self, u, v) -> float:
-        g = self.metric
-        uu = u @ g @ u
-        vv = v @ g @ v
-        uv = u @ g @ v
-        area = uu * vv - uv * uv
-        if area <= 0:
-            raise DimensionError("sectional curvature of a degenerate 2-plane")
-        return self.quad(u, v, v, u) / area
+        area = plane_area_sq(self.metric, u, v)
+        return float(np.einsum("ijkl,i,j,k,l->", self.riemann, u, v, v, u)) / area
 
     def symmetry_residuals(self) -> dict[str, float]:
         R = self.riemann
@@ -326,37 +328,17 @@ class OrthoFrame:
         return float(np.abs(self.gram() - np.eye(self.k)).max())
 
 
-Quad = Callable[[np.ndarray, np.ndarray, np.ndarray, np.ndarray], float]
+def curvature_sums(frame_tensor: np.ndarray, s: int) -> tuple[float, float, float]:
+    """Scalar curvature sums of a frame split after its first ``s`` vectors.
 
-
-def scalar_curvature_of_frame(quad: Quad, frame: OrthoFrame) -> float:
-    """Twice the scalar-type curvature sum over an orthonormal frame.
-
-    Returns ``sum_{i,j} quad(e_i, e_j, e_j, e_i)``; frames with fewer
-    than two vectors give 0.
+    With ``K[a, b] = R_E[a, b, b, a]`` over an orthonormal frame, returns
+    ``2 tau`` of the first block, ``2 tau`` of the rest (each the sum of K
+    over the block's ordered pairs a != b) and the mixed sum of K over
+    (first, rest) pairs.  Blocks of fewer than two vectors give 0.
     """
-    vs = frame.vectors
-    total = 0.0
-    for i in range(len(vs)):
-        for j in range(i + 1, len(vs)):
-            total += 2.0 * quad(vs[i], vs[j], vs[j], vs[i])
-    return total
-
-
-def normalized_scalar_curvature(quad: Quad, frame: OrthoFrame) -> float:
-    k = frame.k
-    if k < 2:
-        raise DimensionError(f"normalized scalar curvature undefined for a {k}-frame")
-    return scalar_curvature_of_frame(quad, frame) / (k * (k - 1))
-
-
-def mixed_scalar(quad: Quad, hor: OrthoFrame, vert: OrthoFrame) -> float:
-    """``sum_i sum_j quad(h_i, v_j, v_j, h_i)`` over the two frames."""
-    total = 0.0
-    for h in hor.vectors:
-        for v in vert.vectors:
-            total += quad(h, v, v, h)
-    return total
+    K = np.einsum("abba->ab", frame_tensor).copy()
+    np.fill_diagonal(K, 0.0)
+    return float(K[:s, :s].sum()), float(K[s:, s:].sum()), float(K[:s, s:].sum())
 
 
 # -- builtin chart registry ----------------------------------------------

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -24,12 +24,7 @@ from .casorati import (
     hyperplane_extrema,
 )
 from .errors import ConfigurationError, DimensionError, OracleError
-from .geometry import (
-    OrthoFrame,
-    frame_contraction,
-    mixed_scalar,
-    scalar_curvature_of_frame,
-)
+from .geometry import OrthoFrame, curvature_sums
 from .quaternionic import JDecomposition, QSFOracle, decompose_J
 
 __all__ = [
@@ -211,10 +206,10 @@ def algebraic_gap(B: CasoratiInput, certify: bool = False):
 class MapSceneData:
     """Everything the map-theorem checker needs at one point.
 
-    ``ambient_quad`` evaluates the target curvature on target vectors.
-    Chart scenes give ``space_form_residual``, the deviation of the target
-    curvature from the space form; it must be small, and it selects the
-    chart-mode equality tolerance.
+    ``ambient`` is the target curvature frame tensor over [range;
+    range_perp].  Chart scenes give ``space_form_residual``, the deviation
+    of the target curvature from the space form; it must be small, and it
+    selects the chart-mode equality tolerance.
     """
 
     B: CasoratiInput
@@ -223,7 +218,7 @@ class MapSceneData:
     g2: np.ndarray
     J2: np.ndarray
     c: float
-    ambient_quad: Callable
+    ambient: np.ndarray
     space_form_residual: Optional[float] = None  # chart scenes only
     equality_tol: Optional[float] = None  # scene override of the verdict tolerance
 
@@ -244,7 +239,11 @@ class MapSceneData:
 
 @dataclass
 class SubmersionSceneData:
-    """Point data for the vertical / horizontal / combined checkers."""
+    """Point data for the vertical / horizontal / combined checkers.
+
+    ``ambient`` is the source curvature frame tensor over [horizontal;
+    vertical].
+    """
 
     T: Optional[CasoratiInput]
     A: Optional[CasoratiInput]
@@ -253,7 +252,7 @@ class SubmersionSceneData:
     g1: np.ndarray
     J1: np.ndarray
     c: float
-    ambient_quad: Callable
+    ambient: np.ndarray
     deltaN: Optional[float] = None
     space_form_residual: Optional[float] = None  # chart scenes only
     equality_tol: Optional[float] = None  # scene override of the verdict tolerance
@@ -281,12 +280,10 @@ class SubmersionSceneData:
 
 
 def space_form_residual_from_tensor(
-    riemann_tensor: np.ndarray, oracle: QSFOracle, frame_vectors: np.ndarray
+    frame_tensor: np.ndarray, oracle: QSFOracle, frame_vectors: np.ndarray
 ) -> float:
-    """Vectorized space-form deviation from a full covariant curvature array."""
-    E = np.atleast_2d(frame_vectors)
-    actual = frame_contraction(riemann_tensor, E, E, E, E)
-    return float(np.abs(actual - oracle.curvature_tensor(E)).max())
+    """Largest deviation of a curvature frame tensor from the space form on the same frame."""
+    return float(np.abs(frame_tensor - oracle.curvature_tensor(frame_vectors)).max())
 
 
 def _family_reports(
@@ -328,19 +325,17 @@ def _c_term(c: float, k: int, norms: np.ndarray) -> float:
 
 
 def _symmetric_tensor_reports(
-    data, family: str, h: CasoratiInput, frame: OrthoFrame, ex: HyperplaneExtrema,
+    data, family: str, h: CasoratiInput, k: int, two_tau: float, ex: HyperplaneExtrema,
     norms: np.ndarray, tol: float, sf_residual: Optional[float], *,
     rho_key: str, norms_key: str, A_norm_sq: float = 0.0,
     bracket_residual: Optional[float] = None,
 ) -> list[TheoremReport]:
     """Map and vertical inequalities: a symmetric tensor over one distribution.
 
-    ``frame`` spans the distribution and ``norms`` are its J-block norms;
-    the lhs is the distribution's normalized scalar curvature through the
-    Gauss relation.
+    The distribution has dimension ``k``, ambient scalar curvature sum
+    ``two_tau`` and J-block norms ``norms``; the lhs is its normalized
+    scalar curvature through the Gauss relation.
     """
-    k = frame.k
-    two_tau = scalar_curvature_of_frame(data.ambient_quad, frame)
     rho = two_tau / (k * (k - 1))
     gap = (h.trace_norm_sq() - h.norm_sq()) / (k * (k - 1))
     lhs = rho + gap
@@ -366,8 +361,9 @@ def check_map_theorem(data: MapSceneData) -> list[TheoremReport]:
     if s < 3:
         raise DimensionError(f"map theorem needs rank s >= 3, got {s}")
     tol, sf_residual = _checked_scene(data, "target")
+    two_tau = curvature_sums(data.ambient, s)[0]
     return _symmetric_tensor_reports(
-        data, "map", data.B, data.range_frame, data.extrema, data.decomp.norms_P,
+        data, "map", data.B, s, two_tau, data.extrema, data.decomp.norms_P,
         tol, sf_residual, rho_key="rho_range", norms_key="norms_P_range",
     )
 
@@ -380,8 +376,9 @@ def check_vertical_theorem(data: SubmersionSceneData) -> list[TheoremReport]:
     if data.T is None:
         raise ConfigurationError("vertical theorem needs the T tensor")
     tol, sf_residual = _checked_scene(data, "source")
+    two_tau_v = curvature_sums(data.ambient, data.s)[1]
     return _symmetric_tensor_reports(
-        data, "vertical", data.T, data.vertical, data.extrema_T, data.decomp.norms_Q,
+        data, "vertical", data.T, ell, two_tau_v, data.extrema_T, data.decomp.norms_Q,
         tol, sf_residual, rho_key="rho_vertical_ambient", norms_key="norms_Q",
         A_norm_sq=data.A.norm_sq() if data.A is not None else 0.0,
         bracket_residual=data.bracket_residual,
@@ -403,7 +400,7 @@ def check_horizontal_theorem(data: SubmersionSceneData) -> list[TheoremReport]:
         raise ConfigurationError("horizontal theorem needs the A tensor")
     tol, sf_residual = _checked_scene(data, "source")
 
-    two_tau_h = scalar_curvature_of_frame(data.ambient_quad, data.horizontal)
+    two_tau_h = curvature_sums(data.ambient, s)[0]
     rho_h_amb = two_tau_h / (s * (s - 1))
     a_norm_sq = data.A.norm_sq()
     lhs = rho_h_amb - 3.0 * a_norm_sq / (s * (s - 1))
@@ -446,11 +443,9 @@ def check_combined_theorem(data: SubmersionSceneData) -> list[TheoremReport]:
     tol, sf_residual = _checked_scene(data, "source")
     D = s * (s - 1) * ell * (ell - 1)
 
-    two_tau_v = scalar_curvature_of_frame(data.ambient_quad, data.vertical)
-    two_tau_h = scalar_curvature_of_frame(data.ambient_quad, data.horizontal)
+    two_tau_h, two_tau_v, mixed = curvature_sums(data.ambient, s)
     rho_v_amb = two_tau_v / (ell * (ell - 1))
     rho_h_amb = two_tau_h / (s * (s - 1))
-    mixed = mixed_scalar(data.ambient_quad, data.horizontal, data.vertical)
 
     t_norm = data.T.norm_sq()
     a_norm = data.A.norm_sq()

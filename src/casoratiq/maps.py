@@ -5,7 +5,10 @@ third-order map jets and the source metric jets are computed once there,
 and the Christoffel symbols, the curvature of source and target and the
 horizontal projector with two exact derivatives are derived from them on
 first use.  ``differential`` builds the point and hangs it on the
-``SceneSplit`` that every other function here takes.
+``SceneSplit`` that every other function here takes.  The split holds
+one curvature frame tensor per side, over [horizontal; vertical] in the
+source and [range; range_perp] in the target, and every Gauss residual
+reads its curvature blocks from those two arrays.
 
 The O'Neill tensors are evaluated through projected constant-component
 extensions: a chart vector is extended with constant components, the
@@ -196,6 +199,18 @@ class SceneSplit:
             return 0.0
         return float(np.abs(self.point.dF @ self.vertical.vectors.T).max())
 
+    @cached_property
+    def source_curvature(self) -> np.ndarray:
+        """``R1[a, b, c, d]`` over the source frame [horizontal; vertical]."""
+        E = np.vstack([self.horizontal.vectors, self.vertical.vectors])
+        return frame_contraction(self.point.source.curvature.riemann, E, E, E, E)
+
+    @cached_property
+    def target_curvature(self) -> np.ndarray:
+        """``R2[a, b, c, d]`` over the target frame [range; range_perp]."""
+        E = np.vstack([self.range.vectors, self.range_perp.vectors])
+        return frame_contraction(self.point.target.curvature.riemann, E, E, E, E)
+
 
 def differential(smap: SmoothMap, x) -> SceneSplit:
     """Split the tangent spaces at ``x`` along the differential of the map.
@@ -382,17 +397,15 @@ def gauss_residual_map(split: SceneSplit, B: Optional[FundamentalTensor] = None)
     """
     if B is None:
         B = second_fundamental_form(split)
-    R1 = split.point.source.curvature.riemann
-    R2 = split.point.target.curvature.riemann
-    H = split.horizontal.vectors
-    s = H.shape[0]
-    rng = split.range.vectors
-    lhs = frame_contraction(R2, rng, rng, rng, rng)
-    rhs = frame_contraction(R1, H, H, H, H)
+    s = split.s
+    if not s:
+        return 0.0
+    lhs = split.target_curvature[:s, :s, :s, :s]
+    rhs = split.source_curvature[:s, :s, :s, :s]
     inner = np.einsum("ija,ab,klb->ijkl", B.vectors, B.metric, B.vectors)
     # g2(B(W1,W3), B(W2,W4)) - g2(B(W1,W4), B(W2,W3)) with slots (i,j,k,l)
     rhs = rhs + inner.transpose(0, 2, 1, 3) - inner.transpose(0, 2, 3, 1)
-    return float(np.abs(lhs - rhs).max()) if s else 0.0
+    return float(np.abs(lhs - rhs).max())
 
 
 @dataclass(frozen=True)
@@ -437,7 +450,7 @@ def gauss_residual_submersion(
     if A is None:
         A = oneill_A(split)
     pt = split.point
-    R1 = pt.source.curvature.riemann
+    R1 = split.source_curvature
     g1 = pt.g1
     V = split.vertical.vectors
     H = split.horizontal.vectors
@@ -445,7 +458,7 @@ def gauss_residual_submersion(
 
     # vertical identity
     if ell >= 2:
-        amb = frame_contraction(R1, V, V, V, V)
+        amb = R1[s:, s:, s:, s:]
         tt = np.einsum("ija,ab,klb->ijkl", T.vectors, g1, T.vectors)
         # R_fiber[ijkl] = R1[ijkl] + g(T(i,l), T(j,k)) - g(T(i,k), T(j,l))
         recon = amb + tt.transpose(0, 2, 3, 1) - tt.transpose(0, 2, 1, 3)
@@ -470,10 +483,8 @@ def gauss_residual_submersion(
 
     # horizontal identity against the target curvature
     if s >= 2:
-        R2 = pt.target.curvature.riemann
-        rngv = split.range.vectors
-        base = frame_contraction(R2, rngv, rngv, rngv, rngv)
-        amb_h = frame_contraction(R1, H, H, H, H)
+        base = split.target_curvature[:s, :s, :s, :s]
+        amb_h = R1[:s, :s, :s, :s]
         aa = np.einsum("ija,ab,klb->ijkl", A.vectors, g1, A.vectors)
         # R1[ijkl] = base[ijkl] + 2 g(A(i,j), A(k,l)) - g(A(j,k), A(i,l))
         #                       + g(A(i,k), A(j,l))
@@ -488,7 +499,7 @@ def gauss_residual_submersion(
     #   + g(A_{h_k} v_l, A_{h_i} v_j)
     sub = pt.submersion
     gamma = pt.source.gamma
-    lhs = frame_contraction(R1, H, V, H, V)
+    lhs = R1[:s, s:, :s, s:]
     nabla_T = frame_contraction(_covariant(sub.T, sub.dT, gamma), H, H @ g1, V, V)
     nabla_A = frame_contraction(_covariant(sub.A, sub.dA, gamma), V, V @ g1, H, H)
     T_vh = _on_frames(sub.T, V, H)  # T_vh[j, i] = T_{v_j} h_i

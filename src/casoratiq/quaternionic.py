@@ -7,6 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FrameError, StructureError
+from .geometry import plane_area_sq
 
 __all__ = [
     "QuaternionicStructure",
@@ -67,9 +68,6 @@ class QuaternionicStructure:
     def from_matrices(cls, J) -> "QuaternionicStructure":
         J = np.asarray(J, dtype=float)
         return cls(J.shape[-1], J_const=J, name="explicit")
-
-    def at(self) -> np.ndarray:
-        return self.J_const
 
 
 def structure(name: str) -> QuaternionicStructure:
@@ -166,9 +164,7 @@ class QSFOracle:
         return 0.25 * self.c * float(total)
 
     def sectional(self, u, v) -> float:
-        g = self.g
-        area = (u @ g @ u) * (v @ g @ v) - (u @ g @ v) ** 2
-        return self.quad(u, v, v, u) / area
+        return self.quad(u, v, v, u) / plane_area_sq(self.g, u, v)
 
     def curvature_tensor(self, frame_vectors: np.ndarray) -> np.ndarray:
         """Components over frame rows: R[a,b,c,d] = quad(e_a, e_b, e_c, e_d)."""

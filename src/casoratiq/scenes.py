@@ -544,16 +544,17 @@ def _check_gauss(scn: Scenario, worst: float) -> None:
         )
 
 
-def _checker_data(scn: Scenario, J, g: np.ndarray, quad, frames, tensors: dict, **chart):
+def _checker_data(scn: Scenario, J, g: np.ndarray, ambient, frames, tensors: dict, **chart):
     """Checker input at one point of a map or submersion scene.
 
     ``frames`` are the (range, range_perp) or (horizontal, vertical)
-    frames; ``chart`` holds what only chart scenes measure, the space-form
-    residual and, for submersions, the bracket residual.
+    frames and ``ambient`` is the curvature frame tensor over both, in
+    that order; ``chart`` holds what only chart scenes measure, the
+    space-form residual and, for submersions, the bracket residual.
     """
     first, second = frames
     common = dict(
-        c=scn.c, ambient_quad=quad, equality_tol=scn.tolerances.get("equality"), **chart
+        c=scn.c, ambient=ambient, equality_tol=scn.tolerances.get("equality"), **chart
     )
     if scn.kind == "map":
         return MapSceneData(
@@ -590,7 +591,7 @@ def _evaluate_chart_point(scn: Scenario, x: np.ndarray):
     }
     J = None
     if scn.structure is not None:
-        J = scn.structure.at()
+        J = scn.structure.J_const
         _check_structure(J, _structure_metric(scn, split), validation)
 
     chart = {}
@@ -619,20 +620,19 @@ def _evaluate_chart_point(scn: Scenario, x: np.ndarray):
     data = None
     if scn.theorems:
         # the parse-time fit check put the structure on the curved side
-        curved = split.point.source if scn.kind == "submersion" else split.point.target
-        R = curved.curvature
+        ambient = split.source_curvature if scn.kind == "submersion" else split.target_curvature
         g = _structure_metric(scn, split)
         chart["space_form_residual"] = space_form_residual_from_tensor(
-            R.riemann, QSFOracle(scn.c, J, g), np.vstack([f.vectors for f in frames])
+            ambient, QSFOracle(scn.c, J, g), np.vstack([f.vectors for f in frames])
         )
-        data = _checker_data(scn, J, g, R.quad, frames, tensors, **chart)
+        data = _checker_data(scn, J, g, ambient, frames, tensors, **chart)
     return split.point.y.tolist(), validation, gauss, data
 
 
 def _evaluate_pointwise(scn: Scenario):
     """Validation and checker data of a pointwise scene, shaped like a chart point's."""
     g = scn.g
-    J = scn.structure.at()
+    J = scn.structure.J_const
     validation = {}
     _check_structure(J, g, validation)
     tags = _POINTWISE_FRAMES[scn.kind]
@@ -648,8 +648,8 @@ def _evaluate_pointwise(scn: Scenario):
         validation["cross_orthogonality"] = cross
         if cross > 1e-10:
             raise SceneValidationError(f"frames are not mutually orthogonal ({cross:.3e})")
-    quad = QSFOracle(scn.c, J, g).quad
-    return None, validation, None, _checker_data(scn, J, g, quad, frames, scn.tensors)
+    ambient = QSFOracle(scn.c, J, g).curvature_tensor(np.vstack([f.vectors for f in frames]))
+    return None, validation, None, _checker_data(scn, J, g, ambient, frames, scn.tensors)
 
 
 def _theorem_reports(data, theorems) -> list:

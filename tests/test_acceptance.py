@@ -171,7 +171,7 @@ def _random_map_data(rng, s, c):
         g2=g,
         J2=J,
         c=c,
-        ambient_quad=QSFOracle(c, J, g).quad,
+        ambient=QSFOracle(c, J, g).curvature_tensor(rows),
     )
 
 
@@ -190,7 +190,7 @@ def _random_submersion_data(rng, s, ell, c, deltaN=None):
         g1=g,
         J1=J,
         c=c,
-        ambient_quad=QSFOracle(c, J, g).quad,
+        ambient=QSFOracle(c, J, g).curvature_tensor(rows[: s + ell]),
         deltaN=deltaN,
     )
 

@@ -9,11 +9,10 @@ from casoratiq.geometry import (
     chart,
     christoffel,
     complete_frame,
+    curvature_sums,
+    frame_contraction,
     gram_schmidt,
-    mixed_scalar,
-    normalized_scalar_curvature,
     riemann,
-    scalar_curvature_of_frame,
 )
 from casoratiq.quaternionic import QSFOracle, quat_units
 
@@ -142,16 +141,55 @@ class TestFrames:
         assert full.orthonormality_residual() < 1e-10
 
 
-class TestScalarCurvature:
+@pytest.mark.parametrize("kind", ["chart", "oracle"])
+def test_sectional_of_degenerate_plane_raises(kind):
+    if kind == "chart":
+        curvature = riemann(chart("flat:4"), np.full(4, 0.1))
+    else:
+        curvature = QSFOracle(4.0, quat_units(1), np.eye(4))
+    u = np.array([1.0, 0.0, 0.0, 0.0])
+    for v in (2.0 * u, np.zeros(4)):
+        with pytest.raises(DimensionError):
+            curvature.sectional(u, v)
+
+
+def frame_tensor(cp, frame):
+    E = frame.vectors
+    return frame_contraction(cp.riemann, E, E, E, E)
+
+
+def pairwise_sums(quad, vectors, s):
+    """Reference: the pairwise loops over R(e_i, e_j, e_j, e_i) that curvature_sums replaces."""
+    hor, vert = vectors[:s], vectors[s:]
+
+    def two_tau(vs):
+        return sum(
+            2.0 * quad(vs[i], vs[j], vs[j], vs[i])
+            for i in range(len(vs))
+            for j in range(i + 1, len(vs))
+        )
+
+    mixed = sum(quad(h, v, v, h) for h in hor for v in vert)
+    return two_tau(hor), two_tau(vert), mixed
+
+
+class TestCurvatureSums:
     def test_flat_zero(self):
         cp = riemann(chart("flat:4"), np.full(4, 0.1))
         fr = gram_schmidt(list(np.eye(4)), cp.metric)
-        assert scalar_curvature_of_frame(cp.quad, fr) == 0.0
+        for s in range(5):
+            assert curvature_sums(frame_tensor(cp, fr), s) == (0.0, 0.0, 0.0)
 
     def test_sphere_full_frame(self):
         cp = riemann(chart("sphere:1"), np.array([1.0, 0.2]))
         fr = gram_schmidt(list(np.eye(2)), cp.metric)
-        assert scalar_curvature_of_frame(cp.quad, fr) == pytest.approx(2.0, abs=1e-9)
+        two_tau, rest, mixed = curvature_sums(frame_tensor(cp, fr), 2)
+        assert two_tau == pytest.approx(2.0, abs=1e-9)
+        assert rest == mixed == 0.0
+        # one vector per block: no pairs inside a block, and the mixed sum is
+        # the sectional curvature of the plane
+        split = curvature_sums(frame_tensor(cp, fr), 1)
+        assert split == pytest.approx((0.0, 0.0, 1.0), abs=1e-9)
 
     def test_ambient_flat_sphere_frame(self):
         # tangent frame of the unit 3-sphere inside flat R^4: ambient curvature is zero
@@ -161,47 +199,34 @@ class TestScalarCurvature:
         basis = [v - (v @ x) * x for v in np.eye(4)[:3]]
         fr = gram_schmidt(basis, cp.metric)
         assert fr.k == 3
-        assert scalar_curvature_of_frame(cp.quad, fr) == 0.0
+        assert curvature_sums(frame_tensor(cp, fr), 3)[0] == 0.0
 
     def test_rotation_invariance(self):
         cp = riemann(chart("sphere3:2"), np.array([1.0, 0.9, 0.3]))
         fr = gram_schmidt(list(np.eye(3)), cp.metric)
-        val = scalar_curvature_of_frame(cp.quad, fr)
+        val = curvature_sums(frame_tensor(cp, fr), 3)[0]
         rng = np.random.default_rng(11)
         for _ in range(5):
             Q = orthonormal_rows(rng, 3)
             rot = OrthoFrame(Q @ fr.vectors, cp.metric)
-            val2 = scalar_curvature_of_frame(cp.quad, rot)
+            val2 = curvature_sums(frame_tensor(cp, rot), 3)[0]
             assert abs(val - val2) < 1e-9 * max(1.0, abs(val))
 
-    def test_degenerate_frames(self):
-        cp = riemann(chart("flat:4"), np.full(4, 0.1))
-        empty = OrthoFrame(np.zeros((0, 4)), cp.metric)
-        single = OrthoFrame(np.eye(4)[:1], cp.metric)
-        assert scalar_curvature_of_frame(cp.quad, empty) == 0.0
-        assert scalar_curvature_of_frame(cp.quad, single) == 0.0
-        with pytest.raises(DimensionError):
-            normalized_scalar_curvature(cp.quad, single)
-        with pytest.raises(DimensionError):
-            normalized_scalar_curvature(cp.quad, empty)
+    def test_degenerate_blocks(self):
+        cp = riemann(chart("sphere3:2"), np.array([1.0, 0.9, 0.3]))
+        fr = gram_schmidt(list(np.eye(3)), cp.metric)
+        R_E = frame_tensor(cp, fr)
+        empty = OrthoFrame(np.zeros((0, 3)), cp.metric)
+        assert curvature_sums(frame_tensor(cp, empty), 0) == (0.0, 0.0, 0.0)
+        assert curvature_sums(R_E[:1, :1, :1, :1], 1) == (0.0, 0.0, 0.0)
+        # a one-vector block on either side of a curved frame
+        assert curvature_sums(R_E, 1)[0] == 0.0
+        assert curvature_sums(R_E, 2)[1] == 0.0
+        # an empty block has no mixed pairs
+        for s in (0, 3):
+            assert curvature_sums(R_E, s)[2] == 0.0
 
-
-class TestMixedScalar:
-    def test_flat_zero(self):
-        cp = riemann(chart("flat:4"), np.full(4, 0.1))
-        fr = gram_schmidt(list(np.eye(4)), cp.metric)
-        hor = OrthoFrame(fr.vectors[:2], cp.metric)
-        vert = OrthoFrame(fr.vectors[2:], cp.metric)
-        assert mixed_scalar(cp.quad, hor, vert) == 0.0
-
-    def test_empty_frame(self):
-        cp = riemann(chart("flat:4"), np.full(4, 0.1))
-        hor = OrthoFrame(np.eye(4)[:2], cp.metric)
-        empty = OrthoFrame(np.zeros((0, 4)), cp.metric)
-        assert mixed_scalar(cp.quad, hor, empty) == 0.0
-        assert mixed_scalar(cp.quad, empty, hor) == 0.0
-
-    def test_matches_space_form_identity(self):
+    def test_mixed_matches_space_form_identity(self):
         # sum_ij R(h_i, v_j, v_j, h_i) = (c/4) s ell + (3c/4) sum_a |P_a^V|^2
         from casoratiq.quaternionic import decompose_J
 
@@ -211,9 +236,36 @@ class TestMixedScalar:
         rng = np.random.default_rng(23)
         for _ in range(5):
             rows = orthonormal_rows(rng, 8)
-            hor = OrthoFrame(rows[:3], g)
-            vert = OrthoFrame(rows[3:7], g)
-            value = mixed_scalar(oracle.quad, hor, vert)
-            dec = decompose_J(J, g, hor.vectors, vert.vectors)
+            value = curvature_sums(oracle.curvature_tensor(rows[:7]), 3)[2]
+            dec = decompose_J(J, g, rows[:3], rows[3:7])
             expected = (4.0 / 4.0) * 3 * 4 + (3 * 4.0 / 4.0) * dec.norms_PV.sum()
             assert value == pytest.approx(expected, abs=1e-10)
+
+    @pytest.mark.parametrize(
+        "name, x", [("sphere3:2", [1.0, 0.9, 0.3]), ("half-plane", [0.3, 0.7])]
+    )
+    def test_matches_pairwise_loops_on_charts(self, name, x):
+        cp = riemann(chart(name), np.array(x))
+        n = cp.metric.shape[0]
+        fr = gram_schmidt(list(orthonormal_rows(np.random.default_rng(4), n)), cp.metric)
+
+        def quad(*z):
+            return float(np.einsum("ijkl,i,j,k,l->", cp.riemann, *z))
+
+        for s in range(n + 1):
+            got = curvature_sums(frame_tensor(cp, fr), s)
+            want = pairwise_sums(quad, fr.vectors, s)
+            for a, b in zip(got, want):
+                assert abs(a - b) <= 1e-12 * max(1.0, abs(b))
+
+    @pytest.mark.parametrize("m", [8, 12])
+    def test_matches_pairwise_loops_on_space_forms(self, m):
+        rng = np.random.default_rng(m)
+        for c in (-4.0, 1.5, 4.0):
+            oracle = QSFOracle(c, quat_units(m // 4), np.eye(m))
+            rows = orthonormal_rows(rng, m)
+            for s in (0, 1, m // 2, m):
+                got = curvature_sums(oracle.curvature_tensor(rows), s)
+                want = pairwise_sums(oracle.quad, rows, s)
+                for a, b in zip(got, want):
+                    assert abs(a - b) <= 1e-12 * max(1.0, abs(b))

@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from casoratiq.casorati import CasoratiInput, hyperplane_extrema
 from casoratiq.errors import ConfigurationError, DimensionError, OracleError
-from casoratiq.geometry import OrthoFrame, mixed_scalar
+from casoratiq.geometry import OrthoFrame, curvature_sums
 from casoratiq.inequalities import (
     MapSceneData,
     SubmersionSceneData,
@@ -33,7 +33,6 @@ def submersion_data(rng, s, ell, c, T=None, A=None, deltaN=None, dim=12):
     rows = orthonormal_rows(rng, dim)
     J = quat_units(dim // 4)
     g = np.eye(dim)
-    oracle = QSFOracle(c, J, g)
     if T is None:
         raw = rng.uniform(-1, 1, size=(s, ell, ell))
         T = 0.5 * (raw + raw.transpose(0, 2, 1))
@@ -48,7 +47,7 @@ def submersion_data(rng, s, ell, c, T=None, A=None, deltaN=None, dim=12):
         g1=g,
         J1=J,
         c=c,
-        ambient_quad=oracle.quad,
+        ambient=QSFOracle(c, J, g).curvature_tensor(rows[: s + ell]),
         deltaN=deltaN,
     )
 
@@ -81,12 +80,13 @@ class TestAlgebraicGap:
 
 
 class TestMapTheorem:
-    def make_data(self, B, c, rng=None, quad=None, space_form_residual=None):
+    def make_data(self, B, c, rng=None, ambient=None, space_form_residual=None):
         rng = rng or np.random.default_rng(7)
         rows = orthonormal_rows(rng, 8)
         J = quat_units(2)
         g = np.eye(8)
-        oracle = QSFOracle(c, J, g)
+        if ambient is None:
+            ambient = QSFOracle(c, J, g).curvature_tensor(rows)
         return MapSceneData(
             B=CasoratiInput(B),
             range_frame=OrthoFrame(rows[:4], g),
@@ -94,7 +94,7 @@ class TestMapTheorem:
             g2=g,
             J2=J,
             c=c,
-            ambient_quad=quad or oracle.quad,
+            ambient=ambient,
             space_form_residual=space_form_residual,
         )
 
@@ -132,7 +132,7 @@ class TestMapTheorem:
         residual = space_form_residual_from_tensor(
             np.zeros((8,) * 4), QSFOracle(4.0, quat_units(2), np.eye(8)), frame
         )
-        data = self.make_data(np.zeros((4, 4, 4)), 4.0, quad=lambda *z: 0.0,
+        data = self.make_data(np.zeros((4, 4, 4)), 4.0, ambient=np.zeros((8,) * 4),
                               space_form_residual=residual)
         with pytest.raises(OracleError):
             check_map_theorem(data)
@@ -148,7 +148,7 @@ class TestMapTheorem:
             g2=g,
             J2=quat_units(2),
             c=0.0,
-            ambient_quad=lambda *z: 0.0,
+            ambient=np.zeros((8,) * 4),
         )
         with pytest.raises(DimensionError):
             check_map_theorem(data)
@@ -231,7 +231,7 @@ class TestCombinedTheorem:
         data = submersion_data(rng, 4, 4, 4.0, T=np.zeros((4, 4, 4)),
                                A=np.zeros((4, 4, 4)), deltaN=0.0)
         D = 4 * 3 * 4 * 3
-        mixed = mixed_scalar(data.ambient_quad, data.horizontal, data.vertical)
+        mixed = curvature_sums(data.ambient, data.s)[2]
         for r in check_combined_theorem(data):
             assert r.slack == pytest.approx(2.0 * mixed / D, abs=1e-10)
             assert r.slack >= 0.0

@@ -101,7 +101,8 @@ class TestOracle:
         rng = np.random.default_rng(17)
         for _ in range(20):
             z = rng.normal(size=(4, 4))
-            assert cp.quad(*z) == pytest.approx(oracle.quad(*z), abs=1e-12)
+            chart_value = np.einsum("ijkl,i,j,k,l->", cp.riemann, *z)
+            assert chart_value == pytest.approx(oracle.quad(*z), abs=1e-12)
 
     def test_dimension_error(self):
         with pytest.raises(StructureError):

@@ -510,18 +510,23 @@ class TestRunReports:
         assert min(r["slack"] for r in reports) < -1e-8
 
 
+def _first_point_only(scn):
+    x = scn.evaluation_points()[0]
+    return dataclasses.replace(scn, points=(tuple(x),), sample_spec=None)
+
+
 class TestComputeOnce:
-    """Each chart point computes its map jets once and its metric jets at
-    most twice, once for the source and once for the target."""
+    """Each chart point computes its map jets once, its metric jets at most
+    twice (once for the source and once for the target) and the curvature
+    frame tensor of each side at most once; no scene evaluates the
+    space-form curvature one vector quadruple at a time."""
 
     @pytest.mark.parametrize("name", ["product-projection:8to4", "hopf-radial:4to3"])
     def test_jets_per_point(self, name, monkeypatch):
         from casoratiq.geometry import MetricChart
         from casoratiq.maps import SmoothMap
 
-        scn = builtin_scenario(name)
-        x = scn.evaluation_points()[0]
-        one_point = dataclasses.replace(scn, points=(tuple(x),), sample_spec=None)
+        one_point = _first_point_only(builtin_scenario(name))
         calls = {"metric_jets": 0, "jets": 0}
         for cls, attr in ((MetricChart, "metric_jets"), (SmoothMap, "jets")):
             def counted(self, y, _original=getattr(cls, attr), _attr=attr):
@@ -533,6 +538,53 @@ class TestComputeOnce:
         assert rep.aggregate["point_errors"] == 0 and rep.points[0].reports
         assert calls["jets"] == 1, calls
         assert 0 < calls["metric_jets"] <= 2, calls
+
+    @pytest.mark.parametrize(
+        "name", ["product-projection:8to4", "hopf-radial:4to3", "flat-embedding:4in8"]
+    )
+    def test_frame_tensor_per_side(self, name, monkeypatch):
+        from casoratiq import maps
+
+        scn = builtin_scenario(name)
+        one_point = _first_point_only(scn)
+        splits, contracted = [], []
+
+        def differential(smap, y, _original=maps.differential):
+            splits.append(_original(smap, y))
+            return splits[-1]
+
+        def frame_contraction(R, *frames, _original=maps.frame_contraction):
+            contracted.append(R)
+            return _original(R, *frames)
+
+        monkeypatch.setattr(maps, "differential", differential)
+        monkeypatch.setattr(maps, "frame_contraction", frame_contraction)
+        rep = evaluate_scenario(one_point)
+        assert rep.aggregate["point_errors"] == 0 and rep.points[0].reports
+        (split,) = splits
+        # the structure, and so the theorems' ambient curvature, is on the curved side
+        curved = "source" if scn.kind == "submersion" else "target"
+        for side in ("source", "target"):
+            riemann = getattr(split.point, side).curvature.riemann
+            built = sum(R is riemann for R in contracted)
+            assert built == 1 if side == curved else built <= 1, (side, built)
+
+    @pytest.mark.parametrize("name", builtin_names())
+    def test_no_quadruple_calls(self, name, monkeypatch):
+        from casoratiq.quaternionic import QSFOracle
+
+        calls = []
+
+        def quad(self, *z, _original=QSFOracle.quad):
+            calls.append(z)
+            return _original(self, *z)
+
+        monkeypatch.setattr(QSFOracle, "quad", quad)
+        scn = builtin_scenario(name)
+        rep = evaluate_scenario(scn)
+        assert rep.aggregate["point_errors"] == 0
+        assert bool(rep.points[0].reports) == bool(scn.theorems)
+        assert not calls
 
 
 @pytest.fixture()
