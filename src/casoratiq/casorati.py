@@ -2,13 +2,12 @@
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.special import ndtri
-from scipy.stats import qmc
 
 from .errors import DimensionError, OptimizationError, ProvisoError
 
@@ -138,9 +137,16 @@ class _Quartic:
         return cls(float(np.sum(h**2)), S, sym, stacked)
 
     def products(self, U: np.ndarray):
-        """W[m] = (S u, sym_1 u, ...) and r[m] = (u^T S u, 2 u^T h_1 u, ...)."""
-        W = (U @ self.stacked).reshape(U.shape[0], -1, U.shape[1])
-        return W, np.einsum("mkn,mn->mk", W, U)
+        """W[m] = (S u, sym_1 u, ...) and r[m] = (u^T S u, 2 u^T h_1 u, ...).
+
+        A (m, n) block of rows takes one matrix product for all of them,
+        and every row rounds the same whatever m is (m >= 2).  A
+        (m, 1, n) block takes one vector product per row, so every row
+        rounds as it does alone; the Newton polish uses that form.
+        """
+        m, n = U.shape[0], U.shape[-1]
+        W = (U @ self.stacked).reshape(m, -1, n)
+        return W, np.einsum("mkn,mn->mk", W, U.reshape(m, n))
 
 
 def _phi(Q: _Quartic, r: np.ndarray) -> np.ndarray:
@@ -154,6 +160,18 @@ def _grad(W: np.ndarray, r: np.ndarray) -> np.ndarray:
     coef = r.copy()
     coef[:, 0] = -2.0
     return np.einsum("mk,mkn->mn", coef, W)
+
+
+def _hess(Q: _Quartic, W: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Stacked Euclidean Hessians -2 S + sum_a (2 u^T h_a u) sym_a + 2 V^T V.
+
+    ``W`` and ``r`` come from ``products`` of an (m, 1, n) block; V[m]
+    holds the rows sym_a u.
+    """
+    a, n = Q.sym.shape[:2]
+    V = W[:, 1:]
+    quad = (r[:, None, 1:] @ Q.sym.reshape(a, -1)).reshape(-1, n, n)
+    return -2.0 * Q.S + quad + 2.0 * (V.transpose(0, 2, 1) @ V)
 
 
 def _phi_batch(Q: _Quartic, U: np.ndarray) -> np.ndarray:
@@ -170,92 +188,130 @@ def _phi_grad_batch(Q: _Quartic, U: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     return _phi(Q, r), _grad(W, r)
 
 
-def _hess_single(Q: _Quartic, u: np.ndarray) -> np.ndarray:
-    W, r = Q.products(u[None, :])
-    V = W[0, 1:]
-    return -2.0 * Q.S + np.tensordot(r[0, 1:], Q.sym, axes=1) + 2.0 * (V.T @ V)
+def _dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x[m] . y[m] for every row, rounded as the 1-D ``x[m] @ y[m]``."""
+    return (x[:, None, :] @ y[:, :, None])[:, 0, 0]
 
 
+@functools.lru_cache(maxsize=None)
 def _sphere_starts(n: int, count: int, seed: int) -> np.ndarray:
+    """Scrambled Sobol points pushed to the unit sphere; built once, read-only."""
+    from scipy.special import ndtri
+    from scipy.stats import qmc
+
     sobol = qmc.Sobol(d=n, scramble=True, seed=seed)
     m = int(math.ceil(math.log2(max(count, 2))))
     pts = sobol.random_base2(m=m)[:count]
     z = ndtri(np.clip(pts, 1e-12, 1.0 - 1e-12))
     norms = np.linalg.norm(z, axis=1, keepdims=True)
     norms[norms == 0] = 1.0
-    return z / norms
+    starts = z / norms
+    starts.setflags(write=False)
+    return starts
 
 
-def _tangent_basis(u: np.ndarray) -> np.ndarray:
-    """Columns span the tangent space of the sphere at u (Householder)."""
-    n = u.shape[0]
-    e = np.zeros(n)
-    e[0] = 1.0
-    v = u + e if u[0] >= 0 else u - e
-    v /= np.linalg.norm(v)
-    Q = np.eye(n) - 2.0 * np.outer(v, v)
-    return Q[:, 1:]
+def _tangent_frames(U: np.ndarray) -> np.ndarray:
+    """Columns of frame m span the tangent space of the sphere at U[m] (Householder)."""
+    n = U.shape[1]
+    E = np.zeros_like(U)
+    E[:, 0] = 1.0
+    V = np.where(U[:, :1] >= 0, U + E, U - E)
+    V /= np.sqrt(_dot(V, V))[:, None]
+    return (np.eye(n) - 2.0 * (V[:, :, None] * V[:, None, :]))[:, :, 1:]
 
 
-def _newton_polish(Q, u, sign, tol, max_iters=60):
-    """Riemannian Newton on the sphere, safeguarded by gradient descent.
+def _newton_steps(Ht: np.ndarray, gt: np.ndarray) -> np.ndarray:
+    """Solve Ht[m] z = -gt[m]; a singular row takes the gradient step -gt[m]."""
+    try:
+        return np.linalg.solve(Ht, -gt[:, :, None])[:, :, 0]
+    except np.linalg.LinAlgError:
+        if len(Ht) == 1:
+            return -gt
+        return np.concatenate([_newton_steps(Ht[i : i + 1], gt[i : i + 1]) for i in range(len(Ht))])
 
-    Value-gated descent bottoms out at the value rounding floor well
-    before the gradient tolerance, so the polish iterates on the
-    gradient itself; the analytic Hessian gives quadratic tail
-    convergence at nondegenerate extrema.
+
+def _newton_polish(Q, U, sign, tol, max_iters=60):
+    """Riemannian Newton on the sphere for a block of rows, safeguarded by gradient descent.
+
+    Row m minimizes sign[m] * phi.  Value-gated descent bottoms out at
+    the value rounding floor well before the gradient tolerance, so the
+    polish iterates on the gradient itself; the analytic Hessian gives
+    quadratic tail convergence at nondegenerate extrema.  Each iteration
+    takes one Newton step for every live row: its Householder tangent
+    frame, its Hessian and its solve are stacked, and its line search
+    halves the step (up to 30 times) until the Riemannian gradient
+    shrinks.  A row stops converged once its gradient is below ``tol``,
+    and unconverged when its line search fails.  Every per-row product
+    is row-wise, so a row rounds as it would alone.  Returns (U, ok).
     """
-    for _ in range(max_iters):
-        grad = sign * _grad_batch(Q, u[None, :])[0]
-        rgrad = grad - (grad @ u) * u
-        gnorm = np.linalg.norm(rgrad)
-        if gnorm < tol:
-            return u, True
-        Qt = _tangent_basis(u)
-        H = sign * _hess_single(Q, u)
-        Ht = Qt.T @ H @ Qt - (grad @ u) * np.eye(Qt.shape[1])
-        gt = Qt.T @ rgrad
-        try:
-            z = np.linalg.solve(Ht + 1e-14 * np.eye(Ht.shape[0]), -gt)
-        except np.linalg.LinAlgError:
-            z = -gt
-        if z @ gt > 0:  # not a descent direction: fall back to gradient
-            z = -gt
+    U = U.copy()
+    n = U.shape[1]
+    ok = np.zeros(U.shape[0], dtype=bool)
+    live = np.arange(U.shape[0])
+    for it in range(max_iters + 1):
+        u, sg = U[live], sign[live]
+        W, r = Q.products(u[:, None, :])
+        grad = sg[:, None] * _grad(W, r)
+        gu = _dot(grad, u)
+        rgrad = grad - gu[:, None] * u
+        gnorm = np.sqrt(_dot(rgrad, rgrad))
+        ok[live] = gnorm < tol
+        if it == max_iters:
+            break
+        go = ~ok[live]
+        live, u, sg, W, r, gu, rgrad, gnorm = (
+            x[go] for x in (live, u, sg, W, r, gu, rgrad, gnorm)
+        )
+        if not live.size:
+            break
+        Qt = _tangent_frames(u)
+        QtT = Qt.transpose(0, 2, 1)
+        H = sg[:, None, None] * _hess(Q, W, r)
+        Ht = QtT @ H @ Qt - gu[:, None, None] * np.eye(n - 1)
+        gt = (QtT @ rgrad[:, :, None])[:, :, 0]
+        z = _newton_steps(Ht + 1e-14 * np.eye(n - 1), gt)
+        z = np.where((_dot(z, gt) > 0)[:, None], -gt, z)  # not a descent direction
+        d = (Qt @ z[:, :, None])[:, :, 0]
+        searching = np.ones(live.size, dtype=bool)
         step = 1.0
-        improved = False
         for _ in range(30):
-            cand = u + step * (Qt @ z)
-            cand /= np.linalg.norm(cand)
-            cgrad = sign * _grad_batch(Q, cand[None, :])[0]
-            crg = cgrad - (cgrad @ cand) * cand
-            if np.linalg.norm(crg) < gnorm:
-                u = cand
-                improved = True
+            s = np.flatnonzero(searching)
+            if not s.size:
                 break
+            cand = u[s] + step * d[s]
+            cand /= np.sqrt(_dot(cand, cand))[:, None]
+            cgrad = sg[s][:, None] * _grad_batch(Q, cand[:, None, :])
+            crg = cgrad - _dot(cgrad, cand)[:, None] * cand
+            better = np.sqrt(_dot(crg, crg)) < gnorm[s]
+            U[live[s[better]]] = cand[better]
+            searching[s[better]] = False
             step *= 0.5
-        if not improved:
-            return u, gnorm < tol
-    grad = sign * _grad_batch(Q, u[None, :])[0]
-    rgrad = grad - (grad @ u) * u
-    return u, bool(np.linalg.norm(rgrad) < tol)
+        live = live[~searching]  # a failed line search stops its row unconverged
+        if not live.size:
+            break
+    return U, ok
 
 
 def _projected_descent(Q, U, sign, tol, max_iters):
-    """Batched projected-gradient descent of sign * phi on the sphere.
+    """Batched projected-gradient descent of sign[m] * phi on the sphere.
 
-    Returns (U, values, iterations_used).  A start stops when its
-    gradient meets the tolerance or its value-gated step stalls; callers
-    polish afterwards.  A start's gradient is carried over from its last
+    Row m minimizes phi for sign[m] = +1 and maximizes it for -1, so
+    both sides of an extremization run as one block.  Returns
+    (U, values, stop): stop[m] is the iteration at which row m stopped.
+    A row stops when its gradient meets the tolerance or its
+    value-gated step stalls, and is left untouched after that; callers
+    polish afterwards.  A row's gradient is carried over from its last
     accepted step.
     """
     vals, grad = _phi_grad_batch(Q, U)
-    vals, grad = sign * vals, sign * grad
+    vals, grad = sign * vals, sign[:, None] * grad
     steps = np.full(U.shape[0], 0.1)
     done = np.zeros(U.shape[0], dtype=bool)
-    iters = 0
-    for iters in range(1, max_iters + 1):
+    stop = np.full(U.shape[0], max_iters)
+    for it in range(1, max_iters + 1):
         rgrad = grad - np.einsum("mn,mn->m", grad, U)[:, None] * U
         done |= np.einsum("mn,mn->m", rgrad, rgrad) < tol * tol
+        stop[done & (stop > it)] = it
         if done.all():
             break
         cand = U - steps[:, None] * rgrad
@@ -265,12 +321,13 @@ def _projected_descent(Q, U, sign, tol, max_iters):
         accept = ~done & (cand_vals < vals)
         U = np.where(accept[:, None], cand, U)
         vals = np.where(accept, cand_vals, vals)
-        grad = np.where(accept[:, None], sign * cand_grad, grad)
+        grad = np.where(accept[:, None], sign[:, None] * cand_grad, grad)
         steps *= np.where(accept, 1.2, np.where(done, 1.0, 0.5))
         done |= steps < 1e-13  # value rounding floor reached
+        stop[done & (stop > it)] = it
         if done.all():
             break
-    return U, vals, iters
+    return U, vals, stop
 
 
 @dataclass(frozen=True)
@@ -287,39 +344,75 @@ class HyperplaneExtrema:
     audit: dict = field(default_factory=dict)
 
 
-def _run_side(Q, n, sign, seed_offset):
-    tol = _GRAD_TOL * max(1.0, Q.total_sq)
-    starts = _sphere_starts(n, _START_COUNT, _SOBOL_SEED + seed_offset)
-    U, vals, iters = _projected_descent(Q, starts, sign, tol, _MAX_ITERS)
-    order = np.argsort(vals)
-    polished = []  # (phi value, direction, converged, start index)
-    for idx in order[:_POLISH_COUNT]:
-        u, ok = _newton_polish(Q, U[idx].copy(), sign, tol)
-        polished.append((float(_phi_batch(Q, u[None, :])[0]), u, ok, int(idx)))
-    polished.sort(key=lambda rec: sign * rec[0])
-    if not any(rec[2] for rec in polished):
+@dataclass(frozen=True)
+class _Side:
+    """Polished candidates of one side of a search, best first."""
+
+    U: np.ndarray
+    phi: np.ndarray
+    ok: np.ndarray
+    start: np.ndarray  # index of each candidate's start among its side's starts
+    iterations: int  # descent iterations until every start of the side stopped
+
+
+def _search(Q: _Quartic, starts: np.ndarray, tol: float, keep: int) -> list[_Side]:
+    """Both sides at once: starts[0] minimize phi, starts[1] maximize it.
+
+    One descent runs every start of both sides; one Newton polish then
+    runs the ``keep`` best descended rows of each side.
+    """
+    _, m, n = starts.shape
+    signs = np.repeat([1.0, -1.0], m)
+    U, vals, stop = _projected_descent(Q, starts.reshape(2 * m, n), signs, tol, _MAX_ITERS)
+    picks = [np.argsort(v)[:keep] for v in vals.reshape(2, m)]
+    rows = np.concatenate([picks[0], m + picks[1]])
+    P, ok = _newton_polish(Q, U[rows], signs[rows], tol)
+    phi = _phi(Q, Q.products(P[:, None, :])[1])
+    sides = []
+    for k, sign in enumerate((1.0, -1.0)):
+        part = slice(k * keep, (k + 1) * keep)
+        order = np.argsort(sign * phi[part], kind="stable")
+        sides.append(
+            _Side(
+                P[part][order],
+                phi[part][order],
+                ok[part][order],
+                picks[k][order],
+                int(stop[k * m : (k + 1) * m].max()),
+            )
+        )
+    return sides
+
+
+def _best(Q: _Quartic, side: _Side, tol: float):
+    """The side's extremum, its direction, its tie flag and its audit counters."""
+    n = side.U.shape[1]
+    if not side.ok.any():
         raise OptimizationError(
             f"no start reached gradient tolerance {tol:.1e}",
-            best=polished[0][0] / (n - 1),
+            best=float(side.phi[0]) / (n - 1),
         )
-    best_val, best_u, _, best_idx = polished[0]
+    best_val, best_u = float(side.phi[0]), side.U[0]
     degenerate = False
     scale = max(1.0, Q.total_sq)
-    for val, u, _, _ in polished[1:]:
+    for val, u in zip(side.phi[1:], side.U[1:]):
         if abs(val - best_val) >= _TIE_VALUE * scale:
             break
         if 1.0 - abs(float(u @ best_u)) > _TIE_DIRECTION:
             degenerate = True
             break
     audit = {
-        "start_index": best_idx,
-        "iterations": int(iters),
-        "converged_starts": int(sum(rec[2] for rec in polished)),
+        "start_index": int(side.start[0]),
+        "iterations": side.iterations,
+        "converged_starts": int(side.ok.sum()),
     }
     return best_val, best_u, degenerate, audit
 
 
 def _dense_directions(n: int, count: int) -> np.ndarray:
+    from scipy.special import ndtri
+    from scipy.stats import qmc
+
     sobol = qmc.Sobol(d=n, scramble=True, seed=_SOBOL_SEED + 7 * n)
     m = int(math.ceil(math.log2(count)))
     z = ndtri(np.clip(sobol.random_base2(m=m), 1e-12, 1.0 - 1e-12))
@@ -375,16 +468,21 @@ def _exact_extrema(h: np.ndarray) -> HyperplaneExtrema:
 def _multistart_extrema(h: np.ndarray, certify: bool) -> HyperplaneExtrema:
     """Deterministic multi-start projected gradient on the sphere.
 
+    The 64 min starts and the 64 max starts descend as one block and
+    the best 12 of each side are polished as one block (``_search``).
     For n <= 5 a dense low-discrepancy sweep (with a local polish of the
-    top candidates) certifies that no basin was missed.  The dense sweep
-    is an independent evaluation path: its candidates never come from
-    the multi-start optimizer.  Valid for any slices, so it also serves
-    as the test oracle of ``_exact_extrema``.
+    top candidates, through the same search) certifies that no basin
+    was missed.  The dense sweep is an independent evaluation path: its
+    candidates never come from the multi-start optimizer.  Valid for any
+    slices, so it also serves as the test oracle of ``_exact_extrema``.
     """
     n = h.shape[1]
     Q = _Quartic.of(h)
-    inf_phi, u_min, deg_min, audit_min = _run_side(Q, n, +1.0, 0)
-    sup_phi, u_max, deg_max, audit_max = _run_side(Q, n, -1.0, 1)
+    tol = _GRAD_TOL * max(1.0, Q.total_sq)
+    starts = np.stack([_sphere_starts(n, _START_COUNT, _SOBOL_SEED + k) for k in (0, 1)])
+    lo, hi = _search(Q, starts, tol, _POLISH_COUNT)
+    inf_phi, u_min, deg_min, audit_min = _best(Q, lo, tol)
+    sup_phi, u_max, deg_max, audit_max = _best(Q, hi, tol)
     inf_cl = inf_phi / (n - 1)
     sup_cl = sup_phi / (n - 1)
     audit = {"path": "multistart", "min": audit_min, "max": audit_max, "starts": _START_COUNT}
@@ -395,17 +493,11 @@ def _multistart_extrema(h: np.ndarray, certify: bool) -> HyperplaneExtrema:
     elif n <= _DENSE_LIMIT:
         U = _dense_directions(n, _DENSE_COUNT)
         dense_vals = _phi_batch(Q, U)
-        tol = _GRAD_TOL * max(1.0, Q.total_sq)
-        gaps = []
-        for sign, opt_phi in ((+1.0, inf_phi), (-1.0, sup_phi)):
-            order = np.argsort(sign * dense_vals)[:8]
-            cand, _, _ = _projected_descent(Q, U[order], sign, tol, _MAX_ITERS)
-            best = np.inf
-            for u in cand:
-                u, _ = _newton_polish(Q, u.copy(), sign, tol)
-                best = min(best, sign * float(_phi_batch(Q, u[None, :])[0]))
-            gaps.append(abs(sign * best - opt_phi) / (n - 1))
-        certified_gap = float(max(gaps))
+        top = np.stack([U[np.argsort(sign * dense_vals)[:8]] for sign in (1.0, -1.0)])
+        lo, hi = _search(Q, top, tol, 8)
+        certified_gap = float(
+            max(abs(lo.phi[0] - inf_phi) / (n - 1), abs(hi.phi[0] - sup_phi) / (n - 1))
+        )
         audit["dense_count"] = int(U.shape[0])
     else:
         # spot check only: flag (never certify) at higher dimension

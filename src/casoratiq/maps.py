@@ -402,7 +402,7 @@ def gauss_residual_map(split: SceneSplit, B: Optional[FundamentalTensor] = None)
         return 0.0
     lhs = split.target_curvature[:s, :s, :s, :s]
     rhs = split.source_curvature[:s, :s, :s, :s]
-    inner = np.einsum("ija,ab,klb->ijkl", B.vectors, B.metric, B.vectors)
+    inner = np.tensordot(B.vectors @ B.metric, B.vectors, axes=(2, 2))
     # g2(B(W1,W3), B(W2,W4)) - g2(B(W1,W4), B(W2,W3)) with slots (i,j,k,l)
     rhs = rhs + inner.transpose(0, 2, 1, 3) - inner.transpose(0, 2, 3, 1)
     return float(np.abs(lhs - rhs).max())
@@ -459,7 +459,7 @@ def gauss_residual_submersion(
     # vertical identity
     if ell >= 2:
         amb = R1[s:, s:, s:, s:]
-        tt = np.einsum("ija,ab,klb->ijkl", T.vectors, g1, T.vectors)
+        tt = np.tensordot(T.vectors @ g1, T.vectors, axes=(2, 2))
         # R_fiber[ijkl] = R1[ijkl] + g(T(i,l), T(j,k)) - g(T(i,k), T(j,l))
         recon = amb + tt.transpose(0, 2, 3, 1) - tt.transpose(0, 2, 1, 3)
         if fiber_kappa is not None:
@@ -485,7 +485,7 @@ def gauss_residual_submersion(
     if s >= 2:
         base = split.target_curvature[:s, :s, :s, :s]
         amb_h = R1[:s, :s, :s, :s]
-        aa = np.einsum("ija,ab,klb->ijkl", A.vectors, g1, A.vectors)
+        aa = np.tensordot(A.vectors @ g1, A.vectors, axes=(2, 2))
         # R1[ijkl] = base[ijkl] + 2 g(A(i,j), A(k,l)) - g(A(j,k), A(i,l))
         #                       + g(A(i,k), A(j,l))
         rhs = base + 2.0 * aa - aa.transpose(2, 0, 1, 3) + aa.transpose(0, 2, 1, 3)
@@ -507,8 +507,8 @@ def gauss_residual_submersion(
     rhs = (
         nabla_T.transpose(0, 2, 1, 3)
         + nabla_A.transpose(2, 0, 3, 1)
-        - np.einsum("jia,ab,lkb->ijkl", T_vh, g1, T_vh)
-        + np.einsum("kla,ab,ijb->ijkl", A_hv, g1, A_hv)
+        - np.tensordot(T_vh @ g1, T_vh, axes=(2, 2)).transpose(1, 0, 3, 2)
+        + np.tensordot(A_hv @ g1, A_hv, axes=(2, 2)).transpose(2, 3, 0, 1)
     )
     mixed = float(np.abs(lhs - rhs).max()) if lhs.size else 0.0
 

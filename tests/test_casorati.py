@@ -1,3 +1,7 @@
+import importlib
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,12 +17,22 @@ from casoratiq.casorati import (
     tripathi_minimize_numeric,
     tripathi_objective,
     _Quartic,
+    _GRAD_TOL,
+    _MAX_ITERS,
+    _POLISH_COUNT,
+    _SOBOL_SEED,
+    _START_COUNT,
     _grad_batch,
-    _hess_single,
+    _hess,
     _multistart_extrema,
+    _newton_steps,
     _phi_batch,
+    _phi_grad_batch,
+    _search,
+    _sphere_starts,
 )
-from casoratiq.errors import DimensionError, ProvisoError
+from casoratiq.errors import DimensionError, OptimizationError, ProvisoError
+from casoratiq.scenes import evaluate_scenario, parse_scenario, random_pointwise_submersion
 
 
 def skew_coeffs(rng, n_alpha, n):
@@ -169,6 +183,7 @@ class TestQuartic:
             U = rng.normal(size=(6, n))
             U /= np.linalg.norm(U, axis=1, keepdims=True)
             phi, grad = _phi_batch(Q, U), _grad_batch(Q, U)
+            hess = _hess(Q, *Q.products(U[:, None, :]))
             for m, u in enumerate(U):
                 want_phi, want_grad, want_hess = self._loops(h, u)
                 assert phi[m] == pytest.approx(want_phi, abs=1e-12)
@@ -176,7 +191,202 @@ class TestQuartic:
                     (n - 1) * casorati_subspace(CasoratiInput(h, kind=kind), normal=u), abs=1e-12
                 )
                 np.testing.assert_allclose(grad[m], want_grad, rtol=0, atol=1e-12)
-                np.testing.assert_allclose(_hess_single(Q, u), want_hess, rtol=0, atol=1e-12)
+                np.testing.assert_allclose(hess[m], want_hess, rtol=0, atol=1e-12)
+
+
+# -- single-row oracle of the batched search ----------------------------------
+# The search as it ran before both sides and every polish candidate were
+# stacked: one descent per side and one Newton polish per candidate, each
+# on a single row.  The batched search must round exactly as this does.
+
+
+def _oracle_descent(Q, U, sign, tol, max_iters):
+    vals, grad = _phi_grad_batch(Q, U)
+    vals, grad = sign * vals, sign * grad
+    steps = np.full(U.shape[0], 0.1)
+    done = np.zeros(U.shape[0], dtype=bool)
+    iters = 0
+    for iters in range(1, max_iters + 1):
+        rgrad = grad - np.einsum("mn,mn->m", grad, U)[:, None] * U
+        done |= np.einsum("mn,mn->m", rgrad, rgrad) < tol * tol
+        if done.all():
+            break
+        cand = U - steps[:, None] * rgrad
+        cand /= np.sqrt(np.einsum("mn,mn->m", cand, cand))[:, None]
+        cand_vals, cand_grad = _phi_grad_batch(Q, cand)
+        cand_vals *= sign
+        accept = ~done & (cand_vals < vals)
+        U = np.where(accept[:, None], cand, U)
+        vals = np.where(accept, cand_vals, vals)
+        grad = np.where(accept[:, None], sign * cand_grad, grad)
+        steps *= np.where(accept, 1.2, np.where(done, 1.0, 0.5))
+        done |= steps < 1e-13
+        if done.all():
+            break
+    return U, vals, iters
+
+
+def _oracle_hess(Q, u):
+    W, r = Q.products(u[None, :])
+    V = W[0, 1:]
+    return -2.0 * Q.S + np.tensordot(r[0, 1:], Q.sym, axes=1) + 2.0 * (V.T @ V)
+
+
+def _oracle_tangent_basis(u):
+    n = u.shape[0]
+    e = np.zeros(n)
+    e[0] = 1.0
+    v = u + e if u[0] >= 0 else u - e
+    v /= np.linalg.norm(v)
+    return (np.eye(n) - 2.0 * np.outer(v, v))[:, 1:]
+
+
+def _oracle_polish(Q, u, sign, tol, max_iters=60):
+    for _ in range(max_iters):
+        grad = sign * _grad_batch(Q, u[None, :])[0]
+        rgrad = grad - (grad @ u) * u
+        gnorm = np.linalg.norm(rgrad)
+        if gnorm < tol:
+            return u, True
+        Qt = _oracle_tangent_basis(u)
+        H = sign * _oracle_hess(Q, u)
+        Ht = Qt.T @ H @ Qt - (grad @ u) * np.eye(Qt.shape[1])
+        gt = Qt.T @ rgrad
+        try:
+            z = np.linalg.solve(Ht + 1e-14 * np.eye(Ht.shape[0]), -gt)
+        except np.linalg.LinAlgError:
+            z = -gt
+        if z @ gt > 0:
+            z = -gt
+        step = 1.0
+        improved = False
+        for _ in range(30):
+            cand = u + step * (Qt @ z)
+            cand /= np.linalg.norm(cand)
+            cgrad = sign * _grad_batch(Q, cand[None, :])[0]
+            crg = cgrad - (cgrad @ cand) * cand
+            if np.linalg.norm(crg) < gnorm:
+                u = cand
+                improved = True
+                break
+            step *= 0.5
+        if not improved:
+            return u, gnorm < tol
+    grad = sign * _grad_batch(Q, u[None, :])[0]
+    rgrad = grad - (grad @ u) * u
+    return u, bool(np.linalg.norm(rgrad) < tol)
+
+
+def _oracle_side(Q, starts, sign, tol, keep):
+    U, vals, iters = _oracle_descent(Q, starts, sign, tol, _MAX_ITERS)
+    polished = []
+    for idx in np.argsort(vals)[:keep]:
+        u, ok = _oracle_polish(Q, U[idx].copy(), sign, tol)
+        polished.append((float(_phi_batch(Q, u[None, :])[0]), u, ok, int(idx)))
+    polished.sort(key=lambda rec: sign * rec[0])
+    return polished, iters
+
+
+def _random_symmetric(seed):
+    rng = np.random.default_rng(seed)
+    n, n_alpha = int(rng.integers(3, 7)), int(rng.integers(1, 6))
+    return sym_input(rng, n_alpha, n).coeffs
+
+
+class TestBatchedSearchOracle:
+    """The stacked descent and the batched polish round as the single-row search did."""
+
+    @pytest.mark.parametrize("seed", range(32))
+    def test_multistart_matches_oracle(self, seed):
+        h = _random_symmetric(seed)
+        n = h.shape[1]
+        Q = _Quartic.of(h)
+        tol = _GRAD_TOL * max(1.0, Q.total_sq)
+        starts = np.stack([_sphere_starts(n, _START_COUNT, _SOBOL_SEED + k) for k in (0, 1)])
+        sides = _search(Q, starts, tol, _POLISH_COUNT)
+        for side, sign, want_starts in zip(sides, (1.0, -1.0), starts):
+            polished, iters = _oracle_side(Q, want_starts, sign, tol, _POLISH_COUNT)
+            assert side.iterations == iters
+            assert np.array_equal(side.phi, [rec[0] for rec in polished])
+            assert np.array_equal(side.U, np.stack([rec[1] for rec in polished]))
+            assert np.array_equal(side.ok, [rec[2] for rec in polished])
+            assert np.array_equal(side.start, [rec[3] for rec in polished])
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_certification_matches_oracle(self, seed):
+        # the dense certification's top 8 per side, through the same search
+        h = _random_symmetric(100 + seed)
+        n = h.shape[1]
+        Q = _Quartic.of(h)
+        tol = _GRAD_TOL * max(1.0, Q.total_sq)
+        rng = np.random.default_rng(seed)
+        U = rng.normal(size=(2048, n))
+        U /= np.linalg.norm(U, axis=1, keepdims=True)
+        vals = _phi_batch(Q, U)
+        top = np.stack([U[np.argsort(sign * vals)[:8]] for sign in (1.0, -1.0)])
+        for side, sign, want_starts in zip(_search(Q, top, tol, 8), (1.0, -1.0), top):
+            polished, _ = _oracle_side(Q, want_starts, sign, tol, 8)
+            assert np.array_equal(side.phi, [rec[0] for rec in polished])
+            assert np.array_equal(side.U, np.stack([rec[1] for rec in polished]))
+
+    def test_singular_row_takes_the_gradient_step(self):
+        Ht = np.stack([np.eye(3) * 2.0, np.zeros((3, 3)), np.diag([1.0, 4.0, 8.0])])
+        gt = np.arange(9.0).reshape(3, 3) + 1.0
+        z = _newton_steps(Ht, gt)
+        assert np.array_equal(z[1], -gt[1])
+        assert np.array_equal(z[0], np.linalg.solve(Ht[0], -gt[0]))
+        assert np.array_equal(z[2], np.linalg.solve(Ht[2], -gt[2]))
+
+
+class TestSearchFailureAndCache:
+    def test_no_converged_row_raises_with_best(self, monkeypatch):
+        inp = sym_input(np.random.default_rng(5), 2, 4)
+        inf_cl = hyperplane_extrema(inp, certify=False).inf_CL
+        # the package attribute ``casoratiq.casorati`` is the function of that name
+        monkeypatch.setattr(importlib.import_module("casoratiq.casorati"), "_GRAD_TOL", 0.0)
+        with pytest.raises(OptimizationError) as err:
+            hyperplane_extrema(inp, certify=False)
+        assert isinstance(err.value.best, float)
+        assert err.value.best == pytest.approx(inf_cl, abs=1e-8)
+
+    def test_starts_are_cached_and_read_only(self):
+        first = _sphere_starts(4, _START_COUNT, _SOBOL_SEED)
+        assert _sphere_starts(4, _START_COUNT, _SOBOL_SEED) is first
+        assert first.shape == (_START_COUNT, 4)
+        np.testing.assert_allclose(np.linalg.norm(first, axis=1), 1.0, rtol=0, atol=1e-15)
+        with pytest.raises(ValueError):
+            first[0, 0] = 0.0
+
+    def test_sobol_built_once_per_dimension_and_seed(self, monkeypatch):
+        from scipy.stats import qmc
+
+        built = []
+        real = qmc.Sobol
+
+        def counting(*args, **kwargs):
+            built.append((kwargs["d"], kwargs["seed"]))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(qmc, "Sobol", counting)
+        _sphere_starts.cache_clear()
+        for r in range(2):  # two rounds of every (s, ell) pair
+            for s in (3, 4, 5):
+                for ell in (3, 4, 5):
+                    doc = random_pointwise_submersion(s, ell, -4.0, seed=10 * r + 3 * s + ell)
+                    rep = evaluate_scenario(parse_scenario(doc))
+                    assert rep.aggregate["point_errors"] == 0
+        assert built and len(built) == len(set(built))
+
+    def test_import_and_exact_scene_leave_scipy_unloaded(self):
+        code = (
+            "import sys, casoratiq\n"
+            "from casoratiq.scenes import builtin_scenario, evaluate_scenario\n"
+            "evaluate_scenario(builtin_scenario('product-projection:8to4'))\n"
+            "assert 'scipy.stats' not in sys.modules, 'scipy.stats loaded'\n"
+            "assert 'scipy.special' not in sys.modules, 'scipy.special loaded'\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestExactPath:
