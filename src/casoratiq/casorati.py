@@ -28,6 +28,7 @@ _SOBOL_SEED = 20240915
 _START_COUNT = 64
 _POLISH_COUNT = 12
 _GRAD_TOL = 1e-10
+_BASIN_TOL = 1e-5  # relative gradient at which the descent hands a row to the polish
 _MAX_ITERS = 200
 _DENSE_COUNT = 1 << 17  # 131072 >= 1e5
 _DENSE_LIMIT = 5  # dense certification only up to this many distribution dims
@@ -292,16 +293,21 @@ def _newton_polish(Q, U, sign, tol, max_iters=60):
     return U, ok
 
 
-def _projected_descent(Q, U, sign, tol, max_iters):
-    """Batched projected-gradient descent of sign[m] * phi on the sphere.
+def _projected_descent(Q, U, sign, tol, keep, max_iters):
+    """Batched projected-gradient descent of sign[m] * phi on the sphere, as a basin finder.
 
-    Row m minimizes phi for sign[m] = +1 and maximizes it for -1, so
-    both sides of an extremization run as one block.  Returns
-    (U, values, stop): stop[m] is the iteration at which row m stopped.
-    A row stops when its gradient meets the tolerance or its
-    value-gated step stalls, and is left untouched after that; callers
-    polish afterwards.  A row's gradient is carried over from its last
-    accepted step.
+    Row m minimizes phi for sign[m] = +1 and maximizes it for -1.  The
+    rows form two sides of equal size, the first half and the second
+    half, which run as one block.  The descent only has to bring rows
+    into their basins; the Newton polish converges them.  A row stops
+    when its gradient meets ``tol`` or its value-gated step stalls, and
+    is left untouched after that.  A side stops as a whole once ``keep``
+    of its stopped rows rank strictly below every moving row of that
+    side: those are the rows the polish takes, and a moving row could
+    only overtake them by descending past basins they already sit in.
+    Returns (U, values, stop): stop[m] is the iteration at which row m
+    stopped.  A row's gradient is carried over from its last accepted
+    step.
     """
     vals, grad = _phi_grad_batch(Q, U)
     vals, grad = sign * vals, sign[:, None] * grad
@@ -324,6 +330,10 @@ def _projected_descent(Q, U, sign, tol, max_iters):
         grad = np.where(accept[:, None], sign[:, None] * cand_grad, grad)
         steps *= np.where(accept, 1.2, np.where(done, 1.0, 0.5))
         done |= steps < 1e-13  # value rounding floor reached
+        side_vals, side_done = vals.reshape(2, -1), done.reshape(2, -1)
+        moving = np.where(side_done, np.inf, side_vals).min(axis=1, keepdims=True)
+        settled = (side_done & (side_vals < moving)).sum(axis=1) >= keep
+        done |= np.repeat(settled, side_done.shape[1])
         stop[done & (stop > it)] = it
         if done.all():
             break
@@ -352,18 +362,23 @@ class _Side:
     phi: np.ndarray
     ok: np.ndarray
     start: np.ndarray  # index of each candidate's start among its side's starts
-    iterations: int  # descent iterations until every start of the side stopped
+    iterations: int  # descent iteration at which the side stopped
 
 
 def _search(Q: _Quartic, starts: np.ndarray, tol: float, keep: int) -> list[_Side]:
     """Both sides at once: starts[0] minimize phi, starts[1] maximize it.
 
-    One descent runs every start of both sides; one Newton polish then
-    runs the ``keep`` best descended rows of each side.
+    One descent runs every start of both sides to the basin tolerance
+    ``max(tol, _BASIN_TOL * |h|^2)``, and each side stops once its
+    ``keep`` best rows have stopped.  One Newton polish then takes those
+    ``keep`` rows of each side to the gradient tolerance ``tol``.
     """
     _, m, n = starts.shape
     signs = np.repeat([1.0, -1.0], m)
-    U, vals, stop = _projected_descent(Q, starts.reshape(2 * m, n), signs, tol, _MAX_ITERS)
+    basin_tol = max(tol, _BASIN_TOL * Q.total_sq)
+    U, vals, stop = _projected_descent(
+        Q, starts.reshape(2 * m, n), signs, basin_tol, keep, _MAX_ITERS
+    )
     picks = [np.argsort(v)[:keep] for v in vals.reshape(2, m)]
     rows = np.concatenate([picks[0], m + picks[1]])
     P, ok = _newton_polish(Q, U[rows], signs[rows], tol)

@@ -1,4 +1,5 @@
 import importlib
+import json
 import subprocess
 import sys
 
@@ -17,6 +18,7 @@ from casoratiq.casorati import (
     tripathi_minimize_numeric,
     tripathi_objective,
     _Quartic,
+    _BASIN_TOL,
     _GRAD_TOL,
     _MAX_ITERS,
     _POLISH_COUNT,
@@ -31,6 +33,7 @@ from casoratiq.casorati import (
     _search,
     _sphere_starts,
 )
+from casoratiq.cli import main
 from casoratiq.errors import DimensionError, OptimizationError, ProvisoError
 from casoratiq.scenes import evaluate_scenario, parse_scenario, random_pointwise_submersion
 
@@ -198,9 +201,12 @@ class TestQuartic:
 # The search as it ran before both sides and every polish candidate were
 # stacked: one descent per side and one Newton polish per candidate, each
 # on a single row.  The batched search must round exactly as this does.
+# With ``basin=False`` it is also the search as it ran before the descent
+# handed rows to the polish at the basin tolerance: every row descends to
+# the gradient tolerance and no side stops early.
 
 
-def _oracle_descent(Q, U, sign, tol, max_iters):
+def _oracle_descent(Q, U, sign, tol, max_iters, keep=None):
     vals, grad = _phi_grad_batch(Q, U)
     vals, grad = sign * vals, sign * grad
     steps = np.full(U.shape[0], 0.1)
@@ -221,6 +227,10 @@ def _oracle_descent(Q, U, sign, tol, max_iters):
         grad = np.where(accept[:, None], sign * cand_grad, grad)
         steps *= np.where(accept, 1.2, np.where(done, 1.0, 0.5))
         done |= steps < 1e-13
+        # the side stops once its keep-th best stopped row is below every moving row
+        if keep is not None and keep <= done.sum() < done.size:
+            if np.sort(vals[done])[keep - 1] < vals[~done].min():
+                done[:] = True
         if done.all():
             break
     return U, vals, iters
@@ -277,8 +287,12 @@ def _oracle_polish(Q, u, sign, tol, max_iters=60):
     return u, bool(np.linalg.norm(rgrad) < tol)
 
 
-def _oracle_side(Q, starts, sign, tol, keep):
-    U, vals, iters = _oracle_descent(Q, starts, sign, tol, _MAX_ITERS)
+def _oracle_side(Q, starts, sign, tol, keep, basin=True):
+    if basin:
+        basin_tol = max(tol, _BASIN_TOL * Q.total_sq)
+        U, vals, iters = _oracle_descent(Q, starts, sign, basin_tol, _MAX_ITERS, keep)
+    else:
+        U, vals, iters = _oracle_descent(Q, starts, sign, tol, _MAX_ITERS)
     polished = []
     for idx in np.argsort(vals)[:keep]:
         u, ok = _oracle_polish(Q, U[idx].copy(), sign, tol)
@@ -336,6 +350,99 @@ class TestBatchedSearchOracle:
         assert np.array_equal(z[1], -gt[1])
         assert np.array_equal(z[0], np.linalg.solve(Ht[0], -gt[0]))
         assert np.array_equal(z[2], np.linalg.solve(Ht[2], -gt[2]))
+
+
+def _stress_symmetric(family, seed):
+    """Symmetric slices from one of four stress families, n = 3..8, 1..5 slices."""
+    rng = np.random.default_rng([seed, ("uniform", "commuting", "clustered", "scaled").index(family)])
+    n, n_alpha = int(rng.integers(3, 9)), int(rng.integers(1, 6))
+    if family in ("uniform", "scaled"):
+        h = sym_input(rng, n_alpha, n).coeffs
+        return h * 10.0 ** rng.uniform(-3.0, 3.0) if family == "scaled" else h
+    Q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    if family == "commuting":
+        lam = rng.uniform(-1.0, 1.0, size=(n_alpha, n))
+    else:  # eigenvalues clustered at -1, 0 and 1, split by about 1e-6
+        lam = rng.choice([-1.0, 0.0, 1.0], size=(n_alpha, n))
+        lam += 1e-6 * rng.normal(size=(n_alpha, n))
+    return np.einsum("ij,aj,kj->aik", Q, lam, Q)
+
+
+def _oracle_extremum(h, sign):
+    """The full search's extremum of one side, or None where it raises."""
+    n = h.shape[1]
+    Q = _Quartic.of(h)
+    tol = _GRAD_TOL * max(1.0, Q.total_sq)
+    starts = _sphere_starts(n, _START_COUNT, _SOBOL_SEED + (0 if sign > 0 else 1))
+    polished, _ = _oracle_side(Q, starts, sign, tol, _POLISH_COUNT, basin=False)
+    if not any(rec[2] for rec in polished):
+        return None
+    return polished[0][0] / (n - 1)
+
+
+class TestBasinHandoffAccuracy:
+    """The basin handoff finds extrema no worse than descending every row to the gradient tolerance."""
+
+    @pytest.mark.parametrize("seed", range(25))
+    @pytest.mark.parametrize("family", ["uniform", "commuting", "clustered", "scaled"])
+    def test_no_worse_than_full_search(self, family, seed):
+        h = _stress_symmetric(family, seed)
+        want_inf, want_sup = _oracle_extremum(h, 1.0), _oracle_extremum(h, -1.0)
+        if want_inf is None or want_sup is None:
+            return  # the full search raises too: there is nothing to be no worse than
+        got = _multistart_extrema(h, certify=False)  # raises nothing where the oracle succeeds
+        assert got.inf_CL <= want_inf + 1e-12 * max(1.0, abs(want_inf))
+        assert got.sup_CL >= want_sup - 1e-12 * max(1.0, abs(want_sup))
+
+
+def _noisy_slice(lams):
+    """Q diag(lams) Q^T with 1e-6 Gaussian noise added to its diagonal."""
+    rng = np.random.default_rng(0)
+    n = len(lams)
+    Q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    h = Q @ np.diag(lams) @ Q.T
+    return h + np.diag(1e-6 * rng.normal(size=n))
+
+
+def _one_slice_inf(h):
+    """inf C^L of one symmetric slice with eigenvalues of both signs."""
+    lam = np.linalg.eigvalsh(h)
+    return (np.sum(lam**2) - lam[0] ** 2 - lam[-1] ** 2) / (len(lam) - 1)
+
+
+class TestNearTieMinimum:
+    """A nearly repeated extreme eigenvalue once left every polish short of the tolerance."""
+
+    @pytest.mark.parametrize("lams", [[-2.0, -2.0, 1.0], [-2.0, -2.0, -1.0, 1.0]])
+    def test_closed_form_inf(self, lams):
+        h = _noisy_slice(lams)
+        ex = hyperplane_extrema(CasoratiInput(h))
+        assert ex.inf_CL == pytest.approx(_one_slice_inf(h), abs=1e-9)
+
+    def test_pointwise_map_scene_runs(self, tmp_path):
+        B = np.zeros((5, 3, 3))
+        B[0] = _noisy_slice([-1.0, -1.0, 1.0])
+        doc = {
+            "version": 1,
+            "name": "near-tie-map",
+            "mode": "pointwise",
+            "dim": 8,
+            "kind": "map",
+            "structure": {"name": "quat-flat:2"},
+            "c": 4.0,
+            "frames": {"range": np.eye(8)[:3].tolist(), "range_perp": np.eye(8)[3:].tolist()},
+            "tensors": {"B": B.tolist()},
+            "theorems": ["map_3_2", "lemma_map_3_1"],
+        }
+        path, out = tmp_path / "scene.json", tmp_path / "out.json"
+        path.write_text(json.dumps(doc))
+        assert main(["run", str(path), "-o", str(out)]) == 0
+        (point,) = json.loads(out.read_text())["points"]
+        assert point["errors"] == []
+        for report in point["reports"]:
+            inf_cl = report["extras"]["inf_CL"]
+            assert inf_cl == pytest.approx(_one_slice_inf(B[0]), abs=1e-9)
+            assert inf_cl == pytest.approx(0.5, abs=1e-5)
 
 
 class TestSearchFailureAndCache:
