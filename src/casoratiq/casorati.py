@@ -24,7 +24,7 @@ __all__ = [
     "tripathi_minimize_numeric",
 ]
 
-_SOBOL_SEED = 20240915
+_START_SEED = 20240915
 _START_COUNT = 64
 _POLISH_COUNT = 12
 _GRAD_TOL = 1e-10
@@ -180,10 +180,6 @@ def _phi_batch(Q: _Quartic, U: np.ndarray) -> np.ndarray:
     return _phi(Q, Q.products(U)[1])
 
 
-def _grad_batch(Q: _Quartic, U: np.ndarray) -> np.ndarray:
-    return _grad(*Q.products(U))
-
-
 def _phi_grad_batch(Q: _Quartic, U: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     W, r = Q.products(U)
     return _phi(Q, r), _grad(W, r)
@@ -194,20 +190,32 @@ def _dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return (x[:, None, :] @ y[:, :, None])[:, 0, 0]
 
 
+def _sphere_points(n: int, count: int, seed: int) -> np.ndarray:
+    """``count`` standard Gaussian points of R^n pushed to the unit sphere."""
+    z = np.random.default_rng(seed).standard_normal((count, n))
+    return z / np.linalg.norm(z, axis=1, keepdims=True)
+
+
 @functools.lru_cache(maxsize=None)
 def _sphere_starts(n: int, count: int, seed: int) -> np.ndarray:
-    """Scrambled Sobol points pushed to the unit sphere; built once, read-only."""
-    from scipy.special import ndtri
-    from scipy.stats import qmc
-
-    sobol = qmc.Sobol(d=n, scramble=True, seed=seed)
-    m = int(math.ceil(math.log2(max(count, 2))))
-    pts = sobol.random_base2(m=m)[:count]
-    z = ndtri(np.clip(pts, 1e-12, 1.0 - 1e-12))
-    norms = np.linalg.norm(z, axis=1, keepdims=True)
-    norms[norms == 0] = 1.0
-    starts = z / norms
+    """``_sphere_points`` built once per (n, count, seed) and read-only."""
+    starts = _sphere_points(n, count, seed)
     starts.setflags(write=False)
+    return starts
+
+
+def _starts(Q: _Quartic) -> np.ndarray:
+    """The (2, 64, n) starts of the min side and the max side.
+
+    Each side takes its own 64 fixed Gaussian directions and puts the
+    eigenvectors of S, the critical points of the quadratic part of
+    phi, in place of the first n.  The eigenvector rows reach basins
+    that a sphere sample alone can miss.
+    """
+    n = Q.S.shape[0]
+    starts = np.stack([_sphere_starts(n, _START_COUNT, _START_SEED + k) for k in (0, 1)])
+    eig = np.linalg.eigh(Q.S)[1].T[:_START_COUNT]
+    starts[:, : eig.shape[0]] = eig
     return starts
 
 
@@ -222,28 +230,33 @@ def _tangent_frames(U: np.ndarray) -> np.ndarray:
 
 
 def _newton_steps(Ht: np.ndarray, gt: np.ndarray) -> np.ndarray:
-    """Solve Ht[m] z = -gt[m]; a singular row takes the gradient step -gt[m]."""
-    try:
-        return np.linalg.solve(Ht, -gt[:, :, None])[:, :, 0]
-    except np.linalg.LinAlgError:
-        if len(Ht) == 1:
-            return -gt
-        return np.concatenate([_newton_steps(Ht[i : i + 1], gt[i : i + 1]) for i in range(len(Ht))])
+    """Modified Newton steps: solve |Ht[m]| z = -gt[m] in the eigenbasis of Ht[m].
+
+    Every eigenvalue is replaced by its absolute value, at least 1e-14,
+    so each step descends even where Ht[m] is indefinite or singular.
+    """
+    lam, V = np.linalg.eigh(Ht)
+    lam = np.maximum(np.abs(lam), 1e-14)
+    return -(V @ ((V.transpose(0, 2, 1) @ gt[:, :, None]) / lam[:, :, None]))[:, :, 0]
 
 
 def _newton_polish(Q, U, sign, tol, max_iters=60):
-    """Riemannian Newton on the sphere for a block of rows, safeguarded by gradient descent.
+    """Riemannian modified Newton on the sphere for a block of rows.
 
     Row m minimizes sign[m] * phi.  Value-gated descent bottoms out at
     the value rounding floor well before the gradient tolerance, so the
-    polish iterates on the gradient itself; the analytic Hessian gives
-    quadratic tail convergence at nondegenerate extrema.  Each iteration
-    takes one Newton step for every live row: its Householder tangent
-    frame, its Hessian and its solve are stacked, and its line search
-    halves the step (up to 30 times) until the Riemannian gradient
-    shrinks.  A row stops converged once its gradient is below ``tol``,
-    and unconverged when its line search fails.  Every per-row product
-    is row-wise, so a row rounds as it would alone.  Returns (U, ok).
+    polish also accepts a step that shrinks the gradient; the analytic
+    Hessian gives quadratic tail convergence at nondegenerate extrema.
+    Each iteration takes one modified Newton step (``_newton_steps``)
+    for every live row: its Householder tangent frame, its Hessian and
+    its eigendecomposition are stacked, and its line search halves the
+    step (up to 30 times) until the Riemannian gradient shrinks or
+    sign * phi falls by the Armijo amount.  The second test carries a
+    row across nearly flat, indefinite stretches (clustered eigenvalues),
+    where the gradient norm alone stalls.  A row stops converged once
+    its gradient is below ``tol``, and unconverged when its line search
+    fails.  Every per-row product is row-wise, so a row rounds as it
+    would alone.  Returns (U, ok).
     """
     U = U.copy()
     n = U.shape[1]
@@ -270,8 +283,9 @@ def _newton_polish(Q, U, sign, tol, max_iters=60):
         H = sg[:, None, None] * _hess(Q, W, r)
         Ht = QtT @ H @ Qt - gu[:, None, None] * np.eye(n - 1)
         gt = (QtT @ rgrad[:, :, None])[:, :, 0]
-        z = _newton_steps(Ht + 1e-14 * np.eye(n - 1), gt)
-        z = np.where((_dot(z, gt) > 0)[:, None], -gt, z)  # not a descent direction
+        z = _newton_steps(Ht, gt)
+        slope = 1e-4 * _dot(z, gt)  # Armijo fraction of the directional derivative
+        value = sg * _phi(Q, r)
         d = (Qt @ z[:, :, None])[:, :, 0]
         searching = np.ones(live.size, dtype=bool)
         step = 1.0
@@ -281,9 +295,12 @@ def _newton_polish(Q, U, sign, tol, max_iters=60):
                 break
             cand = u[s] + step * d[s]
             cand /= np.sqrt(_dot(cand, cand))[:, None]
-            cgrad = sg[s][:, None] * _grad_batch(Q, cand[:, None, :])
+            cW, cr = Q.products(cand[:, None, :])
+            cgrad = sg[s][:, None] * _grad(cW, cr)
             crg = cgrad - _dot(cgrad, cand)[:, None] * cand
-            better = np.sqrt(_dot(crg, crg)) < gnorm[s]
+            better = (np.sqrt(_dot(crg, crg)) < gnorm[s]) | (
+                sg[s] * _phi(Q, cr) < value[s] + step * slope[s]
+            )
             U[live[s[better]]] = cand[better]
             searching[s[better]] = False
             step *= 0.5
@@ -425,26 +442,19 @@ def _best(Q: _Quartic, side: _Side, tol: float):
 
 
 def _dense_directions(n: int, count: int) -> np.ndarray:
-    from scipy.special import ndtri
-    from scipy.stats import qmc
-
-    sobol = qmc.Sobol(d=n, scramble=True, seed=_SOBOL_SEED + 7 * n)
-    m = int(math.ceil(math.log2(count)))
-    z = ndtri(np.clip(sobol.random_base2(m=m), 1e-12, 1.0 - 1e-12))
-    norms = np.linalg.norm(z, axis=1, keepdims=True)
-    norms[norms == 0] = 1.0
-    return z / norms
+    return _sphere_points(n, count, _START_SEED + 7 * n)
 
 
 def hyperplane_extrema(inp: CasoratiInput, certify: bool = True) -> HyperplaneExtrema:
     """Extremize the hyperplane Casorati curvature over all unit normals.
 
-    Skew slices (the A tensor) and all-zero slices take the exact path
-    (``_exact_extrema``); everything else takes the multi-start
-    (``_multistart_extrema``).  ``audit["path"]`` names the path taken.
-    Pass ``certify=False`` to skip the multi-start's dense certification
-    in bulk sweeps where only the extrema are needed; the exact path
-    reports ``certified_gap`` 0 either way.
+    Skew slices (the A tensor), all-zero slices (``_exact_extrema``) and
+    symmetric slices of which exactly one is nonzero
+    (``_one_slice_extrema``) take an exact path; everything else takes
+    the multi-start (``_multistart_extrema``).  ``audit["path"]`` names
+    the path taken.  Pass ``certify=False`` to skip the multi-start's
+    dense certification in bulk sweeps where only the extrema are
+    needed; an exact path reports ``certified_gap`` 0 either way.
     """
     h = inp.coeffs
     n = inp.n
@@ -452,7 +462,24 @@ def hyperplane_extrema(inp: CasoratiInput, certify: bool = True) -> HyperplaneEx
         raise DimensionError(f"hyperplane extremization needs n >= 3, got {n}")
     if inp.kind == "skew" or not h.any():
         return _exact_extrema(h)
+    nonzero = h[h.any(axis=(1, 2))]
+    if len(nonzero) == 1:
+        return _one_slice_extrema(nonzero[0])
     return _multistart_extrema(h, certify)
+
+
+def _exact_result(inf_phi, sup_phi, u_min, u_max, deg_min, deg_max, n) -> HyperplaneExtrema:
+    counters = {"iterations": 0, "converged_starts": 0}
+    return HyperplaneExtrema(
+        inf_CL=inf_phi / (n - 1),
+        sup_CL=sup_phi / (n - 1),
+        argmin_normal=u_min,
+        argmax_normal=u_max,
+        certified_gap=0.0,
+        degenerate_min=bool(deg_min),
+        degenerate_max=bool(deg_max),
+        audit={"path": "exact", "min": dict(counters), "max": dict(counters)},
+    )
 
 
 def _exact_extrema(h: np.ndarray) -> HyperplaneExtrema:
@@ -463,39 +490,77 @@ def _exact_extrema(h: np.ndarray) -> HyperplaneExtrema:
     over unit normals are the extreme eigenpairs of M.  An extremum is
     degenerate when its eigenvalue is (numerically) repeated.
     """
-    n = h.shape[1]
     total_sq = float(np.sum(h**2))
     lam, V = np.linalg.eigh(np.einsum("aji,ajk->ik", h, h))
     tie = _TIE_VALUE * max(1.0, total_sq)
-    counters = {"iterations": 0, "converged_starts": 0}
-    return HyperplaneExtrema(
-        inf_CL=(total_sq - 2.0 * lam[-1]) / (n - 1),
-        sup_CL=(total_sq - 2.0 * lam[0]) / (n - 1),
-        argmin_normal=V[:, -1],
-        argmax_normal=V[:, 0],
-        certified_gap=0.0,
-        degenerate_min=bool(2.0 * (lam[-1] - lam[-2]) < tie),
-        degenerate_max=bool(2.0 * (lam[1] - lam[0]) < tie),
-        audit={"path": "exact", "min": dict(counters), "max": dict(counters)},
+    return _exact_result(
+        total_sq - 2.0 * lam[-1],
+        total_sq - 2.0 * lam[0],
+        V[:, -1],
+        V[:, 0],
+        2.0 * (lam[-1] - lam[-2]) < tie,
+        2.0 * (lam[1] - lam[0]) < tie,
+        h.shape[1],
+    )
+
+
+def _one_slice_extrema(s: np.ndarray) -> HyperplaneExtrema:
+    """Closed form for a single symmetric slice s = sum_i lam_i v_i v_i^T.
+
+    With lam_1 <= ... <= lam_n and weights t_i = (u . v_i)^2 on the
+    simplex, phi = sum lam^2 - 2 sum lam_i^2 t_i + (sum lam_i t_i)^2.
+    Since (sum lam_i t_i)^2 <= sum lam_i^2 t_i, the sup is
+    sum lam^2 - min lam^2, at that eigenvector.  For the inf, a mean
+    m = sum lam_i t_i is best reached on v_1 and v_n alone, which leaves
+    m^2 - 2 (lam_1 + lam_n) m + 2 lam_1 lam_n to minimize over
+    [lam_1, lam_n].  When lam_1 < 0 < lam_n that is m = lam_1 + lam_n:
+    inf phi = sum lam^2 - lam_1^2 - lam_n^2 at the weight
+    t = lam_n / (lam_n - lam_1) on v_n and 1 - t on v_1, and the
+    reflection across v_n is a second minimizing hyperplane.  Otherwise
+    it is sum lam^2 - max lam^2, at that eigenvector.  A tie flag is a
+    repeated extreme lam^2 (or the reflected pair).
+    """
+    lam, V = np.linalg.eigh(s)
+    sq = lam**2
+    order = np.argsort(sq, kind="stable")
+    ranked = sq[order]
+    tie = _TIE_VALUE * max(1.0, float(np.sum(sq)))
+    if lam[0] < 0.0 < lam[-1]:
+        t = lam[-1] / (lam[-1] - lam[0])
+        inf_phi = float(np.sum(sq[1:-1]))
+        u_min = math.sqrt(t) * V[:, -1] + math.sqrt(1.0 - t) * V[:, 0]
+        deg_min = True
+    else:
+        inf_phi = float(np.sum(ranked[:-1]))
+        u_min = V[:, order[-1]]
+        deg_min = ranked[-1] - ranked[-2] < tie
+    return _exact_result(
+        inf_phi,
+        float(np.sum(ranked[1:])),
+        u_min,
+        V[:, order[0]],
+        deg_min,
+        ranked[1] - ranked[0] < tie,
+        s.shape[0],
     )
 
 
 def _multistart_extrema(h: np.ndarray, certify: bool) -> HyperplaneExtrema:
     """Deterministic multi-start projected gradient on the sphere.
 
-    The 64 min starts and the 64 max starts descend as one block and
-    the best 12 of each side are polished as one block (``_search``).
-    For n <= 5 a dense low-discrepancy sweep (with a local polish of the
-    top candidates, through the same search) certifies that no basin
-    was missed.  The dense sweep is an independent evaluation path: its
-    candidates never come from the multi-start optimizer.  Valid for any
-    slices, so it also serves as the test oracle of ``_exact_extrema``.
+    The 64 min starts and the 64 max starts (``_starts``) descend as one
+    block and the best 12 of each side are polished as one block
+    (``_search``).  For n <= 5 a dense Gaussian sweep (with a local
+    polish of the top candidates, through the same search) certifies
+    that no basin was missed.  The dense sweep is an independent
+    evaluation path: its candidates never come from the multi-start
+    optimizer.  Valid for any slices, so it also serves as the test
+    oracle of ``_exact_extrema`` and ``_one_slice_extrema``.
     """
     n = h.shape[1]
     Q = _Quartic.of(h)
     tol = _GRAD_TOL * max(1.0, Q.total_sq)
-    starts = np.stack([_sphere_starts(n, _START_COUNT, _SOBOL_SEED + k) for k in (0, 1)])
-    lo, hi = _search(Q, starts, tol, _POLISH_COUNT)
+    lo, hi = _search(Q, _starts(Q), tol, _POLISH_COUNT)
     inf_phi, u_min, deg_min, audit_min = _best(Q, lo, tol)
     sup_phi, u_max, deg_max, audit_max = _best(Q, hi, tol)
     inf_cl = inf_phi / (n - 1)

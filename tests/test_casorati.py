@@ -22,9 +22,9 @@ from casoratiq.casorati import (
     _GRAD_TOL,
     _MAX_ITERS,
     _POLISH_COUNT,
-    _SOBOL_SEED,
     _START_COUNT,
-    _grad_batch,
+    _START_SEED,
+    _grad,
     _hess,
     _multistart_extrema,
     _newton_steps,
@@ -32,6 +32,7 @@ from casoratiq.casorati import (
     _phi_grad_batch,
     _search,
     _sphere_starts,
+    _starts,
 )
 from casoratiq.cli import main
 from casoratiq.errors import DimensionError, OptimizationError, ProvisoError
@@ -155,7 +156,7 @@ class TestExtrema:
             hyperplane_extrema(CasoratiInput(np.eye(2)))
 
     def test_audit_fields(self):
-        ex = hyperplane_extrema(CasoratiInput(np.diag([1.0, 2.0, 3.0])))
+        ex = hyperplane_extrema(sym_input(np.random.default_rng(8), 2, 3))
         assert ex.audit["starts"] == 64
         assert "start_index" in ex.audit["min"]
         assert ex.audit["dense_count"] >= 100_000
@@ -185,7 +186,7 @@ class TestQuartic:
             Q = _Quartic.of(h)
             U = rng.normal(size=(6, n))
             U /= np.linalg.norm(U, axis=1, keepdims=True)
-            phi, grad = _phi_batch(Q, U), _grad_batch(Q, U)
+            phi, grad = _phi_batch(Q, U), _grad(*Q.products(U))
             hess = _hess(Q, *Q.products(U[:, None, :]))
             for m, u in enumerate(U):
                 want_phi, want_grad, want_hess = self._loops(h, u)
@@ -253,7 +254,7 @@ def _oracle_tangent_basis(u):
 
 def _oracle_polish(Q, u, sign, tol, max_iters=60):
     for _ in range(max_iters):
-        grad = sign * _grad_batch(Q, u[None, :])[0]
+        grad = sign * _grad(*Q.products(u[None, :]))[0]
         rgrad = grad - (grad @ u) * u
         gnorm = np.linalg.norm(rgrad)
         if gnorm < tol:
@@ -262,27 +263,25 @@ def _oracle_polish(Q, u, sign, tol, max_iters=60):
         H = sign * _oracle_hess(Q, u)
         Ht = Qt.T @ H @ Qt - (grad @ u) * np.eye(Qt.shape[1])
         gt = Qt.T @ rgrad
-        try:
-            z = np.linalg.solve(Ht + 1e-14 * np.eye(Ht.shape[0]), -gt)
-        except np.linalg.LinAlgError:
-            z = -gt
-        if z @ gt > 0:
-            z = -gt
+        lam, V = np.linalg.eigh(Ht)
+        z = -(V @ ((V.T @ gt) / np.maximum(np.abs(lam), 1e-14)))
+        value = sign * float(_phi_batch(Q, u[None, :])[0])
         step = 1.0
         improved = False
         for _ in range(30):
             cand = u + step * (Qt @ z)
             cand /= np.linalg.norm(cand)
-            cgrad = sign * _grad_batch(Q, cand[None, :])[0]
+            cgrad = sign * _grad(*Q.products(cand[None, :]))[0]
             crg = cgrad - (cgrad @ cand) * cand
-            if np.linalg.norm(crg) < gnorm:
+            cvalue = sign * float(_phi_batch(Q, cand[None, :])[0])
+            if np.linalg.norm(crg) < gnorm or cvalue < value + step * 1e-4 * (z @ gt):
                 u = cand
                 improved = True
                 break
             step *= 0.5
         if not improved:
             return u, gnorm < tol
-    grad = sign * _grad_batch(Q, u[None, :])[0]
+    grad = sign * _grad(*Q.products(u[None, :]))[0]
     rgrad = grad - (grad @ u) * u
     return u, bool(np.linalg.norm(rgrad) < tol)
 
@@ -313,10 +312,9 @@ class TestBatchedSearchOracle:
     @pytest.mark.parametrize("seed", range(32))
     def test_multistart_matches_oracle(self, seed):
         h = _random_symmetric(seed)
-        n = h.shape[1]
         Q = _Quartic.of(h)
         tol = _GRAD_TOL * max(1.0, Q.total_sq)
-        starts = np.stack([_sphere_starts(n, _START_COUNT, _SOBOL_SEED + k) for k in (0, 1)])
+        starts = _starts(Q)
         sides = _search(Q, starts, tol, _POLISH_COUNT)
         for side, sign, want_starts in zip(sides, (1.0, -1.0), starts):
             polished, iters = _oracle_side(Q, want_starts, sign, tol, _POLISH_COUNT)
@@ -343,22 +341,31 @@ class TestBatchedSearchOracle:
             assert np.array_equal(side.phi, [rec[0] for rec in polished])
             assert np.array_equal(side.U, np.stack([rec[1] for rec in polished]))
 
-    def test_singular_row_takes_the_gradient_step(self):
-        Ht = np.stack([np.eye(3) * 2.0, np.zeros((3, 3)), np.diag([1.0, 4.0, 8.0])])
+    def test_modified_newton_steps_descend(self):
+        Ht = np.stack([np.diag([2.0, 4.0, 8.0]), np.diag([-1.0, 0.0, 3.0]), np.zeros((3, 3))])
+        Ht[0, 0, 1] = Ht[0, 1, 0] = 1.0
         gt = np.arange(9.0).reshape(3, 3) + 1.0
         z = _newton_steps(Ht, gt)
-        assert np.array_equal(z[1], -gt[1])
-        assert np.array_equal(z[0], np.linalg.solve(Ht[0], -gt[0]))
-        assert np.array_equal(z[2], np.linalg.solve(Ht[2], -gt[2]))
+        np.testing.assert_allclose(z[0], np.linalg.solve(Ht[0], -gt[0]), rtol=1e-14)
+        # indefinite and singular rows: |eigenvalue|, at least 1e-14
+        np.testing.assert_allclose(z[1], -gt[1] / np.array([1.0, 1e-14, 3.0]), rtol=1e-14)
+        np.testing.assert_allclose(z[2], -gt[2] / 1e-14, rtol=1e-14)
+        assert np.all(np.einsum("mk,mk->m", z, gt) < 0)
+
+
+_FAMILIES = ("uniform", "commuting", "clustered", "scaled", "heavy-tailed")
 
 
 def _stress_symmetric(family, seed):
-    """Symmetric slices from one of four stress families, n = 3..8, 1..5 slices."""
-    rng = np.random.default_rng([seed, ("uniform", "commuting", "clustered", "scaled").index(family)])
+    """Symmetric slices from one of five stress families, n = 3..8, 1..5 slices."""
+    rng = np.random.default_rng([seed, _FAMILIES.index(family)])
     n, n_alpha = int(rng.integers(3, 9)), int(rng.integers(1, 6))
     if family in ("uniform", "scaled"):
         h = sym_input(rng, n_alpha, n).coeffs
         return h * 10.0 ** rng.uniform(-3.0, 3.0) if family == "scaled" else h
+    if family == "heavy-tailed":  # Student t entries with 1.5 degrees of freedom
+        raw = rng.standard_t(1.5, size=(n_alpha, n, n))
+        return 0.5 * (raw + raw.transpose(0, 2, 1))
     Q, _ = np.linalg.qr(rng.normal(size=(n, n)))
     if family == "commuting":
         lam = rng.uniform(-1.0, 1.0, size=(n_alpha, n))
@@ -373,7 +380,7 @@ def _oracle_extremum(h, sign):
     n = h.shape[1]
     Q = _Quartic.of(h)
     tol = _GRAD_TOL * max(1.0, Q.total_sq)
-    starts = _sphere_starts(n, _START_COUNT, _SOBOL_SEED + (0 if sign > 0 else 1))
+    starts = _starts(Q)[0 if sign > 0 else 1]
     polished, _ = _oracle_side(Q, starts, sign, tol, _POLISH_COUNT, basin=False)
     if not any(rec[2] for rec in polished):
         return None
@@ -394,6 +401,52 @@ class TestBasinHandoffAccuracy:
         assert got.inf_CL <= want_inf + 1e-12 * max(1.0, abs(want_inf))
         assert got.sup_CL >= want_sup - 1e-12 * max(1.0, abs(want_sup))
 
+    @pytest.mark.parametrize("seed", range(25))
+    @pytest.mark.parametrize("family", ["uniform", "commuting", "clustered", "scaled"])
+    def test_raises_nowhere(self, family, seed):
+        # clustered 0, 3, 5 and 7 once raised "no start reached gradient tolerance"
+        hyperplane_extrema(CasoratiInput(_stress_symmetric(family, seed)), certify=False)
+
+
+_REFERENCE_STARTS = 1024
+
+
+def _reference_extrema(h):
+    """inf and sup C^L of a search from 1024 Gaussian starts a side, None for a side that raises."""
+    n = h.shape[1]
+    Q = _Quartic.of(h)
+    tol = _GRAD_TOL * max(1.0, Q.total_sq)
+    starts = np.stack([_sphere_starts(n, _REFERENCE_STARTS, seed) for seed in (1, 2)])
+    sides = _search(Q, starts, tol, _POLISH_COUNT)
+    return [float(side.phi[0]) / (n - 1) if side.ok.any() else None for side in sides]
+
+
+class TestStartSet:
+    """The 64 eigen-seeded starts a side find every basin that 1024 Gaussian starts find."""
+
+    @pytest.mark.parametrize("seed", range(25))
+    @pytest.mark.parametrize("family", ["uniform", "commuting", "scaled", "heavy-tailed"])
+    def test_no_worse_than_1024_starts(self, family, seed):
+        h = _stress_symmetric(family, seed)
+        want_inf, want_sup = _reference_extrema(h)
+        got = _multistart_extrema(h, certify=False)
+        if want_inf is not None:
+            assert got.inf_CL <= want_inf + 1e-12 * max(1.0, abs(want_inf))
+        if want_sup is not None:
+            assert got.sup_CL >= want_sup - 1e-12 * max(1.0, abs(want_sup))
+
+    def test_eigenvectors_of_S_lead_each_side(self):
+        h = _stress_symmetric("uniform", 0)
+        n = h.shape[1]
+        Q = _Quartic.of(h)
+        starts = _starts(Q)
+        assert starts.shape == (2, _START_COUNT, n)
+        eig = np.linalg.eigh(Q.S)[1].T
+        for k in (0, 1):
+            assert np.array_equal(starts[k, :n], eig)
+            gaussian = _sphere_starts(n, _START_COUNT, _START_SEED + k)
+            assert np.array_equal(starts[k, n:], gaussian[n:])
+
 
 def _noisy_slice(lams):
     """Q diag(lams) Q^T with 1e-6 Gaussian noise added to its diagonal."""
@@ -413,11 +466,19 @@ def _one_slice_inf(h):
 class TestNearTieMinimum:
     """A nearly repeated extreme eigenvalue once left every polish short of the tolerance."""
 
-    @pytest.mark.parametrize("lams", [[-2.0, -2.0, 1.0], [-2.0, -2.0, -1.0, 1.0]])
+    @pytest.mark.parametrize(
+        "lams", [[-2.0, -2.0, 1.0], [-2.0, -2.0, -1.0, 1.0], [-1.0, -1.0, 0.0, 1.0, 1.0]]
+    )
     def test_closed_form_inf(self, lams):
         h = _noisy_slice(lams)
         ex = hyperplane_extrema(CasoratiInput(h))
         assert ex.inf_CL == pytest.approx(_one_slice_inf(h), abs=1e-9)
+
+    def test_clustered_slice_inf(self):
+        # diag(-1, -1, 0, 1, 1): inf C^L = (sum lam^2 - 1 - 1) / 4 = 0.5
+        ex = hyperplane_extrema(CasoratiInput(_noisy_slice([-1.0, -1.0, 0.0, 1.0, 1.0])))
+        assert ex.audit["path"] == "exact"
+        assert ex.inf_CL == pytest.approx(0.5, abs=1e-5)
 
     def test_pointwise_map_scene_runs(self, tmp_path):
         B = np.zeros((5, 3, 3))
@@ -445,6 +506,73 @@ class TestNearTieMinimum:
             assert inf_cl == pytest.approx(0.5, abs=1e-5)
 
 
+def _one_slice_case(seed):
+    """One symmetric slice among 0..2 zero slices, n = 3..8, scaled by 1e-3..1e3.
+
+    seed % 3 picks the spectrum: 0 mixed-sign, 1 positive, 2 negative.
+    """
+    rng = np.random.default_rng([seed, 31])
+    n = int(rng.integers(3, 9))
+    lam = rng.uniform(0.05, 1.0, size=n)
+    if seed % 3 == 0:
+        lam[rng.permutation(n)[: int(rng.integers(1, n))]] *= -1.0
+    elif seed % 3 == 2:
+        lam = -lam
+    Q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    h = np.zeros((1 + int(rng.integers(0, 3)), n, n))
+    h[rng.integers(0, len(h))] = 10.0 ** rng.uniform(-3.0, 3.0) * (Q * lam) @ Q.T
+    return 0.5 * (h + h.transpose(0, 2, 1))
+
+
+class TestOneSlicePath:
+    """The closed form for one nonzero symmetric slice against the multi-start and a dense sweep."""
+
+    @pytest.mark.parametrize("seed", range(36))
+    def test_matches_multistart(self, seed):
+        h = _one_slice_case(seed)
+        n = h.shape[1]
+        inp = CasoratiInput(h)
+        exact = hyperplane_extrema(inp)
+        search = _multistart_extrema(h, certify=False)
+        assert_audit_shape(exact, "exact")
+        assert exact.certified_gap == 0.0
+        tol = 1e-12 * max(1.0, float(np.sum(h**2))) / (n - 1)
+        assert abs(exact.inf_CL - search.inf_CL) <= tol
+        assert abs(exact.sup_CL - search.sup_CL) <= tol
+        assert abs(casorati_subspace(inp, normal=exact.argmin_normal) - exact.inf_CL) <= tol
+        assert abs(casorati_subspace(inp, normal=exact.argmax_normal) - exact.sup_CL) <= tol
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_bracketed_by_dense_sweep(self, seed):
+        h = _one_slice_case(seed)
+        n = h.shape[1]
+        exact = hyperplane_extrema(CasoratiInput(h))
+        U = np.random.default_rng(seed).normal(size=(20_000, n))
+        U /= np.linalg.norm(U, axis=1, keepdims=True)
+        vals = _phi_batch(_Quartic.of(h), U) / (n - 1)
+        tol = 1e-12 * max(1.0, float(np.sum(h**2))) / (n - 1)
+        assert vals.min() >= exact.inf_CL - tol
+        assert vals.max() <= exact.sup_CL + tol
+
+    @pytest.mark.parametrize(
+        "lams, deg_min, deg_max",
+        [
+            ([1.0, 2.0, 3.0], False, False),  # same sign: both extrema at simple eigenvectors
+            ([-1.0, 0.5, 2.0], True, False),  # support-2 inf: the reflected normal ties
+            ([-0.5, 0.5, 2.0, 3.0], True, True),  # +-lam sup tie: two eigenvectors share min lam^2
+            ([-3.0, -2.0, -1.0, 3.0], True, False),  # +-lam at the top of the spectrum
+            ([0.0, 1.0, 3.0, 3.0], True, False),  # same sign, repeated max lam^2
+        ],
+    )
+    def test_tie_flags(self, lams, deg_min, deg_max):
+        n = len(lams)
+        Q, _ = np.linalg.qr(np.random.default_rng(n).normal(size=(n, n)))
+        h = (Q * lams) @ Q.T
+        ex = hyperplane_extrema(CasoratiInput(0.5 * (h + h.T)))
+        assert ex.audit["path"] == "exact"
+        assert (ex.degenerate_min, ex.degenerate_max) == (deg_min, deg_max)
+
+
 class TestSearchFailureAndCache:
     def test_no_converged_row_raises_with_best(self, monkeypatch):
         inp = sym_input(np.random.default_rng(5), 2, 4)
@@ -457,40 +585,35 @@ class TestSearchFailureAndCache:
         assert err.value.best == pytest.approx(inf_cl, abs=1e-8)
 
     def test_starts_are_cached_and_read_only(self):
-        first = _sphere_starts(4, _START_COUNT, _SOBOL_SEED)
-        assert _sphere_starts(4, _START_COUNT, _SOBOL_SEED) is first
+        first = _sphere_starts(4, _START_COUNT, _START_SEED)
+        assert _sphere_starts(4, _START_COUNT, _START_SEED) is first
         assert first.shape == (_START_COUNT, 4)
         np.testing.assert_allclose(np.linalg.norm(first, axis=1), 1.0, rtol=0, atol=1e-15)
         with pytest.raises(ValueError):
             first[0, 0] = 0.0
 
-    def test_sobol_built_once_per_dimension_and_seed(self, monkeypatch):
-        from scipy.stats import qmc
-
-        built = []
-        real = qmc.Sobol
-
-        def counting(*args, **kwargs):
-            built.append((kwargs["d"], kwargs["seed"]))
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(qmc, "Sobol", counting)
+    def test_starts_built_once_per_dimension_and_seed(self):
         _sphere_starts.cache_clear()
+        misses = []
         for r in range(2):  # two rounds of every (s, ell) pair
             for s in (3, 4, 5):
                 for ell in (3, 4, 5):
                     doc = random_pointwise_submersion(s, ell, -4.0, seed=10 * r + 3 * s + ell)
                     rep = evaluate_scenario(parse_scenario(doc))
                     assert rep.aggregate["point_errors"] == 0
-        assert built and len(built) == len(set(built))
+            misses.append(_sphere_starts.cache_info().misses)
+        assert misses[0] > 0 and misses[1] == misses[0]
+        assert _sphere_starts.cache_info().hits > 0
 
     def test_import_and_exact_scene_leave_scipy_unloaded(self):
         code = (
-            "import sys, casoratiq\n"
-            "from casoratiq.scenes import builtin_scenario, evaluate_scenario\n"
-            "evaluate_scenario(builtin_scenario('product-projection:8to4'))\n"
-            "assert 'scipy.stats' not in sys.modules, 'scipy.stats loaded'\n"
-            "assert 'scipy.special' not in sys.modules, 'scipy.special loaded'\n"
+            "import sys\n"
+            "from casoratiq.cli import report_json\n"
+            "from casoratiq.scenes import builtin_names, builtin_scenario, evaluate_scenario\n"
+            "for name in builtin_names():\n"
+            "    report_json(evaluate_scenario(builtin_scenario(name)))\n"
+            "loaded = sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))\n"
+            "assert not loaded, loaded\n"
         )
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
@@ -549,7 +672,7 @@ class TestExactPath:
             (sym_input(rng, 2, 4), "multistart"),
             (CasoratiInput(skew_coeffs(rng, 2, 4), kind="skew"), "exact"),
             (CasoratiInput(np.zeros((2, 5, 5))), "exact"),
-            (sym_input(rng, 1, 6), "multistart"),
+            (sym_input(rng, 2, 6), "multistart"),
         ]
         for inp, path in cases:
             assert_audit_shape(hyperplane_extrema(inp, certify=certify), path)
