@@ -5,11 +5,10 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
-from .errors import DimensionError, OptimizationError, ProvisoError
+from .errors import DimensionError, DomainError, OptimizationError, ProvisoError
 
 __all__ = [
     "CasoratiInput",
@@ -30,8 +29,6 @@ _POLISH_COUNT = 12
 _GRAD_TOL = 1e-10
 _BASIN_TOL = 1e-5  # relative gradient at which the descent hands a row to the polish
 _MAX_ITERS = 200
-_DENSE_COUNT = 1 << 17  # 131072 >= 1e5
-_DENSE_LIMIT = 5  # dense certification only up to this many distribution dims
 _TIE_VALUE = 1e-10
 _TIE_DIRECTION = 1e-3
 
@@ -57,6 +54,10 @@ class CasoratiInput:
             raise DimensionError("empty coefficient array")
         if self.kind not in ("symmetric", "skew"):
             raise ValueError(f"unknown kind {self.kind!r}")
+        with np.errstate(over="ignore", invalid="ignore"):
+            norm_sq = float(np.sum(c**2))
+        if not math.isfinite(norm_sq):
+            raise DomainError(f"coefficient array has non-finite squared norm {norm_sq}")
         scale = max(1.0, np.abs(c).max() if c.size else 1.0)
         sign = 1.0 if self.kind == "symmetric" else -1.0
         worst = np.abs(c - sign * c.transpose(0, 2, 1)).max() if c.size else 0.0
@@ -175,11 +176,6 @@ def _hess(Q: _Quartic, W: np.ndarray, r: np.ndarray) -> np.ndarray:
     return -2.0 * Q.S + quad + 2.0 * (V.transpose(0, 2, 1) @ V)
 
 
-def _phi_batch(Q: _Quartic, U: np.ndarray) -> np.ndarray:
-    """sum_a |P h_a P|_F^2 for every row of U (unit normals)."""
-    return _phi(Q, Q.products(U)[1])
-
-
 def _phi_grad_batch(Q: _Quartic, U: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     W, r = Q.products(U)
     return _phi(Q, r), _grad(W, r)
@@ -190,16 +186,14 @@ def _dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return (x[:, None, :] @ y[:, :, None])[:, 0, 0]
 
 
-def _sphere_points(n: int, count: int, seed: int) -> np.ndarray:
-    """``count`` standard Gaussian points of R^n pushed to the unit sphere."""
-    z = np.random.default_rng(seed).standard_normal((count, n))
-    return z / np.linalg.norm(z, axis=1, keepdims=True)
-
-
 @functools.lru_cache(maxsize=None)
 def _sphere_starts(n: int, count: int, seed: int) -> np.ndarray:
-    """``_sphere_points`` built once per (n, count, seed) and read-only."""
-    starts = _sphere_points(n, count, seed)
+    """``count`` standard Gaussian points of R^n pushed to the unit sphere.
+
+    Built once per (n, count, seed) and read-only.
+    """
+    z = np.random.default_rng(seed).standard_normal((count, n))
+    starts = z / np.linalg.norm(z, axis=1, keepdims=True)
     starts.setflags(write=False)
     return starts
 
@@ -310,7 +304,7 @@ def _newton_polish(Q, U, sign, tol, max_iters=60):
     return U, ok
 
 
-def _projected_descent(Q, U, sign, tol, keep, max_iters):
+def _projected_descent(Q, U, sign, tol):
     """Batched projected-gradient descent of sign[m] * phi on the sphere, as a basin finder.
 
     Row m minimizes phi for sign[m] = +1 and maximizes it for -1.  The
@@ -318,20 +312,20 @@ def _projected_descent(Q, U, sign, tol, keep, max_iters):
     half, which run as one block.  The descent only has to bring rows
     into their basins; the Newton polish converges them.  A row stops
     when its gradient meets ``tol`` or its value-gated step stalls, and
-    is left untouched after that.  A side stops as a whole once ``keep``
-    of its stopped rows rank strictly below every moving row of that
-    side: those are the rows the polish takes, and a moving row could
-    only overtake them by descending past basins they already sit in.
-    Returns (U, values, stop): stop[m] is the iteration at which row m
-    stopped.  A row's gradient is carried over from its last accepted
-    step.
+    is left untouched after that.  A side stops as a whole once
+    ``_POLISH_COUNT`` of its stopped rows rank strictly below every
+    moving row of that side: those are the rows the polish takes, and a
+    moving row could only overtake them by descending past basins they
+    already sit in.  Returns (U, values, stop): stop[m] is the iteration
+    at which row m stopped.  A row's gradient is carried over from its
+    last accepted step.
     """
     vals, grad = _phi_grad_batch(Q, U)
     vals, grad = sign * vals, sign[:, None] * grad
     steps = np.full(U.shape[0], 0.1)
     done = np.zeros(U.shape[0], dtype=bool)
-    stop = np.full(U.shape[0], max_iters)
-    for it in range(1, max_iters + 1):
+    stop = np.full(U.shape[0], _MAX_ITERS)
+    for it in range(1, _MAX_ITERS + 1):
         rgrad = grad - np.einsum("mn,mn->m", grad, U)[:, None] * U
         done |= np.einsum("mn,mn->m", rgrad, rgrad) < tol * tol
         stop[done & (stop > it)] = it
@@ -349,7 +343,7 @@ def _projected_descent(Q, U, sign, tol, keep, max_iters):
         done |= steps < 1e-13  # value rounding floor reached
         side_vals, side_done = vals.reshape(2, -1), done.reshape(2, -1)
         moving = np.where(side_done, np.inf, side_vals).min(axis=1, keepdims=True)
-        settled = (side_done & (side_vals < moving)).sum(axis=1) >= keep
+        settled = (side_done & (side_vals < moving)).sum(axis=1) >= _POLISH_COUNT
         done |= np.repeat(settled, side_done.shape[1])
         stop[done & (stop > it)] = it
         if done.all():
@@ -365,7 +359,6 @@ class HyperplaneExtrema:
     sup_CL: float
     argmin_normal: np.ndarray
     argmax_normal: np.ndarray
-    certified_gap: Optional[float]
     degenerate_min: bool
     degenerate_max: bool
     audit: dict = field(default_factory=dict)
@@ -382,27 +375,25 @@ class _Side:
     iterations: int  # descent iteration at which the side stopped
 
 
-def _search(Q: _Quartic, starts: np.ndarray, tol: float, keep: int) -> list[_Side]:
+def _search(Q: _Quartic, starts: np.ndarray, tol: float) -> list[_Side]:
     """Both sides at once: starts[0] minimize phi, starts[1] maximize it.
 
     One descent runs every start of both sides to the basin tolerance
     ``max(tol, _BASIN_TOL * |h|^2)``, and each side stops once its
-    ``keep`` best rows have stopped.  One Newton polish then takes those
-    ``keep`` rows of each side to the gradient tolerance ``tol``.
+    ``_POLISH_COUNT`` best rows have stopped.  One Newton polish then
+    takes those rows of each side to the gradient tolerance ``tol``.
     """
     _, m, n = starts.shape
     signs = np.repeat([1.0, -1.0], m)
     basin_tol = max(tol, _BASIN_TOL * Q.total_sq)
-    U, vals, stop = _projected_descent(
-        Q, starts.reshape(2 * m, n), signs, basin_tol, keep, _MAX_ITERS
-    )
-    picks = [np.argsort(v)[:keep] for v in vals.reshape(2, m)]
+    U, vals, stop = _projected_descent(Q, starts.reshape(2 * m, n), signs, basin_tol)
+    picks = [np.argsort(v)[:_POLISH_COUNT] for v in vals.reshape(2, m)]
     rows = np.concatenate([picks[0], m + picks[1]])
     P, ok = _newton_polish(Q, U[rows], signs[rows], tol)
     phi = _phi(Q, Q.products(P[:, None, :])[1])
     sides = []
     for k, sign in enumerate((1.0, -1.0)):
-        part = slice(k * keep, (k + 1) * keep)
+        part = slice(k * _POLISH_COUNT, (k + 1) * _POLISH_COUNT)
         order = np.argsort(sign * phi[part], kind="stable")
         sides.append(
             _Side(
@@ -441,20 +432,14 @@ def _best(Q: _Quartic, side: _Side, tol: float):
     return best_val, best_u, degenerate, audit
 
 
-def _dense_directions(n: int, count: int) -> np.ndarray:
-    return _sphere_points(n, count, _START_SEED + 7 * n)
-
-
-def hyperplane_extrema(inp: CasoratiInput, certify: bool = True) -> HyperplaneExtrema:
+def hyperplane_extrema(inp: CasoratiInput) -> HyperplaneExtrema:
     """Extremize the hyperplane Casorati curvature over all unit normals.
 
     Skew slices (the A tensor), all-zero slices (``_exact_extrema``) and
     symmetric slices of which exactly one is nonzero
     (``_one_slice_extrema``) take an exact path; everything else takes
     the multi-start (``_multistart_extrema``).  ``audit["path"]`` names
-    the path taken.  Pass ``certify=False`` to skip the multi-start's
-    dense certification in bulk sweeps where only the extrema are
-    needed; an exact path reports ``certified_gap`` 0 either way.
+    the path taken.
     """
     h = inp.coeffs
     n = inp.n
@@ -465,7 +450,7 @@ def hyperplane_extrema(inp: CasoratiInput, certify: bool = True) -> HyperplaneEx
     nonzero = h[h.any(axis=(1, 2))]
     if len(nonzero) == 1:
         return _one_slice_extrema(nonzero[0])
-    return _multistart_extrema(h, certify)
+    return _multistart_extrema(h)
 
 
 def _exact_result(inf_phi, sup_phi, u_min, u_max, deg_min, deg_max, n) -> HyperplaneExtrema:
@@ -475,7 +460,6 @@ def _exact_result(inf_phi, sup_phi, u_min, u_max, deg_min, deg_max, n) -> Hyperp
         sup_CL=sup_phi / (n - 1),
         argmin_normal=u_min,
         argmax_normal=u_max,
-        certified_gap=0.0,
         degenerate_min=bool(deg_min),
         degenerate_max=bool(deg_max),
         audit={"path": "exact", "min": dict(counters), "max": dict(counters)},
@@ -545,56 +529,28 @@ def _one_slice_extrema(s: np.ndarray) -> HyperplaneExtrema:
     )
 
 
-def _multistart_extrema(h: np.ndarray, certify: bool) -> HyperplaneExtrema:
+def _multistart_extrema(h: np.ndarray) -> HyperplaneExtrema:
     """Deterministic multi-start projected gradient on the sphere.
 
     The 64 min starts and the 64 max starts (``_starts``) descend as one
     block and the best 12 of each side are polished as one block
-    (``_search``).  For n <= 5 a dense Gaussian sweep (with a local
-    polish of the top candidates, through the same search) certifies
-    that no basin was missed.  The dense sweep is an independent
-    evaluation path: its candidates never come from the multi-start
-    optimizer.  Valid for any slices, so it also serves as the test
+    (``_search``).  Valid for any slices, so it also serves as the test
     oracle of ``_exact_extrema`` and ``_one_slice_extrema``.
     """
     n = h.shape[1]
     Q = _Quartic.of(h)
     tol = _GRAD_TOL * max(1.0, Q.total_sq)
-    lo, hi = _search(Q, _starts(Q), tol, _POLISH_COUNT)
+    lo, hi = _search(Q, _starts(Q), tol)
     inf_phi, u_min, deg_min, audit_min = _best(Q, lo, tol)
     sup_phi, u_max, deg_max, audit_max = _best(Q, hi, tol)
-    inf_cl = inf_phi / (n - 1)
-    sup_cl = sup_phi / (n - 1)
-    audit = {"path": "multistart", "min": audit_min, "max": audit_max, "starts": _START_COUNT}
-
-    certified_gap = None
-    if not certify:
-        pass
-    elif n <= _DENSE_LIMIT:
-        U = _dense_directions(n, _DENSE_COUNT)
-        dense_vals = _phi_batch(Q, U)
-        top = np.stack([U[np.argsort(sign * dense_vals)[:8]] for sign in (1.0, -1.0)])
-        lo, hi = _search(Q, top, tol, 8)
-        certified_gap = float(
-            max(abs(lo.phi[0] - inf_phi) / (n - 1), abs(hi.phi[0] - sup_phi) / (n - 1))
-        )
-        audit["dense_count"] = int(U.shape[0])
-    else:
-        # spot check only: flag (never certify) at higher dimension
-        U = _dense_directions(n, 1 << 14)
-        dense_vals = _phi_batch(Q, U) / (n - 1)
-        audit["sampling_flag"] = bool(
-            dense_vals.min() < inf_cl - 1e-8 or dense_vals.max() > sup_cl + 1e-8
-        )
     return HyperplaneExtrema(
-        inf_CL=inf_cl,
-        sup_CL=sup_cl,
+        inf_CL=inf_phi / (n - 1),
+        sup_CL=sup_phi / (n - 1),
         argmin_normal=u_min,
         argmax_normal=u_max,
-        certified_gap=certified_gap,
         degenerate_min=deg_min,
         degenerate_max=deg_max,
-        audit=audit,
+        audit={"path": "multistart", "min": audit_min, "max": audit_max, "starts": _START_COUNT},
     )
 
 

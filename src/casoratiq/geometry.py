@@ -409,13 +409,15 @@ def chart(name: str) -> MetricChart:
         return _half_plane()
     if name == "polar":
         return _polar()
-    if ":" in name:
-        kind, _, param = name.partition(":")
-        if kind == "flat":
-            return _flat(int(param))
-        if kind == "sphere":
-            return _sphere(float(param))
-        if kind == "sphere3":
-            return _sphere3(float(param))
+    kind, _, param = name.partition(":")
+    builders = {"flat": (_flat, int), "sphere": (_sphere, float), "sphere3": (_sphere3, float)}
+    if kind in builders:
+        build, number = builders[kind]
+        try:
+            value = number(param)
+        except ValueError:
+            value = math.nan  # a malformed parameter names no chart
+        if 0 < value < math.inf:
+            return build(value)
     raise KeyError(f"unknown chart {name!r}")
 

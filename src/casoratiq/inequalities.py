@@ -23,7 +23,7 @@ from .casorati import (
     delta_casorati,
     hyperplane_extrema,
 )
-from .errors import ConfigurationError, DimensionError, OracleError
+from .errors import ConfigurationError, DimensionError, DomainError, OracleError
 from .geometry import OrthoFrame, curvature_sums
 from .quaternionic import JDecomposition, QSFOracle, decompose_J
 
@@ -182,7 +182,7 @@ def equality_diagnostics(
     )
 
 
-def algebraic_gap(B: CasoratiInput, certify: bool = False):
+def algebraic_gap(B: CasoratiInput):
     """Purely algebraic core of the map inequality.
 
     Returns (lhs, rhs_delta, rhs_delta_hat) with
@@ -194,7 +194,7 @@ def algebraic_gap(B: CasoratiInput, certify: bool = False):
         raise DimensionError(f"algebraic gap needs s >= 3, got {s}")
     lhs = (B.trace_norm_sq() - B.norm_sq()) / (s * (s - 1))
     C = casorati(B)
-    ex = hyperplane_extrema(B, certify=certify)
+    ex = hyperplane_extrema(B)
     delta, delta_hat = delta_casorati(C, ex, s)
     return lhs, delta, delta_hat
 
@@ -234,7 +234,7 @@ class MapSceneData:
 
     @cached_property
     def extrema(self) -> HyperplaneExtrema:
-        return hyperplane_extrema(self.B, certify=False)
+        return hyperplane_extrema(self.B)
 
 
 @dataclass
@@ -272,11 +272,11 @@ class SubmersionSceneData:
 
     @cached_property
     def extrema_T(self) -> HyperplaneExtrema:
-        return hyperplane_extrema(self.T, certify=False)
+        return hyperplane_extrema(self.T)
 
     @cached_property
     def extrema_A(self) -> HyperplaneExtrema:
-        return hyperplane_extrema(self.A, certify=False)
+        return hyperplane_extrema(self.A)
 
 
 def space_form_residual_from_tensor(
@@ -293,8 +293,12 @@ def _family_reports(
     """The theorem and lemma reports of one family, each in both delta variants.
 
     ``rhs[0]`` holds the (delta, delta_hat) right sides of the theorem,
-    ``rhs[1]`` those of its generic-curvature lemma.
+    ``rhs[1]`` those of its generic-curvature lemma.  A lhs, rhs or slack
+    that is not finite is a ``DomainError`` naming the theorem.
     """
+    for theorem_id, pair in zip(FAMILIES[family], rhs):
+        if not np.isfinite([lhs, *pair, *(r - lhs for r in pair)]).all():
+            raise DomainError(f"{theorem_id}: lhs {lhs!r} or rhs {list(pair)!r} is not finite")
     return [
         TheoremReport(
             theorem_id, variant, lhs, r, r - lhs,

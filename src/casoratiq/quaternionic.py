@@ -73,7 +73,7 @@ class QuaternionicStructure:
 def structure(name: str) -> QuaternionicStructure:
     """Registry lookup, e.g. ``quat-flat:2``."""
     kind, _, param = name.partition(":")
-    if kind == "quat-flat" and param:
+    if kind == "quat-flat" and param.isdecimal() and int(param) > 0:
         return QuaternionicStructure.quat_flat(int(param))
     raise KeyError(f"unknown quaternionic structure {name!r}")
 

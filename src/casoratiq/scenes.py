@@ -19,7 +19,7 @@ import numpy as np
 
 from . import geometry, maps
 from .casorati import CasoratiInput
-from .errors import CasoratiqError, RankError, SceneValidationError
+from .errors import CasoratiqError, RankError, SceneValidationError, StructureError
 from .expressions import compile_expression
 from .geometry import MetricChart, OrthoFrame
 from .inequalities import (
@@ -76,6 +76,8 @@ _TOP_KEYS_POINTWISE = (_TOP_KEYS_COMMON - {"points"}) | {
 
 
 def _reject_unknown(obj: dict, allowed: set, where: str):
+    if not isinstance(obj, dict):
+        raise SceneValidationError(f"{where} must be an object, got {obj!r}")
     unknown = set(obj) - allowed
     if unknown:
         raise SceneValidationError(
@@ -83,10 +85,16 @@ def _reject_unknown(obj: dict, allowed: set, where: str):
         )
 
 
-def _require(obj: dict, key: str, where: str):
+def _require(obj: dict, key: str, where: str, kind: Optional[type] = None):
+    """``obj[key]``, which must exist and, when ``kind`` is given, be of that type."""
+    if not isinstance(obj, dict):
+        raise SceneValidationError(f"{where} must be an object, got {obj!r}")
     if key not in obj:
         raise SceneValidationError(f"missing required key {key!r} in {where}")
-    return obj[key]
+    value = obj[key]
+    if kind is not None and not isinstance(value, kind):
+        raise SceneValidationError(f"{key} in {where} must be a {kind.__name__}, got {value!r}")
+    return value
 
 
 def _first_bad_entry(raw, where: str, ndim: int) -> Optional[tuple]:
@@ -150,10 +158,7 @@ def _parse_delta_n(raw) -> tuple[str, Optional[float]]:
     if raw == "zero":
         return raw, 0.0
     if raw.startswith("user:"):
-        try:
-            return raw, float(raw[5:])
-        except ValueError as e:
-            raise SceneValidationError(f"bad deltaN value in {raw!r}") from e
+        return raw, _numeric(raw[5:], "deltaN value")
     raise SceneValidationError(f'deltaN must be "zero" or "user:<value>", got {raw!r}')
 
 
@@ -168,8 +173,8 @@ def _chart_from_spec(spec, where: str) -> MetricChart:
     _reject_unknown(spec, {"dim", "box", "metric", "name"}, where)
     dim = _integer(_require(spec, "dim", where), f"{where}.dim")
     box = _box(_require(spec, "box", where), dim, f"{where}.box")
-    rows = _require(spec, "metric", where)
-    if len(rows) != dim or any(len(r) != dim for r in rows):
+    rows = _require(spec, "metric", where, list)
+    if len(rows) != dim or any(not isinstance(r, list) or len(r) != dim for r in rows):
         raise SceneValidationError(f"{where}.metric must be a {dim}x{dim} expression matrix")
     compiled = [[compile_expression(e) for e in row] for row in rows]
 
@@ -190,13 +195,15 @@ def _structure_from_spec(spec, dim: int, where: str) -> QuaternionicStructure:
     _reject_unknown(spec, {"on", "name", "matrices"}, where)
     if ("name" in spec) == ("matrices" in spec):
         raise SceneValidationError(f"{where} needs exactly one of name / matrices")
-    if "name" in spec:
-        try:
-            st = structure_registry(spec["name"])
-        except KeyError as e:
-            raise SceneValidationError(str(e)) from e
-    else:
-        st = QuaternionicStructure.from_matrices(np.asarray(spec["matrices"], float))
+    try:
+        if "name" in spec:
+            st = structure_registry(_require(spec, "name", where, str))
+        else:
+            st = QuaternionicStructure.from_matrices(
+                _numeric(spec["matrices"], f"{where}.matrices", ndim=3)
+            )
+    except (KeyError, StructureError) as e:
+        raise SceneValidationError(f"{where}: {e}") from e
     if st.dim != dim:
         raise SceneValidationError(
             f"{where}: structure dimension {st.dim} does not match space dimension {dim}"
@@ -319,7 +326,7 @@ def parse_scenario(doc: dict, name_hint: str = "") -> Scenario:
     if mode not in ("chart", "pointwise"):
         raise SceneValidationError(f"mode must be 'chart' or 'pointwise', got {mode!r}")
     name = str(doc.get("name", name_hint or "unnamed"))
-    theorems = tuple(_require(doc, "theorems", "scenario"))
+    theorems = tuple(_require(doc, "theorems", "scenario", list))
     for t in theorems:
         if t not in THEOREM_IDS:
             raise SceneValidationError(f"unknown theorem id {t!r}; known: {THEOREM_IDS}")
@@ -335,7 +342,7 @@ def parse_scenario(doc: dict, name_hint: str = "") -> Scenario:
         )
         source = _chart_from_spec(_require(mspec, "source", "map"), "map.source")
         target = _chart_from_spec(_require(mspec, "target", "map"), "map.target")
-        exprs = [compile_expression(e) for e in _require(mspec, "exprs", "map")]
+        exprs = [compile_expression(e) for e in _require(mspec, "exprs", "map", list)]
         if len(exprs) != target.dim:
             raise SceneValidationError(
                 f"map has {len(exprs)} component expressions, target dimension is {target.dim}"
@@ -414,11 +421,13 @@ def parse_scenario(doc: dict, name_hint: str = "") -> Scenario:
     if kind not in ("submersion", "map"):
         raise SceneValidationError("pointwise kind must be 'submersion' or 'map'")
     _check_theorems_fit(theorems, kind, None)
-    g = _numeric(doc.get("metric", np.eye(dim)), "metric", ndim=2)
-    if g.shape != (dim, dim):
-        raise SceneValidationError(f"pointwise metric has shape {g.shape}")
+    # the structure and the frames tie dim to the size of real data before
+    # the default metric np.eye(dim) is built
     structure = _structure_from_spec(_require(doc, "structure", "scenario"), dim, "structure")
     frames, tensors = _pointwise_frames_tensors(doc, dim, kind, theorems)
+    g = _numeric(doc["metric"], "metric", ndim=2) if "metric" in doc else np.eye(dim)
+    if g.shape != (dim, dim):
+        raise SceneValidationError(f"pointwise metric has shape {g.shape}")
     return Scenario(
         name=name,
         mode=mode,
@@ -676,19 +685,22 @@ def evaluate_scenario(scn: Scenario, strict: bool = False) -> RunReport:
     """Evaluate every requested theorem at every point of the scenario."""
     start = time.perf_counter()
     points: list[PointResult] = []
-    for i, x in enumerate(scn.evaluation_points()):
-        coords = [float(v) for v in x]
-        try:
-            if scn.mode == "pointwise":
-                map_point, validation, gauss, data = _evaluate_pointwise(scn)
-            else:
-                map_point, validation, gauss, data = _evaluate_chart_point(scn, x)
-            reports = _theorem_reports(data, scn.theorems)
-            points.append(PointResult(i, coords, map_point, validation, gauss, reports, []))
-        except CasoratiqError as e:
-            if strict:
-                raise
-            points.append(PointResult(i, coords, None, {}, None, [], [str(e)]))
+    # a value that overflows surfaces as a point error (the checkers test
+    # every lhs, rhs and slack), not as a numpy warning on the way there
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, x in enumerate(scn.evaluation_points()):
+            coords = [float(v) for v in x]
+            try:
+                if scn.mode == "pointwise":
+                    map_point, validation, gauss, data = _evaluate_pointwise(scn)
+                else:
+                    map_point, validation, gauss, data = _evaluate_chart_point(scn, x)
+                reports = _theorem_reports(data, scn.theorems)
+                points.append(PointResult(i, coords, map_point, validation, gauss, reports, []))
+            except CasoratiqError as e:
+                if strict:
+                    raise
+                points.append(PointResult(i, coords, None, {}, None, [], [str(e)]))
 
     aggregate = _aggregate(points)
     scenario_info = {

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
+from casoratiq.casorati import _GRAD_TOL, _Quartic, _newton_polish, _phi
 from casoratiq.geometry import MetricChart, chart
 from casoratiq.maps import SmoothMap
 from casoratiq import jets
@@ -65,3 +66,31 @@ def projection_map() -> SmoothMap:
 def orthonormal_rows(rng: np.random.Generator, n: int) -> np.ndarray:
     Q, _ = np.linalg.qr(rng.normal(size=(n, n)))
     return Q.T
+
+
+_DENSE_COUNT = 1 << 17  # 131072 >= 1e5 sphere directions
+_DENSE_TOP = 8  # sampled directions per side handed to the Newton polish
+
+
+def dense_extrema(h: np.ndarray) -> tuple[float, float]:
+    """inf and sup C^L of a dense sphere sweep, its best directions Newton-polished.
+
+    An evaluation path independent of the multi-start: 131072 fixed
+    Gaussian directions, phi through ``_Quartic.products``, and the top 8
+    of each side polished with ``_newton_polish``.  Every value it
+    reports is phi at a unit normal, so it brackets the true extrema
+    from inside.
+    """
+    n = h.shape[1]
+    Q = _Quartic.of(h)
+    z = np.random.default_rng(20240915 + 7 * n).standard_normal((_DENSE_COUNT, n))
+    U = z / np.linalg.norm(z, axis=1, keepdims=True)
+    vals = _phi(Q, Q.products(U)[1])
+    top = np.concatenate([U[np.argsort(sign * vals)[:_DENSE_TOP]] for sign in (1.0, -1.0)])
+    signs = np.repeat([1.0, -1.0], _DENSE_TOP)
+    P, _ = _newton_polish(Q, top, signs, _GRAD_TOL * max(1.0, Q.total_sq))
+    polished = _phi(Q, Q.products(P[:, None, :])[1])
+    return (
+        min(vals.min(), polished[:_DENSE_TOP].min()) / (n - 1),
+        max(vals.max(), polished[_DENSE_TOP:].max()) / (n - 1),
+    )

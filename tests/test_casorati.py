@@ -28,7 +28,7 @@ from casoratiq.casorati import (
     _hess,
     _multistart_extrema,
     _newton_steps,
-    _phi_batch,
+    _phi,
     _phi_grad_batch,
     _search,
     _sphere_starts,
@@ -129,7 +129,7 @@ class TestExtrema:
         assert ex.inf_CL == pytest.approx(1.0, abs=1e-9)
         assert ex.sup_CL == pytest.approx(2.5, abs=1e-9)
         assert abs(ex.argmin_normal[2]) == pytest.approx(1.0, abs=1e-6)
-        assert ex.certified_gap is not None and ex.certified_gap < 1e-9
+        assert ex.audit["path"] == "exact"
 
     def test_zeros(self):
         ex = hyperplane_extrema(CasoratiInput(np.zeros((1, 3, 3))))
@@ -159,7 +159,6 @@ class TestExtrema:
         ex = hyperplane_extrema(sym_input(np.random.default_rng(8), 2, 3))
         assert ex.audit["starts"] == 64
         assert "start_index" in ex.audit["min"]
-        assert ex.audit["dense_count"] >= 100_000
 
 
 class TestQuartic:
@@ -186,7 +185,8 @@ class TestQuartic:
             Q = _Quartic.of(h)
             U = rng.normal(size=(6, n))
             U /= np.linalg.norm(U, axis=1, keepdims=True)
-            phi, grad = _phi_batch(Q, U), _grad(*Q.products(U))
+            W, r = Q.products(U)
+            phi, grad = _phi(Q, r), _grad(W, r)
             hess = _hess(Q, *Q.products(U[:, None, :]))
             for m, u in enumerate(U):
                 want_phi, want_grad, want_hess = self._loops(h, u)
@@ -265,7 +265,7 @@ def _oracle_polish(Q, u, sign, tol, max_iters=60):
         gt = Qt.T @ rgrad
         lam, V = np.linalg.eigh(Ht)
         z = -(V @ ((V.T @ gt) / np.maximum(np.abs(lam), 1e-14)))
-        value = sign * float(_phi_batch(Q, u[None, :])[0])
+        value = sign * float(_phi(Q, Q.products(u[None, :])[1])[0])
         step = 1.0
         improved = False
         for _ in range(30):
@@ -273,7 +273,7 @@ def _oracle_polish(Q, u, sign, tol, max_iters=60):
             cand /= np.linalg.norm(cand)
             cgrad = sign * _grad(*Q.products(cand[None, :]))[0]
             crg = cgrad - (cgrad @ cand) * cand
-            cvalue = sign * float(_phi_batch(Q, cand[None, :])[0])
+            cvalue = sign * float(_phi(Q, Q.products(cand[None, :])[1])[0])
             if np.linalg.norm(crg) < gnorm or cvalue < value + step * 1e-4 * (z @ gt):
                 u = cand
                 improved = True
@@ -286,16 +286,16 @@ def _oracle_polish(Q, u, sign, tol, max_iters=60):
     return u, bool(np.linalg.norm(rgrad) < tol)
 
 
-def _oracle_side(Q, starts, sign, tol, keep, basin=True):
+def _oracle_side(Q, starts, sign, tol, basin=True):
     if basin:
         basin_tol = max(tol, _BASIN_TOL * Q.total_sq)
-        U, vals, iters = _oracle_descent(Q, starts, sign, basin_tol, _MAX_ITERS, keep)
+        U, vals, iters = _oracle_descent(Q, starts, sign, basin_tol, _MAX_ITERS, _POLISH_COUNT)
     else:
         U, vals, iters = _oracle_descent(Q, starts, sign, tol, _MAX_ITERS)
     polished = []
-    for idx in np.argsort(vals)[:keep]:
+    for idx in np.argsort(vals)[:_POLISH_COUNT]:
         u, ok = _oracle_polish(Q, U[idx].copy(), sign, tol)
-        polished.append((float(_phi_batch(Q, u[None, :])[0]), u, ok, int(idx)))
+        polished.append((float(_phi(Q, Q.products(u[None, :])[1])[0]), u, ok, int(idx)))
     polished.sort(key=lambda rec: sign * rec[0])
     return polished, iters
 
@@ -315,31 +315,14 @@ class TestBatchedSearchOracle:
         Q = _Quartic.of(h)
         tol = _GRAD_TOL * max(1.0, Q.total_sq)
         starts = _starts(Q)
-        sides = _search(Q, starts, tol, _POLISH_COUNT)
+        sides = _search(Q, starts, tol)
         for side, sign, want_starts in zip(sides, (1.0, -1.0), starts):
-            polished, iters = _oracle_side(Q, want_starts, sign, tol, _POLISH_COUNT)
+            polished, iters = _oracle_side(Q, want_starts, sign, tol)
             assert side.iterations == iters
             assert np.array_equal(side.phi, [rec[0] for rec in polished])
             assert np.array_equal(side.U, np.stack([rec[1] for rec in polished]))
             assert np.array_equal(side.ok, [rec[2] for rec in polished])
             assert np.array_equal(side.start, [rec[3] for rec in polished])
-
-    @pytest.mark.parametrize("seed", range(4))
-    def test_certification_matches_oracle(self, seed):
-        # the dense certification's top 8 per side, through the same search
-        h = _random_symmetric(100 + seed)
-        n = h.shape[1]
-        Q = _Quartic.of(h)
-        tol = _GRAD_TOL * max(1.0, Q.total_sq)
-        rng = np.random.default_rng(seed)
-        U = rng.normal(size=(2048, n))
-        U /= np.linalg.norm(U, axis=1, keepdims=True)
-        vals = _phi_batch(Q, U)
-        top = np.stack([U[np.argsort(sign * vals)[:8]] for sign in (1.0, -1.0)])
-        for side, sign, want_starts in zip(_search(Q, top, tol, 8), (1.0, -1.0), top):
-            polished, _ = _oracle_side(Q, want_starts, sign, tol, 8)
-            assert np.array_equal(side.phi, [rec[0] for rec in polished])
-            assert np.array_equal(side.U, np.stack([rec[1] for rec in polished]))
 
     def test_modified_newton_steps_descend(self):
         Ht = np.stack([np.diag([2.0, 4.0, 8.0]), np.diag([-1.0, 0.0, 3.0]), np.zeros((3, 3))])
@@ -381,7 +364,7 @@ def _oracle_extremum(h, sign):
     Q = _Quartic.of(h)
     tol = _GRAD_TOL * max(1.0, Q.total_sq)
     starts = _starts(Q)[0 if sign > 0 else 1]
-    polished, _ = _oracle_side(Q, starts, sign, tol, _POLISH_COUNT, basin=False)
+    polished, _ = _oracle_side(Q, starts, sign, tol, basin=False)
     if not any(rec[2] for rec in polished):
         return None
     return polished[0][0] / (n - 1)
@@ -397,7 +380,7 @@ class TestBasinHandoffAccuracy:
         want_inf, want_sup = _oracle_extremum(h, 1.0), _oracle_extremum(h, -1.0)
         if want_inf is None or want_sup is None:
             return  # the full search raises too: there is nothing to be no worse than
-        got = _multistart_extrema(h, certify=False)  # raises nothing where the oracle succeeds
+        got = _multistart_extrema(h)  # raises nothing where the oracle succeeds
         assert got.inf_CL <= want_inf + 1e-12 * max(1.0, abs(want_inf))
         assert got.sup_CL >= want_sup - 1e-12 * max(1.0, abs(want_sup))
 
@@ -405,7 +388,7 @@ class TestBasinHandoffAccuracy:
     @pytest.mark.parametrize("family", ["uniform", "commuting", "clustered", "scaled"])
     def test_raises_nowhere(self, family, seed):
         # clustered 0, 3, 5 and 7 once raised "no start reached gradient tolerance"
-        hyperplane_extrema(CasoratiInput(_stress_symmetric(family, seed)), certify=False)
+        hyperplane_extrema(CasoratiInput(_stress_symmetric(family, seed)))
 
 
 _REFERENCE_STARTS = 1024
@@ -417,7 +400,7 @@ def _reference_extrema(h):
     Q = _Quartic.of(h)
     tol = _GRAD_TOL * max(1.0, Q.total_sq)
     starts = np.stack([_sphere_starts(n, _REFERENCE_STARTS, seed) for seed in (1, 2)])
-    sides = _search(Q, starts, tol, _POLISH_COUNT)
+    sides = _search(Q, starts, tol)
     return [float(side.phi[0]) / (n - 1) if side.ok.any() else None for side in sides]
 
 
@@ -429,7 +412,7 @@ class TestStartSet:
     def test_no_worse_than_1024_starts(self, family, seed):
         h = _stress_symmetric(family, seed)
         want_inf, want_sup = _reference_extrema(h)
-        got = _multistart_extrema(h, certify=False)
+        got = _multistart_extrema(h)
         if want_inf is not None:
             assert got.inf_CL <= want_inf + 1e-12 * max(1.0, abs(want_inf))
         if want_sup is not None:
@@ -533,9 +516,8 @@ class TestOneSlicePath:
         n = h.shape[1]
         inp = CasoratiInput(h)
         exact = hyperplane_extrema(inp)
-        search = _multistart_extrema(h, certify=False)
+        search = _multistart_extrema(h)
         assert_audit_shape(exact, "exact")
-        assert exact.certified_gap == 0.0
         tol = 1e-12 * max(1.0, float(np.sum(h**2))) / (n - 1)
         assert abs(exact.inf_CL - search.inf_CL) <= tol
         assert abs(exact.sup_CL - search.sup_CL) <= tol
@@ -549,7 +531,8 @@ class TestOneSlicePath:
         exact = hyperplane_extrema(CasoratiInput(h))
         U = np.random.default_rng(seed).normal(size=(20_000, n))
         U /= np.linalg.norm(U, axis=1, keepdims=True)
-        vals = _phi_batch(_Quartic.of(h), U) / (n - 1)
+        Q = _Quartic.of(h)
+        vals = _phi(Q, Q.products(U)[1]) / (n - 1)
         tol = 1e-12 * max(1.0, float(np.sum(h**2))) / (n - 1)
         assert vals.min() >= exact.inf_CL - tol
         assert vals.max() <= exact.sup_CL + tol
@@ -576,11 +559,11 @@ class TestOneSlicePath:
 class TestSearchFailureAndCache:
     def test_no_converged_row_raises_with_best(self, monkeypatch):
         inp = sym_input(np.random.default_rng(5), 2, 4)
-        inf_cl = hyperplane_extrema(inp, certify=False).inf_CL
+        inf_cl = hyperplane_extrema(inp).inf_CL
         # the package attribute ``casoratiq.casorati`` is the function of that name
         monkeypatch.setattr(importlib.import_module("casoratiq.casorati"), "_GRAD_TOL", 0.0)
         with pytest.raises(OptimizationError) as err:
-            hyperplane_extrema(inp, certify=False)
+            hyperplane_extrema(inp)
         assert isinstance(err.value.best, float)
         assert err.value.best == pytest.approx(inf_cl, abs=1e-8)
 
@@ -626,10 +609,9 @@ class TestExactPath:
     def _agree(h, kind):
         n = h.shape[1]
         exact = hyperplane_extrema(CasoratiInput(h, kind=kind))
-        search = _multistart_extrema(h, certify=False)
+        search = _multistart_extrema(h)
         assert_audit_shape(exact, "exact")
         assert_audit_shape(search, "multistart")
-        assert exact.certified_gap == 0.0
         tol = 1e-10 * max(1.0, float(np.sum(h**2))) / (n - 1)
         assert abs(exact.inf_CL - search.inf_CL) <= tol
         assert abs(exact.sup_CL - search.sup_CL) <= tol
@@ -665,8 +647,7 @@ class TestExactPath:
         assert ex.degenerate_min and not ex.degenerate_max
         assert abs(ex.argmax_normal[2]) == pytest.approx(1.0, abs=1e-12)
 
-    @pytest.mark.parametrize("certify", [True, False])
-    def test_every_result_carries_the_audit(self, certify):
+    def test_every_result_carries_the_audit(self):
         rng = np.random.default_rng(3)
         cases = [
             (sym_input(rng, 2, 4), "multistart"),
@@ -675,7 +656,7 @@ class TestExactPath:
             (sym_input(rng, 2, 6), "multistart"),
         ]
         for inp, path in cases:
-            assert_audit_shape(hyperplane_extrema(inp, certify=certify), path)
+            assert_audit_shape(hyperplane_extrema(inp), path)
 
 
 class TestDelta:
@@ -703,8 +684,8 @@ class TestDelta:
         rng = np.random.default_rng(seed)
         inp = sym_input(rng, 2, 4)
         scaled = CasoratiInput(lam * inp.coeffs)
-        ex = hyperplane_extrema(inp, certify=False)
-        ex_s = hyperplane_extrema(scaled, certify=False)
+        ex = hyperplane_extrema(inp)
+        ex_s = hyperplane_extrema(scaled)
         scale = max(1.0, abs(ex.inf_CL), abs(ex.sup_CL)) * lam * lam
         assert abs(ex_s.inf_CL - lam * lam * ex.inf_CL) < 1e-10 * scale
         assert abs(ex_s.sup_CL - lam * lam * ex.sup_CL) < 1e-10 * scale

@@ -265,7 +265,7 @@ class TestEqualityDiagnostics:
     def test_pattern_all_zero(self):
         T = pattern_slices(4, [1.0, 2.0])
         inp = CasoratiInput(T)
-        ex = hyperplane_extrema(inp, certify=False)
+        ex = hyperplane_extrema(inp)
         d = equality_diagnostics(inp, ex)
         assert d.offdiag_max < 1e-10
         assert d.eigen_pattern_residual < 1e-10
@@ -275,7 +275,7 @@ class TestEqualityDiagnostics:
     def test_umbilical_fails_pattern_but_commutes(self):
         # radial-style umbilical (lam, lam, lam): commuting, not the 2-lam pattern
         inp = CasoratiInput((0.5 * np.eye(3))[None, :, :])
-        ex = hyperplane_extrema(inp, certify=False)
+        ex = hyperplane_extrema(inp)
         d = equality_diagnostics(inp, ex)
         assert d.eigen_pattern_residual > 0.1
         assert d.commutator_max < 1e-12
@@ -283,7 +283,7 @@ class TestEqualityDiagnostics:
 
     def test_zero_tensor(self):
         inp = CasoratiInput(np.zeros((2, 4, 4)))
-        ex = hyperplane_extrema(inp, certify=False)
+        ex = hyperplane_extrema(inp)
         d = equality_diagnostics(inp, ex)
         assert d.offdiag_max == 0.0
         assert d.eigen_pattern_residual == 0.0
@@ -297,8 +297,8 @@ class TestEqualityDiagnostics:
         T = 0.5 * (raw + raw.transpose(0, 2, 1))
         inp = CasoratiInput(T)
         scaled = CasoratiInput(lam * T)
-        d1 = equality_diagnostics(inp, hyperplane_extrema(inp, certify=False))
-        d2 = equality_diagnostics(scaled, hyperplane_extrema(scaled, certify=False))
+        d1 = equality_diagnostics(inp, hyperplane_extrema(inp))
+        d2 = equality_diagnostics(scaled, hyperplane_extrema(scaled))
         for f in ("offdiag_max", "eigen_pattern_residual", "commutator_max"):
             v1, v2 = getattr(d1, f), getattr(d2, f)
             assert (v1 < 1e-12) == (v2 < 1e-12 * max(1.0, lam * lam))

@@ -7,6 +7,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from casoratiq.cli import main, report_csv, report_json
 from casoratiq.errors import DomainError, SceneValidationError
@@ -354,6 +355,88 @@ class TestBadInput:
         assert code == 3
         errors = json.loads(out.read_text())["points"][0]["errors"]
         assert errors == [f"expression {entry!r} is not finite at this point"]
+
+
+def _set(path, value):
+    """A change to a scenario document that puts ``value`` at ``path``."""
+
+    def change(doc):
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value(node[path[-1]]) if callable(value) else value
+
+    return change
+
+
+# malformed fields that once ended in a Python traceback (exit 1)
+_MALFORMED = {
+    "target-metric-int": ("radial:4", _set(("map", "target", "metric"), 5)),
+    "chart-structure-int": ("radial:4", _set(("structure",), 7)),
+    "theorems-int": ("radial:4", _set(("theorems",), 5)),
+    "fiber-curvature-int": ("radial:4", _set(("fiber_curvature",), 3)),
+    "sample-int": ("product-projection:8to4", _set(("points",), {"sample": 3})),
+    "matrices-string": ("pw-equality-map:s4", _set(("structure",), {"matrices": "abc"})),
+    "flat-abc": ("flat-embedding:2in4", _set(("map", "source"), "flat:abc")),
+    "sphere-abc": ("flat-embedding:2in4", _set(("map", "target"), "sphere:abc")),
+    "quat-flat-x": ("pw-equality-map:s4", _set(("structure", "name"), "quat-flat:x")),
+    "deltaN-nan": ("pw-equality-combined:s4l4", _set(("deltaN",), "user:nan")),
+    "deltaN-overflow": ("pw-equality-combined:s4l4", _set(("deltaN",), "user:1e309")),
+    "c-1e308": ("pw-random-mix:c-4", _set(("c",), 1e308)),
+    "T-1e200": (
+        "pw-random-mix:c-4",
+        _set(("tensors", "T"), lambda T: (1e200 * np.array(T)).tolist()),
+    ),
+}
+
+
+def _builtin_doc(name):
+    return json.loads(json.dumps(builtin_scenario(name).raw))
+
+
+class TestMalformedScenarios:
+    """Every malformed scenario is a scene or point error (exit 3), never a traceback."""
+
+    @pytest.mark.parametrize("case", sorted(_MALFORMED))
+    def test_exits_3(self, tmp_path, capsys, case):
+        name, change = _MALFORMED[case]
+        doc = _builtin_doc(name)
+        change(doc)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out = _run_file(tmp_path, doc)
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and len(err.splitlines()) == 1
+        if out.exists():  # a point error: the report names it
+            (point,) = json.loads(out.read_text())["points"]
+            assert len(point["errors"]) == 1 and point["reports"] == []
+
+    @staticmethod
+    def _field_paths(node, prefix=()):
+        for key, value in node.items():
+            yield prefix + (key,)
+            if isinstance(value, dict):
+                yield from TestMalformedScenarios._field_paths(value, prefix + (key,))
+
+    _CHEAP = ("pw-equality-map:s4", "pw-equality-combined:s4l4", "pw-random-mix:c-4",
+              "flat-embedding:2in4")
+    _VALUES = st.one_of(
+        st.integers(-2, 9),
+        st.text(max_size=6),
+        st.lists(st.integers(-2, 9), max_size=3),
+        st.dictionaries(st.text(max_size=3), st.integers(0, 3), max_size=2),
+        st.sampled_from(["user:nan", 1e308]),
+    )
+
+    @given(data=st.data())
+    @settings(max_examples=120, deadline=None)
+    def test_one_mutated_field_never_raises(self, tmp_path_factory, data):
+        doc = _builtin_doc(data.draw(st.sampled_from(self._CHEAP)))
+        path = data.draw(st.sampled_from(sorted(self._field_paths(doc))))
+        _set(path, data.draw(self._VALUES))(doc)
+        code, _ = _run_file(tmp_path_factory.mktemp("fuzz"), doc)
+        assert code in (0, 2, 3)
 
 
 class TestParseTimeFit:
