@@ -647,7 +647,8 @@ class TestExactPath:
         assert ex.degenerate_min and not ex.degenerate_max
         assert abs(ex.argmax_normal[2]) == pytest.approx(1.0, abs=1e-12)
 
-    def test_every_result_carries_the_audit(self):
+    @pytest.mark.parametrize("round_trip", [True, False])
+    def test_every_result_carries_the_audit(self, round_trip):
         rng = np.random.default_rng(3)
         cases = [
             (sym_input(rng, 2, 4), "multistart"),
@@ -656,7 +657,11 @@ class TestExactPath:
             (sym_input(rng, 2, 6), "multistart"),
         ]
         for inp, path in cases:
-            assert_audit_shape(hyperplane_extrema(inp), path)
+            ex = hyperplane_extrema(inp)
+            if round_trip:
+                # the reports carry the audit into JSON: it must come back unchanged
+                assert json.loads(json.dumps(ex.audit)) == ex.audit
+            assert_audit_shape(ex, path)
 
 
 class TestDelta:
