@@ -16,8 +16,6 @@ import io
 import json
 import sys
 
-import numpy as np
-
 from .errors import CasoratiqError, SceneValidationError
 from .scenes import (
     builtin_names,
@@ -31,26 +29,8 @@ from .scenes import (
 __all__ = ["main", "report_json", "report_csv"]
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, (np.bool_, bool)):
-        return bool(obj)
-    if isinstance(obj, (np.floating, float)):
-        return float(obj)
-    if isinstance(obj, (np.integer, int)):
-        return int(obj)
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    return obj
-
-
 def report_json(report) -> str:
-    return json.dumps(
-        _jsonable(report.as_dict()), sort_keys=True, indent=2, allow_nan=False
-    ) + "\n"
+    return json.dumps(report.as_dict(), sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def report_csv(report) -> str:
@@ -136,7 +116,7 @@ def _cmd_validate(args) -> int:
         "points": [p.as_dict() for p in results],
         "valid": all(not p.errors for p in results),
     }
-    sys.stdout.write(json.dumps(_jsonable(doc), sort_keys=True, indent=2) + "\n")
+    sys.stdout.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")
     return 0 if doc["valid"] else 3
 
 

@@ -28,7 +28,7 @@ from .errors import (
     DimensionError,
     DomainError,
 )
-from .jets import Jet2, jet_arrays, matrix_inverse, seed_point
+from .jets import jet_arrays, matrix_inverse, seed_point
 
 __all__ = [
     "MetricChart",
@@ -44,8 +44,12 @@ __all__ = [
     "curvature_sums",
     "plane_area_sq",
     "chart",
+    "MAX_DIM",
 ]
 
+# largest dimension of a chart or a quaternionic structure: the metric
+# jets of an n-dimensional chart hold n^5 floats
+MAX_DIM = 32
 _SYM_TOL = 1e-14
 _PD_TOL = 1e-10
 
@@ -77,39 +81,28 @@ class MetricChart:
             raise DomainError(f"point {x.tolist()} outside domain of chart {self.name!r}")
         return x
 
-    def metric_at(self, x) -> np.ndarray:
-        """Metric matrix at ``x``, with symmetry and definiteness checks."""
-        x = self.require_inside(x)
-        rows = self.g([float(v) for v in x])
-        g0 = np.empty((self.dim, self.dim))
-        for i in range(self.dim):
-            for j in range(self.dim):
-                entry = rows[i][j]
-                g0[i, j] = entry.value if isinstance(entry, Jet2) else float(entry)
-        scale = max(1.0, np.abs(g0).max())
-        if np.abs(g0 - g0.T).max() > _SYM_TOL * scale:
-            raise DegenerateMetricError(
-                f"metric not symmetric at {x.tolist()} (chart {self.name!r})"
-            )
-        eigs = np.linalg.eigvalsh(0.5 * (g0 + g0.T))
-        if eigs.min() <= _PD_TOL:
-            raise DegenerateMetricError(
-                f"metric not positive definite at {x.tolist()}: min eigenvalue {eigs.min():.3e}"
-            )
-        return 0.5 * (g0 + g0.T)
-
     def metric_jets(self, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Value, gradient and Hessian arrays of every metric component.
 
         Returns ``(G0, G1, G2)`` with ``G1[a, b, c] = d_c g_ab`` and
-        ``G2[a, b, c, d] = d_c d_d g_ab``.
+        ``G2[a, b, c, d] = d_c d_d g_ab``.  The metric ``G0`` is checked for
+        symmetry before it is symmetrized, and for definiteness after.
         """
         x = self.require_inside(x)
         n = self.dim
         rows = self.g(seed_point(x))
         flat = jet_arrays([rows[a][b] for a in range(n) for b in range(n)], n)
         G0, G1, G2 = (m.reshape((n, n) + m.shape[1:]) for m in flat[:3])
+        if np.abs(G0 - G0.T).max() > _SYM_TOL * max(1.0, np.abs(G0).max()):
+            raise DegenerateMetricError(
+                f"metric not symmetric at {x.tolist()} (chart {self.name!r})"
+            )
         G0 = 0.5 * (G0 + G0.T)
+        eigs = np.linalg.eigvalsh(G0)
+        if eigs.min() <= _PD_TOL:
+            raise DegenerateMetricError(
+                f"metric not positive definite at {x.tolist()}: min eigenvalue {eigs.min():.3e}"
+            )
         G1 = 0.5 * (G1 + G1.transpose(1, 0, 2))
         G2 = 0.5 * (G2 + G2.transpose(1, 0, 2, 3))
         return G0, G1, G2
@@ -404,7 +397,7 @@ def _polar() -> MetricChart:
 
 
 def chart(name: str) -> MetricChart:
-    """Look up a builtin chart: flat:n, sphere:r, sphere3:r, half-plane, polar."""
+    """Look up a builtin chart: flat:n (n <= MAX_DIM), sphere:r, sphere3:r, half-plane, polar."""
     if name == "half-plane":
         return _half_plane()
     if name == "polar":
@@ -417,6 +410,8 @@ def chart(name: str) -> MetricChart:
             value = number(param)
         except ValueError:
             value = math.nan  # a malformed parameter names no chart
+        if kind == "flat" and value > MAX_DIM:
+            raise KeyError(f"chart {name!r} has dimension above {MAX_DIM}")
         if 0 < value < math.inf:
             return build(value)
     raise KeyError(f"unknown chart {name!r}")

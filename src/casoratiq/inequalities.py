@@ -278,6 +278,16 @@ class SubmersionSceneData:
     def extrema_A(self) -> HyperplaneExtrema:
         return hyperplane_extrema(self.A)
 
+    @cached_property
+    def diagnostics_T(self) -> EqualityDiagnostics:
+        """Equality diagnostics of T, which the vertical and combined families share."""
+        return equality_diagnostics(
+            self.T,
+            self.extrema_T,
+            A_norm_sq=self.A.norm_sq() if self.A is not None else 0.0,
+            bracket_residual=self.bracket_residual,
+        )
+
 
 def space_form_residual_from_tensor(
     frame_tensor: np.ndarray, oracle: QSFOracle, frame_vectors: np.ndarray
@@ -330,9 +340,8 @@ def _c_term(c: float, k: int, norms: np.ndarray) -> float:
 
 def _symmetric_tensor_reports(
     data, family: str, h: CasoratiInput, k: int, two_tau: float, ex: HyperplaneExtrema,
-    norms: np.ndarray, tol: float, sf_residual: Optional[float], *,
-    rho_key: str, norms_key: str, A_norm_sq: float = 0.0,
-    bracket_residual: Optional[float] = None,
+    norms: np.ndarray, tol: float, sf_residual: Optional[float], diag: EqualityDiagnostics,
+    *, rho_key: str, norms_key: str,
 ) -> list[TheoremReport]:
     """Map and vertical inequalities: a symmetric tensor over one distribution.
 
@@ -346,7 +355,6 @@ def _symmetric_tensor_reports(
 
     terms = _casorati_terms(h, ex, k)
     c_term = _c_term(data.c, k, norms)
-    diag = equality_diagnostics(h, ex, A_norm_sq=A_norm_sq, bracket_residual=bracket_residual)
     extras = {
         "c": data.c,
         "equality_tol": tol,
@@ -367,8 +375,8 @@ def check_map_theorem(data: MapSceneData) -> list[TheoremReport]:
     tol, sf_residual = _checked_scene(data, "target")
     two_tau = curvature_sums(data.ambient, s)[0]
     return _symmetric_tensor_reports(
-        data, "map", data.B, s, two_tau, data.extrema, data.decomp.norms_P,
-        tol, sf_residual, rho_key="rho_range", norms_key="norms_P_range",
+        data, "map", data.B, s, two_tau, data.extrema, data.decomp.norms_P, tol, sf_residual,
+        equality_diagnostics(data.B, data.extrema), rho_key="rho_range", norms_key="norms_P_range",
     )
 
 
@@ -383,9 +391,8 @@ def check_vertical_theorem(data: SubmersionSceneData) -> list[TheoremReport]:
     two_tau_v = curvature_sums(data.ambient, data.s)[1]
     return _symmetric_tensor_reports(
         data, "vertical", data.T, ell, two_tau_v, data.extrema_T, data.decomp.norms_Q,
-        tol, sf_residual, rho_key="rho_vertical_ambient", norms_key="norms_Q",
-        A_norm_sq=data.A.norm_sq() if data.A is not None else 0.0,
-        bracket_residual=data.bracket_residual,
+        tol, sf_residual, data.diagnostics_T,
+        rho_key="rho_vertical_ambient", norms_key="norms_Q",
     )
 
 
@@ -471,9 +478,6 @@ def check_combined_theorem(data: SubmersionSceneData) -> list[TheoremReport]:
     )
 
     integrable = _integrable(data.A, float(np.sqrt(a_norm)))
-    diag = equality_diagnostics(
-        data.T, data.extrema_T, A_norm_sq=a_norm, bracket_residual=data.bracket_residual
-    )
     extras = {
         "c": data.c,
         "equality_tol": tol,
@@ -498,7 +502,7 @@ def check_combined_theorem(data: SubmersionSceneData) -> list[TheoremReport]:
         )
         for amb in (closed_amb, generic_amb)
     ]
-    return _family_reports("combined", lhs, rhs, tol, diag, extras, integrable)
+    return _family_reports("combined", lhs, rhs, tol, data.diagnostics_T, extras, integrable)
 
 
 def _checked_scene(data, curvature: str) -> tuple[float, Optional[float]]:

@@ -56,8 +56,6 @@ __all__ = [
     "second_fundamental_form",
     "oneill_T",
     "oneill_A",
-    "oneill_T_full",
-    "oneill_A_full",
     "vertical_bracket",
     "gauss_residual_map",
     "gauss_residual_submersion",
@@ -106,10 +104,10 @@ class SmoothMap:
 class MapPoint:
     """The jets of a map at one source point, and what derives from them.
 
-    Built from one ``smap.jets`` call and the checked source metric.  The
-    source and target chart points and the submersion projector are
-    computed from jets on first use and kept, so each is paid for once
-    and only by the consumers that need it.
+    Built from one ``smap.jets`` call.  The source and target chart
+    points, which hold the checked metrics, and the submersion projector
+    are computed from jets on first use and kept, so each is paid for
+    once and only by the consumers that need it.
     """
 
     smap: SmoothMap
@@ -118,12 +116,11 @@ class MapPoint:
     dF: np.ndarray  # dF[a, mu] = d_mu F^a
     d2F: np.ndarray  # d2F[a, mu, nu] = d_mu d_nu F^a
     d3F: np.ndarray  # d3F[a, mu, nu, la] = d_mu d_nu d_la F^a
-    g1: np.ndarray  # source metric at x
 
     @classmethod
     def at(cls, smap: SmoothMap, x) -> "MapPoint":
         x = np.asarray(x, dtype=float)
-        return cls(smap, x, *smap.jets(x), smap.source.metric_at(x))
+        return cls(smap, x, *smap.jets(x))
 
     @cached_property
     def source(self) -> ChartPoint:
@@ -222,8 +219,8 @@ def differential(smap: SmoothMap, x) -> SceneSplit:
     completes it.
     """
     pt = MapPoint.at(smap, x)
-    g1 = pt.g1
-    g2 = smap.target.metric_at(pt.y)
+    g1 = pt.source.G0
+    g2 = pt.target.G0
     n1 = smap.source.dim
 
     _, svals, vt = np.linalg.svd(pt.dF)
@@ -347,7 +344,7 @@ def _covariant(S: np.ndarray, dS: np.ndarray, gamma: np.ndarray) -> np.ndarray:
 
 
 def _oneill(split: SceneSplit, kind: str, tangent, normal) -> FundamentalTensor:
-    g1 = split.point.g1
+    g1 = split.point.source.G0
     vectors = _on_frames(getattr(split.point.submersion, kind), tangent.vectors, tangent.vectors)
     coeffs = np.einsum("ija,ab,vb->vij", vectors, g1, normal.vectors)
     return FundamentalTensor.from_raw(kind, coeffs, vectors, g1)
@@ -361,16 +358,6 @@ def oneill_T(split: SceneSplit) -> FundamentalTensor:
 def oneill_A(split: SceneSplit) -> FundamentalTensor:
     """A^alpha_{ij} = g1(A_{h_i} h_j, v_alpha) over the horizontal frame."""
     return _oneill(split, "A", split.horizontal, split.vertical)
-
-
-def oneill_T_full(smap: SmoothMap, x, E, F) -> np.ndarray:
-    """Full T_E F for arbitrary vectors at ``x``."""
-    return np.einsum("kmn,m,n->k", MapPoint.at(smap, x).submersion.T, E, F)
-
-
-def oneill_A_full(smap: SmoothMap, x, E, F) -> np.ndarray:
-    """Full A_E F for arbitrary vectors at ``x``."""
-    return np.einsum("kmn,m,n->k", MapPoint.at(smap, x).submersion.A, E, F)
 
 
 def vertical_bracket(split: SceneSplit) -> np.ndarray:
@@ -451,7 +438,7 @@ def gauss_residual_submersion(
         A = oneill_A(split)
     pt = split.point
     R1 = split.source_curvature
-    g1 = pt.g1
+    g1 = pt.source.G0
     V = split.vertical.vectors
     H = split.horizontal.vectors
     ell, s = V.shape[0], H.shape[0]

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FrameError, StructureError
-from .geometry import plane_area_sq
+from .geometry import MAX_DIM, plane_area_sq
 
 __all__ = [
     "QuaternionicStructure",
@@ -71,9 +71,11 @@ class QuaternionicStructure:
 
 
 def structure(name: str) -> QuaternionicStructure:
-    """Registry lookup, e.g. ``quat-flat:2``."""
+    """Registry lookup, e.g. ``quat-flat:2``; ``quat-flat:m`` needs 4 m <= MAX_DIM."""
     kind, _, param = name.partition(":")
     if kind == "quat-flat" and param.isdecimal() and int(param) > 0:
+        if 4 * int(param) > MAX_DIM:
+            raise KeyError(f"structure {name!r} has dimension above {MAX_DIM}")
         return QuaternionicStructure.quat_flat(int(param))
     raise KeyError(f"unknown quaternionic structure {name!r}")
 

@@ -21,7 +21,7 @@ from . import geometry, maps
 from .casorati import CasoratiInput
 from .errors import CasoratiqError, RankError, SceneValidationError, StructureError
 from .expressions import compile_expression
-from .geometry import MetricChart, OrthoFrame
+from .geometry import MAX_DIM, MetricChart, OrthoFrame
 from .inequalities import (
     FAMILIES,
     MapSceneData,
@@ -53,6 +53,8 @@ __all__ = [
     "builtin_scenario",
     "random_pointwise_submersion",
 ]
+
+_MAX_SAMPLE_COUNT = 1024
 
 _TOP_KEYS_COMMON = {
     "version",
@@ -134,6 +136,14 @@ def _integer(raw, where: str) -> int:
     return raw if isinstance(raw, int) else int(value)
 
 
+def _dimension(raw, where: str) -> int:
+    """A chart or space dimension: a whole number from 1 to ``MAX_DIM``."""
+    dim = _integer(raw, where)
+    if not 1 <= dim <= MAX_DIM:
+        raise SceneValidationError(f"{where} must be from 1 to {MAX_DIM}, got {raw!r}")
+    return dim
+
+
 def _box(raw, dim: int, where: str) -> tuple:
     """``dim`` [lo, hi] coordinate intervals."""
     box = _numeric(raw, where, ndim=2)
@@ -171,7 +181,7 @@ def _chart_from_spec(spec, where: str) -> MetricChart:
     if not isinstance(spec, dict):
         raise SceneValidationError(f"{where} must be a chart name or object")
     _reject_unknown(spec, {"dim", "box", "metric", "name"}, where)
-    dim = _integer(_require(spec, "dim", where), f"{where}.dim")
+    dim = _dimension(_require(spec, "dim", where), f"{where}.dim")
     box = _box(_require(spec, "box", where), dim, f"{where}.box")
     rows = _require(spec, "metric", where, list)
     if len(rows) != dim or any(not isinstance(r, list) or len(r) != dim for r in rows):
@@ -383,8 +393,10 @@ def parse_scenario(doc: dict, name_hint: str = "") -> Scenario:
                 raise SceneValidationError("sampled points require an explicit seed")
             count = _integer(_require(sample, "count", "points.sample"), "points.sample.count")
             seed = _integer(sample["seed"], "points.sample.seed")
-            if count < 1 or seed < 0:
-                raise SceneValidationError("points.sample needs count >= 1 and seed >= 0")
+            if not 1 <= count <= _MAX_SAMPLE_COUNT or seed < 0:
+                raise SceneValidationError(
+                    f"points.sample needs 1 <= count <= {_MAX_SAMPLE_COUNT} and seed >= 0"
+                )
             sample_spec = {
                 "count": count,
                 "seed": seed,
@@ -416,7 +428,7 @@ def parse_scenario(doc: dict, name_hint: str = "") -> Scenario:
         )
 
     _reject_unknown(doc, _TOP_KEYS_POINTWISE, "scenario")
-    dim = _integer(_require(doc, "dim", "scenario"), "dim")
+    dim = _dimension(_require(doc, "dim", "scenario"), "dim")
     kind = str(_require(doc, "kind", "scenario"))
     if kind not in ("submersion", "map"):
         raise SceneValidationError("pointwise kind must be 'submersion' or 'map'")
@@ -535,7 +547,7 @@ def _check_structure(J: np.ndarray, g: np.ndarray, validation: dict) -> None:
 
 def _structure_metric(scn: Scenario, split: maps.SceneSplit) -> np.ndarray:
     """Metric at the point where a chart scene's structure lives."""
-    return split.point.g1 if scn.structure_on == "source" else split.range.metric_at
+    return (split.point.source if scn.structure_on == "source" else split.point.target).G0
 
 
 def _bracket_residual(split: maps.SceneSplit, A: maps.FundamentalTensor) -> float:

@@ -3,7 +3,9 @@ import json
 import re
 import subprocess
 import sys
+import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +22,9 @@ from casoratiq.scenes import (
     parse_scenario,
     validate_scenario,
 )
+
+_SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
+_SCENARIO_FILES = sorted(p.name for p in _SCENARIO_DIR.glob("*.json"))
 
 
 class TestExpressions:
@@ -394,6 +399,59 @@ def _builtin_doc(name):
     return json.loads(json.dumps(builtin_scenario(name).raw))
 
 
+class TestSizeCaps:
+    """A dimension above ``MAX_DIM`` (32) or a sample count above 1024 is a
+    scene error raised while parsing, before anything large is allocated."""
+
+    @staticmethod
+    def _custom_chart(dim):
+        return {
+            "dim": dim,
+            "box": [[-1.0, 1.0]] * dim,
+            "metric": [["1" if i == j else "0" for j in range(dim)] for i in range(dim)],
+        }
+
+    @pytest.mark.parametrize(
+        "name, path, value, message",
+        [
+            ("flat-embedding:2in4", ("map", "target"), "flat:33", "dimension above 32"),
+            ("flat-embedding:2in4", ("map", "target"), _custom_chart(33), "from 1 to 32"),
+            ("product-projection:8to4", ("structure", "name"), "quat-flat:9", "dimension above 32"),
+            ("pw-equality-map:s4", ("structure", "name"), "quat-flat:9", "dimension above 32"),
+            ("pw-equality-map:s4", ("dim",), 33, "from 1 to 32"),
+            ("pw-equality-map:s4", ("dim",), 0, "from 1 to 32"),
+            ("product-projection:8to4", ("points", "sample", "count"), 1025, "count <= 1024"),
+        ],
+        ids=["flat-33", "chart-dim-33", "quat-flat-9-chart", "quat-flat-9-pointwise",
+             "dim-33", "dim-0", "count-1025"],
+    )
+    def test_above_cap_is_scene_error(self, tmp_path, capsys, name, path, value, message):
+        doc = _builtin_doc(name)
+        _set(path, value)(doc)
+        tracemalloc.start()
+        try:
+            with pytest.raises(SceneValidationError, match=message) as err:
+                parse_scenario(doc)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, peak
+        assert "\n" not in str(err.value)
+        # parsing raised, so the CLI stops there too
+        assert _run_file(tmp_path, doc)[0] == 3
+        assert len(capsys.readouterr().err.splitlines()) == 1
+
+    def test_at_cap_is_accepted(self):
+        from casoratiq.geometry import chart
+        from casoratiq.quaternionic import structure
+
+        assert chart("flat:32").dim == 32
+        assert structure("quat-flat:8").dim == 32
+        doc = _builtin_doc("product-projection:8to4")
+        doc["points"]["sample"]["count"] = 1024
+        assert len(parse_scenario(doc).evaluation_points()) == 1024
+
+
 class TestMalformedScenarios:
     """Every malformed scenario is a scene or point error (exit 3), never a traceback."""
 
@@ -600,9 +658,10 @@ def _first_point_only(scn):
 
 class TestComputeOnce:
     """Each chart point computes its map jets once, its metric jets at most
-    twice (once for the source and once for the target) and the curvature
-    frame tensor of each side at most once; no scene evaluates the
-    space-form curvature one vector quadruple at a time."""
+    twice (once for the source and once for the target), each expression
+    once, T's equality diagnostics once and the curvature frame tensor of
+    each side at most once; no scene evaluates the space-form curvature one
+    vector quadruple at a time."""
 
     @pytest.mark.parametrize("name", ["product-projection:8to4", "hopf-radial:4to3"])
     def test_jets_per_point(self, name, monkeypatch):
@@ -621,6 +680,41 @@ class TestComputeOnce:
         assert rep.aggregate["point_errors"] == 0 and rep.points[0].reports
         assert calls["jets"] == 1, calls
         assert 0 < calls["metric_jets"] <= 2, calls
+
+    def test_expression_calls_per_point(self, monkeypatch):
+        # hopf-radial:4to3 has 3 map, 16 source metric and 9 target metric
+        # expressions; each is evaluated once per point, on jets
+        from casoratiq.expressions import CompiledExpression
+
+        scn = builtin_scenario("hopf-radial:4to3")
+        calls = []
+
+        def counted(self, coords, _original=CompiledExpression.__call__):
+            calls.append(self.source)
+            return _original(self, coords)
+
+        monkeypatch.setattr(CompiledExpression, "__call__", counted)
+        rep = evaluate_scenario(scn)
+        assert rep.aggregate["point_errors"] == 0
+        assert len(calls) == 28 * len(rep.points), len(calls)
+
+    def test_equality_diagnostics_per_point(self, monkeypatch):
+        # the vertical and combined families share T's diagnostics; the
+        # horizontal family reads A's
+        from casoratiq import inequalities
+
+        one_point = _first_point_only(builtin_scenario("product-projection:8to4"))
+        calls = []
+
+        def counted(inp, *args, _original=inequalities.equality_diagnostics, **kwargs):
+            calls.append(inp.kind)
+            return _original(inp, *args, **kwargs)
+
+        monkeypatch.setattr(inequalities, "equality_diagnostics", counted)
+        rep = evaluate_scenario(one_point)
+        families = {"vertical_5_2", "horizontal_6_2", "combined_7_2"}
+        assert families <= {r.theorem_id for r in rep.points[0].reports}
+        assert sorted(calls) == ["skew", "symmetric"]
 
     @pytest.mark.parametrize(
         "name", ["product-projection:8to4", "hopf-radial:4to3", "flat-embedding:4in8"]
@@ -748,6 +842,13 @@ class TestCli:
     def test_validate_ok(self, capsys):
         assert main(["validate", "flat-embedding:2in4"]) == 0
         assert json.loads(capsys.readouterr().out)["valid"] is True
+
+    @pytest.mark.parametrize("scene", builtin_names() + _SCENARIO_FILES)
+    def test_validate_every_shipped_scene(self, capsys, scene):
+        path = _SCENARIO_DIR / scene if scene in _SCENARIO_FILES else scene
+        assert main(["validate", str(path)]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["valid"] is True and doc["points"]
 
     def test_validate_bad_file_exit_3(self, tmp_path):
         p = tmp_path / "bad.json"
