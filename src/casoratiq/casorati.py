@@ -15,12 +15,10 @@ __all__ = [
     "HyperplaneExtrema",
     "TripathiInstance",
     "casorati",
-    "casorati_subspace",
     "hyperplane_extrema",
     "delta_casorati",
     "tripathi_minimize",
     "tripathi_objective",
-    "tripathi_minimize_numeric",
 ]
 
 _START_SEED = 20240915
@@ -86,33 +84,6 @@ class CasoratiInput:
 def casorati(inp: CasoratiInput) -> float:
     """Casorati curvature (1/n) sum of squared coefficients."""
     return inp.norm_sq() / inp.n
-
-
-def casorati_subspace(inp: CasoratiInput, indices=None, normal=None) -> float:
-    """Casorati curvature of a subspace.
-
-    Either restrict to coordinate ``indices`` (k >= 2 of them) or hand a
-    unit ``normal`` whose orthogonal hyperplane is meant; the projector
-    route reduces to the coordinate one when the normal is a basis vector.
-    """
-    if (indices is None) == (normal is None):
-        raise ValueError("pass exactly one of indices / normal")
-    h = inp.coeffs
-    if indices is not None:
-        idx = np.asarray(indices, dtype=int)
-        k = idx.shape[0]
-        if k < 2:
-            raise DimensionError(f"subspace dimension {k} < 2")
-        sub = h[:, idx[:, None], idx[None, :]]
-        return float(np.sum(sub**2)) / k
-    u = np.asarray(normal, dtype=float)
-    if abs(np.linalg.norm(u) - 1.0) > 1e-12:
-        raise DimensionError("hyperplane normal must be a unit vector")
-    if inp.n < 2:
-        raise DimensionError("hyperplane of a 1-dimensional space")
-    P = np.eye(inp.n) - np.outer(u, u)
-    proj = np.einsum("ij,ajk,kl->ail", P, h, P)
-    return float(np.sum(proj**2)) / (inp.n - 1)
 
 
 @dataclass(frozen=True)
@@ -621,33 +592,4 @@ def tripathi_minimize(inst: TripathiInstance) -> tuple[np.ndarray, float]:
     t[-1] = inst.k / (inst.lam2 + 1.0)
     if abs(t.sum() - inst.k) > 1e-12 * max(1.0, abs(inst.k)):
         raise ProvisoError("closed-form point does not satisfy the constraint")
-    return t, tripathi_objective(inst, t)
-
-
-def tripathi_minimize_numeric(
-    inst: TripathiInstance, tol: float = 1e-13, max_iters: int = 20000
-) -> tuple[np.ndarray, float]:
-    """Projected-gradient minimizer on the hyperplane (oracle path).
-
-    Exact line search along the projected gradient; independent of the
-    closed form.
-    """
-    n = inst.n
-    t = np.full(n, inst.k / n)
-    diag = np.full(n, inst.lam1 + 1.0)
-    diag[-1] = inst.lam2 + 1.0
-    scale = max(1.0, abs(inst.k))
-    for _ in range(max_iters):
-        # f = sum diag t^2 - (sum t)^2 on the constraint; grad = 2 diag t - 2k
-        grad = 2.0 * diag * t - 2.0 * inst.k
-        d = grad - grad.mean()
-        gnorm = np.linalg.norm(d)
-        if gnorm < tol * scale:
-            break
-        # exact step for the quadratic: alpha = (d.g) / (2 d^T H d / 2)
-        hd = 2.0 * diag * d - 2.0 * d.sum()  # H d with H = 2 diag - 2 ones
-        denom = float(d @ hd)
-        if denom <= 0:
-            raise OptimizationError("quadratic not convex along descent direction")
-        t = t - (float(d @ grad) / denom) * d
     return t, tripathi_objective(inst, t)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -24,21 +24,23 @@ from .casorati import (
     hyperplane_extrema,
 )
 from .errors import ConfigurationError, DimensionError, DomainError, OracleError
-from .geometry import OrthoFrame, curvature_sums
+from .geometry import curvature_sums
 from .quaternionic import JDecomposition, QSFOracle, decompose_J
 
 __all__ = [
     "TheoremReport",
     "EqualityDiagnostics",
-    "MapSceneData",
-    "SubmersionSceneData",
-    "algebraic_gap",
+    "SceneData",
+    "TensorLayout",
     "check_map_theorem",
     "check_vertical_theorem",
     "check_horizontal_theorem",
     "check_combined_theorem",
     "equality_diagnostics",
     "FAMILIES",
+    "FAMILY_TENSORS",
+    "FRAMES",
+    "TENSORS",
     "THEOREM_IDS",
 ]
 
@@ -182,111 +184,87 @@ def equality_diagnostics(
     )
 
 
-def algebraic_gap(B: CasoratiInput):
-    """Purely algebraic core of the map inequality.
-
-    Returns (lhs, rhs_delta, rhs_delta_hat) with
-    lhs = (|trace B|^2 - |B|^2) / (s (s - 1)); for every B the lhs is
-    bounded by both delta-Casorati right sides.
-    """
-    s = B.n
-    if s < 3:
-        raise DimensionError(f"algebraic gap needs s >= 3, got {s}")
-    lhs = (B.trace_norm_sq() - B.norm_sq()) / (s * (s - 1))
-    C = casorati(B)
-    ex = hyperplane_extrema(B)
-    delta, delta_hat = delta_casorati(C, ex, s)
-    return lhs, delta, delta_hat
+# -- scene layout and checker input ----------------------------------------
 
 
-# -- scene data bundles ------------------------------------------------------
+class TensorLayout(NamedTuple):
+    """Where a fundamental tensor lives: h[a, i, j] has one slice per vector
+    of its ``normal`` frame and one row and column per vector of its
+    ``tangent`` frame, and every slice has the given ``symmetry``."""
+
+    normal: str
+    tangent: str
+    symmetry: str  # "symmetric" | "skew"
 
 
-@dataclass
-class MapSceneData:
-    """Everything the map-theorem checker needs at one point.
-
-    ``ambient`` is the target curvature frame tensor over [range;
-    range_perp].  Chart scenes give ``space_form_residual``, the deviation
-    of the target curvature from the space form; it must be small, and it
-    selects the chart-mode equality tolerance.
-    """
-
-    B: CasoratiInput
-    range_frame: OrthoFrame
-    range_perp_frame: OrthoFrame
-    g2: np.ndarray
-    J2: np.ndarray
-    c: float
-    ambient: np.ndarray
-    space_form_residual: Optional[float] = None  # chart scenes only
-    equality_tol: Optional[float] = None  # scene override of the verdict tolerance
-
-    @property
-    def s(self) -> int:
-        return self.range_frame.k
-
-    @cached_property
-    def decomp(self) -> JDecomposition:
-        return decompose_J(
-            self.J2, self.g2, self.range_frame.vectors, self.range_perp_frame.vectors
-        )
-
-    @cached_property
-    def extrema(self) -> HyperplaneExtrema:
-        return hyperplane_extrema(self.B)
+# the two frame tags of each scene kind, on the curved side of the scene
+# (the target of a map, the source of a submersion), in the order of the
+# ambient curvature frame tensor
+FRAMES = {"map": ("range", "range_perp"), "submersion": ("horizontal", "vertical")}
+TENSORS = {
+    "B": TensorLayout("range_perp", "range", "symmetric"),
+    "T": TensorLayout("horizontal", "vertical", "symmetric"),
+    "A": TensorLayout("vertical", "horizontal", "skew"),
+}
+# tensors each theorem family reads
+FAMILY_TENSORS = {"map": ("B",), "vertical": ("T",), "horizontal": ("A",), "combined": ("T", "A")}
 
 
 @dataclass
-class SubmersionSceneData:
-    """Point data for the vertical / horizontal / combined checkers.
+class SceneData:
+    """Everything the theorem checkers need at one point of a map or submersion scene.
 
-    ``ambient`` is the source curvature frame tensor over [horizontal;
-    vertical].
+    ``frames`` maps each tag of ``FRAMES[kind]`` to an orthonormal frame
+    for the metric ``g`` and the quaternionic structure ``J`` of the
+    curved side, and ``ambient`` is the curvature frame tensor over both
+    frames, in that order.  ``tensors`` maps names of ``TENSORS`` to
+    coefficient arrays, each turned into a ``CasoratiInput`` of the
+    table's symmetry.  Chart scenes give ``space_form_residual``, the
+    deviation of the ambient curvature from the space form; it must be
+    small, and it selects the chart-mode equality tolerance.  Chart
+    submersions also give ``bracket_residual``.
     """
 
-    T: Optional[CasoratiInput]
-    A: Optional[CasoratiInput]
-    horizontal: OrthoFrame
-    vertical: OrthoFrame
-    g1: np.ndarray
-    J1: np.ndarray
+    kind: str
+    frames: dict
+    tensors: dict
+    g: np.ndarray
+    J: np.ndarray
     c: float
     ambient: np.ndarray
     deltaN: Optional[float] = None
     space_form_residual: Optional[float] = None  # chart scenes only
     equality_tol: Optional[float] = None  # scene override of the verdict tolerance
-    bracket_residual: Optional[float] = None
+    bracket_residual: Optional[float] = None  # chart submersions only
+    _extrema: dict = field(default_factory=dict, init=False, repr=False)
+    _diagnostics: dict = field(default_factory=dict, init=False, repr=False)
 
-    @property
-    def s(self) -> int:
-        return self.horizontal.k
-
-    @property
-    def ell(self) -> int:
-        return self.vertical.k
+    def __post_init__(self):
+        self.tensors = {
+            key: CasoratiInput(h, kind=TENSORS[key].symmetry) for key, h in self.tensors.items()
+        }
 
     @cached_property
     def decomp(self) -> JDecomposition:
-        return decompose_J(self.J1, self.g1, self.horizontal.vectors, self.vertical.vectors)
+        first, second = (self.frames[tag].vectors for tag in FRAMES[self.kind])
+        return decompose_J(self.J, self.g, first, second)
 
-    @cached_property
-    def extrema_T(self) -> HyperplaneExtrema:
-        return hyperplane_extrema(self.T)
+    def extrema(self, key: str) -> HyperplaneExtrema:
+        if key not in self._extrema:
+            self._extrema[key] = hyperplane_extrema(self.tensors[key])
+        return self._extrema[key]
 
-    @cached_property
-    def extrema_A(self) -> HyperplaneExtrema:
-        return hyperplane_extrema(self.A)
-
-    @cached_property
-    def diagnostics_T(self) -> EqualityDiagnostics:
-        """Equality diagnostics of T, which the vertical and combined families share."""
-        return equality_diagnostics(
-            self.T,
-            self.extrema_T,
-            A_norm_sq=self.A.norm_sq() if self.A is not None else 0.0,
-            bracket_residual=self.bracket_residual,
-        )
+    def diagnostics(self, key: str) -> EqualityDiagnostics:
+        """Equality diagnostics of one tensor, which the families reading it share."""
+        if key not in self._diagnostics:
+            A = self.tensors.get("A")
+            self._diagnostics[key] = equality_diagnostics(
+                self.tensors[key],
+                self.extrema(key),
+                A_norm_sq=A.norm_sq() if A is not None else 0.0,
+                bracket_residual=self.bracket_residual,
+            )
+        return self._diagnostics[key]
 
 
 def space_form_residual_from_tensor(
@@ -319,10 +297,11 @@ def _family_reports(
     ]
 
 
-def _casorati_terms(h: CasoratiInput, ex: HyperplaneExtrema, n: int) -> dict:
+def _casorati_terms(data: SceneData, key: str) -> dict:
     """Casorati curvature, hyperplane extrema and delta pair of one tensor."""
+    h, ex = data.tensors[key], data.extrema(key)
     C = casorati(h)
-    delta, delta_hat = delta_casorati(C, ex, n)
+    delta, delta_hat = delta_casorati(C, ex, h.n)
     return {
         "casorati": C,
         "inf_CL": ex.inf_CL,
@@ -338,22 +317,43 @@ def _c_term(c: float, k: int, norms: np.ndarray) -> float:
     return c / 4.0 + (3.0 * c / (4.0 * k * (k - 1))) * float(norms.sum())
 
 
-def _symmetric_tensor_reports(
-    data, family: str, h: CasoratiInput, k: int, two_tau: float, ex: HyperplaneExtrema,
-    norms: np.ndarray, tol: float, sf_residual: Optional[float], diag: EqualityDiagnostics,
-    *, rho_key: str, norms_key: str,
+def _check_input(data: SceneData, family: str, **dims: int) -> None:
+    """Raise unless each named distribution dimension is at least 3 and
+    every tensor the family reads is present."""
+    if min(dims.values()) < 3:
+        got = ", ".join(f"{name}={k}" for name, k in dims.items())
+        raise DimensionError(f"{family} theorem needs {', '.join(dims)} >= 3, got {got}")
+    missing = [key for key in FAMILY_TENSORS[family] if key not in data.tensors]
+    if missing:
+        raise ConfigurationError(f"{family} theorem needs the {' and '.join(missing)} tensor")
+
+
+def _distribution_reports(
+    data: SceneData, family: str, rho_key: str, norms_key: str, extra_equality: bool = True,
+    **extras,
 ) -> list[TheoremReport]:
-    """Map and vertical inequalities: a symmetric tensor over one distribution.
+    """Map, vertical and horizontal inequalities: one tensor over one distribution.
 
-    The distribution has dimension ``k``, ambient scalar curvature sum
-    ``two_tau`` and J-block norms ``norms``; the lhs is its normalized
-    scalar curvature through the Gauss relation.
+    The distribution is the tensor's tangent frame, one block of the
+    scene's frames.  Its ambient scalar curvature sum gives rho, and its
+    J-block norms the space-form part of the right side.  The lhs adds
+    the tensor's Gauss term to rho: (|trace h|^2 - |h|^2) / (k (k - 1))
+    for the symmetric B and T, -3 |A|^2 / (s (s - 1)) for the skew A.
     """
-    rho = two_tau / (k * (k - 1))
-    gap = (h.trace_norm_sq() - h.norm_sq()) / (k * (k - 1))
-    lhs = rho + gap
+    tol, sf_residual = _checked_scene(data)
+    (key,) = FAMILY_TENSORS[family]
+    h = data.tensors[key]
+    k = h.n
+    first, _ = FRAMES[data.kind]
+    block = FRAMES[data.kind].index(TENSORS[key].tangent)
+    rho = curvature_sums(data.ambient, data.frames[first].k)[block] / (k * (k - 1))
+    if TENSORS[key].symmetry == "symmetric":
+        lhs = rho + (h.trace_norm_sq() - h.norm_sq()) / (k * (k - 1))
+    else:
+        lhs = rho - 3.0 * h.norm_sq() / (k * (k - 1))
 
-    terms = _casorati_terms(h, ex, k)
+    terms = _casorati_terms(data, key)
+    norms = (data.decomp.norms_P, data.decomp.norms_Q)[block]
     c_term = _c_term(data.c, k, norms)
     extras = {
         "c": data.c,
@@ -362,38 +362,22 @@ def _symmetric_tensor_reports(
         "space_form_residual": sf_residual,
         norms_key: norms.tolist(),
         **terms,
+        **extras,
     }
     rhs = [(terms["delta_C"] + amb, terms["delta_C_hat"] + amb) for amb in (c_term, rho)]
-    return _family_reports(family, lhs, rhs, tol, diag, extras)
+    return _family_reports(family, lhs, rhs, tol, data.diagnostics(key), extras, extra_equality)
 
 
-def check_map_theorem(data: MapSceneData) -> list[TheoremReport]:
+def check_map_theorem(data: SceneData) -> list[TheoremReport]:
     """Map-mode inequality (theorem and generic-lemma assemblies)."""
-    s = data.s
-    if s < 3:
-        raise DimensionError(f"map theorem needs rank s >= 3, got {s}")
-    tol, sf_residual = _checked_scene(data, "target")
-    two_tau = curvature_sums(data.ambient, s)[0]
-    return _symmetric_tensor_reports(
-        data, "map", data.B, s, two_tau, data.extrema, data.decomp.norms_P, tol, sf_residual,
-        equality_diagnostics(data.B, data.extrema), rho_key="rho_range", norms_key="norms_P_range",
-    )
+    _check_input(data, "map", s=data.frames["range"].k)
+    return _distribution_reports(data, "map", "rho_range", "norms_P_range")
 
 
-def check_vertical_theorem(data: SubmersionSceneData) -> list[TheoremReport]:
+def check_vertical_theorem(data: SceneData) -> list[TheoremReport]:
     """Vertical-distribution inequality for submersions."""
-    ell = data.ell
-    if ell < 3:
-        raise DimensionError(f"vertical theorem needs ell >= 3, got {ell}")
-    if data.T is None:
-        raise ConfigurationError("vertical theorem needs the T tensor")
-    tol, sf_residual = _checked_scene(data, "source")
-    two_tau_v = curvature_sums(data.ambient, data.s)[1]
-    return _symmetric_tensor_reports(
-        data, "vertical", data.T, ell, two_tau_v, data.extrema_T, data.decomp.norms_Q,
-        tol, sf_residual, data.diagnostics_T,
-        rho_key="rho_vertical_ambient", norms_key="norms_Q",
-    )
+    _check_input(data, "vertical", ell=data.frames["vertical"].k)
+    return _distribution_reports(data, "vertical", "rho_vertical_ambient", "norms_Q")
 
 
 def _integrable(A: CasoratiInput, a_norm: float) -> bool:
@@ -402,70 +386,44 @@ def _integrable(A: CasoratiInput, a_norm: float) -> bool:
     return a_norm / a_scale < A_VANISHING_TOL
 
 
-def check_horizontal_theorem(data: SubmersionSceneData) -> list[TheoremReport]:
+def check_horizontal_theorem(data: SceneData) -> list[TheoremReport]:
     """Horizontal-distribution inequality; equality means A vanishes."""
-    s = data.s
-    if s < 3:
-        raise DimensionError(f"horizontal theorem needs s >= 3, got {s}")
-    if data.A is None:
-        raise ConfigurationError("horizontal theorem needs the A tensor")
-    tol, sf_residual = _checked_scene(data, "source")
-
-    two_tau_h = curvature_sums(data.ambient, s)[0]
-    rho_h_amb = two_tau_h / (s * (s - 1))
-    a_norm_sq = data.A.norm_sq()
-    lhs = rho_h_amb - 3.0 * a_norm_sq / (s * (s - 1))
-
-    terms = _casorati_terms(data.A, data.extrema_A, s)
-    norms_P = data.decomp.norms_P
-    c_term = _c_term(data.c, s, norms_P)
-    a_norm = float(np.sqrt(a_norm_sq))
-    integrable = _integrable(data.A, a_norm)
+    _check_input(data, "horizontal", s=data.frames["horizontal"].k)
+    A = data.tensors["A"]
+    a_norm = float(np.sqrt(A.norm_sq()))
+    integrable = _integrable(A, a_norm)
     if data.bracket_residual is not None:
         # chart scenes: the bracket cross-check must back the A = 0 reading
         integrable = integrable and data.bracket_residual < 1e-6
-    diag = equality_diagnostics(
-        data.A, data.extrema_A, A_norm_sq=a_norm_sq, bracket_residual=data.bracket_residual
+    return _distribution_reports(
+        data, "horizontal", "rho_horizontal_ambient", "norms_P", integrable, A_norm=a_norm
     )
-    extras = {
-        "c": data.c,
-        "equality_tol": tol,
-        "rho_horizontal_ambient": rho_h_amb,
-        "space_form_residual": sf_residual,
-        "norms_P": norms_P.tolist(),
-        "A_norm": a_norm,
-        **terms,
-    }
-    rhs = [(terms["delta_C"] + amb, terms["delta_C_hat"] + amb) for amb in (c_term, rho_h_amb)]
-    return _family_reports("horizontal", lhs, rhs, tol, diag, extras, integrable)
 
 
-def check_combined_theorem(data: SubmersionSceneData) -> list[TheoremReport]:
+def check_combined_theorem(data: SceneData) -> list[TheoremReport]:
     """Combined vertical+horizontal inequality with the pluggable deltaN."""
-    s, ell = data.s, data.ell
-    if s < 3 or ell < 3:
-        raise DimensionError(f"combined theorem needs s, ell >= 3, got s={s}, ell={ell}")
-    if data.T is None or data.A is None:
-        raise ConfigurationError("combined theorem needs both T and A")
+    s, ell = data.frames["horizontal"].k, data.frames["vertical"].k
+    _check_input(data, "combined", s=s, ell=ell)
     if data.deltaN is None:
         raise ConfigurationError(
             "deltaN is required for the combined theorem and has no default"
         )
-    tol, sf_residual = _checked_scene(data, "source")
+    tol, sf_residual = _checked_scene(data)
+    T, A = data.tensors["T"], data.tensors["A"]
     D = s * (s - 1) * ell * (ell - 1)
 
     two_tau_h, two_tau_v, mixed = curvature_sums(data.ambient, s)
     rho_v_amb = two_tau_v / (ell * (ell - 1))
     rho_h_amb = two_tau_h / (s * (s - 1))
 
-    t_norm = data.T.norm_sq()
-    a_norm = data.A.norm_sq()
-    rho_v = rho_v_amb + (data.T.trace_norm_sq() - t_norm) / (ell * (ell - 1))
+    t_norm = T.norm_sq()
+    a_norm = A.norm_sq()
+    rho_v = rho_v_amb + (T.trace_norm_sq() - t_norm) / (ell * (ell - 1))
     rho_h = rho_h_amb - 3.0 * a_norm / (s * (s - 1))
     lhs = rho_h / (ell * (ell - 1)) + rho_v / (s * (s - 1))
 
-    vert = _casorati_terms(data.T, data.extrema_T, ell)
-    hor = _casorati_terms(data.A, data.extrema_A, s)
+    vert = _casorati_terms(data, "T")
+    hor = _casorati_terms(data, "A")
 
     decomp = data.decomp
     tail = (2.0 * data.deltaN - t_norm + a_norm) / D
@@ -477,7 +435,7 @@ def check_combined_theorem(data: SubmersionSceneData) -> list[TheoremReport]:
         (decomp.norms_Q + decomp.norms_P + 2.0 * decomp.norms_PV).sum()
     )
 
-    integrable = _integrable(data.A, float(np.sqrt(a_norm)))
+    integrable = _integrable(A, float(np.sqrt(a_norm)))
     extras = {
         "c": data.c,
         "equality_tol": tol,
@@ -502,10 +460,10 @@ def check_combined_theorem(data: SubmersionSceneData) -> list[TheoremReport]:
         )
         for amb in (closed_amb, generic_amb)
     ]
-    return _family_reports("combined", lhs, rhs, tol, data.diagnostics_T, extras, integrable)
+    return _family_reports("combined", lhs, rhs, tol, data.diagnostics("T"), extras, integrable)
 
 
-def _checked_scene(data, curvature: str) -> tuple[float, Optional[float]]:
+def _checked_scene(data: SceneData) -> tuple[float, Optional[float]]:
     """Verdict tolerance and space-form residual of a scene.
 
     Raises when the residual of a chart scene is too large.
@@ -517,6 +475,7 @@ def _checked_scene(data, curvature: str) -> tuple[float, Optional[float]]:
         # chart scenes come with a space-form residual; oracle scenes do not
         tol = CHART_EQUALITY_TOL if residual is not None else ORACLE_EQUALITY_TOL
     if residual is not None and residual > SPACE_FORM_TOL:
+        curvature = "target" if data.kind == "map" else "source"
         raise OracleError(
             f"{curvature} curvature deviates from the c={data.c} space form by {residual:.3e}"
         )

@@ -17,12 +17,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DomainError
 
 __all__ = [
     "Jet2",
     "seed_point",
-    "eval_jet2",
     "exp",
     "log",
     "sin",
@@ -197,25 +195,6 @@ def seed_point(x: Sequence[float]) -> list[Jet2]:
     x = np.asarray(x, dtype=float)
     n = x.shape[0]
     return [Jet2.variable(x[i], i, n) for i in range(n)]
-
-
-def eval_jet2(field: Callable, x: Sequence[float], domain=None) -> Jet2:
-    """Evaluate a scalar field to third order at ``x``.
-
-    ``field`` receives a list of jets and must return a jet or a plain
-    number (constant fields).  When ``domain`` is given as a sequence of
-    open intervals, the point must lie strictly inside.
-    """
-    x = np.asarray(x, dtype=float)
-    if domain is not None:
-        for xi, (lo, hi) in zip(x, domain):
-            if not (lo < xi < hi):
-                raise DomainError(f"coordinate {xi} outside open interval ({lo}, {hi})")
-    out = field(seed_point(x))
-    if not isinstance(out, Jet2):
-        out = Jet2.constant(float(out), x.shape[0])
-    out.hess = 0.5 * (out.hess + out.hess.T)
-    return out
 
 
 def matrix_product(a: tuple, b: tuple) -> tuple:

@@ -214,9 +214,11 @@ def differential(smap: SmoothMap, x) -> SceneSplit:
 
     The vertical frame spans the numerical kernel of dF (singular values
     below 1e-8), the horizontal frame is its metric-orthogonal
-    complement, the range frame is ``dF`` of the horizontal frame
-    (checked to be orthonormal in the target metric) and range_perp
-    completes it.
+    complement, the range frame is ``dF`` of the horizontal frame and
+    range_perp completes it.  ``dF`` of the horizontal frame must be
+    orthonormal in the target metric up to the isometry tolerance; that
+    residual is measured on the raw vectors, and the range frame is their
+    metric Gram-Schmidt, orthonormal to rounding.
     """
     pt = MapPoint.at(smap, x)
     g1 = pt.source.G0
@@ -245,7 +247,7 @@ def differential(smap: SmoothMap, x) -> SceneSplit:
             f"differential is not isometric on the horizontal space at {pt.x.tolist()} "
             f"(residual {iso_residual:.3e})"
         )
-    rng = OrthoFrame(range_vectors, g2)
+    rng = gram_schmidt(range_vectors, g2)
     perp = complete_frame(rng, np.eye(smap.target.dim)).vectors[rank:]
     return SceneSplit(
         point=pt,

@@ -18,15 +18,16 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import geometry, maps
-from .casorati import CasoratiInput
 from .errors import CasoratiqError, RankError, SceneValidationError, StructureError
 from .expressions import compile_expression
 from .geometry import MAX_DIM, MetricChart, OrthoFrame
 from .inequalities import (
     FAMILIES,
-    MapSceneData,
-    SubmersionSceneData,
+    FAMILY_TENSORS,
+    FRAMES,
+    TENSORS,
     THEOREM_IDS,
+    SceneData,
     check_combined_theorem,
     check_horizontal_theorem,
     check_map_theorem,
@@ -177,7 +178,7 @@ def _chart_from_spec(spec, where: str) -> MetricChart:
         try:
             return geometry.chart(spec)
         except KeyError as e:
-            raise SceneValidationError(str(e)) from e
+            raise SceneValidationError(e.args[0]) from e
     if not isinstance(spec, dict):
         raise SceneValidationError(f"{where} must be a chart name or object")
     _reject_unknown(spec, {"dim", "box", "metric", "name"}, where)
@@ -213,7 +214,7 @@ def _structure_from_spec(spec, dim: int, where: str) -> QuaternionicStructure:
                 _numeric(spec["matrices"], f"{where}.matrices", ndim=3)
             )
     except (KeyError, StructureError) as e:
-        raise SceneValidationError(f"{where}: {e}") from e
+        raise SceneValidationError(f"{where}: {e.args[0]}") from e
     if st.dim != dim:
         raise SceneValidationError(
             f"{where}: structure dimension {st.dim} does not match space dimension {dim}"
@@ -274,51 +275,41 @@ def _check_theorems_fit(theorems, kind: str, structure_on: Optional[str]) -> Non
         )
 
 
-# frame tags of a pointwise scene, and each tensor's (normal, tangent) frames
-_POINTWISE_FRAMES = {"submersion": ("horizontal", "vertical"), "map": ("range", "range_perp")}
-_TENSOR_FRAMES = {
-    "B": ("range_perp", "range"),
-    "T": ("horizontal", "vertical"),
-    "A": ("vertical", "horizontal"),
-}
-# tensors each submersion theorem family reads
-_FAMILY_TENSORS = {"vertical": {"T"}, "horizontal": {"A"}, "combined": {"T", "A"}}
-
-
 def _pointwise_frames_tensors(doc: dict, dim: int, kind: str, theorems) -> tuple[dict, dict]:
     """The frames and tensors of a pointwise scene, as finite arrays of matching shapes.
 
-    Both frames of the scene's kind are required, as rows of ``dim``
-    coordinates.  A map scene needs B; a submersion scene needs the
-    tensors its theorems read (T for vertical, A for horizontal, both
-    for combined).  Tensor h[a, i, j] has one slice per vector of its
-    normal frame and one row and column per vector of its tangent frame.
+    Both frames of the scene's kind (``FRAMES``) are required, as rows
+    of ``dim`` coordinates.  The tensors (``TENSORS``) are those that
+    live on these frames, and the ones the requested theorems read
+    (``FAMILY_TENSORS``) are required.  Tensor h[a, i, j] has one slice
+    per vector of its normal frame and one row and column per vector of
+    its tangent frame.
     """
-    tags = _POINTWISE_FRAMES[kind]
+    tags = FRAMES[kind]
     frames_spec = _require(doc, "frames", "scenario")
     tensors_spec = _require(doc, "tensors", "scenario")
     for spec, where in ((frames_spec, "frames"), (tensors_spec, "tensors")):
         if not isinstance(spec, dict):
             raise SceneValidationError(f"{where} must be an object")
     _reject_unknown(frames_spec, set(tags), "frames")
-    _reject_unknown(tensors_spec, {"B"} if kind == "map" else {"T", "A"}, "tensors")
+    _reject_unknown(
+        tensors_spec, {key for key, lay in TENSORS.items() if lay.tangent in tags}, "tensors"
+    )
     frames = {}
     for tag in tags:
         frame = _numeric(_require(frames_spec, tag, "frames"), f"frames.{tag}", ndim=2)
         if frame.shape[1] != dim:
             raise SceneValidationError(f"frames.{tag} vectors must have {dim} entries")
         frames[tag] = frame
-    if kind == "map":
-        needed = {"B"}  # read at every map point
-    else:
-        needed = set().union(*(_FAMILY_TENSORS[f] for f in _requested_families(theorems)))
+    needed = set().union(*(FAMILY_TENSORS[f] for f in _requested_families(theorems)))
     missing = sorted(needed - set(tensors_spec))
     if missing:
         raise SceneValidationError(f"missing tensors {missing} for this {kind} scene")
     tensors = {}
     for key, raw in tensors_spec.items():
         tensor = _numeric(raw, f"tensors.{key}", ndim=3)
-        normal, tangent = (len(frames[tag]) for tag in _TENSOR_FRAMES[key])
+        lay = TENSORS[key]
+        normal, tangent = len(frames[lay.normal]), len(frames[lay.tangent])
         want = (normal, tangent, tangent)
         if tensor.shape != want:
             raise SceneValidationError(f"tensors.{key} has shape {tensor.shape}, not {want}")
@@ -565,41 +556,6 @@ def _check_gauss(scn: Scenario, worst: float) -> None:
         )
 
 
-def _checker_data(scn: Scenario, J, g: np.ndarray, ambient, frames, tensors: dict, **chart):
-    """Checker input at one point of a map or submersion scene.
-
-    ``frames`` are the (range, range_perp) or (horizontal, vertical)
-    frames and ``ambient`` is the curvature frame tensor over both, in
-    that order; ``chart`` holds what only chart scenes measure, the
-    space-form residual and, for submersions, the bracket residual.
-    """
-    first, second = frames
-    common = dict(
-        c=scn.c, ambient=ambient, equality_tol=scn.tolerances.get("equality"), **chart
-    )
-    if scn.kind == "map":
-        return MapSceneData(
-            B=CasoratiInput(tensors["B"], kind="symmetric"),
-            range_frame=first,
-            range_perp_frame=second,
-            g2=g,
-            J2=J,
-            **common,
-        )
-    T = tensors.get("T")
-    A = tensors.get("A")
-    return SubmersionSceneData(
-        T=CasoratiInput(T, kind="symmetric") if T is not None else None,
-        A=CasoratiInput(A, kind="skew") if A is not None else None,
-        horizontal=first,
-        vertical=second,
-        g1=g,
-        J1=J,
-        deltaN=scn.delta_n,
-        **common,
-    )
-
-
 def _evaluate_chart_point(scn: Scenario, x: np.ndarray):
     """Map point, validation, Gauss residuals and checker data of one chart point.
 
@@ -630,23 +586,25 @@ def _evaluate_chart_point(scn: Scenario, x: np.ndarray):
         chart["bracket_residual"] = _bracket_residual(split, A)
         validation["bracket_verticality_residual"] = chart["bracket_residual"]
         tensors = {"T": T.coeffs, "A": A.coeffs}
-        frames = (split.horizontal, split.vertical)
     else:
         B = maps.second_fundamental_form(split)
         validation["B_symmetry_residual"] = B.symmetry_residual()
         gauss = {"map": maps.gauss_residual_map(split, B)}
         _check_gauss(scn, gauss["map"])
         tensors = {"B": B.coeffs}
-        frames = (split.range, split.range_perp)
     data = None
     if scn.theorems:
         # the parse-time fit check put the structure on the curved side
-        ambient = split.source_curvature if scn.kind == "submersion" else split.target_curvature
+        frames = {tag: getattr(split, tag) for tag in FRAMES[scn.kind]}
+        ambient = split.target_curvature if scn.kind == "map" else split.source_curvature
         g = _structure_metric(scn, split)
         chart["space_form_residual"] = space_form_residual_from_tensor(
-            ambient, QSFOracle(scn.c, J, g), np.vstack([f.vectors for f in frames])
+            ambient, QSFOracle(scn.c, J, g), np.vstack([f.vectors for f in frames.values()])
         )
-        data = _checker_data(scn, J, g, ambient, frames, tensors, **chart)
+        data = SceneData(
+            scn.kind, frames, tensors, g, J, scn.c, ambient, scn.delta_n,
+            equality_tol=scn.tolerances.get("equality"), **chart,
+        )
     return split.point.y.tolist(), validation, gauss, data
 
 
@@ -656,21 +614,24 @@ def _evaluate_pointwise(scn: Scenario):
     J = scn.structure.J_const
     validation = {}
     _check_structure(J, g, validation)
-    tags = _POINTWISE_FRAMES[scn.kind]
-    frames = tuple(OrthoFrame(scn.frames[tag], g) for tag in tags)
-    for fr, tag in zip(frames, tags):
+    frames = {tag: OrthoFrame(scn.frames[tag], g) for tag in FRAMES[scn.kind]}
+    for tag, fr in frames.items():
         res = fr.orthonormality_residual()
         validation[f"{tag}_frame_residual"] = res
         if res > 1e-10:
             raise SceneValidationError(f"{tag} frame is not orthonormal ({res:.3e})")
     if scn.kind == "submersion":
-        hor, vert = frames
+        hor, vert = frames.values()
         cross = float(np.abs(hor.vectors @ g @ vert.vectors.T).max()) if vert.k else 0.0
         validation["cross_orthogonality"] = cross
         if cross > 1e-10:
             raise SceneValidationError(f"frames are not mutually orthogonal ({cross:.3e})")
-    ambient = QSFOracle(scn.c, J, g).curvature_tensor(np.vstack([f.vectors for f in frames]))
-    return None, validation, None, _checker_data(scn, J, g, ambient, frames, scn.tensors)
+    E = np.vstack([f.vectors for f in frames.values()])
+    data = SceneData(
+        scn.kind, frames, scn.tensors, g, J, scn.c, QSFOracle(scn.c, J, g).curvature_tensor(E),
+        scn.delta_n, equality_tol=scn.tolerances.get("equality"),
+    )
+    return None, validation, None, data
 
 
 def _theorem_reports(data, theorems) -> list:

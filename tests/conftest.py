@@ -1,9 +1,24 @@
+from typing import Callable, Sequence
+
 import numpy as np
 import pytest
 from hypothesis import settings
 
-from casoratiq.casorati import _GRAD_TOL, _Quartic, _newton_polish, _phi
+from casoratiq.casorati import (
+    _GRAD_TOL,
+    CasoratiInput,
+    TripathiInstance,
+    _Quartic,
+    _newton_polish,
+    _phi,
+    casorati,
+    delta_casorati,
+    hyperplane_extrema,
+    tripathi_objective,
+)
+from casoratiq.errors import DimensionError, DomainError, OptimizationError
 from casoratiq.geometry import MetricChart, chart
+from casoratiq.jets import Jet2, seed_point
 from casoratiq.maps import SmoothMap
 from casoratiq import jets
 
@@ -94,3 +109,98 @@ def dense_extrema(h: np.ndarray) -> tuple[float, float]:
         min(vals.min(), polished[:_DENSE_TOP].min()) / (n - 1),
         max(vals.max(), polished[_DENSE_TOP:].max()) / (n - 1),
     )
+
+
+# -- oracles and test-only helpers -------------------------------------------
+
+
+def casorati_subspace(inp: CasoratiInput, indices=None, normal=None) -> float:
+    """Casorati curvature of a subspace.
+
+    Either restrict to coordinate ``indices`` (k >= 2 of them) or hand a
+    unit ``normal`` whose orthogonal hyperplane is meant; the projector
+    route reduces to the coordinate one when the normal is a basis vector.
+    """
+    if (indices is None) == (normal is None):
+        raise ValueError("pass exactly one of indices / normal")
+    h = inp.coeffs
+    if indices is not None:
+        idx = np.asarray(indices, dtype=int)
+        k = idx.shape[0]
+        if k < 2:
+            raise DimensionError(f"subspace dimension {k} < 2")
+        sub = h[:, idx[:, None], idx[None, :]]
+        return float(np.sum(sub**2)) / k
+    u = np.asarray(normal, dtype=float)
+    if abs(np.linalg.norm(u) - 1.0) > 1e-12:
+        raise DimensionError("hyperplane normal must be a unit vector")
+    if inp.n < 2:
+        raise DimensionError("hyperplane of a 1-dimensional space")
+    P = np.eye(inp.n) - np.outer(u, u)
+    proj = np.einsum("ij,ajk,kl->ail", P, h, P)
+    return float(np.sum(proj**2)) / (inp.n - 1)
+
+
+def tripathi_minimize_numeric(
+    inst: TripathiInstance, tol: float = 1e-13, max_iters: int = 20000
+) -> tuple[np.ndarray, float]:
+    """Projected-gradient minimizer on the hyperplane (oracle path).
+
+    Exact line search along the projected gradient; independent of the
+    closed form.
+    """
+    n = inst.n
+    t = np.full(n, inst.k / n)
+    diag = np.full(n, inst.lam1 + 1.0)
+    diag[-1] = inst.lam2 + 1.0
+    scale = max(1.0, abs(inst.k))
+    for _ in range(max_iters):
+        # f = sum diag t^2 - (sum t)^2 on the constraint; grad = 2 diag t - 2k
+        grad = 2.0 * diag * t - 2.0 * inst.k
+        d = grad - grad.mean()
+        gnorm = np.linalg.norm(d)
+        if gnorm < tol * scale:
+            break
+        # exact step for the quadratic: alpha = (d.g) / (2 d^T H d / 2)
+        hd = 2.0 * diag * d - 2.0 * d.sum()  # H d with H = 2 diag - 2 ones
+        denom = float(d @ hd)
+        if denom <= 0:
+            raise OptimizationError("quadratic not convex along descent direction")
+        t = t - (float(d @ grad) / denom) * d
+    return t, tripathi_objective(inst, t)
+
+
+def eval_jet2(field: Callable, x: Sequence[float], domain=None) -> Jet2:
+    """Evaluate a scalar field to third order at ``x``.
+
+    ``field`` receives a list of jets and must return a jet or a plain
+    number (constant fields).  When ``domain`` is given as a sequence of
+    open intervals, the point must lie strictly inside.
+    """
+    x = np.asarray(x, dtype=float)
+    if domain is not None:
+        for xi, (lo, hi) in zip(x, domain):
+            if not (lo < xi < hi):
+                raise DomainError(f"coordinate {xi} outside open interval ({lo}, {hi})")
+    out = field(seed_point(x))
+    if not isinstance(out, Jet2):
+        out = Jet2.constant(float(out), x.shape[0])
+    out.hess = 0.5 * (out.hess + out.hess.T)
+    return out
+
+
+def algebraic_gap(B: CasoratiInput):
+    """Purely algebraic core of the map inequality.
+
+    Returns (lhs, rhs_delta, rhs_delta_hat) with
+    lhs = (|trace B|^2 - |B|^2) / (s (s - 1)); for every B the lhs is
+    bounded by both delta-Casorati right sides.
+    """
+    s = B.n
+    if s < 3:
+        raise DimensionError(f"algebraic gap needs s >= 3, got {s}")
+    lhs = (B.trace_norm_sq() - B.norm_sq()) / (s * (s - 1))
+    C = casorati(B)
+    ex = hyperplane_extrema(B)
+    delta, delta_hat = delta_casorati(C, ex, s)
+    return lhs, delta, delta_hat

@@ -13,15 +13,12 @@ from casoratiq.casorati import (
     TripathiInstance,
     hyperplane_extrema,
     tripathi_minimize,
-    tripathi_minimize_numeric,
     tripathi_objective,
 )
 from casoratiq.cli import report_json
 from casoratiq.geometry import OrthoFrame, chart, gram_schmidt, riemann
 from casoratiq.inequalities import (
-    MapSceneData,
-    SubmersionSceneData,
-    algebraic_gap,
+    SceneData,
     check_combined_theorem,
     check_horizontal_theorem,
     check_map_theorem,
@@ -31,7 +28,7 @@ from casoratiq.maps import differential, gauss_residual_map, gauss_residual_subm
 from casoratiq.quaternionic import QSFOracle, quat_units
 from casoratiq.scenes import builtin_names, builtin_scenario, evaluate_scenario
 
-from conftest import dense_extrema, orthonormal_rows
+from conftest import algebraic_gap, dense_extrema, orthonormal_rows, tripathi_minimize_numeric
 
 
 def _sample(rng, ch, count):
@@ -166,12 +163,12 @@ def _random_map_data(rng, s, c):
     g = np.eye(8)
     raw = rng.uniform(-1.0, 1.0, size=(8 - s, s, s))
     B = 0.5 * (raw + raw.transpose(0, 2, 1))
-    return MapSceneData(
-        B=CasoratiInput(B),
-        range_frame=OrthoFrame(rows[:s], g),
-        range_perp_frame=OrthoFrame(rows[s:], g),
-        g2=g,
-        J2=J,
+    return SceneData(
+        kind="map",
+        frames={"range": OrthoFrame(rows[:s], g), "range_perp": OrthoFrame(rows[s:], g)},
+        tensors={"B": B},
+        g=g,
+        J=J,
         c=c,
         ambient=QSFOracle(c, J, g).curvature_tensor(rows),
     )
@@ -184,13 +181,15 @@ def _random_submersion_data(rng, s, ell, c, deltaN=None):
     g = np.eye(dim)
     raw_t = rng.uniform(-1.0, 1.0, size=(s, ell, ell))
     raw_a = rng.uniform(-1.0, 1.0, size=(ell, s, s))
-    return SubmersionSceneData(
-        T=CasoratiInput(0.5 * (raw_t + raw_t.transpose(0, 2, 1))),
-        A=CasoratiInput(0.5 * (raw_a - raw_a.transpose(0, 2, 1)), kind="skew"),
-        horizontal=OrthoFrame(rows[:s], g),
-        vertical=OrthoFrame(rows[s : s + ell], g),
-        g1=g,
-        J1=J,
+    return SceneData(
+        kind="submersion",
+        frames={"horizontal": OrthoFrame(rows[:s], g), "vertical": OrthoFrame(rows[s : s + ell], g)},
+        tensors={
+            "T": 0.5 * (raw_t + raw_t.transpose(0, 2, 1)),
+            "A": 0.5 * (raw_a - raw_a.transpose(0, 2, 1)),
+        },
+        g=g,
+        J=J,
         c=c,
         ambient=QSFOracle(c, J, g).curvature_tensor(rows[: s + ell]),
         deltaN=deltaN,

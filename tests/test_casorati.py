@@ -11,11 +11,9 @@ from casoratiq.casorati import (
     CasoratiInput,
     TripathiInstance,
     casorati,
-    casorati_subspace,
     delta_casorati,
     hyperplane_extrema,
     tripathi_minimize,
-    tripathi_minimize_numeric,
     tripathi_objective,
     _Quartic,
     _BASIN_TOL,
@@ -37,6 +35,8 @@ from casoratiq.casorati import (
 from casoratiq.cli import main
 from casoratiq.errors import DimensionError, OptimizationError, ProvisoError
 from casoratiq.scenes import evaluate_scenario, parse_scenario, random_pointwise_submersion
+
+from conftest import casorati_subspace, tripathi_minimize_numeric
 
 
 def skew_coeffs(rng, n_alpha, n):

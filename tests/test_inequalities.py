@@ -6,9 +6,7 @@ from casoratiq.casorati import CasoratiInput, hyperplane_extrema
 from casoratiq.errors import ConfigurationError, DimensionError, OracleError
 from casoratiq.geometry import OrthoFrame, curvature_sums
 from casoratiq.inequalities import (
-    MapSceneData,
-    SubmersionSceneData,
-    algebraic_gap,
+    SceneData,
     check_combined_theorem,
     check_horizontal_theorem,
     check_map_theorem,
@@ -18,7 +16,7 @@ from casoratiq.inequalities import (
 )
 from casoratiq.quaternionic import QSFOracle, quat_units
 
-from conftest import orthonormal_rows
+from conftest import algebraic_gap, orthonormal_rows
 
 
 def pattern_slices(n, lams):
@@ -39,13 +37,12 @@ def submersion_data(rng, s, ell, c, T=None, A=None, deltaN=None, dim=12):
     if A is None:
         raw = rng.uniform(-1, 1, size=(ell, s, s))
         A = 0.5 * (raw - raw.transpose(0, 2, 1))
-    return SubmersionSceneData(
-        T=CasoratiInput(T, kind="symmetric"),
-        A=CasoratiInput(A, kind="skew"),
-        horizontal=OrthoFrame(rows[:s], g),
-        vertical=OrthoFrame(rows[s : s + ell], g),
-        g1=g,
-        J1=J,
+    return SceneData(
+        kind="submersion",
+        frames={"horizontal": OrthoFrame(rows[:s], g), "vertical": OrthoFrame(rows[s : s + ell], g)},
+        tensors={"T": T, "A": A},
+        g=g,
+        J=J,
         c=c,
         ambient=QSFOracle(c, J, g).curvature_tensor(rows[: s + ell]),
         deltaN=deltaN,
@@ -87,12 +84,12 @@ class TestMapTheorem:
         g = np.eye(8)
         if ambient is None:
             ambient = QSFOracle(c, J, g).curvature_tensor(rows)
-        return MapSceneData(
-            B=CasoratiInput(B),
-            range_frame=OrthoFrame(rows[:4], g),
-            range_perp_frame=OrthoFrame(rows[4:], g),
-            g2=g,
-            J2=J,
+        return SceneData(
+            kind="map",
+            frames={"range": OrthoFrame(rows[:4], g), "range_perp": OrthoFrame(rows[4:], g)},
+            tensors={"B": B},
+            g=g,
+            J=J,
             c=c,
             ambient=ambient,
             space_form_residual=space_form_residual,
@@ -141,12 +138,12 @@ class TestMapTheorem:
         rng = np.random.default_rng(1)
         rows = orthonormal_rows(rng, 8)
         g = np.eye(8)
-        data = MapSceneData(
-            B=CasoratiInput(np.zeros((1, 2, 2))),
-            range_frame=OrthoFrame(rows[:2], g),
-            range_perp_frame=OrthoFrame(rows[2:], g),
-            g2=g,
-            J2=quat_units(2),
+        data = SceneData(
+            kind="map",
+            frames={"range": OrthoFrame(rows[:2], g), "range_perp": OrthoFrame(rows[2:], g)},
+            tensors={"B": np.zeros((1, 2, 2))},
+            g=g,
+            J=quat_units(2),
             c=0.0,
             ambient=np.zeros((8,) * 4),
         )
@@ -176,10 +173,7 @@ class TestVerticalTheorem:
 
     def test_dimension_error(self):
         rng = np.random.default_rng(6)
-        data = submersion_data(rng, 4, 3, 0.0)
-        data = SubmersionSceneData(**{**data.__dict__,
-                                      "vertical": OrthoFrame(data.vertical.vectors[:2], data.g1),
-                                      "T": CasoratiInput(data.T.coeffs[:, :2, :2])})
+        data = submersion_data(rng, 4, 2, 0.0)
         with pytest.raises(DimensionError):
             check_vertical_theorem(data)
 
@@ -195,7 +189,7 @@ class TestHorizontalTheorem:
     def test_nonzero_A_strict(self):
         rng = np.random.default_rng(13)
         data = submersion_data(rng, 4, 4, 0.0)
-        assert data.A.norm_sq() > 1e-4
+        assert data.tensors["A"].norm_sq() > 1e-4
         for r in check_horizontal_theorem(data):
             assert r.equality_verdict == "strict"
             assert r.slack > 0
@@ -231,7 +225,7 @@ class TestCombinedTheorem:
         data = submersion_data(rng, 4, 4, 4.0, T=np.zeros((4, 4, 4)),
                                A=np.zeros((4, 4, 4)), deltaN=0.0)
         D = 4 * 3 * 4 * 3
-        mixed = curvature_sums(data.ambient, data.s)[2]
+        mixed = curvature_sums(data.ambient, data.frames["horizontal"].k)[2]
         for r in check_combined_theorem(data):
             assert r.slack == pytest.approx(2.0 * mixed / D, abs=1e-10)
             assert r.slack >= 0.0

@@ -5,7 +5,9 @@ from hypothesis import given, settings, strategies as st
 from casoratiq import jets
 from casoratiq.errors import DomainError
 from casoratiq.expressions import compile_expression
-from casoratiq.jets import Jet2, eval_jet2
+from casoratiq.jets import Jet2
+
+from conftest import eval_jet2
 
 
 def test_polynomial_example():

@@ -69,7 +69,7 @@ class TestExpressions:
                 compile_expression(text)(point)
 
     def test_jet_evaluation(self):
-        from casoratiq.jets import eval_jet2
+        from conftest import eval_jet2
 
         e = compile_expression("x1^2*x2")
         out = eval_jet2(lambda c: e(c), [2.0, 3.0])
@@ -399,6 +399,40 @@ def _builtin_doc(name):
     return json.loads(json.dumps(builtin_scenario(name).raw))
 
 
+def _near_isometric_embedding(g11: str) -> dict:
+    """flat-embedding:4in8 with the source metric entry g11 set to ``g11``."""
+    doc = _builtin_doc("flat-embedding:4in8")
+    metric = [["1" if i == j else "0" for j in range(4)] for i in range(4)]
+    metric[0][0] = g11
+    doc["map"]["source"] = {"dim": 4, "box": [[-1.0, 1.0]] * 4, "metric": metric}
+    doc["points"] = doc["points"][:1]
+    return doc
+
+
+class TestIsometryGate:
+    """``maps.differential`` accepts an isometry residual up to 1e-6 and
+    rejects a larger one as a point error."""
+
+    def test_near_isometric_map_runs(self, tmp_path, capsys):
+        doc = _near_isometric_embedding("1+1e-8")
+        code, out = _run_file(tmp_path, doc)
+        assert code == 0
+        report = json.loads(out.read_text())
+        assert report["aggregate"]["point_errors"] == 0
+        assert len(report["points"][0]["reports"]) == 4
+        assert main(["validate", str(tmp_path / "scene.json")]) == 0
+        capsys.readouterr()
+
+    def test_non_isometric_map_is_point_error(self, tmp_path, capsys):
+        doc = _near_isometric_embedding("1.01")
+        code, out = _run_file(tmp_path, doc)
+        assert code == 3
+        (error,) = json.loads(out.read_text())["points"][0]["errors"]
+        assert "not isometric" in error and "residual 9.901e-03" in error
+        assert main(["validate", str(tmp_path / "scene.json")]) == 3
+        capsys.readouterr()
+
+
 class TestSizeCaps:
     """A dimension above ``MAX_DIM`` (32) or a sample count above 1024 is a
     scene error raised while parsing, before anything large is allocated."""
@@ -437,6 +471,7 @@ class TestSizeCaps:
             tracemalloc.stop()
         assert peak < 1 << 20, peak
         assert "\n" not in str(err.value)
+        assert '"' not in str(err.value)  # not the repr of a KeyError's message
         # parsing raised, so the CLI stops there too
         assert _run_file(tmp_path, doc)[0] == 3
         assert len(capsys.readouterr().err.splitlines()) == 1
@@ -844,11 +879,15 @@ class TestCli:
         assert json.loads(capsys.readouterr().out)["valid"] is True
 
     @pytest.mark.parametrize("scene", builtin_names() + _SCENARIO_FILES)
-    def test_validate_every_shipped_scene(self, capsys, scene):
+    def test_validate_every_shipped_scene(self, tmp_path, capsys, scene):
         path = _SCENARIO_DIR / scene if scene in _SCENARIO_FILES else scene
         assert main(["validate", str(path)]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["valid"] is True and doc["points"]
+        # a scene that validates also runs without a point error
+        out = tmp_path / "r.json"
+        assert main(["run", str(path), "-o", str(out)]) == 0
+        assert json.loads(out.read_text())["aggregate"]["point_errors"] == 0
 
     def test_validate_bad_file_exit_3(self, tmp_path):
         p = tmp_path / "bad.json"
