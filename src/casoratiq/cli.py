@@ -2,9 +2,10 @@
 
 Exit codes: 2 when any report's verdict is "violated", else 3 when the
 scenario is invalid or a point could not be evaluated, else 0; raw
-slacks play no part.  Reports are byte-stable across runs: numbers
-serialize as shortest round-trip decimals and wall-clock timing goes to
-stderr only.
+slacks play no part.  A malformed command line or an output file that
+cannot be written exits 3 with one line on stderr, before any verdict.
+Reports are byte-stable across runs: numbers serialize as shortest
+round-trip decimals and wall-clock timing goes to stderr only.
 """
 
 from __future__ import annotations
@@ -78,14 +79,18 @@ def _cmd_run(args) -> int:
         return 3
 
     text = report_json(report)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-    if args.csv:
-        with open(args.csv, "w", encoding="utf-8") as fh:
-            fh.write(report_csv(report))
+    try:
+        if args.output:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
+        if args.csv:
+            with open(args.csv, "w", encoding="utf-8") as fh:
+                fh.write(report_csv(report))
+    except OSError as e:
+        print(f"cannot write report: {e}", file=sys.stderr)
+        return 3
     print(f"elapsed: {report.elapsed_seconds:.3f}s", file=sys.stderr)
 
     if report.has_violation():
@@ -120,8 +125,14 @@ def _cmd_validate(args) -> int:
     return 0 if doc["valid"] else 3
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    def error(self, message):
+        # argparse's own code 2 would read as a violated theorem
+        self.exit(3, f"{self.prog}: error: {message}\n")
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="casoratiq",
         description="Verify Casorati curvature inequalities on scenario files",
     )

@@ -1,22 +1,25 @@
 """Closed-form expression language for scene files.
 
-Grammar (whitespace-insensitive)::
+The grammar is Python's arithmetic subset with ``^`` as an alias of
+``**``, whitespace-insensitive: numeric literals, ``+ - * /``, unary
+minus (which binds below a power, so ``-x1^2`` is ``-(x1^2)``),
+parentheses, and powers whose exponent is a numeric literal that may be
+negated.  Identifiers are the coordinates ``x1 .. xn``, the bare vector
+``x`` (only as the argument of ``norm``), and the functions ``exp``,
+``log``, ``sin``, ``cos``, ``sqrt``, ``norm``.  The grammar is
+deliberately closed under the jet arithmetic in :mod:`casoratiq.jets`.
 
-    expr    := term (("+" | "-") term)*
-    term    := factor (("*" | "/") factor)*
-    factor  := "-" factor | power
-    power   := atom (("^" | "**") factor)?
-    atom    := NUMBER | IDENT | IDENT "(" expr ")" | "(" expr ")"
-
-Identifiers are the coordinates ``x1 .. xn``, the bare vector ``x``
-(only as the argument of ``norm``), and the functions ``exp``, ``log``,
-``sin``, ``cos``, ``sqrt``, ``norm``.  The grammar is deliberately
-closed under the jet arithmetic in :mod:`casoratiq.jets`.
+The language's lexical rules turn the text into Python source, which
+:func:`ast.parse` reads; a walk flattens the accepted nodes into a
+post-order program run on a value stack.  Nothing here recurses, so only
+the Python parser bounds the nesting depth.
 """
 
 from __future__ import annotations
 
+import ast
 import math
+import operator
 import re
 from dataclasses import dataclass
 
@@ -30,8 +33,10 @@ __all__ = ["compile_expression", "CompiledExpression"]
 _TOKEN = re.compile(
     r"\s*(?:(?P<num>\d+\.?\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?)"
     r"|(?P<ident>[A-Za-z_][A-Za-z_0-9]*)"
-    r"|(?P<op>\*\*|\^|[+\-*/()]))"
+    r"|(?P<op>\*\*|\^|[+\-*/()])"
+    r"|(?P<bad>\S))"
 )
+_VARIABLE = re.compile(r"x0*([1-9]\d*)")
 
 _FUNCTIONS = {
     "exp": jets.exp,
@@ -42,156 +47,90 @@ _FUNCTIONS = {
 }
 
 
-def _tokenize(text: str) -> list[tuple[str, str]]:
+def _power(base, expo):
+    # math.pow raises where float ** would return a complex number
+    return base**expo if isinstance(base, jets.Jet2) else math.pow(base, expo)
+
+
+# program instructions are (kind, argument) pairs; "coords" applies its
+# argument to the coordinate list
+_BINARY = {
+    ast.Add: ("binary", operator.add),
+    ast.Sub: ("binary", operator.sub),
+    ast.Mult: ("binary", operator.mul),
+    ast.Div: ("binary", operator.truediv),
+    ast.Pow: ("binary", _power),
+}
+
+
+def _python_source(text: str) -> str:
+    """The tokens of ``text`` as Python source, one space apart, with ``^`` as ``**``."""
     tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if m is None:
-            if text[pos:].strip() == "":
-                break
+    for m in _TOKEN.finditer(text):
+        num, ident, op, bad = m.groups()
+        if bad is not None:
             raise SceneValidationError(
-                f"bad character {text[pos]!r} at column {pos + 1} in expression {text!r}"
+                f"bad character {bad!r} at column {m.end()} in expression {text!r}"
             )
-        pos = m.end()
-        if m.group("num") is not None:
-            tokens.append(("num", m.group("num")))
-        elif m.group("ident") is not None:
-            tokens.append(("ident", m.group("ident")))
+        if num is not None and math.isinf(float(num)):
+            raise SceneValidationError(f"literal {num} overflows in expression {text!r}")
+        tokens.append(repr(float(num)) if num is not None else ident or op)
+    # the spaces keep neighbouring tokens apart, as in "x1 2" or "/ /"
+    return " ".join(tokens).replace("^", "**")
+
+
+def _exponent(node, text: str) -> float:
+    negated = type(node) is ast.UnaryOp and type(node.op) is ast.USub
+    if negated:
+        node = node.operand
+    if type(node) is not ast.Constant or type(node.value) is not float:
+        raise SceneValidationError(f"exponent must be a numeric literal in expression {text!r}")
+    return -node.value if negated else node.value
+
+
+def _program(text: str) -> tuple:
+    """The post-order program of ``text``."""
+    source = _python_source(text)
+    try:
+        tree = ast.parse(source, mode="eval")
+    except (SyntaxError, RecursionError, MemoryError) as e:
+        # CPython's own limits on nesting depth differ between versions
+        reason = e.msg if isinstance(e, SyntaxError) else "nested too deeply"
+        raise SceneValidationError(f"cannot parse expression {text!r}: {reason}") from e
+    program = []
+    # a tuple on the stack is an instruction whose operands are already emitted
+    todo = [tree.body]
+    while todo:
+        node = todo.pop()
+        kind = type(node)
+        if kind is tuple:
+            program.append(node)
+        elif kind is ast.Constant and type(node.value) is float:
+            program.append(("const", node.value))
+        elif kind is ast.Name and (var := _VARIABLE.fullmatch(node.id)):
+            # an index too long for int() is out of range, and so is its 18-digit prefix
+            program.append(("coords", operator.itemgetter(int(var.group(1)[:18]) - 1)))
+        elif kind is ast.BinOp and type(node.op) is ast.Pow:
+            todo += [_BINARY[ast.Pow], ("const", _exponent(node.right, text)), node.left]
+        elif kind is ast.BinOp and type(node.op) in _BINARY:
+            todo += [_BINARY[type(node.op)], node.right, node.left]
+        elif kind is ast.UnaryOp and type(node.op) is ast.USub:
+            todo += [("unary", operator.neg), node.operand]
+        elif kind is ast.Call and type(node.func) is ast.Name:
+            name, func = node.func.id, node.func
+            # Python also reads "(exp)(x1)" and "norm((x))" as calls; the offsets rule them out
+            bare = func.col_offset == node.col_offset
+            args = source[func.end_col_offset : node.end_col_offset]
+            if bare and name == "norm" and args == " ( x )":
+                program.append(("coords", jets.jet_norm))
+            elif bare and name in _FUNCTIONS and len(node.args) == 1 and not node.keywords:
+                todo += [("unary", _FUNCTIONS[name]), node.args[0]]
+            else:
+                raise SceneValidationError(f"bad call of {name!r} in expression {text!r}")
         else:
-            tokens.append(("op", m.group("op")))
-    tokens.append(("end", ""))
-    return tokens
-
-
-class _Parser:
-    def __init__(self, text: str):
-        self.text = text
-        self.tokens = _tokenize(text)
-        self.i = 0
-
-    def peek(self):
-        return self.tokens[self.i]
-
-    def advance(self):
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
-
-    def expect_op(self, op: str):
-        kind, val = self.advance()
-        if kind != "op" or val != op:
-            raise SceneValidationError(f"expected {op!r} in expression {self.text!r}")
-
-    def parse(self):
-        node = self.expr()
-        if self.peek()[0] != "end":
-            raise SceneValidationError(f"trailing tokens in expression {self.text!r}")
-        return node
-
-    def expr(self):
-        node = self.term()
-        while self.peek() == ("op", "+") or self.peek() == ("op", "-"):
-            op = self.advance()[1]
-            rhs = self.term()
-            node = ("+" if op == "+" else "-", node, rhs)
-        return node
-
-    def term(self):
-        node = self.factor()
-        while self.peek() == ("op", "*") or self.peek() == ("op", "/"):
-            op = self.advance()[1]
-            rhs = self.factor()
-            node = (op, node, rhs)
-        return node
-
-    def factor(self):
-        # unary minus binds below the power: -x1^2 means -(x1^2)
-        if self.peek() == ("op", "-"):
-            self.advance()
-            return ("neg", self.factor())
-        return self.power()
-
-    def power(self):
-        base = self.atom()
-        if self.peek() in (("op", "^"), ("op", "**")):
-            self.advance()
-            expo = self.factor()
-            if expo[0] != "num" and not (expo[0] == "neg" and expo[1][0] == "num"):
-                raise SceneValidationError(
-                    f"exponent must be a numeric literal in expression {self.text!r}"
-                )
-            return ("pow", base, expo)
-        return base
-
-    def atom(self):
-        kind, val = self.advance()
-        if kind == "op" and val == "(":
-            node = self.expr()
-            self.expect_op(")")
-            return node
-        if kind == "num":
-            return ("num", float(val))
-        if kind == "ident":
-            if self.peek() == ("op", "("):
-                self.advance()
-                if val == "norm":
-                    arg = self.norm_arg()
-                else:
-                    arg = self.expr()
-                self.expect_op(")")
-                if val == "norm":
-                    return ("norm", arg)
-                if val not in _FUNCTIONS:
-                    raise SceneValidationError(f"unknown function {val!r}")
-                return ("call", val, arg)
-            if val == "x":
-                raise SceneValidationError("bare 'x' is only valid inside norm(x)")
-            m = re.fullmatch(r"x(\d+)", val)
-            if m is None or int(m.group(1)) < 1:
-                raise SceneValidationError(f"unknown identifier {val!r}")
-            return ("var", int(m.group(1)) - 1)
-        raise SceneValidationError(f"unexpected token in expression {self.text!r}")
-
-    def norm_arg(self):
-        # norm(x) takes the whole coordinate vector
-        if self.peek() == ("ident", "x"):
-            self.advance()
-            return "all"
-        raise SceneValidationError("norm() accepts only the coordinate vector x")
-
-
-def _evaluate(node, coords):
-    op = node[0]
-    if op == "num":
-        return node[1]
-    if op == "var":
-        idx = node[1]
-        if idx >= len(coords):
-            raise SceneValidationError(
-                f"variable x{idx + 1} out of range for dimension {len(coords)}"
-            )
-        return coords[idx]
-    if op == "neg":
-        return -_evaluate(node[1], coords)
-    if op == "+":
-        return _evaluate(node[1], coords) + _evaluate(node[2], coords)
-    if op == "-":
-        return _evaluate(node[1], coords) - _evaluate(node[2], coords)
-    if op == "*":
-        return _evaluate(node[1], coords) * _evaluate(node[2], coords)
-    if op == "/":
-        return _evaluate(node[1], coords) / _evaluate(node[2], coords)
-    if op == "pow":
-        expo = _evaluate(node[2], [])
-        base = _evaluate(node[1], coords)
-        # math.pow raises where float ** would return a complex number
-        return base**expo if isinstance(base, jets.Jet2) else math.pow(base, expo)
-    if op == "call":
-        return _FUNCTIONS[node[1]](_evaluate(node[2], coords))
-    if op == "norm":
-        return jets.jet_norm(coords)
-    raise AssertionError(f"unhandled node {node!r}")
+            what = repr(node.id) if kind is ast.Name else type(node).__name__
+            raise SceneValidationError(f"unsupported {what} in expression {text!r}")
+    return tuple(program)
 
 
 @dataclass(frozen=True)
@@ -203,24 +142,37 @@ class CompiledExpression:
     """
 
     source: str
-    _ast: tuple
+    program: tuple
 
     def __call__(self, coords):
+        stack = []
         try:
             # an overflow or an inf * 0 inside the jet arrays is caught below
             with np.errstate(over="ignore", invalid="ignore"):
-                out = _evaluate(self._ast, coords)
+                for kind, arg in self.program:
+                    if kind == "const":
+                        stack.append(arg)
+                    elif kind == "coords":
+                        stack.append(arg(coords))
+                    elif kind == "unary":
+                        stack.append(arg(stack.pop()))
+                    else:
+                        rhs = stack.pop()
+                        stack.append(arg(stack.pop(), rhs))
+        except IndexError as e:
+            raise SceneValidationError(
+                f"expression {self.source!r} has a variable beyond dimension {len(coords)}"
+            ) from e
         except (ValueError, ZeroDivisionError, OverflowError) as e:
             raise DomainError(f"expression {self.source!r} is undefined at this point: {e}") from e
-        parts = (out.value, out.grad, out.hess, out.d3) if isinstance(out, jets.Jet2) else (out,)
-        if not all(np.isfinite(part).all() for part in parts):
+        (out,) = stack
+        arrays = (out.grad, out.hess, out.d3) if isinstance(out, jets.Jet2) else ()
+        value = out.value if arrays else out
+        if not (math.isfinite(value) and all(np.isfinite(a).all() for a in arrays)):
             raise DomainError(f"expression {self.source!r} is not finite at this point")
         return out
 
 
 def compile_expression(text) -> CompiledExpression:
-    if isinstance(text, (int, float)):
-        value = float(text)
-        return CompiledExpression(repr(value), ("num", value))
-    ast = _Parser(str(text)).parse()
-    return CompiledExpression(str(text), ast)
+    """Compile an expression string; a JSON number is read as its decimal text."""
+    return CompiledExpression(str(text), _program(str(text)))

@@ -456,7 +456,7 @@ def load_scenario(path_or_name: str) -> Scenario:
     try:
         with open(path_or_name, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise SceneValidationError(f"cannot read scenario {path_or_name!r}: {e}") from e
     try:
         doc = json.loads(text)
@@ -464,6 +464,8 @@ def load_scenario(path_or_name: str) -> Scenario:
         raise SceneValidationError(
             f"JSON parse error at line {e.lineno}, column {e.colno}: {e.msg}"
         ) from e
+    except (RecursionError, ValueError) as e:  # nesting or integer size beyond Python's limits
+        raise SceneValidationError(f"JSON parse error: {e}") from e
     return parse_scenario(doc, name_hint=path_or_name)
 
 
@@ -620,12 +622,11 @@ def _evaluate_pointwise(scn: Scenario):
         validation[f"{tag}_frame_residual"] = res
         if res > 1e-10:
             raise SceneValidationError(f"{tag} frame is not orthonormal ({res:.3e})")
-    if scn.kind == "submersion":
-        hor, vert = frames.values()
-        cross = float(np.abs(hor.vectors @ g @ vert.vectors.T).max()) if vert.k else 0.0
-        validation["cross_orthogonality"] = cross
-        if cross > 1e-10:
-            raise SceneValidationError(f"frames are not mutually orthogonal ({cross:.3e})")
+    first, second = frames.values()
+    cross = float(np.abs(first.vectors @ g @ second.vectors.T).max())
+    validation["cross_orthogonality"] = cross
+    if cross > 1e-10:
+        raise SceneValidationError(f"frames are not mutually orthogonal ({cross:.3e})")
     E = np.vstack([f.vectors for f in frames.values()])
     data = SceneData(
         scn.kind, frames, scn.tensors, g, J, scn.c, QSFOracle(scn.c, J, g).curvature_tensor(E),

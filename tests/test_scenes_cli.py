@@ -1,5 +1,7 @@
 import dataclasses
 import json
+import math
+import operator
 import re
 import subprocess
 import sys
@@ -27,6 +29,70 @@ _SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 _SCENARIO_FILES = sorted(p.name for p in _SCENARIO_DIR.glob("*.json"))
 
 
+def _wrap(node, level):
+    """``node`` as an operand that binds at least as tightly as ``level``."""
+    text, prec, direct = node
+    return (text, prec, direct) if prec >= level else (f"({text})", 4, direct)
+
+
+def _binary(lhs, op, rhs, space):
+    additive = op in "+-"
+    (lt, _, lf), (rt, _, rf) = _wrap(lhs, 0 if additive else 1), _wrap(rhs, 1 if additive else 2)
+    fn = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}[op]
+    return f"{lt}{space}{op}{space}{rt}", 0 if additive else 1, lambda c: fn(lf(c), rf(c))
+
+
+def _negate(node, space):
+    text, _, f = _wrap(node, 2)
+    return f"-{space}{text}", 2, lambda c: -f(c)
+
+
+def _raise(base, op, expo, negated, space):
+    text, _, f = _wrap(base, 4)
+    p = -expo if negated else expo
+    sign = "-" if negated else ""
+    return f"{text}{space}{op}{space}{sign}{expo!r}", 3, lambda c: math.pow(f(c), p)
+
+
+def _call(name, node, space):
+    text, _, f = node
+    fn = getattr(math, name)
+    return f"{name}{space}({space}{text}{space})", 4, lambda c: fn(f(c))
+
+
+def _norm(c):
+    acc = c[0] * c[0]
+    for v in c[1:]:
+        acc = acc + v * v
+    return math.sqrt(acc)
+
+
+_SPACE = st.sampled_from(["", " ", "  ", "\t"])
+# an expression tree drawn as (text, precedence, direct float evaluation); precedence is
+# 0 for a sum, 1 for a product, 2 for a negation, 3 for a power and 4 for an atom
+_EXPR_TREES = st.recursive(
+    st.one_of(
+        st.floats(0.0, 4.0).map(lambda v: (repr(v), 4, lambda c: v)),
+        st.integers(1, 3).map(lambda k: (f"x{k}", 4, lambda c: c[k - 1])),
+        st.just(("norm(x)", 4, _norm)),
+    ),
+    lambda children: st.one_of(
+        st.builds(_binary, children, st.sampled_from("+-*/"), children, _SPACE),
+        st.builds(_negate, children, _SPACE),
+        st.builds(
+            _raise, children, st.sampled_from(["^", "**"]),
+            st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.0, 1.5]), st.booleans(), _SPACE,
+        ),
+        st.builds(_call, st.sampled_from(["exp", "log", "sin", "cos", "sqrt"]), children, _SPACE),
+        children.flatmap(lambda n: _SPACE.map(lambda s: (f"({s}{n[0]}{s})", 4, n[2]))),
+    ),
+    max_leaves=12,
+)
+_SOUP = ["x", "x1", "x2", "x4", "x0", "1", "2.5", ".5", "e", "3e2", "1e999", "(", ")", "+", "-",
+         "*", "/", "^", "**", ".", " ", ",", "exp", "log", "sin", "cos", "sqrt", "norm", "not",
+         "if", "for", "None", "True", "lambda"]
+
+
 class TestExpressions:
     def test_arithmetic(self):
         e = compile_expression("2*x1^2 - x2/4 + 1")
@@ -51,7 +117,7 @@ class TestExpressions:
         assert compile_expression("2 - x1^2")([3.0]) == pytest.approx(-7.0)
 
     @pytest.mark.parametrize(
-        "bad", ["x1 +", "foo(x1)", "x0", "norm(x1)", "x1 $ 2", "x", "(x1"]
+        "bad", ["x1 +", "foo(x1)", "x0", "norm(x1)", "x1 $ 2", "x", "(x1", "1e999"]
     )
     def test_rejects(self, bad):
         with pytest.raises(SceneValidationError):
@@ -75,6 +141,98 @@ class TestExpressions:
         out = eval_jet2(lambda c: e(c), [2.0, 3.0])
         assert out.value == 12.0
         assert np.allclose(out.grad, [12.0, 4.0])
+
+    @pytest.mark.parametrize(
+        "number", [math.inf, -math.inf, math.nan, 10**400], ids=["inf", "-inf", "nan", "10**400"]
+    )
+    def test_rejects_non_finite_number(self, number):
+        # a JSON number is read as its decimal text
+        with pytest.raises(SceneValidationError):
+            compile_expression(number)
+
+    @pytest.mark.parametrize(
+        "text", ["(exp)(x1)", "norm((x))", "exp()", "exp(*x1)", "exp(**x1)", "+x1", "x1^--2",
+                 "x1 // x2", "None", "True", "not x1", "x1 if x2 else x3", "()"],
+    )
+    def test_rejects_python_beyond_the_language(self, text):
+        with pytest.raises(SceneValidationError):
+            compile_expression(text)
+
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_random_tree_matches_direct_evaluation(self, data):
+        text, _, direct = data.draw(_EXPR_TREES)
+        coords = data.draw(st.lists(st.floats(-3.0, 3.0), min_size=3, max_size=3))
+        compiled = compile_expression(text)
+        try:
+            want = direct(coords)
+        except (ValueError, ZeroDivisionError, OverflowError):
+            want = math.nan
+        if math.isfinite(want):
+            assert np.float64(compiled(coords)).tobytes() == np.float64(want).tobytes(), text
+        else:
+            with pytest.raises(DomainError):
+                compiled(coords)
+
+    @given(text=st.lists(st.sampled_from(_SOUP), max_size=16).map("".join))
+    @settings(max_examples=400, deadline=None)
+    def test_token_soup_compiles_or_is_scene_error(self, text):
+        from casoratiq.jets import seed_point
+
+        try:
+            compiled = compile_expression(text)
+        except SceneValidationError:
+            return
+        for point in ([0.5, -1.5, 2.0], seed_point([0.5, -1.5, 2.0]), [0.0, 0.0, 0.0]):
+            try:
+                compiled(point)
+            except (DomainError, SceneValidationError):
+                pass
+
+    @pytest.mark.parametrize(
+        "text", ["(" * 3000 + "x1" + ")" * 3000, "-" * 100000 + "x1"], ids=["parens", "minuses"]
+    )
+    def test_deep_nesting_is_scene_error(self, text):
+        with pytest.raises(SceneValidationError):
+            compile_expression(text)
+
+    def test_long_flat_sum_evaluates(self):
+        from casoratiq.jets import seed_point
+
+        e = compile_expression(" + ".join(["x1*x2"] * 2000))
+        assert e([0.5, 0.25]) == 250.0
+        out = e(seed_point([0.5, 0.25]))
+        assert out.value == 250.0 and out.grad.tolist() == [500.0, 1000.0]
+        assert out.hess.tolist() == [[0.0, 2000.0], [2000.0, 0.0]]
+
+    def test_longer_sum_evaluates_or_is_scene_error(self):
+        # CPython 3.11 and 3.12 refuse an AST this deep, 3.10 parses it
+        try:
+            e = compile_expression(" + ".join(["x1"] * 5000))
+        except SceneValidationError:
+            return
+        assert e([0.25]) == 1250.0
+
+    @pytest.mark.parametrize(
+        "component, code",
+        [("(" * 3000 + "x1" + ")" * 3000, 3), ("-" * 100000 + "x1", 3),
+         ("-" * 1500 + "(0.5*(x1^2+x2^2))", 0), ("0.5*(x1^2+x2^2)" + " + 0" * 1999, 0)],
+        ids=["parens", "minuses", "1500-minuses", "sum"],
+    )
+    def test_deep_component_through_the_cli(self, tmp_path, component, code):
+        doc = _builtin_doc("paraboloid-vertex")
+        doc["map"]["exprs"][2] = component
+        scene, out = tmp_path / "scene.json", tmp_path / "out.json"
+        scene.write_text(json.dumps(doc))
+        proc = subprocess.run(
+            [sys.executable, "-m", "casoratiq", "run", str(scene), "-o", str(out)],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == code
+        assert "Traceback" not in proc.stderr and len(proc.stderr.splitlines()) == 1
+        if code == 0:
+            want = json.loads(report_json(evaluate_scenario(builtin_scenario("paraboloid-vertex"))))
+            assert json.loads(out.read_text())["points"] == want["points"]
 
 
 class TestParsing:
@@ -151,6 +309,21 @@ class TestParsing:
         with pytest.raises(SceneValidationError, match=r"line 2, column"):
             load_scenario(str(p))
 
+    @pytest.mark.parametrize(
+        "content",
+        ['{"c": ' + "[" * 100000, b"\xff\xfe{}", '{"c": 1' + "0" * 5000 + "}"],
+        ids=["deep-json", "utf16-bom", "long-int"],
+    )
+    def test_unreadable_json_is_scene_error(self, tmp_path, capsys, content):
+        p = tmp_path / "bad.json"
+        p.write_bytes(content if isinstance(content, bytes) else content.encode())
+        with pytest.raises(SceneValidationError):
+            load_scenario(str(p))
+        for command in ("run", "validate"):
+            assert main([command, str(p)]) == 3
+            err = capsys.readouterr().err
+            assert "Traceback" not in err and len(err.splitlines()) == 1
+
     def test_builtins_parse(self):
         for name in builtin_names():
             scn = builtin_scenario(name)
@@ -181,6 +354,18 @@ class TestValidation:
         results = validate_scenario(parse_scenario(doc))
         assert results[0].errors
         assert "symmetric" in results[0].errors[0]
+
+    def test_map_frames_not_mutually_orthogonal(self, tmp_path, capsys):
+        doc = _builtin_doc("pw-equality-map:s4")
+        row = [0.0] * doc["dim"]
+        row[4], row[0] = math.cos(0.1), math.sin(0.1)
+        doc["frames"]["range_perp"][0] = row
+        code, out = _run_file(tmp_path, doc)
+        assert code == 3
+        (error,) = json.loads(out.read_text())["points"][0]["errors"]
+        assert error == "frames are not mutually orthogonal (9.983e-02)"
+        assert main(["validate", str(tmp_path / "scene.json")]) == 3
+        capsys.readouterr()
 
     def test_bad_structure_names_identity(self):
         J = np.zeros((3, 4, 4))
@@ -894,6 +1079,20 @@ class TestCli:
         p.write_text("{not json")
         assert main(["validate", str(p)]) == 3
         assert main(["run", str(p), "-o", str(tmp_path / "o.json")]) == 3
+
+    @pytest.mark.parametrize("flag", ["-o", "--csv"])
+    def test_unwritable_output_exits_3(self, tmp_path, capsys, flag):
+        args = ["run", "radial:4", "-o", str(tmp_path / "r.json")]
+        assert main(args + [flag, str(tmp_path / "missing" / "out")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("cannot write report") and len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("argv", [["run"], ["bogus"], [], ["run", "radial:4", "--bogus"]])
+    def test_usage_error_exits_3(self, capsys, argv):
+        with pytest.raises(SystemExit) as exit_:
+            main(argv)
+        assert exit_.value.code == 3
+        assert len(capsys.readouterr().err.splitlines()) == 1
 
     def test_csv_emission(self, tmp_path):
         out = tmp_path / "r.json"
