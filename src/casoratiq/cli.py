@@ -5,7 +5,9 @@ scenario is invalid or a point could not be evaluated, else 0; raw
 slacks play no part.  A malformed command line or an output file that
 cannot be written exits 3 with one line on stderr, before any verdict.
 Reports are byte-stable across runs: numbers serialize as shortest
-round-trip decimals and wall-clock timing goes to stderr only.
+round-trip decimals and wall-clock timing goes to stderr only.  A report,
+like the output of ``validate``, is one line of JSON with sorted keys;
+``python -m json.tool`` prints it indented.
 """
 
 from __future__ import annotations
@@ -31,7 +33,14 @@ __all__ = ["main", "report_json", "report_csv"]
 
 
 def report_json(report) -> str:
-    return json.dumps(report.as_dict(), sort_keys=True, indent=2, allow_nan=False) + "\n"
+    """The report as one line of compact JSON with sorted keys."""
+    return _json_line(report.as_dict())
+
+
+def _json_line(doc) -> str:
+    # no indent, which would switch json to its pure-Python encoder; ": " keeps
+    # each "key": value pair spelled as in an indented dump
+    return json.dumps(doc, sort_keys=True, separators=(",", ": "), allow_nan=False) + "\n"
 
 
 def report_csv(report) -> str:
@@ -121,7 +130,7 @@ def _cmd_validate(args) -> int:
         "points": [p.as_dict() for p in results],
         "valid": all(not p.errors for p in results),
     }
-    sys.stdout.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+    sys.stdout.write(_json_line(doc))
     return 0 if doc["valid"] else 3
 
 

@@ -179,7 +179,7 @@ class ChartPoint:
     @cached_property
     def gamma(self) -> np.ndarray:
         """Levi-Civita connection coefficients ``gamma[k, i, j] = Gamma^k_ij``."""
-        return 0.5 * np.einsum("kl,ijl->kij", self.ginv_jet[0], self._first_kind)
+        return 0.5 * np.tensordot(self.ginv_jet[0], self._first_kind, axes=(1, 2))
 
     @cached_property
     def dgamma(self) -> np.ndarray:
@@ -188,8 +188,8 @@ class ChartPoint:
         DD = np.transpose(self.G2, (3, 2, 0, 1))
         Am = DD + DD.transpose(0, 2, 1, 3) - DD.transpose(0, 2, 3, 1)
         return 0.5 * (
-            np.einsum("mkl,ijl->mkij", self.ginv_jet[1], self._first_kind)
-            + np.einsum("kl,mijl->mkij", self.ginv_jet[0], Am)
+            np.tensordot(self.ginv_jet[1], self._first_kind, axes=(2, 2))
+            + np.tensordot(self.ginv_jet[0], Am, axes=(1, 3)).transpose(1, 0, 2, 3)
         )
 
     @cached_property
@@ -198,13 +198,15 @@ class ChartPoint:
         gamma, dgamma = self.gamma, self.dgamma
         # Rup[i, j, k, m] = d_i Gamma^m_jk - d_j Gamma^m_ik
         #                 + Gamma^p_jk Gamma^m_ip - Gamma^p_ik Gamma^m_jp
+        # and both products are read from GG[a, b, c, d] = Gamma^p_ab Gamma^c_dp
+        GG = np.tensordot(gamma, gamma, axes=(0, 2))
         rup = (
             np.transpose(dgamma, (0, 2, 3, 1))
             - np.transpose(dgamma, (2, 0, 3, 1))
-            + np.einsum("pjk,mip->ijkm", gamma, gamma)
-            - np.einsum("pik,mjp->ijkm", gamma, gamma)
+            + GG.transpose(3, 0, 1, 2)
+            - GG.transpose(0, 3, 1, 2)
         )
-        R = np.einsum("ijkm,ml->ijkl", rup, self.G0)
+        R = rup @ self.G0
         cp = CurvaturePoint(x=self.x, gamma=gamma, riemann=R, metric=self.G0)
         worst = max(cp.symmetry_residuals().values())
         if worst > 1e-6:

@@ -159,13 +159,7 @@ class MapPoint:
         dN = P2 + dGb @ P0 + Gb[None] @ P1[:, None] - P1[:, None] @ Gb[None] - P0 @ dGb
         L = R @ N  # L[b, k, n] = ((1 - 2 P_h) nabla_b P_h)^k_n
         dL = R @ dN - 2.0 * P1[:, None] @ N[None]
-
-        def field(X, dX):
-            # S[k, m, n] = X^b_m L[b, k, n] and its coordinate derivative
-            dS = np.einsum("pbm,bkn->pkmn", dX, L) + np.einsum("bm,pbkn->pkmn", X, dL)
-            return np.einsum("bm,bkn->kmn", X, L), dS
-
-        return _SubmersionPoint(P0, P1, *field(Q0, -P1), *field(P0, P1))
+        return _SubmersionPoint(P0, P1, *_field(Q0, -P1, L, dL), *_field(P0, P1, L, dL))
 
 
 @dataclass(frozen=True)
@@ -329,9 +323,19 @@ class _SubmersionPoint:
     dA: np.ndarray
 
 
+def _field(X, dX, L, dL) -> tuple[np.ndarray, np.ndarray]:
+    """``S[k, m, n] = X^b_m L[b, k, n]`` and its coordinate derivative ``dS[p, k, m, n]``."""
+    dXL = np.tensordot(dX, L, axes=(1, 0))  # [p, m, k, n]
+    XdL = np.tensordot(X, dL, axes=(0, 1))  # [m, p, k, n]
+    dS = dXL.transpose(0, 2, 1, 3) + XdL.transpose(1, 2, 0, 3)
+    # S stays in einsum order: another rounding of T or A can move the equality
+    # diagnostics, which are read off whichever degenerate argmin comes back
+    return np.einsum("bm,bkn->kmn", X, L), dS
+
+
 def _on_frames(S: np.ndarray, E: np.ndarray, F: np.ndarray) -> np.ndarray:
     """``out[i, j] = S_{E_i} F_j``: the field ``S[k, m, n]`` on two frames, value last."""
-    return np.einsum("kmn,im,jn->ijk", S, E, F, optimize=True)
+    return np.tensordot(np.tensordot(E, S, axes=(1, 1)), F, axes=(2, 1)).transpose(0, 2, 1)
 
 
 def _covariant(S: np.ndarray, dS: np.ndarray, gamma: np.ndarray) -> np.ndarray:
@@ -340,7 +344,7 @@ def _covariant(S: np.ndarray, dS: np.ndarray, gamma: np.ndarray) -> np.ndarray:
     return (
         dS
         + np.tensordot(Gb, S, axes=(2, 0))
-        - np.einsum("pam,kan->pkmn", Gb, S)
+        - np.tensordot(Gb, S, axes=(1, 1)).transpose(0, 2, 1, 3)
         - S[None] @ Gb[:, None]
     )
 
@@ -348,6 +352,7 @@ def _covariant(S: np.ndarray, dS: np.ndarray, gamma: np.ndarray) -> np.ndarray:
 def _oneill(split: SceneSplit, kind: str, tangent, normal) -> FundamentalTensor:
     g1 = split.point.source.G0
     vectors = _on_frames(getattr(split.point.submersion, kind), tangent.vectors, tangent.vectors)
+    # einsum order kept for the reason given in _field
     coeffs = np.einsum("ija,ab,vb->vij", vectors, g1, normal.vectors)
     return FundamentalTensor.from_raw(kind, coeffs, vectors, g1)
 

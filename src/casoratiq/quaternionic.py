@@ -169,21 +169,18 @@ class QSFOracle:
         return self.quad(u, v, v, u) / plane_area_sq(self.g, u, v)
 
     def curvature_tensor(self, frame_vectors: np.ndarray) -> np.ndarray:
-        """Components over frame rows: R[a,b,c,d] = quad(e_a, e_b, e_c, e_d)."""
+        """Components over frame rows: R[a,b,c,d] = quad(e_a, e_b, e_c, e_d).
+
+        With G[a, b] = g(e_a, e_b), X[x, a, b] = g(e_a, J_x e_b) = -g(J_x e_a, e_b)
+        and the outer products XX[a, b, c, d] = sum_x X[x, a, b] X[x, c, d] and
+        P = G (x) G + XX, the form is R[a,b,c,d] = P[b,c,a,d] - P[a,c,b,d] - 2 XX[a,b,c,d].
+        """
         E = np.atleast_2d(np.asarray(frame_vectors, dtype=float))
-        g = self.g
-        G = E @ g @ E.T
-        R = np.einsum("bc,ad->abcd", G, G) - np.einsum("ac,bd->abcd", G, G)
-        for Ja in self.J:
-            X = E @ g @ Ja @ E.T  # X[a,b] = g(e_a, Ja e_b)
-            # g(Ja e_a, e_b) = -X[a, b] by antisymmetry of g(., Ja .)
-            Y = -X
-            R += (
-                np.einsum("ac,bd->abcd", X, Y)
-                - np.einsum("bc,ad->abcd", X, Y)
-                + 2.0 * np.einsum("ab,cd->abcd", X, Y)
-            )
-        return 0.25 * self.c * R
+        G = E @ self.g @ E.T
+        X = E @ self.g @ self.J @ E.T
+        XX = np.tensordot(X, X, axes=(0, 0))
+        P = np.multiply.outer(G, G) + XX
+        return 0.25 * self.c * (P.transpose(2, 0, 1, 3) - P.transpose(0, 2, 1, 3) - 2.0 * XX)
 
 
 @dataclass(frozen=True)
@@ -238,7 +235,7 @@ def decompose_J(
                 "split frames are not jointly orthonormal "
                 f"(residual {np.abs(gram - np.eye(E.shape[0])).max():.3e})"
             )
-    blocks = np.einsum("an,xnm,bm->xab", E, np.einsum("nk,xkm->xnm", g, J), E)
+    blocks = E @ g @ J @ E.T
     norms_P = np.array([float(np.sum(b[:s, :s] ** 2)) for b in blocks])
     norms_Q = np.array([float(np.sum(b[s:, s:] ** 2)) for b in blocks])
     norms_PV = np.array([float(np.sum(b[:s, s:] ** 2)) for b in blocks])

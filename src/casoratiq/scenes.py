@@ -19,7 +19,7 @@ import numpy as np
 
 from . import geometry, maps
 from .errors import CasoratiqError, RankError, SceneValidationError, StructureError
-from .expressions import compile_expression
+from .expressions import CompiledExpression, compile_expression
 from .geometry import MAX_DIM, MetricChart, OrthoFrame
 from .inequalities import (
     FAMILIES,
@@ -173,7 +173,15 @@ def _parse_delta_n(raw) -> tuple[str, Optional[float]]:
     raise SceneValidationError(f'deltaN must be "zero" or "user:<value>", got {raw!r}')
 
 
-def _chart_from_spec(spec, where: str) -> MetricChart:
+def _compiled(text, cache: dict) -> CompiledExpression:
+    """``compile_expression(text)``, compiled once per distinct text of a scene."""
+    key = str(text)
+    if key not in cache:
+        cache[key] = compile_expression(key)
+    return cache[key]
+
+
+def _chart_from_spec(spec, where: str, cache: dict) -> MetricChart:
     if isinstance(spec, str):
         try:
             return geometry.chart(spec)
@@ -187,7 +195,7 @@ def _chart_from_spec(spec, where: str) -> MetricChart:
     rows = _require(spec, "metric", where, list)
     if len(rows) != dim or any(not isinstance(r, list) or len(r) != dim for r in rows):
         raise SceneValidationError(f"{where}.metric must be a {dim}x{dim} expression matrix")
-    compiled = [[compile_expression(e) for e in row] for row in rows]
+    compiled = [[_compiled(e, cache) for e in row] for row in rows]
 
     def g(coords, _compiled=compiled):
         return [[entry(coords) for entry in row] for row in _compiled]
@@ -341,9 +349,10 @@ def parse_scenario(doc: dict, name_hint: str = "") -> Scenario:
         _reject_unknown(
             mspec, {"source", "target", "exprs", "map_mode", "rank"}, "map"
         )
-        source = _chart_from_spec(_require(mspec, "source", "map"), "map.source")
-        target = _chart_from_spec(_require(mspec, "target", "map"), "map.target")
-        exprs = [compile_expression(e) for e in _require(mspec, "exprs", "map", list)]
+        cache: dict = {}
+        source = _chart_from_spec(_require(mspec, "source", "map"), "map.source", cache)
+        target = _chart_from_spec(_require(mspec, "target", "map"), "map.target", cache)
+        exprs = [_compiled(e, cache) for e in _require(mspec, "exprs", "map", list)]
         if len(exprs) != target.dim:
             raise SceneValidationError(
                 f"map has {len(exprs)} component expressions, target dimension is {target.dim}"
@@ -372,7 +381,9 @@ def parse_scenario(doc: dict, name_hint: str = "") -> Scenario:
         if "fiber_curvature" in doc:
             fspec = doc["fiber_curvature"]
             _reject_unknown(fspec, {"space_form_kappa"}, "fiber_curvature")
-            fiber_kappa = compile_expression(_require(fspec, "space_form_kappa", "fiber_curvature"))
+            fiber_kappa = _compiled(
+                _require(fspec, "space_form_kappa", "fiber_curvature"), cache
+            )
         pts = _require(doc, "points", "scenario")
         sample_spec = None
         points = ()

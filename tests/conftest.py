@@ -111,6 +111,95 @@ def dense_extrema(h: np.ndarray) -> tuple[float, float]:
     )
 
 
+# -- einsum references of the chart-point contractions ------------------------
+# The engine contracts these in a fixed tensordot / matmul order; each
+# reference writes the same sum as einsum, one subscript string per term.
+
+
+def random_submersion(n: int, seed: int) -> SmoothMap:
+    """A submersion of a curved n-chart onto flat:(n - 2) with a nonlinear map.
+
+    The source metric is I + u u^T with u_a = 0.3 sin(w_a . x + phi_a), so
+    its Christoffel symbols and their derivatives do not vanish, and
+    F_a = x_a + 0.2 sin(v_a . x) bends the horizontal distribution.
+    """
+    rng = np.random.default_rng(seed)
+    W = (rng.normal(size=(n, n)) / np.sqrt(n)).tolist()
+    V = (rng.normal(size=(n - 2, n)) / np.sqrt(n)).tolist()
+    phase = rng.uniform(0.0, np.pi, size=n).tolist()
+
+    def g(c):
+        u = [0.3 * jets.sin(sum(w * x for w, x in zip(W[a], c)) + phase[a]) for a in range(n)]
+        return [[(1.0 if a == b else 0.0) + u[a] * u[b] for b in range(n)] for a in range(n)]
+
+    def F(c):
+        return [c[a] + 0.2 * jets.sin(sum(v * x for v, x in zip(V[a], c))) for a in range(n - 2)]
+
+    src = MetricChart(n, ((-1.0, 1.0),) * n, g, name=f"curved:{n}")
+    return SmoothMap(src, chart(f"flat:{n - 2}"), F, "riemannian_submersion", n - 2, f"bent:{n}")
+
+
+def gamma_reference(ginv: np.ndarray, first_kind: np.ndarray) -> np.ndarray:
+    return 0.5 * np.einsum("kl,ijl->kij", ginv, first_kind)
+
+
+def dgamma_reference(ginv_jet: tuple, first_kind: np.ndarray, G2: np.ndarray) -> np.ndarray:
+    DD = np.transpose(G2, (3, 2, 0, 1))  # DD[m, i, j, l] = d_m d_i g_jl
+    Am = DD + DD.transpose(0, 2, 1, 3) - DD.transpose(0, 2, 3, 1)
+    return 0.5 * (
+        np.einsum("mkl,ijl->mkij", ginv_jet[1], first_kind)
+        + np.einsum("kl,mijl->mkij", ginv_jet[0], Am)
+    )
+
+
+def riemann_reference(gamma: np.ndarray, dgamma: np.ndarray, G0: np.ndarray) -> np.ndarray:
+    rup = (
+        np.transpose(dgamma, (0, 2, 3, 1))
+        - np.transpose(dgamma, (2, 0, 3, 1))
+        + np.einsum("pjk,mip->ijkm", gamma, gamma)
+        - np.einsum("pik,mjp->ijkm", gamma, gamma)
+    )
+    return np.einsum("ijkm,ml->ijkl", rup, G0)
+
+
+def field_reference(X, dX, L, dL) -> tuple[np.ndarray, np.ndarray]:
+    dS = np.einsum("pbm,bkn->pkmn", dX, L) + np.einsum("bm,pbkn->pkmn", X, dL)
+    return np.einsum("bm,bkn->kmn", X, L), dS
+
+
+def covariant_reference(S: np.ndarray, dS: np.ndarray, gamma: np.ndarray) -> np.ndarray:
+    return (
+        dS
+        + np.einsum("kpa,amn->pkmn", gamma, S)
+        - np.einsum("apm,kan->pkmn", gamma, S)
+        - np.einsum("kma,apn->pkmn", S, gamma)
+    )
+
+
+def on_frames_reference(S: np.ndarray, E: np.ndarray, F: np.ndarray) -> np.ndarray:
+    return np.einsum("kmn,im,jn->ijk", S, E, F)
+
+
+def qsf_tensor_reference(c: float, J: np.ndarray, g: np.ndarray, E: np.ndarray) -> np.ndarray:
+    """``QSFOracle(c, J, g).curvature_tensor(E)`` as one outer product per term and J."""
+    G = E @ g @ E.T
+    R = np.einsum("bc,ad->abcd", G, G) - np.einsum("ac,bd->abcd", G, G)
+    for Ja in J:
+        X = E @ g @ Ja @ E.T  # X[a,b] = g(e_a, Ja e_b)
+        Y = -X  # Y[a,b] = g(Ja e_a, e_b)
+        R += (
+            np.einsum("ac,bd->abcd", X, Y)
+            - np.einsum("bc,ad->abcd", X, Y)
+            + 2.0 * np.einsum("ab,cd->abcd", X, Y)
+        )
+    return 0.25 * c * R
+
+
+def j_blocks_reference(J: np.ndarray, g: np.ndarray, E: np.ndarray) -> np.ndarray:
+    """``decompose_J(...).blocks``: g(e_a, J_x e_b) over the rows of E."""
+    return np.einsum("an,xnm,bm->xab", E, np.einsum("nk,xkm->xnm", g, J), E)
+
+
 # -- oracles and test-only helpers -------------------------------------------
 
 

@@ -1,0 +1,105 @@
+"""The chart-point contractions against their einsum references.
+
+Each contraction the engine writes in a fixed tensordot / matmul order is
+compared with the einsum reference in ``conftest`` on a curved chart and a
+nonlinear submersion, where every Christoffel term and every derivative of
+the O'Neill fields is nonzero; the two may differ only by rounding.
+"""
+
+import numpy as np
+import pytest
+
+from casoratiq import maps
+from casoratiq.geometry import gram_schmidt
+from casoratiq.maps import MapPoint
+from casoratiq.quaternionic import QSFOracle, decompose_J, quat_units
+
+from conftest import (
+    covariant_reference,
+    dgamma_reference,
+    field_reference,
+    gamma_reference,
+    j_blocks_reference,
+    on_frames_reference,
+    qsf_tensor_reference,
+    random_submersion,
+    riemann_reference,
+)
+
+DIMS = (3, 5, 8, 12)
+RTOL = 1e-13
+
+
+def assert_close(got, want):
+    scale = np.abs(want).max()
+    assert scale > 0.0, "the reference is zero, so the comparison shows nothing"
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= RTOL * scale
+
+
+@pytest.fixture(scope="module", params=DIMS, ids=lambda n: f"n{n}")
+def point(request) -> MapPoint:
+    n = request.param
+    x = np.random.default_rng(100 + n).uniform(-0.5, 0.5, size=n)
+    return MapPoint.at(random_submersion(n, seed=n), x)
+
+
+def test_christoffel_symbols(point):
+    src = point.source
+    assert_close(src.gamma, gamma_reference(src.ginv_jet[0], src._first_kind))
+    assert_close(src.dgamma, dgamma_reference(src.ginv_jet, src._first_kind, src.G2))
+
+
+def test_curvature(point):
+    src = point.source
+    assert_close(src.curvature.riemann, riemann_reference(src.gamma, src.dgamma, src.G0))
+
+
+def test_oneill_fields(point, monkeypatch):
+    calls = []
+    field = maps._field
+
+    def spy(*args):
+        calls.append(args)
+        return field(*args)
+
+    monkeypatch.setattr(maps, "_field", spy)
+    point.submersion  # builds T and A, one _field call each
+    assert len(calls) == 2
+    for X, dX, L, dL in calls:
+        assert np.abs(dL).max() > 0.0
+        for got, want in zip(field(X, dX, L, dL), field_reference(X, dX, L, dL)):
+            assert_close(got, want)
+
+
+@pytest.mark.parametrize("kind", ["T", "A"])
+def test_covariant_derivative(point, kind):
+    sub = point.submersion
+    S, dS = getattr(sub, kind), getattr(sub, "d" + kind)
+    gamma = point.source.gamma
+    assert_close(maps._covariant(S, dS, gamma), covariant_reference(S, dS, gamma))
+
+
+@pytest.mark.parametrize("kind", ["T", "A", "dPh"])
+def test_fields_on_frames(point, kind):
+    S = getattr(point.submersion, kind)
+    if kind == "dPh":
+        S = S.transpose(1, 0, 2)  # as vertical_bracket reads it
+    rng = np.random.default_rng(S.shape[0])
+    E, F = rng.normal(size=(2, S.shape[0] - 1, S.shape[0]))
+    assert_close(maps._on_frames(S, E, F), on_frames_reference(S, E, F))
+
+
+@pytest.mark.parametrize("n", DIMS)
+def test_quaternionic_space_form_and_j_blocks(n):
+    # n frame rows in the smallest quaternionic space that holds them, curved metric
+    m = -(-n // 4)
+    rng = np.random.default_rng(n)
+    J = quat_units(m)
+    B = rng.normal(size=(4 * m, 4 * m))
+    g = np.eye(4 * m) + 0.1 * B @ B.T
+    E = gram_schmidt(rng.normal(size=(n, 4 * m)), g).vectors
+    got = QSFOracle(-3.0, J, g).curvature_tensor(E)
+    assert_close(got, qsf_tensor_reference(-3.0, J, g, E))
+    blocks = decompose_J(J, g, E[: n // 2], E[n // 2 :]).blocks
+    assert_close(blocks, j_blocks_reference(J, g, E))

@@ -881,7 +881,24 @@ class TestComputeOnce:
     twice (once for the source and once for the target), each expression
     once, T's equality diagnostics once and the curvature frame tensor of
     each side at most once; no scene evaluates the space-form curvature one
-    vector quadruple at a time."""
+    vector quadruple at a time.  Parsing compiles each distinct expression
+    text of a scene once."""
+
+    @pytest.mark.parametrize("name", ["hopf-radial:4to3", "radial:4"])
+    def test_each_distinct_expression_compiles_once(self, name, monkeypatch):
+        import casoratiq.scenes as scenes
+
+        doc, texts = builtin_scenario(name).raw, []
+
+        def counted(text, _original=scenes.compile_expression):
+            texts.append(text)
+            return _original(text)
+
+        monkeypatch.setattr(scenes, "compile_expression", counted)
+        scn = parse_scenario(doc)
+        # "0" stands in several metric entries of both scenes
+        assert "0" in texts and len(texts) == len(set(texts))
+        assert evaluate_scenario(scn).aggregate["point_errors"] == 0
 
     @pytest.mark.parametrize("name", ["product-projection:8to4", "hopf-radial:4to3"])
     def test_jets_per_point(self, name, monkeypatch):
@@ -1022,6 +1039,23 @@ class TestDeterminismAndEmission:
             b = report_json(evaluate_scenario(builtin_scenario(name)))
             assert a == b
 
+    @pytest.mark.parametrize("name", ["radial:4", "pw-random-mix:c-4"])
+    def test_report_is_one_line_read_back_bit_for_bit(self, name):
+        rep = evaluate_scenario(builtin_scenario(name))
+        text = report_json(rep)
+        assert text.endswith("\n") and text.count("\n") == 1
+        got, want = json.loads(text), rep.as_dict()
+        assert got == want
+
+        def floats(doc):
+            if isinstance(doc, dict):
+                return [f for key in sorted(doc) for f in floats(doc[key])]
+            if isinstance(doc, (list, tuple)):
+                return [f for item in doc for f in floats(item)]
+            return [doc.hex()] if isinstance(doc, float) else []
+
+        assert floats(got) == floats(want) and floats(want)
+
     def test_csv_json_numeric_agreement(self):
         rep = evaluate_scenario(builtin_scenario("radial:4"))
         doc = json.loads(report_json(rep))
@@ -1061,7 +1095,8 @@ class TestCli:
 
     def test_validate_ok(self, capsys):
         assert main(["validate", "flat-embedding:2in4"]) == 0
-        assert json.loads(capsys.readouterr().out)["valid"] is True
+        out = capsys.readouterr().out
+        assert out.count("\n") == 1 and json.loads(out)["valid"] is True
 
     @pytest.mark.parametrize("scene", builtin_names() + _SCENARIO_FILES)
     def test_validate_every_shipped_scene(self, tmp_path, capsys, scene):
