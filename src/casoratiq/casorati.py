@@ -25,8 +25,8 @@ _START_SEED = 20240915
 _START_COUNT = 64
 _POLISH_COUNT = 12
 _GRAD_TOL = 1e-10
-_BASIN_TOL = 1e-5  # relative gradient at which the descent hands a row to the polish
-_MAX_ITERS = 200
+_BURN_IN = 8  # value-gated descent steps that rank the starts' basins
+_POLISH_ITERS = 300  # Newton steps a polished row may take; binds only on clustered inputs
 _TIE_VALUE = 1e-10
 _TIE_DIRECTION = 1e-3
 
@@ -205,7 +205,7 @@ def _newton_steps(Ht: np.ndarray, gt: np.ndarray) -> np.ndarray:
     return -(V @ ((V.transpose(0, 2, 1) @ gt[:, :, None]) / lam[:, :, None]))[:, :, 0]
 
 
-def _newton_polish(Q, U, sign, tol, max_iters=60):
+def _newton_polish(Q, U, sign, tol):
     """Riemannian modified Newton on the sphere for a block of rows.
 
     Row m minimizes sign[m] * phi.  Value-gated descent bottoms out at
@@ -220,14 +220,17 @@ def _newton_polish(Q, U, sign, tol, max_iters=60):
     row across nearly flat, indefinite stretches (clustered eigenvalues),
     where the gradient norm alone stalls.  A row stops converged once
     its gradient is below ``tol``, and unconverged when its line search
-    fails.  Every per-row product is row-wise, so a row rounds as it
-    would alone.  Returns (U, ok).
+    fails or after ``_POLISH_ITERS`` steps.  Every per-row product is
+    row-wise, so a row rounds as it would alone.  Returns
+    (U, ok, steps): steps[m] counts the Newton steps row m took.
     """
     U = U.copy()
     n = U.shape[1]
     ok = np.zeros(U.shape[0], dtype=bool)
+    steps = np.zeros(U.shape[0], dtype=int)
     live = np.arange(U.shape[0])
-    for it in range(max_iters + 1):
+    for it in range(_POLISH_ITERS + 1):
+        steps[live] = it
         u, sg = U[live], sign[live]
         W, r = Q.products(u[:, None, :])
         grad = sg[:, None] * _grad(W, r)
@@ -235,7 +238,7 @@ def _newton_polish(Q, U, sign, tol, max_iters=60):
         rgrad = grad - gu[:, None] * u
         gnorm = np.sqrt(_dot(rgrad, rgrad))
         ok[live] = gnorm < tol
-        if it == max_iters:
+        if it == _POLISH_ITERS:
             break
         go = ~ok[live]
         live, u, sg, W, r, gu, rgrad, gnorm = (
@@ -272,54 +275,36 @@ def _newton_polish(Q, U, sign, tol, max_iters=60):
         live = live[~searching]  # a failed line search stops its row unconverged
         if not live.size:
             break
-    return U, ok
+    return U, ok, steps
 
 
-def _projected_descent(Q, U, sign, tol):
-    """Batched projected-gradient descent of sign[m] * phi on the sphere, as a basin finder.
+def _projected_descent(Q, U, sign):
+    """A fixed burn-in of projected-gradient steps on sign[m] * phi over the sphere.
 
-    Row m minimizes phi for sign[m] = +1 and maximizes it for -1.  The
-    rows form two sides of equal size, the first half and the second
-    half, which run as one block.  The descent only has to bring rows
-    into their basins; the Newton polish converges them.  A row stops
-    when its gradient meets ``tol`` or its value-gated step stalls, and
-    is left untouched after that.  A side stops as a whole once
-    ``_POLISH_COUNT`` of its stopped rows rank strictly below every
-    moving row of that side: those are the rows the polish takes, and a
-    moving row could only overtake them by descending past basins they
-    already sit in.  Returns (U, values, stop): stop[m] is the iteration
-    at which row m stopped.  A row's gradient is carried over from its
-    last accepted step.
+    Row m minimizes phi for sign[m] = +1 and maximizes it for -1, and
+    every row takes ``_BURN_IN`` steps.  A step moves the row against
+    its Riemannian gradient and back onto the sphere, and is kept only
+    where it lowers sign * phi: the row's step length then grows by
+    1.2, and otherwise halves.  The burn-in only ranks the starts'
+    basins; the Newton polish converges the best rows, quadratically
+    once they sit in a basin.  Returns (U, values) with values =
+    sign * phi.
     """
     vals, grad = _phi_grad_batch(Q, U)
     vals, grad = sign * vals, sign[:, None] * grad
     steps = np.full(U.shape[0], 0.1)
-    done = np.zeros(U.shape[0], dtype=bool)
-    stop = np.full(U.shape[0], _MAX_ITERS)
-    for it in range(1, _MAX_ITERS + 1):
+    for _ in range(_BURN_IN):
         rgrad = grad - np.einsum("mn,mn->m", grad, U)[:, None] * U
-        done |= np.einsum("mn,mn->m", rgrad, rgrad) < tol * tol
-        stop[done & (stop > it)] = it
-        if done.all():
-            break
         cand = U - steps[:, None] * rgrad
         cand /= np.sqrt(np.einsum("mn,mn->m", cand, cand))[:, None]
         cand_vals, cand_grad = _phi_grad_batch(Q, cand)
         cand_vals *= sign
-        accept = ~done & (cand_vals < vals)
+        accept = cand_vals < vals
         U = np.where(accept[:, None], cand, U)
         vals = np.where(accept, cand_vals, vals)
         grad = np.where(accept[:, None], sign[:, None] * cand_grad, grad)
-        steps *= np.where(accept, 1.2, np.where(done, 1.0, 0.5))
-        done |= steps < 1e-13  # value rounding floor reached
-        side_vals, side_done = vals.reshape(2, -1), done.reshape(2, -1)
-        moving = np.where(side_done, np.inf, side_vals).min(axis=1, keepdims=True)
-        settled = (side_done & (side_vals < moving)).sum(axis=1) >= _POLISH_COUNT
-        done |= np.repeat(settled, side_done.shape[1])
-        stop[done & (stop > it)] = it
-        if done.all():
-            break
-    return U, vals, stop
+        steps *= np.where(accept, 1.2, 0.5)
+    return U, vals
 
 
 @dataclass(frozen=True)
@@ -343,24 +328,23 @@ class _Side:
     phi: np.ndarray
     ok: np.ndarray
     start: np.ndarray  # index of each candidate's start among its side's starts
-    iterations: int  # descent iteration at which the side stopped
+    iterations: int  # Newton steps of the side's slowest candidate
 
 
 def _search(Q: _Quartic, starts: np.ndarray, tol: float) -> list[_Side]:
     """Both sides at once: starts[0] minimize phi, starts[1] maximize it.
 
-    One descent runs every start of both sides to the basin tolerance
-    ``max(tol, _BASIN_TOL * |h|^2)``, and each side stops once its
-    ``_POLISH_COUNT`` best rows have stopped.  One Newton polish then
-    takes those rows of each side to the gradient tolerance ``tol``.
+    Every start of both sides takes the burn-in as one block
+    (``_projected_descent``), and one Newton polish then takes the
+    ``_POLISH_COUNT`` best rows of each side to the gradient tolerance
+    ``tol``.
     """
     _, m, n = starts.shape
     signs = np.repeat([1.0, -1.0], m)
-    basin_tol = max(tol, _BASIN_TOL * Q.total_sq)
-    U, vals, stop = _projected_descent(Q, starts.reshape(2 * m, n), signs, basin_tol)
+    U, vals = _projected_descent(Q, starts.reshape(2 * m, n), signs)
     picks = [np.argsort(v)[:_POLISH_COUNT] for v in vals.reshape(2, m)]
     rows = np.concatenate([picks[0], m + picks[1]])
-    P, ok = _newton_polish(Q, U[rows], signs[rows], tol)
+    P, ok, steps = _newton_polish(Q, U[rows], signs[rows], tol)
     phi = _phi(Q, Q.products(P[:, None, :])[1])
     sides = []
     for k, sign in enumerate((1.0, -1.0)):
@@ -372,7 +356,7 @@ def _search(Q: _Quartic, starts: np.ndarray, tol: float) -> list[_Side]:
                 phi[part][order],
                 ok[part][order],
                 picks[k][order],
-                int(stop[k * m : (k + 1) * m].max()),
+                int(steps[part].max()),
             )
         )
     return sides
@@ -501,12 +485,12 @@ def _one_slice_extrema(s: np.ndarray) -> HyperplaneExtrema:
 
 
 def _multistart_extrema(h: np.ndarray) -> HyperplaneExtrema:
-    """Deterministic multi-start projected gradient on the sphere.
+    """Deterministic multi-start on the sphere: a short burn-in, then a Newton polish.
 
-    The 64 min starts and the 64 max starts (``_starts``) descend as one
-    block and the best 12 of each side are polished as one block
-    (``_search``).  Valid for any slices, so it also serves as the test
-    oracle of ``_exact_extrema`` and ``_one_slice_extrema``.
+    The 64 min starts and the 64 max starts (``_starts``) take the
+    burn-in as one block and the best 12 of each side are polished as
+    one block (``_search``).  Valid for any slices, so it also serves as
+    the test oracle of ``_exact_extrema`` and ``_one_slice_extrema``.
     """
     n = h.shape[1]
     Q = _Quartic.of(h)

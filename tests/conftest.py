@@ -103,7 +103,7 @@ def dense_extrema(h: np.ndarray) -> tuple[float, float]:
     vals = _phi(Q, Q.products(U)[1])
     top = np.concatenate([U[np.argsort(sign * vals)[:_DENSE_TOP]] for sign in (1.0, -1.0)])
     signs = np.repeat([1.0, -1.0], _DENSE_TOP)
-    P, _ = _newton_polish(Q, top, signs, _GRAD_TOL * max(1.0, Q.total_sq))
+    P = _newton_polish(Q, top, signs, _GRAD_TOL * max(1.0, Q.total_sq))[0]
     polished = _phi(Q, Q.products(P[:, None, :])[1])
     return (
         min(vals.min(), polished[:_DENSE_TOP].min()) / (n - 1),
