@@ -49,7 +49,9 @@ _FUNCTIONS = {
 
 def _power(base, expo):
     # math.pow raises where float ** would return a complex number
-    return base**expo if isinstance(base, jets.Jet2) else math.pow(base, expo)
+    if isinstance(base, jets.Jet2):
+        return base**expo
+    return jets.per_value(lambda v: math.pow(v, expo), base)
 
 
 # program instructions are (kind, argument) pairs; "coords" applies its
@@ -135,10 +137,11 @@ def _program(text: str) -> tuple:
 
 @dataclass(frozen=True)
 class CompiledExpression:
-    """A parsed expression, callable on a coordinate list of jets or floats.
+    """A parsed expression, callable on a coordinate list of jets or of plain values.
 
-    A value or derivative that is undefined or not finite at the point
-    raises :class:`DomainError` naming the expression.
+    A coordinate is a jet, a float, or an array of floats with one entry
+    per point.  A value or derivative that is undefined or not finite at
+    a point raises :class:`DomainError` naming the expression.
     """
 
     source: str
@@ -147,8 +150,9 @@ class CompiledExpression:
     def __call__(self, coords):
         stack = []
         try:
-            # an overflow or an inf * 0 inside the jet arrays is caught below
-            with np.errstate(over="ignore", invalid="ignore"):
+            # an overflow or an inf * 0 inside the jet arrays is caught below; a
+            # division by zero of plain arrays raises, as a float division does
+            with np.errstate(over="ignore", invalid="ignore", divide="raise"):
                 for kind, arg in self.program:
                     if kind == "const":
                         stack.append(arg)
@@ -163,12 +167,12 @@ class CompiledExpression:
             raise SceneValidationError(
                 f"expression {self.source!r} has a variable beyond dimension {len(coords)}"
             ) from e
-        except (ValueError, ZeroDivisionError, OverflowError) as e:
+        except (ValueError, ZeroDivisionError, OverflowError, FloatingPointError) as e:
             raise DomainError(f"expression {self.source!r} is undefined at this point: {e}") from e
         (out,) = stack
-        arrays = (out.grad, out.hess, out.d3) if isinstance(out, jets.Jet2) else ()
-        value = out.value if arrays else out
-        if not (math.isfinite(value) and all(np.isfinite(a).all() for a in arrays)):
+        arrays = (out.value, out.grad, out.hess, out.d3) if isinstance(out, jets.Jet2) else (out,)
+        # a 1-d view keeps .all() on the array path for a lone point's 0-d value
+        if not all(np.isfinite(np.reshape(a, -1)).all() for a in arrays):
             raise DomainError(f"expression {self.source!r} is not finite at this point")
         return out
 

@@ -10,19 +10,27 @@ Conventions used throughout the engine:
 * over an orthonormal frame with rows ``e_a`` the curvature is read from
   one frame tensor ``R_E[a, b, c, d] = R(e_a, e_b, e_c, e_d)``
   (``frame_contraction``); every ambient curvature sum is a block or
-  trace of it (``curvature_sums``).
+  trace of it (``curvature_sums``);
+* the metric jets and everything ``ChartPoint`` derives from them carry
+  leading point axes: one point is (n,), a batch of P points (P, n).
+  Each contraction is one stacked matrix product per point, shaped as
+  ``np.tensordot`` shapes it for a lone point, so a point in a batch gets
+  the bits it gets alone.  Every check raises for the first point that
+  fails it, naming that point, and ``batch_size`` bounds a batch so that
+  its jets hold no more floats than one point of a ``MAX_DIM`` chart.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import cached_property
-from typing import Callable, Sequence
+from dataclasses import dataclass, field
+from functools import cached_property, lru_cache, wraps
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .errors import (
+    CasoratiqError,
     DegenerateMetricError,
     DependencyError,
     DimensionError,
@@ -54,6 +62,66 @@ _SYM_TOL = 1e-14
 _PD_TOL = 1e-10
 
 
+@lru_cache(maxsize=None)
+def _tail_axes(ndim: int, axes: tuple) -> tuple:
+    k = ndim - len(axes)
+    return (*range(k), *(k + i for i in axes))
+
+
+def tail_transpose(a: np.ndarray, *axes: int) -> np.ndarray:
+    """``a.transpose(*axes)`` applied to the trailing axes, the point axes kept in front."""
+    return a.transpose(_tail_axes(a.ndim, axes))
+
+
+def _first(bad: np.ndarray) -> Optional[tuple]:
+    """Index of the first point flagged in ``bad``, or None when there is none."""
+    return tuple(np.argwhere(bad)[0]) if bad.any() else None
+
+
+def _row(value, i):
+    """Row ``i`` of a batched quantity: a chart point, an array, or a dataclass of arrays."""
+    if isinstance(value, ChartPoint):
+        return value.row(i)
+    if isinstance(value, np.ndarray):
+        return value[i]
+    return type(value)(*(getattr(value, f)[i] for f in value.__dataclass_fields__))
+
+
+def batched(compute: Callable) -> cached_property:
+    """A cached property that a point taken from a batch reads from its batch.
+
+    The first row to ask has the batch compute the quantity for all its
+    points; each row then takes its own row of it.  If the batch's
+    computation raises, every row computes the quantity alone, so a
+    failing point raises its own error when its evaluation reaches it.
+    """
+    name = compute.__name__
+
+    @wraps(compute)
+    def get(self):
+        if self.of is None:
+            return compute(self)
+        batch, i = self.of
+        failed = vars(batch).setdefault("_failed", set())
+        if name not in failed:
+            try:
+                return _row(getattr(batch, name), i)
+            except (CasoratiqError, np.linalg.LinAlgError):
+                failed.add(name)
+        return compute(self)
+
+    return cached_property(get)
+
+
+def batch_size(n: int) -> int:
+    """Points per batch of an n-dimensional scene: P n^5 <= MAX_DIM^5 floats.
+
+    The metric jets of one point of an n-dimensional chart hold n^5
+    floats, so a batch holds no more than one point of the largest chart.
+    """
+    return MAX_DIM**5 // n**5
+
+
 @dataclass(frozen=True)
 class MetricChart:
     """A single coordinate domain with a smooth metric component field.
@@ -67,44 +135,51 @@ class MetricChart:
     g: Callable
     name: str = ""
 
-    def contains(self, x) -> bool:
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.dim,):
-            return False
-        return all(lo < xi < hi for xi, (lo, hi) in zip(x, self.domain))
+    @cached_property
+    def _bounds(self) -> np.ndarray:
+        return np.array(self.domain).T
 
     def require_inside(self, x) -> np.ndarray:
+        """``x`` as an array of points (..., dim); raises for the first point outside the box."""
         x = np.asarray(x, dtype=float)
-        if x.shape != (self.dim,):
+        if x.shape[-1:] != (self.dim,):
             raise DomainError(f"point has shape {x.shape}, chart dimension is {self.dim}")
-        if not self.contains(x):
-            raise DomainError(f"point {x.tolist()} outside domain of chart {self.name!r}")
+        lo, hi = self._bounds
+        inside = (lo < x) & (x < hi)
+        if not inside.all():
+            bad = _first(~inside.all(axis=-1))
+            raise DomainError(f"point {x[bad].tolist()} outside domain of chart {self.name!r}")
         return x
 
     def metric_jets(self, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Value, gradient and Hessian arrays of every metric component.
+        """Value, gradient and Hessian arrays of every metric component at points ``x``.
 
-        Returns ``(G0, G1, G2)`` with ``G1[a, b, c] = d_c g_ab`` and
-        ``G2[a, b, c, d] = d_c d_d g_ab``.  The metric ``G0`` is checked for
-        symmetry before it is symmetrized, and for definiteness after.
+        ``x`` is one point (n,) or points (P, n).  Returns ``(G0, G1, G2)``
+        with ``G1[..., a, b, c] = d_c g_ab`` and ``G2[..., a, b, c, d] =
+        d_c d_d g_ab``, the point axes first.  The metric ``G0`` is checked
+        for symmetry before it is symmetrized, and for definiteness after;
+        either check raises for the first point that fails it.
         """
         x = self.require_inside(x)
         n = self.dim
         rows = self.g(seed_point(x))
-        flat = jet_arrays([rows[a][b] for a in range(n) for b in range(n)], n)
-        G0, G1, G2 = (m.reshape((n, n) + m.shape[1:]) for m in flat[:3])
-        if np.abs(G0 - G0.T).max() > _SYM_TOL * max(1.0, np.abs(G0).max()):
+        flat = jet_arrays([rows[a][b] for a in range(n) for b in range(n)], x.shape, third=False)
+        G0, G1, G2 = (m.reshape(x.shape[:-1] + (n, n) + m.shape[x.ndim :]) for m in flat)
+        asym = np.abs(G0 - G0.swapaxes(-1, -2)).max(axis=(-2, -1))
+        bad = _first(asym > _SYM_TOL * np.maximum(1.0, np.abs(G0).max(axis=(-2, -1))))
+        if bad is not None:
             raise DegenerateMetricError(
-                f"metric not symmetric at {x.tolist()} (chart {self.name!r})"
+                f"metric not symmetric at {x[bad].tolist()} (chart {self.name!r})"
             )
-        G0 = 0.5 * (G0 + G0.T)
-        eigs = np.linalg.eigvalsh(G0)
-        if eigs.min() <= _PD_TOL:
+        G0 = 0.5 * (G0 + G0.swapaxes(-1, -2))
+        low = np.linalg.eigvalsh(G0).min(axis=-1)
+        bad = _first(low <= _PD_TOL)
+        if bad is not None:
             raise DegenerateMetricError(
-                f"metric not positive definite at {x.tolist()}: min eigenvalue {eigs.min():.3e}"
+                f"metric not positive definite at {x[bad].tolist()}: min eigenvalue {low[bad]:.3e}"
             )
-        G1 = 0.5 * (G1 + G1.transpose(1, 0, 2))
-        G2 = 0.5 * (G2 + G2.transpose(1, 0, 2, 3))
+        G1 = 0.5 * (G1 + G1.swapaxes(-3, -2))
+        G2 = 0.5 * (G2 + G2.swapaxes(-4, -3))
         return G0, G1, G2
 
 
@@ -114,6 +189,29 @@ def plane_area_sq(g: np.ndarray, u, v) -> float:
     if not area > 0:
         raise DimensionError("sectional curvature of a degenerate 2-plane")
     return float(area)
+
+
+_SYMMETRIES = ("antisym_12", "antisym_34", "pair_sym", "bianchi")
+
+
+def _symmetry_defects(R: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Largest entry of each curvature symmetry defect and ``max(1, max |R|)``, per point.
+
+    The defects R_ijkl + R_jikl, R_ijkl + R_ijlk, R_ijkl - R_klij and the
+    first Bianchi sum (shape (4, ...)) are formed one after another in a
+    single n^4 buffer.
+    """
+    buf = np.empty_like(R)
+    flat = buf.reshape(R.shape[:-4] + (-1,))
+    scale = np.maximum(1.0, np.abs(R, out=buf).reshape(flat.shape).max(axis=-1))
+    maxima = []
+    for op, perm in ((np.add, (1, 0, 2, 3)), (np.add, (0, 1, 3, 2)), (np.subtract, (2, 3, 0, 1))):
+        op(R, tail_transpose(R, *perm), out=buf)
+        maxima.append(np.abs(flat, out=flat).max(axis=-1))
+    np.add(R, tail_transpose(R, 1, 2, 0, 3), out=buf)
+    buf += tail_transpose(R, 2, 0, 1, 3)
+    maxima.append(np.abs(flat, out=flat).max(axis=-1))
+    return np.array(maxima), scale
 
 
 @dataclass(frozen=True)
@@ -130,41 +228,41 @@ class CurvaturePoint:
         return float(np.einsum("ijkl,i,j,k,l->", self.riemann, u, v, v, u)) / area
 
     def symmetry_residuals(self) -> dict[str, float]:
-        R = self.riemann
-        scale = max(1.0, np.abs(R).max())
-        bianchi = R + R.transpose(1, 2, 0, 3) + R.transpose(2, 0, 1, 3)
-        return {
-            "antisym_12": np.abs(R + R.transpose(1, 0, 2, 3)).max() / scale,
-            "antisym_34": np.abs(R + R.transpose(0, 1, 3, 2)).max() / scale,
-            "pair_sym": np.abs(R - R.transpose(2, 3, 0, 1)).max() / scale,
-            "bianchi": np.abs(bianchi).max() / scale,
-        }
+        maxima, scale = _symmetry_defects(self.riemann)
+        return {name: float(m / scale) for name, m in zip(_SYMMETRIES, maxima)}
 
 
 @dataclass(frozen=True, eq=False)
 class ChartPoint:
-    """The metric jets of a chart at one point, and what derives from them.
+    """The metric jets of a chart at P points, and what derives from them.
 
-    Built from one ``metric_jets`` call.  The inverse metric and its two
+    Every array has the point axes first; a lone point has none.  Built
+    from one ``metric_jets`` call.  The inverse metric and its two
     derivatives, the Christoffel symbols, their gradient and the curvature
     are computed from those jets on first use and kept, so every consumer
-    at the point shares one copy.
+    shares one copy.  ``row`` hands a point its share of a batch.
     """
 
     x: np.ndarray
     G0: np.ndarray
-    G1: np.ndarray  # G1[a, b, c] = d_c g_ab
-    G2: np.ndarray  # G2[a, b, c, d] = d_c d_d g_ab
+    G1: np.ndarray  # G1[..., a, b, c] = d_c g_ab
+    G2: np.ndarray  # G2[..., a, b, c, d] = d_c d_d g_ab
+    of: Optional[tuple] = field(default=None, repr=False)  # (batch, index) of a row
 
     @classmethod
     def at(cls, chart: MetricChart, x) -> "ChartPoint":
         x = np.asarray(x, dtype=float)
         return cls(x, *chart.metric_jets(x))
 
+    def row(self, i: int) -> "ChartPoint":
+        """Point ``i`` of a batch (P, ...); it reads its Christoffel symbols and
+        curvature from the batch (``batched``)."""
+        return ChartPoint(self.x[i], self.G0[i], self.G1[i], self.G2[i], of=(self, i))
+
     @cached_property
     def ginv_jet(self) -> tuple:
-        """Matrix jet of g^-1: ``(g^kl, d_m g^kl, d_m d_n g^kl)``, derivative axes first."""
-        g = (self.G0, np.moveaxis(self.G1, 2, 0), self.G2.transpose(2, 3, 0, 1))
+        """Matrix jet of g^-1: ``(g^kl, d_m g^kl, d_m d_n g^kl)``, derivative axes before k, l."""
+        g = (self.G0, tail_transpose(self.G1, 2, 0, 1), tail_transpose(self.G2, 2, 3, 0, 1))
         try:
             return matrix_inverse(g)
         except np.linalg.LinAlgError as e:
@@ -173,48 +271,67 @@ class ChartPoint:
     @cached_property
     def _first_kind(self) -> np.ndarray:
         # D[i, j, l] = d_i g_jl; returns d_i g_jl + d_j g_il - d_l g_ij
-        D = np.transpose(self.G1, (2, 0, 1))
-        return D + D.transpose(1, 0, 2) - np.transpose(D, (1, 2, 0))
+        D = tail_transpose(self.G1, 2, 0, 1)
+        return D + D.swapaxes(-3, -2) - tail_transpose(D, 1, 2, 0)
 
-    @cached_property
+    @batched
     def gamma(self) -> np.ndarray:
         """Levi-Civita connection coefficients ``gamma[k, i, j] = Gamma^k_ij``."""
-        return 0.5 * np.tensordot(self.ginv_jet[0], self._first_kind, axes=(1, 2))
+        n = self.G0.shape[-1]
+        lead = self.G0.shape[:-2]
+        # the contraction over l is one (n x n) @ (n x n^2) product per point
+        fk = tail_transpose(self._first_kind, 2, 0, 1).reshape(lead + (n, n * n))
+        return 0.5 * (self.ginv_jet[0] @ fk).reshape(lead + (n, n, n))
 
     @cached_property
     def dgamma(self) -> np.ndarray:
         """``dgamma[m, k, i, j] = d_m Gamma^k_ij``, exact from the jets."""
+        n = self.G0.shape[-1]
+        lead = self.G0.shape[:-2]
         # DD[m, i, j, l] = d_m d_i g_jl
-        DD = np.transpose(self.G2, (3, 2, 0, 1))
-        Am = DD + DD.transpose(0, 2, 1, 3) - DD.transpose(0, 2, 3, 1)
+        DD = tail_transpose(self.G2, 3, 2, 0, 1)
+        Am = DD + DD.swapaxes(-3, -2) - tail_transpose(DD, 0, 2, 3, 1)
+        ginv, dginv = self.ginv_jet[:2]
+        fk = tail_transpose(self._first_kind, 2, 0, 1).reshape(lead + (n, n * n))
+        am = tail_transpose(Am, 3, 0, 1, 2).reshape(lead + (n, n**3))
         return 0.5 * (
-            np.tensordot(self.ginv_jet[1], self._first_kind, axes=(2, 2))
-            + np.tensordot(self.ginv_jet[0], Am, axes=(1, 3)).transpose(1, 0, 2, 3)
+            (dginv.reshape(lead + (n * n, n)) @ fk).reshape(lead + (n,) * 4)
+            + (ginv @ am).reshape(lead + (n,) * 4).swapaxes(-4, -3)
         )
 
-    @cached_property
+    @batched
     def curvature(self) -> CurvaturePoint:
-        """Fully covariant curvature, checked for the curvature symmetries."""
+        """Fully covariant curvature, checked for the curvature symmetries.
+
+        The check raises for the first point whose worst relative defect
+        exceeds 1e-6.
+        """
         gamma, dgamma = self.gamma, self.dgamma
+        n = self.G0.shape[-1]
+        lead = self.G0.shape[:-2]
         # Rup[i, j, k, m] = d_i Gamma^m_jk - d_j Gamma^m_ik
         #                 + Gamma^p_jk Gamma^m_ip - Gamma^p_ik Gamma^m_jp
         # and both products are read from GG[a, b, c, d] = Gamma^p_ab Gamma^c_dp
-        GG = np.tensordot(gamma, gamma, axes=(0, 2))
+        GG = (
+            tail_transpose(gamma, 1, 2, 0).reshape(lead + (n * n, n))
+            @ tail_transpose(gamma, 2, 0, 1).reshape(lead + (n, n * n))
+        ).reshape(lead + (n,) * 4)
         rup = (
-            np.transpose(dgamma, (0, 2, 3, 1))
-            - np.transpose(dgamma, (2, 0, 3, 1))
-            + GG.transpose(3, 0, 1, 2)
-            - GG.transpose(0, 3, 1, 2)
+            tail_transpose(dgamma, 0, 2, 3, 1)
+            - tail_transpose(dgamma, 2, 0, 3, 1)
+            + tail_transpose(GG, 3, 0, 1, 2)
+            - tail_transpose(GG, 0, 3, 1, 2)
         )
-        R = rup @ self.G0
-        cp = CurvaturePoint(x=self.x, gamma=gamma, riemann=R, metric=self.G0)
-        worst = max(cp.symmetry_residuals().values())
-        if worst > 1e-6:
+        R = rup @ self.G0[..., None, None, :, :]
+        maxima, scale = _symmetry_defects(R)
+        worst = maxima.max(axis=0) / scale
+        bad = _first(worst > 1e-6)
+        if bad is not None:
             raise DegenerateMetricError(
-                f"curvature symmetries violated ({worst:.3e}) at {self.x.tolist()}; "
+                f"curvature symmetries violated ({worst[bad]:.3e}) at {self.x[bad].tolist()}; "
                 "metric field is likely not smooth enough here"
             )
-        return cp
+        return CurvaturePoint(x=self.x, gamma=gamma, riemann=R, metric=self.G0)
 
 
 def christoffel(chart: MetricChart, x) -> np.ndarray:

@@ -1,13 +1,26 @@
-"""Third-order forward-mode automatic differentiation.
+"""Third-order forward-mode automatic differentiation at many points at once.
 
 A :class:`Jet2` carries the value and the first three derivatives of a
-scalar expression with respect to a fixed set of base variables
+scalar expression with respect to a fixed set of n base variables
 (truncated Taylor mode; Griewank & Walther, *Evaluating Derivatives*,
-SIAM 2008, ch. 13).  Metric components, map components and scene
-expressions are all evaluated on jets, so curvature and the O'Neill
-tensor derivatives downstream are exact instead of finite differences.
-A matrix jet is a tuple ``(M, dM, d2M)`` with ``dM[p] = d_p M`` and
-``d2M[p, q] = d_p d_q M``.
+SIAM 2008, ch. 13), at every point of a batch: value (P,), grad (P, n),
+hess (P, n, n) and d3 (P, n, n, n).  This is the numpy form of vmapped
+Taylor mode (Bettencourt, Johnson & Duvenaud, *Taylor-mode automatic
+differentiation for higher-order derivatives in JAX*, 2019).  Any leading
+shape works the same way, and a lone point has none; a seeded variable
+or a constant keeps derivative arrays without the point axes, which
+broadcast.  Metric components, map components and scene expressions are
+all evaluated on jets, so curvature and the O'Neill tensor derivatives
+downstream are exact instead of finite differences.
+
+The ring operations act on whole arrays and round every point as a lone
+point would be rounded.  The scalar factors of a power, a reciprocal and
+the elementary functions are computed value by value with Python's float
+and ``math`` calls (numpy's ``**`` differs from Python's in the last
+bit), which also keeps ``math``'s error messages.
+
+A matrix jet is a tuple ``(M, dM, d2M)`` with ``dM[..., p, :, :] = d_p M``
+and ``d2M[..., p, q, :, :] = d_p d_q M``, the point axes first.
 """
 
 from __future__ import annotations
@@ -28,6 +41,7 @@ __all__ = [
     "sqrt",
     "jet_norm",
     "jet_arrays",
+    "per_value",
     "matrix_product",
     "matrix_inverse",
 ]
@@ -35,35 +49,41 @@ __all__ = [
 
 def _sym3(h: np.ndarray, g: np.ndarray) -> np.ndarray:
     """``h_ij g_k + h_ik g_j + h_jk g_i`` for a symmetric ``h``."""
-    t = np.multiply.outer(h, g)
-    return t + t.transpose(0, 2, 1) + t.transpose(2, 1, 0)
+    t = h[..., :, :, None] * g[..., None, None, :]
+    return t + t.swapaxes(-1, -2) + t.swapaxes(-1, -3)
+
+
+def per_value(fn: Callable, v) -> np.ndarray:
+    """``fn`` at every entry of ``v`` with Python floats, its outputs on a last axis.
+
+    A plain number gives ``fn`` of it unchanged.
+    """
+    if not isinstance(v, np.ndarray):
+        return fn(float(v))
+    out = np.array([fn(t) for t in v.ravel().tolist()], dtype=float)
+    return out.reshape(v.shape + out.shape[1:])
 
 
 class Jet2:
-    """Truncated Taylor carrier: value, n-gradient, n x n Hessian and the
-    n x n x n symmetric third derivative ``d3[i, j, k] = d_i d_j d_k f``."""
+    """Truncated Taylor carrier: values, n-gradients, n x n Hessians and the
+    n x n x n symmetric third derivatives ``d3[..., i, j, k] = d_i d_j d_k f``,
+    the point axes first."""
 
     __slots__ = ("value", "grad", "hess", "d3")
 
-    def __init__(self, value: float, grad: np.ndarray, hess: np.ndarray, d3: np.ndarray):
-        self.value = float(value)
+    def __init__(self, value, grad: np.ndarray, hess: np.ndarray, d3: np.ndarray):
+        self.value = np.asarray(value, dtype=float)
         self.grad = np.asarray(grad, dtype=float)
         self.hess = np.asarray(hess, dtype=float)
         self.d3 = np.asarray(d3, dtype=float)
 
     @property
     def n(self) -> int:
-        return self.grad.shape[0]
+        return self.grad.shape[-1]
 
     @classmethod
-    def constant(cls, value: float, n: int) -> "Jet2":
+    def constant(cls, value, n: int) -> "Jet2":
         return cls(value, np.zeros(n), np.zeros((n, n)), np.zeros((n, n, n)))
-
-    @classmethod
-    def variable(cls, value: float, index: int, n: int) -> "Jet2":
-        grad = np.zeros(n)
-        grad[index] = 1.0
-        return cls(value, grad, np.zeros((n, n)), np.zeros((n, n, n)))
 
     def _coerce(self, other) -> "Jet2":
         if isinstance(other, Jet2):
@@ -91,12 +111,13 @@ class Jet2:
 
     def __mul__(self, other):
         o = self._coerce(other)
-        outer = np.outer(self.grad, o.grad)
+        a, b = self.value[..., None], o.value[..., None]
+        outer = self.grad[..., :, None] * o.grad[..., None, :]
         return Jet2(
             self.value * o.value,
-            self.value * o.grad + o.value * self.grad,
-            self.value * o.hess + o.value * self.hess + outer + outer.T,
-            self.value * o.d3 + o.value * self.d3
+            a * o.grad + b * self.grad,
+            a[..., None] * o.hess + b[..., None] * self.hess + outer + outer.swapaxes(-1, -2),
+            a[..., None, None] * o.d3 + b[..., None, None] * self.d3
             + _sym3(self.hess, o.grad) + _sym3(o.hess, self.grad),
         )
 
@@ -118,36 +139,43 @@ class Jet2:
             return Jet2.constant(1.0, self.n)
         if p == 1:
             return self
-        v = self.value
-        if v < 0 and p != int(p):
-            raise ValueError(f"fractional power of negative base {v}")
         # falling factorials; a zero one drops its term, so x^2 at 0 has d3 = 0, not 0 * 0^-1
         c = (p, p * (p - 1), p * (p - 1) * (p - 2))
-        f1, f2, f3 = (ck * v ** (p - k) if ck else 0.0 for k, ck in enumerate(c, 1))
-        return self._chain(v**p, f1, f2, f3)
+
+        def factors(v):
+            if v < 0 and p != int(p):
+                raise ValueError(f"fractional power of negative base {v}")
+            f1, f2, f3 = (ck * v ** (p - k) if ck else 0.0 for k, ck in enumerate(c, 1))
+            return v**p, f1, f2, f3
+
+        return self._chain(factors)
 
     def _reciprocal(self):
-        v = self.value
-        return self._chain(1.0 / v, -1.0 / v**2, 2.0 / v**3, -6.0 / v**4)
+        return self._chain(lambda v: (1.0 / v, -1.0 / v**2, 2.0 / v**3, -6.0 / v**4))
 
-    def _chain(self, f0: float, f1: float, f2: float, f3: float) -> "Jet2":
-        """Compose with a scalar function given its value and three derivatives."""
+    def _chain(self, factors: Callable) -> "Jet2":
+        """Compose with a scalar function; ``factors(v)`` gives its value and three derivatives."""
+        f = per_value(factors, self.value)
+        f0, f1, f2, f3 = f[..., 0], f[..., 1:2], f[..., 2:3], f[..., 3:4]
         g = self.grad
-        outer = np.outer(g, g)
+        outer = g[..., :, None] * g[..., None, :]
         return Jet2(
             f0,
             f1 * g,
-            f1 * self.hess + f2 * outer,
-            f1 * self.d3 + f2 * _sym3(self.hess, g) + f3 * np.multiply.outer(outer, g),
+            f1[..., None] * self.hess + f2[..., None] * outer,
+            f1[..., None, None] * self.d3 + f2[..., None, None] * _sym3(self.hess, g)
+            + f3[..., None, None] * (outer[..., None] * g[..., None, None, :]),
         )
 
 
 def _lift(f_plain: Callable[[float], float], d1, d2, d3) -> Callable:
+    def factors(v):
+        return f_plain(v), d1(v), d2(v), d3(v)
+
     def wrapped(x):
         if isinstance(x, Jet2):
-            v = x.value
-            return x._chain(f_plain(v), d1(v), d2(v), d3(v))
-        return f_plain(float(x))
+            return x._chain(factors)
+        return per_value(f_plain, x)
 
     return wrapped
 
@@ -175,36 +203,49 @@ def jet_norm(xs: Sequence) -> "Jet2 | float":
     return sqrt(acc)
 
 
-def jet_arrays(entries: Sequence, n: int) -> tuple:
-    """Values and derivatives of jets (or plain numbers) in ``n`` variables, entry axis first.
+def jet_arrays(entries: Sequence, shape: tuple, third: bool = True) -> tuple:
+    """Values and derivatives of jets (or plain numbers) at points of ``shape = (..., n)``.
 
-    Returns ``(value, d1, d2, d3)`` of shapes (m,), (m, n), (m, n, n) and (m, n, n, n).
+    Returns ``(value, d1, d2, d3)`` of shapes (..., m), (..., m, n),
+    (..., m, n, n) and (..., m, n, n, n), the entry axis after the point
+    axes; ``d2`` is symmetrized, and ``d3`` is left out unless ``third``.
     """
+    *lead, n = shape
     m = len(entries)
-    value, d1, d2, d3 = np.empty(m), np.zeros((m, n)), np.zeros((m, n, n)), np.zeros((m, n, n, n))
+    value, d1, d2 = np.zeros((*lead, m)), np.zeros((*lead, m, n)), np.zeros((*lead, m, n, n))
+    d3 = np.zeros((*lead, m, n, n, n)) if third else None
     for i, e in enumerate(entries):
         if isinstance(e, Jet2):
-            value[i], d1[i], d2[i], d3[i] = e.value, e.grad, 0.5 * (e.hess + e.hess.T), e.d3
-        else:
-            value[i] = float(e)
-    return value, d1, d2, d3
+            value[..., i], d1[..., i, :] = e.value, e.grad
+            d2[..., i, :, :] = 0.5 * (e.hess + e.hess.swapaxes(-1, -2))
+            if third:
+                d3[..., i, :, :, :] = e.d3
+        elif (v := float(e)) or math.copysign(1.0, v) < 0:
+            # a plain +0.0 is already in place
+            value[..., i] = v
+    return (value, d1, d2, d3) if third else (value, d1, d2)
 
 
-def seed_point(x: Sequence[float]) -> list[Jet2]:
-    """Turn a coordinate point into independent jet variables."""
+def seed_point(x) -> list[Jet2]:
+    """Independent jet variables at a point (n,) or at points (P, n)."""
     x = np.asarray(x, dtype=float)
-    n = x.shape[0]
-    return [Jet2.variable(x[i], i, n) for i in range(n)]
+    n = x.shape[-1]
+    # jets are never written in place, so the variables share their zero derivatives
+    grads, hess, d3 = np.eye(n), np.zeros((n, n)), np.zeros((n, n, n))
+    return [Jet2(x[..., i], grads[i], hess, d3) for i in range(n)]
 
 
 def matrix_product(a: tuple, b: tuple) -> tuple:
     """Matrix jet of the product ``A B`` (Leibniz rule to second order)."""
     a0, a1, a2 = a
     b0, b1, b2 = b
+    A0, B0 = a0[..., None, :, :], b0[..., None, :, :]
     return (
         a0 @ b0,
-        a1 @ b0 + a0 @ b1,
-        a2 @ b0 + a0 @ b2 + a1[:, None] @ b1[None] + a1[None] @ b1[:, None],
+        a1 @ B0 + A0 @ b1,
+        a2 @ B0[..., None, :, :] + A0[..., None, :, :] @ b2
+        + a1[..., :, None, :, :] @ b1[..., None, :, :, :]
+        + a1[..., None, :, :, :] @ b1[..., :, None, :, :],
     )
 
 
@@ -212,6 +253,11 @@ def matrix_inverse(a: tuple) -> tuple:
     """Matrix jet of ``A^-1``, from differentiating ``A A^-1 = I`` twice."""
     a0, a1, a2 = a
     x0 = np.linalg.inv(a0)
-    x1 = -x0 @ a1 @ x0
-    x2 = -x0 @ (a2 @ x0 + a1[:, None] @ x1[None] + a1[None] @ x1[:, None])
+    X0 = x0[..., None, :, :]
+    x1 = -X0 @ a1 @ X0
+    x2 = -X0[..., None, :, :] @ (
+        a2 @ X0[..., None, :, :]
+        + a1[..., :, None, :, :] @ x1[..., None, :, :, :]
+        + a1[..., None, :, :, :] @ x1[..., :, None, :, :]
+    )
     return x0, x1, x2

@@ -4,8 +4,14 @@ Everything at one source point is read from one ``MapPoint``: the
 third-order map jets and the source metric jets are computed once there,
 and the Christoffel symbols, the curvature of source and target and the
 horizontal projector with two exact derivatives are derived from them on
-first use.  ``differential`` builds the point and hangs it on the
-``SceneSplit`` that every other function here takes.  The split holds
+first use.  A ``MapPoint`` holds P points at once (leading point axes, as
+in ``geometry``): a scene builds one per batch of its points, and each
+point's row (``MapPoint.rows``) holds its map jets and reads both chart
+points, their curvature and the O'Neill fields from the batch, which
+computes each for all its points when the first row needs it.  ``differential``
+takes such a row, or builds the point from its coordinates, and hangs it
+on the ``SceneSplit`` that every other function here takes; from the
+split on, everything is per point.  The split holds
 one curvature frame tensor per side, over [horizontal; vertical] in the
 source and [range; range_perp] in the target, and every Gauss residual
 reads its curvature blocks from those two arrays.
@@ -25,7 +31,7 @@ finite differences.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Optional
 
@@ -40,9 +46,11 @@ from .geometry import (
     ChartPoint,
     MetricChart,
     OrthoFrame,
+    batched,
     complete_frame,
     frame_contraction,
     gram_schmidt,
+    tail_transpose,
 )
 from .jets import jet_arrays, matrix_inverse, matrix_product, seed_point
 
@@ -88,51 +96,68 @@ class SmoothMap:
             )
 
     def jets(self, x) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Value and first three derivatives of the map at ``x``.
+        """Value and first three derivatives of the map at a point (n,) or points (P, n).
 
-        Returns ``(y, dF, d2F, d3F)`` with ``dF[a, mu] = d_mu F^a``,
-        ``d2F[a, mu, nu] = d_mu d_nu F^a`` and
-        ``d3F[a, mu, nu, la] = d_mu d_nu d_la F^a``.
+        Returns ``(y, dF, d2F, d3F)`` with ``dF[..., a, mu] = d_mu F^a``,
+        ``d2F[..., a, mu, nu] = d_mu d_nu F^a`` and
+        ``d3F[..., a, mu, nu, la] = d_mu d_nu d_la F^a``, the point axes first.
+        The box checks of source and target raise for the first point outside.
         """
         x = self.source.require_inside(x)
-        y, dF, d2F, d3F = jet_arrays(self.F(seed_point(x)), self.source.dim)
+        y, dF, d2F, d3F = jet_arrays(self.F(seed_point(x)), x.shape)
         self.target.require_inside(y)
         return y, dF, d2F, d3F
 
 
 @dataclass(frozen=True, eq=False)
 class MapPoint:
-    """The jets of a map at one source point, and what derives from them.
+    """The jets of a map at P source points, and what derives from them.
 
-    Built from one ``smap.jets`` call.  The source and target chart
-    points, which hold the checked metrics, and the submersion projector
-    are computed from jets on first use and kept, so each is paid for
-    once and only by the consumers that need it.
+    Every array has the point axes first; a lone point has none.  Built
+    from one ``smap.jets`` call.  The source and target chart points,
+    which hold the checked metrics, and the submersion projector are
+    computed from jets on first use and kept, so each is paid for once and
+    only by the consumers that need it.  ``rows`` hands each point its
+    share of a batch.
     """
 
     smap: SmoothMap
     x: np.ndarray
     y: np.ndarray
-    dF: np.ndarray  # dF[a, mu] = d_mu F^a
-    d2F: np.ndarray  # d2F[a, mu, nu] = d_mu d_nu F^a
-    d3F: np.ndarray  # d3F[a, mu, nu, la] = d_mu d_nu d_la F^a
+    dF: np.ndarray  # dF[..., a, mu] = d_mu F^a
+    d2F: np.ndarray  # d2F[..., a, mu, nu] = d_mu d_nu F^a
+    d3F: np.ndarray  # d3F[..., a, mu, nu, la] = d_mu d_nu d_la F^a
+    of: Optional[tuple] = field(default=None, repr=False)  # (batch, index) of a row
 
     @classmethod
     def at(cls, smap: SmoothMap, x) -> "MapPoint":
+        """The map at a point (n,) or at points (P, n)."""
         x = np.asarray(x, dtype=float)
         return cls(smap, x, *smap.jets(x))
 
-    @cached_property
+    def rows(self) -> list["MapPoint"]:
+        """The points of a batch (P, n) one by one.
+
+        Each row reads its chart points, with their Christoffel symbols and
+        curvature, and its O'Neill fields from the batch (``batched``): the
+        first row that needs one has it computed for every point.
+        """
+        return [
+            MapPoint(self.smap, self.x[i], self.y[i], self.dF[i], self.d2F[i], self.d3F[i], (self, i))
+            for i in range(self.x.shape[0])
+        ]
+
+    @batched
     def source(self) -> ChartPoint:
         return ChartPoint.at(self.smap.source, self.x)
 
-    @cached_property
+    @batched
     def target(self) -> ChartPoint:
         return ChartPoint.at(self.smap.target, self.y)
 
-    @cached_property
+    @batched
     def submersion(self) -> "_SubmersionPoint":
-        """The horizontal projector and the O'Neill tensor fields at the point.
+        """The horizontal projector and the O'Neill tensor fields at the points.
 
         P_h = g1^-1 dF^T (dF g1^-1 dF^T)^-1 dF projects onto the
         g1-orthogonal complement of ker dF.  It is a product of matrix jets
@@ -146,19 +171,26 @@ class MapPoint:
         if self.smap.mode != RIEMANNIAN_SUBMERSION:
             raise DimensionError("O'Neill tensors are defined for submersions only")
         # matrix jet of dF: d_p dF[a, mu] = d2F[a, mu, p], d_p d_q dF[a, mu] = d3F[a, mu, p, q]
-        J = (self.dF, np.moveaxis(self.d2F, 2, 0), self.d3F.transpose(2, 3, 0, 1))
-        Jt = tuple(np.swapaxes(m, -1, -2) for m in J)
+        J = (self.dF, tail_transpose(self.d2F, 2, 0, 1), tail_transpose(self.d3F, 2, 3, 0, 1))
+        Jt = tuple(m.swapaxes(-1, -2) for m in J)
         W = matrix_product(self.source.ginv_jet, Jt)
         P0, P1, P2 = matrix_product(matrix_product(W, matrix_inverse(matrix_product(J, W))), J)
 
-        Gb = self.source.gamma.transpose(1, 0, 2)  # Gb[b, a, n] = Gamma^a_bn
-        dGb = self.source.dgamma.transpose(0, 2, 1, 3)
-        Q0 = np.eye(P0.shape[0]) - P0
+        Gb = self.source.gamma.swapaxes(-3, -2)  # Gb[b, a, n] = Gamma^a_bn
+        dGb = self.source.dgamma.swapaxes(-3, -2)
+        Q0 = np.eye(P0.shape[-1]) - P0
         R = Q0 - P0
-        N = P1 + Gb @ P0 - P0 @ Gb  # N[b] = nabla_b P_h
-        dN = P2 + dGb @ P0 + Gb[None] @ P1[:, None] - P1[:, None] @ Gb[None] - P0 @ dGb
-        L = R @ N  # L[b, k, n] = ((1 - 2 P_h) nabla_b P_h)^k_n
-        dL = R @ dN - 2.0 * P1[:, None] @ N[None]
+        # P0d and P0dd stand against one and two derivative axes; P1p[p, b] = d_p P_h
+        P0d, Rd = P0[..., None, :, :], R[..., None, :, :]
+        P0dd, Rdd = P0d[..., None, :, :], Rd[..., None, :, :]
+        P1p = P1[..., :, None, :, :]
+        N = P1 + Gb @ P0d - P0d @ Gb  # N[b] = nabla_b P_h
+        dN = (
+            P2 + dGb @ P0dd + Gb[..., None, :, :, :] @ P1p - P1p @ Gb[..., None, :, :, :]
+            - P0dd @ dGb
+        )
+        L = Rd @ N  # L[b, k, n] = ((1 - 2 P_h) nabla_b P_h)^k_n
+        dL = Rdd @ dN - 2.0 * P1p @ N[..., None, :, :, :]
         return _SubmersionPoint(P0, P1, *_field(Q0, -P1, L, dL), *_field(P0, P1, L, dL))
 
 
@@ -206,6 +238,9 @@ class SceneSplit:
 def differential(smap: SmoothMap, x) -> SceneSplit:
     """Split the tangent spaces at ``x`` along the differential of the map.
 
+    ``x`` is a source point (n,) or the ``MapPoint`` of one, such as a row
+    of a batch.
+
     The vertical frame spans the numerical kernel of dF (singular values
     below 1e-8), the horizontal frame is its metric-orthogonal
     complement, the range frame is ``dF`` of the horizontal frame and
@@ -214,7 +249,7 @@ def differential(smap: SmoothMap, x) -> SceneSplit:
     residual is measured on the raw vectors, and the range frame is their
     metric Gram-Schmidt, orthonormal to rounding.
     """
-    pt = MapPoint.at(smap, x)
+    pt = x if isinstance(x, MapPoint) else MapPoint.at(smap, x)
     g1 = pt.source.G0
     g2 = pt.target.G0
     n1 = smap.source.dim
@@ -325,12 +360,18 @@ class _SubmersionPoint:
 
 def _field(X, dX, L, dL) -> tuple[np.ndarray, np.ndarray]:
     """``S[k, m, n] = X^b_m L[b, k, n]`` and its coordinate derivative ``dS[p, k, m, n]``."""
-    dXL = np.tensordot(dX, L, axes=(1, 0))  # [p, m, k, n]
-    XdL = np.tensordot(X, dL, axes=(0, 1))  # [m, p, k, n]
-    dS = dXL.transpose(0, 2, 1, 3) + XdL.transpose(1, 2, 0, 3)
+    n = X.shape[-1]
+    lead = X.shape[:-2]
+    # one (n^2 x n) @ (n x n^2) and one (n x n) @ (n x n^3) product per point
+    dXL = dX.swapaxes(-1, -2).reshape(lead + (n * n, n)) @ L.reshape(lead + (n, n * n))
+    XdL = X.swapaxes(-1, -2) @ dL.swapaxes(-4, -3).reshape(lead + (n, n**3))
+    dS = (
+        dXL.reshape(lead + (n,) * 4).swapaxes(-3, -2)
+        + tail_transpose(XdL.reshape(lead + (n,) * 4), 1, 2, 0, 3)
+    )
     # S stays in einsum order: another rounding of T or A can move the equality
     # diagnostics, which are read off whichever degenerate argmin comes back
-    return np.einsum("bm,bkn->kmn", X, L), dS
+    return np.einsum("...bm,...bkn->...kmn", X, L), dS
 
 
 def _on_frames(S: np.ndarray, E: np.ndarray, F: np.ndarray) -> np.ndarray:
@@ -488,12 +529,15 @@ def gauss_residual_submersion(
         horizontal = 0.0
 
     # mixed identity with the covariant derivatives of T and A:
-    # R1(h_i, v_j, h_k, v_l) = g((nabla_{h_i} T)(v_j, v_l), h_k)
+    # R1(h_i, v_j, v_l, h_k) = g((nabla_{h_i} T)(v_j, v_l), h_k)
     #   + g((nabla_{v_j} A)(h_i, h_k), v_l) - g(T_{v_j} h_i, T_{v_l} h_k)
     #   + g(A_{h_k} v_l, A_{h_i} v_j)
+    # O'Neill (1966) writes the left side <R_{h_i v_j} h_k, v_l> with the opposite
+    # sign convention; in the convention here it is R1(h_i, v_j, v_l, h_k), which the
+    # antisymmetry of the last two slots turns into -R1[i, j, k, l]
     sub = pt.submersion
     gamma = pt.source.gamma
-    lhs = R1[:s, s:, :s, s:]
+    lhs = -R1[:s, s:, :s, s:]
     nabla_T = frame_contraction(_covariant(sub.T, sub.dT, gamma), H, H @ g1, V, V)
     nabla_A = frame_contraction(_covariant(sub.A, sub.dA, gamma), V, V @ g1, H, H)
     T_vh = _on_frames(sub.T, V, H)  # T_vh[j, i] = T_{v_j} h_i

@@ -569,12 +569,44 @@ def _check_gauss(scn: Scenario, worst: float) -> None:
         )
 
 
-def _evaluate_chart_point(scn: Scenario, x: np.ndarray):
+def _chart_batches(scn: Scenario, X: np.ndarray) -> list[tuple]:
+    """Each chart point's ``MapPoint`` row and fiber curvature, from batches of the points.
+
+    The points go in chunks of ``batch_size`` of the larger chart
+    dimension.  A chunk whose map jets or box checks raise runs one point
+    at a time: its points keep their coordinates in place of a row, and
+    ``differential`` builds each alone.  A chunk of one point runs that
+    way too, without a point axis of length 1, which slowed single-point
+    scenes by about 4%.  A fiber curvature that raises at any point is
+    left to each point (None).
+    """
+    smap = scn.smap
+    size = geometry.batch_size(max(smap.source.dim, smap.target.dim))
+    points = []
+    for start in range(0, len(X), size):
+        chunk = X[start : start + size]
+        try:
+            points += maps.MapPoint.at(smap, chunk).rows() if len(chunk) > 1 else list(chunk)
+        except CasoratiqError:
+            points += list(chunk)
+    kappas = [None] * len(X)
+    if scn.fiber_kappa is not None:
+        try:
+            kappa = scn.fiber_kappa(list(X.T))
+            kappas = kappa.tolist() if np.ndim(kappa) else [kappa] * len(X)
+        except CasoratiqError:
+            pass
+    return list(zip(points, kappas))
+
+
+def _evaluate_chart_point(scn: Scenario, x: np.ndarray, point, kappa: Optional[float]):
     """Map point, validation, Gauss residuals and checker data of one chart point.
 
-    The checker data is None when the scene requests no theorem.
+    ``point`` is the point's ``MapPoint`` row or its coordinates, and
+    ``kappa`` its fiber curvature when already evaluated.  The checker
+    data is None when the scene requests no theorem.
     """
-    split = maps.differential(scn.smap, x)
+    split = maps.differential(scn.smap, point)
     validation = {
         "isometry_residual": split.isometry_residual,
         "kernel_residual": split.kernel_residual(),
@@ -590,8 +622,7 @@ def _evaluate_chart_point(scn: Scenario, x: np.ndarray):
         A = maps.oneill_A(split)
         validation["T_symmetry_residual"] = T.symmetry_residual()
         validation["A_skew_residual"] = A.symmetry_residual()
-        kappa = None
-        if scn.fiber_kappa is not None:
+        if scn.fiber_kappa is not None and kappa is None:
             kappa = float(scn.fiber_kappa([float(v) for v in x]))
         res = maps.gauss_residual_submersion(split, T, A, fiber_kappa=kappa)
         gauss = res.as_dict()
@@ -673,13 +704,15 @@ def evaluate_scenario(scn: Scenario, strict: bool = False) -> RunReport:
     # a value that overflows surfaces as a point error (the checkers test
     # every lhs, rhs and slack), not as a numpy warning on the way there
     with np.errstate(over="ignore", invalid="ignore"):
-        for i, x in enumerate(scn.evaluation_points()):
+        X = scn.evaluation_points()
+        batches = _chart_batches(scn, X) if scn.mode == "chart" else None
+        for i, x in enumerate(X):
             coords = [float(v) for v in x]
             try:
                 if scn.mode == "pointwise":
                     map_point, validation, gauss, data = _evaluate_pointwise(scn)
                 else:
-                    map_point, validation, gauss, data = _evaluate_chart_point(scn, x)
+                    map_point, validation, gauss, data = _evaluate_chart_point(scn, x, *batches[i])
                 reports = _theorem_reports(data, scn.theorems)
                 points.append(PointResult(i, coords, map_point, validation, gauss, reports, []))
             except CasoratiqError as e:

@@ -310,6 +310,29 @@ class TestGaussResiduals:
             assert res.horizontal < 1e-12
             assert res.mixed < 1e-13
 
+    def test_hopf_sphere_chart_mixed_identity_is_exact(self):
+        # the Hopf map S^3(1) -> S^2(1/2) in Hopf coordinates (eta, xi1, xi2):
+        # the source is curved (R != 0), the fibers are great circles (T = 0) and A != 0
+        def g1(c):
+            s, co = jets.sin(c[0]), jets.cos(c[0])
+            return [[1.0, 0.0, 0.0], [0.0, s * s, 0.0], [0.0, 0.0, co * co]]
+
+        def g2(c):
+            s = jets.sin(c[0])
+            return [[0.25, 0.0], [0.0, 0.25 * s * s]]
+
+        src = MetricChart(3, ((0.2, 1.3), (-3.0, 3.0), (-3.0, 3.0)), g1, name="hopf-s3")
+        tgt = MetricChart(2, ((0.3, 2.7), (-6.5, 6.5)), g2, name="s2-half")
+        hopf = SmoothMap(src, tgt, lambda c: [2.0 * c[0], c[1] - c[2]],
+                         "riemannian_submersion", 2, "hopf-s3-s2")
+        for xv in ([0.4, 0.3, -0.5], [0.8, -1.2, 0.7], [1.1, 2.0, 1.5]):
+            sp = differential(hopf, np.array(xv))
+            assert np.abs(sp.source_curvature).max() > 0.5
+            assert np.abs(oneill_A(sp).coeffs).max() > 0.1
+            res = gauss_residual_submersion(sp, fiber_kappa=None)
+            assert res.mixed < 1e-13
+            assert res.horizontal < 1e-13
+
     def test_fiber_kappa_cross_check_against_sphere_chart(self):
         # the radial fiber is a round 3-sphere; the sphere3 chart gives the
         # same constant sectional curvature, justifying the kappa formula
