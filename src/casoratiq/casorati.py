@@ -8,17 +8,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionError, DomainError, OptimizationError, ProvisoError
+from .errors import DimensionError, DomainError, OptimizationError
 
 __all__ = [
     "CasoratiInput",
     "HyperplaneExtrema",
-    "TripathiInstance",
     "casorati",
     "hyperplane_extrema",
     "delta_casorati",
-    "tripathi_minimize",
-    "tripathi_objective",
 ]
 
 _START_SEED = 20240915
@@ -521,59 +518,3 @@ def delta_casorati(C: float, extrema: HyperplaneExtrema, n_dist: int) -> tuple[f
     delta = 0.5 * C + (n + 1) / (2.0 * n) * extrema.inf_CL
     delta_hat = 2.0 * C - (2.0 * n - 1) / (2.0 * n) * extrema.sup_CL
     return float(delta), float(delta_hat)
-
-
-# -- constrained quadratic minimization ------------------------------------
-
-
-@dataclass(frozen=True)
-class TripathiInstance:
-    """min of lam1 sum_{i<n} t_i^2 + lam2 t_n^2 - 2 sum_{i<j} t_i t_j on sum t = k."""
-
-    n: int
-    k: float
-    lam1: float
-    lam2: float
-
-    def __post_init__(self):
-        if self.n < 3:
-            raise DimensionError(f"n must be >= 3, got {self.n}")
-        if self.lam1 <= 0 or self.lam2 <= 0:
-            raise ProvisoError("lam1 and lam2 must be positive")
-
-    @classmethod
-    def from_lam1(cls, n: int, k: float, lam1: float) -> "TripathiInstance":
-        if lam1 <= n - 2:
-            raise ProvisoError(f"lam1 = {lam1} must exceed n - 2 = {n - 2}")
-        return cls(n, k, lam1, (n - 1) / (lam1 - n + 2))
-
-    def proviso_holds(self, rtol: float = 1e-12) -> bool:
-        target = (self.n - 1) / (self.lam1 - self.n + 2)
-        return abs(self.lam2 - target) <= rtol * max(1.0, abs(target))
-
-
-def tripathi_objective(inst: TripathiInstance, t: np.ndarray) -> np.ndarray:
-    """Objective value(s); accepts a single point or a batch of rows."""
-    t = np.asarray(t, dtype=float)
-    single = t.ndim == 1
-    t = np.atleast_2d(t)
-    sq = t**2
-    quad = inst.lam1 * sq[:, :-1].sum(axis=1) + inst.lam2 * sq[:, -1]
-    s = t.sum(axis=1)
-    cross = s * s - sq.sum(axis=1)  # 2 sum_{i<j} t_i t_j
-    out = quad - cross
-    return float(out[0]) if single else out
-
-
-def tripathi_minimize(inst: TripathiInstance) -> tuple[np.ndarray, float]:
-    """Closed-form global minimizer, valid only under the proviso."""
-    if not inst.proviso_holds():
-        raise ProvisoError(
-            "closed form requires lam2 = (n-1)/(lam1-n+2); "
-            f"got lam1={inst.lam1}, lam2={inst.lam2}"
-        )
-    t = np.full(inst.n, inst.k / (inst.lam1 + 1.0))
-    t[-1] = inst.k / (inst.lam2 + 1.0)
-    if abs(t.sum() - inst.k) > 1e-12 * max(1.0, abs(inst.k)):
-        raise ProvisoError("closed-form point does not satisfy the constraint")
-    return t, tripathi_objective(inst, t)

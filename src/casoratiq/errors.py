@@ -37,10 +37,6 @@ class NotRiemannianMapError(CasoratiqError):
     """Differential is not isometric on the horizontal distribution."""
 
 
-class ProvisoError(CasoratiqError):
-    """Closed-form minimizer requested outside its validity condition."""
-
-
 class OptimizationError(CasoratiqError):
     """Sphere optimizer failed to converge; carries the best value found."""
 

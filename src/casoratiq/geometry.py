@@ -18,22 +18,22 @@ Conventions used throughout the engine:
   the bits it gets alone.  Every check raises for the first point that
   fails it, naming that point, and ``batch_size`` bounds a batch so that
   its jets hold no more floats than one point of a ``MAX_DIM`` chart.
+  ``ChartPoint.rows`` computes a batch's curvature before it splits the
+  batch into its points, so a row computes nothing again.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from functools import cached_property, lru_cache, wraps
+from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .errors import (
-    CasoratiqError,
     DegenerateMetricError,
     DependencyError,
-    DimensionError,
     DomainError,
 )
 from .jets import jet_arrays, matrix_inverse, seed_point
@@ -50,7 +50,6 @@ __all__ = [
     "complete_frame",
     "frame_contraction",
     "curvature_sums",
-    "plane_area_sq",
     "chart",
     "MAX_DIM",
 ]
@@ -76,41 +75,6 @@ def tail_transpose(a: np.ndarray, *axes: int) -> np.ndarray:
 def _first(bad: np.ndarray) -> Optional[tuple]:
     """Index of the first point flagged in ``bad``, or None when there is none."""
     return tuple(np.argwhere(bad)[0]) if bad.any() else None
-
-
-def _row(value, i):
-    """Row ``i`` of a batched quantity: a chart point, an array, or a dataclass of arrays."""
-    if isinstance(value, ChartPoint):
-        return value.row(i)
-    if isinstance(value, np.ndarray):
-        return value[i]
-    return type(value)(*(getattr(value, f)[i] for f in value.__dataclass_fields__))
-
-
-def batched(compute: Callable) -> cached_property:
-    """A cached property that a point taken from a batch reads from its batch.
-
-    The first row to ask has the batch compute the quantity for all its
-    points; each row then takes its own row of it.  If the batch's
-    computation raises, every row computes the quantity alone, so a
-    failing point raises its own error when its evaluation reaches it.
-    """
-    name = compute.__name__
-
-    @wraps(compute)
-    def get(self):
-        if self.of is None:
-            return compute(self)
-        batch, i = self.of
-        failed = vars(batch).setdefault("_failed", set())
-        if name not in failed:
-            try:
-                return _row(getattr(batch, name), i)
-            except (CasoratiqError, np.linalg.LinAlgError):
-                failed.add(name)
-        return compute(self)
-
-    return cached_property(get)
 
 
 def batch_size(n: int) -> int:
@@ -139,11 +103,16 @@ class MetricChart:
     def _bounds(self) -> np.ndarray:
         return np.array(self.domain).T
 
-    def require_inside(self, x) -> np.ndarray:
-        """``x`` as an array of points (..., dim); raises for the first point outside the box."""
+    def _as_points(self, x) -> np.ndarray:
+        """``x`` as an array of points (..., dim); raises when its last axis is not ``dim``."""
         x = np.asarray(x, dtype=float)
         if x.shape[-1:] != (self.dim,):
             raise DomainError(f"point has shape {x.shape}, chart dimension is {self.dim}")
+        return x
+
+    def require_inside(self, x) -> np.ndarray:
+        """``x`` as an array of points (..., dim); raises for the first point outside the box."""
+        x = self._as_points(x)
         lo, hi = self._bounds
         inside = (lo < x) & (x < hi)
         if not inside.all():
@@ -158,9 +127,10 @@ class MetricChart:
         with ``G1[..., a, b, c] = d_c g_ab`` and ``G2[..., a, b, c, d] =
         d_c d_d g_ab``, the point axes first.  The metric ``G0`` is checked
         for symmetry before it is symmetrized, and for definiteness after;
-        either check raises for the first point that fails it.
+        either check raises for the first point that fails it.  The box is
+        checked before, by ``ChartPoint.at`` or ``SmoothMap.jets``.
         """
-        x = self.require_inside(x)
+        x = self._as_points(x)
         n = self.dim
         rows = self.g(seed_point(x))
         flat = jet_arrays([rows[a][b] for a in range(n) for b in range(n)], x.shape, third=False)
@@ -181,14 +151,6 @@ class MetricChart:
         G1 = 0.5 * (G1 + G1.swapaxes(-3, -2))
         G2 = 0.5 * (G2 + G2.swapaxes(-4, -3))
         return G0, G1, G2
-
-
-def plane_area_sq(g: np.ndarray, u, v) -> float:
-    """Squared g-area of the parallelogram on u and v; raises when it is degenerate."""
-    area = (u @ g @ u) * (v @ g @ v) - (u @ g @ v) ** 2
-    if not area > 0:
-        raise DimensionError("sectional curvature of a degenerate 2-plane")
-    return float(area)
 
 
 _SYMMETRIES = ("antisym_12", "antisym_34", "pair_sym", "bianchi")
@@ -216,16 +178,12 @@ def _symmetry_defects(R: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class CurvaturePoint:
-    """Christoffel symbols and covariant curvature at one chart point."""
+    """Christoffel symbols and covariant curvature at chart points, point axes first."""
 
     x: np.ndarray
     gamma: np.ndarray  # gamma[k, i, j] = Gamma^k_ij, symmetric in (i, j)
     riemann: np.ndarray  # R[i, j, k, l] fully covariant
     metric: np.ndarray
-
-    def sectional(self, u, v) -> float:
-        area = plane_area_sq(self.metric, u, v)
-        return float(np.einsum("ijkl,i,j,k,l->", self.riemann, u, v, v, u)) / area
 
     def symmetry_residuals(self) -> dict[str, float]:
         maxima, scale = _symmetry_defects(self.riemann)
@@ -240,24 +198,38 @@ class ChartPoint:
     from one ``metric_jets`` call.  The inverse metric and its two
     derivatives, the Christoffel symbols, their gradient and the curvature
     are computed from those jets on first use and kept, so every consumer
-    shares one copy.  ``row`` hands a point its share of a batch.
+    shares one copy.  ``rows`` splits a batch into its points.
     """
 
     x: np.ndarray
     G0: np.ndarray
     G1: np.ndarray  # G1[..., a, b, c] = d_c g_ab
     G2: np.ndarray  # G2[..., a, b, c, d] = d_c d_d g_ab
-    of: Optional[tuple] = field(default=None, repr=False)  # (batch, index) of a row
 
     @classmethod
     def at(cls, chart: MetricChart, x) -> "ChartPoint":
-        x = np.asarray(x, dtype=float)
+        """The chart at a point (n,) or at points (P, n), checked against its box."""
+        x = chart.require_inside(x)
         return cls(x, *chart.metric_jets(x))
 
-    def row(self, i: int) -> "ChartPoint":
-        """Point ``i`` of a batch (P, ...); it reads its Christoffel symbols and
-        curvature from the batch (``batched``)."""
-        return ChartPoint(self.x[i], self.G0[i], self.G1[i], self.G2[i], of=(self, i))
+    def rows(self) -> list["ChartPoint"]:
+        """The points of a batch (P, n) one by one, their curvature already computed.
+
+        The batch computes the Christoffel symbols and the curvature of all
+        its points first, so the curvature check raises for the first point
+        that fails it; each row then holds its slice of both.
+        """
+        c = self.curvature
+        rows = []
+        for i in range(len(self.x)):
+            row = ChartPoint(self.x[i], self.G0[i], self.G1[i], self.G2[i])
+            # filled in where the cached properties keep what they compute
+            vars(row).update(
+                gamma=c.gamma[i],
+                curvature=CurvaturePoint(c.x[i], c.gamma[i], c.riemann[i], c.metric[i]),
+            )
+            rows.append(row)
+        return rows
 
     @cached_property
     def ginv_jet(self) -> tuple:
@@ -274,7 +246,7 @@ class ChartPoint:
         D = tail_transpose(self.G1, 2, 0, 1)
         return D + D.swapaxes(-3, -2) - tail_transpose(D, 1, 2, 0)
 
-    @batched
+    @cached_property
     def gamma(self) -> np.ndarray:
         """Levi-Civita connection coefficients ``gamma[k, i, j] = Gamma^k_ij``."""
         n = self.G0.shape[-1]
@@ -299,7 +271,7 @@ class ChartPoint:
             + (ginv @ am).reshape(lead + (n,) * 4).swapaxes(-4, -3)
         )
 
-    @batched
+    @cached_property
     def curvature(self) -> CurvaturePoint:
         """Fully covariant curvature, checked for the curvature symmetries.
 

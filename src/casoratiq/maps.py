@@ -5,13 +5,13 @@ third-order map jets and the source metric jets are computed once there,
 and the Christoffel symbols, the curvature of source and target and the
 horizontal projector with two exact derivatives are derived from them on
 first use.  A ``MapPoint`` holds P points at once (leading point axes, as
-in ``geometry``): a scene builds one per batch of its points, and each
-point's row (``MapPoint.rows``) holds its map jets and reads both chart
-points, their curvature and the O'Neill fields from the batch, which
-computes each for all its points when the first row needs it.  ``differential``
-takes such a row, or builds the point from its coordinates, and hangs it
-on the ``SceneSplit`` that every other function here takes; from the
-split on, everything is per point.  The split holds
+in ``geometry``): a scene builds one per chunk of its points, and
+``MapPoint.rows`` computes both chart points, their curvature and the
+O'Neill fields for all the points before it hands each point its row,
+which holds its slice of every one of them.  ``differential`` takes such
+a row, or builds the point from its coordinates, and hangs it on the
+``SceneSplit`` that every other function here takes; from the split on,
+everything is per point.  The split holds
 one curvature frame tensor per side, over [horizontal; vertical] in the
 source and [range; range_perp] in the target, and every Gauss residual
 reads its curvature blocks from those two arrays.
@@ -31,9 +31,9 @@ finite differences.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -46,7 +46,6 @@ from .geometry import (
     ChartPoint,
     MetricChart,
     OrthoFrame,
-    batched,
     complete_frame,
     frame_contraction,
     gram_schmidt,
@@ -117,8 +116,8 @@ class MapPoint:
     from one ``smap.jets`` call.  The source and target chart points,
     which hold the checked metrics, and the submersion projector are
     computed from jets on first use and kept, so each is paid for once and
-    only by the consumers that need it.  ``rows`` hands each point its
-    share of a batch.
+    only by the consumers that need it.  ``rows`` computes them for a whole
+    batch and hands each point its share.
     """
 
     smap: SmoothMap
@@ -127,7 +126,6 @@ class MapPoint:
     dF: np.ndarray  # dF[..., a, mu] = d_mu F^a
     d2F: np.ndarray  # d2F[..., a, mu, nu] = d_mu d_nu F^a
     d3F: np.ndarray  # d3F[..., a, mu, nu, la] = d_mu d_nu d_la F^a
-    of: Optional[tuple] = field(default=None, repr=False)  # (batch, index) of a row
 
     @classmethod
     def at(cls, smap: SmoothMap, x) -> "MapPoint":
@@ -136,26 +134,35 @@ class MapPoint:
         return cls(smap, x, *smap.jets(x))
 
     def rows(self) -> list["MapPoint"]:
-        """The points of a batch (P, n) one by one.
+        """The points of a batch (P, n) one by one, with everything they read already computed.
 
-        Each row reads its chart points, with their Christoffel symbols and
-        curvature, and its O'Neill fields from the batch (``batched``): the
-        first row that needs one has it computed for every point.
+        The batch first computes, for all its points at once, both chart
+        points with their Christoffel symbols and curvature
+        (``ChartPoint.rows``) and, at a submersion, the O'Neill fields.
+        Each check raises for the first point that fails it.  Each row then
+        holds its slice of those arrays.
         """
-        return [
-            MapPoint(self.smap, self.x[i], self.y[i], self.dF[i], self.d2F[i], self.d3F[i], (self, i))
-            for i in range(self.x.shape[0])
-        ]
+        sub = self.submersion if self.smap.mode == RIEMANNIAN_SUBMERSION else None
+        rows = []
+        for i, (source, target) in enumerate(zip(self.source.rows(), self.target.rows())):
+            row = MapPoint(self.smap, self.x[i], self.y[i], self.dF[i], self.d2F[i], self.d3F[i])
+            # filled in where the cached properties keep what they compute
+            vars(row).update(source=source, target=target)
+            if sub is not None:
+                vars(row)["submersion"] = _SubmersionPoint(*(a[i] for a in sub))
+            rows.append(row)
+        return rows
 
-    @batched
+    # SmoothMap.jets has checked x and y against the boxes
+    @cached_property
     def source(self) -> ChartPoint:
-        return ChartPoint.at(self.smap.source, self.x)
+        return ChartPoint(self.x, *self.smap.source.metric_jets(self.x))
 
-    @batched
+    @cached_property
     def target(self) -> ChartPoint:
-        return ChartPoint.at(self.smap.target, self.y)
+        return ChartPoint(self.y, *self.smap.target.metric_jets(self.y))
 
-    @batched
+    @cached_property
     def submersion(self) -> "_SubmersionPoint":
         """The horizontal projector and the O'Neill tensor fields at the points.
 
@@ -341,9 +348,8 @@ def second_fundamental_form(split: SceneSplit) -> FundamentalTensor:
 # -- O'Neill tensors of submersions -------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
-class _SubmersionPoint:
-    """Horizontal projector and O'Neill tensor fields at one point of a submersion.
+class _SubmersionPoint(NamedTuple):
+    """Horizontal projector and O'Neill tensor fields at points of a submersion, point axes first.
 
     ``Ph`` and ``dPh[p] = d_p Ph`` are the projector; ``T[k, m, n]`` and
     ``A[k, m, n]`` are the tensor fields on the chart basis and ``dT[p]``,

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FrameError, StructureError
-from .geometry import MAX_DIM, plane_area_sq
+from .geometry import MAX_DIM
 
 __all__ = [
     "QuaternionicStructure",
@@ -165,9 +165,6 @@ class QSFOracle:
             )
         return 0.25 * self.c * float(total)
 
-    def sectional(self, u, v) -> float:
-        return self.quad(u, v, v, u) / plane_area_sq(self.g, u, v)
-
     def curvature_tensor(self, frame_vectors: np.ndarray) -> np.ndarray:
         """Components over frame rows: R[a,b,c,d] = quad(e_a, e_b, e_c, e_d).
 
@@ -198,10 +195,6 @@ class JDecomposition:
     blocks: np.ndarray  # (3, s+ell, s+ell)
     s: int
     ell: int
-
-    @property
-    def totals(self) -> np.ndarray:
-        return np.array([float(np.sum(b * b)) for b in self.blocks])
 
 
 def decompose_J(

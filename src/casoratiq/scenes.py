@@ -569,16 +569,26 @@ def _check_gauss(scn: Scenario, worst: float) -> None:
         )
 
 
+def _chunk_rows(scn: Scenario, chunk: np.ndarray) -> list[tuple]:
+    """Each point's ``MapPoint`` row and fiber curvature, all computed for the chunk at once."""
+    rows = maps.MapPoint.at(scn.smap, chunk).rows()
+    kappas = [None] * len(chunk)
+    if scn.fiber_kappa is not None and scn.kind == "submersion":
+        kappa = scn.fiber_kappa(list(chunk.T))
+        kappas = kappa.tolist() if np.ndim(kappa) else [kappa] * len(chunk)
+    return list(zip(rows, kappas))
+
+
 def _chart_batches(scn: Scenario, X: np.ndarray) -> list[tuple]:
-    """Each chart point's ``MapPoint`` row and fiber curvature, from batches of the points.
+    """Each chart point's ``MapPoint`` row and fiber curvature, or its coordinates and None.
 
     The points go in chunks of ``batch_size`` of the larger chart
-    dimension.  A chunk whose map jets or box checks raise runs one point
-    at a time: its points keep their coordinates in place of a row, and
-    ``differential`` builds each alone.  A chunk of one point runs that
-    way too, without a point axis of length 1, which slowed single-point
-    scenes by about 4%.  A fiber curvature that raises at any point is
-    left to each point (None).
+    dimension.  A chunk of two or more points computes up front everything
+    its points read (``_chunk_rows``).  A chunk of one point, or one where
+    any of that raises, runs its points alone: each keeps its coordinates
+    and computes everything itself, so a failing point raises its own
+    error at its own step.  A lone point has no point axis, whose length 1
+    slowed single-point scenes by about 4%.
     """
     smap = scn.smap
     size = geometry.batch_size(max(smap.source.dim, smap.target.dim))
@@ -586,17 +596,10 @@ def _chart_batches(scn: Scenario, X: np.ndarray) -> list[tuple]:
     for start in range(0, len(X), size):
         chunk = X[start : start + size]
         try:
-            points += maps.MapPoint.at(smap, chunk).rows() if len(chunk) > 1 else list(chunk)
-        except CasoratiqError:
-            points += list(chunk)
-    kappas = [None] * len(X)
-    if scn.fiber_kappa is not None:
-        try:
-            kappa = scn.fiber_kappa(list(X.T))
-            kappas = kappa.tolist() if np.ndim(kappa) else [kappa] * len(X)
-        except CasoratiqError:
-            pass
-    return list(zip(points, kappas))
+            points += _chunk_rows(scn, chunk) if len(chunk) > 1 else [(chunk[0], None)]
+        except (CasoratiqError, np.linalg.LinAlgError):
+            points += [(x, None) for x in chunk]
+    return points
 
 
 def _evaluate_chart_point(scn: Scenario, x: np.ndarray, point, kappa: Optional[float]):

@@ -1,3 +1,4 @@
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -7,19 +8,18 @@ from hypothesis import settings
 from casoratiq.casorati import (
     _GRAD_TOL,
     CasoratiInput,
-    TripathiInstance,
     _Quartic,
     _newton_polish,
     _phi,
     casorati,
     delta_casorati,
     hyperplane_extrema,
-    tripathi_objective,
 )
-from casoratiq.errors import DimensionError, DomainError, OptimizationError
-from casoratiq.geometry import MetricChart, chart
+from casoratiq.errors import CasoratiqError, DimensionError, DomainError, OptimizationError
+from casoratiq.geometry import CurvaturePoint, MetricChart, chart
 from casoratiq.jets import Jet2, seed_point
 from casoratiq.maps import SmoothMap
+from casoratiq.quaternionic import JDecomposition
 from casoratiq import jets
 
 settings.register_profile("deterministic", derandomize=True)
@@ -228,6 +228,84 @@ def casorati_subspace(inp: CasoratiInput, indices=None, normal=None) -> float:
     P = np.eye(inp.n) - np.outer(u, u)
     proj = np.einsum("ij,ajk,kl->ail", P, h, P)
     return float(np.sum(proj**2)) / (inp.n - 1)
+
+
+def plane_area_sq(g: np.ndarray, u, v) -> float:
+    """Squared g-area of the parallelogram on u and v; raises when it is degenerate."""
+    area = (u @ g @ u) * (v @ g @ v) - (u @ g @ v) ** 2
+    if not area > 0:
+        raise DimensionError("sectional curvature of a degenerate 2-plane")
+    return float(area)
+
+
+def sectional(curvature, u, v) -> float:
+    """Sectional curvature of the plane on u and v, from a ``CurvaturePoint`` or a ``QSFOracle``."""
+    if isinstance(curvature, CurvaturePoint):
+        area = plane_area_sq(curvature.metric, u, v)
+        return float(np.einsum("ijkl,i,j,k,l->", curvature.riemann, u, v, v, u)) / area
+    return curvature.quad(u, v, v, u) / plane_area_sq(curvature.g, u, v)
+
+
+def j_totals(d: JDecomposition) -> np.ndarray:
+    """|J_alpha|^2 over the whole split frame, one entry per alpha."""
+    return np.array([float(np.sum(b * b)) for b in d.blocks])
+
+
+class ProvisoError(CasoratiqError):
+    """Closed-form minimizer requested outside its validity condition."""
+
+
+@dataclass(frozen=True)
+class TripathiInstance:
+    """min of lam1 sum_{i<n} t_i^2 + lam2 t_n^2 - 2 sum_{i<j} t_i t_j on sum t = k."""
+
+    n: int
+    k: float
+    lam1: float
+    lam2: float
+
+    def __post_init__(self):
+        if self.n < 3:
+            raise DimensionError(f"n must be >= 3, got {self.n}")
+        if self.lam1 <= 0 or self.lam2 <= 0:
+            raise ProvisoError("lam1 and lam2 must be positive")
+
+    @classmethod
+    def from_lam1(cls, n: int, k: float, lam1: float) -> "TripathiInstance":
+        if lam1 <= n - 2:
+            raise ProvisoError(f"lam1 = {lam1} must exceed n - 2 = {n - 2}")
+        return cls(n, k, lam1, (n - 1) / (lam1 - n + 2))
+
+    def proviso_holds(self, rtol: float = 1e-12) -> bool:
+        target = (self.n - 1) / (self.lam1 - self.n + 2)
+        return abs(self.lam2 - target) <= rtol * max(1.0, abs(target))
+
+
+def tripathi_objective(inst: TripathiInstance, t: np.ndarray) -> np.ndarray:
+    """Objective value(s); accepts a single point or a batch of rows."""
+    t = np.asarray(t, dtype=float)
+    single = t.ndim == 1
+    t = np.atleast_2d(t)
+    sq = t**2
+    quad = inst.lam1 * sq[:, :-1].sum(axis=1) + inst.lam2 * sq[:, -1]
+    s = t.sum(axis=1)
+    cross = s * s - sq.sum(axis=1)  # 2 sum_{i<j} t_i t_j
+    out = quad - cross
+    return float(out[0]) if single else out
+
+
+def tripathi_minimize(inst: TripathiInstance) -> tuple[np.ndarray, float]:
+    """Closed-form global minimizer, valid only under the proviso."""
+    if not inst.proviso_holds():
+        raise ProvisoError(
+            "closed form requires lam2 = (n-1)/(lam1-n+2); "
+            f"got lam1={inst.lam1}, lam2={inst.lam2}"
+        )
+    t = np.full(inst.n, inst.k / (inst.lam1 + 1.0))
+    t[-1] = inst.k / (inst.lam2 + 1.0)
+    if abs(t.sum() - inst.k) > 1e-12 * max(1.0, abs(inst.k)):
+        raise ProvisoError("closed-form point does not satisfy the constraint")
+    return t, tripathi_objective(inst, t)
 
 
 def tripathi_minimize_numeric(

@@ -8,13 +8,7 @@ import time
 import numpy as np
 import pytest
 
-from casoratiq.casorati import (
-    CasoratiInput,
-    TripathiInstance,
-    hyperplane_extrema,
-    tripathi_minimize,
-    tripathi_objective,
-)
+from casoratiq.casorati import CasoratiInput, hyperplane_extrema
 from casoratiq.cli import report_json
 from casoratiq.geometry import OrthoFrame, chart, gram_schmidt, riemann
 from casoratiq.inequalities import (
@@ -28,7 +22,16 @@ from casoratiq.maps import differential, gauss_residual_map, gauss_residual_subm
 from casoratiq.quaternionic import QSFOracle, quat_units
 from casoratiq.scenes import builtin_names, builtin_scenario, evaluate_scenario
 
-from conftest import algebraic_gap, dense_extrema, orthonormal_rows, tripathi_minimize_numeric
+from conftest import (
+    TripathiInstance,
+    algebraic_gap,
+    dense_extrema,
+    orthonormal_rows,
+    sectional,
+    tripathi_minimize,
+    tripathi_minimize_numeric,
+    tripathi_objective,
+)
 
 
 def _sample(rng, ch, count):
@@ -47,7 +50,7 @@ def test_c01_curvature_engine():
             assert max(cp.symmetry_residuals().values()) < 1e-9
             if name == "sphere:1":
                 fr = gram_schmidt(list(np.eye(2)), cp.metric)
-                assert abs(cp.sectional(fr.vectors[0], fr.vectors[1]) - 1.0) < 1e-8
+                assert abs(sectional(cp, fr.vectors[0], fr.vectors[1]) - 1.0) < 1e-8
     elapsed = time.monotonic() - start
     assert elapsed < 10.0
     print(f"\n[criterion 1] curvature engine: PASS ({elapsed:.1f}s)")
@@ -68,10 +71,10 @@ def test_c02_qsf_oracle_identity():
         v = rng.normal(size=8)
         v /= np.linalg.norm(v)
         for a in range(3):
-            assert abs(oracle4.sectional(v, J[a] @ v) - 4.0) < 1e-10
+            assert abs(sectional(oracle4, v, J[a] @ v) - 4.0) < 1e-10
     X = np.zeros(8); X[0] = 1.0
     Y = np.zeros(8); Y[4] = 1.0
-    assert abs(oracle4.sectional(X, Y) - 1.0) < 1e-10
+    assert abs(sectional(oracle4, X, Y) - 1.0) < 1e-10
     print("\n[criterion 2] QSF oracle identity: PASS")
 
 

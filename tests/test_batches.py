@@ -1,8 +1,9 @@
 """Chart scenes run their points as batches; every point gets the result it gets alone.
 
-A scene's jets, metrics, Christoffel symbols, curvature and O'Neill
-fields are computed once per batch of points, and each point reads its
-row.  These tests hold the batch to the single point: reports are
+A chunk of a scene's points computes its jets, metrics, Christoffel
+symbols, curvature, O'Neill fields and fiber curvature at once, and each
+point reads its row; a chunk where any of that raises runs its points
+alone.  These tests hold the batch to the single point: reports are
 byte-identical, a failing point keeps its own message, and a check that
 fails at one point leaves the others alone.
 """
@@ -20,7 +21,7 @@ import pytest
 
 from casoratiq import geometry, jets
 from casoratiq.errors import DegenerateMetricError, DomainError
-from casoratiq.geometry import MAX_DIM, ChartPoint, _symmetry_defects, batch_size
+from casoratiq.geometry import MAX_DIM, ChartPoint, MetricChart, _symmetry_defects, batch_size
 from casoratiq.maps import MapPoint
 from casoratiq.scenes import builtin_scenario, evaluate_scenario, load_scenario, parse_scenario
 
@@ -51,10 +52,17 @@ def _with_points(name, points) -> dict:
     return doc
 
 
-def _sampled_hopf():
-    sample = {"sample": {"count": 12, "seed": 16, "box": [[0.2, 1.2]] * 4}}
+def _sampled_hopf(count=12):
+    sample = {"sample": {"count": count, "seed": 16, "box": [[0.2, 1.2]] * 4}}
     doc = _with_points("hopf-radial:4to3", sample)
     return parse_scenario(doc, name_hint="hopf-sampled")
+
+
+def _sampled_s4():
+    """s4-radial, a submersion with a fiber curvature, at 12 sampled points."""
+    doc = json.loads((SCENARIOS / "s4-radial.json").read_text())
+    doc["points"] = {"sample": {"count": 12, "seed": 17, "box": [[0.1, 1.5]] * 4}}
+    return parse_scenario(doc)
 
 
 # -- jets ----------------------------------------------------------------------
@@ -103,6 +111,7 @@ MULTI_POINT = {
     "paraboloid-vertex": lambda: builtin_scenario("paraboloid-vertex"),
     "hopf-sampled": _sampled_hopf,
     "s4-radial": lambda: load_scenario(str(SCENARIOS / "s4-radial.json")),
+    "s4-sampled": _sampled_s4,
 }
 
 
@@ -217,20 +226,82 @@ def test_chunk_size_rule(n, size):
     assert size * n**5 <= MAX_DIM**5 < (size + 1) * n**5
 
 
-def test_scene_runs_in_chunks(monkeypatch):
-    scn = _sampled_hopf()
+def _chunk_shapes(monkeypatch, scn) -> list:
+    """The shapes ``MapPoint.at`` is called with when ``scn`` runs in chunks of 5;
+    the reports must be those of the scene run whole."""
     want = [_point_json(p) for p in evaluate_scenario(scn).points]
-    sizes = []
+    shapes = []
     at = MapPoint.at.__func__
 
     def counted(cls, smap, x):
-        sizes.append(len(x))
+        shapes.append(np.shape(x))
         return at(cls, smap, x)
 
     monkeypatch.setattr(geometry, "batch_size", lambda n: 5)
     monkeypatch.setattr(MapPoint, "at", classmethod(counted))
     assert [_point_json(p) for p in evaluate_scenario(scn).points] == want
-    assert sizes == [5, 5, 2]
+    return shapes
+
+
+def test_scene_runs_in_chunks(monkeypatch):
+    assert _chunk_shapes(monkeypatch, _sampled_hopf()) == [(5, 4), (5, 4), (2, 4)]
+
+
+def test_a_trailing_point_runs_alone(monkeypatch):
+    assert _chunk_shapes(monkeypatch, _sampled_hopf(11)) == [(5, 4), (5, 4), (4,)]
+
+
+def test_a_failing_chunk_runs_its_points_alone(monkeypatch):
+    scn = _sampled_hopf()
+    want = [_point_json(p) for p in evaluate_scenario(scn).points]
+    metric_jets = MetricChart.metric_jets
+    lone = []
+
+    def corrupted(chart, x):
+        G0, G1, G2 = metric_jets(chart, x)
+        if np.ndim(x) == 1:
+            lone.append(chart.name)
+        elif chart is scn.smap.source:
+            G2 = G2.copy()
+            G2[3, 0, 0, 1, 2] += 0.5  # d1 d2 g_00 != d2 d1 g_00 at one point of the chunk
+        return G0, G1, G2
+
+    monkeypatch.setattr(MetricChart, "metric_jets", corrupted)
+    with pytest.raises(DegenerateMetricError, match="curvature symmetries violated"):
+        MapPoint.at(scn.smap, scn.evaluation_points()).rows()
+    assert [_point_json(p) for p in evaluate_scenario(scn).points] == want
+    assert sorted(set(lone)) == ["flat-positive:4", "hopf-base"] and len(lone) == 2 * 12
+
+
+def test_fiber_curvature_once_per_chunk(monkeypatch):
+    scn = _sampled_s4()
+    calls = []
+
+    def counted(coords, _original=scn.fiber_kappa):
+        calls.append(np.shape(coords[0]))
+        return _original(coords)
+
+    monkeypatch.setattr(geometry, "batch_size", lambda n: 5)
+    rep = evaluate_scenario(dataclasses.replace(scn, fiber_kappa=counted))
+    assert rep.aggregate["point_errors"] == 0 and len(rep.points) == 12
+    assert all(p.gauss_residuals["vertical_independent"] for p in rep.points)
+    assert calls == [(5,), (5,), (2,)]
+
+
+@pytest.mark.parametrize("count, chunks", [(1, 1), (11, 3), (12, 3)])
+def test_box_checks_per_chunk(count, chunks, monkeypatch):
+    calls = []
+    require_inside = MetricChart.require_inside
+
+    def counted(chart, x):
+        calls.append(chart.name)
+        return require_inside(chart, x)
+
+    monkeypatch.setattr(geometry, "batch_size", lambda n: 5)
+    monkeypatch.setattr(MetricChart, "require_inside", counted)
+    rep = evaluate_scenario(_sampled_hopf(count))
+    assert rep.aggregate["point_errors"] == 0 and len(rep.points) == count
+    assert calls == ["flat-positive:4", "hopf-base"] * chunks
 
 
 # -- curvature symmetries ------------------------------------------------------
@@ -306,14 +377,27 @@ def test_curvature_check_fails_only_its_own_point():
     smap = random_submersion(4, seed=3)
     X = np.array([[0.1, 0.2, -0.3, 0.4], [0.3, -0.1, 0.2, 0.0], [-0.4, 0.1, 0.1, 0.2]])
     cp = ChartPoint.at(smap.source, X)
+    for row, x in zip(cp.rows(), X):
+        alone = ChartPoint.at(smap.source, x)
+        assert _bits(row.gamma) == _bits(alone.gamma)
+        assert _bits(row.curvature.riemann) == _bits(alone.curvature.riemann)
     G2 = cp.G2.copy()
     G2[1, 0, 0, 1, 2] += 0.5  # d1 d2 g_00 != d2 d1 g_00: no smooth metric has these jets
-    bad = ChartPoint(cp.x, cp.G0, cp.G1, G2)
-    with pytest.raises(DegenerateMetricError, match=re.escape(f"at {X[1].tolist()};")):
-        bad.curvature
-    rows = [bad.row(i) for i in range(3)]
-    with pytest.raises(DegenerateMetricError, match=re.escape(f"at {X[1].tolist()};")):
-        rows[1].curvature
+    message = re.escape(f"at {X[1].tolist()};")
+    with pytest.raises(DegenerateMetricError, match=message):
+        ChartPoint(cp.x, cp.G0, cp.G1, G2).rows()
+    with pytest.raises(DegenerateMetricError, match=message):
+        ChartPoint(X[1], cp.G0[1], cp.G1[1], G2[1]).curvature
     for i in (0, 2):
-        alone = ChartPoint.at(smap.source, X[i]).curvature.riemann
-        assert _bits(rows[i].curvature.riemann) == _bits(alone)
+        alone = ChartPoint(X[i], cp.G0[i], cp.G1[i], G2[i]).curvature.riemann
+        assert _bits(alone) == _bits(ChartPoint.at(smap.source, X[i]).curvature.riemann)
+
+
+def test_a_submersion_row_holds_its_oneill_fields():
+    smap = random_submersion(4, seed=3)
+    X = np.array([[0.1, 0.2, -0.3, 0.4], [0.3, -0.1, 0.2, 0.0], [-0.4, 0.1, 0.1, 0.2]])
+    for row, x in zip(MapPoint.at(smap, X).rows(), X):
+        assert {"source", "target", "submersion"} <= set(vars(row))
+        alone = MapPoint.at(smap, x).submersion
+        for part, want in zip(row.submersion, alone):
+            assert _bits(part) == _bits(want)

@@ -9,12 +9,9 @@ from hypothesis import given, settings, strategies as st
 
 from casoratiq.casorati import (
     CasoratiInput,
-    TripathiInstance,
     casorati,
     delta_casorati,
     hyperplane_extrema,
-    tripathi_minimize,
-    tripathi_objective,
     _Quartic,
     _BURN_IN,
     _GRAD_TOL,
@@ -33,10 +30,17 @@ from casoratiq.casorati import (
     _starts,
 )
 from casoratiq.cli import main
-from casoratiq.errors import DimensionError, OptimizationError, ProvisoError
+from casoratiq.errors import DimensionError, OptimizationError
 from casoratiq.scenes import evaluate_scenario, parse_scenario, random_pointwise_submersion
 
-from conftest import casorati_subspace, tripathi_minimize_numeric
+from conftest import (
+    ProvisoError,
+    TripathiInstance,
+    casorati_subspace,
+    tripathi_minimize,
+    tripathi_minimize_numeric,
+    tripathi_objective,
+)
 
 
 def skew_coeffs(rng, n_alpha, n):

@@ -16,7 +16,7 @@ from casoratiq.geometry import (
 )
 from casoratiq.quaternionic import QSFOracle, quat_units
 
-from conftest import orthonormal_rows
+from conftest import orthonormal_rows, sectional
 
 
 def conformal_chart():
@@ -84,14 +84,14 @@ class TestRiemann:
             x = np.array([0.3 + 2.4 * rng.random(), -2.0 + 4.0 * rng.random()])
             cp = riemann(ch, x)
             fr = gram_schmidt(list(np.eye(2)), cp.metric)
-            assert cp.sectional(fr.vectors[0], fr.vectors[1]) == pytest.approx(
+            assert sectional(cp, fr.vectors[0], fr.vectors[1]) == pytest.approx(
                 1.0 / r**2, abs=1e-9
             )
 
     def test_half_plane_sectional(self):
         cp = riemann(chart("half-plane"), np.array([1.3, 0.8]))
         fr = gram_schmidt(list(np.eye(2)), cp.metric)
-        assert cp.sectional(fr.vectors[0], fr.vectors[1]) == pytest.approx(-1.0, abs=1e-9)
+        assert sectional(cp, fr.vectors[0], fr.vectors[1]) == pytest.approx(-1.0, abs=1e-9)
 
     @pytest.mark.parametrize("name", ["sphere:1", "half-plane", "polar", "sphere3:2"])
     def test_symmetries_and_bianchi(self, name):
@@ -150,7 +150,7 @@ def test_sectional_of_degenerate_plane_raises(kind):
     u = np.array([1.0, 0.0, 0.0, 0.0])
     for v in (2.0 * u, np.zeros(4)):
         with pytest.raises(DimensionError):
-            curvature.sectional(u, v)
+            sectional(curvature, u, v)
 
 
 def frame_tensor(cp, frame):

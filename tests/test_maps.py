@@ -20,7 +20,7 @@ from casoratiq.maps import (
     vertical_bracket,
 )
 
-from conftest import orthonormal_rows
+from conftest import orthonormal_rows, sectional
 
 
 @pytest.fixture(scope="module")
@@ -341,7 +341,7 @@ class TestGaussResiduals:
             fr = gram_schmidt(list(np.eye(3)), cp.metric)
             for i in range(3):
                 for j in range(i + 1, 3):
-                    assert cp.sectional(fr.vectors[i], fr.vectors[j]) == pytest.approx(
+                    assert sectional(cp, fr.vectors[i], fr.vectors[j]) == pytest.approx(
                         1.0 / r**2, abs=1e-9
                     )
 
