@@ -11,11 +11,12 @@ Conventions used throughout the engine:
   one frame tensor ``R_E[a, b, c, d] = R(e_a, e_b, e_c, e_d)``
   (``frame_contraction``); every ambient curvature sum is a block or
   trace of it (``curvature_sums``);
-* the metric jets and everything ``ChartPoint`` derives from them carry
-  leading point axes: one point is (n,), a batch of P points (P, n).
-  Each contraction is one stacked matrix product per point, shaped as
-  ``np.tensordot`` shapes it for a lone point, so a point in a batch gets
-  the bits it gets alone.  Every check raises for the first point that
+* the metric jets and everything ``ChartPoint`` derives from them, the
+  orthonormal frames and the frame tensors carry leading point axes: one
+  point is (n,), a batch of P points (P, n).  Each contraction is one
+  stacked matrix product per point, shaped as ``np.tensordot`` shapes it
+  for a lone point (``tensordot``), so a point in a batch gets the bits
+  it gets alone.  Every check raises for the first point that
   fails it, naming that point, and ``batch_size`` bounds a batch so that
   its jets hold no more floats than one point of a ``MAX_DIM`` chart.
   ``ChartPoint.rows`` computes a batch's curvature before it splits the
@@ -27,7 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -326,8 +327,26 @@ def riemann(chart: MetricChart, x) -> CurvaturePoint:
     return ChartPoint.at(chart, x).curvature
 
 
+def tensordot(a: np.ndarray, b: np.ndarray, axes: tuple, ndim: int) -> np.ndarray:
+    """``np.tensordot(a, b, axes)`` over the last ``ndim`` axes of ``a``, point axes in front.
+
+    ``a`` and ``b`` have the same point axes.  The contraction is one
+    stacked matmul per point, shaped as ``np.tensordot`` shapes it for a
+    lone point, so a point in a batch gets the bits it gets alone.
+    """
+    k = a.ndim - ndim
+    lead, sa, sb = a.shape[:k], a.shape[k:], b.shape[k:]
+    axes_a, axes_b = axes
+    rest_a = [i for i in range(len(sa)) if i not in axes_a]
+    rest_b = [i for i in range(len(sb)) if i not in axes_b]
+    inner = math.prod(sa[i] for i in axes_a)
+    at = tail_transpose(a, *rest_a, *axes_a).reshape(lead + (-1, inner))
+    bt = tail_transpose(b, *axes_b, *rest_b).reshape(lead + (inner, -1))
+    return (at @ bt).reshape(lead + tuple(sa[i] for i in rest_a) + tuple(sb[i] for i in rest_b))
+
+
 def frame_contraction(R: np.ndarray, E1, E2, E3, E4) -> np.ndarray:
-    """Components ``R[a, b, c, d] E1[i, a] E2[j, b] E3[k, c] E4[l, d]``.
+    """Components ``R[a, b, c, d] E1[i, a] E2[j, b] E3[k, c] E4[l, d]``, point axes first.
 
     Each frame is contracted into one slot in turn, which costs O(k n^4)
     per step where the single four-fold sum costs O(k^4 n^4); see Smith &
@@ -335,76 +354,122 @@ def frame_contraction(R: np.ndarray, E1, E2, E3, E4) -> np.ndarray:
     """
     out = R
     for E in (E1, E2, E3, E4):
-        out = np.tensordot(out, E, axes=([0], [1]))
+        out = tensordot(out, E, ([0], [1]), 4)
     return out
 
 
-def gram_schmidt(vectors: Sequence, g_at: np.ndarray) -> "OrthoFrame":
-    """Metric Gram-Schmidt; preserves span, raises on rank deficiency."""
+def _norm(v: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """``sqrt(max(v g v, 0))`` of a column ``v`` (..., n, 1) at every point, shaped (..., 1, 1)."""
+    return np.sqrt(np.maximum(v.swapaxes(-1, -2) @ g @ v, 0.0))
+
+
+class _Frame:
+    """g-orthonormal vectors built one at a time, as columns (..., n, 1).
+
+    Each vector's row ``e^T g`` is computed once, and a projection is then
+    one ``(1, n) @ (n, 1)`` product per point, rounded as ``e @ g @ v``.
+    """
+
+    def __init__(self, g: np.ndarray):
+        self.g = g
+        self.cols: list[np.ndarray] = []
+        self.rows: list[np.ndarray] = []
+
+    def add(self, e: np.ndarray) -> None:
+        self.cols.append(e)
+        self.rows.append(e.swapaxes(-1, -2) @ self.g)
+
+    def orthogonalize(self, v: np.ndarray) -> np.ndarray:
+        """Two passes that subtract from ``v`` its g-projections on the vectors, in order."""
+        for _ in range(2):
+            for e, eg in zip(self.cols, self.rows):
+                v = v - (eg @ v) * e
+        return v
+
+    def vectors(self) -> np.ndarray:
+        """The vectors as rows (..., k, n)."""
+        if not self.cols:
+            return np.zeros(self.g.shape[:-2] + (0, self.g.shape[-1]))
+        return np.concatenate(self.cols, axis=-1).swapaxes(-1, -2).copy()
+
+
+def gram_schmidt(vectors, g_at: np.ndarray) -> "OrthoFrame":
+    """Metric Gram-Schmidt of the rows of ``vectors`` (..., k, n); preserves span.
+
+    Raises on rank deficiency, for the first point that has one.
+    """
     g = np.asarray(g_at, dtype=float)
-    out: list[np.ndarray] = []
-    for v in vectors:
-        v = np.asarray(v, dtype=float).copy()
-        orig = math.sqrt(max(v @ g @ v, 0.0))
-        if orig == 0.0:
+    V = np.asarray(vectors, dtype=float).reshape(g.shape[:-2] + (-1, g.shape[-1]))
+    frame = _Frame(g)
+    for j in range(V.shape[-2]):
+        v = V[..., j, :, None]
+        orig = _norm(v, g)
+        if (orig == 0.0).any():
             raise DependencyError("zero vector handed to gram_schmidt")
-        for _ in range(2):  # second pass for numerical orthogonality
-            for e in out:
-                v = v - (e @ g @ v) * e
-        norm = math.sqrt(max(v @ g @ v, 0.0))
-        if norm <= 1e-10 * orig:
+        v = frame.orthogonalize(v)
+        norm = _norm(v, g)
+        bad = _first(norm <= 1e-10 * orig)
+        if bad is not None:
             raise DependencyError(
-                f"vector numerically dependent on predecessors (residual {norm:.3e})"
+                f"vector numerically dependent on predecessors (residual {norm[bad]:.3e})"
             )
-        out.append(v / norm)
-    return OrthoFrame(np.array(out) if out else np.zeros((0, g.shape[0])), g)
+        frame.add(v / norm)
+    return OrthoFrame(frame.vectors(), g)
 
 
 def complete_frame(frame: "OrthoFrame", candidates) -> "OrthoFrame":
     """Extend an orthonormal frame to a full frame of the ambient space.
 
-    The candidate vectors are taken in order, made orthogonal to the
-    frame built so far and kept unless numerically dependent on it.
+    The candidate rows (..., m, n) are taken in order, made orthogonal to
+    the frame built so far and kept unless numerically dependent on it.
+    Points of a batch keep the same candidates; raises for the first
+    point that would keep a candidate the first point drops, or drop one
+    it keeps, so that such a batch runs its points alone.
     """
     g = frame.metric_at
-    n = g.shape[0]
-    vecs = [v for v in frame.vectors]
-    for cand in candidates:
-        if len(vecs) == n:
+    n = g.shape[-1]
+    if frame.k == n:
+        return frame
+    full = _Frame(g)
+    for j in range(frame.k):
+        full.add(frame.vectors[..., j, :, None])
+    candidates = np.asarray(candidates, dtype=float)
+    for j in range(candidates.shape[-2]):
+        if len(full.cols) == n:
             break
-        v = np.asarray(cand, dtype=float).copy()
-        for _ in range(2):
-            for e in vecs:
-                v = v - (e @ g @ v) * e
-        norm = math.sqrt(max(v @ g @ v, 0.0))
-        if norm > 1e-8:
-            vecs.append(v / norm)
-    if len(vecs) != n:
+        v = full.orthogonalize(candidates[..., j, :, None])
+        norm = _norm(v, g)
+        keep = norm[..., 0, 0] > 1e-8
+        bad = _first(keep.ravel() != keep.flat[0])
+        if bad is not None:
+            raise DependencyError(f"points of the batch disagree on candidate {j}, first at point {bad[0]}")
+        if keep.flat[0]:
+            full.add(v / norm)
+    if len(full.cols) != n:
         raise DependencyError("could not complete frame to full dimension")
-    return OrthoFrame(np.array(vecs), g)
+    return OrthoFrame(full.vectors(), g)
 
 
 @dataclass(frozen=True)
 class OrthoFrame:
-    """Rows of ``vectors`` are g-orthonormal chart components."""
+    """Rows of ``vectors`` are g-orthonormal chart components, point axes first."""
 
-    vectors: np.ndarray  # (k, n)
-    metric_at: np.ndarray  # (n, n)
+    vectors: np.ndarray  # (..., k, n)
+    metric_at: np.ndarray  # (..., n, n)
 
     def __post_init__(self):
         object.__setattr__(self, "vectors", np.atleast_2d(np.asarray(self.vectors, float)))
         object.__setattr__(self, "metric_at", np.asarray(self.metric_at, float))
         if self.vectors.size == 0:
-            object.__setattr__(
-                self, "vectors", self.vectors.reshape(0, self.metric_at.shape[0])
-            )
+            empty = self.metric_at.shape[:-2] + (0, self.metric_at.shape[-1])
+            object.__setattr__(self, "vectors", self.vectors.reshape(empty))
 
     @property
     def k(self) -> int:
-        return self.vectors.shape[0]
+        return self.vectors.shape[-2]
 
     def gram(self) -> np.ndarray:
-        return self.vectors @ self.metric_at @ self.vectors.T
+        return self.vectors @ self.metric_at @ self.vectors.swapaxes(-1, -2)
 
     def orthonormality_residual(self) -> float:
         if self.k == 0:

@@ -53,6 +53,15 @@ def _sym3(h: np.ndarray, g: np.ndarray) -> np.ndarray:
     return t + t.swapaxes(-1, -2) + t.swapaxes(-1, -3)
 
 
+def _against(v: np.ndarray, k: int):
+    """Values ``v`` against ``k`` trailing derivative axes; a lone point's 0-d value is a float.
+
+    Every product then rounds as before, and a float multiplies an array
+    faster than a length-1 axis broadcasts.
+    """
+    return float(v) if v.ndim == 0 else v.reshape(v.shape + (1,) * k)
+
+
 def per_value(fn: Callable, v) -> np.ndarray:
     """``fn`` at every entry of ``v`` with Python floats, its outputs on a last axis.
 
@@ -111,13 +120,13 @@ class Jet2:
 
     def __mul__(self, other):
         o = self._coerce(other)
-        a, b = self.value[..., None], o.value[..., None]
+        a, b = self.value, o.value
         outer = self.grad[..., :, None] * o.grad[..., None, :]
         return Jet2(
-            self.value * o.value,
-            a * o.grad + b * self.grad,
-            a[..., None] * o.hess + b[..., None] * self.hess + outer + outer.swapaxes(-1, -2),
-            a[..., None, None] * o.d3 + b[..., None, None] * self.d3
+            a * b,
+            _against(a, 1) * o.grad + _against(b, 1) * self.grad,
+            _against(a, 2) * o.hess + _against(b, 2) * self.hess + outer + outer.swapaxes(-1, -2),
+            _against(a, 3) * o.d3 + _against(b, 3) * self.d3
             + _sym3(self.hess, o.grad) + _sym3(o.hess, self.grad),
         )
 
@@ -156,15 +165,15 @@ class Jet2:
     def _chain(self, factors: Callable) -> "Jet2":
         """Compose with a scalar function; ``factors(v)`` gives its value and three derivatives."""
         f = per_value(factors, self.value)
-        f0, f1, f2, f3 = f[..., 0], f[..., 1:2], f[..., 2:3], f[..., 3:4]
+        f0, f1, f2, f3 = (f[..., k] for k in range(4))
         g = self.grad
         outer = g[..., :, None] * g[..., None, :]
         return Jet2(
             f0,
-            f1 * g,
-            f1[..., None] * self.hess + f2[..., None] * outer,
-            f1[..., None, None] * self.d3 + f2[..., None, None] * _sym3(self.hess, g)
-            + f3[..., None, None] * (outer[..., None] * g[..., None, None, :]),
+            _against(f1, 1) * g,
+            _against(f1, 2) * self.hess + _against(f2, 2) * outer,
+            _against(f1, 3) * self.d3 + _against(f2, 3) * _sym3(self.hess, g)
+            + _against(f3, 3) * (outer[..., None] * g[..., None, None, :]),
         )
 
 

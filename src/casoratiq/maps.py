@@ -8,10 +8,14 @@ first use.  A ``MapPoint`` holds P points at once (leading point axes, as
 in ``geometry``): a scene builds one per chunk of its points, and
 ``MapPoint.rows`` computes both chart points, their curvature and the
 O'Neill fields for all the points before it hands each point its row,
-which holds its slice of every one of them.  ``differential`` takes such
-a row, or builds the point from its coordinates, and hangs it on the
-``SceneSplit`` that every other function here takes; from the split on,
-everything is per point.  The split holds
+which holds its slice of every one of them.  ``differential`` takes a
+``MapPoint``, or builds one from coordinates, and hangs it on the
+``SceneSplit`` that every other function here takes; the split, B, T, A,
+the vertical bracket and the Gauss residuals keep the point axes, so a
+chunk computes each of them once for all its points, and their ``rows``
+hand each point its share.  A lone point has no point axis.  Every
+contraction is one stacked product per point, shaped as a lone point's,
+so a point in a batch gets the bits it gets alone.  The split holds
 one curvature frame tensor per side, over [horizontal; vertical] in the
 source and [range; range_perp] in the target, and every Gauss residual
 reads its curvature blocks from those two arrays.
@@ -46,10 +50,12 @@ from .geometry import (
     ChartPoint,
     MetricChart,
     OrthoFrame,
+    _first,
     complete_frame,
     frame_contraction,
     gram_schmidt,
     tail_transpose,
+    tensordot,
 )
 from .jets import jet_arrays, matrix_inverse, matrix_product, seed_point
 
@@ -201,12 +207,21 @@ class MapPoint:
         return _SubmersionPoint(P0, P1, *_field(Q0, -P1, L, dL), *_field(P0, P1, L, dL))
 
 
+def _largest(a: np.ndarray, ndim: int) -> np.ndarray:
+    """Largest absolute entry over the last ``ndim`` axes, at every point; 0 when they are empty."""
+    if not a.size:
+        return np.zeros(a.shape[: a.ndim - ndim])
+    return np.abs(a).max(axis=tuple(range(-ndim, 0)))
+
+
 @dataclass(frozen=True)
 class SceneSplit:
     """Vertical/horizontal frames in the source plus range frames in the target.
 
     ``point`` is the context the split was taken at; every quantity that
-    depends only on the point is read from it.
+    depends only on the point is read from it.  Like the point, a split
+    holds P points at once, point axes first, and ``rows`` hands each
+    point its share.
     """
 
     point: MapPoint
@@ -214,7 +229,8 @@ class SceneSplit:
     horizontal: OrthoFrame
     range: OrthoFrame
     range_perp: OrthoFrame
-    isometry_residual: float
+    isometry_residual: np.ndarray
+    kernel_residual: np.ndarray
 
     @property
     def ell(self) -> int:
@@ -224,29 +240,38 @@ class SceneSplit:
     def s(self) -> int:
         return self.horizontal.k
 
-    def kernel_residual(self) -> float:
-        if self.vertical.k == 0:
-            return 0.0
-        return float(np.abs(self.point.dF @ self.vertical.vectors.T).max())
+    def rows(self) -> list["SceneSplit"]:
+        """The points of a batch one by one, with both curvature frame tensors already computed."""
+        frames = (self.vertical, self.horizontal, self.range, self.range_perp)
+        tensors = (self.source_curvature, self.target_curvature)
+        rows = []
+        for i, pt in enumerate(self.point.rows()):
+            row = SceneSplit(
+                pt, *(OrthoFrame(f.vectors[i], f.metric_at[i]) for f in frames),
+                self.isometry_residual[i], self.kernel_residual[i],
+            )
+            vars(row).update(source_curvature=tensors[0][i], target_curvature=tensors[1][i])
+            rows.append(row)
+        return rows
 
     @cached_property
     def source_curvature(self) -> np.ndarray:
         """``R1[a, b, c, d]`` over the source frame [horizontal; vertical]."""
-        E = np.vstack([self.horizontal.vectors, self.vertical.vectors])
+        E = np.concatenate([self.horizontal.vectors, self.vertical.vectors], axis=-2)
         return frame_contraction(self.point.source.curvature.riemann, E, E, E, E)
 
     @cached_property
     def target_curvature(self) -> np.ndarray:
         """``R2[a, b, c, d]`` over the target frame [range; range_perp]."""
-        E = np.vstack([self.range.vectors, self.range_perp.vectors])
+        E = np.concatenate([self.range.vectors, self.range_perp.vectors], axis=-2)
         return frame_contraction(self.point.target.curvature.riemann, E, E, E, E)
 
 
 def differential(smap: SmoothMap, x) -> SceneSplit:
     """Split the tangent spaces at ``x`` along the differential of the map.
 
-    ``x`` is a source point (n,) or the ``MapPoint`` of one, such as a row
-    of a batch.
+    ``x`` is a source point (n,), points (P, n) or the ``MapPoint`` of
+    either; the split has the same point axes.
 
     The vertical frame spans the numerical kernel of dF (singular values
     below 1e-8), the horizontal frame is its metric-orthogonal
@@ -254,37 +279,41 @@ def differential(smap: SmoothMap, x) -> SceneSplit:
     range_perp completes it.  ``dF`` of the horizontal frame must be
     orthonormal in the target metric up to the isometry tolerance; that
     residual is measured on the raw vectors, and the range frame is their
-    metric Gram-Schmidt, orthonormal to rounding.
+    metric Gram-Schmidt, orthonormal to rounding.  Each check raises for
+    the first point that fails it.
     """
     pt = x if isinstance(x, MapPoint) else MapPoint.at(smap, x)
     g1 = pt.source.G0
     g2 = pt.target.G0
     n1 = smap.source.dim
+    lead = pt.x.shape[:-1]
 
     _, svals, vt = np.linalg.svd(pt.dF)
-    svals = np.concatenate([svals, np.zeros(n1 - svals.shape[0])])
-    rank = int(np.sum(svals > _KERNEL_TOL))
-    if rank != smap.rank:
+    svals = np.concatenate([svals, np.zeros(lead + (n1 - svals.shape[-1],))], axis=-1)
+    ranks = np.sum(svals > _KERNEL_TOL, axis=-1)
+    bad = _first(ranks != smap.rank)
+    if bad is not None:
         raise RankError(
-            f"differential rank {rank} does not match declared rank {smap.rank} "
-            f"at {pt.x.tolist()} (singular values {svals.tolist()})"
+            f"differential rank {ranks[bad]} does not match declared rank {smap.rank} "
+            f"at {pt.x[bad].tolist()} (singular values {svals[bad].tolist()})"
         )
-    if smap.mode == RIEMANNIAN_SUBMERSION and rank != smap.target.dim:
-        raise RankError("submersion differential is not surjective")
+    rank = smap.rank
 
-    vertical = gram_schmidt(list(vt[rank:]), g1)
-    horizontal = OrthoFrame(complete_frame(vertical, vt[:rank]).vectors[vertical.k :], g1)
+    vertical = gram_schmidt(vt[..., rank:, :], g1)
+    full = complete_frame(vertical, vt[..., :rank, :])
+    horizontal = OrthoFrame(full.vectors[..., vertical.k :, :], g1)
 
-    range_vectors = horizontal.vectors @ pt.dF.T
-    gram = range_vectors @ g2 @ range_vectors.T if rank else np.zeros((0, 0))
-    iso_residual = float(np.abs(gram - np.eye(rank)).max()) if rank else 0.0
-    if iso_residual > _ISOMETRY_TOL:
+    range_vectors = horizontal.vectors @ pt.dF.swapaxes(-1, -2)
+    gram = range_vectors @ g2 @ range_vectors.swapaxes(-1, -2)
+    iso_residual = _largest(gram - np.eye(rank), 2)
+    bad = _first(iso_residual > _ISOMETRY_TOL)
+    if bad is not None:
         raise NotRiemannianMapError(
-            f"differential is not isometric on the horizontal space at {pt.x.tolist()} "
-            f"(residual {iso_residual:.3e})"
+            f"differential is not isometric on the horizontal space at {pt.x[bad].tolist()} "
+            f"(residual {iso_residual[bad]:.3e})"
         )
     rng = gram_schmidt(range_vectors, g2)
-    perp = complete_frame(rng, np.eye(smap.target.dim)).vectors[rank:]
+    perp = complete_frame(rng, np.eye(smap.target.dim)).vectors[..., rank:, :]
     return SceneSplit(
         point=pt,
         vertical=vertical,
@@ -292,12 +321,13 @@ def differential(smap: SmoothMap, x) -> SceneSplit:
         range=rng,
         range_perp=OrthoFrame(perp, g2),
         isometry_residual=iso_residual,
+        kernel_residual=_largest(pt.dF @ vertical.vectors.swapaxes(-1, -2), 2),
     )
 
 
 @dataclass(frozen=True)
 class FundamentalTensor:
-    """Component array of one fundamental tensor in split frames.
+    """Component array of one fundamental tensor in split frames, point axes first.
 
     ``coeffs[alpha, i, j]`` with alpha running over the co-distribution
     frame (range_perp for B, horizontal for T, vertical for A) and
@@ -310,18 +340,24 @@ class FundamentalTensor:
     coeffs: np.ndarray
     vectors: np.ndarray  # (n, n, dim) tensor values in chart components
     metric: np.ndarray
-    raw_symmetry_residual: float = 0.0
+    raw_symmetry_residual: np.ndarray = 0.0
 
     @classmethod
     def from_raw(cls, kind, coeffs, vectors, metric) -> "FundamentalTensor":
         sign = -1.0 if kind == "A" else 1.0
-        residual = float(np.abs(coeffs - sign * coeffs.transpose(0, 2, 1)).max()) if coeffs.size else 0.0
-        coeffs = 0.5 * (coeffs + sign * coeffs.transpose(0, 2, 1))
-        vectors = 0.5 * (vectors + sign * vectors.transpose(1, 0, 2))
+        transposed = coeffs.swapaxes(-1, -2)
+        residual = _largest(coeffs - sign * transposed, 3)
+        coeffs = 0.5 * (coeffs + sign * transposed)
+        vectors = 0.5 * (vectors + sign * tail_transpose(vectors, 1, 0, 2))
         return cls(kind, coeffs, vectors, metric, residual)
 
+    def rows(self) -> list["FundamentalTensor"]:
+        """The points of a batch one by one."""
+        parts = (self.coeffs, self.vectors, self.metric, self.raw_symmetry_residual)
+        return [FundamentalTensor(self.kind, *row) for row in zip(*parts)]
+
     def symmetry_residual(self) -> float:
-        return self.raw_symmetry_residual
+        return float(self.raw_symmetry_residual)
 
 
 def second_fundamental_form(split: SceneSplit) -> FundamentalTensor:
@@ -337,11 +373,11 @@ def second_fundamental_form(split: SceneSplit) -> FundamentalTensor:
     #               - dF^a_lam Gamma1^lam_{mu nu}
     core = (
         pt.d2F
-        + np.einsum("abc,bm,cn->amn", gamma2, pt.dF, pt.dF)
-        - np.einsum("al,lmn->amn", pt.dF, gamma1)
+        + np.einsum("...abc,...bm,...cn->...amn", gamma2, pt.dF, pt.dF)
+        - np.einsum("...al,...lmn->...amn", pt.dF, gamma1)
     )
-    vectors = np.einsum("amn,im,jn->ija", core, H, H)
-    coeffs = np.einsum("ija,ab,vb->vij", vectors, g2, split.range_perp.vectors)
+    vectors = np.einsum("...amn,...im,...jn->...ija", core, H, H)
+    coeffs = np.einsum("...ija,...ab,...vb->...vij", vectors, g2, split.range_perp.vectors)
     return FundamentalTensor.from_raw("B", coeffs, vectors, g2)
 
 
@@ -382,17 +418,22 @@ def _field(X, dX, L, dL) -> tuple[np.ndarray, np.ndarray]:
 
 def _on_frames(S: np.ndarray, E: np.ndarray, F: np.ndarray) -> np.ndarray:
     """``out[i, j] = S_{E_i} F_j``: the field ``S[k, m, n]`` on two frames, value last."""
-    return np.tensordot(np.tensordot(E, S, axes=(1, 1)), F, axes=(2, 1)).transpose(0, 2, 1)
+    return tail_transpose(tensordot(tensordot(E, S, ([1], [1]), 2), F, ([2], [1]), 3), 0, 2, 1)
+
+
+def _pairs(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """``out[i, j, k, l] = X[i, j, a] Y[k, l, a]``."""
+    return tensordot(X, Y, ([2], [2]), 3)
 
 
 def _covariant(S: np.ndarray, dS: np.ndarray, gamma: np.ndarray) -> np.ndarray:
     """``(nabla_p S)^k_mn`` of a (1,2)-tensor field from its coordinate derivative."""
-    Gb = gamma.transpose(1, 0, 2)  # Gb[p, k, a] = Gamma^k_pa
+    Gb = tail_transpose(gamma, 1, 0, 2)  # Gb[p, k, a] = Gamma^k_pa
     return (
         dS
-        + np.tensordot(Gb, S, axes=(2, 0))
-        - np.tensordot(Gb, S, axes=(1, 1)).transpose(0, 2, 1, 3)
-        - S[None] @ Gb[:, None]
+        + tensordot(Gb, S, ([2], [0]), 3)
+        - tail_transpose(tensordot(Gb, S, ([1], [1]), 3), 0, 2, 1, 3)
+        - S[..., None, :, :, :] @ Gb[..., :, None, :, :]
     )
 
 
@@ -400,7 +441,7 @@ def _oneill(split: SceneSplit, kind: str, tangent, normal) -> FundamentalTensor:
     g1 = split.point.source.G0
     vectors = _on_frames(getattr(split.point.submersion, kind), tangent.vectors, tangent.vectors)
     # einsum order kept for the reason given in _field
-    coeffs = np.einsum("ija,ab,vb->vij", vectors, g1, normal.vectors)
+    coeffs = np.einsum("...ija,...ab,...vb->...vij", vectors, g1, normal.vectors)
     return FundamentalTensor.from_raw(kind, coeffs, vectors, g1)
 
 
@@ -423,15 +464,25 @@ def vertical_bracket(split: SceneSplit) -> np.ndarray:
     sub = split.point.submersion
     H = split.horizontal.vectors
     # D[i, j] = (d_{H_i} P_h) H_j
-    D = _on_frames(sub.dPh.transpose(1, 0, 2), H, H)
-    return (D - D.transpose(1, 0, 2)) @ (np.eye(sub.Ph.shape[0]) - sub.Ph).T
+    D = _on_frames(tail_transpose(sub.dPh, 1, 0, 2), H, H)
+    Q = np.eye(sub.Ph.shape[-1]) - sub.Ph
+    return (D - tail_transpose(D, 1, 0, 2)) @ Q.swapaxes(-1, -2)[..., None, :, :]
 
 
 # -- Gauss-type residuals ---------------------------------------------------
 
 
-def gauss_residual_map(split: SceneSplit, B: Optional[FundamentalTensor] = None) -> float:
-    """Max residual of the Gauss equation over horizontal quadruples.
+def _python_max(*values: np.ndarray) -> np.ndarray:
+    """``max(*values)`` at every point, picked as Python's ``max`` picks: a later value
+    replaces the running one only when it compares greater, so a NaN stays where it leads."""
+    out = values[0]
+    for v in values[1:]:
+        out = np.where(v > out, v, out)
+    return out
+
+
+def gauss_residual_map(split: SceneSplit, B: Optional[FundamentalTensor] = None) -> np.ndarray:
+    """Max residual of the Gauss equation over horizontal quadruples, at every point.
 
     R2(dF W1, ..., dF W4) - [ R1(W1..W4) + g2(B(W1,W3), B(W2,W4))
                                         - g2(B(W1,W4), B(W2,W3)) ].
@@ -439,49 +490,57 @@ def gauss_residual_map(split: SceneSplit, B: Optional[FundamentalTensor] = None)
     if B is None:
         B = second_fundamental_form(split)
     s = split.s
-    if not s:
-        return 0.0
-    lhs = split.target_curvature[:s, :s, :s, :s]
-    rhs = split.source_curvature[:s, :s, :s, :s]
-    inner = np.tensordot(B.vectors @ B.metric, B.vectors, axes=(2, 2))
+    lhs = split.target_curvature[..., :s, :s, :s, :s]
+    rhs = split.source_curvature[..., :s, :s, :s, :s]
+    inner = _pairs(B.vectors @ B.metric[..., None, :, :], B.vectors)
     # g2(B(W1,W3), B(W2,W4)) - g2(B(W1,W4), B(W2,W3)) with slots (i,j,k,l)
-    rhs = rhs + inner.transpose(0, 2, 1, 3) - inner.transpose(0, 2, 3, 1)
-    return float(np.abs(lhs - rhs).max())
+    rhs = rhs + tail_transpose(inner, 0, 2, 1, 3) - tail_transpose(inner, 0, 2, 3, 1)
+    return _largest(lhs - rhs, 4)
 
 
 @dataclass(frozen=True)
 class SubmersionResiduals:
-    vertical: float
-    horizontal: float
-    mixed: float
+    """The three residuals at every point, point axes first."""
+
+    vertical: np.ndarray
+    horizontal: np.ndarray
+    mixed: np.ndarray
     vertical_independent: bool  # True when an independent fiber curvature was used
+
+    def rows(self) -> list["SubmersionResiduals"]:
+        """The points of a batch one by one, each residual a float."""
+        parts = (self.vertical.tolist(), self.horizontal.tolist(), self.mixed.tolist())
+        return [SubmersionResiduals(*row, self.vertical_independent) for row in zip(*parts)]
 
     def as_dict(self) -> dict:
         return {
-            "vertical": self.vertical,
-            "horizontal": self.horizontal,
-            "mixed": self.mixed,
+            "vertical": float(self.vertical),
+            "horizontal": float(self.horizontal),
+            "mixed": float(self.mixed),
             "vertical_independent": self.vertical_independent,
         }
 
 
-def _space_form_tensor(kappa: float, g: np.ndarray, frame: np.ndarray) -> np.ndarray:
-    G = frame @ g @ frame.T
-    return kappa * (np.einsum("bc,ad->abcd", G, G) - np.einsum("ac,bd->abcd", G, G))
+def _space_form_tensor(kappa, g: np.ndarray, frame: np.ndarray) -> np.ndarray:
+    G = frame @ g @ frame.swapaxes(-1, -2)
+    kappa = np.asarray(kappa)[..., None, None, None, None]
+    return kappa * (
+        np.einsum("...bc,...ad->...abcd", G, G) - np.einsum("...ac,...bd->...abcd", G, G)
+    )
 
 
 def gauss_residual_submersion(
     split: SceneSplit,
     T: Optional[FundamentalTensor] = None,
     A: Optional[FundamentalTensor] = None,
-    fiber_kappa: Optional[float] = None,
+    fiber_kappa=None,
 ) -> SubmersionResiduals:
-    """Residuals of the three curvature relations of a submersion.
+    """Residuals of the three curvature relations of a submersion, at every point.
 
     * vertical: fiber Gauss equation; checked against an independent
-      space-form fiber curvature when ``fiber_kappa`` is given, else the
-      reconstructed fiber tensor is checked for curvature symmetries
-      (the rearranged form, exact by construction).
+      space-form fiber curvature when ``fiber_kappa`` (one value per
+      point) is given, else the reconstructed fiber tensor is checked for
+      curvature symmetries (the rearranged form, exact by construction).
     * horizontal: base curvature pulled back through dF against the
       ambient curvature and the A-tensor terms.
     * mixed: the mixed identity with covariant derivatives of T and A.
@@ -493,46 +552,41 @@ def gauss_residual_submersion(
     pt = split.point
     R1 = split.source_curvature
     g1 = pt.source.G0
+    G1 = g1[..., None, :, :]  # g1 against a stack of frame vectors
     V = split.vertical.vectors
     H = split.horizontal.vectors
-    ell, s = V.shape[0], H.shape[0]
+    ell, s = V.shape[-2], H.shape[-2]
+    zero = np.zeros(pt.x.shape[:-1])
 
     # vertical identity
+    vertical = zero
+    vertical_independent = fiber_kappa is not None
     if ell >= 2:
-        amb = R1[s:, s:, s:, s:]
-        tt = np.tensordot(T.vectors @ g1, T.vectors, axes=(2, 2))
+        amb = R1[..., s:, s:, s:, s:]
+        tt = _pairs(T.vectors @ G1, T.vectors)
         # R_fiber[ijkl] = R1[ijkl] + g(T(i,l), T(j,k)) - g(T(i,k), T(j,l))
-        recon = amb + tt.transpose(0, 2, 3, 1) - tt.transpose(0, 2, 1, 3)
+        recon = amb + tail_transpose(tt, 0, 2, 3, 1) - tail_transpose(tt, 0, 2, 1, 3)
         if fiber_kappa is not None:
-            fiber = _space_form_tensor(fiber_kappa, g1, V)
-            vertical = float(np.abs(fiber - recon).max())
-            vertical_independent = True
+            vertical = _largest(_space_form_tensor(fiber_kappa, g1, V) - recon, 4)
         else:
-            bianchi = recon + recon.transpose(1, 2, 0, 3) + recon.transpose(2, 0, 1, 3)
-            vertical = float(
-                max(
-                    np.abs(recon + recon.transpose(1, 0, 2, 3)).max(),
-                    np.abs(recon + recon.transpose(0, 1, 3, 2)).max(),
-                    np.abs(recon - recon.transpose(2, 3, 0, 1)).max(),
-                    np.abs(bianchi).max(),
-                )
+            bianchi = recon + tail_transpose(recon, 1, 2, 0, 3) + tail_transpose(recon, 2, 0, 1, 3)
+            vertical = _python_max(
+                _largest(recon + tail_transpose(recon, 1, 0, 2, 3), 4),
+                _largest(recon + tail_transpose(recon, 0, 1, 3, 2), 4),
+                _largest(recon - tail_transpose(recon, 2, 3, 0, 1), 4),
+                _largest(bianchi, 4),
             )
-            vertical_independent = False
-    else:
-        vertical = 0.0
-        vertical_independent = fiber_kappa is not None
 
     # horizontal identity against the target curvature
+    horizontal = zero
     if s >= 2:
-        base = split.target_curvature[:s, :s, :s, :s]
-        amb_h = R1[:s, :s, :s, :s]
-        aa = np.tensordot(A.vectors @ g1, A.vectors, axes=(2, 2))
+        base = split.target_curvature[..., :s, :s, :s, :s]
+        amb_h = R1[..., :s, :s, :s, :s]
+        aa = _pairs(A.vectors @ G1, A.vectors)
         # R1[ijkl] = base[ijkl] + 2 g(A(i,j), A(k,l)) - g(A(j,k), A(i,l))
         #                       + g(A(i,k), A(j,l))
-        rhs = base + 2.0 * aa - aa.transpose(2, 0, 1, 3) + aa.transpose(0, 2, 1, 3)
-        horizontal = float(np.abs(amb_h - rhs).max())
-    else:
-        horizontal = 0.0
+        rhs = base + 2.0 * aa - tail_transpose(aa, 2, 0, 1, 3) + tail_transpose(aa, 0, 2, 1, 3)
+        horizontal = _largest(amb_h - rhs, 4)
 
     # mixed identity with the covariant derivatives of T and A:
     # R1(h_i, v_j, v_l, h_k) = g((nabla_{h_i} T)(v_j, v_l), h_k)
@@ -543,18 +597,18 @@ def gauss_residual_submersion(
     # antisymmetry of the last two slots turns into -R1[i, j, k, l]
     sub = pt.submersion
     gamma = pt.source.gamma
-    lhs = -R1[:s, s:, :s, s:]
+    lhs = -R1[..., :s, s:, :s, s:]
     nabla_T = frame_contraction(_covariant(sub.T, sub.dT, gamma), H, H @ g1, V, V)
     nabla_A = frame_contraction(_covariant(sub.A, sub.dA, gamma), V, V @ g1, H, H)
     T_vh = _on_frames(sub.T, V, H)  # T_vh[j, i] = T_{v_j} h_i
     A_hv = _on_frames(sub.A, H, V)  # A_hv[i, j] = A_{h_i} v_j
     rhs = (
-        nabla_T.transpose(0, 2, 1, 3)
-        + nabla_A.transpose(2, 0, 3, 1)
-        - np.tensordot(T_vh @ g1, T_vh, axes=(2, 2)).transpose(1, 0, 3, 2)
-        + np.tensordot(A_hv @ g1, A_hv, axes=(2, 2)).transpose(2, 3, 0, 1)
+        tail_transpose(nabla_T, 0, 2, 1, 3)
+        + tail_transpose(nabla_A, 2, 0, 3, 1)
+        - tail_transpose(_pairs(T_vh @ G1, T_vh), 1, 0, 3, 2)
+        + tail_transpose(_pairs(A_hv @ G1, A_hv), 2, 3, 0, 1)
     )
-    mixed = float(np.abs(lhs - rhs).max()) if lhs.size else 0.0
+    mixed = _largest(lhs - rhs, 4)
 
     return SubmersionResiduals(
         vertical=vertical,

@@ -13,7 +13,7 @@ import json
 import math
 import time
 from dataclasses import dataclass, field, replace
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -535,18 +535,18 @@ def _requested_families(theorems) -> dict[str, list[str]]:
     return out
 
 
-def _check_structure(J: np.ndarray, g: np.ndarray, validation: dict) -> None:
-    """Check J against the metric g, record it in ``validation``, raise when it fails."""
+def _structure_report(J: np.ndarray, g: np.ndarray) -> dict:
+    """The check of J against the metric g, as the report records it; raises when it fails."""
     srep = check_quaternionic_structure(J, g)
-    validation["structure"] = {
-        "passed": srep.passed,
-        "worst": srep.worst,
-        "failed_identities": srep.failed_identities(),
-    }
     if not srep.passed:
         raise SceneValidationError(
             "quaternionic structure invalid: " + ", ".join(srep.failed_identities())
         )
+    return {
+        "passed": srep.passed,
+        "worst": srep.worst,
+        "failed_identities": srep.failed_identities(),
+    }
 
 
 def _structure_metric(scn: Scenario, split: maps.SceneSplit) -> np.ndarray:
@@ -554,11 +554,14 @@ def _structure_metric(scn: Scenario, split: maps.SceneSplit) -> np.ndarray:
     return (split.point.source if scn.structure_on == "source" else split.point.target).G0
 
 
-def _bracket_residual(split: maps.SceneSplit, A: maps.FundamentalTensor) -> float:
-    """Largest g1-length of v[h_i, h_j] - 2 A_{h_i} h_j."""
+def _bracket_residual(split: maps.SceneSplit, A: maps.FundamentalTensor) -> np.ndarray:
+    """Largest g1-length of v[h_i, h_j] - 2 A_{h_i} h_j, at every point."""
     diff = maps.vertical_bracket(split) - 2.0 * A.vectors
-    sq = np.einsum("ija,ab,ijb->ij", diff, A.metric, diff)
-    return float(np.sqrt(max(sq.max(), 0.0))) if sq.size else 0.0
+    sq = np.einsum("...ija,...ab,...ijb->...ij", diff, A.metric, diff)
+    if not sq.size:
+        return np.zeros(sq.shape[:-2])
+    worst = sq.max(axis=(-2, -1))
+    return np.sqrt(np.where(worst < 0.0, 0.0, worst))  # max(worst, 0.0) as Python picks it
 
 
 def _check_gauss(scn: Scenario, worst: float) -> None:
@@ -569,88 +572,137 @@ def _check_gauss(scn: Scenario, worst: float) -> None:
         )
 
 
-def _chunk_rows(scn: Scenario, chunk: np.ndarray) -> list[tuple]:
-    """Each point's ``MapPoint`` row and fiber curvature, all computed for the chunk at once."""
-    rows = maps.MapPoint.at(scn.smap, chunk).rows()
-    kappas = [None] * len(chunk)
-    if scn.fiber_kappa is not None and scn.kind == "submersion":
-        kappa = scn.fiber_kappa(list(chunk.T))
-        kappas = kappa.tolist() if np.ndim(kappa) else [kappa] * len(chunk)
-    return list(zip(rows, kappas))
+class _SplitStage(NamedTuple):
+    """A chart point's split and everything read from it, point axes first.
 
-
-def _chart_batches(scn: Scenario, X: np.ndarray) -> list[tuple]:
-    """Each chart point's ``MapPoint`` row and fiber curvature, or its coordinates and None.
-
-    The points go in chunks of ``batch_size`` of the larger chart
-    dimension.  A chunk of two or more points computes up front everything
-    its points read (``_chunk_rows``).  A chunk of one point, or one where
-    any of that raises, runs its points alone: each keeps its coordinates
-    and computes everything itself, so a failing point raises its own
-    error at its own step.  A lone point has no point axis, whose length 1
-    slowed single-point scenes by about 4%.
+    ``structure`` is the structure check's record (one per point of a
+    batch), ``tensors`` holds T and A or B, ``gauss`` the Gauss
+    residuals, and ``bracket`` the bracket residual of a submersion.
     """
-    smap = scn.smap
-    size = geometry.batch_size(max(smap.source.dim, smap.target.dim))
-    points = []
-    for start in range(0, len(X), size):
-        chunk = X[start : start + size]
-        try:
-            points += _chunk_rows(scn, chunk) if len(chunk) > 1 else [(chunk[0], None)]
-        except (CasoratiqError, np.linalg.LinAlgError):
-            points += [(x, None) for x in chunk]
-    return points
+
+    split: maps.SceneSplit
+    structure: Optional[object]
+    tensors: dict
+    gauss: object
+    bracket: Optional[np.ndarray]
+
+    def rows(self) -> list["_SplitStage"]:
+        """The points of a batch one by one."""
+        n = len(self.split.point.x)
+        columns = (
+            self.split.rows(),
+            self.structure or [None] * n,
+            [dict(zip(self.tensors, ts)) for ts in zip(*(t.rows() for t in self.tensors.values()))],
+            self.gauss.rows() if isinstance(self.gauss, maps.SubmersionResiduals) else self.gauss,
+            [None] * n if self.bracket is None else self.bracket,
+        )
+        return [_SplitStage(*row) for row in zip(*columns)]
 
 
-def _evaluate_chart_point(scn: Scenario, x: np.ndarray, point, kappa: Optional[float]):
-    """Map point, validation, Gauss residuals and checker data of one chart point.
+def _split_stage(scn: Scenario, point, kappa) -> _SplitStage:
+    """The split at a point or at a batch of points, and everything read from it.
 
-    ``point`` is the point's ``MapPoint`` row or its coordinates, and
-    ``kappa`` its fiber curvature when already evaluated.  The checker
-    data is None when the scene requests no theorem.
+    ``point`` is a point's coordinates or the ``MapPoint`` of a batch, and
+    ``kappa`` the fiber curvature at each point when already evaluated.
+    The structure is checked right after the split; each check raises for
+    the first point that fails it.
     """
     split = maps.differential(scn.smap, point)
-    validation = {
-        "isometry_residual": split.isometry_residual,
-        "kernel_residual": split.kernel_residual(),
-    }
-    J = None
+    structure = None
     if scn.structure is not None:
         J = scn.structure.J_const
-        _check_structure(J, _structure_metric(scn, split), validation)
-
-    chart = {}
+        g = _structure_metric(scn, split)
+        structure = (
+            _structure_report(J, g) if g.ndim == 2 else [_structure_report(J, gi) for gi in g]
+        )
     if scn.kind == "submersion":
         T = maps.oneill_T(split)
         A = maps.oneill_A(split)
-        validation["T_symmetry_residual"] = T.symmetry_residual()
-        validation["A_skew_residual"] = A.symmetry_residual()
         if scn.fiber_kappa is not None and kappa is None:
-            kappa = float(scn.fiber_kappa([float(v) for v in x]))
+            kappa = float(scn.fiber_kappa([float(v) for v in split.point.x]))
         res = maps.gauss_residual_submersion(split, T, A, fiber_kappa=kappa)
+        return _SplitStage(split, structure, {"T": T, "A": A}, res, _bracket_residual(split, A))
+    B = maps.second_fundamental_form(split)
+    return _SplitStage(split, structure, {"B": B}, maps.gauss_residual_map(split, B), None)
+
+
+def _chunk_rows(scn: Scenario, chunk: np.ndarray) -> list[_SplitStage]:
+    """Each point's split stage, all computed for the chunk at once."""
+    point = maps.MapPoint.at(scn.smap, chunk)
+    kappa = None
+    if scn.fiber_kappa is not None and scn.kind == "submersion":
+        kappa = scn.fiber_kappa(list(chunk.T))
+    return _split_stage(scn, point, kappa).rows()
+
+
+def _chart_batches(scn: Scenario, X: np.ndarray) -> list[Optional[_SplitStage]]:
+    """Each chart point's split stage, or None where the point runs alone.
+
+    The points go in chunks of ``batch_size`` of the larger chart
+    dimension.  A chunk of two or more points computes up front, for all
+    its points at once, everything from the jets to the Gauss and bracket
+    residuals (``_chunk_rows``): the chart points with their curvature,
+    the O'Neill fields and the fiber curvature, then the split, the
+    structure check, the frame curvature tensors, B or T and A, and the
+    residuals.  A chunk of one point, or one where any of that raises,
+    runs its points alone: each computes everything itself, so a failing
+    point raises its own error at its own step.  A lone point has no point
+    axis, whose length 1 slowed single-point scenes by about 4%.
+    """
+    smap = scn.smap
+    size = geometry.batch_size(max(smap.source.dim, smap.target.dim))
+    rows = []
+    for start in range(0, len(X), size):
+        chunk = X[start : start + size]
+        try:
+            rows += _chunk_rows(scn, chunk) if len(chunk) > 1 else [None]
+        except (CasoratiqError, np.linalg.LinAlgError):
+            rows += [None] * len(chunk)
+    return rows
+
+
+def _evaluate_chart_point(scn: Scenario, x: np.ndarray, row: Optional[_SplitStage]):
+    """Map point, validation, Gauss residuals and checker data of one chart point.
+
+    ``row`` is the point's split stage when its chunk computed it, else
+    None and the point computes it alone from its coordinates ``x``.  The
+    Gauss tolerance is checked here, on the point's own residuals, so a
+    point that fails it leaves the rest of its chunk alone.  The checker
+    data is None when the scene requests no theorem.
+    """
+    split, structure, tensors, res, bracket = row or _split_stage(scn, x, None)
+    validation = {
+        "isometry_residual": float(split.isometry_residual),
+        "kernel_residual": float(split.kernel_residual),
+    }
+    if structure is not None:
+        validation["structure"] = structure
+
+    chart = {}
+    if scn.kind == "submersion":
+        validation["T_symmetry_residual"] = tensors["T"].symmetry_residual()
+        validation["A_skew_residual"] = tensors["A"].symmetry_residual()
         gauss = res.as_dict()
-        _check_gauss(scn, max(res.vertical, res.horizontal, res.mixed))
-        chart["bracket_residual"] = _bracket_residual(split, A)
+        _check_gauss(scn, max(gauss["vertical"], gauss["horizontal"], gauss["mixed"]))
+        chart["bracket_residual"] = float(bracket)
         validation["bracket_verticality_residual"] = chart["bracket_residual"]
-        tensors = {"T": T.coeffs, "A": A.coeffs}
     else:
-        B = maps.second_fundamental_form(split)
-        validation["B_symmetry_residual"] = B.symmetry_residual()
-        gauss = {"map": maps.gauss_residual_map(split, B)}
+        validation["B_symmetry_residual"] = tensors["B"].symmetry_residual()
+        gauss = {"map": float(res)}
         _check_gauss(scn, gauss["map"])
-        tensors = {"B": B.coeffs}
     data = None
     if scn.theorems:
         # the parse-time fit check put the structure on the curved side
         frames = {tag: getattr(split, tag) for tag in FRAMES[scn.kind]}
         ambient = split.target_curvature if scn.kind == "map" else split.source_curvature
         g = _structure_metric(scn, split)
+        J = scn.structure.J_const
         chart["space_form_residual"] = space_form_residual_from_tensor(
             ambient, QSFOracle(scn.c, J, g), np.vstack([f.vectors for f in frames.values()])
         )
         data = SceneData(
-            scn.kind, frames, tensors, g, J, scn.c, ambient, scn.delta_n,
-            equality_tol=scn.tolerances.get("equality"), **chart,
+            scn.kind, frames, {k: t.coeffs for k, t in tensors.items()}, g, J, scn.c, ambient,
+            scn.delta_n, equality_tol=scn.tolerances.get("equality"), **chart,
         )
     return split.point.y.tolist(), validation, gauss, data
 
@@ -659,8 +711,7 @@ def _evaluate_pointwise(scn: Scenario):
     """Validation and checker data of a pointwise scene, shaped like a chart point's."""
     g = scn.g
     J = scn.structure.J_const
-    validation = {}
-    _check_structure(J, g, validation)
+    validation = {"structure": _structure_report(J, g)}
     frames = {tag: OrthoFrame(scn.frames[tag], g) for tag in FRAMES[scn.kind]}
     for tag, fr in frames.items():
         res = fr.orthonormality_residual()
@@ -715,7 +766,7 @@ def evaluate_scenario(scn: Scenario, strict: bool = False) -> RunReport:
                 if scn.mode == "pointwise":
                     map_point, validation, gauss, data = _evaluate_pointwise(scn)
                 else:
-                    map_point, validation, gauss, data = _evaluate_chart_point(scn, x, *batches[i])
+                    map_point, validation, gauss, data = _evaluate_chart_point(scn, x, batches[i])
                 reports = _theorem_reports(data, scn.theorems)
                 points.append(PointResult(i, coords, map_point, validation, gauss, reports, []))
             except CasoratiqError as e:

@@ -1,9 +1,10 @@
 """Chart scenes run their points as batches; every point gets the result it gets alone.
 
 A chunk of a scene's points computes its jets, metrics, Christoffel
-symbols, curvature, O'Neill fields and fiber curvature at once, and each
-point reads its row; a chunk where any of that raises runs its points
-alone.  These tests hold the batch to the single point: reports are
+symbols, curvature, O'Neill fields and fiber curvature at once, then the
+split, B or T and A, the frame curvature tensors and the Gauss and
+bracket residuals, and each point reads its row; a chunk where any of
+that raises runs its points alone.  These tests hold the batch to the single point: reports are
 byte-identical, a failing point keeps its own message, and a check that
 fails at one point leaves the others alone.
 """
@@ -19,8 +20,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from casoratiq import geometry, jets
-from casoratiq.errors import DegenerateMetricError, DomainError
+from casoratiq import geometry, jets, maps
+from casoratiq.errors import (
+    DegenerateMetricError,
+    DependencyError,
+    DomainError,
+    NotRiemannianMapError,
+    SceneValidationError,
+)
 from casoratiq.geometry import MAX_DIM, ChartPoint, MetricChart, _symmetry_defects, batch_size
 from casoratiq.maps import MapPoint
 from casoratiq.scenes import builtin_scenario, evaluate_scenario, load_scenario, parse_scenario
@@ -56,6 +63,11 @@ def _sampled_hopf(count=12):
     sample = {"sample": {"count": count, "seed": 16, "box": [[0.2, 1.2]] * 4}}
     doc = _with_points("hopf-radial:4to3", sample)
     return parse_scenario(doc, name_hint="hopf-sampled")
+
+
+def _sampled(name, count, seed, box=None):
+    sample = {"count": count, "seed": seed, **({"box": box} if box else {})}
+    return parse_scenario(_with_points(name, {"sample": sample}), name_hint=f"{name}-sampled")
 
 
 def _sampled_s4():
@@ -112,6 +124,10 @@ MULTI_POINT = {
     "hopf-sampled": _sampled_hopf,
     "s4-radial": lambda: load_scenario(str(SCENARIOS / "s4-radial.json")),
     "s4-sampled": _sampled_s4,
+    # T = A = 0 at n = 8, the largest multi-point split
+    "product-sampled": lambda: _sampled("product-projection:8to4", 6, 18, [[-1.0, 1.0]] * 8),
+    # the map path: B and the map Gauss residual
+    "paraboloid-sampled": lambda: _sampled("paraboloid-vertex", 7, 19),
 }
 
 
@@ -173,6 +189,21 @@ def _math_message(f, v) -> str:
     raise AssertionError("no error")
 
 
+def _bent_paraboloid(points) -> dict:
+    """paraboloid-vertex with (x1 - x2)^4 added to g_11: isometric only on the diagonal,
+    where the metric keeps its pulled-back jets to second order."""
+    doc = _with_points("paraboloid-vertex", points)
+    doc["map"]["source"]["metric"][0][0] = "1+x1^2+(x1-x2)^4"
+    return doc
+
+
+def _off_fiber_curvature(points) -> dict:
+    """radial:4 with a fiber curvature that is off by (x1 - 0.3)(x1 - 1) but for x1 = 0.3 or 1."""
+    doc = _with_points("radial:4", points)
+    doc["fiber_curvature"] = {"space_form_kappa": "1/(norm(x)^2)+(x1-0.3)*(x1-1.0)"}
+    return doc
+
+
 # builder, [good, bad, good] points, the bad point's error type and message
 ONE_BAD_POINT = {
     "source box": (
@@ -200,7 +231,22 @@ ONE_BAD_POINT = {
         DegenerateMetricError,
         "metric not positive definite at [0.0, 0.3]: min eigenvalue 0.000e+00",
     ),
+    "not isometric": (
+        _bent_paraboloid,
+        [[0.3, 0.3], [0.5, -0.2], [0.7, 0.7]],
+        NotRiemannianMapError,
+        "differential is not isometric on the horizontal space at [0.5, -0.2] "
+        "(residual 1.383e-01)",
+    ),
+    "Gauss residual": (
+        _off_fiber_curvature,
+        [[0.3, 0.4, 0.5, 0.6], [0.8, 0.5, 0.5, 0.5], [1.0, 0.7, 0.2, 0.4]],
+        SceneValidationError,
+        "Gauss residual 1.000e-01 exceeds the scene tolerance 1.0e-06",
+    ),
 }
+# failures a point finds on its own row: its chunk does not run again point by point
+CHECKED_ON_THE_ROW = {"Gauss residual"}
 
 
 @pytest.mark.parametrize("kind", sorted(ONE_BAD_POINT))
@@ -217,6 +263,55 @@ def test_one_bad_point_among_good_ones(kind):
     assert str(info.value) == message
 
 
+def _map_point_shapes(monkeypatch) -> list:
+    """The shapes ``MapPoint.at`` is called with from now on."""
+    shapes = []
+    at = MapPoint.at.__func__
+
+    def counted(cls, smap, x):
+        shapes.append(np.shape(x))
+        return at(cls, smap, x)
+
+    monkeypatch.setattr(MapPoint, "at", classmethod(counted))
+    return shapes
+
+
+@pytest.mark.parametrize("kind", sorted(ONE_BAD_POINT))
+def test_only_a_failing_batch_step_runs_the_chunk_alone(kind, monkeypatch):
+    build, points, _, _ = ONE_BAD_POINT[kind]
+    scn = parse_scenario(build(points))
+    shapes = _map_point_shapes(monkeypatch)
+    evaluate_scenario(scn)
+    n = len(points[0])
+    alone = [] if kind in CHECKED_ON_THE_ROW else [(n,)] * 3
+    assert shapes == [(3, n)] + alone
+
+
+def test_the_batched_split_names_its_failing_point():
+    build, points, error, message = ONE_BAD_POINT["not isometric"]
+    smap = parse_scenario(build(points)).smap
+    with pytest.raises(error) as info:
+        maps.differential(smap, np.array(points))
+    assert str(info.value) == message
+    for row, x in zip(maps.differential(smap, np.array(points[::2])).rows(), points[::2]):
+        alone = maps.differential(smap, np.array(x))
+        for frame in ("vertical", "horizontal", "range", "range_perp"):
+            assert _bits(getattr(row, frame).vectors) == _bits(getattr(alone, frame).vectors)
+        assert _bits(row.target_curvature) == _bits(alone.target_curvature)
+
+
+def test_points_that_keep_other_candidates_run_their_chunk_alone(monkeypatch):
+    """At the paraboloid vertex the range holds e1, so completing its normal frame
+    drops the candidate e1 that the other points keep: the chunk runs point by point."""
+    scn = builtin_scenario("paraboloid-vertex")
+    with pytest.raises(DependencyError) as info:
+        maps.differential(scn.smap, scn.evaluation_points())
+    assert str(info.value) == "points of the batch disagree on candidate 0, first at point 1"
+    shapes = _map_point_shapes(monkeypatch)
+    assert evaluate_scenario(scn).aggregate["point_errors"] == 0
+    assert shapes == [(3, 2)] + [(2,)] * 3
+
+
 # -- chunks --------------------------------------------------------------------
 
 
@@ -230,15 +325,8 @@ def _chunk_shapes(monkeypatch, scn) -> list:
     """The shapes ``MapPoint.at`` is called with when ``scn`` runs in chunks of 5;
     the reports must be those of the scene run whole."""
     want = [_point_json(p) for p in evaluate_scenario(scn).points]
-    shapes = []
-    at = MapPoint.at.__func__
-
-    def counted(cls, smap, x):
-        shapes.append(np.shape(x))
-        return at(cls, smap, x)
-
     monkeypatch.setattr(geometry, "batch_size", lambda n: 5)
-    monkeypatch.setattr(MapPoint, "at", classmethod(counted))
+    shapes = _map_point_shapes(monkeypatch)
     assert [_point_json(p) for p in evaluate_scenario(scn).points] == want
     return shapes
 
@@ -302,6 +390,33 @@ def test_box_checks_per_chunk(count, chunks, monkeypatch):
     rep = evaluate_scenario(_sampled_hopf(count))
     assert rep.aggregate["point_errors"] == 0 and len(rep.points) == count
     assert calls == ["flat-positive:4", "hopf-base"] * chunks
+
+
+@pytest.mark.parametrize(
+    "count, chunks", [(1, [()]), (11, [(5,), (5,), ()]), (12, [(5,), (5,), (2,)])]
+)
+def test_split_and_frame_tensors_once_per_chunk(count, chunks, monkeypatch):
+    svds, contracted = [], []
+    svd = np.linalg.svd
+
+    def counted_svd(a, *args, **kwargs):
+        svds.append(np.shape(a)[:-2])
+        return svd(a, *args, **kwargs)
+
+    def counted_contraction(R, *frames, _original=maps.frame_contraction):
+        if all(E is frames[0] for E in frames):  # a curvature frame tensor
+            contracted.append((R.shape[-1], R.shape[:-4]))
+        return _original(R, *frames)
+
+    monkeypatch.setattr(geometry, "batch_size", lambda n: 5)
+    monkeypatch.setattr(np.linalg, "svd", counted_svd)
+    monkeypatch.setattr(maps, "frame_contraction", counted_contraction)
+    rep = evaluate_scenario(_sampled_hopf(count))
+    assert rep.aggregate["point_errors"] == 0 and len(rep.points) == count
+    assert svds == chunks
+    # one frame tensor per side, the source (n = 4) and the target (n = 3)
+    for n in (4, 3):
+        assert [lead for dim, lead in contracted if dim == n] == chunks
 
 
 # -- curvature symmetries ------------------------------------------------------

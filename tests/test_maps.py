@@ -69,7 +69,7 @@ class TestDifferential:
         sp = differential(projection_map, x)
         assert sp.s == 4 and sp.ell == 4
         assert sp.isometry_residual < 1e-12
-        assert sp.kernel_residual() < 1e-12
+        assert sp.kernel_residual < 1e-12
         # vertical = last four coordinates
         assert np.abs(sp.vertical.vectors[:, :4]).max() < 1e-12
         assert np.abs(sp.horizontal.vectors[:, 4:]).max() < 1e-12
