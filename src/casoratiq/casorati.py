@@ -393,16 +393,44 @@ def hyperplane_extrema(inp: CasoratiInput) -> HyperplaneExtrema:
     the multi-start (``_multistart_extrema``).  ``audit["path"]`` names
     the path taken.
     """
-    h = inp.coeffs
     n = inp.n
     if n < 3:
         raise DimensionError(f"hyperplane extremization needs n >= 3, got {n}")
-    if inp.kind == "skew" or not h.any():
-        return _exact_extrema(h)
-    nonzero = h[h.any(axis=(1, 2))]
-    if len(nonzero) == 1:
-        return _one_slice_extrema(nonzero[0])
-    return _multistart_extrema(h)
+    return _extrema_rows(inp.coeffs[None], inp.kind)[0]
+
+
+def _extrema_rows(h: np.ndarray, kind: str) -> list[HyperplaneExtrema]:
+    """``hyperplane_extrema`` of every stack of slices ``h[p]`` (P, a, n, n), n >= 3.
+
+    Each stack takes its own path.  The matrices of the exact paths, M for
+    skew or zero slices and the one nonzero slice otherwise, share one
+    stacked ``eigh``, which gives each the bits it gets alone; each
+    multi-start runs alone.
+    """
+    if kind == "skew":
+        slices = [0] * len(h)  # as if zero: the quartic term of skew slices vanishes
+    else:
+        nonzero = h.any(axis=(-2, -1))
+        slices = nonzero.sum(axis=-1).tolist()
+    closed = [p for p, k in enumerate(slices) if k < 2]
+    out = [None] * len(h)
+    if closed:
+        hc = h if len(closed) == len(h) else h[closed]
+        mats = np.einsum("...aji,...ajk->...ik", hc, hc)
+        for i, p in enumerate(closed):
+            if slices[p] == 1:
+                mats[i] = h[p, nonzero[p].argmax()]
+        lam, V = np.linalg.eigh(mats)
+        total_sq = np.sum(hc**2, axis=(-3, -2, -1)).tolist()
+        for i, p in enumerate(closed):
+            out[p] = (
+                _one_slice_extrema(lam[i], V[i]) if slices[p]
+                else _exact_extrema(total_sq[i], lam[i], V[i])
+            )
+    for p, k in enumerate(slices):
+        if k >= 2:
+            out[p] = _multistart_extrema(h[p])
+    return out
 
 
 def _exact_result(inf_phi, sup_phi, u_min, u_max, deg_min, deg_max, n) -> HyperplaneExtrema:
@@ -418,16 +446,15 @@ def _exact_result(inf_phi, sup_phi, u_min, u_max, deg_min, deg_max, n) -> Hyperp
     )
 
 
-def _exact_extrema(h: np.ndarray) -> HyperplaneExtrema:
+def _exact_extrema(total_sq: float, lam: np.ndarray, V: np.ndarray) -> HyperplaneExtrema:
     """Closed form for slices whose quartic term vanishes (skew or zero).
 
     Then (u^T h_a u)^2 = 0 and h_a^T h_a = h_a h_a^T, so
     phi(u) = |h|^2 - 2 u^T M u with M = sum_a h_a^T h_a, and the extrema
-    over unit normals are the extreme eigenpairs of M.  An extremum is
-    degenerate when its eigenvalue is (numerically) repeated.
+    over unit normals are the extreme eigenpairs (``lam``, ``V``) of M;
+    ``total_sq`` is |h|^2.  An extremum is degenerate when its eigenvalue
+    is (numerically) repeated.
     """
-    total_sq = float(np.sum(h**2))
-    lam, V = np.linalg.eigh(np.einsum("aji,ajk->ik", h, h))
     tie = _TIE_VALUE * max(1.0, total_sq)
     return _exact_result(
         total_sq - 2.0 * lam[-1],
@@ -436,12 +463,12 @@ def _exact_extrema(h: np.ndarray) -> HyperplaneExtrema:
         V[:, 0],
         2.0 * (lam[-1] - lam[-2]) < tie,
         2.0 * (lam[1] - lam[0]) < tie,
-        h.shape[1],
+        V.shape[0],
     )
 
 
-def _one_slice_extrema(s: np.ndarray) -> HyperplaneExtrema:
-    """Closed form for a single symmetric slice s = sum_i lam_i v_i v_i^T.
+def _one_slice_extrema(lam: np.ndarray, V: np.ndarray) -> HyperplaneExtrema:
+    """Closed form for a single symmetric slice s = sum_i lam_i v_i v_i^T (eigenpairs lam, V).
 
     With lam_1 <= ... <= lam_n and weights t_i = (u . v_i)^2 on the
     simplex, phi = sum lam^2 - 2 sum lam_i^2 t_i + (sum lam_i t_i)^2.
@@ -456,7 +483,6 @@ def _one_slice_extrema(s: np.ndarray) -> HyperplaneExtrema:
     it is sum lam^2 - max lam^2, at that eigenvector.  A tie flag is a
     repeated extreme lam^2 (or the reflected pair).
     """
-    lam, V = np.linalg.eigh(s)
     sq = lam**2
     order = np.argsort(sq, kind="stable")
     ranked = sq[order]
@@ -477,7 +503,7 @@ def _one_slice_extrema(s: np.ndarray) -> HyperplaneExtrema:
         V[:, order[0]],
         deg_min,
         ranked[1] - ranked[0] < tie,
-        s.shape[0],
+        V.shape[0],
     )
 
 

@@ -401,10 +401,13 @@ def gram_schmidt(vectors, g_at: np.ndarray) -> "OrthoFrame":
     g = np.asarray(g_at, dtype=float)
     V = np.asarray(vectors, dtype=float).reshape(g.shape[:-2] + (-1, g.shape[-1]))
     frame = _Frame(g)
+    # every starting norm in one stacked product, each rounded as it is alone
+    origs = _norm(V[..., None], g[..., None, :, :])
+    zero = (origs[..., 0, 0] == 0.0).any(axis=tuple(range(V.ndim - 2))).tolist()
     for j in range(V.shape[-2]):
         v = V[..., j, :, None]
-        orig = _norm(v, g)
-        if (orig == 0.0).any():
+        orig = origs[..., j, :, :]
+        if zero[j]:
             raise DependencyError("zero vector handed to gram_schmidt")
         v = frame.orthogonalize(v)
         norm = _norm(v, g)
@@ -477,17 +480,22 @@ class OrthoFrame:
         return float(np.abs(self.gram() - np.eye(self.k)).max())
 
 
-def curvature_sums(frame_tensor: np.ndarray, s: int) -> tuple[float, float, float]:
+def curvature_sums(frame_tensor: np.ndarray, s: int) -> tuple:
     """Scalar curvature sums of a frame split after its first ``s`` vectors.
 
     With ``K[a, b] = R_E[a, b, b, a]`` over an orthonormal frame, returns
     ``2 tau`` of the first block, ``2 tau`` of the rest (each the sum of K
     over the block's ordered pairs a != b) and the mixed sum of K over
-    (first, rest) pairs.  Blocks of fewer than two vectors give 0.
+    (first, rest) pairs.  Blocks of fewer than two vectors give 0.  Each
+    sum has the point axes of the frame tensor (..., n, n, n, n): one
+    float for a lone point.
     """
-    K = np.einsum("abba->ab", frame_tensor).copy()
-    np.fill_diagonal(K, 0.0)
-    return float(K[:s, :s].sum()), float(K[s:, s:].sum()), float(K[:s, s:].sum())
+    K = np.einsum("...abba->...ab", frame_tensor).copy()
+    n = K.shape[-1]
+    K.reshape(K.shape[:-2] + (n * n,))[..., :: n + 1] = 0.0  # the diagonal a = b
+    first, rest = slice(None, s), slice(s, None)
+    blocks = ((first, first), (rest, rest), (first, rest))
+    return tuple(K[..., rows, cols].sum(axis=(-2, -1)) for rows, cols in blocks)
 
 
 # -- builtin chart registry ----------------------------------------------

@@ -19,6 +19,7 @@ import numpy as np
 from .casorati import (
     CasoratiInput,
     HyperplaneExtrema,
+    _extrema_rows,
     casorati,
     delta_casorati,
     hyperplane_extrema,
@@ -37,6 +38,7 @@ __all__ = [
     "check_horizontal_theorem",
     "check_combined_theorem",
     "equality_diagnostics",
+    "precompute_batch",
     "FAMILIES",
     "FAMILY_TENSORS",
     "FRAMES",
@@ -122,19 +124,76 @@ def _verdict(lhs: float, rhs: float, tol: float, extra_equality: bool = True) ->
     return "strict"
 
 
+def _dots(x: np.ndarray) -> np.ndarray:
+    """``x @ x`` over the last axis of x, at every point, rounded as the 1-D product."""
+    x = np.ascontiguousarray(x)
+    return (x[..., None, :] @ x[..., :, None])[..., 0, 0]
+
+
+def _running_max(values: np.ndarray) -> np.ndarray:
+    """``max(0.0, *values)`` over the last axis, picked as Python's ``max`` picks it."""
+    return np.fmax.reduce(values, axis=-1, initial=0.0)
+
+
 def _rotation_to_last(u: np.ndarray) -> np.ndarray:
-    """Orthogonal matrix whose last row is u.
+    """Orthogonal matrices whose last row is u (..., n), point axes first.
 
     Householder reflection with the cancellation-free sign choice, so the
     construction stays exact even when u is nearly axis aligned.
     """
-    n = u.shape[0]
+    n = u.shape[-1]
     e = np.zeros(n)
     e[-1] = 1.0
-    sign = 1.0 if u[-1] >= 0 else -1.0
+    sign = np.where(u[..., -1:] >= 0, 1.0, -1.0)
     v = u + sign * e
-    v /= np.linalg.norm(v)
-    return -sign * (np.eye(n) - 2.0 * np.outer(v, v))
+    v = v / np.sqrt(_dots(v))[..., None]
+    return -sign[..., None] * (np.eye(n) - 2.0 * (v[..., :, None] * v[..., None, :]))
+
+
+def _diagnostic_arrays(h: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Off-diagonal, eigenvalue-pattern, common-eigendirection and commutator residuals.
+
+    ``h`` (..., a, n, n) holds the slices and ``u`` (..., n) the argmin
+    normals, with the same point axes; every residual has those axes, and
+    each point gets the bits it gets alone.
+    """
+    n = h.shape[-1]
+    Q = _rotation_to_last(u)
+    rotated = np.einsum("...ia,...xab,...jb->...xij", Q, h, Q)
+    off = rotated.copy()
+    off.reshape(off.shape[:-2] + (n * n,))[..., :: n + 1] = 0.0  # each slice's diagonal
+    offdiag = np.abs(off).max(axis=(-3, -2, -1)) if off.size else np.zeros(off.shape[:-3])
+
+    d = np.diagonal(rotated, axis1=-2, axis2=-1)
+    lam = (d[..., :-1].sum(axis=-1) + 2.0 * d[..., -1]) / (n + 3.0)
+    # the deviation from the pattern (lam, ..., lam, 2 lam) of each slice
+    dev = d - lam[..., None]
+    dev[..., -1] = d[..., -1] - 2.0 * lam
+    pattern = _running_max(np.sqrt(_dots(dev)))
+    common = _running_max(np.sqrt(_dots(rotated[..., :-1, -1])))
+
+    # every ordered pair: [h_b, h_a] = -[h_a, h_b] exactly, and [h_a, h_a] = 0
+    products = h[..., :, None, :, :] @ h[..., None, :, :, :]
+    comm = products - products.swapaxes(-4, -3)
+    norms = np.sqrt(_dots(comm.reshape(comm.shape[:-4] + (-1, n * n))))
+    return offdiag, pattern, common, _running_max(norms)
+
+
+def _diagnostics_rows(
+    h: np.ndarray, extrema: list, A_norm_sq: list, bracket_residual: list
+) -> list[EqualityDiagnostics]:
+    """``equality_diagnostics`` of every stack of slices ``h[p]`` (P, a, n, n) at once."""
+    u = np.stack([np.asarray(ex.argmin_normal, dtype=float) for ex in extrema])
+    columns = (a.tolist() for a in _diagnostic_arrays(h, u))
+    return [
+        EqualityDiagnostics(
+            *residuals,
+            A_norm=float(np.sqrt(max(a_sq, 0.0))),
+            bracket_verticality_residual=bracket,
+            degenerate_extrema=ex.degenerate_min,
+        )
+        for *residuals, a_sq, bracket, ex in zip(*columns, A_norm_sq, bracket_residual, extrema)
+    ]
 
 
 def equality_diagnostics(
@@ -149,39 +208,8 @@ def equality_diagnostics(
     2 lambda_a) sharing one distinguished direction; the commutator of
     the slice matrices and the norm of A cover the remaining conditions.
     """
-    h = inp.coeffs
-    n = inp.n
-    Q = _rotation_to_last(np.asarray(extrema.argmin_normal, dtype=float))
-    rotated = np.einsum("ia,xab,jb->xij", Q, h, Q)
-    off = rotated.copy()
-    for sl in off:
-        np.fill_diagonal(sl, 0.0)
-    offdiag_max = float(np.abs(off).max()) if off.size else 0.0
-
-    pattern = 0.0
-    common = 0.0
-    for sl in rotated:
-        d = np.diagonal(sl)
-        lam = (d[:-1].sum() + 2.0 * d[-1]) / (n + 3.0)
-        target = np.full(n, lam)
-        target[-1] = 2.0 * lam
-        pattern = max(pattern, float(np.linalg.norm(d - target)))
-        common = max(common, float(np.linalg.norm(sl[:-1, -1])))
-
-    comm = 0.0
-    for a in range(h.shape[0]):
-        for b in range(a + 1, h.shape[0]):
-            comm = max(comm, float(np.linalg.norm(h[a] @ h[b] - h[b] @ h[a])))
-
-    return EqualityDiagnostics(
-        offdiag_max=offdiag_max,
-        eigen_pattern_residual=pattern,
-        common_eigendirection_residual=common,
-        commutator_max=comm,
-        A_norm=float(np.sqrt(max(A_norm_sq, 0.0))),
-        bracket_verticality_residual=bracket_residual,
-        degenerate_extrema=extrema.degenerate_min,
-    )
+    (diag,) = _diagnostics_rows(inp.coeffs[None], [extrema], [A_norm_sq], [bracket_residual])
+    return diag
 
 
 # -- scene layout and checker input ----------------------------------------
@@ -223,6 +251,13 @@ class SceneData:
     deviation of the ambient curvature from the space form; it must be
     small, and it selects the chart-mode equality tolerance.  Chart
     submersions also give ``bracket_residual``.
+
+    What the checkers read is computed on first use and memoized: the J
+    blocks (``decomp``), the curvature sums (``sums``), and each tensor's
+    hyperplane extrema and equality diagnostics (``_extrema``,
+    ``_diagnostics``).  ``precompute_batch`` fills these slots for all
+    the points of a chart chunk at once; a lone point fills them on
+    demand, in the order its checkers read them.
     """
 
     kind: str
@@ -249,6 +284,12 @@ class SceneData:
         first, second = (self.frames[tag].vectors for tag in FRAMES[self.kind])
         return decompose_J(self.J, self.g, first, second)
 
+    @cached_property
+    def sums(self) -> tuple[float, float, float]:
+        """``curvature_sums`` of ``ambient``, split after the first frame."""
+        first = self.frames[FRAMES[self.kind][0]]
+        return tuple(map(float, curvature_sums(self.ambient, first.k)))
+
     def extrema(self, key: str) -> HyperplaneExtrema:
         if key not in self._extrema:
             self._extrema[key] = hyperplane_extrema(self.tensors[key])
@@ -257,21 +298,60 @@ class SceneData:
     def diagnostics(self, key: str) -> EqualityDiagnostics:
         """Equality diagnostics of one tensor, which the families reading it share."""
         if key not in self._diagnostics:
-            A = self.tensors.get("A")
             self._diagnostics[key] = equality_diagnostics(
                 self.tensors[key],
                 self.extrema(key),
-                A_norm_sq=A.norm_sq() if A is not None else 0.0,
+                A_norm_sq=self._a_norm_sq(),
                 bracket_residual=self.bracket_residual,
             )
         return self._diagnostics[key]
 
+    def _a_norm_sq(self) -> float:
+        A = self.tensors.get("A")
+        return A.norm_sq() if A is not None else 0.0
+
+
+def precompute_batch(rows: list[SceneData], keys) -> None:
+    """Compute at once, for the points of a batch, what the checkers read from each row.
+
+    ``rows`` are the points' ``SceneData``, all of one kind and shape.
+    The J blocks and norms (``decompose_J``), the curvature sums and, for
+    each tensor of ``keys`` over at least 3 vectors, the hyperplane
+    extrema and the equality diagnostics are computed with the point axis
+    first and put in the slots where each row memoizes them, so the
+    checkers only assemble reports.  Each row gets the bits it would
+    compute alone; each check raises for the first point that fails it.
+    """
+    first = rows[0]
+    tags = FRAMES[first.kind]
+    E1, E2 = (np.stack([r.frames[tag].vectors for r in rows]) for tag in tags)
+    decomps = decompose_J(first.J, np.stack([r.g for r in rows]), E1, E2).rows()
+    sums = curvature_sums(np.stack([r.ambient for r in rows]), E1.shape[-2])
+    for row, decomp, row_sums in zip(rows, decomps, zip(*(v.tolist() for v in sums))):
+        vars(row).update(decomp=decomp, sums=row_sums)
+    for key in keys:
+        h = np.stack([r.tensors[key].coeffs for r in rows])
+        if h.shape[-1] < 3:  # the checkers reject the family before they read the extrema
+            continue
+        extrema = _extrema_rows(h, TENSORS[key].symmetry)
+        diagnostics = _diagnostics_rows(
+            h, extrema, [r._a_norm_sq() for r in rows], [r.bracket_residual for r in rows]
+        )
+        for row, ex, diag in zip(rows, extrema, diagnostics):
+            row._extrema[key] = ex
+            row._diagnostics[key] = diag
+
 
 def space_form_residual_from_tensor(
     frame_tensor: np.ndarray, oracle: QSFOracle, frame_vectors: np.ndarray
-) -> float:
-    """Largest deviation of a curvature frame tensor from the space form on the same frame."""
-    return float(np.abs(frame_tensor - oracle.curvature_tensor(frame_vectors)).max())
+) -> np.ndarray:
+    """Largest deviation of a curvature frame tensor from the space form on the same frame.
+
+    The tensor, the frame and the oracle's metric may carry the same
+    leading point axes; the residual has them (a scalar for a lone point).
+    """
+    deviation = frame_tensor - oracle.curvature_tensor(frame_vectors)
+    return np.abs(deviation).max(axis=(-4, -3, -2, -1))
 
 
 def _family_reports(
@@ -344,9 +424,8 @@ def _distribution_reports(
     (key,) = FAMILY_TENSORS[family]
     h = data.tensors[key]
     k = h.n
-    first, _ = FRAMES[data.kind]
     block = FRAMES[data.kind].index(TENSORS[key].tangent)
-    rho = curvature_sums(data.ambient, data.frames[first].k)[block] / (k * (k - 1))
+    rho = data.sums[block] / (k * (k - 1))
     if TENSORS[key].symmetry == "symmetric":
         lhs = rho + (h.trace_norm_sq() - h.norm_sq()) / (k * (k - 1))
     else:
@@ -412,7 +491,7 @@ def check_combined_theorem(data: SceneData) -> list[TheoremReport]:
     T, A = data.tensors["T"], data.tensors["A"]
     D = s * (s - 1) * ell * (ell - 1)
 
-    two_tau_h, two_tau_v, mixed = curvature_sums(data.ambient, s)
+    two_tau_h, two_tau_v, mixed = data.sums
     rho_v_amb = two_tau_v / (ell * (ell - 1))
     rho_h_amb = two_tau_h / (s * (s - 1))
 

@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import FrameError, StructureError
-from .geometry import MAX_DIM
+from .geometry import MAX_DIM, _first, tail_transpose, tensordot
 
 __all__ = [
     "QuaternionicStructure",
@@ -17,6 +18,7 @@ __all__ = [
     "quat_units",
     "structure",
     "check_quaternionic_structure",
+    "hermitian_residual",
     "decompose_J",
 ]
 
@@ -69,6 +71,11 @@ class QuaternionicStructure:
         J = np.asarray(J, dtype=float)
         return cls(J.shape[-1], J_const=J, name="explicit")
 
+    @cached_property
+    def identity_residuals(self) -> tuple[float, float, float]:
+        """The residuals of the identities J alone must satisfy, computed once per structure."""
+        return _identity_residuals(self.J_const)
+
 
 def structure(name: str) -> QuaternionicStructure:
     """Registry lookup, e.g. ``quat-flat:2``; ``quat-flat:m`` needs 4 m <= MAX_DIM."""
@@ -116,17 +123,25 @@ class StructureReport:
         return out
 
 
-def check_quaternionic_structure(J: np.ndarray, g_at: np.ndarray) -> StructureReport:
-    """Diagnostic check of the almost-quaternionic identities at a point."""
-    J = np.asarray(J, dtype=float)
-    g = np.asarray(g_at, dtype=float)
-    n = J.shape[-1]
-    eye = np.eye(n)
+def _identity_residuals(J: np.ndarray) -> tuple[float, float, float]:
+    """Square, anticommutation and composition residuals of J; no metric enters them."""
+    eye = np.eye(J.shape[-1])
     square = max(np.abs(J[a] @ J[a] + eye).max() for a in range(3))
     anti = np.abs(J[0] @ J[1] + J[1] @ J[0]).max()
     comp = np.abs(J[0] @ J[1] - J[2]).max()
-    herm = max(np.abs(J[a].T @ g @ J[a] - g).max() for a in range(3))
-    return StructureReport(float(square), float(anti), float(comp), float(herm))
+    return float(square), float(anti), float(comp)
+
+
+def hermitian_residual(J: np.ndarray, g_at: np.ndarray) -> np.ndarray:
+    """max over alpha of |J_alpha^T g J_alpha - g| at every point of g (..., n, n)."""
+    g = np.asarray(g_at, dtype=float)[..., None, :, :]
+    return np.abs(np.swapaxes(J, -1, -2) @ g @ J - g).max(axis=(-3, -2, -1))
+
+
+def check_quaternionic_structure(J: np.ndarray, g_at: np.ndarray) -> StructureReport:
+    """Diagnostic check of the almost-quaternionic identities at a point."""
+    J = np.asarray(J, dtype=float)
+    return StructureReport(*_identity_residuals(J), float(hermitian_residual(J, g_at)))
 
 
 @dataclass(frozen=True)
@@ -171,13 +186,22 @@ class QSFOracle:
         With G[a, b] = g(e_a, e_b), X[x, a, b] = g(e_a, J_x e_b) = -g(J_x e_a, e_b)
         and the outer products XX[a, b, c, d] = sum_x X[x, a, b] X[x, c, d] and
         P = G (x) G + XX, the form is R[a,b,c,d] = P[b,c,a,d] - P[a,c,b,d] - 2 XX[a,b,c,d].
+        The frame (..., k, n) and the metric may carry the same leading point
+        axes; each point gets the bits it gets alone.
         """
         E = np.atleast_2d(np.asarray(frame_vectors, dtype=float))
-        G = E @ self.g @ E.T
-        X = E @ self.g @ self.J @ E.T
-        XX = np.tensordot(X, X, axes=(0, 0))
-        P = np.multiply.outer(G, G) + XX
-        return 0.25 * self.c * (P.transpose(2, 0, 1, 3) - P.transpose(0, 2, 1, 3) - 2.0 * XX)
+        G = E @ self.g @ E.swapaxes(-1, -2)
+        X = _j_blocks(self.J, self.g, E)
+        XX = tensordot(X, X, ([0], [0]), 3)
+        P = G[..., :, :, None, None] * G[..., None, None, :, :] + XX
+        return 0.25 * self.c * (
+            tail_transpose(P, 2, 0, 1, 3) - tail_transpose(P, 0, 2, 1, 3) - 2.0 * XX
+        )
+
+
+def _j_blocks(J: np.ndarray, g: np.ndarray, E: np.ndarray) -> np.ndarray:
+    """``X[..., x, a, b] = g(e_a, J_x e_b)`` over the rows of E (..., k, n), point axes first."""
+    return E[..., None, :, :] @ g[..., None, :, :] @ J @ E.swapaxes(-1, -2)[..., None, :, :]
 
 
 @dataclass(frozen=True)
@@ -189,12 +213,17 @@ class JDecomposition:
     ones); every norm is a slice of it.
     """
 
-    norms_P: np.ndarray  # (3,)  primary-primary block
-    norms_Q: np.ndarray  # (3,)  secondary-secondary block
-    norms_PV: np.ndarray  # (3,) cross block
-    blocks: np.ndarray  # (3, s+ell, s+ell)
+    norms_P: np.ndarray  # (..., 3)  primary-primary block
+    norms_Q: np.ndarray  # (..., 3)  secondary-secondary block
+    norms_PV: np.ndarray  # (..., 3) cross block
+    blocks: np.ndarray  # (..., 3, s+ell, s+ell)
     s: int
     ell: int
+
+    def rows(self) -> list["JDecomposition"]:
+        """The points of a batch one by one."""
+        parts = (self.norms_P, self.norms_Q, self.norms_PV, self.blocks)
+        return [JDecomposition(*row, self.s, self.ell) for row in zip(*parts)]
 
 
 def decompose_J(
@@ -209,27 +238,31 @@ def decompose_J(
     For submersions ``primary`` is the horizontal frame and ``secondary``
     the vertical one, giving ``|P_a|^2``, ``|Q_a|^2`` and ``|P_a^V|^2``.
     In map mode pass the range frame and the range-perp frame of the
-    target space.
+    target space.  The metric and the frames (..., s, n) may carry the same
+    leading point axes; the check raises for the first point that fails it.
     """
     J = np.asarray(J, dtype=float)
     g = np.asarray(g_at, dtype=float)
     P = np.atleast_2d(np.asarray(primary, dtype=float))
     S = np.atleast_2d(np.asarray(secondary, dtype=float))
     if P.size == 0:
-        P = P.reshape(0, g.shape[0])
+        P = P.reshape(P.shape[:-2] + (0, g.shape[-1]))
     if S.size == 0:
-        S = S.reshape(0, g.shape[0])
-    E = np.vstack([P, S])
-    s, ell = P.shape[0], S.shape[0]
-    if E.shape[0]:
-        gram = E @ g @ E.T
-        if np.abs(gram - np.eye(E.shape[0])).max() > frame_tol:
+        S = S.reshape(S.shape[:-2] + (0, g.shape[-1]))
+    E = np.concatenate([P, S], axis=-2)
+    s, ell = P.shape[-2], S.shape[-2]
+    if E.shape[-2]:
+        gram = E @ g @ E.swapaxes(-1, -2)
+        residual = np.abs(gram - np.eye(E.shape[-2])).max(axis=(-2, -1))
+        bad = _first(residual > frame_tol)
+        if bad is not None:
             raise FrameError(
-                "split frames are not jointly orthonormal "
-                f"(residual {np.abs(gram - np.eye(E.shape[0])).max():.3e})"
+                f"split frames are not jointly orthonormal (residual {residual[bad]:.3e})"
             )
-    blocks = E @ g @ J @ E.T
-    norms_P = np.array([float(np.sum(b[:s, :s] ** 2)) for b in blocks])
-    norms_Q = np.array([float(np.sum(b[s:, s:] ** 2)) for b in blocks])
-    norms_PV = np.array([float(np.sum(b[:s, s:] ** 2)) for b in blocks])
-    return JDecomposition(norms_P, norms_Q, norms_PV, blocks, s, ell)
+    blocks = _j_blocks(J, g, E)
+    return JDecomposition(
+        np.sum(blocks[..., :s, :s] ** 2, axis=(-2, -1)),
+        np.sum(blocks[..., s:, s:] ** 2, axis=(-2, -1)),
+        np.sum(blocks[..., :s, s:] ** 2, axis=(-2, -1)),
+        blocks, s, ell,
+    )

@@ -32,12 +32,14 @@ from .inequalities import (
     check_horizontal_theorem,
     check_map_theorem,
     check_vertical_theorem,
+    precompute_batch,
     space_form_residual_from_tensor,
 )
 from .quaternionic import (
     QuaternionicStructure,
     QSFOracle,
-    check_quaternionic_structure,
+    StructureReport,
+    hermitian_residual,
     structure as structure_registry,
 )
 
@@ -195,10 +197,16 @@ def _chart_from_spec(spec, where: str, cache: dict) -> MetricChart:
     rows = _require(spec, "metric", where, list)
     if len(rows) != dim or any(not isinstance(r, list) or len(r) != dim for r in rows):
         raise SceneValidationError(f"{where}.metric must be a {dim}x{dim} expression matrix")
-    compiled = [[_compiled(e, cache) for e in row] for row in rows]
+    # each distinct entry runs once per call; jets are never written in place,
+    # so entries that repeat share one result
+    texts = [[str(e) for e in row] for row in rows]
+    distinct = list(dict.fromkeys(t for row in texts for t in row))
+    compiled = [_compiled(t, cache) for t in distinct]
+    index = [[distinct.index(t) for t in row] for row in texts]
 
-    def g(coords, _compiled=compiled):
-        return [[entry(coords) for entry in row] for row in _compiled]
+    def g(coords, _compiled=compiled, _index=index):
+        values = [entry(coords) for entry in _compiled]
+        return [[values[i] for i in row] for row in _index]
 
     return MetricChart(
         dim,
@@ -535,18 +543,26 @@ def _requested_families(theorems) -> dict[str, list[str]]:
     return out
 
 
-def _structure_report(J: np.ndarray, g: np.ndarray) -> dict:
-    """The check of J against the metric g, as the report records it; raises when it fails."""
-    srep = check_quaternionic_structure(J, g)
-    if not srep.passed:
-        raise SceneValidationError(
-            "quaternionic structure invalid: " + ", ".join(srep.failed_identities())
+def _structure_report(st: QuaternionicStructure, g: np.ndarray):
+    """The check of the structure against the metric g, as the report records it.
+
+    ``g`` is one metric (n, n), which gives one record, or a batch
+    (P, n, n), which gives one per point.  The identities of J alone are
+    computed once per structure.  Raises for the first point where the
+    check fails.
+    """
+    herm = hermitian_residual(st.J_const, g)
+    records = []
+    for residual in np.reshape(herm, -1).tolist():
+        srep = StructureReport(*st.identity_residuals, residual)
+        if not srep.passed:
+            raise SceneValidationError(
+                "quaternionic structure invalid: " + ", ".join(srep.failed_identities())
+            )
+        records.append(
+            {"passed": srep.passed, "worst": srep.worst, "failed_identities": srep.failed_identities()}
         )
-    return {
-        "passed": srep.passed,
-        "worst": srep.worst,
-        "failed_identities": srep.failed_identities(),
-    }
+    return records if herm.ndim else records[0]
 
 
 def _structure_metric(scn: Scenario, split: maps.SceneSplit) -> np.ndarray:
@@ -577,7 +593,9 @@ class _SplitStage(NamedTuple):
 
     ``structure`` is the structure check's record (one per point of a
     batch), ``tensors`` holds T and A or B, ``gauss`` the Gauss
-    residuals, and ``bracket`` the bracket residual of a submersion.
+    residuals, ``bracket`` the bracket residual of a submersion and
+    ``space_form`` the space-form residual of a scene with theorems.
+    ``data`` is a batch row's checker input, already filled in.
     """
 
     split: maps.SceneSplit
@@ -585,6 +603,8 @@ class _SplitStage(NamedTuple):
     tensors: dict
     gauss: object
     bracket: Optional[np.ndarray]
+    space_form: Optional[np.ndarray]
+    data: Optional[SceneData] = None
 
     def rows(self) -> list["_SplitStage"]:
         """The points of a batch one by one."""
@@ -595,6 +615,7 @@ class _SplitStage(NamedTuple):
             [dict(zip(self.tensors, ts)) for ts in zip(*(t.rows() for t in self.tensors.values()))],
             self.gauss.rows() if isinstance(self.gauss, maps.SubmersionResiduals) else self.gauss,
             [None] * n if self.bracket is None else self.bracket,
+            [None] * n if self.space_form is None else self.space_form,
         )
         return [_SplitStage(*row) for row in zip(*columns)]
 
@@ -610,29 +631,57 @@ def _split_stage(scn: Scenario, point, kappa) -> _SplitStage:
     split = maps.differential(scn.smap, point)
     structure = None
     if scn.structure is not None:
-        J = scn.structure.J_const
-        g = _structure_metric(scn, split)
-        structure = (
-            _structure_report(J, g) if g.ndim == 2 else [_structure_report(J, gi) for gi in g]
-        )
+        structure = _structure_report(scn.structure, _structure_metric(scn, split))
     if scn.kind == "submersion":
         T = maps.oneill_T(split)
         A = maps.oneill_A(split)
         if scn.fiber_kappa is not None and kappa is None:
             kappa = float(scn.fiber_kappa([float(v) for v in split.point.x]))
         res = maps.gauss_residual_submersion(split, T, A, fiber_kappa=kappa)
-        return _SplitStage(split, structure, {"T": T, "A": A}, res, _bracket_residual(split, A))
-    B = maps.second_fundamental_form(split)
-    return _SplitStage(split, structure, {"B": B}, maps.gauss_residual_map(split, B), None)
+        tensors, bracket = {"T": T, "A": A}, _bracket_residual(split, A)
+    else:
+        B = maps.second_fundamental_form(split)
+        tensors, res, bracket = {"B": B}, maps.gauss_residual_map(split, B), None
+    space_form = None
+    if scn.theorems:
+        # the parse-time fit check put the structure on the curved side
+        frames = np.concatenate([getattr(split, tag).vectors for tag in FRAMES[scn.kind]], axis=-2)
+        oracle = QSFOracle(scn.c, scn.structure.J_const, _structure_metric(scn, split))
+        space_form = space_form_residual_from_tensor(_ambient(scn, split), oracle, frames)
+    return _SplitStage(split, structure, tensors, res, bracket, space_form)
+
+
+def _ambient(scn: Scenario, split: maps.SceneSplit) -> np.ndarray:
+    """The curvature frame tensor of the scene's curved side."""
+    return split.target_curvature if scn.kind == "map" else split.source_curvature
+
+
+def _scene_data(scn: Scenario, stage: _SplitStage) -> SceneData:
+    """The checker input of one chart point, from its split stage."""
+    split = stage.split
+    return SceneData(
+        scn.kind, {tag: getattr(split, tag) for tag in FRAMES[scn.kind]},
+        {k: t.coeffs for k, t in stage.tensors.items()}, _structure_metric(scn, split),
+        scn.structure.J_const, scn.c, _ambient(scn, split), scn.delta_n,
+        space_form_residual=float(stage.space_form),
+        equality_tol=scn.tolerances.get("equality"),
+        bracket_residual=None if stage.bracket is None else float(stage.bracket),
+    )
 
 
 def _chunk_rows(scn: Scenario, chunk: np.ndarray) -> list[_SplitStage]:
-    """Each point's split stage, all computed for the chunk at once."""
+    """Each point's split stage and checker input, all computed for the chunk at once."""
     point = maps.MapPoint.at(scn.smap, chunk)
     kappa = None
     if scn.fiber_kappa is not None and scn.kind == "submersion":
         kappa = scn.fiber_kappa(list(chunk.T))
-    return _split_stage(scn, point, kappa).rows()
+    rows = _split_stage(scn, point, kappa).rows()
+    if not scn.theorems:
+        return rows
+    data = [_scene_data(scn, row) for row in rows]
+    families = _requested_families(scn.theorems)
+    precompute_batch(data, dict.fromkeys(k for f in families for k in FAMILY_TENSORS[f]))
+    return [row._replace(data=d) for row, d in zip(rows, data)]
 
 
 def _chart_batches(scn: Scenario, X: np.ndarray) -> list[Optional[_SplitStage]]:
@@ -640,14 +689,17 @@ def _chart_batches(scn: Scenario, X: np.ndarray) -> list[Optional[_SplitStage]]:
 
     The points go in chunks of ``batch_size`` of the larger chart
     dimension.  A chunk of two or more points computes up front, for all
-    its points at once, everything from the jets to the Gauss and bracket
-    residuals (``_chunk_rows``): the chart points with their curvature,
-    the O'Neill fields and the fiber curvature, then the split, the
-    structure check, the frame curvature tensors, B or T and A, and the
-    residuals.  A chunk of one point, or one where any of that raises,
-    runs its points alone: each computes everything itself, so a failing
-    point raises its own error at its own step.  A lone point has no point
-    axis, whose length 1 slowed single-point scenes by about 4%.
+    its points at once, everything from the jets to the checker inputs
+    (``_chunk_rows``): the chart points with their curvature, the O'Neill
+    fields and the fiber curvature, then the split, the structure check,
+    the frame curvature tensors, B or T and A, the Gauss, bracket and
+    space-form residuals, and, when the scene requests theorems, each
+    point's ``SceneData`` with its J blocks, curvature sums, hyperplane
+    extrema and equality diagnostics filled in.  A chunk of one point, or
+    one where any of that raises, runs its points alone: each computes
+    everything itself, so a failing point raises its own error at its own
+    step.  A lone point has no point axis, whose length 1 slowed
+    single-point scenes by about 4%.
     """
     smap = scn.smap
     size = geometry.batch_size(max(smap.source.dim, smap.target.dim))
@@ -666,44 +718,35 @@ def _evaluate_chart_point(scn: Scenario, x: np.ndarray, row: Optional[_SplitStag
 
     ``row`` is the point's split stage when its chunk computed it, else
     None and the point computes it alone from its coordinates ``x``.  The
-    Gauss tolerance is checked here, on the point's own residuals, so a
-    point that fails it leaves the rest of its chunk alone.  The checker
-    data is None when the scene requests no theorem.
+    Gauss tolerance is checked here, on the point's own residuals, and the
+    space-form tolerance by the checkers, on the point's own data, so a
+    point that fails either leaves the rest of its chunk alone.  The
+    checker data is None when the scene requests no theorem; a chunk's row
+    brings it with everything the checkers read filled in, and a lone
+    point builds it here and fills it on demand.
     """
-    split, structure, tensors, res, bracket = row or _split_stage(scn, x, None)
+    stage = row or _split_stage(scn, x, None)
+    split, tensors = stage.split, stage.tensors
     validation = {
         "isometry_residual": float(split.isometry_residual),
         "kernel_residual": float(split.kernel_residual),
     }
-    if structure is not None:
-        validation["structure"] = structure
+    if stage.structure is not None:
+        validation["structure"] = stage.structure
 
-    chart = {}
     if scn.kind == "submersion":
         validation["T_symmetry_residual"] = tensors["T"].symmetry_residual()
         validation["A_skew_residual"] = tensors["A"].symmetry_residual()
-        gauss = res.as_dict()
+        gauss = stage.gauss.as_dict()
         _check_gauss(scn, max(gauss["vertical"], gauss["horizontal"], gauss["mixed"]))
-        chart["bracket_residual"] = float(bracket)
-        validation["bracket_verticality_residual"] = chart["bracket_residual"]
+        validation["bracket_verticality_residual"] = float(stage.bracket)
     else:
         validation["B_symmetry_residual"] = tensors["B"].symmetry_residual()
-        gauss = {"map": float(res)}
+        gauss = {"map": float(stage.gauss)}
         _check_gauss(scn, gauss["map"])
     data = None
     if scn.theorems:
-        # the parse-time fit check put the structure on the curved side
-        frames = {tag: getattr(split, tag) for tag in FRAMES[scn.kind]}
-        ambient = split.target_curvature if scn.kind == "map" else split.source_curvature
-        g = _structure_metric(scn, split)
-        J = scn.structure.J_const
-        chart["space_form_residual"] = space_form_residual_from_tensor(
-            ambient, QSFOracle(scn.c, J, g), np.vstack([f.vectors for f in frames.values()])
-        )
-        data = SceneData(
-            scn.kind, frames, {k: t.coeffs for k, t in tensors.items()}, g, J, scn.c, ambient,
-            scn.delta_n, equality_tol=scn.tolerances.get("equality"), **chart,
-        )
+        data = stage.data or _scene_data(scn, stage)
     return split.point.y.tolist(), validation, gauss, data
 
 
@@ -711,7 +754,7 @@ def _evaluate_pointwise(scn: Scenario):
     """Validation and checker data of a pointwise scene, shaped like a chart point's."""
     g = scn.g
     J = scn.structure.J_const
-    validation = {"structure": _structure_report(J, g)}
+    validation = {"structure": _structure_report(scn.structure, g)}
     frames = {tag: OrthoFrame(scn.frames[tag], g) for tag in FRAMES[scn.kind]}
     for tag, fr in frames.items():
         res = fr.orthonormality_residual()

@@ -3,10 +3,12 @@
 A chunk of a scene's points computes its jets, metrics, Christoffel
 symbols, curvature, O'Neill fields and fiber curvature at once, then the
 split, B or T and A, the frame curvature tensors and the Gauss and
-bracket residuals, and each point reads its row; a chunk where any of
-that raises runs its points alone.  These tests hold the batch to the single point: reports are
-byte-identical, a failing point keeps its own message, and a check that
-fails at one point leaves the others alone.
+bracket residuals, then the checker inputs (structure check, space-form
+residual, J blocks, curvature sums, hyperplane extrema and equality
+diagnostics), and each point reads its row; a chunk where any of that
+raises runs its points alone.  These tests hold the batch to the single
+point: reports are byte-identical, a failing point keeps its own message,
+and a check that fails at one point leaves the others alone.
 """
 
 import copy
@@ -15,25 +17,32 @@ import itertools
 import json
 import math
 import re
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from casoratiq import geometry, jets, maps
+from casoratiq import geometry, inequalities, jets, maps, scenes
+from casoratiq.casorati import CasoratiInput, hyperplane_extrema
 from casoratiq.errors import (
     DegenerateMetricError,
     DependencyError,
     DomainError,
     NotRiemannianMapError,
+    OracleError,
     SceneValidationError,
 )
 from casoratiq.geometry import MAX_DIM, ChartPoint, MetricChart, _symmetry_defects, batch_size
+from casoratiq.inequalities import _diagnostic_arrays, equality_diagnostics
 from casoratiq.maps import MapPoint
+from casoratiq.quaternionic import QSFOracle, decompose_J, hermitian_residual, quat_units
 from casoratiq.scenes import builtin_scenario, evaluate_scenario, load_scenario, parse_scenario
 
-from conftest import random_submersion
+from conftest import orthonormal_rows, random_submersion
 
+# the package exports the function casorati under the module's name
+casorati = sys.modules["casoratiq.casorati"]
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 SYMMETRIES = ("antisym_12", "antisym_34", "pair_sym", "bianchi")
 
@@ -75,6 +84,35 @@ def _sampled_s4():
     doc = json.loads((SCENARIOS / "s4-radial.json").read_text())
     doc["points"] = {"sample": {"count": 12, "seed": 17, "box": [[0.1, 1.5]] * 4}}
     return parse_scenario(doc)
+
+
+def _graph_immersion():
+    """The graph of (x1 x2, x3 x4) in flat:8 with its pulled-back metric I + sum grad f grad f^T.
+
+    B has two nonzero slices, so every point takes the multi-start.
+    """
+    return parse_scenario({
+        "version": 1,
+        "name": "graph-immersion:4in8",
+        "mode": "chart",
+        "map": {
+            "source": {
+                "dim": 4,
+                "box": [[-2.0, 2.0]] * 4,
+                "metric": [["1+x2^2", "x1*x2", "0", "0"], ["x1*x2", "1+x1^2", "0", "0"],
+                           ["0", "0", "1+x4^2", "x3*x4"], ["0", "0", "x3*x4", "1+x3^2"]],
+                "name": "graph-pullback",
+            },
+            "target": "flat:8",
+            "exprs": ["x1", "x2", "x3", "x4", "x1*x2", "x3*x4", "0", "0"],
+            "map_mode": "riemannian_map",
+            "rank": 4,
+        },
+        "structure": {"on": "target", "name": "quat-flat:2"},
+        "c": 0.0,
+        "points": [[0.3, -0.2, 0.5, 0.1], [-0.4, 0.6, 0.2, -0.3], [0.7, 0.1, -0.5, 0.4]],
+        "theorems": ["map_3_2", "lemma_map_3_1"],
+    })
 
 
 # -- jets ----------------------------------------------------------------------
@@ -128,7 +166,19 @@ MULTI_POINT = {
     "product-sampled": lambda: _sampled("product-projection:8to4", 6, 18, [[-1.0, 1.0]] * 8),
     # the map path: B and the map Gauss residual
     "paraboloid-sampled": lambda: _sampled("paraboloid-vertex", 7, 19),
+    # map theorems: B = 0 takes the exact extrema, batched
+    "flat-embedding:4in8": lambda: builtin_scenario("flat-embedding:4in8"),
+    # map theorems: B takes the multi-start at every point
+    "graph-immersion": _graph_immersion,
 }
+
+
+def test_graph_immersion_takes_the_multistart():
+    rep = evaluate_scenario(_graph_immersion())
+    for p in rep.points:
+        assert p.gauss_residuals["map"] <= 1e-15
+        paths = {r.extras["optimizer_audit"]["path"] for r in p.reports}
+        assert paths == {"multistart"}
 
 
 @pytest.mark.parametrize("name", sorted(MULTI_POINT))
@@ -204,6 +254,25 @@ def _off_fiber_curvature(points) -> dict:
     return doc
 
 
+def _curved_normal_bundle(points) -> dict:
+    """flat-embedding:4in8 into a target whose last four coordinates are scaled by
+    1 + (y1 - 0.3)^3 (y1 - 1)^3: the map stays isometric and totally geodesic, the
+    structure stays hermitian, and the target is flat to second order, as the
+    space form c = 0 needs, only where y1 is 0.3 or 1."""
+    doc = _with_points("flat-embedding:4in8", points)
+    scale = "1+(x1-0.3)^3*(x1-1.0)^3"
+    metric = _identity_metric(8)
+    for i in range(4, 8):
+        metric[i][i] = scale
+    doc["map"]["target"] = {"dim": 8, "box": [[-5.0, 5.0]] * 8, "metric": metric,
+                            "name": "curved-normal"}
+    return doc
+
+
+def _identity_metric(n: int) -> list:
+    return [["1" if i == j else "0" for j in range(n)] for i in range(n)]
+
+
 # builder, [good, bad, good] points, the bad point's error type and message
 ONE_BAD_POINT = {
     "source box": (
@@ -244,9 +313,15 @@ ONE_BAD_POINT = {
         SceneValidationError,
         "Gauss residual 1.000e-01 exceeds the scene tolerance 1.0e-06",
     ),
+    "space-form residual": (
+        _curved_normal_bundle,
+        [[0.3, 0.2, -0.3, 0.4], [0.8, 0.1, 0.2, -0.1], [1.0, -0.2, 0.1, 0.3]],
+        OracleError,
+        "target curvature deviates from the c=0.0 space form by 2.983e-03",
+    ),
 }
 # failures a point finds on its own row: its chunk does not run again point by point
-CHECKED_ON_THE_ROW = {"Gauss residual"}
+CHECKED_ON_THE_ROW = {"Gauss residual", "space-form residual"}
 
 
 @pytest.mark.parametrize("kind", sorted(ONE_BAD_POINT))
@@ -417,6 +492,177 @@ def test_split_and_frame_tensors_once_per_chunk(count, chunks, monkeypatch):
     # one frame tensor per side, the source (n = 4) and the target (n = 3)
     for n in (4, 3):
         assert [lead for dim, lead in contracted if dim == n] == chunks
+
+
+def _count_leads(monkeypatch) -> dict:
+    """The point axes each checker-input computation is called with from now on.
+
+    The extrema and the diagnostics take stacks of points, a lone point a
+    stack of one; they are recorded by the stack size.
+    """
+    calls = {}
+
+    def count(module, name, lead):
+        original = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls.setdefault(name, []).append(lead(*args))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    count(scenes, "hermitian_residual", lambda J, g: g.shape[:-2])
+    count(scenes, "space_form_residual_from_tensor", lambda R, oracle, E: R.shape[:-4])
+    count(inequalities, "decompose_J", lambda J, g, *frames: g.shape[:-2])
+    count(inequalities, "curvature_sums", lambda R, s: R.shape[:-4])
+    for module in (casorati, inequalities):  # the lone path and the batched path
+        count(module, "_extrema_rows", lambda h, kind: len(h))
+    count(inequalities, "_diagnostics_rows", lambda h, *rest: len(h))
+    return calls
+
+
+@pytest.mark.parametrize(
+    "count, chunks", [(1, [()]), (11, [(5,), (5,), ()]), (12, [(5,), (5,), (2,)])]
+)
+def test_checker_inputs_once_per_chunk(count, chunks, monkeypatch):
+    monkeypatch.setattr(geometry, "batch_size", lambda n: 5)
+    calls = _count_leads(monkeypatch)
+    rep = evaluate_scenario(_sampled_hopf(count))
+    assert rep.aggregate["point_errors"] == 0 and len(rep.points) == count
+    assert all(p.reports for p in rep.points)
+    sizes = [math.prod(lead) for lead in chunks]
+    assert calls == {
+        "hermitian_residual": chunks,
+        "space_form_residual_from_tensor": chunks,
+        "decompose_J": chunks,
+        "curvature_sums": chunks,
+        "_extrema_rows": sizes,  # A only: the horizontal family reads nothing else
+        "_diagnostics_rows": sizes,
+    }
+
+
+# -- checker inputs: a point of a stack gets the bits it gets alone -------------------
+
+
+def _bits_of(*arrays) -> list:
+    return [_bits(a) for a in arrays]
+
+
+def _stack_cases(count=40):
+    """Random (P, a, n, n) slice stacks and their kind, over the shapes the checkers meet."""
+    rng = np.random.default_rng(19)
+    for k in range(count):
+        P, a, n = int(rng.integers(2, 6)), int(rng.integers(0, 6)), int(rng.integers(3, 9))
+        h = rng.normal(size=(P, a, n, n))
+        kind = "skew" if k % 3 == 0 else "symmetric"
+        h = 0.5 * (h - h.swapaxes(-1, -2)) if kind == "skew" else 0.5 * (h + h.swapaxes(-1, -2))
+        if kind == "symmetric" and a and k % 3 == 1:
+            h[:, 1:] = 0.0  # one nonzero slice: the one-slice closed form
+        if k % 5 == 0:
+            h[0] = 0.0  # a zero stack among the others
+        yield h, kind
+
+
+def _extrema_bits(ex) -> list:
+    return _bits_of(ex.inf_CL, ex.sup_CL, ex.argmin_normal, ex.argmax_normal) + [
+        ex.degenerate_min, ex.degenerate_max, ex.audit
+    ]
+
+
+def test_stacked_extrema_match_each_stack_alone():
+    for h, kind in _stack_cases():
+        rows = casorati._extrema_rows(h, kind)
+        for row, hp in zip(rows, h):
+            alone = hyperplane_extrema(CasoratiInput(hp, kind=kind))
+            assert _extrema_bits(row) == _extrema_bits(alone)
+
+
+def _diagnostics_loops(h, u):
+    """The equality diagnostics of one stack as slice and pair loops, the reference."""
+    n = h.shape[-1]
+    Q = inequalities._rotation_to_last(u)
+    rotated = np.einsum("ia,xab,jb->xij", Q, h, Q)
+    off = rotated.copy()
+    for sl in off:
+        np.fill_diagonal(sl, 0.0)
+    offdiag = float(np.abs(off).max()) if off.size else 0.0
+    pattern = common = comm = 0.0
+    for sl in rotated:
+        d = np.diagonal(sl)
+        lam = (d[:-1].sum() + 2.0 * d[-1]) / (n + 3.0)
+        target = np.full(n, lam)
+        target[-1] = 2.0 * lam
+        pattern = max(pattern, float(np.linalg.norm(d - target)))
+        common = max(common, float(np.linalg.norm(sl[:-1, -1])))
+    for a in range(h.shape[0]):
+        for b in range(a + 1, h.shape[0]):
+            comm = max(comm, float(np.linalg.norm(h[a] @ h[b] - h[b] @ h[a])))
+    return offdiag, pattern, common, comm
+
+
+def test_stacked_diagnostics_match_the_slice_loops():
+    rng = np.random.default_rng(20)
+    for h, kind in _stack_cases():
+        u = rng.normal(size=h.shape[::3])
+        u /= np.linalg.norm(u, axis=-1, keepdims=True)
+        stacked = _diagnostic_arrays(h, u)
+        for p in range(len(h)):
+            want = _diagnostics_loops(h[p], u[p])
+            assert [float(a[p]) for a in stacked] == list(want)
+            alone = _diagnostic_arrays(h[p], u[p])
+            assert [float(a) for a in alone] == list(want)
+        ex = hyperplane_extrema(CasoratiInput(h[0], kind=kind))
+        d = equality_diagnostics(CasoratiInput(h[0], kind=kind), ex)
+        want = _diagnostics_loops(h[0], np.asarray(ex.argmin_normal))
+        assert (d.offdiag_max, d.eigen_pattern_residual, d.common_eigendirection_residual,
+                d.commutator_max) == want
+
+
+def _space_form_cases(count=12):
+    """Random metrics, orthonormal frames and curvature tensors at P points."""
+    rng = np.random.default_rng(21)
+    for k in range(count):
+        P, m = int(rng.integers(2, 5)), int(rng.integers(1, 4))
+        n = 4 * m
+        # a J-hermitian metric: a positive multiple of the identity on each quaternionic line
+        g = np.stack([np.kron(np.diag(rng.uniform(0.5, 2.0, size=m)), np.eye(4)) for _ in range(P)])
+        # rows orthonormal for the diagonal metric
+        E = np.stack([orthonormal_rows(rng, n) @ np.diag(1.0 / np.sqrt(np.diag(gp))) for gp in g])
+        R = rng.normal(size=(P,) + (n,) * 4)
+        yield quat_units(m), g, E, R, int(rng.integers(0, n + 1))
+
+
+def test_stacked_space_form_and_J_blocks_match_each_point_alone():
+    for J, g, E, R, s in _space_form_cases():
+        c = -4.0
+        tensor = QSFOracle(c, J, g).curvature_tensor(E)
+        residual = inequalities.space_form_residual_from_tensor(R, QSFOracle(c, J, g), E)
+        decomp = decompose_J(J, g, E[:, :s], E[:, s:])
+        sums = geometry.curvature_sums(R, s)
+        herm = hermitian_residual(J, g)
+        for p in range(len(g)):
+            oracle = QSFOracle(c, J, g[p])
+            assert _bits(tensor[p]) == _bits(oracle.curvature_tensor(E[p]))
+            assert float(residual[p]) == inequalities.space_form_residual_from_tensor(
+                R[p], oracle, E[p]
+            )
+            alone = decompose_J(J, g[p], E[p, :s], E[p, s:])
+            row = decomp.rows()[p]
+            for part in ("norms_P", "norms_Q", "norms_PV", "blocks"):
+                assert _bits(getattr(row, part)) == _bits(getattr(alone, part))
+            # the per-J loop of sums over each block, the reference
+            for norms, block in ((alone.norms_P, (slice(None, s),) * 2),
+                                 (alone.norms_Q, (slice(s, None),) * 2),
+                                 (alone.norms_PV, (slice(None, s), slice(s, None)))):
+                assert norms.tolist() == [float(np.sum(b[block] ** 2)) for b in alone.blocks]
+            K = np.einsum("abba->ab", R[p]).copy()
+            np.fill_diagonal(K, 0.0)
+            want = (float(K[:s, :s].sum()), float(K[s:, s:].sum()), float(K[:s, s:].sum()))
+            assert tuple(float(v[p]) for v in sums) == want
+            assert tuple(geometry.curvature_sums(R[p], s)) == want
+            assert float(herm[p]) == max(
+                float(np.abs(J[a].T @ g[p] @ J[a] - g[p]).max()) for a in range(3)
+            )
 
 
 # -- curvature symmetries ------------------------------------------------------
