@@ -33,11 +33,13 @@ class CasoratiInput:
     """Coefficient slices h^alpha_{ij} of a fundamental tensor.
 
     ``coeffs`` has shape (n_codist, n, n); ``kind`` declares the symmetry
-    of each slice ("symmetric" for B and T, "skew" for A).
+    of each slice ("symmetric" for B and T, "skew" for A).  The squared
+    norm is computed once, when the input is checked.
     """
 
     coeffs: np.ndarray
     kind: str = "symmetric"
+    _norm_sq: float = field(default=0.0, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         c = np.asarray(self.coeffs, dtype=float)
@@ -61,6 +63,7 @@ class CasoratiInput:
                 f"coefficients violate declared {self.kind} symmetry by {worst:.3e}"
             )
         object.__setattr__(self, "coeffs", c)
+        object.__setattr__(self, "_norm_sq", norm_sq)
 
     @property
     def n(self) -> int:
@@ -71,7 +74,7 @@ class CasoratiInput:
         return self.coeffs.shape[0]
 
     def norm_sq(self) -> float:
-        return float(np.sum(self.coeffs**2))
+        return self._norm_sq
 
     def trace_norm_sq(self) -> float:
         traces = np.trace(self.coeffs, axis1=1, axis2=2)
@@ -396,36 +399,34 @@ def hyperplane_extrema(inp: CasoratiInput) -> HyperplaneExtrema:
     n = inp.n
     if n < 3:
         raise DimensionError(f"hyperplane extremization needs n >= 3, got {n}")
-    return _extrema_rows(inp.coeffs[None], inp.kind)[0]
+    return _extrema_rows(inp.coeffs[None], inp.kind, [inp.norm_sq()])[0]
 
 
-def _extrema_rows(h: np.ndarray, kind: str) -> list[HyperplaneExtrema]:
+def _extrema_rows(h: np.ndarray, kind: str, total_sq: list) -> list[HyperplaneExtrema]:
     """``hyperplane_extrema`` of every stack of slices ``h[p]`` (P, a, n, n), n >= 3.
 
-    Each stack takes its own path.  The matrices of the exact paths, M for
-    skew or zero slices and the one nonzero slice otherwise, share one
-    stacked ``eigh``, which gives each the bits it gets alone; each
-    multi-start runs alone.
+    ``total_sq[p]`` is |h[p]|^2.  Each stack takes its own path.  The
+    matrices of the exact paths, M for skew or zero slices and the one
+    nonzero slice otherwise, share one stacked ``eigh``, which gives each
+    the bits it gets alone; each multi-start runs alone.
     """
     if kind == "skew":
         slices = [0] * len(h)  # as if zero: the quartic term of skew slices vanishes
     else:
-        nonzero = h.any(axis=(-2, -1))
-        slices = nonzero.sum(axis=-1).tolist()
+        slices = h.any(axis=(-2, -1)).sum(axis=-1).tolist()
     closed = [p for p, k in enumerate(slices) if k < 2]
     out = [None] * len(h)
     if closed:
         hc = h if len(closed) == len(h) else h[closed]
         mats = np.einsum("...aji,...ajk->...ik", hc, hc)
         for i, p in enumerate(closed):
-            if slices[p] == 1:
-                mats[i] = h[p, nonzero[p].argmax()]
+            if slices[p]:
+                mats[i] = h[p, h[p].any(axis=(-2, -1)).argmax()]
         lam, V = np.linalg.eigh(mats)
-        total_sq = np.sum(hc**2, axis=(-3, -2, -1)).tolist()
         for i, p in enumerate(closed):
             out[p] = (
                 _one_slice_extrema(lam[i], V[i]) if slices[p]
-                else _exact_extrema(total_sq[i], lam[i], V[i])
+                else _exact_extrema(total_sq[p], lam[i], V[i])
             )
     for p, k in enumerate(slices):
         if k >= 2:

@@ -333,7 +333,9 @@ def precompute_batch(rows: list[SceneData], keys) -> None:
         h = np.stack([r.tensors[key].coeffs for r in rows])
         if h.shape[-1] < 3:  # the checkers reject the family before they read the extrema
             continue
-        extrema = _extrema_rows(h, TENSORS[key].symmetry)
+        extrema = _extrema_rows(
+            h, TENSORS[key].symmetry, [r.tensors[key].norm_sq() for r in rows]
+        )
         diagnostics = _diagnostics_rows(
             h, extrema, [r._a_norm_sq() for r in rows], [r.bracket_residual for r in rows]
         )

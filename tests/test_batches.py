@@ -260,17 +260,12 @@ def _curved_normal_bundle(points) -> dict:
     structure stays hermitian, and the target is flat to second order, as the
     space form c = 0 needs, only where y1 is 0.3 or 1."""
     doc = _with_points("flat-embedding:4in8", points)
-    scale = "1+(x1-0.3)^3*(x1-1.0)^3"
-    metric = _identity_metric(8)
+    metric = scenes._identity_metric_exprs(8)
     for i in range(4, 8):
-        metric[i][i] = scale
+        metric[i][i] = "1+(x1-0.3)^3*(x1-1.0)^3"
     doc["map"]["target"] = {"dim": 8, "box": [[-5.0, 5.0]] * 8, "metric": metric,
                             "name": "curved-normal"}
     return doc
-
-
-def _identity_metric(n: int) -> list:
-    return [["1" if i == j else "0" for j in range(n)] for i in range(n)]
 
 
 # builder, [good, bad, good] points, the bad point's error type and message
@@ -516,7 +511,7 @@ def _count_leads(monkeypatch) -> dict:
     count(inequalities, "decompose_J", lambda J, g, *frames: g.shape[:-2])
     count(inequalities, "curvature_sums", lambda R, s: R.shape[:-4])
     for module in (casorati, inequalities):  # the lone path and the batched path
-        count(module, "_extrema_rows", lambda h, kind: len(h))
+        count(module, "_extrema_rows", lambda h, kind, total_sq: len(h))
     count(inequalities, "_diagnostics_rows", lambda h, *rest: len(h))
     return calls
 
@@ -544,10 +539,6 @@ def test_checker_inputs_once_per_chunk(count, chunks, monkeypatch):
 # -- checker inputs: a point of a stack gets the bits it gets alone -------------------
 
 
-def _bits_of(*arrays) -> list:
-    return [_bits(a) for a in arrays]
-
-
 def _stack_cases(count=40):
     """Random (P, a, n, n) slice stacks and their kind, over the shapes the checkers meet."""
     rng = np.random.default_rng(19)
@@ -564,14 +555,14 @@ def _stack_cases(count=40):
 
 
 def _extrema_bits(ex) -> list:
-    return _bits_of(ex.inf_CL, ex.sup_CL, ex.argmin_normal, ex.argmax_normal) + [
+    return [_bits(a) for a in (ex.inf_CL, ex.sup_CL, ex.argmin_normal, ex.argmax_normal)] + [
         ex.degenerate_min, ex.degenerate_max, ex.audit
     ]
 
 
 def test_stacked_extrema_match_each_stack_alone():
     for h, kind in _stack_cases():
-        rows = casorati._extrema_rows(h, kind)
+        rows = casorati._extrema_rows(h, kind, [float(np.sum(hp**2)) for hp in h])
         for row, hp in zip(rows, h):
             alone = hyperplane_extrema(CasoratiInput(hp, kind=kind))
             assert _extrema_bits(row) == _extrema_bits(alone)
@@ -580,7 +571,11 @@ def test_stacked_extrema_match_each_stack_alone():
 def _diagnostics_loops(h, u):
     """The equality diagnostics of one stack as slice and pair loops, the reference."""
     n = h.shape[-1]
-    Q = inequalities._rotation_to_last(u)
+    # the Householder reflection whose last row is u
+    sign = 1.0 if u[-1] >= 0 else -1.0
+    v = u + sign * np.eye(n)[-1]
+    v /= np.linalg.norm(v)
+    Q = -sign * (np.eye(n) - 2.0 * np.outer(v, v))
     rotated = np.einsum("ia,xab,jb->xij", Q, h, Q)
     off = rotated.copy()
     for sl in off:
@@ -632,6 +627,15 @@ def _space_form_cases(count=12):
         yield quat_units(m), g, E, R, int(rng.integers(0, n + 1))
 
 
+def _space_form_products(c, J, g, E):
+    """The space-form tensor and the J blocks of one point as 2-d products, the reference."""
+    G = E @ g @ E.T
+    X = E @ g @ J @ E.T
+    XX = np.tensordot(X, X, axes=(0, 0))
+    P = np.multiply.outer(G, G) + XX
+    return 0.25 * c * (P.transpose(2, 0, 1, 3) - P.transpose(0, 2, 1, 3) - 2.0 * XX), X
+
+
 def test_stacked_space_form_and_J_blocks_match_each_point_alone():
     for J, g, E, R, s in _space_form_cases():
         c = -4.0
@@ -642,7 +646,8 @@ def test_stacked_space_form_and_J_blocks_match_each_point_alone():
         herm = hermitian_residual(J, g)
         for p in range(len(g)):
             oracle = QSFOracle(c, J, g[p])
-            assert _bits(tensor[p]) == _bits(oracle.curvature_tensor(E[p]))
+            want_tensor, want_blocks = _space_form_products(c, J, g[p], E[p])
+            assert _bits(tensor[p]) == _bits(oracle.curvature_tensor(E[p])) == _bits(want_tensor)
             assert float(residual[p]) == inequalities.space_form_residual_from_tensor(
                 R[p], oracle, E[p]
             )
@@ -650,6 +655,7 @@ def test_stacked_space_form_and_J_blocks_match_each_point_alone():
             row = decomp.rows()[p]
             for part in ("norms_P", "norms_Q", "norms_PV", "blocks"):
                 assert _bits(getattr(row, part)) == _bits(getattr(alone, part))
+            assert _bits(alone.blocks) == _bits(want_blocks)
             # the per-J loop of sums over each block, the reference
             for norms, block in ((alone.norms_P, (slice(None, s),) * 2),
                                  (alone.norms_Q, (slice(s, None),) * 2),
