@@ -22,6 +22,7 @@ import math
 import operator
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -178,5 +179,14 @@ class CompiledExpression:
 
 
 def compile_expression(text) -> CompiledExpression:
-    """Compile an expression string; a JSON number is read as its decimal text."""
-    return CompiledExpression(str(text), _program(str(text)))
+    """Compile an expression string; a JSON number is read as its decimal text.
+
+    Each distinct text compiles once per process and every caller shares
+    the immutable result; a text that does not compile raises every time.
+    """
+    return _compile(str(text))
+
+
+@lru_cache(maxsize=1024)
+def _compile(text: str) -> CompiledExpression:
+    return CompiledExpression(text, _program(text))

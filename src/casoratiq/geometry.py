@@ -196,8 +196,8 @@ class ChartPoint:
     """The metric jets of a chart at P points, and what derives from them.
 
     Every array has the point axes first; a lone point has none.  Built
-    from one ``metric_jets`` call.  The inverse metric and its two
-    derivatives, the Christoffel symbols, their gradient and the curvature
+    from one ``metric_jets`` call.  The inverse metric and its first
+    derivative, the Christoffel symbols, their gradient and the curvature
     are computed from those jets on first use and kept, so every consumer
     shares one copy.  ``rows`` splits a batch into its points.
     """
@@ -234,8 +234,8 @@ class ChartPoint:
 
     @cached_property
     def ginv_jet(self) -> tuple:
-        """Matrix jet of g^-1: ``(g^kl, d_m g^kl, d_m d_n g^kl)``, derivative axes before k, l."""
-        g = (self.G0, tail_transpose(self.G1, 2, 0, 1), tail_transpose(self.G2, 2, 3, 0, 1))
+        """Matrix jet of g^-1: ``(g^kl, d_m g^kl)``, the derivative axis before k, l."""
+        g = (self.G0, tail_transpose(self.G1, 2, 0, 1))
         try:
             return matrix_inverse(g)
         except np.linalg.LinAlgError as e:
@@ -264,7 +264,7 @@ class ChartPoint:
         # DD[m, i, j, l] = d_m d_i g_jl
         DD = tail_transpose(self.G2, 3, 2, 0, 1)
         Am = DD + DD.swapaxes(-3, -2) - tail_transpose(DD, 0, 2, 3, 1)
-        ginv, dginv = self.ginv_jet[:2]
+        ginv, dginv = self.ginv_jet
         fk = tail_transpose(self._first_kind, 2, 0, 1).reshape(lead + (n, n * n))
         am = tail_transpose(Am, 3, 0, 1, 2).reshape(lead + (n, n**3))
         return 0.5 * (

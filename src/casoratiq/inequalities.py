@@ -255,8 +255,9 @@ class SceneData:
     What the checkers read is computed on first use and memoized: the J
     blocks (``decomp``), the curvature sums (``sums``), and each tensor's
     hyperplane extrema and equality diagnostics (``_extrema``,
-    ``_diagnostics``).  ``precompute_batch`` fills these slots for all
-    the points of a chart chunk at once; a lone point fills them on
+    ``_diagnostics``).  Scenes put in the J blocks they computed for the
+    space-form residual; ``precompute_batch`` fills the other slots for all
+    the points of a chart chunk at once, and a lone point fills them on
     demand, in the order its checkers read them.
     """
 
@@ -314,21 +315,19 @@ class SceneData:
 def precompute_batch(rows: list[SceneData], keys) -> None:
     """Compute at once, for the points of a batch, what the checkers read from each row.
 
-    ``rows`` are the points' ``SceneData``, all of one kind and shape.
-    The J blocks and norms (``decompose_J``), the curvature sums and, for
-    each tensor of ``keys`` over at least 3 vectors, the hyperplane
-    extrema and the equality diagnostics are computed with the point axis
-    first and put in the slots where each row memoizes them, so the
-    checkers only assemble reports.  Each row gets the bits it would
-    compute alone; each check raises for the first point that fails it.
+    ``rows`` are the points' ``SceneData``, all of one kind and shape,
+    each already holding its J blocks.  The curvature sums and, for each
+    tensor of ``keys`` over at least 3 vectors, the hyperplane extrema and
+    the equality diagnostics are computed with the point axis first and put
+    in the slots where each row memoizes them, so the checkers only
+    assemble reports.  Each row gets the bits it would compute alone; each
+    check raises for the first point that fails it.
     """
     first = rows[0]
-    tags = FRAMES[first.kind]
-    E1, E2 = (np.stack([r.frames[tag].vectors for r in rows]) for tag in tags)
-    decomps = decompose_J(first.J, np.stack([r.g for r in rows]), E1, E2).rows()
-    sums = curvature_sums(np.stack([r.ambient for r in rows]), E1.shape[-2])
-    for row, decomp, row_sums in zip(rows, decomps, zip(*(v.tolist() for v in sums))):
-        vars(row).update(decomp=decomp, sums=row_sums)
+    s = first.frames[FRAMES[first.kind][0]].k
+    sums = curvature_sums(np.stack([r.ambient for r in rows]), s)
+    for row, row_sums in zip(rows, zip(*(v.tolist() for v in sums))):
+        vars(row).update(sums=row_sums)
     for key in keys:
         h = np.stack([r.tensors[key].coeffs for r in rows])
         if h.shape[-1] < 3:  # the checkers reject the family before they read the extrema
@@ -345,14 +344,15 @@ def precompute_batch(rows: list[SceneData], keys) -> None:
 
 
 def space_form_residual_from_tensor(
-    frame_tensor: np.ndarray, oracle: QSFOracle, frame_vectors: np.ndarray
+    frame_tensor: np.ndarray, oracle: QSFOracle, frame_vectors: np.ndarray, blocks=None
 ) -> np.ndarray:
     """Largest deviation of a curvature frame tensor from the space form on the same frame.
 
     The tensor, the frame and the oracle's metric may carry the same
     leading point axes; the residual has them (a scalar for a lone point).
+    ``blocks`` are the frame's J blocks when already computed.
     """
-    deviation = frame_tensor - oracle.curvature_tensor(frame_vectors)
+    deviation = frame_tensor - oracle.curvature_tensor(frame_vectors, blocks)
     return np.abs(deviation).max(axis=(-4, -3, -2, -1))
 
 

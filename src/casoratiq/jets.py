@@ -19,8 +19,17 @@ the elementary functions are computed value by value with Python's float
 and ``math`` calls (numpy's ``**`` differs from Python's in the last
 bit), which also keeps ``math``'s error messages.
 
-A matrix jet is a tuple ``(M, dM, d2M)`` with ``dM[..., p, :, :] = d_p M``
-and ``d2M[..., p, q, :, :] = d_p d_q M``, the point axes first.
+A matrix jet is a pair ``(M, dM)`` with ``dM[..., p, :, :] = d_p M``,
+the point axes first: every reader of a matrix jet needs the first
+derivative only.  Where a second derivative of a matrix field is read,
+it is read along a frame, and a frame jet ``(M, dM, ddM)`` holds just
+that: ``dM[..., e, :, :]`` is the derivative along the e-th row of a
+frame E whose first s rows are one direction set H and the rest another
+set V, and ``ddM[..., i, j, :, :] = D_{h_i} D_{v_j} M`` the mixed second
+derivative on the s x ell (H, V) pairs alone.  Restricting the jets to
+the directions that are read is directional Taylor mode (Griewank &
+Walther, ch. 13); ``frame_product``, ``frame_mixed`` and ``frame_solve``
+carry such jets through products and linear solves.
 """
 
 from __future__ import annotations
@@ -44,6 +53,9 @@ __all__ = [
     "per_value",
     "matrix_product",
     "matrix_inverse",
+    "frame_mixed",
+    "frame_product",
+    "frame_solve",
 ]
 
 
@@ -245,28 +257,53 @@ def seed_point(x) -> list[Jet2]:
 
 
 def matrix_product(a: tuple, b: tuple) -> tuple:
-    """Matrix jet of the product ``A B`` (Leibniz rule to second order)."""
-    a0, a1, a2 = a
-    b0, b1, b2 = b
-    A0, B0 = a0[..., None, :, :], b0[..., None, :, :]
-    return (
-        a0 @ b0,
-        a1 @ B0 + A0 @ b1,
-        a2 @ B0[..., None, :, :] + A0[..., None, :, :] @ b2
-        + a1[..., :, None, :, :] @ b1[..., None, :, :, :]
-        + a1[..., None, :, :, :] @ b1[..., :, None, :, :],
-    )
+    """Matrix jet of the product ``A B`` (Leibniz rule to first order)."""
+    a0, a1 = a
+    b0, b1 = b
+    return a0 @ b0, a1 @ b0[..., None, :, :] + a0[..., None, :, :] @ b1
 
 
 def matrix_inverse(a: tuple) -> tuple:
-    """Matrix jet of ``A^-1``, from differentiating ``A A^-1 = I`` twice."""
-    a0, a1, a2 = a
+    """Matrix jet of ``A^-1``, from differentiating ``A A^-1 = I``."""
+    a0, a1 = a
     x0 = np.linalg.inv(a0)
     X0 = x0[..., None, :, :]
-    x1 = -X0 @ a1 @ X0
-    x2 = -X0[..., None, :, :] @ (
-        a2 @ X0[..., None, :, :]
-        + a1[..., :, None, :, :] @ x1[..., None, :, :, :]
-        + a1[..., None, :, :, :] @ x1[..., :, None, :, :]
+    return x0, -X0 @ a1 @ X0
+
+
+def _mixed_pairs(a1: np.ndarray, b1: np.ndarray, s: int) -> np.ndarray:
+    """``D_h A D_v B + D_v A D_h B`` on every (h_i, v_j) pair, from derivatives along a frame."""
+    return (
+        a1[..., :s, None, :, :] @ b1[..., None, s:, :, :]
+        + a1[..., None, s:, :, :] @ b1[..., :s, None, :, :]
+    )
+
+
+def frame_mixed(a: tuple, b: tuple, s: int) -> np.ndarray:
+    """``D_{h_i} D_{v_j} (A B)`` alone, from the frame jets of A and B."""
+    a0, a1, a2 = a
+    b0, b1, b2 = b
+    return (
+        a2 @ b0[..., None, None, :, :] + a0[..., None, None, :, :] @ b2 + _mixed_pairs(a1, b1, s)
+    )
+
+
+def frame_product(a: tuple, b: tuple, s: int) -> tuple:
+    """Frame jet of the product ``A B``; the frame's first ``s`` rows span H."""
+    return (*matrix_product(a[:2], b[:2]), frame_mixed(a, b, s))
+
+
+def frame_solve(a: tuple, ainv: np.ndarray, b: tuple, s: int) -> tuple:
+    """Frame jet of ``X = A^-1 B``, from differentiating ``A X = B`` twice.
+
+    ``ainv`` is ``A^-1`` at the points; the frame's first ``s`` rows span H.
+    """
+    a0, a1, a2 = a
+    b0, b1, b2 = b
+    X0 = ainv[..., None, :, :]
+    x0 = ainv @ b0
+    x1 = X0 @ (b1 - a1 @ x0[..., None, :, :])
+    x2 = X0[..., None, :, :] @ (
+        b2 - a2 @ x0[..., None, None, :, :] - _mixed_pairs(a1, x1, s)
     )
     return x0, x1, x2

@@ -26,11 +26,12 @@ vertical/horizontal projector fields are applied to the extension, and
 the connection differentiates the product.  Tensoriality makes the
 result extension independent, which the tests assert rather than assume.
 At a submersion point the tensor fields ``T[k, m, n]`` and ``A[k, m, n]``
-(the k-th component of T_{e_m} e_n and A_{e_m} e_n) are held as arrays
-together with their exact coordinate derivatives, and every O'Neill
-quantity here, the covariant derivatives in the mixed curvature identity
-included, is a contraction of those arrays.  No derivative is taken by
-finite differences.
+(the k-th component of T_{e_m} e_n and A_{e_m} e_n) are held as arrays,
+and T, A and the vertical bracket are contractions of them.  The
+covariant derivatives of T and A that the mixed curvature identity reads
+are assembled on the split frames from the projector's mixed second
+derivatives along the (horizontal, vertical) frame pairs
+(``_oneill_derivatives``).  No derivative is taken by finite differences.
 """
 
 from __future__ import annotations
@@ -57,7 +58,15 @@ from .geometry import (
     tail_transpose,
     tensordot,
 )
-from .jets import jet_arrays, matrix_inverse, matrix_product, seed_point
+from .jets import (
+    frame_mixed,
+    frame_product,
+    frame_solve,
+    jet_arrays,
+    matrix_inverse,
+    matrix_product,
+    seed_point,
+)
 
 __all__ = [
     "SmoothMap",
@@ -174,37 +183,29 @@ class MapPoint:
 
         P_h = g1^-1 dF^T (dF g1^-1 dF^T)^-1 dF projects onto the
         g1-orthogonal complement of ker dF.  It is a product of matrix jets
-        of g1^-1 and dF, so its two derivatives are exact.  With Q = 1 - P_h
+        of g1^-1 and dF, so its derivative is exact.  With Q = 1 - P_h
         and constant extensions, T_E F = P_h nabla_{QE}(QF) + Q nabla_{QE}(P_h F)
         and A_E F = Q nabla_{P_h E}(P_h F) + P_h nabla_{P_h E}(QF) both
         collapse to (1 - 2 P_h)(nabla_X P_h) F with X = QE or P_h E, so
-        T, A and their derivatives need P_h to second order and the
-        connection to first.
+        T and A need P_h to first order.  Their covariant derivatives are
+        read on the split frames only (``_oneill_derivatives``).
         """
         if self.smap.mode != RIEMANNIAN_SUBMERSION:
             raise DimensionError("O'Neill tensors are defined for submersions only")
-        # matrix jet of dF: d_p dF[a, mu] = d2F[a, mu, p], d_p d_q dF[a, mu] = d3F[a, mu, p, q]
-        J = (self.dF, tail_transpose(self.d2F, 2, 0, 1), tail_transpose(self.d3F, 2, 3, 0, 1))
+        # matrix jet of dF: d_p dF[a, mu] = d2F[a, mu, p]
+        J = (self.dF, tail_transpose(self.d2F, 2, 0, 1))
         Jt = tuple(m.swapaxes(-1, -2) for m in J)
         W = matrix_product(self.source.ginv_jet, Jt)
-        P0, P1, P2 = matrix_product(matrix_product(W, matrix_inverse(matrix_product(J, W))), J)
+        P0, P1 = matrix_product(matrix_product(W, matrix_inverse(matrix_product(J, W))), J)
 
         Gb = self.source.gamma.swapaxes(-3, -2)  # Gb[b, a, n] = Gamma^a_bn
-        dGb = self.source.dgamma.swapaxes(-3, -2)
         Q0 = np.eye(P0.shape[-1]) - P0
         R = Q0 - P0
-        # P0d and P0dd stand against one and two derivative axes; P1p[p, b] = d_p P_h
+        # P0d and Rd stand against the derivative axis
         P0d, Rd = P0[..., None, :, :], R[..., None, :, :]
-        P0dd, Rdd = P0d[..., None, :, :], Rd[..., None, :, :]
-        P1p = P1[..., :, None, :, :]
         N = P1 + Gb @ P0d - P0d @ Gb  # N[b] = nabla_b P_h
-        dN = (
-            P2 + dGb @ P0dd + Gb[..., None, :, :, :] @ P1p - P1p @ Gb[..., None, :, :, :]
-            - P0dd @ dGb
-        )
         L = Rd @ N  # L[b, k, n] = ((1 - 2 P_h) nabla_b P_h)^k_n
-        dL = Rdd @ dN - 2.0 * P1p @ N[..., None, :, :, :]
-        return _SubmersionPoint(P0, P1, *_field(Q0, -P1, L, dL), *_field(P0, P1, L, dL))
+        return _SubmersionPoint(P0, P1, N, _field(Q0, L), _field(P0, L))
 
 
 def _largest(a: np.ndarray, ndim: int) -> np.ndarray:
@@ -387,33 +388,23 @@ def second_fundamental_form(split: SceneSplit) -> FundamentalTensor:
 class _SubmersionPoint(NamedTuple):
     """Horizontal projector and O'Neill tensor fields at points of a submersion, point axes first.
 
-    ``Ph`` and ``dPh[p] = d_p Ph`` are the projector; ``T[k, m, n]`` and
-    ``A[k, m, n]`` are the tensor fields on the chart basis and ``dT[p]``,
-    ``dA[p]`` their coordinate derivatives.
+    ``Ph`` and ``dPh[p] = d_p Ph`` are the projector and ``N[p] =
+    nabla_p Ph`` its covariant derivative; ``T[k, m, n]`` and
+    ``A[k, m, n]`` are the tensor fields on the chart basis.
     """
 
     Ph: np.ndarray
     dPh: np.ndarray
+    N: np.ndarray
     T: np.ndarray
-    dT: np.ndarray
     A: np.ndarray
-    dA: np.ndarray
 
 
-def _field(X, dX, L, dL) -> tuple[np.ndarray, np.ndarray]:
-    """``S[k, m, n] = X^b_m L[b, k, n]`` and its coordinate derivative ``dS[p, k, m, n]``."""
-    n = X.shape[-1]
-    lead = X.shape[:-2]
-    # one (n^2 x n) @ (n x n^2) and one (n x n) @ (n x n^3) product per point
-    dXL = dX.swapaxes(-1, -2).reshape(lead + (n * n, n)) @ L.reshape(lead + (n, n * n))
-    XdL = X.swapaxes(-1, -2) @ dL.swapaxes(-4, -3).reshape(lead + (n, n**3))
-    dS = (
-        dXL.reshape(lead + (n,) * 4).swapaxes(-3, -2)
-        + tail_transpose(XdL.reshape(lead + (n,) * 4), 1, 2, 0, 3)
-    )
-    # S stays in einsum order: another rounding of T or A can move the equality
+def _field(X, L) -> np.ndarray:
+    """``S[k, m, n] = X^b_m L[b, k, n]``."""
+    # in einsum order: another rounding of T or A can move the equality
     # diagnostics, which are read off whichever degenerate argmin comes back
-    return np.einsum("...bm,...bkn->...kmn", X, L), dS
+    return np.einsum("...bm,...bkn->...kmn", X, L)
 
 
 def _on_frames(S: np.ndarray, E: np.ndarray, F: np.ndarray) -> np.ndarray:
@@ -424,17 +415,6 @@ def _on_frames(S: np.ndarray, E: np.ndarray, F: np.ndarray) -> np.ndarray:
 def _pairs(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     """``out[i, j, k, l] = X[i, j, a] Y[k, l, a]``."""
     return tensordot(X, Y, ([2], [2]), 3)
-
-
-def _covariant(S: np.ndarray, dS: np.ndarray, gamma: np.ndarray) -> np.ndarray:
-    """``(nabla_p S)^k_mn`` of a (1,2)-tensor field from its coordinate derivative."""
-    Gb = tail_transpose(gamma, 1, 0, 2)  # Gb[p, k, a] = Gamma^k_pa
-    return (
-        dS
-        + tensordot(Gb, S, ([2], [0]), 3)
-        - tail_transpose(tensordot(Gb, S, ([1], [1]), 3), 0, 2, 1, 3)
-        - S[..., None, :, :, :] @ Gb[..., :, None, :, :]
-    )
 
 
 def _oneill(split: SceneSplit, kind: str, tangent, normal) -> FundamentalTensor:
@@ -467,6 +447,115 @@ def vertical_bracket(split: SceneSplit) -> np.ndarray:
     D = _on_frames(tail_transpose(sub.dPh, 1, 0, 2), H, H)
     Q = np.eye(sub.Ph.shape[-1]) - sub.Ph
     return (D - tail_transpose(D, 1, 0, 2)) @ Q.swapaxes(-1, -2)[..., None, :, :]
+
+
+def _along(F: np.ndarray, E: np.ndarray) -> np.ndarray:
+    """``out[e] = sum_p E[e, p] F[p]``, a field ``F[p, ...]`` along the rows of E."""
+    lead, n = E.shape[:-2], E.shape[-1]
+    return (E @ F.reshape(lead + (n, -1))).reshape(lead + (E.shape[-2],) + F.shape[-2:])
+
+
+def _frame_jet(F1: np.ndarray, F2: np.ndarray, E: np.ndarray, s: int) -> tuple:
+    """The derivative parts of a matrix field's frame jet over E = [H; V], H its first s rows.
+
+    ``F1[..., a, b, p] = d_p F`` and ``F2[..., a, b, p, q] = d_p d_q F``,
+    symmetric in p and q; H is contracted first, which keeps the
+    intermediate small.
+    """
+    lead = E.shape[:-2]
+    a, b, n = F1.shape[-3:]
+    d1 = (F1.reshape(lead + (a * b, n)) @ E.swapaxes(-1, -2)).reshape(lead + (a, b, -1))
+    d2 = (F2.reshape(lead + (-1, n)) @ E[..., :s, :].swapaxes(-1, -2)).reshape(lead + (a, b, n, s))
+    d2 = tail_transpose(d2, 0, 1, 3, 2).reshape(lead + (-1, n)) @ E[..., s:, :].swapaxes(-1, -2)
+    return tail_transpose(d1, 2, 0, 1), tail_transpose(d2.reshape(lead + (a, b, s, -1)), 2, 3, 0, 1)
+
+
+def _mixed_projector(pt: MapPoint, E: np.ndarray, s: int) -> np.ndarray:
+    """``X[i, j] = D_{h_i} D_{v_j} P_h`` over the frame E = [H; V], H its first ``s`` rows.
+
+    P_h = W (J W)^-1 J with W = g1^-1 J^T, carried as frame jets
+    (``jets.frame_solve``, ``jets.frame_product``): the metric's second
+    derivatives and the map's third are read along the (h_i, v_j) pairs
+    only.
+    """
+    src = pt.source
+    J = (pt.dF, *_frame_jet(pt.d2F, pt.d3F, E, s))
+    Jt = tuple(m.swapaxes(-1, -2) for m in J)
+    W = frame_solve((src.G0, *_frame_jet(src.G1, src.G2, E, s)), src.ginv_jet[0], Jt, s)
+    M = frame_product(J, W, s)
+    C = frame_solve(M, np.linalg.inv(M[0]), J, s)  # C = (J W)^-1 J
+    return frame_mixed(W, C, s)
+
+
+def _by_x(F: np.ndarray) -> np.ndarray:
+    """A stack ``F[x]`` of matrices against the pair axes (x, y)."""
+    return F[..., :, None, :, :]
+
+
+def _by_y(F: np.ndarray) -> np.ndarray:
+    """A stack ``F[y]`` of matrices against the pair axes (x, y)."""
+    return F[..., None, :, :, :]
+
+
+def _oneill_derivatives(split: SceneSplit) -> tuple[np.ndarray, np.ndarray]:
+    """The frame components of nabla T and nabla A, both indexed [i, j, k, l]:
+    ``g((nabla_{h_i} T)(v_j, v_l), h_k)`` and ``g((nabla_{v_j} A)(h_i, h_k), v_l)``.
+
+    Both fields are S(Y, Z) = (1 - 2 Pi)(nabla_{Pi Y} Pi) Z, with Pi = Q
+    for T and Pi = P_h for A.  For x, w in the kernel of Pi and y, z in
+    its range, every term with (nabla Pi) twice drops out, and
+    g((nabla_x S)(y, z), w) = w^T g (nabla^2_{x,y} Pi + nabla_{(nabla_x Pi) y} Pi) z.
+    With N[u] = nabla_u P_h = D_u P_h + [Gamma_u, P_h], tau = -1 for T and
+    +1 for A, that is
+
+        tau w^T g (D_x D_y P_h + [Gamma_y, D_x P_h] + [Gamma_x, N[y]]
+                   + N[tau N[x] y - Gamma(x, y)]) z + g(w, (D_x Gamma)(y, z)),
+
+    read on the s x ell frame pairs only: O(s n^4 + s ell n^3) per point,
+    where the chart-basis derivatives of T and A cost O(n^5).
+    """
+    pt = split.point
+    sub = pt.submersion
+    H, V = split.horizontal.vectors, split.vertical.vectors
+    lead, (s, n) = H.shape[:-2], H.shape[-2:]
+    g = pt.source.G0
+    E = np.concatenate([H, V], axis=-2)
+    X = _mixed_projector(pt, E, s)
+    # D_e P_h, Gamma_e (Gamma_e^a_c = Gamma^a_bc e^b) and N[e] along every frame vector
+    PE = _along(sub.dPh, E)
+    GE = _along(pt.source.gamma.swapaxes(-3, -2), E)
+    NE = _along(sub.N, E)
+
+    def side(tau, x, y, XY, DG):
+        # x and y slice the frame: w runs over the rows of x and z over those of y,
+        # and the result is indexed [x, y, w, z]
+        Px, Gx, Nx = PE[..., x, :, :], GE[..., x, :, :], NE[..., x, :, :]
+        Gy, Ny = GE[..., y, :, :], NE[..., y, :, :]
+        wg, zt = E[..., x, :] @ g, E[..., y, :].swapaxes(-1, -2)
+        # a[x, y] = tau N[x] y - Gamma(x, y)
+        a = (tau * Nx - Gx) @ zt[..., None, :, :]
+        Na = a.swapaxes(-1, -2).reshape(lead + (-1, n)) @ sub.N.reshape(lead + (n, n * n))
+        M = (
+            XY
+            + _by_y(Gy) @ _by_x(Px) - _by_x(Px) @ _by_y(Gy)
+            + _by_x(Gx) @ _by_y(Ny) - _by_y(Ny) @ _by_x(Gx)
+            + Na.reshape(XY.shape)
+        )
+        return wg[..., None, None, :, :] @ (tau * M + DG) @ zt[..., None, None, :, :]
+
+    # (D_x Gamma)(y, .) for x = h_i, y = v_j and for x = v_j, y = h_i; with
+    # dgamma[m, a, b, c] = d_m Gamma^a_bc symmetric in b, c, H goes first
+    dgamma = pt.source.dgamma
+    t = (H @ dgamma.reshape(lead + (n, -1))).reshape(lead + (s, n, n, n))  # [i, a, b, c]
+    DG_T = tail_transpose(tensordot(t, V, ([2], [1]), 4), 0, 3, 1, 2)
+    t = dgamma.reshape(lead + (-1, n)) @ H.swapaxes(-1, -2)  # [m a b, i]
+    t = (V @ t.reshape(lead + (n, -1))).reshape(lead + (-1, n, n, s))  # [j, a, b, i]
+    DG_A = tail_transpose(t, 0, 3, 1, 2)
+
+    H_, V_ = slice(0, s), slice(s, None)
+    nabla_T = side(-1.0, H_, V_, X, DG_T)
+    nabla_A = side(1.0, V_, H_, X.swapaxes(-4, -3), DG_A)
+    return nabla_T, tail_transpose(nabla_A, 1, 0, 3, 2)
 
 
 # -- Gauss-type residuals ---------------------------------------------------
@@ -543,7 +632,9 @@ def gauss_residual_submersion(
       curvature symmetries (the rearranged form, exact by construction).
     * horizontal: base curvature pulled back through dF against the
       ambient curvature and the A-tensor terms.
-    * mixed: the mixed identity with covariant derivatives of T and A.
+    * mixed: the mixed identity with the covariant derivatives of T and A,
+      read on the frames from the projector's mixed second derivatives
+      along the (horizontal, vertical) frame pairs (``_oneill_derivatives``).
     """
     if T is None:
         T = oneill_T(split)
@@ -596,15 +687,13 @@ def gauss_residual_submersion(
     # sign convention; in the convention here it is R1(h_i, v_j, v_l, h_k), which the
     # antisymmetry of the last two slots turns into -R1[i, j, k, l]
     sub = pt.submersion
-    gamma = pt.source.gamma
     lhs = -R1[..., :s, s:, :s, s:]
-    nabla_T = frame_contraction(_covariant(sub.T, sub.dT, gamma), H, H @ g1, V, V)
-    nabla_A = frame_contraction(_covariant(sub.A, sub.dA, gamma), V, V @ g1, H, H)
+    nabla_T, nabla_A = _oneill_derivatives(split)
     T_vh = _on_frames(sub.T, V, H)  # T_vh[j, i] = T_{v_j} h_i
     A_hv = _on_frames(sub.A, H, V)  # A_hv[i, j] = A_{h_i} v_j
     rhs = (
-        tail_transpose(nabla_T, 0, 2, 1, 3)
-        + tail_transpose(nabla_A, 2, 0, 3, 1)
+        nabla_T
+        + nabla_A
         - tail_transpose(_pairs(T_vh @ G1, T_vh), 1, 0, 3, 2)
         + tail_transpose(_pairs(A_hv @ G1, A_hv), 2, 3, 0, 1)
     )

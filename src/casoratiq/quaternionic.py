@@ -180,18 +180,19 @@ class QSFOracle:
             )
         return 0.25 * self.c * float(total)
 
-    def curvature_tensor(self, frame_vectors: np.ndarray) -> np.ndarray:
+    def curvature_tensor(self, frame_vectors: np.ndarray, blocks=None) -> np.ndarray:
         """Components over frame rows: R[a,b,c,d] = quad(e_a, e_b, e_c, e_d).
 
         With G[a, b] = g(e_a, e_b), X[x, a, b] = g(e_a, J_x e_b) = -g(J_x e_a, e_b)
         and the outer products XX[a, b, c, d] = sum_x X[x, a, b] X[x, c, d] and
         P = G (x) G + XX, the form is R[a,b,c,d] = P[b,c,a,d] - P[a,c,b,d] - 2 XX[a,b,c,d].
-        The frame (..., k, n) and the metric may carry the same leading point
-        axes; each point gets the bits it gets alone.
+        ``blocks`` is X when the caller already holds it (``JDecomposition.blocks``
+        over the same rows).  The frame (..., k, n) and the metric may carry the
+        same leading point axes; each point gets the bits it gets alone.
         """
         E = np.atleast_2d(np.asarray(frame_vectors, dtype=float))
         G = E @ self.g @ E.swapaxes(-1, -2)
-        X = _j_blocks(self.J, self.g, E)
+        X = _j_blocks(self.J, self.g, E) if blocks is None else blocks
         XX = tensordot(X, X, ([0], [0]), 3)
         P = G[..., :, :, None, None] * G[..., None, None, :, :] + XX
         return 0.25 * self.c * (

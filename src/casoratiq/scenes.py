@@ -19,7 +19,7 @@ import numpy as np
 
 from . import geometry, maps
 from .errors import CasoratiqError, RankError, SceneValidationError, StructureError
-from .expressions import CompiledExpression, compile_expression
+from .expressions import compile_expression
 from .geometry import MAX_DIM, MetricChart, OrthoFrame
 from .inequalities import (
     FAMILIES,
@@ -39,6 +39,7 @@ from .quaternionic import (
     QuaternionicStructure,
     QSFOracle,
     StructureReport,
+    decompose_J,
     hermitian_residual,
     structure as structure_registry,
 )
@@ -175,15 +176,7 @@ def _parse_delta_n(raw) -> tuple[str, Optional[float]]:
     raise SceneValidationError(f'deltaN must be "zero" or "user:<value>", got {raw!r}')
 
 
-def _compiled(text, cache: dict) -> CompiledExpression:
-    """``compile_expression(text)``, compiled once per distinct text of a scene."""
-    key = str(text)
-    if key not in cache:
-        cache[key] = compile_expression(key)
-    return cache[key]
-
-
-def _chart_from_spec(spec, where: str, cache: dict) -> MetricChart:
+def _chart_from_spec(spec, where: str) -> MetricChart:
     if isinstance(spec, str):
         try:
             return geometry.chart(spec)
@@ -201,7 +194,7 @@ def _chart_from_spec(spec, where: str, cache: dict) -> MetricChart:
     # so entries that repeat share one result
     texts = [[str(e) for e in row] for row in rows]
     distinct = list(dict.fromkeys(t for row in texts for t in row))
-    compiled = [_compiled(t, cache) for t in distinct]
+    compiled = [compile_expression(t) for t in distinct]
     index = [[distinct.index(t) for t in row] for row in texts]
 
     def g(coords, _compiled=compiled, _index=index):
@@ -357,10 +350,9 @@ def parse_scenario(doc: dict, name_hint: str = "") -> Scenario:
         _reject_unknown(
             mspec, {"source", "target", "exprs", "map_mode", "rank"}, "map"
         )
-        cache: dict = {}
-        source = _chart_from_spec(_require(mspec, "source", "map"), "map.source", cache)
-        target = _chart_from_spec(_require(mspec, "target", "map"), "map.target", cache)
-        exprs = [_compiled(e, cache) for e in _require(mspec, "exprs", "map", list)]
+        source = _chart_from_spec(_require(mspec, "source", "map"), "map.source")
+        target = _chart_from_spec(_require(mspec, "target", "map"), "map.target")
+        exprs = [compile_expression(e) for e in _require(mspec, "exprs", "map", list)]
         if len(exprs) != target.dim:
             raise SceneValidationError(
                 f"map has {len(exprs)} component expressions, target dimension is {target.dim}"
@@ -389,8 +381,8 @@ def parse_scenario(doc: dict, name_hint: str = "") -> Scenario:
         if "fiber_curvature" in doc:
             fspec = doc["fiber_curvature"]
             _reject_unknown(fspec, {"space_form_kappa"}, "fiber_curvature")
-            fiber_kappa = _compiled(
-                _require(fspec, "space_form_kappa", "fiber_curvature"), cache
+            fiber_kappa = compile_expression(
+                _require(fspec, "space_form_kappa", "fiber_curvature")
             )
         pts = _require(doc, "points", "scenario")
         sample_spec = None
@@ -594,8 +586,9 @@ class _SplitStage(NamedTuple):
     ``structure`` is the structure check's record (one per point of a
     batch), ``tensors`` holds T and A or B, ``gauss`` the Gauss
     residuals, ``bracket`` the bracket residual of a submersion and
-    ``space_form`` the space-form residual of a scene with theorems.
-    ``data`` is a batch row's checker input, already filled in.
+    ``space_form`` the space-form residual of a scene with theorems, and
+    ``decomp`` the J blocks it was computed with, which the checkers read
+    too.  ``data`` is a batch row's checker input, already filled in.
     """
 
     split: maps.SceneSplit
@@ -604,6 +597,7 @@ class _SplitStage(NamedTuple):
     gauss: object
     bracket: Optional[np.ndarray]
     space_form: Optional[np.ndarray]
+    decomp: Optional[object]
     data: Optional[SceneData] = None
 
     def rows(self) -> list["_SplitStage"]:
@@ -616,6 +610,7 @@ class _SplitStage(NamedTuple):
             self.gauss.rows() if isinstance(self.gauss, maps.SubmersionResiduals) else self.gauss,
             [None] * n if self.bracket is None else self.bracket,
             [None] * n if self.space_form is None else self.space_form,
+            [None] * n if self.decomp is None else self.decomp.rows(),
         )
         return [_SplitStage(*row) for row in zip(*columns)]
 
@@ -642,13 +637,17 @@ def _split_stage(scn: Scenario, point, kappa) -> _SplitStage:
     else:
         B = maps.second_fundamental_form(split)
         tensors, res, bracket = {"B": B}, maps.gauss_residual_map(split, B), None
-    space_form = None
+    space_form = decomp = None
     if scn.theorems:
         # the parse-time fit check put the structure on the curved side
-        frames = np.concatenate([getattr(split, tag).vectors for tag in FRAMES[scn.kind]], axis=-2)
-        oracle = QSFOracle(scn.c, scn.structure.J_const, _structure_metric(scn, split))
-        space_form = space_form_residual_from_tensor(_ambient(scn, split), oracle, frames)
-    return _SplitStage(split, structure, tensors, res, bracket, space_form)
+        J, g = scn.structure.J_const, _structure_metric(scn, split)
+        first, second = (getattr(split, tag).vectors for tag in FRAMES[scn.kind])
+        decomp = decompose_J(J, g, first, second)
+        space_form = space_form_residual_from_tensor(
+            _ambient(scn, split), QSFOracle(scn.c, J, g), np.concatenate([first, second], axis=-2),
+            blocks=decomp.blocks,
+        )
+    return _SplitStage(split, structure, tensors, res, bracket, space_form, decomp)
 
 
 def _ambient(scn: Scenario, split: maps.SceneSplit) -> np.ndarray:
@@ -659,7 +658,7 @@ def _ambient(scn: Scenario, split: maps.SceneSplit) -> np.ndarray:
 def _scene_data(scn: Scenario, stage: _SplitStage) -> SceneData:
     """The checker input of one chart point, from its split stage."""
     split = stage.split
-    return SceneData(
+    data = SceneData(
         scn.kind, {tag: getattr(split, tag) for tag in FRAMES[scn.kind]},
         {k: t.coeffs for k, t in stage.tensors.items()}, _structure_metric(scn, split),
         scn.structure.J_const, scn.c, _ambient(scn, split), scn.delta_n,
@@ -667,6 +666,8 @@ def _scene_data(scn: Scenario, stage: _SplitStage) -> SceneData:
         equality_tol=scn.tolerances.get("equality"),
         bracket_residual=None if stage.bracket is None else float(stage.bracket),
     )
+    vars(data)["decomp"] = stage.decomp  # where the cached property keeps it
+    return data
 
 
 def _chunk_rows(scn: Scenario, chunk: np.ndarray) -> list[_SplitStage]:
@@ -766,11 +767,15 @@ def _evaluate_pointwise(scn: Scenario):
     validation["cross_orthogonality"] = cross
     if cross > 1e-10:
         raise SceneValidationError(f"frames are not mutually orthogonal ({cross:.3e})")
-    E = np.vstack([f.vectors for f in frames.values()])
+    decomp = decompose_J(J, g, first.vectors, second.vectors)
+    ambient = QSFOracle(scn.c, J, g).curvature_tensor(
+        np.vstack([first.vectors, second.vectors]), decomp.blocks
+    )
     data = SceneData(
-        scn.kind, frames, scn.tensors, g, J, scn.c, QSFOracle(scn.c, J, g).curvature_tensor(E),
+        scn.kind, frames, scn.tensors, g, J, scn.c, ambient,
         scn.delta_n, equality_tol=scn.tolerances.get("equality"),
     )
+    vars(data)["decomp"] = decomp  # where the cached property keeps it
     return None, validation, None, data
 
 

@@ -167,6 +167,60 @@ def field_reference(X, dX, L, dL) -> tuple[np.ndarray, np.ndarray]:
     return np.einsum("bm,bkn->kmn", X, L), dS
 
 
+def _jet_product(a: tuple, b: tuple) -> tuple:
+    """Leibniz rule to second order for matrix jets ``(M, dM[p], d2M[p, q])``."""
+    a0, a1, a2 = a
+    b0, b1, b2 = b
+    return (
+        a0 @ b0,
+        np.einsum("pij,jk->pik", a1, b0) + np.einsum("ij,pjk->pik", a0, b1),
+        np.einsum("pqij,jk->pqik", a2, b0) + np.einsum("ij,pqjk->pqik", a0, b2)
+        + np.einsum("pij,qjk->pqik", a1, b1) + np.einsum("qij,pjk->pqik", a1, b1),
+    )
+
+
+def _jet_inverse(a: tuple) -> tuple:
+    a0, a1, a2 = a
+    x0 = np.linalg.inv(a0)
+    x1 = -np.einsum("ij,pjk,kl->pil", x0, a1, x0)
+    x2 = -np.einsum(
+        "ij,pqjk->pqik", x0,
+        np.einsum("pqjk,kl->pqjl", a2, x0)
+        + np.einsum("pjk,qkl->pqjl", a1, x1) + np.einsum("qjk,pkl->pqjl", a1, x1),
+    )
+    return x0, x1, x2
+
+
+def oneill_reference(pt) -> dict:
+    """The O'Neill fields of a submersion ``MapPoint`` on the chart basis, with their
+    coordinate derivatives: ``T``, ``dT``, ``A`` and ``dA``.
+
+    P_h = W (J W)^-1 J with W = g^-1 J^T to second order through full
+    matrix jets, N[b] = nabla_b P_h, L[b] = (1 - 2 P_h) N[b], T = Q^b L[b]
+    and A = P_h^b L[b], each written as einsum.
+    """
+    src = pt.source
+    g = (src.G0, np.moveaxis(src.G1, 2, 0), np.moveaxis(src.G2, (2, 3), (0, 1)))
+    J = (pt.dF, np.moveaxis(pt.d2F, 2, 0), np.moveaxis(pt.d3F, (2, 3), (0, 1)))
+    Jt = tuple(np.swapaxes(m, -1, -2) for m in J)
+    W = _jet_product(_jet_inverse(g), Jt)
+    P0, P1, P2 = _jet_product(_jet_product(W, _jet_inverse(_jet_product(J, W))), J)
+    Gb = np.swapaxes(src.gamma, 0, 1)  # Gb[b, a, n] = Gamma^a_bn
+    dGb = np.swapaxes(src.dgamma, 1, 2)
+    Q0 = np.eye(len(P0)) - P0
+    R = Q0 - P0
+    N = P1 + np.einsum("ban,nc->bac", Gb, P0) - np.einsum("an,bnc->bac", P0, Gb)
+    dN = (
+        P2 + np.einsum("pban,nc->pbac", dGb, P0) + np.einsum("ban,pnc->pbac", Gb, P1)
+        - np.einsum("pan,bnc->pbac", P1, Gb) - np.einsum("an,pbnc->pbac", P0, dGb)
+    )
+    L = np.einsum("ka,ban->bkn", R, N)
+    dL = np.einsum("ka,pban->pbkn", R, dN) - 2.0 * np.einsum("pka,ban->pbkn", P1, N)
+    T, dT = field_reference(Q0, -P1, L, dL)
+    A, dA = field_reference(P0, P1, L, dL)
+    return {"T": T, "dT": dT, "A": A, "dA": dA}
+
+
 def covariant_reference(S: np.ndarray, dS: np.ndarray, gamma: np.ndarray) -> np.ndarray:
     return (
         dS

@@ -508,7 +508,7 @@ def _count_leads(monkeypatch) -> dict:
 
     count(scenes, "hermitian_residual", lambda J, g: g.shape[:-2])
     count(scenes, "space_form_residual_from_tensor", lambda R, oracle, E: R.shape[:-4])
-    count(inequalities, "decompose_J", lambda J, g, *frames: g.shape[:-2])
+    count(scenes, "decompose_J", lambda J, g, *frames: g.shape[:-2])
     count(inequalities, "curvature_sums", lambda R, s: R.shape[:-4])
     for module in (casorati, inequalities):  # the lone path and the batched path
         count(module, "_extrema_rows", lambda h, kind, total_sq: len(h))

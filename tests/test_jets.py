@@ -157,23 +157,39 @@ def test_matrix_jets_match_finite_differences():
     def matrix(c):
         return [[jets.exp(c[0]) + 2.0, c[0] * c[1]], [c[1] * c[1], 3.0 + jets.sin(c[0] * c[1])]]
 
-    def matrix_jet(x):
-        # (M, dM, d2M) with the derivative axes first
+    def parts(x):
+        # value, gradient and Hessian of every entry, the derivative axes first
         jet = [[eval_jet2(lambda c, i=i, j=j: matrix(c)[i][j], x) for j in range(2)]
                for i in range(2)]
         parts = [np.array([[getattr(e, name) for e in row] for row in jet])
                  for name in ("value", "grad", "hess")]
         return tuple(np.moveaxis(m, (0, 1), (-2, -1)) for m in parts)
 
+    def matrix_jet(x):
+        return parts(x)[:2]
+
     x = np.array([0.3, 0.7])
     a = matrix_jet(x)
     inv = jets.matrix_inverse(a)
     ident = jets.matrix_product(a, inv)
     assert np.abs(ident[0] - np.eye(2)).max() < 1e-14
-    assert np.abs(ident[1]).max() < 1e-14 and np.abs(ident[2]).max() < 1e-14
+    assert np.abs(ident[1]).max() < 1e-14
     h = 1e-5
     for p in range(2):
         e = np.zeros(2)
         e[p] = h
-        fd = jets.matrix_inverse(matrix_jet(x + e))[1] - jets.matrix_inverse(matrix_jet(x - e))[1]
-        assert np.abs(inv[2][p] - fd / (2 * h)).max() < 1e-8
+        fd = jets.matrix_inverse(matrix_jet(x + e))[0] - jets.matrix_inverse(matrix_jet(x - e))[0]
+        assert np.abs(inv[1][p] - fd / (2 * h)).max() < 1e-8
+
+    # the frame jets along E = I with H = {e1}, V = {e2}: the mixed second
+    # derivative of A^-1 against central differences of its derivative along e2
+    M, dM, d2M = parts(x)
+    a = (M, dM, d2M[0, 1][None, None])
+    zero = np.zeros((1, 1, 2, 2))
+    inv = jets.frame_solve(a, np.linalg.inv(M), (np.eye(2), np.zeros((2, 2, 2)), zero), 1)
+    ident = jets.frame_product(a, inv, 1)
+    assert np.abs(ident[0] - np.eye(2)).max() < 1e-14
+    assert np.abs(ident[1]).max() < 1e-14 and np.abs(ident[2]).max() < 1e-14
+    e = np.array([h, 0.0])
+    fd = jets.matrix_inverse(matrix_jet(x + e))[1][1] - jets.matrix_inverse(matrix_jet(x - e))[1][1]
+    assert np.abs(inv[2][0, 0] - fd / (2 * h)).max() < 1e-8

@@ -1,11 +1,12 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from casoratiq.casorati import CasoratiInput
 from casoratiq.errors import DimensionError, NotRiemannianMapError, RankError
-from casoratiq import jets
+from casoratiq import jets, maps
 from casoratiq.geometry import MetricChart, OrthoFrame, chart, gram_schmidt, riemann
 from casoratiq.maps import (
     FundamentalTensor,
@@ -241,9 +242,17 @@ class TestONeillTensors:
             e = np.zeros(4)
             e[p] = h
             plus, minus = MapPoint.at(smap, x + e).submersion, MapPoint.at(smap, x - e).submersion
-            for field, deriv in (("Ph", "dPh"), ("T", "dT"), ("A", "dA")):
-                fd = (getattr(plus, field) - getattr(minus, field)) / (2 * h)
-                assert np.abs(getattr(sub, deriv)[p] - fd).max() < 1e-7, (field, p)
+            fd = (plus.Ph - minus.Ph) / (2 * h)
+            assert np.abs(sub.dPh[p] - fd).max() < 1e-7, p
+        # D_{h_i} D_{v_j} P_h against central differences of D_{v_j} P_h along h_i
+        sp = differential(smap, x)
+        H, V = sp.horizontal.vectors, sp.vertical.vectors
+        mixed = maps._mixed_projector(sp.point, np.concatenate([H, V]), sp.s)
+        assert mixed.shape == (sp.s, sp.ell, 4, 4) and np.abs(mixed).max() > 0.1
+        for i, hv in enumerate(H):
+            plus, minus = (MapPoint.at(smap, x + t * h * hv).submersion.dPh for t in (1, -1))
+            fd = np.tensordot(V, plus - minus, 1) / (2 * h)
+            assert np.abs(mixed[i] - fd).max() < 1e-7, i
 
     def test_map_mode_rejected(self, paraboloid_map):
         x = np.zeros(2)
@@ -332,6 +341,23 @@ class TestGaussResiduals:
             res = gauss_residual_submersion(sp, fiber_kappa=None)
             assert res.mixed < 1e-13
             assert res.horizontal < 1e-13
+
+    def test_submersion_residuals_take_few_n4_arrays(self):
+        # flat:24 -> flat:4 with the split and both frame curvatures computed first:
+        # T, A and the three residuals peak below 9.4 MiB, about 3.5 arrays of
+        # 24^4 floats (the chart-basis derivatives of T and A took 7.4)
+        smap = SmoothMap(chart("flat:24"), chart("flat:4"), lambda c: list(c[:4]),
+                         "riemannian_submersion", 4)
+        sp = differential(smap, np.random.default_rng(24).uniform(-0.9, 0.9, size=24))
+        sp.source_curvature, sp.target_curvature
+        tracemalloc.start()
+        try:
+            res = gauss_residual_submersion(sp, oneill_T(sp), oneill_A(sp), fiber_kappa=0.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (res.vertical, res.horizontal, res.mixed) == (0.0, 0.0, 0.0)
+        assert peak <= 9.4 * 2**20, peak
 
     def test_fiber_kappa_cross_check_against_sphere_chart(self):
         # the radial fiber is a round 3-sphere; the sphere3 chart gives the

@@ -780,11 +780,18 @@ class TestRunReports:
                 # the Gauss-reconstructed fiber curvature is the round-sphere value
                 assert r.lhs == pytest.approx(1.0 / r_val**2, abs=1e-6)
 
-    @pytest.mark.parametrize("name", ["hopf-radial:4to3", "radial:4"])
+    @pytest.mark.parametrize("name", ["hopf-radial:4to3", "radial:4", "twisted-submersion.json"])
     def test_mixed_residual_is_exact(self, name):
         # the mixed O'Neill identity is assembled from exact jets, so it
-        # holds to rounding, far below the finite-difference floor of 1e-9
-        points = evaluate_scenario(builtin_scenario(name)).points
+        # holds to rounding, far below the finite-difference floor of 1e-9;
+        # Hopf has T = 0 and radial A = 0, the twisted plane bundle over
+        # flat:3 has both nonzero on a curved source
+        if name.endswith(".json"):
+            scn = load_scenario(str(_SCENARIO_DIR / name))
+        else:
+            scn = builtin_scenario(name)
+        points = evaluate_scenario(scn).points
+        assert not any(p.errors for p in points), [p.errors for p in points]
         mixed = [p.gauss_residuals["mixed"] for p in points]
         assert mixed and max(mixed) <= 1e-13
 
@@ -881,24 +888,49 @@ class TestComputeOnce:
     twice (once for the source and once for the target), each expression
     once, T's equality diagnostics once and the curvature frame tensor of
     each side at most once; no scene evaluates the space-form curvature one
-    vector quadruple at a time.  Parsing compiles each distinct expression
-    text of a scene once."""
+    vector quadruple at a time.  Each distinct expression text compiles
+    once per process, and a malformed one raises at every parse."""
 
-    @pytest.mark.parametrize("name", ["hopf-radial:4to3", "radial:4"])
-    def test_each_distinct_expression_compiles_once(self, name, monkeypatch):
-        import casoratiq.scenes as scenes
+    @staticmethod
+    def _compiled_texts(monkeypatch) -> list:
+        """The texts compiled from now on, with the process's compile cache emptied."""
+        from casoratiq import expressions
 
-        doc, texts = builtin_scenario(name).raw, []
+        texts = []
 
-        def counted(text, _original=scenes.compile_expression):
+        def counted(text, _original=expressions._program):
             texts.append(text)
             return _original(text)
 
-        monkeypatch.setattr(scenes, "compile_expression", counted)
+        monkeypatch.setattr(expressions, "_program", counted)
+        expressions._compile.cache_clear()
+        return texts
+
+    @pytest.mark.parametrize("name", ["hopf-radial:4to3", "radial:4"])
+    def test_each_distinct_expression_compiles_once(self, name, monkeypatch):
+        doc, texts = builtin_scenario(name).raw, self._compiled_texts(monkeypatch)
         scn = parse_scenario(doc)
         # "0" stands in several metric entries of both scenes
         assert "0" in texts and len(texts) == len(set(texts))
         assert evaluate_scenario(scn).aggregate["point_errors"] == 0
+
+    def test_a_second_parse_compiles_nothing(self, monkeypatch):
+        doc, texts = builtin_scenario("hopf-radial:4to3").raw, self._compiled_texts(monkeypatch)
+        first = parse_scenario(doc)
+        assert texts
+        texts.clear()
+        second = parse_scenario(doc)
+        assert texts == []
+        assert evaluate_scenario(second).points == evaluate_scenario(first).points
+
+    def test_a_malformed_expression_raises_on_every_parse(self, monkeypatch):
+        doc = _builtin_doc("hopf-radial:4to3")
+        doc["map"]["exprs"][0] = "x1^2 +* x2"
+        texts = self._compiled_texts(monkeypatch)
+        for _ in range(2):
+            with pytest.raises(SceneValidationError, match="x1\\^2 \\+\\* x2"):
+                parse_scenario(doc)
+        assert texts.count("x1^2 +* x2") == 2
 
     @pytest.mark.parametrize("name", ["product-projection:8to4", "hopf-radial:4to3"])
     def test_jets_per_point(self, name, monkeypatch):
