@@ -3,7 +3,7 @@
 Everything at one source point is read from one ``MapPoint``: the
 third-order map jets and the source metric jets are computed once there,
 and the Christoffel symbols, the curvature of source and target and the
-horizontal projector with two exact derivatives are derived from them on
+horizontal projector with its exact derivative are derived from them on
 first use.  A ``MapPoint`` holds P points at once (leading point axes, as
 in ``geometry``): a scene builds one per chunk of its points, and
 ``MapPoint.rows`` computes both chart points, their curvature and the
