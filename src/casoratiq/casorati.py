@@ -5,6 +5,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -152,9 +153,22 @@ def _phi_grad_batch(Q: _Quartic, U: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     return _phi(Q, r), _grad(W, r)
 
 
+def _signed_phi_grad(Q: _Quartic, U: np.ndarray, sign: np.ndarray):
+    """sign[m] * phi and sign[m] * grad of an (m, n) block of rows.
+
+    The signs (+-1) are folded into the gradient coefficients, which is
+    exact: each gradient rounds as sign * grad does.
+    """
+    W, r = Q.products(U)
+    vals = sign * _phi(Q, r)
+    r[:, 0] = -2.0
+    r *= sign[:, None]
+    return vals, np.einsum("mk,mkn->mn", r, W)
+
+
 def _dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """x[m] . y[m] for every row, rounded as the 1-D ``x[m] @ y[m]``."""
-    return (x[:, None, :] @ y[:, :, None])[:, 0, 0]
+    """x[m] . y[m] for every row, rounded as the 1-D ``x[m] @ y[m]``; a 1-D y serves every row."""
+    return (x[:, None, :] @ y[..., None])[:, 0, 0]
 
 
 @functools.lru_cache(maxsize=None)
@@ -205,6 +219,30 @@ def _newton_steps(Ht: np.ndarray, gt: np.ndarray) -> np.ndarray:
     return -(V @ ((V.transpose(0, 2, 1) @ gt[:, :, None]) / lam[:, :, None]))[:, :, 0]
 
 
+class _RowState(NamedTuple):
+    """sign[m] * phi and its Riemannian gradient at the unit rows U[m], in row form.
+
+    ``W`` and ``r`` are the ``products`` of the (m, 1, n) block, ``gu``
+    is grad . u and ``gnorm`` the norm of ``rgrad``.
+    """
+
+    W: np.ndarray
+    r: np.ndarray
+    value: np.ndarray
+    gu: np.ndarray
+    rgrad: np.ndarray
+    gnorm: np.ndarray
+
+    @classmethod
+    def at(cls, Q: _Quartic, U: np.ndarray, sign: np.ndarray) -> "_RowState":
+        """Every entry is row-wise, so a row rounds as it would alone, in any block."""
+        W, r = Q.products(U[:, None, :])
+        grad = sign[:, None] * _grad(W, r)
+        gu = _dot(grad, U)
+        rgrad = grad - gu[:, None] * U
+        return cls(W, r, sign * _phi(Q, r), gu, rgrad, np.sqrt(_dot(rgrad, rgrad)))
+
+
 def _newton_polish(Q, U, sign, tol):
     """Riemannian modified Newton on the sphere for a block of rows.
 
@@ -220,62 +258,69 @@ def _newton_polish(Q, U, sign, tol):
     row across nearly flat, indefinite stretches (clustered eigenvalues),
     where the gradient norm alone stalls.  A row stops converged once
     its gradient is below ``tol``, and unconverged when its line search
-    fails or after ``_POLISH_ITERS`` steps.  Every per-row product is
-    row-wise, so a row rounds as it would alone.  Returns
-    (U, ok, steps): steps[m] counts the Newton steps row m took.
+    fails or after ``_POLISH_ITERS`` steps.
+
+    Each iterate is evaluated once (``_RowState.at``): the given rows,
+    then every line-search candidate.  The full step is tried on the
+    whole live block, and only the rows that reject it go on to the
+    halving passes.  The state of the candidate a row accepts carries
+    into its convergence test and its next step.  Every per-row product
+    is row-wise, so a row rounds as it would alone, and a carried state
+    has the bits a second evaluation would give.  Returns
+    (U, ok, steps, r): steps[m] counts the Newton steps row m took, and
+    r[m] is the ``products`` form r at U[m], from which ``_phi`` reads
+    its value.
     """
-    U = U.copy()
-    n = U.shape[1]
-    ok = np.zeros(U.shape[0], dtype=bool)
+    cand, U = U, U.copy()  # the given rows are the first iterates
+    eye = np.eye(U.shape[1] - 1)
     steps = np.zeros(U.shape[0], dtype=int)
-    live = np.arange(U.shape[0])
-    for it in range(_POLISH_ITERS + 1):
-        steps[live] = it
-        u, sg = U[live], sign[live]
-        W, r = Q.products(u[:, None, :])
-        grad = sg[:, None] * _grad(W, r)
-        gu = _dot(grad, u)
-        rgrad = grad - gu[:, None] * u
-        gnorm = np.sqrt(_dot(rgrad, rgrad))
-        ok[live] = gnorm < tol
-        if it == _POLISH_ITERS:
-            break
-        go = ~ok[live]
-        live, u, sg, W, r, gu, rgrad, gnorm = (
-            x[go] for x in (live, u, sg, W, r, gu, rgrad, gnorm)
-        )
+    live, sg = np.arange(U.shape[0]), sign
+    state = _RowState.at(Q, cand, sg)
+    R = state.r.copy()
+    ok = state.gnorm < tol
+    go = ~ok
+    for it in range(1, _POLISH_ITERS + 1):
+        if not go.all():  # rows that converged or failed leave the block
+            live, cand, sg = live[go], cand[go], sg[go]
+            state = _RowState(*(x[go] for x in state))
         if not live.size:
             break
+        u = cand
+        W, r, value, gu, rgrad, gnorm = state
         Qt = _tangent_frames(u)
         QtT = Qt.transpose(0, 2, 1)
         H = sg[:, None, None] * _hess(Q, W, r)
-        Ht = QtT @ H @ Qt - gu[:, None, None] * np.eye(n - 1)
+        Ht = QtT @ H @ Qt - gu[:, None, None] * eye
         gt = (QtT @ rgrad[:, :, None])[:, :, 0]
         z = _newton_steps(Ht, gt)
         slope = 1e-4 * _dot(z, gt)  # Armijo fraction of the directional derivative
-        value = sg * _phi(Q, r)
         d = (Qt @ z[:, :, None])[:, :, 0]
-        searching = np.ones(live.size, dtype=bool)
+        cand = u + d  # the full step, on every live row
+        cand /= np.sqrt(_dot(cand, cand))[:, None]
+        state = _RowState.at(Q, cand, sg)
+        better = (state.gnorm < gnorm) | (state.value < value + slope)
         step = 1.0
-        for _ in range(30):
-            s = np.flatnonzero(searching)
+        s = np.flatnonzero(~better)
+        for _ in range(29):  # 30 passes with the full step
             if not s.size:
                 break
-            cand = u[s] + step * d[s]
-            cand /= np.sqrt(_dot(cand, cand))[:, None]
-            cW, cr = Q.products(cand[:, None, :])
-            cgrad = sg[s][:, None] * _grad(cW, cr)
-            crg = cgrad - _dot(cgrad, cand)[:, None] * cand
-            better = (np.sqrt(_dot(crg, crg)) < gnorm[s]) | (
-                sg[s] * _phi(Q, cr) < value[s] + step * slope[s]
-            )
-            U[live[s[better]]] = cand[better]
-            searching[s[better]] = False
             step *= 0.5
-        live = live[~searching]  # a failed line search stops its row unconverged
-        if not live.size:
-            break
-    return U, ok, steps
+            c = u[s] + step * d[s]
+            c /= np.sqrt(_dot(c, c))[:, None]
+            cs = _RowState.at(Q, c, sg[s])
+            took = (cs.gnorm < gnorm[s]) | (cs.value < value[s] + step * slope[s])
+            rows = s[took]
+            cand[rows] = c[took]
+            for x, cx in zip(state, cs):
+                x[rows] = cx[took]
+            better[rows] = True
+            s = s[~took]
+        moved = live[better]  # a failed line search stops its row unconverged
+        U[moved], R[moved], steps[moved] = cand[better], state.r[better], it
+        conv = state.gnorm < tol
+        ok[live[better & conv]] = True
+        go = better & ~conv
+    return U, ok, steps, R
 
 
 def _projected_descent(Q, U, sign):
@@ -287,23 +332,25 @@ def _projected_descent(Q, U, sign):
     where it lowers sign * phi: the row's step length then grows by
     1.2, and otherwise halves.  The burn-in only ranks the starts'
     basins; the Newton polish converges the best rows, quadratically
-    once they sit in a basin.  Returns (U, values) with values =
-    sign * phi.
+    once they sit in a basin.  Each step evaluates its candidates as
+    one block (``_signed_phi_grad``), and one mask keeps the accepted
+    rows' points, values and gradients.  Returns (U, values) with
+    values = sign * phi.
     """
-    vals, grad = _phi_grad_batch(Q, U)
-    vals, grad = sign * vals, sign[:, None] * grad
-    steps = np.full(U.shape[0], 0.1)
+    U = U.copy()
+    vals, grad = _signed_phi_grad(Q, U, sign)
+    steps = np.full((U.shape[0], 1), 0.1)
     for _ in range(_BURN_IN):
         rgrad = grad - np.einsum("mn,mn->m", grad, U)[:, None] * U
-        cand = U - steps[:, None] * rgrad
+        cand = U - steps * rgrad
         cand /= np.sqrt(np.einsum("mn,mn->m", cand, cand))[:, None]
-        cand_vals, cand_grad = _phi_grad_batch(Q, cand)
-        cand_vals *= sign
+        cand_vals, cand_grad = _signed_phi_grad(Q, cand, sign)
         accept = cand_vals < vals
-        U = np.where(accept[:, None], cand, U)
-        vals = np.where(accept, cand_vals, vals)
-        grad = np.where(accept[:, None], sign[:, None] * cand_grad, grad)
-        steps *= np.where(accept, 1.2, 0.5)
+        keep = accept[:, None]
+        np.copyto(U, cand, where=keep)
+        np.copyto(vals, cand_vals, where=accept)
+        np.copyto(grad, cand_grad, where=keep)
+        steps *= np.where(keep, 1.2, 0.5)
     return U, vals
 
 
@@ -337,15 +384,16 @@ def _search(Q: _Quartic, starts: np.ndarray, tol: float) -> list[_Side]:
     Every start of both sides takes the burn-in as one block
     (``_projected_descent``), and one Newton polish then takes the
     ``_POLISH_COUNT`` best rows of each side to the gradient tolerance
-    ``tol``.
+    ``tol``.  The polished rows are ranked by the phi of their carried
+    ``r``, so no polished point is evaluated again.
     """
     _, m, n = starts.shape
     signs = np.repeat([1.0, -1.0], m)
     U, vals = _projected_descent(Q, starts.reshape(2 * m, n), signs)
     picks = [np.argsort(v)[:_POLISH_COUNT] for v in vals.reshape(2, m)]
     rows = np.concatenate([picks[0], m + picks[1]])
-    P, ok, steps = _newton_polish(Q, U[rows], signs[rows], tol)
-    phi = _phi(Q, Q.products(P[:, None, :])[1])
+    P, ok, steps, r = _newton_polish(Q, U[rows], signs[rows], tol)
+    phi = _phi(Q, r)
     sides = []
     for k, sign in enumerate((1.0, -1.0)):
         part = slice(k * _POLISH_COUNT, (k + 1) * _POLISH_COUNT)
@@ -371,12 +419,13 @@ def _best(Q: _Quartic, side: _Side, tol: float):
             best=float(side.phi[0]) / (n - 1),
         )
     best_val, best_u = float(side.phi[0]), side.U[0]
-    degenerate = False
     scale = max(1.0, Q.total_sq)
-    for val, u in zip(side.phi[1:], side.U[1:]):
+    align = _dot(side.U[1:], best_u).tolist()
+    degenerate = False
+    for val, dot in zip(side.phi[1:].tolist(), align):
         if abs(val - best_val) >= _TIE_VALUE * scale:
             break
-        if 1.0 - abs(float(u @ best_u)) > _TIE_DIRECTION:
+        if 1.0 - abs(dot) > _TIE_DIRECTION:
             degenerate = True
             break
     audit = {

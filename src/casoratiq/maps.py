@@ -611,11 +611,11 @@ class SubmersionResiduals:
 
 
 def _space_form_tensor(kappa, g: np.ndarray, frame: np.ndarray) -> np.ndarray:
+    """kappa (G_bc G_ad - G_ac G_bd) on the frame, formed in its first product's array."""
     G = frame @ g @ frame.swapaxes(-1, -2)
-    kappa = np.asarray(kappa)[..., None, None, None, None]
-    return kappa * (
-        np.einsum("...bc,...ad->...abcd", G, G) - np.einsum("...ac,...bd->...abcd", G, G)
-    )
+    out = np.einsum("...bc,...ad->...abcd", G, G)
+    out -= np.einsum("...ac,...bd->...abcd", G, G)
+    return np.multiply(np.asarray(kappa)[..., None, None, None, None], out, out=out)
 
 
 def gauss_residual_submersion(
@@ -653,20 +653,23 @@ def gauss_residual_submersion(
     vertical = zero
     vertical_independent = fiber_kappa is not None
     if ell >= 2:
-        amb = R1[..., s:, s:, s:, s:]
+        # each l^4 array is formed in place and reduced as soon as it exists
         tt = _pairs(T.vectors @ G1, T.vectors)
         # R_fiber[ijkl] = R1[ijkl] + g(T(i,l), T(j,k)) - g(T(i,k), T(j,l))
-        recon = amb + tail_transpose(tt, 0, 2, 3, 1) - tail_transpose(tt, 0, 2, 1, 3)
+        recon = R1[..., s:, s:, s:, s:] + tail_transpose(tt, 0, 2, 3, 1)
+        recon -= tail_transpose(tt, 0, 2, 1, 3)
+        del tt
         if fiber_kappa is not None:
-            vertical = _largest(_space_form_tensor(fiber_kappa, g1, V) - recon, 4)
+            defect = _space_form_tensor(fiber_kappa, g1, V)
+            defect -= recon
+            vertical = _largest(defect, 4)
         else:
-            bianchi = recon + tail_transpose(recon, 1, 2, 0, 3) + tail_transpose(recon, 2, 0, 1, 3)
-            vertical = _python_max(
-                _largest(recon + tail_transpose(recon, 1, 0, 2, 3), 4),
-                _largest(recon + tail_transpose(recon, 0, 1, 3, 2), 4),
-                _largest(recon - tail_transpose(recon, 2, 3, 0, 1), 4),
-                _largest(bianchi, 4),
-            )
+            sym_ij = _largest(recon + tail_transpose(recon, 1, 0, 2, 3), 4)
+            sym_kl = _largest(recon + tail_transpose(recon, 0, 1, 3, 2), 4)
+            pair = _largest(recon - tail_transpose(recon, 2, 3, 0, 1), 4)
+            bianchi = recon + tail_transpose(recon, 1, 2, 0, 3)
+            bianchi += tail_transpose(recon, 2, 0, 1, 3)
+            vertical = _python_max(sym_ij, sym_kl, pair, _largest(bianchi, 4))
 
     # horizontal identity against the target curvature
     horizontal = zero

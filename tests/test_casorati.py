@@ -19,6 +19,7 @@ from casoratiq.casorati import (
     _POLISH_ITERS,
     _START_COUNT,
     _START_SEED,
+    _dot,
     _grad,
     _hess,
     _multistart_extrema,
@@ -325,6 +326,56 @@ class TestBatchedSearchOracle:
             assert np.array_equal(side.U, np.stack([rec[1] for rec in polished]))
             assert np.array_equal(side.ok, [rec[2] for rec in polished])
             assert np.array_equal(side.start, [rec[3] for rec in polished])
+
+    def test_row_form_rounds_row_by_row(self):
+        # the polish carries a row's state from whichever block evaluated it, so a
+        # row's products, gradient, value and dots may not depend on the other rows
+        rng = np.random.default_rng(2024)
+        for _ in range(300):
+            n, n_alpha, m = int(rng.integers(3, 9)), int(rng.integers(1, 6)), int(rng.integers(2, 25))
+            Q = _Quartic.of(sym_input(rng, n_alpha, n).coeffs)
+            U = rng.normal(size=(m, n))
+            U /= np.linalg.norm(U, axis=1, keepdims=True)
+            V = rng.normal(size=(m, n))
+            idx = np.sort(rng.choice(m, size=int(rng.integers(1, m + 1)), replace=False))
+            W, r = Q.products(U[:, None, :])
+            Ws, rs = Q.products(U[idx][:, None, :])
+            assert np.array_equal(Ws, W[idx]) and np.array_equal(rs, r[idx])
+            assert np.array_equal(_grad(Ws, rs), _grad(W, r)[idx])
+            assert np.array_equal(_phi(Q, rs), _phi(Q, r)[idx])
+            assert np.array_equal(_dot(U[idx], V[idx]), _dot(U, V)[idx])
+
+    @pytest.mark.parametrize("seed", range(32))
+    def test_each_iterate_is_evaluated_once(self, seed, monkeypatch):
+        # row-form evaluations: the polished rows once, then one per line-search
+        # pass; no accepted candidate is evaluated again for the next Newton step,
+        # the convergence test or the ranking.  Two rows may meet at one point, so
+        # a point is only checked against the evaluations before its own
+        h = _random_symmetric(seed)
+        rows, blocks, newton = [], [], []
+        products, newton_steps = _Quartic.products, _newton_steps
+
+        def counted_products(Q, U):
+            (rows if U.ndim == 3 else blocks).append(U.reshape(len(U), -1).copy())
+            return products(Q, U)
+
+        def counted_steps(Ht, gt):
+            newton.append(len(gt))
+            return newton_steps(Ht, gt)
+
+        casorati_module = importlib.import_module("casoratiq.casorati")
+        monkeypatch.setattr(_Quartic, "products", counted_products)
+        monkeypatch.setattr(casorati_module, "_newton_steps", counted_steps)
+        _multistart_extrema(h)
+        assert len(blocks) == _BURN_IN + 1
+        assert len(rows[0]) == 2 * _POLISH_COUNT
+        seen = set()
+        for U in rows:
+            points = {u.tobytes() for u in U}
+            assert not points & seen
+            seen |= points
+        # every Newton step makes one to 30 line-search passes
+        assert len(newton) <= len(rows) - 1 <= 30 * len(newton)
 
     def test_modified_newton_steps_descend(self):
         Ht = np.stack([np.diag([2.0, 4.0, 8.0]), np.diag([-1.0, 0.0, 3.0]), np.zeros((3, 3))])

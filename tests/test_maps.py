@@ -359,6 +359,27 @@ class TestGaussResiduals:
         assert (res.vertical, res.horizontal, res.mixed) == (0.0, 0.0, 0.0)
         assert peak <= 9.4 * 2**20, peak
 
+    @pytest.mark.parametrize("fiber_kappa", [0.0, None])
+    def test_vertical_identity_takes_few_l4_arrays(self, fiber_kappa):
+        # flat:24 -> flat:2: the fibers have l = 22, so one l^4 array is 1.79 MiB and
+        # the vertical identity dominates.  Forming each array in place and reducing
+        # it at once peaks at about 3 of them (5.5 MiB); holding the T products, the
+        # space-form tensor and every defect alive at once takes 7.3 MiB with a
+        # space-form fiber and 8.9 MiB with the symmetry checks
+        smap = SmoothMap(chart("flat:24"), chart("flat:2"), lambda c: list(c[:2]),
+                         "riemannian_submersion", 2)
+        sp = differential(smap, np.random.default_rng(24).uniform(-0.9, 0.9, size=24))
+        sp.source_curvature, sp.target_curvature
+        T, A = oneill_T(sp), oneill_A(sp)
+        tracemalloc.start()
+        try:
+            res = gauss_residual_submersion(sp, T, A, fiber_kappa=fiber_kappa)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (res.vertical, res.horizontal, res.mixed) == (0.0, 0.0, 0.0)
+        assert peak <= 6.3 * 2**20, peak
+
     def test_fiber_kappa_cross_check_against_sphere_chart(self):
         # the radial fiber is a round 3-sphere; the sphere3 chart gives the
         # same constant sectional curvature, justifying the kappa formula
