@@ -172,7 +172,8 @@ class CompiledExpression:
             raise DomainError(f"expression {self.source!r} is undefined at this point: {e}") from e
         (out,) = stack
         arrays = (out.value, out.grad, out.hess, out.d3) if isinstance(out, jets.Jet2) else (out,)
-        # a 1-d view keeps .all() on the array path for a lone point's 0-d value
+        # a 1-d view keeps .all() on the array path for a 0-d value: a constant's,
+        # or that of a point without an axis
         if not all(np.isfinite(np.reshape(a, -1)).all() for a in arrays):
             raise DomainError(f"expression {self.source!r} is not finite at this point")
         return out

@@ -12,15 +12,15 @@ Conventions used throughout the engine:
   (``frame_contraction``); every ambient curvature sum is a block or
   trace of it (``curvature_sums``);
 * the metric jets and everything ``ChartPoint`` derives from them, the
-  orthonormal frames and the frame tensors carry leading point axes: one
-  point is (n,), a batch of P points (P, n).  Each contraction is one
+  orthonormal frames and the frame tensors carry leading point axes: a
+  batch of P points is (P, n), and the scenes pass every chart point in
+  such a batch, a single point as P = 1.  Each contraction is one
   stacked matrix product per point, shaped as ``np.tensordot`` shapes it
-  for a lone point (``tensordot``), so a point in a batch gets the bits
-  it gets alone.  Every check raises for the first point that
-  fails it, naming that point, and ``batch_size`` bounds a batch so that
-  its jets hold no more floats than one point of a ``MAX_DIM`` chart.
-  ``ChartPoint.rows`` computes a batch's curvature before it splits the
-  batch into its points, so a row computes nothing again.
+  for one point without an axis (``tensordot``), so a point in a batch
+  gets the bits it gets alone; the public functions still take such a
+  point (n,).  Every check raises for the first point that fails it,
+  naming that point, and ``batch_size`` bounds a batch so that its jets
+  hold no more floats than one point of a ``MAX_DIM`` chart.
 """
 
 from __future__ import annotations
@@ -195,11 +195,11 @@ class CurvaturePoint:
 class ChartPoint:
     """The metric jets of a chart at P points, and what derives from them.
 
-    Every array has the point axes first; a lone point has none.  Built
-    from one ``metric_jets`` call.  The inverse metric and its first
-    derivative, the Christoffel symbols, their gradient and the curvature
-    are computed from those jets on first use and kept, so every consumer
-    shares one copy.  ``rows`` splits a batch into its points.
+    Every array has the point axes first.  Built from one
+    ``metric_jets`` call.  The inverse metric and its first derivative,
+    the Christoffel symbols, their gradient and the curvature are computed
+    from those jets on first use and kept, so every consumer shares one
+    copy.
     """
 
     x: np.ndarray
@@ -212,25 +212,6 @@ class ChartPoint:
         """The chart at a point (n,) or at points (P, n), checked against its box."""
         x = chart.require_inside(x)
         return cls(x, *chart.metric_jets(x))
-
-    def rows(self) -> list["ChartPoint"]:
-        """The points of a batch (P, n) one by one, their curvature already computed.
-
-        The batch computes the Christoffel symbols and the curvature of all
-        its points first, so the curvature check raises for the first point
-        that fails it; each row then holds its slice of both.
-        """
-        c = self.curvature
-        rows = []
-        for i in range(len(self.x)):
-            row = ChartPoint(self.x[i], self.G0[i], self.G1[i], self.G2[i])
-            # filled in where the cached properties keep what they compute
-            vars(row).update(
-                gamma=c.gamma[i],
-                curvature=CurvaturePoint(c.x[i], c.gamma[i], c.riemann[i], c.metric[i]),
-            )
-            rows.append(row)
-        return rows
 
     @cached_property
     def ginv_jet(self) -> tuple:
@@ -327,22 +308,34 @@ def riemann(chart: MetricChart, x) -> CurvaturePoint:
     return ChartPoint.at(chart, x).curvature
 
 
-def tensordot(a: np.ndarray, b: np.ndarray, axes: tuple, ndim: int) -> np.ndarray:
-    """``np.tensordot(a, b, axes)`` over the last ``ndim`` axes of ``a``, point axes in front.
-
-    ``a`` and ``b`` have the same point axes.  The contraction is one
-    stacked matmul per point, shaped as ``np.tensordot`` shapes it for a
-    lone point, so a point in a batch gets the bits it gets alone.
-    """
-    k = a.ndim - ndim
-    lead, sa, sb = a.shape[:k], a.shape[k:], b.shape[k:]
+@lru_cache(maxsize=256)
+def _contraction(shape_a: tuple, shape_b: tuple, axes: tuple, ndim: int) -> tuple:
+    """The axis orders and shapes of ``tensordot`` on operands of these shapes."""
+    k = len(shape_a) - ndim
+    lead, sa, sb = shape_a[:k], shape_a[k:], shape_b[k:]
     axes_a, axes_b = axes
     rest_a = [i for i in range(len(sa)) if i not in axes_a]
     rest_b = [i for i in range(len(sb)) if i not in axes_b]
     inner = math.prod(sa[i] for i in axes_a)
-    at = tail_transpose(a, *rest_a, *axes_a).reshape(lead + (-1, inner))
-    bt = tail_transpose(b, *axes_b, *rest_b).reshape(lead + (inner, -1))
-    return (at @ bt).reshape(lead + tuple(sa[i] for i in rest_a) + tuple(sb[i] for i in rest_b))
+    return (
+        _tail_axes(len(shape_a), (*rest_a, *axes_a)), lead + (-1, inner),
+        _tail_axes(len(shape_b), (*axes_b, *rest_b)), lead + (inner, -1),
+        lead + tuple(sa[i] for i in rest_a) + tuple(sb[i] for i in rest_b),
+    )
+
+
+def tensordot(a: np.ndarray, b: np.ndarray, axes: tuple, ndim: int) -> np.ndarray:
+    """``np.tensordot(a, b, axes)`` over the last ``ndim`` axes of ``a``, point axes in front.
+
+    ``a`` and ``b`` have the same point axes, and ``axes`` is a pair of
+    tuples.  The contraction is one stacked matmul per point, shaped as
+    ``np.tensordot`` shapes it for one point without an axis, so a point
+    in a batch gets the bits it gets alone.  The axis orders and shapes
+    are worked out once per operand shapes.
+    """
+    order_a, shape_a, order_b, shape_b, out = _contraction(a.shape, b.shape, axes, ndim)
+    at = a.transpose(order_a).reshape(shape_a)
+    return (at @ b.transpose(order_b).reshape(shape_b)).reshape(out)
 
 
 def frame_contraction(R: np.ndarray, E1, E2, E3, E4) -> np.ndarray:
@@ -354,7 +347,7 @@ def frame_contraction(R: np.ndarray, E1, E2, E3, E4) -> np.ndarray:
     """
     out = R
     for E in (E1, E2, E3, E4):
-        out = tensordot(out, E, ([0], [1]), 4)
+        out = tensordot(out, E, ((0,), (1,)), 4)
     return out
 
 
@@ -427,7 +420,7 @@ def complete_frame(frame: "OrthoFrame", candidates) -> "OrthoFrame":
     the frame built so far and kept unless numerically dependent on it.
     Points of a batch keep the same candidates; raises for the first
     point that would keep a candidate the first point drops, or drop one
-    it keeps, so that such a batch runs its points alone.
+    it keeps, so that such a batch runs its points one by one.
     """
     g = frame.metric_at
     n = g.shape[-1]

@@ -252,13 +252,13 @@ class SceneData:
     small, and it selects the chart-mode equality tolerance.  Chart
     submersions also give ``bracket_residual``.
 
-    What the checkers read is computed on first use and memoized: the J
-    blocks (``decomp``), the curvature sums (``sums``), and each tensor's
-    hyperplane extrema and equality diagnostics (``_extrema``,
-    ``_diagnostics``).  Scenes put in the J blocks they computed for the
-    space-form residual; ``precompute_batch`` fills the other slots for all
-    the points of a chart chunk at once, and a lone point fills them on
-    demand, in the order its checkers read them.
+    What the checkers read is memoized: the J blocks (``decomp``), the
+    curvature sums (``sums``), and each tensor's hyperplane extrema and
+    equality diagnostics (``_extrema``, ``_diagnostics``).  Scenes put in
+    the J blocks they computed for the space-form residual.  A chart point
+    gets the other slots from ``precompute_batch``, which fills them for
+    all the points of its chunk at once; a pointwise scene fills them on
+    first use, in the order its checkers read them.
     """
 
     kind: str
@@ -312,24 +312,25 @@ class SceneData:
         return A.norm_sq() if A is not None else 0.0
 
 
-def precompute_batch(rows: list[SceneData], keys) -> None:
+def precompute_batch(rows: list[SceneData], ambient: np.ndarray, tensors: dict) -> None:
     """Compute at once, for the points of a batch, what the checkers read from each row.
 
     ``rows`` are the points' ``SceneData``, all of one kind and shape,
-    each already holding its J blocks.  The curvature sums and, for each
-    tensor of ``keys`` over at least 3 vectors, the hyperplane extrema and
-    the equality diagnostics are computed with the point axis first and put
-    in the slots where each row memoizes them, so the checkers only
-    assemble reports.  Each row gets the bits it would compute alone; each
-    check raises for the first point that fails it.
+    each already holding its J blocks.  ``ambient`` stacks their ambient
+    frame tensors (P, n, n, n, n), and ``tensors`` maps each tensor the
+    checkers read to its stacked coefficients (P, a, k, k).  The curvature
+    sums and, for each tensor over at least 3 vectors, the hyperplane
+    extrema and the equality diagnostics are computed with the point axis
+    first and put in the slots where each row memoizes them, so the
+    checkers only assemble reports.  Each row gets the bits it would
+    compute alone; each check raises for the first point that fails it.
     """
     first = rows[0]
     s = first.frames[FRAMES[first.kind][0]].k
-    sums = curvature_sums(np.stack([r.ambient for r in rows]), s)
+    sums = curvature_sums(ambient, s)
     for row, row_sums in zip(rows, zip(*(v.tolist() for v in sums))):
         vars(row).update(sums=row_sums)
-    for key in keys:
-        h = np.stack([r.tensors[key].coeffs for r in rows])
+    for key, h in tensors.items():
         if h.shape[-1] < 3:  # the checkers reject the family before they read the extrema
             continue
         extrema = _extrema_rows(

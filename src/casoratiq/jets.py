@@ -6,15 +6,17 @@ scalar expression with respect to a fixed set of n base variables
 SIAM 2008, ch. 13), at every point of a batch: value (P,), grad (P, n),
 hess (P, n, n) and d3 (P, n, n, n).  This is the numpy form of vmapped
 Taylor mode (Bettencourt, Johnson & Duvenaud, *Taylor-mode automatic
-differentiation for higher-order derivatives in JAX*, 2019).  Any leading
-shape works the same way, and a lone point has none; a seeded variable
-or a constant keeps derivative arrays without the point axes, which
-broadcast.  Metric components, map components and scene expressions are
-all evaluated on jets, so curvature and the O'Neill tensor derivatives
-downstream are exact instead of finite differences.
+differentiation for higher-order derivatives in JAX*, 2019).  The scenes
+seed every chart point in a batch, a single point as P = 1; any leading
+shape works the same way, and so does one point (n,) with none, as the
+public functions take it.  A seeded variable or a constant keeps
+derivative arrays without the point axes, which broadcast.  Metric
+components, map components and scene expressions are all evaluated on
+jets, so curvature and the O'Neill tensor derivatives downstream are
+exact instead of finite differences.
 
-The ring operations act on whole arrays and round every point as a lone
-point would be rounded.  The scalar factors of a power, a reciprocal and
+The ring operations act on whole arrays and round every point as it
+would be rounded alone.  The scalar factors of a power, a reciprocal and
 the elementary functions are computed value by value with Python's float
 and ``math`` calls (numpy's ``**`` differs from Python's in the last
 bit), which also keeps ``math``'s error messages.
@@ -65,13 +67,9 @@ def _sym3(h: np.ndarray, g: np.ndarray) -> np.ndarray:
     return t + t.swapaxes(-1, -2) + t.swapaxes(-1, -3)
 
 
-def _against(v: np.ndarray, k: int):
-    """Values ``v`` against ``k`` trailing derivative axes; a lone point's 0-d value is a float.
-
-    Every product then rounds as before, and a float multiplies an array
-    faster than a length-1 axis broadcasts.
-    """
-    return float(v) if v.ndim == 0 else v.reshape(v.shape + (1,) * k)
+def _against(v: np.ndarray, k: int) -> np.ndarray:
+    """Values ``v`` against ``k`` trailing derivative axes."""
+    return v.reshape(v.shape + (1,) * k)
 
 
 def per_value(fn: Callable, v) -> np.ndarray:

@@ -1,24 +1,23 @@
 """Riemannian maps and submersions: splits, fundamental tensors, Gauss residuals.
 
-Everything at one source point is read from one ``MapPoint``: the
-third-order map jets and the source metric jets are computed once there,
-and the Christoffel symbols, the curvature of source and target and the
-horizontal projector with its exact derivative are derived from them on
-first use.  A ``MapPoint`` holds P points at once (leading point axes, as
-in ``geometry``): a scene builds one per chunk of its points, and
-``MapPoint.rows`` computes both chart points, their curvature and the
-O'Neill fields for all the points before it hands each point its row,
-which holds its slice of every one of them.  ``differential`` takes a
-``MapPoint``, or builds one from coordinates, and hangs it on the
-``SceneSplit`` that every other function here takes; the split, B, T, A,
-the vertical bracket and the Gauss residuals keep the point axes, so a
-chunk computes each of them once for all its points, and their ``rows``
-hand each point its share.  A lone point has no point axis.  Every
-contraction is one stacked product per point, shaped as a lone point's,
-so a point in a batch gets the bits it gets alone.  The split holds
-one curvature frame tensor per side, over [horizontal; vertical] in the
-source and [range; range_perp] in the target, and every Gauss residual
-reads its curvature blocks from those two arrays.
+Everything at the source points of a chunk is read from one
+``MapPoint``: the third-order map jets and the source metric jets are
+computed once there, and the Christoffel symbols, the curvature of
+source and target and the horizontal projector with its exact derivative
+are derived from them on first use.  A ``MapPoint`` holds P points at
+once, the point axes first, as in ``geometry``; a scene builds one per
+chunk of its points, a single point being a chunk of one.
+``differential`` takes a ``MapPoint``, or builds one from coordinates,
+and hangs it on the ``SceneSplit`` that every other function here takes;
+the split, B, T, A, the vertical bracket and the Gauss residuals keep
+the point axes, so a chunk computes each of them once for all its
+points, and each point reads its column.  Every contraction is one
+stacked product per point, shaped as a point without an axis would
+shape it, so a point in a chunk gets the bits it gets alone, and the
+public functions still take such a point.  The split holds one curvature
+frame tensor per side, over [horizontal; vertical] in the source and
+[range; range_perp] in the target, and every Gauss residual reads its
+curvature blocks from those two arrays.
 
 The O'Neill tensors are evaluated through projected constant-component
 extensions: a chart vector is extended with constant components, the
@@ -127,12 +126,11 @@ class SmoothMap:
 class MapPoint:
     """The jets of a map at P source points, and what derives from them.
 
-    Every array has the point axes first; a lone point has none.  Built
-    from one ``smap.jets`` call.  The source and target chart points,
-    which hold the checked metrics, and the submersion projector are
-    computed from jets on first use and kept, so each is paid for once and
-    only by the consumers that need it.  ``rows`` computes them for a whole
-    batch and hands each point its share.
+    Every array has the point axes first.  Built from one ``smap.jets``
+    call.  The source and target chart points, which hold the checked
+    metrics, and the submersion projector are computed from jets on first
+    use and kept, so each is paid for once and only by the consumers that
+    need it.
     """
 
     smap: SmoothMap
@@ -147,26 +145,6 @@ class MapPoint:
         """The map at a point (n,) or at points (P, n)."""
         x = np.asarray(x, dtype=float)
         return cls(smap, x, *smap.jets(x))
-
-    def rows(self) -> list["MapPoint"]:
-        """The points of a batch (P, n) one by one, with everything they read already computed.
-
-        The batch first computes, for all its points at once, both chart
-        points with their Christoffel symbols and curvature
-        (``ChartPoint.rows``) and, at a submersion, the O'Neill fields.
-        Each check raises for the first point that fails it.  Each row then
-        holds its slice of those arrays.
-        """
-        sub = self.submersion if self.smap.mode == RIEMANNIAN_SUBMERSION else None
-        rows = []
-        for i, (source, target) in enumerate(zip(self.source.rows(), self.target.rows())):
-            row = MapPoint(self.smap, self.x[i], self.y[i], self.dF[i], self.d2F[i], self.d3F[i])
-            # filled in where the cached properties keep what they compute
-            vars(row).update(source=source, target=target)
-            if sub is not None:
-                vars(row)["submersion"] = _SubmersionPoint(*(a[i] for a in sub))
-            rows.append(row)
-        return rows
 
     # SmoothMap.jets has checked x and y against the boxes
     @cached_property
@@ -221,8 +199,7 @@ class SceneSplit:
 
     ``point`` is the context the split was taken at; every quantity that
     depends only on the point is read from it.  Like the point, a split
-    holds P points at once, point axes first, and ``rows`` hands each
-    point its share.
+    holds P points at once, point axes first.
     """
 
     point: MapPoint
@@ -240,20 +217,6 @@ class SceneSplit:
     @property
     def s(self) -> int:
         return self.horizontal.k
-
-    def rows(self) -> list["SceneSplit"]:
-        """The points of a batch one by one, with both curvature frame tensors already computed."""
-        frames = (self.vertical, self.horizontal, self.range, self.range_perp)
-        tensors = (self.source_curvature, self.target_curvature)
-        rows = []
-        for i, pt in enumerate(self.point.rows()):
-            row = SceneSplit(
-                pt, *(OrthoFrame(f.vectors[i], f.metric_at[i]) for f in frames),
-                self.isometry_residual[i], self.kernel_residual[i],
-            )
-            vars(row).update(source_curvature=tensors[0][i], target_curvature=tensors[1][i])
-            rows.append(row)
-        return rows
 
     @cached_property
     def source_curvature(self) -> np.ndarray:
@@ -352,11 +315,6 @@ class FundamentalTensor:
         vectors = 0.5 * (vectors + sign * tail_transpose(vectors, 1, 0, 2))
         return cls(kind, coeffs, vectors, metric, residual)
 
-    def rows(self) -> list["FundamentalTensor"]:
-        """The points of a batch one by one."""
-        parts = (self.coeffs, self.vectors, self.metric, self.raw_symmetry_residual)
-        return [FundamentalTensor(self.kind, *row) for row in zip(*parts)]
-
     def symmetry_residual(self) -> float:
         return float(self.raw_symmetry_residual)
 
@@ -409,12 +367,12 @@ def _field(X, L) -> np.ndarray:
 
 def _on_frames(S: np.ndarray, E: np.ndarray, F: np.ndarray) -> np.ndarray:
     """``out[i, j] = S_{E_i} F_j``: the field ``S[k, m, n]`` on two frames, value last."""
-    return tail_transpose(tensordot(tensordot(E, S, ([1], [1]), 2), F, ([2], [1]), 3), 0, 2, 1)
+    return tail_transpose(tensordot(tensordot(E, S, ((1,), (1,)), 2), F, ((2,), (1,)), 3), 0, 2, 1)
 
 
 def _pairs(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     """``out[i, j, k, l] = X[i, j, a] Y[k, l, a]``."""
-    return tensordot(X, Y, ([2], [2]), 3)
+    return tensordot(X, Y, ((2,), (2,)), 3)
 
 
 def _oneill(split: SceneSplit, kind: str, tangent, normal) -> FundamentalTensor:
@@ -547,7 +505,7 @@ def _oneill_derivatives(split: SceneSplit) -> tuple[np.ndarray, np.ndarray]:
     # dgamma[m, a, b, c] = d_m Gamma^a_bc symmetric in b, c, H goes first
     dgamma = pt.source.dgamma
     t = (H @ dgamma.reshape(lead + (n, -1))).reshape(lead + (s, n, n, n))  # [i, a, b, c]
-    DG_T = tail_transpose(tensordot(t, V, ([2], [1]), 4), 0, 3, 1, 2)
+    DG_T = tail_transpose(tensordot(t, V, ((2,), (1,)), 4), 0, 3, 1, 2)
     t = dgamma.reshape(lead + (-1, n)) @ H.swapaxes(-1, -2)  # [m a b, i]
     t = (V @ t.reshape(lead + (n, -1))).reshape(lead + (-1, n, n, s))  # [j, a, b, i]
     DG_A = tail_transpose(t, 0, 3, 1, 2)
@@ -595,19 +553,6 @@ class SubmersionResiduals:
     horizontal: np.ndarray
     mixed: np.ndarray
     vertical_independent: bool  # True when an independent fiber curvature was used
-
-    def rows(self) -> list["SubmersionResiduals"]:
-        """The points of a batch one by one, each residual a float."""
-        parts = (self.vertical.tolist(), self.horizontal.tolist(), self.mixed.tolist())
-        return [SubmersionResiduals(*row, self.vertical_independent) for row in zip(*parts)]
-
-    def as_dict(self) -> dict:
-        return {
-            "vertical": float(self.vertical),
-            "horizontal": float(self.horizontal),
-            "mixed": float(self.mixed),
-            "vertical_independent": self.vertical_independent,
-        }
 
 
 def _space_form_tensor(kappa, g: np.ndarray, frame: np.ndarray) -> np.ndarray:

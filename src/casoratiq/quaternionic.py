@@ -193,7 +193,7 @@ class QSFOracle:
         E = np.atleast_2d(np.asarray(frame_vectors, dtype=float))
         G = E @ self.g @ E.swapaxes(-1, -2)
         X = _j_blocks(self.J, self.g, E) if blocks is None else blocks
-        XX = tensordot(X, X, ([0], [0]), 3)
+        XX = tensordot(X, X, ((0,), (0,)), 3)
         P = G[..., :, :, None, None] * G[..., None, None, :, :] + XX
         return 0.25 * self.c * (
             tail_transpose(P, 2, 0, 1, 3) - tail_transpose(P, 0, 2, 1, 3) - 2.0 * XX

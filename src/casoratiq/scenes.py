@@ -580,74 +580,15 @@ def _check_gauss(scn: Scenario, worst: float) -> None:
         )
 
 
-class _SplitStage(NamedTuple):
-    """A chart point's split and everything read from it, point axes first.
+class _ChartRow(NamedTuple):
+    """One chart point's share of its chunk: the map point, the validation
+    record and the Gauss residuals of its report, and its checker input
+    (None when the scene requests no theorem)."""
 
-    ``structure`` is the structure check's record (one per point of a
-    batch), ``tensors`` holds T and A or B, ``gauss`` the Gauss
-    residuals, ``bracket`` the bracket residual of a submersion and
-    ``space_form`` the space-form residual of a scene with theorems, and
-    ``decomp`` the J blocks it was computed with, which the checkers read
-    too.  ``data`` is a batch row's checker input, already filled in.
-    """
-
-    split: maps.SceneSplit
-    structure: Optional[object]
-    tensors: dict
-    gauss: object
-    bracket: Optional[np.ndarray]
-    space_form: Optional[np.ndarray]
-    decomp: Optional[object]
-    data: Optional[SceneData] = None
-
-    def rows(self) -> list["_SplitStage"]:
-        """The points of a batch one by one."""
-        n = len(self.split.point.x)
-        columns = (
-            self.split.rows(),
-            self.structure or [None] * n,
-            [dict(zip(self.tensors, ts)) for ts in zip(*(t.rows() for t in self.tensors.values()))],
-            self.gauss.rows() if isinstance(self.gauss, maps.SubmersionResiduals) else self.gauss,
-            [None] * n if self.bracket is None else self.bracket,
-            [None] * n if self.space_form is None else self.space_form,
-            [None] * n if self.decomp is None else self.decomp.rows(),
-        )
-        return [_SplitStage(*row) for row in zip(*columns)]
-
-
-def _split_stage(scn: Scenario, point, kappa) -> _SplitStage:
-    """The split at a point or at a batch of points, and everything read from it.
-
-    ``point`` is a point's coordinates or the ``MapPoint`` of a batch, and
-    ``kappa`` the fiber curvature at each point when already evaluated.
-    The structure is checked right after the split; each check raises for
-    the first point that fails it.
-    """
-    split = maps.differential(scn.smap, point)
-    structure = None
-    if scn.structure is not None:
-        structure = _structure_report(scn.structure, _structure_metric(scn, split))
-    if scn.kind == "submersion":
-        T = maps.oneill_T(split)
-        A = maps.oneill_A(split)
-        if scn.fiber_kappa is not None and kappa is None:
-            kappa = float(scn.fiber_kappa([float(v) for v in split.point.x]))
-        res = maps.gauss_residual_submersion(split, T, A, fiber_kappa=kappa)
-        tensors, bracket = {"T": T, "A": A}, _bracket_residual(split, A)
-    else:
-        B = maps.second_fundamental_form(split)
-        tensors, res, bracket = {"B": B}, maps.gauss_residual_map(split, B), None
-    space_form = decomp = None
-    if scn.theorems:
-        # the parse-time fit check put the structure on the curved side
-        J, g = scn.structure.J_const, _structure_metric(scn, split)
-        first, second = (getattr(split, tag).vectors for tag in FRAMES[scn.kind])
-        decomp = decompose_J(J, g, first, second)
-        space_form = space_form_residual_from_tensor(
-            _ambient(scn, split), QSFOracle(scn.c, J, g), np.concatenate([first, second], axis=-2),
-            blocks=decomp.blocks,
-        )
-    return _SplitStage(split, structure, tensors, res, bracket, space_form, decomp)
+    map_point: list
+    validation: dict
+    gauss: dict
+    data: Optional[SceneData]
 
 
 def _ambient(scn: Scenario, split: maps.SceneSplit) -> np.ndarray:
@@ -655,100 +596,149 @@ def _ambient(scn: Scenario, split: maps.SceneSplit) -> np.ndarray:
     return split.target_curvature if scn.kind == "map" else split.source_curvature
 
 
-def _scene_data(scn: Scenario, stage: _SplitStage) -> SceneData:
-    """The checker input of one chart point, from its split stage."""
-    split = stage.split
-    data = SceneData(
-        scn.kind, {tag: getattr(split, tag) for tag in FRAMES[scn.kind]},
-        {k: t.coeffs for k, t in stage.tensors.items()}, _structure_metric(scn, split),
-        scn.structure.J_const, scn.c, _ambient(scn, split), scn.delta_n,
-        space_form_residual=float(stage.space_form),
-        equality_tol=scn.tolerances.get("equality"),
-        bracket_residual=None if stage.bracket is None else float(stage.bracket),
-    )
-    vars(data)["decomp"] = stage.decomp  # where the cached property keeps it
-    return data
+def _checker_inputs(scn: Scenario, split: maps.SceneSplit, tensors: dict, bracket) -> list:
+    """Each point's ``SceneData``, with everything its checkers read computed for the chunk at once.
+
+    The J blocks serve both the space-form residual and the checkers; the
+    curvature sums, hyperplane extrema and equality diagnostics are put in
+    by ``precompute_batch``.
+    """
+    # the parse-time fit check put the structure on the curved side
+    J, g = scn.structure.J_const, _structure_metric(scn, split)
+    frames = {tag: getattr(split, tag) for tag in FRAMES[scn.kind]}
+    first, second = (f.vectors for f in frames.values())
+    decomp = decompose_J(J, g, first, second)
+    ambient = _ambient(scn, split)
+    space_form = space_form_residual_from_tensor(
+        ambient, QSFOracle(scn.c, J, g), np.concatenate([first, second], axis=-2),
+        blocks=decomp.blocks,
+    ).tolist()
+    brackets = [None] * len(space_form) if bracket is None else bracket.tolist()
+    rows = []
+    for i, point_decomp in enumerate(decomp.rows()):
+        data = SceneData(
+            scn.kind, {tag: OrthoFrame(f.vectors[i], f.metric_at[i]) for tag, f in frames.items()},
+            {k: t.coeffs[i] for k, t in tensors.items()}, g[i], J, scn.c, ambient[i], scn.delta_n,
+            space_form_residual=space_form[i],
+            equality_tol=scn.tolerances.get("equality"),
+            bracket_residual=brackets[i],
+        )
+        vars(data)["decomp"] = point_decomp  # where the cached property keeps it
+        rows.append(data)
+    families = _requested_families(scn.theorems)
+    keys = dict.fromkeys(k for f in families for k in FAMILY_TENSORS[f])
+    precompute_batch(rows, ambient, {k: tensors[k].coeffs for k in keys})
+    return rows
 
 
-def _chunk_rows(scn: Scenario, chunk: np.ndarray) -> list[_SplitStage]:
-    """Each point's split stage and checker input, all computed for the chunk at once."""
+def _chunk_rows(scn: Scenario, chunk: np.ndarray) -> list[_ChartRow]:
+    """Each point's row of a chunk of points (P, n), all computed for the chunk at once.
+
+    That is everything from the jets to the checker inputs: the map jets,
+    the fiber curvature, the split with both chart points, their
+    curvature and the O'Neill fields, the structure check right after the
+    split, B or T and A, the Gauss and bracket residuals, and, when the
+    scene requests theorems, the checker inputs (``_checker_inputs``).
+    Each check raises for the first point that fails it.  Each row then
+    reads its column of every array.
+    """
     point = maps.MapPoint.at(scn.smap, chunk)
     kappa = None
     if scn.fiber_kappa is not None and scn.kind == "submersion":
         kappa = scn.fiber_kappa(list(chunk.T))
-    rows = _split_stage(scn, point, kappa).rows()
-    if not scn.theorems:
-        return rows
-    data = [_scene_data(scn, row) for row in rows]
-    families = _requested_families(scn.theorems)
-    precompute_batch(data, dict.fromkeys(k for f in families for k in FAMILY_TENSORS[f]))
-    return [row._replace(data=d) for row, d in zip(rows, data)]
+    split = maps.differential(scn.smap, point)
+    validation = {
+        "isometry_residual": split.isometry_residual.tolist(),
+        "kernel_residual": split.kernel_residual.tolist(),
+    }
+    if scn.structure is not None:
+        validation["structure"] = _structure_report(scn.structure, _structure_metric(scn, split))
+    if scn.kind == "submersion":
+        T = maps.oneill_T(split)
+        A = maps.oneill_A(split)
+        res = maps.gauss_residual_submersion(split, T, A, fiber_kappa=kappa)
+        tensors, bracket = {"T": T, "A": A}, _bracket_residual(split, A)
+        validation["T_symmetry_residual"] = T.raw_symmetry_residual.tolist()
+        validation["A_skew_residual"] = A.raw_symmetry_residual.tolist()
+        validation["bracket_verticality_residual"] = bracket.tolist()
+        gauss = {
+            "vertical": res.vertical.tolist(),
+            "horizontal": res.horizontal.tolist(),
+            "mixed": res.mixed.tolist(),
+            "vertical_independent": [res.vertical_independent] * len(chunk),
+        }
+    else:
+        B = maps.second_fundamental_form(split)
+        tensors, bracket = {"B": B}, None
+        validation["B_symmetry_residual"] = B.raw_symmetry_residual.tolist()
+        gauss = {"map": maps.gauss_residual_map(split, B).tolist()}
+    data = [None] * len(chunk)
+    if scn.theorems:
+        data = _checker_inputs(scn, split, tensors, bracket)
+    return [
+        _ChartRow(
+            y,
+            {key: column[i] for key, column in validation.items()},
+            {key: column[i] for key, column in gauss.items()},
+            data[i],
+        )
+        for i, y in enumerate(point.y.tolist())
+    ]
 
 
-def _chart_batches(scn: Scenario, X: np.ndarray) -> list[Optional[_SplitStage]]:
-    """Each chart point's split stage, or None where the point runs alone.
+def _point_rows(scn: Scenario, chunk: np.ndarray) -> list:
+    """Each point's ``_ChartRow``, or the error that the point raises on its own.
+
+    A chunk of two or more points where any step raises runs each of its
+    points again as a chunk of one, so a failing point keeps its own
+    error and the others their rows.
+    """
+    try:
+        return _chunk_rows(scn, chunk)
+    except (CasoratiqError, np.linalg.LinAlgError) as e:
+        if len(chunk) == 1:
+            return [e]
+        return [row for i in range(len(chunk)) for row in _point_rows(scn, chunk[i : i + 1])]
+
+
+def _chart_batches(scn: Scenario, X: np.ndarray) -> list:
+    """Each chart point's ``_ChartRow``, or the error that it raises.
 
     The points go in chunks of ``batch_size`` of the larger chart
-    dimension.  A chunk of two or more points computes up front, for all
-    its points at once, everything from the jets to the checker inputs
-    (``_chunk_rows``): the chart points with their curvature, the O'Neill
-    fields and the fiber curvature, then the split, the structure check,
-    the frame curvature tensors, B or T and A, the Gauss, bracket and
-    space-form residuals, and, when the scene requests theorems, each
-    point's ``SceneData`` with its J blocks, curvature sums, hyperplane
-    extrema and equality diagnostics filled in.  A chunk of one point, or
-    one where any of that raises, runs its points alone: each computes
-    everything itself, so a failing point raises its own error at its own
-    step.  A lone point has no point axis, whose length 1 slowed
-    single-point scenes by about 4%.
+    dimension, and every point goes through ``_chunk_rows``: a scene of
+    one point, or a trailing point, is a chunk of one.  A chunk computes,
+    for all its points at once, everything from the jets to the checker
+    inputs, with each point's ``SceneData`` holding its J blocks,
+    curvature sums, hyperplane extrema and equality diagnostics.  A chunk
+    of two or more points where any of that raises runs each of its points
+    again as a chunk of one (``_point_rows``); a point that fails on its
+    own is computed once, and its error is raised at its own step.
     """
     smap = scn.smap
     size = geometry.batch_size(max(smap.source.dim, smap.target.dim))
     rows = []
     for start in range(0, len(X), size):
-        chunk = X[start : start + size]
-        try:
-            rows += _chunk_rows(scn, chunk) if len(chunk) > 1 else [None]
-        except (CasoratiqError, np.linalg.LinAlgError):
-            rows += [None] * len(chunk)
+        rows += _point_rows(scn, X[start : start + size])
     return rows
 
 
-def _evaluate_chart_point(scn: Scenario, x: np.ndarray, row: Optional[_SplitStage]):
+def _evaluate_chart_point(scn: Scenario, row):
     """Map point, validation, Gauss residuals and checker data of one chart point.
 
-    ``row`` is the point's split stage when its chunk computed it, else
-    None and the point computes it alone from its coordinates ``x``.  The
-    Gauss tolerance is checked here, on the point's own residuals, and the
+    ``row`` is the point's ``_ChartRow``, read off its chunk, or the error
+    the point raised on its own, which is raised here.  The Gauss
+    tolerance is checked here, on the point's own residuals, and the
     space-form tolerance by the checkers, on the point's own data, so a
-    point that fails either leaves the rest of its chunk alone.  The
-    checker data is None when the scene requests no theorem; a chunk's row
-    brings it with everything the checkers read filled in, and a lone
-    point builds it here and fills it on demand.
+    point that fails either leaves the rest of its chunk alone.
     """
-    stage = row or _split_stage(scn, x, None)
-    split, tensors = stage.split, stage.tensors
-    validation = {
-        "isometry_residual": float(split.isometry_residual),
-        "kernel_residual": float(split.kernel_residual),
-    }
-    if stage.structure is not None:
-        validation["structure"] = stage.structure
-
+    if isinstance(row, Exception):
+        raise row
+    gauss = row.gauss
     if scn.kind == "submersion":
-        validation["T_symmetry_residual"] = tensors["T"].symmetry_residual()
-        validation["A_skew_residual"] = tensors["A"].symmetry_residual()
-        gauss = stage.gauss.as_dict()
         _check_gauss(scn, max(gauss["vertical"], gauss["horizontal"], gauss["mixed"]))
-        validation["bracket_verticality_residual"] = float(stage.bracket)
     else:
-        validation["B_symmetry_residual"] = tensors["B"].symmetry_residual()
-        gauss = {"map": float(stage.gauss)}
         _check_gauss(scn, gauss["map"])
-    data = None
-    if scn.theorems:
-        data = stage.data or _scene_data(scn, stage)
-    return split.point.y.tolist(), validation, gauss, data
+    return row
 
 
 def _evaluate_pointwise(scn: Scenario):
@@ -814,7 +804,7 @@ def evaluate_scenario(scn: Scenario, strict: bool = False) -> RunReport:
                 if scn.mode == "pointwise":
                     map_point, validation, gauss, data = _evaluate_pointwise(scn)
                 else:
-                    map_point, validation, gauss, data = _evaluate_chart_point(scn, x, batches[i])
+                    map_point, validation, gauss, data = _evaluate_chart_point(scn, batches[i])
                 reports = _theorem_reports(data, scn.theorems)
                 points.append(PointResult(i, coords, map_point, validation, gauss, reports, []))
             except CasoratiqError as e:

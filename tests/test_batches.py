@@ -5,10 +5,11 @@ symbols, curvature, O'Neill fields and fiber curvature at once, then the
 split, B or T and A, the frame curvature tensors and the Gauss and
 bracket residuals, then the checker inputs (structure check, space-form
 residual, J blocks, curvature sums, hyperplane extrema and equality
-diagnostics), and each point reads its row; a chunk where any of that
-raises runs its points alone.  These tests hold the batch to the single
-point: reports are byte-identical, a failing point keeps its own message,
-and a check that fails at one point leaves the others alone.
+diagnostics), and each point reads its column.  A single point is a chunk
+of one, and a chunk where any of that raises runs each of its points as a
+chunk of one.  These tests hold the batch to the single point: reports
+are byte-identical, a failing point keeps its own message, and a check
+that fails at one point leaves the others alone.
 """
 
 import copy
@@ -31,6 +32,7 @@ from casoratiq.errors import (
     DomainError,
     NotRiemannianMapError,
     OracleError,
+    RankError,
     SceneValidationError,
 )
 from casoratiq.geometry import MAX_DIM, ChartPoint, MetricChart, _symmetry_defects, batch_size
@@ -353,7 +355,7 @@ def test_only_a_failing_batch_step_runs_the_chunk_alone(kind, monkeypatch):
     shapes = _map_point_shapes(monkeypatch)
     evaluate_scenario(scn)
     n = len(points[0])
-    alone = [] if kind in CHECKED_ON_THE_ROW else [(n,)] * 3
+    alone = [] if kind in CHECKED_ON_THE_ROW else [(1, n)] * 3
     assert shapes == [(3, n)] + alone
 
 
@@ -363,11 +365,18 @@ def test_the_batched_split_names_its_failing_point():
     with pytest.raises(error) as info:
         maps.differential(smap, np.array(points))
     assert str(info.value) == message
-    for row, x in zip(maps.differential(smap, np.array(points[::2])).rows(), points[::2]):
-        alone = maps.differential(smap, np.array(x))
-        for frame in ("vertical", "horizontal", "range", "range_perp"):
-            assert _bits(getattr(row, frame).vectors) == _bits(getattr(alone, frame).vectors)
-        assert _bits(row.target_curvature) == _bits(alone.target_curvature)
+    # the two good points as one chunk and each as a chunk of one
+    for chunk in (points[::2], points[:1], points[2:]):
+        split = maps.differential(smap, np.array(chunk))
+        gauss = maps.gauss_residual_map(split)
+        for i, x in enumerate(chunk):
+            alone = maps.differential(smap, np.array(x))
+            for frame in ("vertical", "horizontal", "range", "range_perp"):
+                want = getattr(alone, frame).vectors
+                assert _bits(getattr(split, frame).vectors[i]) == _bits(want)
+            for part in ("isometry_residual", "kernel_residual", "target_curvature"):
+                assert _bits(getattr(split, part)[i]) == _bits(getattr(alone, part))
+            assert _bits(gauss[i]) == _bits(maps.gauss_residual_map(alone))
 
 
 def test_points_that_keep_other_candidates_run_their_chunk_alone(monkeypatch):
@@ -379,7 +388,7 @@ def test_points_that_keep_other_candidates_run_their_chunk_alone(monkeypatch):
     assert str(info.value) == "points of the batch disagree on candidate 0, first at point 1"
     shapes = _map_point_shapes(monkeypatch)
     assert evaluate_scenario(scn).aggregate["point_errors"] == 0
-    assert shapes == [(3, 2)] + [(2,)] * 3
+    assert shapes == [(3, 2)] + [(1, 2)] * 3
 
 
 # -- chunks --------------------------------------------------------------------
@@ -405,8 +414,8 @@ def test_scene_runs_in_chunks(monkeypatch):
     assert _chunk_shapes(monkeypatch, _sampled_hopf()) == [(5, 4), (5, 4), (2, 4)]
 
 
-def test_a_trailing_point_runs_alone(monkeypatch):
-    assert _chunk_shapes(monkeypatch, _sampled_hopf(11)) == [(5, 4), (5, 4), (4,)]
+def test_a_trailing_point_is_a_chunk_of_one(monkeypatch):
+    assert _chunk_shapes(monkeypatch, _sampled_hopf(11)) == [(5, 4), (5, 4), (1, 4)]
 
 
 def test_a_failing_chunk_runs_its_points_alone(monkeypatch):
@@ -417,7 +426,7 @@ def test_a_failing_chunk_runs_its_points_alone(monkeypatch):
 
     def corrupted(chart, x):
         G0, G1, G2 = metric_jets(chart, x)
-        if np.ndim(x) == 1:
+        if np.shape(x) in ((1, 4), (1, 3)):  # a chunk of one, at the source or the target
             lone.append(chart.name)
         elif chart is scn.smap.source:
             G2 = G2.copy()
@@ -426,9 +435,93 @@ def test_a_failing_chunk_runs_its_points_alone(monkeypatch):
 
     monkeypatch.setattr(MetricChart, "metric_jets", corrupted)
     with pytest.raises(DegenerateMetricError, match="curvature symmetries violated"):
-        MapPoint.at(scn.smap, scn.evaluation_points()).rows()
+        MapPoint.at(scn.smap, scn.evaluation_points()).source.curvature
     assert [_point_json(p) for p in evaluate_scenario(scn).points] == want
     assert sorted(set(lone)) == ["flat-positive:4", "hopf-base"] and len(lone) == 2 * 12
+
+
+def _shipped(name):
+    """A builtin scene, or a scene file of ``scenarios/`` by its file name."""
+    return load_scenario(str(SCENARIOS / name) if name.endswith(".json") else name)
+
+
+CHART_SCENES = [
+    name
+    for name in scenes.builtin_names() + sorted(p.name for p in SCENARIOS.glob("*.json"))
+    if _shipped(name).mode == "chart"
+]
+
+
+def _count_chunks(monkeypatch) -> list:
+    """The shapes ``scenes._chunk_rows`` is called with from now on."""
+    shapes = []
+
+    def counted(scn, chunk, _original=scenes._chunk_rows):
+        shapes.append(np.shape(chunk))
+        return _original(scn, chunk)
+
+    monkeypatch.setattr(scenes, "_chunk_rows", counted)
+    return shapes
+
+
+@pytest.mark.parametrize("name", CHART_SCENES)
+def test_a_single_point_is_a_chunk_of_one(name, monkeypatch):
+    scn = _shipped(name)
+    x = scn.evaluation_points()[0]
+    shapes = _count_chunks(monkeypatch)
+    rep = evaluate_scenario(_alone(scn, x))
+    assert rep.aggregate["point_errors"] == 0 and len(rep.points) == 1
+    assert shapes == [(1, len(x))]
+
+
+def test_a_failing_single_point_computes_its_stage_once(monkeypatch):
+    # dF = (x1, 0) has rank 0 where x1 = 0
+    doc = {
+        "version": 1,
+        "name": "fold",
+        "mode": "chart",
+        "map": {"source": "flat:2", "target": "flat:1", "exprs": ["x1^2/2"],
+                "map_mode": "riemannian_submersion", "rank": 1},
+        "c": 0.0,
+        "points": [[0.0, 0.3]],
+        "theorems": [],
+    }
+    message = (
+        "differential rank 0 does not match declared rank 1 at [0.0, 0.3] "
+        "(singular values [0.0, 0.0])"
+    )
+    splits, shapes = [], _count_chunks(monkeypatch)
+
+    def differential(smap, x, _original=maps.differential):
+        splits.append(np.shape(x.x))
+        return _original(smap, x)
+
+    monkeypatch.setattr(maps, "differential", differential)
+    rep = evaluate_scenario(parse_scenario(doc))
+    assert [p.errors for p in rep.points] == [[message]]
+    assert shapes == [(1, 2)] and splits == [(1, 2)]
+    with pytest.raises(RankError) as info:
+        evaluate_scenario(parse_scenario(doc), strict=True)
+    assert str(info.value) == message
+    assert splits == [(1, 2)] * 2
+
+
+def test_metric_jets_see_only_chunks(monkeypatch):
+    """No chart point of any shipped scene, or of a scene with a failing point,
+    is evaluated without a point axis."""
+    ndims = []
+    metric_jets = MetricChart.metric_jets
+
+    def counted(chart, x):
+        ndims.append(np.ndim(x))
+        return metric_jets(chart, x)
+
+    monkeypatch.setattr(MetricChart, "metric_jets", counted)
+    for name in CHART_SCENES:
+        assert evaluate_scenario(_shipped(name)).points
+    for build, points, _, _ in ONE_BAD_POINT.values():
+        assert evaluate_scenario(parse_scenario(build(points))).aggregate["point_errors"] == 1
+    assert ndims and set(ndims) == {2}
 
 
 def test_fiber_curvature_once_per_chunk(monkeypatch):
@@ -463,7 +556,7 @@ def test_box_checks_per_chunk(count, chunks, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "count, chunks", [(1, [()]), (11, [(5,), (5,), ()]), (12, [(5,), (5,), (2,)])]
+    "count, chunks", [(1, [(1,)]), (11, [(5,), (5,), (1,)]), (12, [(5,), (5,), (2,)])]
 )
 def test_split_and_frame_tensors_once_per_chunk(count, chunks, monkeypatch):
     svds, contracted = [], []
@@ -492,8 +585,8 @@ def test_split_and_frame_tensors_once_per_chunk(count, chunks, monkeypatch):
 def _count_leads(monkeypatch) -> dict:
     """The point axes each checker-input computation is called with from now on.
 
-    The extrema and the diagnostics take stacks of points, a lone point a
-    stack of one; they are recorded by the stack size.
+    The extrema and the diagnostics take stacks of points; they are
+    recorded by the stack size.
     """
     calls = {}
 
@@ -510,14 +603,14 @@ def _count_leads(monkeypatch) -> dict:
     count(scenes, "space_form_residual_from_tensor", lambda R, oracle, E: R.shape[:-4])
     count(scenes, "decompose_J", lambda J, g, *frames: g.shape[:-2])
     count(inequalities, "curvature_sums", lambda R, s: R.shape[:-4])
-    for module in (casorati, inequalities):  # the lone path and the batched path
+    for module in (casorati, inequalities):  # the one-point form and the batched path
         count(module, "_extrema_rows", lambda h, kind, total_sq: len(h))
     count(inequalities, "_diagnostics_rows", lambda h, *rest: len(h))
     return calls
 
 
 @pytest.mark.parametrize(
-    "count, chunks", [(1, [()]), (11, [(5,), (5,), ()]), (12, [(5,), (5,), (2,)])]
+    "count, chunks", [(1, [(1,)]), (11, [(5,), (5,), (1,)]), (12, [(5,), (5,), (2,)])]
 )
 def test_checker_inputs_once_per_chunk(count, chunks, monkeypatch):
     monkeypatch.setattr(geometry, "batch_size", lambda n: 5)
@@ -654,6 +747,7 @@ def test_stacked_space_form_and_J_blocks_match_each_point_alone():
             alone = decompose_J(J, g[p], E[p, :s], E[p, s:])
             row = decomp.rows()[p]
             for part in ("norms_P", "norms_Q", "norms_PV", "blocks"):
+                assert _bits(getattr(decomp, part)[p]) == _bits(getattr(alone, part))
                 assert _bits(getattr(row, part)) == _bits(getattr(alone, part))
             assert _bits(alone.blocks) == _bits(want_blocks)
             # the per-J loop of sums over each block, the reference
@@ -744,15 +838,15 @@ def test_curvature_check_fails_only_its_own_point():
     smap = random_submersion(4, seed=3)
     X = np.array([[0.1, 0.2, -0.3, 0.4], [0.3, -0.1, 0.2, 0.0], [-0.4, 0.1, 0.1, 0.2]])
     cp = ChartPoint.at(smap.source, X)
-    for row, x in zip(cp.rows(), X):
+    for i, x in enumerate(X):
         alone = ChartPoint.at(smap.source, x)
-        assert _bits(row.gamma) == _bits(alone.gamma)
-        assert _bits(row.curvature.riemann) == _bits(alone.curvature.riemann)
+        assert _bits(cp.gamma[i]) == _bits(alone.gamma)
+        assert _bits(cp.curvature.riemann[i]) == _bits(alone.curvature.riemann)
     G2 = cp.G2.copy()
     G2[1, 0, 0, 1, 2] += 0.5  # d1 d2 g_00 != d2 d1 g_00: no smooth metric has these jets
     message = re.escape(f"at {X[1].tolist()};")
     with pytest.raises(DegenerateMetricError, match=message):
-        ChartPoint(cp.x, cp.G0, cp.G1, G2).rows()
+        ChartPoint(cp.x, cp.G0, cp.G1, G2).curvature
     with pytest.raises(DegenerateMetricError, match=message):
         ChartPoint(X[1], cp.G0[1], cp.G1[1], G2[1]).curvature
     for i in (0, 2):
@@ -763,8 +857,24 @@ def test_curvature_check_fails_only_its_own_point():
 def test_a_submersion_row_holds_its_oneill_fields():
     smap = random_submersion(4, seed=3)
     X = np.array([[0.1, 0.2, -0.3, 0.4], [0.3, -0.1, 0.2, 0.0], [-0.4, 0.1, 0.1, 0.2]])
-    for row, x in zip(MapPoint.at(smap, X).rows(), X):
-        assert {"source", "target", "submersion"} <= set(vars(row))
-        alone = MapPoint.at(smap, x).submersion
-        for part, want in zip(row.submersion, alone):
-            assert _bits(part) == _bits(want)
+    # the three points as one chunk and the second as a chunk of one
+    for chunk in (X, X[1:2]):
+        point = MapPoint.at(smap, chunk)
+        for i, x in enumerate(chunk):
+            alone = MapPoint.at(smap, x).submersion
+            for part, want in zip(point.submersion, alone):
+                assert _bits(part[i]) == _bits(want)
+    # the split and the Gauss residuals of a Riemannian submersion, likewise
+    scn = builtin_scenario("hopf-radial:4to3")
+    X, smap = scn.evaluation_points(), scn.smap
+    for chunk in (X, X[1:2]):
+        split = maps.differential(smap, chunk)
+        gauss = maps.gauss_residual_submersion(split)
+        for i, x in enumerate(chunk):
+            alone = maps.differential(smap, x)
+            for frame in ("vertical", "horizontal", "range", "range_perp"):
+                want = getattr(alone, frame).vectors
+                assert _bits(getattr(split, frame).vectors[i]) == _bits(want)
+            want = maps.gauss_residual_submersion(alone)
+            for part in ("vertical", "horizontal", "mixed"):
+                assert _bits(getattr(gauss, part)[i]) == _bits(getattr(want, part))

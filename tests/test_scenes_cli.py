@@ -974,21 +974,28 @@ class TestComputeOnce:
 
     def test_equality_diagnostics_per_point(self, monkeypatch):
         # the vertical and combined families share T's diagnostics; the
-        # horizontal family reads A's
+        # horizontal family reads A's.  The point is a chunk of one, whose
+        # diagnostics are counted by the kind of the extrema they read
         from casoratiq import inequalities
 
         one_point = _first_point_only(builtin_scenario("product-projection:8to4"))
-        calls = []
+        kinds, calls = {}, []
 
-        def counted(inp, *args, _original=inequalities.equality_diagnostics, **kwargs):
-            calls.append(inp.kind)
-            return _original(inp, *args, **kwargs)
+        def extrema(h, kind, *args, _original=inequalities._extrema_rows):
+            out = _original(h, kind, *args)
+            kinds.update((id(ex), kind) for ex in out)
+            return out
 
-        monkeypatch.setattr(inequalities, "equality_diagnostics", counted)
+        def diagnostics(h, extrema, *args, _original=inequalities._diagnostics_rows):
+            calls.append([kinds[id(ex)] for ex in extrema])
+            return _original(h, extrema, *args)
+
+        monkeypatch.setattr(inequalities, "_extrema_rows", extrema)
+        monkeypatch.setattr(inequalities, "_diagnostics_rows", diagnostics)
         rep = evaluate_scenario(one_point)
         families = {"vertical_5_2", "horizontal_6_2", "combined_7_2"}
         assert families <= {r.theorem_id for r in rep.points[0].reports}
-        assert sorted(calls) == ["skew", "symmetric"]
+        assert sorted(calls) == [["skew"], ["symmetric"]]
 
     @pytest.mark.parametrize(
         "name", ["product-projection:8to4", "hopf-radial:4to3", "flat-embedding:4in8"]
