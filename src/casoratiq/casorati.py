@@ -48,23 +48,28 @@ class CasoratiInput:
             c = c[None, :, :]
         if c.ndim != 3 or c.shape[1] != c.shape[2]:
             raise DimensionError(f"coefficient array has shape {c.shape}")
-        if c.shape[1] < 1:
-            raise DimensionError("empty coefficient array")
-        if self.kind not in ("symmetric", "skew"):
-            raise ValueError(f"unknown kind {self.kind!r}")
-        with np.errstate(over="ignore", invalid="ignore"):
-            norm_sq = float(np.sum(c**2))
-        if not math.isfinite(norm_sq):
-            raise DomainError(f"coefficient array has non-finite squared norm {norm_sq}")
-        scale = max(1.0, np.abs(c).max() if c.size else 1.0)
-        sign = 1.0 if self.kind == "symmetric" else -1.0
-        worst = np.abs(c - sign * c.transpose(0, 2, 1)).max() if c.size else 0.0
-        if worst > 1e-9 * scale:
-            raise DimensionError(
-                f"coefficients violate declared {self.kind} symmetry by {worst:.3e}"
-            )
+        (norm_sq,) = _checked_norms(c[None], self.kind)
         object.__setattr__(self, "coeffs", c)
         object.__setattr__(self, "_norm_sq", norm_sq)
+
+    @classmethod
+    def rows(cls, coeffs: np.ndarray, kind: str = "symmetric") -> list["CasoratiInput"]:
+        """One input per point of the slices ``coeffs`` (P, n_codist, n, n), checked at once.
+
+        Each gets the checks and the squared norm that ``CasoratiInput``
+        gives its slices alone, bit for bit; the first point that fails
+        raises.
+        """
+        c = np.asarray(coeffs, dtype=float)
+        if c.ndim != 4 or c.shape[2] != c.shape[3]:
+            raise DimensionError(f"coefficient stack has shape {c.shape}")
+        out = []
+        for row, norm_sq in zip(c, _checked_norms(c, kind)):
+            inp = object.__new__(cls)
+            for name, value in (("coeffs", row), ("kind", kind), ("_norm_sq", norm_sq)):
+                object.__setattr__(inp, name, value)
+            out.append(inp)
+        return out
 
     @property
     def n(self) -> int:
@@ -80,6 +85,33 @@ class CasoratiInput:
     def trace_norm_sq(self) -> float:
         traces = np.trace(self.coeffs, axis1=1, axis2=2)
         return float(np.sum(traces**2))
+
+
+def _checked_norms(c: np.ndarray, kind: str) -> list[float]:
+    """The squared norm of each point's slices ``c[p]`` (P, n_codist, n, n), checked.
+
+    A point fails when its squared norm is not finite or when its slices
+    break the declared symmetry by more than 1e-9 of ``max(1, max |c|)``;
+    the first point that fails raises.  Each point's sum runs over its
+    slices in the order that a sum over them alone takes.
+    """
+    if c.shape[-1] < 1:
+        raise DimensionError("empty coefficient array")
+    if kind not in ("symmetric", "skew"):
+        raise ValueError(f"unknown kind {kind!r}")
+    axes = (-3, -2, -1)
+    # c - c^T for symmetric slices, c + c^T for skew ones
+    defect = np.subtract if kind == "symmetric" else np.add
+    with np.errstate(over="ignore", invalid="ignore"):
+        norms = np.sum(c**2, axis=axes).tolist()
+        scales = np.abs(c).max(axis=axes, initial=1.0).tolist()
+        worsts = np.abs(defect(c, c.swapaxes(-1, -2))).max(axis=axes, initial=0.0).tolist()
+    for norm_sq, scale, worst in zip(norms, scales, worsts):
+        if not math.isfinite(norm_sq):
+            raise DomainError(f"coefficient array has non-finite squared norm {norm_sq}")
+        if worst > 1e-9 * scale:
+            raise DimensionError(f"coefficients violate declared {kind} symmetry by {worst:.3e}")
+    return norms
 
 
 def casorati(inp: CasoratiInput) -> float:

@@ -11,8 +11,20 @@ deliberately closed under the jet arithmetic in :mod:`casoratiq.jets`.
 
 The language's lexical rules turn the text into Python source, which
 :func:`ast.parse` reads; a walk flattens the accepted nodes into a
-post-order program run on a value stack.  Nothing here recurses, so only
-the Python parser bounds the nesting depth.
+post-order program.  Nothing here recurses, so only the Python parser
+bounds the nesting depth.
+
+Several expressions, such as the n^2 metric entries of a chart or the
+components of a map, compile into one program (``compile_program``).
+Local value numbering (Aho, Lam, Sethi & Ullman, *Compilers*, 2nd ed.,
+6.1 and 8.5) gives structurally identical subexpressions one
+instruction, so each is evaluated once for all the entries that hold it;
+commutative operands are not reordered, so every entry gets the bits it
+gets alone.  Each instruction writes one slot of a register file, and a
+slot is reused once its last reader has run.  A program enters its
+floating-point state once per run and checks the finiteness of its
+results once, and an error names the first failing entry in entry
+order, as evaluating the entries one by one would.
 """
 
 from __future__ import annotations
@@ -29,7 +41,7 @@ import numpy as np
 from . import jets
 from .errors import DomainError, SceneValidationError
 
-__all__ = ["compile_expression", "CompiledExpression"]
+__all__ = ["compile_expression", "compile_program", "CompiledExpression", "CompiledProgram"]
 
 _TOKEN = re.compile(
     r"\s*(?:(?P<num>\d+\.?\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?)"
@@ -55,8 +67,10 @@ def _power(base, expo):
     return jets.per_value(lambda v: math.pow(v, expo), base)
 
 
-# program instructions are (kind, argument) pairs; "coords" applies its
-# argument to the coordinate list
+# post-order instructions are (kind, argument) pairs: "const" pushes its
+# argument, "coord" the coordinate of that index, "coords" applies its
+# argument to the coordinate list, and "unary" and "binary" apply theirs
+# to the operands on top of the stack
 _BINARY = {
     ast.Add: ("binary", operator.add),
     ast.Sub: ("binary", operator.sub),
@@ -112,7 +126,7 @@ def _program(text: str) -> tuple:
             program.append(("const", node.value))
         elif kind is ast.Name and (var := _VARIABLE.fullmatch(node.id)):
             # an index too long for int() is out of range, and so is its 18-digit prefix
-            program.append(("coords", operator.itemgetter(int(var.group(1)[:18]) - 1)))
+            program.append(("coord", int(var.group(1)[:18]) - 1))
         elif kind is ast.BinOp and type(node.op) is ast.Pow:
             todo += [_BINARY[ast.Pow], ("const", _exponent(node.right, text)), node.left]
         elif kind is ast.BinOp and type(node.op) in _BINARY:
@@ -136,58 +150,150 @@ def _program(text: str) -> tuple:
     return tuple(program)
 
 
+def _numbered(programs: list) -> tuple:
+    """One program for the post-order ``programs``, by local value numbering.
+
+    Returns ``(code, outputs, owners, size)``.  ``code`` holds instructions
+    ``(kind, argument, a, b, slot)`` that read their operands from slots
+    ``a`` and ``b`` (None where there are fewer) and write ``slot``;
+    ``outputs`` is the slot of each program's result, ``owners`` the first
+    program that holds each instruction, and ``size`` the number of slots.
+    A slot is reused once its last reader has run; a result's never is.
+    """
+    numbers, ssa, owners, results = {}, [], [], []
+    for entry, program in enumerate(programs):
+        stack = []
+        for kind, arg in program:
+            arity = 2 if kind == "binary" else int(kind == "unary")
+            operands = tuple(stack[len(stack) - arity :])
+            del stack[len(stack) - arity :]
+            # -0.0 and 0.0 share a number: only an exponent can be -0.0, and x^-0 = x^0 = 1
+            key = (kind, arg, operands)
+            if key not in numbers:
+                numbers[key] = len(ssa)
+                ssa.append((kind, arg, operands))
+                owners.append(entry)
+            stack.append(numbers[key])
+        (result,) = stack
+        results.append(result)
+    last = {v: i for i, (_, _, operands) in enumerate(ssa) for v in operands}
+    last.update((v, len(ssa)) for v in results)
+    slot, free, code, size = [], [], [], 0
+    for i, (kind, arg, operands) in enumerate(ssa):
+        a, b = ([slot[v] for v in operands] + [None, None])[:2]
+        # an instruction reads its operands before it writes, so it may reuse their slots
+        free += [slot[v] for v in dict.fromkeys(operands) if last[v] == i]
+        if not free:
+            free.append(size)
+            size += 1
+        slot.append(free.pop())
+        code.append((kind, arg, a, b, slot[-1]))
+    return tuple(code), tuple(slot[v] for v in results), tuple(owners), size
+
+
 @dataclass(frozen=True)
-class CompiledExpression:
-    """A parsed expression, callable on a coordinate list of jets or of plain values.
+class CompiledProgram:
+    """Expressions compiled into one program, callable on a coordinate list of
+    jets or of plain values; a call returns each expression's value, in order.
 
     A coordinate is a jet, a float, or an array of floats with one entry
     per point.  A value or derivative that is undefined or not finite at
-    a point raises :class:`DomainError` naming the expression.
+    a point raises :class:`DomainError` naming the first expression, in
+    order, that has one.
     """
 
-    source: str
-    program: tuple
+    sources: tuple
+    code: tuple
+    outputs: tuple
+    owners: tuple
+    size: int
+
+    def __call__(self, coords) -> list:
+        slots, i = [None] * self.size, 0
+        try:
+            # an overflow or an inf * 0 inside the jet arrays is caught by the
+            # finiteness check; a division by zero of plain arrays raises, as a
+            # float division does
+            with np.errstate(over="ignore", invalid="ignore", divide="raise"):
+                for i, (kind, arg, a, b, slot) in enumerate(self.code):
+                    if kind == "binary":
+                        slots[slot] = arg(slots[a], slots[b])
+                    elif kind == "unary":
+                        slots[slot] = arg(slots[a])
+                    elif kind == "const":
+                        slots[slot] = arg
+                    elif kind == "coord":
+                        slots[slot] = coords[arg]
+                    else:
+                        slots[slot] = arg(coords)
+        except (IndexError, ValueError, ZeroDivisionError, OverflowError, FloatingPointError) as e:
+            # every expression before the failing one has its result in place
+            entry = self.owners[i]
+            self._require_finite(slots, entry)
+            if isinstance(e, IndexError):
+                raise SceneValidationError(
+                    f"expression {self.sources[entry]!r} has a variable beyond dimension"
+                    f" {len(coords)}"
+                ) from e
+            raise DomainError(
+                f"expression {self.sources[entry]!r} is undefined at this point: {e}"
+            ) from e
+        self._require_finite(slots, len(self.sources))
+        return [slots[s] for s in self.outputs]
+
+    def _require_finite(self, slots: list, count: int) -> None:
+        """Raise for the first of the first ``count`` results that is not finite."""
+        checked = set()
+        for source, slot in zip(self.sources[:count], self.outputs):
+            if slot in checked:
+                continue
+            checked.add(slot)
+            out = slots[slot]
+            if isinstance(out, jets.Jet2):
+                arrays = (out.value, out.grad, out.hess, out.d3)
+            else:
+                arrays = (out,)
+            # a 1-d view keeps .all() on the array path for a 0-d value: a constant's,
+            # or that of a point without an axis
+            if not all(a is None or np.isfinite(np.reshape(a, -1)).all() for a in arrays):
+                raise DomainError(f"expression {source!r} is not finite at this point")
+
+
+class CompiledExpression(CompiledProgram):
+    """One compiled expression; a call returns its value."""
+
+    @property
+    def source(self) -> str:
+        return self.sources[0]
 
     def __call__(self, coords):
-        stack = []
-        try:
-            # an overflow or an inf * 0 inside the jet arrays is caught below; a
-            # division by zero of plain arrays raises, as a float division does
-            with np.errstate(over="ignore", invalid="ignore", divide="raise"):
-                for kind, arg in self.program:
-                    if kind == "const":
-                        stack.append(arg)
-                    elif kind == "coords":
-                        stack.append(arg(coords))
-                    elif kind == "unary":
-                        stack.append(arg(stack.pop()))
-                    else:
-                        rhs = stack.pop()
-                        stack.append(arg(stack.pop(), rhs))
-        except IndexError as e:
-            raise SceneValidationError(
-                f"expression {self.source!r} has a variable beyond dimension {len(coords)}"
-            ) from e
-        except (ValueError, ZeroDivisionError, OverflowError, FloatingPointError) as e:
-            raise DomainError(f"expression {self.source!r} is undefined at this point: {e}") from e
-        (out,) = stack
-        arrays = (out.value, out.grad, out.hess, out.d3) if isinstance(out, jets.Jet2) else (out,)
-        # a 1-d view keeps .all() on the array path for a 0-d value: a constant's,
-        # or that of a point without an axis
-        if not all(np.isfinite(np.reshape(a, -1)).all() for a in arrays):
-            raise DomainError(f"expression {self.source!r} is not finite at this point")
+        (out,) = super().__call__(coords)
         return out
 
 
 def compile_expression(text) -> CompiledExpression:
     """Compile an expression string; a JSON number is read as its decimal text.
 
-    Each distinct text compiles once per process and every caller shares
+    Each distinct text parses once per process and every caller shares
     the immutable result; a text that does not compile raises every time.
     """
-    return _compile(str(text))
+    return _compile(CompiledExpression, (str(text),))
+
+
+def compile_program(texts) -> CompiledProgram:
+    """Compile expression strings, each read as ``compile_expression`` reads it, into one program.
+
+    A program is cached by its tuple of texts, and each distinct text
+    parses once per process; the first text that does not compile raises.
+    """
+    return _compile(CompiledProgram, tuple(map(str, texts)))
 
 
 @lru_cache(maxsize=1024)
-def _compile(text: str) -> CompiledExpression:
-    return CompiledExpression(text, _program(text))
+def _compile(cls: type, texts: tuple) -> CompiledProgram:
+    return cls(texts, *_numbered([_parse(t) for t in texts]))
+
+
+@lru_cache(maxsize=1024)
+def _parse(text: str) -> tuple:
+    return _program(text)

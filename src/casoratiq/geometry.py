@@ -55,8 +55,8 @@ __all__ = [
     "MAX_DIM",
 ]
 
-# largest dimension of a chart or a quaternionic structure: the metric
-# jets of an n-dimensional chart hold n^5 floats
+# largest dimension of a chart or a quaternionic structure: a chunk is
+# budgeted n^5 floats per point (batch_size)
 MAX_DIM = 32
 _SYM_TOL = 1e-14
 _PD_TOL = 1e-10
@@ -81,8 +81,9 @@ def _first(bad: np.ndarray) -> Optional[tuple]:
 def batch_size(n: int) -> int:
     """Points per batch of an n-dimensional scene: P n^5 <= MAX_DIM^5 floats.
 
-    The metric jets of one point of an n-dimensional chart hold n^5
-    floats, so a batch holds no more than one point of the largest chart.
+    A point's second-order metric jets and its curvature hold n^4 floats
+    each; the budget of n^5 per point keeps a batch within that of one
+    point of the largest chart.
     """
     return MAX_DIM**5 // n**5
 
@@ -133,8 +134,9 @@ class MetricChart:
         """
         x = self._as_points(x)
         n = self.dim
-        rows = self.g(seed_point(x))
-        flat = jet_arrays([rows[a][b] for a in range(n) for b in range(n)], x.shape, third=False)
+        # nothing reads a metric's third derivatives, so its jets are seeded at order 2
+        rows = self.g(seed_point(x, order=2))
+        flat = jet_arrays([rows[a][b] for a in range(n) for b in range(n)], x.shape)
         G0, G1, G2 = (m.reshape(x.shape[:-1] + (n, n) + m.shape[x.ndim :]) for m in flat)
         asym = np.abs(G0 - G0.swapaxes(-1, -2)).max(axis=(-2, -1))
         bad = _first(asym > _SYM_TOL * np.maximum(1.0, np.abs(G0).max(axis=(-2, -1))))

@@ -277,7 +277,8 @@ class SceneData:
 
     def __post_init__(self):
         self.tensors = {
-            key: CasoratiInput(h, kind=TENSORS[key].symmetry) for key, h in self.tensors.items()
+            key: h if isinstance(h, CasoratiInput) else CasoratiInput(h, kind=TENSORS[key].symmetry)
+            for key, h in self.tensors.items()
         }
 
     @cached_property

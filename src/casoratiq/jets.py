@@ -1,19 +1,24 @@
-"""Third-order forward-mode automatic differentiation at many points at once.
+"""Forward-mode automatic differentiation to second or third order at many points at once.
 
-A :class:`Jet2` carries the value and the first three derivatives of a
-scalar expression with respect to a fixed set of n base variables
+A :class:`Jet2` carries the value and the first two or three derivatives
+of a scalar expression with respect to a fixed set of n base variables
 (truncated Taylor mode; Griewank & Walther, *Evaluating Derivatives*,
 SIAM 2008, ch. 13), at every point of a batch: value (P,), grad (P, n),
-hess (P, n, n) and d3 (P, n, n, n).  This is the numpy form of vmapped
-Taylor mode (Bettencourt, Johnson & Duvenaud, *Taylor-mode automatic
-differentiation for higher-order derivatives in JAX*, 2019).  The scenes
-seed every chart point in a batch, a single point as P = 1; any leading
-shape works the same way, and so does one point (n,) with none, as the
-public functions take it.  A seeded variable or a constant keeps
-derivative arrays without the point axes, which broadcast.  Metric
-components, map components and scene expressions are all evaluated on
-jets, so curvature and the O'Neill tensor derivatives downstream are
-exact instead of finite differences.
+hess (P, n, n) and, at order 3, d3 (P, n, n, n).  This is the numpy form
+of vmapped Taylor mode (Bettencourt, Johnson & Duvenaud, *Taylor-mode
+automatic differentiation for higher-order derivatives in JAX*, 2019).
+The order is a property of the seed (``seed_point``), and each reader
+seeds the order it reads: 2 for a metric and for a Riemannian map, 3 for
+the map of a submersion, whose projector derivatives read the third.  A
+jet of order 2 carries ``d3 = None`` through every operation and never
+computes a third derivative; its arrays are those of the order-3 jet bit
+for bit.  The scenes seed every chart point in a batch, a single point
+as P = 1; any leading shape works the same way, and so does one point
+(n,) with none, as the public functions take it.  A seeded variable or a
+constant keeps derivative arrays without the point axes, which
+broadcast.  Metric components, map components and scene expressions are
+all evaluated on jets, so curvature and the O'Neill tensor derivatives
+downstream are exact instead of finite differences.
 
 The ring operations act on whole arrays and round every point as it
 would be rounded alone.  The scalar factors of a power, a reciprocal and
@@ -37,7 +42,7 @@ carry such jets through products and linear solves.
 from __future__ import annotations
 
 import math
-from typing import Callable, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -84,60 +89,73 @@ def per_value(fn: Callable, v) -> np.ndarray:
 
 
 class Jet2:
-    """Truncated Taylor carrier: values, n-gradients, n x n Hessians and the
-    n x n x n symmetric third derivatives ``d3[..., i, j, k] = d_i d_j d_k f``,
-    the point axes first."""
+    """Truncated Taylor carrier: values, n-gradients, n x n Hessians and, at
+    order 3, the n x n x n symmetric third derivatives
+    ``d3[..., i, j, k] = d_i d_j d_k f`` (None at order 2), the point axes
+    first.  An operation on two jets has the lower of their orders."""
 
     __slots__ = ("value", "grad", "hess", "d3")
 
-    def __init__(self, value, grad: np.ndarray, hess: np.ndarray, d3: np.ndarray):
+    def __init__(self, value, grad: np.ndarray, hess: np.ndarray, d3: Optional[np.ndarray]):
         self.value = np.asarray(value, dtype=float)
         self.grad = np.asarray(grad, dtype=float)
         self.hess = np.asarray(hess, dtype=float)
-        self.d3 = np.asarray(d3, dtype=float)
+        self.d3 = None if d3 is None else np.asarray(d3, dtype=float)
 
     @property
     def n(self) -> int:
         return self.grad.shape[-1]
 
+    @property
+    def order(self) -> int:
+        return 2 if self.d3 is None else 3
+
     @classmethod
-    def constant(cls, value, n: int) -> "Jet2":
-        return cls(value, np.zeros(n), np.zeros((n, n)), np.zeros((n, n, n)))
+    def constant(cls, value, n: int, order: int = 3) -> "Jet2":
+        d3 = np.zeros((n, n, n)) if order == 3 else None
+        return cls(value, np.zeros(n), np.zeros((n, n)), d3)
 
     def _coerce(self, other) -> "Jet2":
         if isinstance(other, Jet2):
             return other
-        return Jet2.constant(float(other), self.n)
+        return Jet2.constant(float(other), self.n, self.order)
 
     # -- ring operations ------------------------------------------------
 
     def __add__(self, other):
         o = self._coerce(other)
-        return Jet2(self.value + o.value, self.grad + o.grad, self.hess + o.hess, self.d3 + o.d3)
+        d3 = None if self.d3 is None or o.d3 is None else self.d3 + o.d3
+        return Jet2(self.value + o.value, self.grad + o.grad, self.hess + o.hess, d3)
 
     __radd__ = __add__
 
     def __sub__(self, other):
         o = self._coerce(other)
-        return Jet2(self.value - o.value, self.grad - o.grad, self.hess - o.hess, self.d3 - o.d3)
+        d3 = None if self.d3 is None or o.d3 is None else self.d3 - o.d3
+        return Jet2(self.value - o.value, self.grad - o.grad, self.hess - o.hess, d3)
 
     def __rsub__(self, other):
         o = self._coerce(other)
         return o - self
 
     def __neg__(self):
-        return Jet2(-self.value, -self.grad, -self.hess, -self.d3)
+        return Jet2(-self.value, -self.grad, -self.hess, None if self.d3 is None else -self.d3)
 
     def __mul__(self, other):
         o = self._coerce(other)
         a, b = self.value, o.value
         outer = self.grad[..., :, None] * o.grad[..., None, :]
+        d3 = None
+        if self.d3 is not None and o.d3 is not None:
+            d3 = (
+                _against(a, 3) * o.d3 + _against(b, 3) * self.d3
+                + _sym3(self.hess, o.grad) + _sym3(o.hess, self.grad)
+            )
         return Jet2(
             a * b,
             _against(a, 1) * o.grad + _against(b, 1) * self.grad,
             _against(a, 2) * o.hess + _against(b, 2) * self.hess + outer + outer.swapaxes(-1, -2),
-            _against(a, 3) * o.d3 + _against(b, 3) * self.d3
-            + _sym3(self.hess, o.grad) + _sym3(o.hess, self.grad),
+            d3,
         )
 
     __rmul__ = __mul__
@@ -155,45 +173,55 @@ class Jet2:
             raise TypeError("exponent must be a plain number")
         p = float(p)
         if p == 0:
-            return Jet2.constant(1.0, self.n)
+            return Jet2.constant(1.0, self.n, self.order)
         if p == 1:
             return self
         # falling factorials; a zero one drops its term, so x^2 at 0 has d3 = 0, not 0 * 0^-1
-        c = (p, p * (p - 1), p * (p - 1) * (p - 2))
+        c = (p, p * (p - 1), p * (p - 1) * (p - 2))[: self.order]
 
         def factors(v):
             if v < 0 and p != int(p):
                 raise ValueError(f"fractional power of negative base {v}")
-            f1, f2, f3 = (ck * v ** (p - k) if ck else 0.0 for k, ck in enumerate(c, 1))
-            return v**p, f1, f2, f3
+            return (v**p, *(ck * v ** (p - k) if ck else 0.0 for k, ck in enumerate(c, 1)))
 
         return self._chain(factors)
 
     def _reciprocal(self):
+        if self.d3 is None:
+            return self._chain(lambda v: (1.0 / v, -1.0 / v**2, 2.0 / v**3))
         return self._chain(lambda v: (1.0 / v, -1.0 / v**2, 2.0 / v**3, -6.0 / v**4))
 
     def _chain(self, factors: Callable) -> "Jet2":
-        """Compose with a scalar function; ``factors(v)`` gives its value and three derivatives."""
+        """Compose with a scalar function; ``factors(v)`` gives its value and derivatives
+        up to the jet's order, and no higher one is computed."""
         f = per_value(factors, self.value)
-        f0, f1, f2, f3 = (f[..., k] for k in range(4))
+        f0, f1, f2 = f[..., 0], f[..., 1], f[..., 2]
         g = self.grad
         outer = g[..., :, None] * g[..., None, :]
+        d3 = None
+        if self.d3 is not None:
+            d3 = (
+                _against(f1, 3) * self.d3 + _against(f2, 3) * _sym3(self.hess, g)
+                + _against(f[..., 3], 3) * (outer[..., None] * g[..., None, None, :])
+            )
         return Jet2(
             f0,
             _against(f1, 1) * g,
             _against(f1, 2) * self.hess + _against(f2, 2) * outer,
-            _against(f1, 3) * self.d3 + _against(f2, 3) * _sym3(self.hess, g)
-            + _against(f3, 3) * (outer[..., None] * g[..., None, None, :]),
+            d3,
         )
 
 
 def _lift(f_plain: Callable[[float], float], d1, d2, d3) -> Callable:
-    def factors(v):
+    def factors2(v):
+        return f_plain(v), d1(v), d2(v)
+
+    def factors3(v):
         return f_plain(v), d1(v), d2(v), d3(v)
 
     def wrapped(x):
         if isinstance(x, Jet2):
-            return x._chain(factors)
+            return x._chain(factors2 if x.d3 is None else factors3)
         return per_value(f_plain, x)
 
     return wrapped
@@ -222,16 +250,18 @@ def jet_norm(xs: Sequence) -> "Jet2 | float":
     return sqrt(acc)
 
 
-def jet_arrays(entries: Sequence, shape: tuple, third: bool = True) -> tuple:
+def jet_arrays(entries: Sequence, shape: tuple) -> tuple:
     """Values and derivatives of jets (or plain numbers) at points of ``shape = (..., n)``.
 
-    Returns ``(value, d1, d2, d3)`` of shapes (..., m), (..., m, n),
-    (..., m, n, n) and (..., m, n, n, n), the entry axis after the point
-    axes; ``d2`` is symmetrized, and ``d3`` is left out unless ``third``.
+    Returns ``(value, d1, d2)`` of shapes (..., m), (..., m, n) and
+    (..., m, n, n), the entry axis after the point axes, and ``d2``
+    symmetrized.  When the jets are of order 3, ``d3`` of shape
+    (..., m, n, n, n) follows.
     """
     *lead, n = shape
     m = len(entries)
     value, d1, d2 = np.zeros((*lead, m)), np.zeros((*lead, m, n)), np.zeros((*lead, m, n, n))
+    third = any(isinstance(e, Jet2) and e.d3 is not None for e in entries)
     d3 = np.zeros((*lead, m, n, n, n)) if third else None
     for i, e in enumerate(entries):
         if isinstance(e, Jet2):
@@ -245,12 +275,13 @@ def jet_arrays(entries: Sequence, shape: tuple, third: bool = True) -> tuple:
     return (value, d1, d2, d3) if third else (value, d1, d2)
 
 
-def seed_point(x) -> list[Jet2]:
-    """Independent jet variables at a point (n,) or at points (P, n)."""
+def seed_point(x, order: int = 3) -> list[Jet2]:
+    """Independent jet variables of ``order`` 2 or 3 at a point (n,) or at points (P, n)."""
     x = np.asarray(x, dtype=float)
     n = x.shape[-1]
     # jets are never written in place, so the variables share their zero derivatives
-    grads, hess, d3 = np.eye(n), np.zeros((n, n)), np.zeros((n, n, n))
+    grads, hess = np.eye(n), np.zeros((n, n))
+    d3 = np.zeros((n, n, n)) if order == 3 else None
     return [Jet2(x[..., i], grads[i], hess, d3) for i in range(n)]
 
 

@@ -1,7 +1,8 @@
 """Riemannian maps and submersions: splits, fundamental tensors, Gauss residuals.
 
 Everything at the source points of a chunk is read from one
-``MapPoint``: the third-order map jets and the source metric jets are
+``MapPoint``: the map jets, to third order for a submersion and to second
+for a Riemannian map, and the second-order source metric jets are
 computed once there, and the Christoffel symbols, the curvature of
 source and target and the horizontal projector with its exact derivative
 are derived from them on first use.  A ``MapPoint`` holds P points at
@@ -108,18 +109,23 @@ class SmoothMap:
                 f"submersion rank {self.rank} must equal target dimension {self.target.dim}"
             )
 
-    def jets(self, x) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Value and first three derivatives of the map at a point (n,) or points (P, n).
+    def jets(self, x) -> tuple:
+        """Value and derivatives of the map at a point (n,) or points (P, n).
 
         Returns ``(y, dF, d2F, d3F)`` with ``dF[..., a, mu] = d_mu F^a``,
         ``d2F[..., a, mu, nu] = d_mu d_nu F^a`` and
         ``d3F[..., a, mu, nu, la] = d_mu d_nu d_la F^a``, the point axes first.
+        Only a submersion's projector reads the third derivatives; a
+        Riemannian map's jets are seeded at order 2, and its ``d3F`` is None.
         The box checks of source and target raise for the first point outside.
         """
         x = self.source.require_inside(x)
-        y, dF, d2F, d3F = jet_arrays(self.F(seed_point(x)), x.shape)
+        order = 3 if self.mode == RIEMANNIAN_SUBMERSION else 2
+        # components that are all constants carry no third derivatives; their
+        # differential fails the rank check before anything could read them
+        y, dF, d2F, *third = jet_arrays(self.F(seed_point(x, order)), x.shape)
         self.target.require_inside(y)
-        return y, dF, d2F, d3F
+        return y, dF, d2F, third[0] if third else None
 
 
 @dataclass(frozen=True, eq=False)
@@ -138,7 +144,7 @@ class MapPoint:
     y: np.ndarray
     dF: np.ndarray  # dF[..., a, mu] = d_mu F^a
     d2F: np.ndarray  # d2F[..., a, mu, nu] = d_mu d_nu F^a
-    d3F: np.ndarray  # d3F[..., a, mu, nu, la] = d_mu d_nu d_la F^a
+    d3F: Optional[np.ndarray]  # d3F[..., a, mu, nu, la] = d_mu d_nu d_la F^a; submersions only
 
     @classmethod
     def at(cls, smap: SmoothMap, x) -> "MapPoint":

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -57,9 +57,11 @@ class QuaternionicStructure:
     def __post_init__(self):
         if self.dim % 4 != 0:
             raise StructureError(f"dimension {self.dim} is not a multiple of 4")
-        J = np.asarray(self.J_const, dtype=float)
+        # a read-only copy: registry structures are shared by every scene that names them
+        J = np.array(self.J_const, dtype=float)
         if J.shape != (3, self.dim, self.dim):
             raise StructureError(f"J matrices have shape {J.shape}")
+        J.flags.writeable = False
         object.__setattr__(self, "J_const", J)
 
     @classmethod
@@ -77,8 +79,14 @@ class QuaternionicStructure:
         return _identity_residuals(self.J_const)
 
 
+@lru_cache(maxsize=64)
 def structure(name: str) -> QuaternionicStructure:
-    """Registry lookup, e.g. ``quat-flat:2``; ``quat-flat:m`` needs 4 m <= MAX_DIM."""
+    """Registry lookup, e.g. ``quat-flat:2``; ``quat-flat:m`` needs 4 m <= MAX_DIM.
+
+    Each name builds its structure once per process, so its identity
+    residuals are computed once; a name that is not in the registry
+    raises every time.
+    """
     kind, _, param = name.partition(":")
     if kind == "quat-flat" and param.isdecimal() and int(param) > 0:
         if 4 * int(param) > MAX_DIM:

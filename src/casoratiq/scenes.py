@@ -19,7 +19,8 @@ import numpy as np
 
 from . import geometry, maps
 from .errors import CasoratiqError, RankError, SceneValidationError, StructureError
-from .expressions import compile_expression
+from .casorati import CasoratiInput
+from .expressions import compile_expression, compile_program
 from .geometry import MAX_DIM, MetricChart, OrthoFrame
 from .inequalities import (
     FAMILIES,
@@ -190,16 +191,11 @@ def _chart_from_spec(spec, where: str) -> MetricChart:
     rows = _require(spec, "metric", where, list)
     if len(rows) != dim or any(not isinstance(r, list) or len(r) != dim for r in rows):
         raise SceneValidationError(f"{where}.metric must be a {dim}x{dim} expression matrix")
-    # each distinct entry runs once per call; jets are never written in place,
-    # so entries that repeat share one result
-    texts = [[str(e) for e in row] for row in rows]
-    distinct = list(dict.fromkeys(t for row in texts for t in row))
-    compiled = [compile_expression(t) for t in distinct]
-    index = [[distinct.index(t) for t in row] for row in texts]
+    program = compile_program(e for row in rows for e in row)
 
-    def g(coords, _compiled=compiled, _index=index):
-        values = [entry(coords) for entry in _compiled]
-        return [[values[i] for i in row] for row in _index]
+    def g(coords, _program=program, _dim=dim):
+        values = _program(coords)
+        return [values[i : i + _dim] for i in range(0, _dim * _dim, _dim)]
 
     return MetricChart(
         dim,
@@ -352,15 +348,11 @@ def parse_scenario(doc: dict, name_hint: str = "") -> Scenario:
         )
         source = _chart_from_spec(_require(mspec, "source", "map"), "map.source")
         target = _chart_from_spec(_require(mspec, "target", "map"), "map.target")
-        exprs = [compile_expression(e) for e in _require(mspec, "exprs", "map", list)]
-        if len(exprs) != target.dim:
+        F = compile_program(_require(mspec, "exprs", "map", list))
+        if len(F.sources) != target.dim:
             raise SceneValidationError(
-                f"map has {len(exprs)} component expressions, target dimension is {target.dim}"
+                f"map has {len(F.sources)} component expressions, target dimension is {target.dim}"
             )
-
-        def F(coords, _exprs=exprs):
-            return [e(coords) for e in _exprs]
-
         map_mode = str(_require(mspec, "map_mode", "map"))
         rank = _integer(_require(mspec, "rank", "map"), "map.rank")
         try:
@@ -614,11 +606,12 @@ def _checker_inputs(scn: Scenario, split: maps.SceneSplit, tensors: dict, bracke
         blocks=decomp.blocks,
     ).tolist()
     brackets = [None] * len(space_form) if bracket is None else bracket.tolist()
+    inputs = {k: CasoratiInput.rows(t.coeffs, TENSORS[k].symmetry) for k, t in tensors.items()}
     rows = []
     for i, point_decomp in enumerate(decomp.rows()):
         data = SceneData(
             scn.kind, {tag: OrthoFrame(f.vectors[i], f.metric_at[i]) for tag, f in frames.items()},
-            {k: t.coeffs[i] for k, t in tensors.items()}, g[i], J, scn.c, ambient[i], scn.delta_n,
+            {k: column[i] for k, column in inputs.items()}, g[i], J, scn.c, ambient[i], scn.delta_n,
             space_form_residual=space_form[i],
             equality_tol=scn.tolerances.get("equality"),
             bracket_residual=brackets[i],

@@ -1,4 +1,6 @@
+import sys
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
@@ -19,8 +21,11 @@ from casoratiq.errors import CasoratiqError, DimensionError, DomainError, Optimi
 from casoratiq.geometry import CurvaturePoint, MetricChart, chart
 from casoratiq.jets import Jet2, seed_point
 from casoratiq.maps import SmoothMap
-from casoratiq.quaternionic import JDecomposition
+from casoratiq.quaternionic import JDecomposition, quat_units
 from casoratiq import jets
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
+from hp_chunk import hp_metric  # noqa: E402
 
 settings.register_profile("deterministic", derandomize=True)
 settings.load_profile("deterministic")
@@ -425,3 +430,9 @@ def algebraic_gap(B: CasoratiInput):
     ex = hyperplane_extrema(B)
     delta, delta_hat = delta_casorati(C, ex, s)
     return lhs, delta, delta_hat
+
+
+def hp_metric_entries(m: int) -> list[str]:
+    """The 16 m^2 expression entries, row by row, of the metric of HP^m (c = 4) on its
+    affine chart, for the structure ``quat_units(m)``."""
+    return [entry for row in hp_metric(quat_units(m)) for entry in row]

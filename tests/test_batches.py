@@ -29,12 +29,14 @@ from casoratiq.casorati import CasoratiInput, hyperplane_extrema
 from casoratiq.errors import (
     DegenerateMetricError,
     DependencyError,
+    DimensionError,
     DomainError,
     NotRiemannianMapError,
     OracleError,
     RankError,
     SceneValidationError,
 )
+from casoratiq.expressions import CompiledProgram
 from casoratiq.geometry import MAX_DIM, ChartPoint, MetricChart, _symmetry_defects, batch_size
 from casoratiq.inequalities import _diagnostic_arrays, equality_diagnostics
 from casoratiq.maps import MapPoint
@@ -606,6 +608,9 @@ def _count_leads(monkeypatch) -> dict:
     for module in (casorati, inequalities):  # the one-point form and the batched path
         count(module, "_extrema_rows", lambda h, kind, total_sq: len(h))
     count(inequalities, "_diagnostics_rows", lambda h, *rest: len(h))
+    count(casorati, "_checked_norms", lambda c, kind: (kind, len(c)))
+    # program runs by their number of expressions and of points
+    count(CompiledProgram, "__call__", lambda prog, x: (len(prog.sources), len(x[0].value)))
     return calls
 
 
@@ -619,6 +624,9 @@ def test_checker_inputs_once_per_chunk(count, chunks, monkeypatch):
     assert rep.aggregate["point_errors"] == 0 and len(rep.points) == count
     assert all(p.reports for p in rep.points)
     sizes = [math.prod(lead) for lead in chunks]
+    # the map's 3 components and each chart's metric entries (16 and 9) run as one
+    # program each, once per chunk
+    assert sorted(calls.pop("__call__")) == sorted((m, p) for p in sizes for m in (3, 16, 9))
     assert calls == {
         "hermitian_residual": chunks,
         "space_form_residual_from_tensor": chunks,
@@ -626,6 +634,8 @@ def test_checker_inputs_once_per_chunk(count, chunks, monkeypatch):
         "curvature_sums": chunks,
         "_extrema_rows": sizes,  # A only: the horizontal family reads nothing else
         "_diagnostics_rows": sizes,
+        # T and A are each checked once per chunk, as a stack
+        "_checked_norms": [(kind, p) for p in sizes for kind in ("symmetric", "skew")],
     }
 
 
@@ -651,6 +661,53 @@ def _extrema_bits(ex) -> list:
     return [_bits(a) for a in (ex.inf_CL, ex.sup_CL, ex.argmin_normal, ex.argmax_normal)] + [
         ex.degenerate_min, ex.degenerate_max, ex.audit
     ]
+
+
+def test_stacked_casorati_inputs_match_each_stack_alone():
+    cases = list(_stack_cases())
+    # the layouts a stack may come in: a transposed view, and one point of a larger stack
+    h, kind = cases[1]
+    cases += [(h.swapaxes(-1, -2), kind), (np.stack([h[0], h[0]])[:1], kind)]
+    for h, kind in cases:
+        rows = CasoratiInput.rows(h, kind)
+        for row, hp in zip(rows, h):
+            alone = CasoratiInput(hp, kind=kind)
+            assert _bits(row.norm_sq()) == _bits(float(np.sum(hp**2))) == _bits(alone.norm_sq())
+            assert _bits(row.coeffs) == _bits(alone.coeffs) and row.kind == alone.kind == kind
+
+
+@pytest.mark.parametrize("defect", ["non-finite", "asymmetric"])
+def test_a_stacked_casorati_check_raises_for_the_first_failing_point(defect):
+    h = np.random.default_rng(24).normal(size=(4, 2, 5, 5))
+    h = 0.5 * (h + h.swapaxes(-1, -2))
+    h[3, 0, 0, 1] = np.inf  # a later point fails too
+    if defect == "non-finite":
+        h[1, 1, 2, 2] = np.nan
+    else:
+        h[1, 1, 2, 3] += 1e-3
+    with pytest.raises((DomainError, DimensionError)) as alone:
+        CasoratiInput(h[1])
+    with pytest.raises(type(alone.value), match=re.escape(str(alone.value))):
+        CasoratiInput.rows(h)
+
+
+def test_a_chunk_whose_casorati_check_fails_runs_its_points_alone(monkeypatch):
+    # the stacked check raises for a chunk of two or more points; each point then
+    # runs as a chunk of one and gets its own rows
+    original, chunks = CasoratiInput.rows.__func__, []
+
+    def failing(cls, coeffs, kind="symmetric"):
+        chunks.append(len(coeffs))
+        if len(coeffs) > 1:
+            raise DomainError("coefficient array has non-finite squared norm inf")
+        return original(cls, coeffs, kind)
+
+    scn = _sampled_hopf(3)
+    want = [p.as_dict() for p in evaluate_scenario(scn).points]
+    monkeypatch.setattr(CasoratiInput, "rows", classmethod(failing))
+    rep = evaluate_scenario(scn)
+    assert [p.as_dict() for p in rep.points] == want
+    assert chunks == [3] + [1, 1] * 3  # T fails on the chunk; then T and A per point
 
 
 def test_stacked_extrema_match_each_stack_alone():

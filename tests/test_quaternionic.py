@@ -38,6 +38,31 @@ class TestStructureCheck:
         with pytest.raises(KeyError):
             structure("nope:1")
 
+    def test_each_registry_structure_is_built_once(self, monkeypatch):
+        from casoratiq import quaternionic
+        from casoratiq.scenes import builtin_scenario, evaluate_scenario, parse_scenario
+
+        calls = []
+
+        def counted(J, _original=quaternionic._identity_residuals):
+            calls.append(J.shape[-1])
+            return _original(J)
+
+        monkeypatch.setattr(quaternionic, "_identity_residuals", counted)
+        structure.cache_clear()
+        doc = builtin_scenario("flat-embedding:4in8").raw
+        for _ in range(3):
+            evaluate_scenario(parse_scenario(doc))
+        assert calls == [8]
+        st = structure("quat-flat:2")
+        assert st is structure("quat-flat:2") and not st.J_const.flags.writeable
+        with pytest.raises(ValueError):
+            st.J_const[0, 0, 0] = 1.0
+        # explicit matrices are not cached, and the caller's array stays writeable
+        J = quat_units(1)
+        first = QuaternionicStructure.from_matrices(J)
+        assert first is not QuaternionicStructure.from_matrices(J) and J.flags.writeable
+
     def test_dimension_must_be_multiple_of_four(self):
         with pytest.raises(StructureError):
             QuaternionicStructure(6, J_const=np.zeros((3, 6, 6)))

@@ -93,6 +93,26 @@ _SOUP = ["x", "x1", "x2", "x4", "x0", "1", "2.5", ".5", "e", "3e2", "1e999", "("
          "if", "for", "None", "True", "lambda"]
 
 
+_POINTS = st.lists(st.floats(-3.0, 3.0), min_size=3, max_size=3)
+
+
+def _jet_bits(v) -> tuple:
+    """The bytes of a jet's value and derivatives, or of a plain value."""
+    parts = (v.value, v.grad, v.hess, v.d3) if hasattr(v, "grad") else (v,)
+    return tuple(None if a is None else np.asarray(a, dtype=float).tobytes() for a in parts)
+
+
+def _each_alone(texts, coords):
+    """Each text's value at ``coords``, compiled and run alone, or the first one's error."""
+    values = []
+    for text in texts:
+        try:
+            values.append(compile_expression(text)(coords))
+        except (DomainError, SceneValidationError) as e:
+            return e
+    return values
+
+
 class TestExpressions:
     def test_arithmetic(self):
         e = compile_expression("2*x1^2 - x2/4 + 1")
@@ -173,6 +193,114 @@ class TestExpressions:
         else:
             with pytest.raises(DomainError):
                 compiled(coords)
+
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_second_order_jets_are_the_lower_orders_of_third_order_jets(self, data):
+        from casoratiq.jets import seed_point
+
+        text, _, _ = data.draw(_EXPR_TREES)
+        X = np.array(data.draw(st.lists(_POINTS, min_size=2, max_size=4)))
+        compiled = compile_expression(text)
+        for points in (X, X[:1]):  # a batch, and a chunk of one
+            try:
+                second = compiled(seed_point(points, 2))
+            except DomainError:
+                # a value or a lower derivative that fails at order 2 fails at order 3
+                with pytest.raises(DomainError):
+                    compiled(seed_point(points, 3))
+                continue
+            try:
+                third = compiled(seed_point(points, 3))
+            except DomainError:
+                continue  # the third derivative alone is undefined or not finite
+            assert _jet_bits(second)[:3] == _jet_bits(third)[:3], text
+            assert getattr(second, "d3", None) is None
+
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_a_shared_program_gets_each_entry_bits(self, data):
+        from casoratiq.expressions import compile_program
+        from casoratiq.jets import seed_point
+
+        # entries that combine a few subtrees, so that they share some
+        parts = [t[0] for t in data.draw(st.lists(_EXPR_TREES, min_size=1, max_size=3))]
+        combine = st.tuples(st.sampled_from(parts), st.sampled_from("+-*/"), st.sampled_from(parts))
+        texts = data.draw(st.lists(
+            st.one_of(st.sampled_from(parts), combine.map(lambda c: f"({c[0]}){c[1]}({c[2]})")),
+            min_size=1, max_size=6,
+        ))
+        program = compile_program(texts)
+        X = np.array(data.draw(st.lists(_POINTS, min_size=1, max_size=3)))
+        for coords in (seed_point(X, 2), seed_point(X, 3), list(X[0])):
+            want = _each_alone(texts, coords)
+            if isinstance(want, Exception):
+                with pytest.raises(type(want)) as got:
+                    program(coords)
+                assert str(got.value) == str(want), texts
+            else:
+                assert [_jet_bits(v) for v in program(coords)] == [_jet_bits(v) for v in want]
+
+    @pytest.mark.parametrize("order", [2, 3])
+    def test_the_hp2_metric_program_gets_each_entry_bits(self, order):
+        from conftest import hp_metric_entries
+        from casoratiq.expressions import compile_program
+        from casoratiq.jets import seed_point
+
+        texts = hp_metric_entries(2)
+        X = np.random.default_rng(23).uniform(-0.6, 0.6, size=(32, 8))
+        program = compile_program(texts)
+        # each subexpression is evaluated once for all the entries that hold it
+        alone = sum(len(compile_expression(t).code) for t in texts)
+        assert len(program.code) < alone / 4
+        for coords in (seed_point(X, order), seed_point(X[:1], order)):
+            got = program(coords)
+            assert [_jet_bits(v) for v in got] == [_jet_bits(v) for v in _each_alone(texts, coords)]
+
+    @pytest.mark.parametrize(
+        "texts, failing",
+        [
+            (["1", "log(x1 - 5)", "1/(x1 - x1)"], "log(x1 - 5)"),
+            (["1/(x1 - x1)", "log(x1 - 5)"], "1/(x1 - x1)"),
+            (["x2", "exp(x1)*1e308", "log(x1 - 5)"], "exp(x1)*1e308"),
+            (["log(x1 - 5) + x2", "x3"], "log(x1 - 5) + x2"),
+        ],
+    )
+    def test_a_program_names_its_first_failing_entry(self, texts, failing):
+        # an entry that is not finite comes before one that raises, and an undefined
+        # entry before one with a variable beyond the dimension
+        from casoratiq.expressions import compile_program
+        from casoratiq.jets import seed_point
+
+        program = compile_program(texts)
+        for coords in (seed_point([[1.0, 2.0]], 2), [1.0, 2.0]):
+            want = _each_alone(texts, coords)
+            with pytest.raises((DomainError, SceneValidationError)) as got:
+                program(coords)
+            assert type(got.value) is type(want) and str(got.value) == str(want)
+            assert repr(failing) in str(got.value)
+
+    def test_a_malformed_metric_entry_names_itself(self):
+        from casoratiq.expressions import compile_program
+
+        for _ in range(2):
+            with pytest.raises(SceneValidationError, match=re.escape("'x1 +* x2'")):
+                compile_program(["1", "x1", "x1 +* x2", "x2 ^^ 2"])
+
+    def test_a_metric_whose_third_derivative_alone_overflows_evaluates(self):
+        # (1e-62)^-5 overflows a float: the third derivative of x1^-2 raises at 1e-62,
+        # while its value and first two derivatives are finite.  Nothing reads a
+        # metric's third derivatives, so its jets stop at the second order
+        from casoratiq.jets import seed_point
+        from casoratiq.scenes import _chart_from_spec
+
+        x = np.array([[1e-62, 0.5]])
+        with pytest.raises(DomainError, match=re.escape("'x1^-2' is undefined")):
+            compile_expression("x1^-2")(seed_point(x, 3))
+        spec = {"dim": 2, "box": [[0.0, 1.0], [0.0, 1.0]], "metric": [["x1^-2", "0"], ["0", "1"]]}
+        G0, G1, G2 = _chart_from_spec(spec, "chart").metric_jets(x)
+        assert G0[0, 0, 0] == 1e-62**-2 and G1[0, 0, 0, 0] == -2.0 * 1e-62**-3
+        assert G2[0, 0, 0, 0, 0] == 6.0 * 1e-62**-4
 
     @given(text=st.lists(st.sampled_from(_SOUP), max_size=16).map("".join))
     @settings(max_examples=400, deadline=None)
@@ -893,7 +1021,7 @@ class TestComputeOnce:
 
     @staticmethod
     def _compiled_texts(monkeypatch) -> list:
-        """The texts compiled from now on, with the process's compile cache emptied."""
+        """The texts parsed from now on, with the process's compile caches emptied."""
         from casoratiq import expressions
 
         texts = []
@@ -903,6 +1031,7 @@ class TestComputeOnce:
             return _original(text)
 
         monkeypatch.setattr(expressions, "_program", counted)
+        expressions._parse.cache_clear()
         expressions._compile.cache_clear()
         return texts
 
@@ -952,25 +1081,22 @@ class TestComputeOnce:
 
     def test_expression_calls_per_scene(self, monkeypatch):
         # hopf-radial:4to3 has 3 map, 16 source metric and 9 target metric
-        # expressions, of which 3, 2 ("1", "0") and 2 ("1/(4*norm(x))", "0") are
-        # distinct; each distinct one is evaluated once per scene and chart, on
-        # the jets of all its points
-        from casoratiq.expressions import CompiledExpression
+        # expressions; each chart's entries and the map's components run as one
+        # program, once per chunk, on the jets of all its points
+        from casoratiq.expressions import CompiledProgram
 
         scn = builtin_scenario("hopf-radial:4to3")
         calls = []
 
-        def counted(self, coords, _original=CompiledExpression.__call__):
-            calls.append(self.source)
+        def counted(self, coords, _original=CompiledProgram.__call__):
+            calls.append((len(self.sources), np.shape(coords[0].value)))
             return _original(self, coords)
 
-        monkeypatch.setattr(CompiledExpression, "__call__", counted)
+        monkeypatch.setattr(CompiledProgram, "__call__", counted)
         rep = evaluate_scenario(scn)
-        assert rep.aggregate["point_errors"] == 0 and len(rep.points) > 1
-        assert sorted(calls) == sorted(
-            ["x1^2+x2^2-x3^2-x4^2", "2*(x1*x4+x2*x3)", "2*(x2*x4-x1*x3)", "1", "0",
-             "1/(4*norm(x))", "0"]
-        ), calls
+        P = len(rep.points)
+        assert rep.aggregate["point_errors"] == 0 and P > 1
+        assert sorted(calls) == [(3, (P,)), (9, (P,)), (16, (P,))], calls
 
     def test_equality_diagnostics_per_point(self, monkeypatch):
         # the vertical and combined families share T's diagnostics; the
