@@ -11,7 +11,6 @@ horizontal equality case is exactly "A vanishes".
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -22,10 +21,9 @@ from .casorati import (
     _extrema_rows,
     casorati,
     delta_casorati,
-    hyperplane_extrema,
 )
 from .errors import ConfigurationError, DimensionError, DomainError, OracleError
-from .geometry import curvature_sums
+from .geometry import OrthoFrame, curvature_sums
 from .quaternionic import JDecomposition, QSFOracle, decompose_J
 
 __all__ = [
@@ -37,8 +35,8 @@ __all__ = [
     "check_vertical_theorem",
     "check_horizontal_theorem",
     "check_combined_theorem",
+    "checker_inputs",
     "equality_diagnostics",
-    "precompute_batch",
     "FAMILIES",
     "FAMILY_TENSORS",
     "FRAMES",
@@ -238,111 +236,103 @@ TENSORS = {
 FAMILY_TENSORS = {"map": ("B",), "vertical": ("T",), "horizontal": ("A",), "combined": ("T", "A")}
 
 
-@dataclass
+@dataclass(frozen=True)
 class SceneData:
-    """Everything the theorem checkers need at one point of a map or submersion scene.
+    """Everything the theorem checkers read at one point of a map or submersion scene.
 
-    ``frames`` maps each tag of ``FRAMES[kind]`` to an orthonormal frame
-    for the metric ``g`` and the quaternionic structure ``J`` of the
-    curved side, and ``ambient`` is the curvature frame tensor over both
-    frames, in that order.  ``tensors`` maps names of ``TENSORS`` to
-    coefficient arrays, each turned into a ``CasoratiInput`` of the
-    table's symmetry.  Chart scenes give ``space_form_residual``, the
-    deviation of the ambient curvature from the space form; it must be
-    small, and it selects the chart-mode equality tolerance.  Chart
-    submersions also give ``bracket_residual``.
-
-    What the checkers read is memoized: the J blocks (``decomp``), the
-    curvature sums (``sums``), and each tensor's hyperplane extrema and
-    equality diagnostics (``_extrema``, ``_diagnostics``).  Scenes put in
-    the J blocks they computed for the space-form residual.  A chart point
-    gets the other slots from ``precompute_batch``, which fills them for
-    all the points of its chunk at once; a pointwise scene fills them on
-    first use, in the order its checkers read them.
+    A record built once, by ``checker_inputs``, with every field filled.
+    ``frames`` maps each tag of ``FRAMES[kind]`` to the point's
+    orthonormal frame on the curved side, and ``tensors`` maps names of
+    ``TENSORS`` to checked ``CasoratiInput`` of the table's symmetry.
+    ``decomp`` holds the J blocks over both frames and ``sums`` the
+    ``curvature_sums`` of the ambient frame tensor, split after the first
+    frame.  ``extrema`` and ``diagnostics`` hold the hyperplane extrema and
+    the equality diagnostics of each tensor the requested families read,
+    over at least 3 vectors, shared by every family that reads it.  Chart
+    scenes give ``space_form_residual``, the deviation of the ambient
+    curvature from the space form; it must be small, and it selects the
+    chart-mode equality tolerance.  Chart submersions also give
+    ``bracket_residual``.
     """
 
     kind: str
     frames: dict
     tensors: dict
-    g: np.ndarray
-    J: np.ndarray
     c: float
-    ambient: np.ndarray
+    decomp: JDecomposition
+    sums: tuple
+    extrema: dict
+    diagnostics: dict
     deltaN: Optional[float] = None
     space_form_residual: Optional[float] = None  # chart scenes only
     equality_tol: Optional[float] = None  # scene override of the verdict tolerance
     bracket_residual: Optional[float] = None  # chart submersions only
-    _extrema: dict = field(default_factory=dict, init=False, repr=False)
-    _diagnostics: dict = field(default_factory=dict, init=False, repr=False)
-
-    def __post_init__(self):
-        self.tensors = {
-            key: h if isinstance(h, CasoratiInput) else CasoratiInput(h, kind=TENSORS[key].symmetry)
-            for key, h in self.tensors.items()
-        }
-
-    @cached_property
-    def decomp(self) -> JDecomposition:
-        first, second = (self.frames[tag].vectors for tag in FRAMES[self.kind])
-        return decompose_J(self.J, self.g, first, second)
-
-    @cached_property
-    def sums(self) -> tuple[float, float, float]:
-        """``curvature_sums`` of ``ambient``, split after the first frame."""
-        first = self.frames[FRAMES[self.kind][0]]
-        return tuple(map(float, curvature_sums(self.ambient, first.k)))
-
-    def extrema(self, key: str) -> HyperplaneExtrema:
-        if key not in self._extrema:
-            self._extrema[key] = hyperplane_extrema(self.tensors[key])
-        return self._extrema[key]
-
-    def diagnostics(self, key: str) -> EqualityDiagnostics:
-        """Equality diagnostics of one tensor, which the families reading it share."""
-        if key not in self._diagnostics:
-            self._diagnostics[key] = equality_diagnostics(
-                self.tensors[key],
-                self.extrema(key),
-                A_norm_sq=self._a_norm_sq(),
-                bracket_residual=self.bracket_residual,
-            )
-        return self._diagnostics[key]
-
-    def _a_norm_sq(self) -> float:
-        A = self.tensors.get("A")
-        return A.norm_sq() if A is not None else 0.0
 
 
-def precompute_batch(rows: list[SceneData], ambient: np.ndarray, tensors: dict) -> None:
-    """Compute at once, for the points of a batch, what the checkers read from each row.
+def checker_inputs(
+    kind: str,
+    frames: dict,
+    tensors: dict,
+    g: np.ndarray,
+    J: np.ndarray,
+    c: float,
+    families,
+    ambient: Optional[np.ndarray] = None,
+    *,
+    deltaN: Optional[float] = None,
+    equality_tol: Optional[float] = None,
+    bracket_residual: Optional[np.ndarray] = None,
+) -> list[SceneData]:
+    """Each point's ``SceneData``, computed for a stack of points at once.
 
-    ``rows`` are the points' ``SceneData``, all of one kind and shape,
-    each already holding its J blocks.  ``ambient`` stacks their ambient
-    frame tensors (P, n, n, n, n), and ``tensors`` maps each tensor the
-    checkers read to its stacked coefficients (P, a, k, k).  The curvature
-    sums and, for each tensor over at least 3 vectors, the hyperplane
-    extrema and the equality diagnostics are computed with the point axis
-    first and put in the slots where each row memoizes them, so the
-    checkers only assemble reports.  Each row gets the bits it would
-    compute alone; each check raises for the first point that fails it.
+    ``frames`` maps both tags of ``FRAMES[kind]`` to frame vectors
+    (P, k, n), orthonormal for the metrics ``g`` (P, n, n) of the curved
+    side, whose quaternionic structure is ``J``.  ``tensors`` maps names of
+    ``TENSORS`` to coefficients (P, a, k, k).  A chart scene passes its
+    ambient frame tensor (P, n, n, n, n), whose space-form residual each
+    point then carries; without one the ambient curvature is the space
+    form itself, with no residual.  In order: the J blocks, the ambient
+    tensor or its residual (sharing the blocks), each tensor's check as a
+    stack (``CasoratiInput.rows``), the curvature sums and, for each tensor
+    the requested ``families`` read over at least 3 vectors, the hyperplane
+    extrema and the equality diagnostics.  Each point gets the bits it
+    would compute alone; each check raises for the first point that fails
+    it.  ``bracket_residual`` (P,) comes with chart submersions.
     """
-    first = rows[0]
-    s = first.frames[FRAMES[first.kind][0]].k
-    sums = curvature_sums(ambient, s)
-    for row, row_sums in zip(rows, zip(*(v.tolist() for v in sums))):
-        vars(row).update(sums=row_sums)
-    for key, h in tensors.items():
+    first, second = (frames[tag] for tag in FRAMES[kind])
+    decomp = decompose_J(J, g, first, second)
+    E = np.concatenate([first, second], axis=-2)
+    oracle = QSFOracle(c, J, g)
+    if ambient is None:
+        ambient = oracle.curvature_tensor(E, decomp.blocks)
+        residuals = [None] * len(g)
+    else:
+        residuals = space_form_residual_from_tensor(
+            ambient, oracle, E, blocks=decomp.blocks
+        ).tolist()
+    inputs = {key: CasoratiInput.rows(h, TENSORS[key].symmetry) for key, h in tensors.items()}
+    sums = list(zip(*(v.tolist() for v in curvature_sums(ambient, first.shape[-2]))))
+    brackets = [None] * len(g) if bracket_residual is None else bracket_residual.tolist()
+    a_norm_sq = [A.norm_sq() for A in inputs["A"]] if "A" in inputs else [0.0] * len(g)
+    extrema, diagnostics = {}, {}
+    for key in dict.fromkeys(k for f in families for k in FAMILY_TENSORS[f]):
+        h = tensors[key]
         if h.shape[-1] < 3:  # the checkers reject the family before they read the extrema
             continue
-        extrema = _extrema_rows(
-            h, TENSORS[key].symmetry, [r.tensors[key].norm_sq() for r in rows]
+        extrema[key] = _extrema_rows(
+            h, TENSORS[key].symmetry, [inp.norm_sq() for inp in inputs[key]]
         )
-        diagnostics = _diagnostics_rows(
-            h, extrema, [r._a_norm_sq() for r in rows], [r.bracket_residual for r in rows]
+        diagnostics[key] = _diagnostics_rows(h, extrema[key], a_norm_sq, brackets)
+    return [
+        SceneData(
+            kind, {tag: OrthoFrame(frames[tag][i], g[i]) for tag in FRAMES[kind]},
+            {key: column[i] for key, column in inputs.items()}, c, point_decomp, sums[i],
+            {key: column[i] for key, column in extrema.items()},
+            {key: column[i] for key, column in diagnostics.items()},
+            deltaN, residuals[i], equality_tol, brackets[i],
         )
-        for row, ex, diag in zip(rows, extrema, diagnostics):
-            row._extrema[key] = ex
-            row._diagnostics[key] = diag
+        for i, point_decomp in enumerate(decomp.rows())
+    ]
 
 
 def space_form_residual_from_tensor(
@@ -383,7 +373,7 @@ def _family_reports(
 
 def _casorati_terms(data: SceneData, key: str) -> dict:
     """Casorati curvature, hyperplane extrema and delta pair of one tensor."""
-    h, ex = data.tensors[key], data.extrema(key)
+    h, ex = data.tensors[key], data.extrema[key]
     C = casorati(h)
     delta, delta_hat = delta_casorati(C, ex, h.n)
     return {
@@ -448,7 +438,7 @@ def _distribution_reports(
         **extras,
     }
     rhs = [(terms["delta_C"] + amb, terms["delta_C_hat"] + amb) for amb in (c_term, rho)]
-    return _family_reports(family, lhs, rhs, tol, data.diagnostics(key), extras, extra_equality)
+    return _family_reports(family, lhs, rhs, tol, data.diagnostics[key], extras, extra_equality)
 
 
 def check_map_theorem(data: SceneData) -> list[TheoremReport]:
@@ -543,7 +533,7 @@ def check_combined_theorem(data: SceneData) -> list[TheoremReport]:
         )
         for amb in (closed_amb, generic_amb)
     ]
-    return _family_reports("combined", lhs, rhs, tol, data.diagnostics("T"), extras, integrable)
+    return _family_reports("combined", lhs, rhs, tol, data.diagnostics["T"], extras, integrable)
 
 
 def _checked_scene(data: SceneData) -> tuple[float, Optional[float]]:

@@ -19,7 +19,6 @@ import numpy as np
 
 from . import geometry, maps
 from .errors import CasoratiqError, RankError, SceneValidationError, StructureError
-from .casorati import CasoratiInput
 from .expressions import compile_expression, compile_program
 from .geometry import MAX_DIM, MetricChart, OrthoFrame
 from .inequalities import (
@@ -33,14 +32,11 @@ from .inequalities import (
     check_horizontal_theorem,
     check_map_theorem,
     check_vertical_theorem,
-    precompute_batch,
-    space_form_residual_from_tensor,
+    checker_inputs,
 )
 from .quaternionic import (
     QuaternionicStructure,
-    QSFOracle,
     StructureReport,
-    decompose_J,
     hermitian_residual,
     structure as structure_registry,
 )
@@ -158,11 +154,18 @@ def _box(raw, dim: int, where: str) -> tuple:
 
 
 def parse_tolerances(raw, where: str = "tolerances") -> dict:
-    """Tolerance overrides ``equality`` and ``residual`` as finite numbers."""
+    """Tolerance overrides ``equality`` and ``residual`` as finite numbers, zero or more.
+
+    Zero asks for an exact check.
+    """
     if not isinstance(raw, dict):
         raise SceneValidationError(f"{where} must be an object")
     _reject_unknown(raw, {"equality", "residual"}, where)
-    return {k: _numeric(v, f"{where}.{k}") for k, v in raw.items()}
+    tolerances = {k: _numeric(v, f"{where}.{k}") for k, v in raw.items()}
+    for k, v in tolerances.items():
+        if v < 0:
+            raise SceneValidationError(f"{where}.{k} must not be negative, got {raw[k]!r}")
+    return tolerances
 
 
 def _parse_delta_n(raw) -> tuple[str, Optional[float]]:
@@ -572,14 +575,14 @@ def _check_gauss(scn: Scenario, worst: float) -> None:
         )
 
 
-class _ChartRow(NamedTuple):
-    """One chart point's share of its chunk: the map point, the validation
-    record and the Gauss residuals of its report, and its checker input
-    (None when the scene requests no theorem)."""
+class _PointRow(NamedTuple):
+    """One point's share of its chunk: the map point, the validation record
+    and the Gauss residuals of its report (None on pointwise scenes), and
+    its checker input (None when a chart scene requests no theorem)."""
 
-    map_point: list
+    map_point: Optional[list]
     validation: dict
-    gauss: dict
+    gauss: Optional[dict]
     data: Optional[SceneData]
 
 
@@ -588,43 +591,19 @@ def _ambient(scn: Scenario, split: maps.SceneSplit) -> np.ndarray:
     return split.target_curvature if scn.kind == "map" else split.source_curvature
 
 
-def _checker_inputs(scn: Scenario, split: maps.SceneSplit, tensors: dict, bracket) -> list:
-    """Each point's ``SceneData``, with everything its checkers read computed for the chunk at once.
-
-    The J blocks serve both the space-form residual and the checkers; the
-    curvature sums, hyperplane extrema and equality diagnostics are put in
-    by ``precompute_batch``.
-    """
-    # the parse-time fit check put the structure on the curved side
-    J, g = scn.structure.J_const, _structure_metric(scn, split)
-    frames = {tag: getattr(split, tag) for tag in FRAMES[scn.kind]}
-    first, second = (f.vectors for f in frames.values())
-    decomp = decompose_J(J, g, first, second)
-    ambient = _ambient(scn, split)
-    space_form = space_form_residual_from_tensor(
-        ambient, QSFOracle(scn.c, J, g), np.concatenate([first, second], axis=-2),
-        blocks=decomp.blocks,
-    ).tolist()
-    brackets = [None] * len(space_form) if bracket is None else bracket.tolist()
-    inputs = {k: CasoratiInput.rows(t.coeffs, TENSORS[k].symmetry) for k, t in tensors.items()}
-    rows = []
-    for i, point_decomp in enumerate(decomp.rows()):
-        data = SceneData(
-            scn.kind, {tag: OrthoFrame(f.vectors[i], f.metric_at[i]) for tag, f in frames.items()},
-            {k: column[i] for k, column in inputs.items()}, g[i], J, scn.c, ambient[i], scn.delta_n,
-            space_form_residual=space_form[i],
-            equality_tol=scn.tolerances.get("equality"),
-            bracket_residual=brackets[i],
-        )
-        vars(data)["decomp"] = point_decomp  # where the cached property keeps it
-        rows.append(data)
-    families = _requested_families(scn.theorems)
-    keys = dict.fromkeys(k for f in families for k in FAMILY_TENSORS[f])
-    precompute_batch(rows, ambient, {k: tensors[k].coeffs for k in keys})
-    return rows
+def _checker_inputs(
+    scn: Scenario, frames: dict, tensors: dict, g: np.ndarray, ambient=None, bracket=None
+) -> list[SceneData]:
+    """Each point's ``SceneData``: ``checker_inputs`` with the scene's kind,
+    structure, c, families, deltaN and equality tolerance."""
+    return checker_inputs(
+        scn.kind, frames, tensors, g, scn.structure.J_const, scn.c,
+        _requested_families(scn.theorems), ambient, deltaN=scn.delta_n,
+        equality_tol=scn.tolerances.get("equality"), bracket_residual=bracket,
+    )
 
 
-def _chunk_rows(scn: Scenario, chunk: np.ndarray) -> list[_ChartRow]:
+def _chunk_rows(scn: Scenario, chunk: np.ndarray) -> list[_PointRow]:
     """Each point's row of a chunk of points (P, n), all computed for the chunk at once.
 
     That is everything from the jets to the checker inputs: the map jets,
@@ -667,9 +646,14 @@ def _chunk_rows(scn: Scenario, chunk: np.ndarray) -> list[_ChartRow]:
         gauss = {"map": maps.gauss_residual_map(split, B).tolist()}
     data = [None] * len(chunk)
     if scn.theorems:
-        data = _checker_inputs(scn, split, tensors, bracket)
+        # the parse-time fit check put the structure on the curved side
+        data = _checker_inputs(
+            scn, {tag: getattr(split, tag).vectors for tag in FRAMES[scn.kind]},
+            {key: t.coeffs for key, t in tensors.items()}, _structure_metric(scn, split),
+            _ambient(scn, split), bracket,
+        )
     return [
-        _ChartRow(
+        _PointRow(
             y,
             {key: column[i] for key, column in validation.items()},
             {key: column[i] for key, column in gauss.items()},
@@ -680,7 +664,7 @@ def _chunk_rows(scn: Scenario, chunk: np.ndarray) -> list[_ChartRow]:
 
 
 def _point_rows(scn: Scenario, chunk: np.ndarray) -> list:
-    """Each point's ``_ChartRow``, or the error that the point raises on its own.
+    """Each point's ``_PointRow``, or the error that the point raises on its own.
 
     A chunk of two or more points where any step raises runs each of its
     points again as a chunk of one, so a failing point keeps its own
@@ -695,17 +679,19 @@ def _point_rows(scn: Scenario, chunk: np.ndarray) -> list:
 
 
 def _chart_batches(scn: Scenario, X: np.ndarray) -> list:
-    """Each chart point's ``_ChartRow``, or the error that it raises.
+    """Each chart point's ``_PointRow``, or the error that it raises.
 
     The points go in chunks of ``batch_size`` of the larger chart
     dimension, and every point goes through ``_chunk_rows``: a scene of
     one point, or a trailing point, is a chunk of one.  A chunk computes,
     for all its points at once, everything from the jets to the checker
-    inputs, with each point's ``SceneData`` holding its J blocks,
-    curvature sums, hyperplane extrema and equality diagnostics.  A chunk
-    of two or more points where any of that raises runs each of its points
-    again as a chunk of one (``_point_rows``); a point that fails on its
-    own is computed once, and its error is raised at its own step.
+    inputs; ``checker_inputs`` builds each point's ``SceneData`` once, a
+    record of its J blocks, curvature sums, hyperplane extrema and
+    equality diagnostics, as it builds a pointwise scene's for a chunk of
+    one (``_evaluate_pointwise``).  A chunk of two or more points where
+    any of that raises runs each of its points again as a chunk of one
+    (``_point_rows``); a point that fails on its own is computed once, and
+    its error is raised at its own step.
     """
     smap = scn.smap
     size = geometry.batch_size(max(smap.source.dim, smap.target.dim))
@@ -715,10 +701,10 @@ def _chart_batches(scn: Scenario, X: np.ndarray) -> list:
     return rows
 
 
-def _evaluate_chart_point(scn: Scenario, row):
-    """Map point, validation, Gauss residuals and checker data of one chart point.
+def _evaluate_chart_point(scn: Scenario, row) -> _PointRow:
+    """The row of one chart point, with its Gauss tolerance checked.
 
-    ``row`` is the point's ``_ChartRow``, read off its chunk, or the error
+    ``row`` is the point's ``_PointRow``, read off its chunk, or the error
     the point raised on its own, which is raised here.  The Gauss
     tolerance is checked here, on the point's own residuals, and the
     space-form tolerance by the checkers, on the point's own data, so a
@@ -734,10 +720,12 @@ def _evaluate_chart_point(scn: Scenario, row):
     return row
 
 
-def _evaluate_pointwise(scn: Scenario):
-    """Validation and checker data of a pointwise scene, shaped like a chart point's."""
+def _evaluate_pointwise(scn: Scenario) -> _PointRow:
+    """The row of a pointwise scene, whose checker input is that of a chunk of one.
+
+    The tensors are checked whether or not the scene requests theorems.
+    """
     g = scn.g
-    J = scn.structure.J_const
     validation = {"structure": _structure_report(scn.structure, g)}
     frames = {tag: OrthoFrame(scn.frames[tag], g) for tag in FRAMES[scn.kind]}
     for tag, fr in frames.items():
@@ -750,16 +738,11 @@ def _evaluate_pointwise(scn: Scenario):
     validation["cross_orthogonality"] = cross
     if cross > 1e-10:
         raise SceneValidationError(f"frames are not mutually orthogonal ({cross:.3e})")
-    decomp = decompose_J(J, g, first.vectors, second.vectors)
-    ambient = QSFOracle(scn.c, J, g).curvature_tensor(
-        np.vstack([first.vectors, second.vectors]), decomp.blocks
+    (data,) = _checker_inputs(
+        scn, {tag: fr.vectors[None] for tag, fr in frames.items()},
+        {key: h[None] for key, h in scn.tensors.items()}, g[None],
     )
-    data = SceneData(
-        scn.kind, frames, scn.tensors, g, J, scn.c, ambient,
-        scn.delta_n, equality_tol=scn.tolerances.get("equality"),
-    )
-    vars(data)["decomp"] = decomp  # where the cached property keeps it
-    return None, validation, None, data
+    return _PointRow(None, validation, None, data)
 
 
 def _theorem_reports(data, theorems) -> list:
@@ -795,11 +778,13 @@ def evaluate_scenario(scn: Scenario, strict: bool = False) -> RunReport:
             coords = [float(v) for v in x]
             try:
                 if scn.mode == "pointwise":
-                    map_point, validation, gauss, data = _evaluate_pointwise(scn)
+                    row = _evaluate_pointwise(scn)
                 else:
-                    map_point, validation, gauss, data = _evaluate_chart_point(scn, batches[i])
-                reports = _theorem_reports(data, scn.theorems)
-                points.append(PointResult(i, coords, map_point, validation, gauss, reports, []))
+                    row = _evaluate_chart_point(scn, batches[i])
+                reports = _theorem_reports(row.data, scn.theorems)
+                points.append(
+                    PointResult(i, coords, row.map_point, row.validation, row.gauss, reports, [])
+                )
             except CasoratiqError as e:
                 if strict:
                     raise

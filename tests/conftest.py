@@ -19,6 +19,7 @@ from casoratiq.casorati import (
 )
 from casoratiq.errors import CasoratiqError, DimensionError, DomainError, OptimizationError
 from casoratiq.geometry import CurvaturePoint, MetricChart, chart
+from casoratiq.inequalities import FAMILIES, SceneData, checker_inputs
 from casoratiq.jets import Jet2, seed_point
 from casoratiq.maps import SmoothMap
 from casoratiq.quaternionic import JDecomposition, quat_units
@@ -90,6 +91,23 @@ def orthonormal_rows(rng: np.random.Generator, n: int) -> np.ndarray:
 
 _DENSE_COUNT = 1 << 17  # 131072 >= 1e5 sphere directions
 _DENSE_TOP = 8  # sampled directions per side handed to the Newton polish
+
+
+def scene_data(kind, frames, tensors, g, J, c, ambient=None, **settings) -> SceneData:
+    """The ``SceneData`` of one point, built by ``checker_inputs`` as a chunk of one.
+
+    ``frames`` maps tags to frame vectors (k, n), ``tensors`` names to
+    coefficients (a, k, k) and ``ambient`` is a chart's frame tensor, or
+    None for the space form.  The extrema and the diagnostics are those
+    that every family of the kind reads.
+    """
+    families = [f for f in FAMILIES if (f == "map") == (kind == "map")]
+    (data,) = checker_inputs(
+        kind, {tag: np.asarray(v, dtype=float)[None] for tag, v in frames.items()},
+        {key: np.asarray(h, dtype=float)[None] for key, h in tensors.items()}, g[None], J, c,
+        families, None if ambient is None else ambient[None], **settings,
+    )
+    return data
 
 
 def dense_extrema(h: np.ndarray) -> tuple[float, float]:

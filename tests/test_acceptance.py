@@ -10,9 +10,8 @@ import pytest
 
 from casoratiq.casorati import CasoratiInput, hyperplane_extrema
 from casoratiq.cli import report_json
-from casoratiq.geometry import OrthoFrame, chart, gram_schmidt, riemann
+from casoratiq.geometry import chart, gram_schmidt, riemann
 from casoratiq.inequalities import (
-    SceneData,
     check_combined_theorem,
     check_horizontal_theorem,
     check_map_theorem,
@@ -27,6 +26,7 @@ from conftest import (
     algebraic_gap,
     dense_extrema,
     orthonormal_rows,
+    scene_data,
     sectional,
     tripathi_minimize,
     tripathi_minimize_numeric,
@@ -166,15 +166,7 @@ def _random_map_data(rng, s, c):
     g = np.eye(8)
     raw = rng.uniform(-1.0, 1.0, size=(8 - s, s, s))
     B = 0.5 * (raw + raw.transpose(0, 2, 1))
-    return SceneData(
-        kind="map",
-        frames={"range": OrthoFrame(rows[:s], g), "range_perp": OrthoFrame(rows[s:], g)},
-        tensors={"B": B},
-        g=g,
-        J=J,
-        c=c,
-        ambient=QSFOracle(c, J, g).curvature_tensor(rows),
-    )
+    return scene_data("map", {"range": rows[:s], "range_perp": rows[s:]}, {"B": B}, g, J, c)
 
 
 def _random_submersion_data(rng, s, ell, c, deltaN=None):
@@ -184,18 +176,13 @@ def _random_submersion_data(rng, s, ell, c, deltaN=None):
     g = np.eye(dim)
     raw_t = rng.uniform(-1.0, 1.0, size=(s, ell, ell))
     raw_a = rng.uniform(-1.0, 1.0, size=(ell, s, s))
-    return SceneData(
-        kind="submersion",
-        frames={"horizontal": OrthoFrame(rows[:s], g), "vertical": OrthoFrame(rows[s : s + ell], g)},
-        tensors={
+    return scene_data(
+        "submersion", {"horizontal": rows[:s], "vertical": rows[s : s + ell]},
+        {
             "T": 0.5 * (raw_t + raw_t.transpose(0, 2, 1)),
             "A": 0.5 * (raw_a - raw_a.transpose(0, 2, 1)),
         },
-        g=g,
-        J=J,
-        c=c,
-        ambient=QSFOracle(c, J, g).curvature_tensor(rows[: s + ell]),
-        deltaN=deltaN,
+        g, J, c, deltaN=deltaN,
     )
 
 

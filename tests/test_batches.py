@@ -588,7 +588,8 @@ def _count_leads(monkeypatch) -> dict:
     """The point axes each checker-input computation is called with from now on.
 
     The extrema and the diagnostics take stacks of points; they are
-    recorded by the stack size.
+    recorded by the stack size.  Calls of the one-point forms, which no
+    pipeline path makes, are recorded too.
     """
     calls = {}
 
@@ -602,13 +603,15 @@ def _count_leads(monkeypatch) -> dict:
         monkeypatch.setattr(module, name, counted)
 
     count(scenes, "hermitian_residual", lambda J, g: g.shape[:-2])
-    count(scenes, "space_form_residual_from_tensor", lambda R, oracle, E: R.shape[:-4])
-    count(scenes, "decompose_J", lambda J, g, *frames: g.shape[:-2])
+    count(inequalities, "space_form_residual_from_tensor", lambda R, oracle, E: R.shape[:-4])
+    count(inequalities, "decompose_J", lambda J, g, *frames: g.shape[:-2])
     count(inequalities, "curvature_sums", lambda R, s: R.shape[:-4])
     for module in (casorati, inequalities):  # the one-point form and the batched path
         count(module, "_extrema_rows", lambda h, kind, total_sq: len(h))
     count(inequalities, "_diagnostics_rows", lambda h, *rest: len(h))
     count(casorati, "_checked_norms", lambda c, kind: (kind, len(c)))
+    count(casorati, "hyperplane_extrema", lambda inp: ())
+    count(inequalities, "equality_diagnostics", lambda inp, *rest: ())
     # program runs by their number of expressions and of points
     count(CompiledProgram, "__call__", lambda prog, x: (len(prog.sources), len(x[0].value)))
     return calls
@@ -636,6 +639,33 @@ def test_checker_inputs_once_per_chunk(count, chunks, monkeypatch):
         "_diagnostics_rows": sizes,
         # T and A are each checked once per chunk, as a stack
         "_checked_norms": [(kind, p) for p in sizes for kind in ("symmetric", "skew")],
+    }
+
+
+POINTWISE = {
+    "pw-equality-map:s4": lambda: builtin_scenario("pw-equality-map:s4"),
+    "pw-equality-combined:s4l4": lambda: builtin_scenario("pw-equality-combined:s4l4"),
+    "pw-random-mix:c-4": lambda: builtin_scenario("pw-random-mix:c-4"),
+    "random:s5l3": lambda: parse_scenario(scenes.random_pointwise_submersion(5, 3, 4.0, seed=12)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(POINTWISE))
+def test_a_pointwise_scene_is_a_chunk_of_one(name, monkeypatch):
+    # its checker input is built as a chart chunk's is, on a point axis of one
+    scn = POINTWISE[name]()
+    calls = _count_leads(monkeypatch)
+    (point,) = evaluate_scenario(scn).points
+    assert point.reports and not point.errors
+    families = scenes._requested_families(scn.theorems)
+    read = dict.fromkeys(key for f in families for key in inequalities.FAMILY_TENSORS[f])
+    assert calls == {
+        "hermitian_residual": [()],  # the structure check of the scene's one metric
+        "decompose_J": [(1,)],
+        "curvature_sums": [(1,)],
+        "_extrema_rows": [1] * len(read),
+        "_diagnostics_rows": [1] * len(read),
+        "_checked_norms": [(inequalities.TENSORS[key].symmetry, 1) for key in scn.tensors],
     }
 
 

@@ -4,9 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from casoratiq.casorati import CasoratiInput, hyperplane_extrema
 from casoratiq.errors import ConfigurationError, DimensionError, OracleError
-from casoratiq.geometry import OrthoFrame, curvature_sums
 from casoratiq.inequalities import (
-    SceneData,
     check_combined_theorem,
     check_horizontal_theorem,
     check_map_theorem,
@@ -16,7 +14,7 @@ from casoratiq.inequalities import (
 )
 from casoratiq.quaternionic import QSFOracle, quat_units
 
-from conftest import algebraic_gap, orthonormal_rows
+from conftest import algebraic_gap, orthonormal_rows, scene_data
 
 
 def pattern_slices(n, lams):
@@ -37,15 +35,9 @@ def submersion_data(rng, s, ell, c, T=None, A=None, deltaN=None, dim=12):
     if A is None:
         raw = rng.uniform(-1, 1, size=(ell, s, s))
         A = 0.5 * (raw - raw.transpose(0, 2, 1))
-    return SceneData(
-        kind="submersion",
-        frames={"horizontal": OrthoFrame(rows[:s], g), "vertical": OrthoFrame(rows[s : s + ell], g)},
-        tensors={"T": T, "A": A},
-        g=g,
-        J=J,
-        c=c,
-        ambient=QSFOracle(c, J, g).curvature_tensor(rows[: s + ell]),
-        deltaN=deltaN,
+    return scene_data(
+        "submersion", {"horizontal": rows[:s], "vertical": rows[s : s + ell]},
+        {"T": T, "A": A}, g, J, c, deltaN=deltaN,
     )
 
 
@@ -77,22 +69,13 @@ class TestAlgebraicGap:
 
 
 class TestMapTheorem:
-    def make_data(self, B, c, rng=None, ambient=None, space_form_residual=None):
+    def make_data(self, B, c, rng=None, ambient=None):
+        """A map point on the space form, or on the chart frame tensor ``ambient``."""
         rng = rng or np.random.default_rng(7)
         rows = orthonormal_rows(rng, 8)
-        J = quat_units(2)
-        g = np.eye(8)
-        if ambient is None:
-            ambient = QSFOracle(c, J, g).curvature_tensor(rows)
-        return SceneData(
-            kind="map",
-            frames={"range": OrthoFrame(rows[:4], g), "range_perp": OrthoFrame(rows[4:], g)},
-            tensors={"B": B},
-            g=g,
-            J=J,
-            c=c,
-            ambient=ambient,
-            space_form_residual=space_form_residual,
+        return scene_data(
+            "map", {"range": rows[:4], "range_perp": rows[4:]}, {"B": B}, np.eye(8),
+            quat_units(2), c, ambient,
         )
 
     def test_equality_pattern_delta(self):
@@ -129,23 +112,17 @@ class TestMapTheorem:
         residual = space_form_residual_from_tensor(
             np.zeros((8,) * 4), QSFOracle(4.0, quat_units(2), np.eye(8)), frame
         )
-        data = self.make_data(np.zeros((4, 4, 4)), 4.0, ambient=np.zeros((8,) * 4),
-                              space_form_residual=residual)
+        data = self.make_data(np.zeros((4, 4, 4)), 4.0, ambient=np.zeros((8,) * 4))
+        assert data.space_form_residual == pytest.approx(float(residual), rel=1e-12)
         with pytest.raises(OracleError):
             check_map_theorem(data)
 
     def test_dimension_error(self):
         rng = np.random.default_rng(1)
         rows = orthonormal_rows(rng, 8)
-        g = np.eye(8)
-        data = SceneData(
-            kind="map",
-            frames={"range": OrthoFrame(rows[:2], g), "range_perp": OrthoFrame(rows[2:], g)},
-            tensors={"B": np.zeros((1, 2, 2))},
-            g=g,
-            J=quat_units(2),
-            c=0.0,
-            ambient=np.zeros((8,) * 4),
+        data = scene_data(
+            "map", {"range": rows[:2], "range_perp": rows[2:]}, {"B": np.zeros((1, 2, 2))},
+            np.eye(8), quat_units(2), 0.0, np.zeros((8,) * 4),
         )
         with pytest.raises(DimensionError):
             check_map_theorem(data)
@@ -225,7 +202,7 @@ class TestCombinedTheorem:
         data = submersion_data(rng, 4, 4, 4.0, T=np.zeros((4, 4, 4)),
                                A=np.zeros((4, 4, 4)), deltaN=0.0)
         D = 4 * 3 * 4 * 3
-        mixed = curvature_sums(data.ambient, data.frames["horizontal"].k)[2]
+        mixed = data.sums[2]
         for r in check_combined_theorem(data):
             assert r.slack == pytest.approx(2.0 * mixed / D, abs=1e-10)
             assert r.slack >= 0.0

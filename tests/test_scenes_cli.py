@@ -613,6 +613,27 @@ class TestBadInput:
         assert main(["run", "radial:4", "-o", out, "--tolerance", "equality=abc"]) == 3
         assert main(["run", "radial:4", "-o", out, "--tolerance", "residual="]) == 3
 
+    @pytest.mark.parametrize("command", ["run", "validate"])
+    @pytest.mark.parametrize(
+        "key, name", [("equality", "pw-equality-map:s4"), ("residual", "hopf-radial:4to3")]
+    )
+    def test_negative_tolerance_is_scene_error(self, tmp_path, capsys, command, key, name):
+        doc = json.loads(json.dumps(builtin_scenario(name).raw))
+        doc["tolerances"] = {key: -1}
+        with pytest.raises(SceneValidationError, match=rf"tolerances\.{key} must not be negative"):
+            parse_scenario(doc)
+        path = tmp_path / "scene.json"
+        path.write_text(json.dumps(doc))
+        args = ["-o", str(tmp_path / "out.json")] if command == "run" else []
+        assert main([command, str(path), *args]) == 3
+        assert f"tolerances.{key}" in capsys.readouterr().err
+        # zero asks for an exact check, and stays valid
+        doc["tolerances"] = {key: 0}
+        assert parse_scenario(doc).tolerances == {key: 0.0}
+        if command == "run":
+            flag = ["--tolerance", f"{key}=-1"]
+            assert main(["run", name, "-o", str(tmp_path / "out.json"), *flag]) == 3
+
 
     @pytest.mark.parametrize(
         "mode, rank, message",
