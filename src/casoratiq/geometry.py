@@ -353,99 +353,86 @@ def frame_contraction(R: np.ndarray, E1, E2, E3, E4) -> np.ndarray:
     return out
 
 
-def _norm(v: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """``sqrt(max(v g v, 0))`` of a column ``v`` (..., n, 1) at every point, shaped (..., 1, 1)."""
-    return np.sqrt(np.maximum(v.swapaxes(-1, -2) @ g @ v, 0.0))
+def _cholesky_qr(V: np.ndarray, g: np.ndarray, gram: np.ndarray) -> np.ndarray:
+    """CholeskyQR2 of the rows of ``V`` (..., k, n) in the metric g, given ``gram`` = V g V^T.
 
-
-class _Frame:
-    """g-orthonormal vectors built one at a time, as columns (..., n, 1).
-
-    Each vector's row ``e^T g`` is computed once, and a projection is then
-    one ``(1, n) @ (n, 1)`` product per point, rounded as ``e @ g @ v``.
+    Factors V g V^T = L L^T and takes L^-1 V, then repeats once on the
+    result, which brings the rows to orthonormal in g up to rounding when
+    V is g-conditioned below about 1e8 (Yamamoto, Nakatsukasa, Yanagisawa
+    & Fukaya, ETNA 2015).  L^-1 V is lower triangular times V, so each
+    leading span is kept.  Raises ``LinAlgError`` when a factorization
+    fails.  The stacked factors and solves run LAPACK on each point's
+    matrix alone, so a point in a batch gets the bits it gets alone.
     """
-
-    def __init__(self, g: np.ndarray):
-        self.g = g
-        self.cols: list[np.ndarray] = []
-        self.rows: list[np.ndarray] = []
-
-    def add(self, e: np.ndarray) -> None:
-        self.cols.append(e)
-        self.rows.append(e.swapaxes(-1, -2) @ self.g)
-
-    def orthogonalize(self, v: np.ndarray) -> np.ndarray:
-        """Two passes that subtract from ``v`` its g-projections on the vectors, in order."""
-        for _ in range(2):
-            for e, eg in zip(self.cols, self.rows):
-                v = v - (eg @ v) * e
-        return v
-
-    def vectors(self) -> np.ndarray:
-        """The vectors as rows (..., k, n)."""
-        if not self.cols:
-            return np.zeros(self.g.shape[:-2] + (0, self.g.shape[-1]))
-        return np.concatenate(self.cols, axis=-1).swapaxes(-1, -2).copy()
+    Q = np.linalg.solve(np.linalg.cholesky(gram), V)
+    return np.linalg.solve(np.linalg.cholesky(Q @ g @ Q.swapaxes(-1, -2)), Q)
 
 
 def gram_schmidt(vectors, g_at: np.ndarray) -> "OrthoFrame":
-    """Metric Gram-Schmidt of the rows of ``vectors`` (..., k, n); preserves span.
+    """Metric Gram-Schmidt of the rows of ``vectors`` (..., k, n), as one block; preserves span.
 
-    Raises on rank deficiency, for the first point that has one.
+    The rows are orthonormalized together by CholeskyQR2
+    (``_cholesky_qr``), so the cost is a fixed number of stacked calls
+    whatever k is.  Row v_j is numerically dependent on the rows before it
+    when g(v_j, e_j), the g-norm of its part orthogonal to them, is at
+    most 1e-10 of its own g-norm.  That is read off the finished frame
+    e: the first Cholesky diagonal is the same number in exact
+    arithmetic, but rounding leaves it near 1e-8 of the norm for a row
+    that is exactly dependent.  Raises ``DependencyError`` then, and when
+    a factorization fails, which a zero row, or rows dependent to about
+    1e-8 or closer, make it do.  The residual is named for the first
+    point that has one.
     """
     g = np.asarray(g_at, dtype=float)
     V = np.asarray(vectors, dtype=float).reshape(g.shape[:-2] + (-1, g.shape[-1]))
-    frame = _Frame(g)
-    # every starting norm in one stacked product, each rounded as it is alone
-    origs = _norm(V[..., None], g[..., None, :, :])
-    zero = (origs[..., 0, 0] == 0.0).any(axis=tuple(range(V.ndim - 2))).tolist()
-    for j in range(V.shape[-2]):
-        v = V[..., j, :, None]
-        orig = origs[..., j, :, :]
-        if zero[j]:
-            raise DependencyError("zero vector handed to gram_schmidt")
-        v = frame.orthogonalize(v)
-        norm = _norm(v, g)
-        bad = _first(norm <= 1e-10 * orig)
-        if bad is not None:
-            raise DependencyError(
-                f"vector numerically dependent on predecessors (residual {norm[bad]:.3e})"
-            )
-        frame.add(v / norm)
-    return OrthoFrame(frame.vectors(), g)
+    Vg = V @ g
+    gram = Vg @ V.swapaxes(-1, -2)
+    try:
+        E = _cholesky_qr(V, g, gram)
+    except np.linalg.LinAlgError as e:
+        raise DependencyError(
+            "vectors numerically dependent: Gram matrix not positive definite"
+        ) from e
+    residual = (Vg * E).sum(axis=-1)
+    bad = _first(residual <= 1e-10 * np.sqrt(np.diagonal(gram, axis1=-2, axis2=-1)))
+    if bad is not None:
+        raise DependencyError(
+            f"vector numerically dependent on predecessors (residual {residual[bad]:.3e})"
+        )
+    return OrthoFrame(E, g)
 
 
 def complete_frame(frame: "OrthoFrame", candidates) -> "OrthoFrame":
     """Extend an orthonormal frame to a full frame of the ambient space.
 
-    The candidate rows (..., m, n) are taken in order, made orthogonal to
-    the frame built so far and kept unless numerically dependent on it.
+    The candidate rows (..., m, n) are taken in order.  Each is made
+    orthogonal to the frame built so far as one block, v - E^T (E g v)
+    done twice, and kept unless its remaining g-norm is 1e-8 or less.
     Points of a batch keep the same candidates; raises for the first
     point that would keep a candidate the first point drops, or drop one
     it keeps, so that such a batch runs its points one by one.
     """
     g = frame.metric_at
     n = g.shape[-1]
-    if frame.k == n:
-        return frame
-    full = _Frame(g)
-    for j in range(frame.k):
-        full.add(frame.vectors[..., j, :, None])
+    E = frame.vectors
     candidates = np.asarray(candidates, dtype=float)
     for j in range(candidates.shape[-2]):
-        if len(full.cols) == n:
+        if E.shape[-2] == n:
             break
-        v = full.orthogonalize(candidates[..., j, :, None])
-        norm = _norm(v, g)
+        v = candidates[..., j, :, None]
+        Eg, Et = E @ g, E.swapaxes(-1, -2)
+        for _ in range(2):
+            v = v - Et @ (Eg @ v)
+        norm = np.sqrt(np.maximum(v.swapaxes(-1, -2) @ g @ v, 0.0))
         keep = norm[..., 0, 0] > 1e-8
         bad = _first(keep.ravel() != keep.flat[0])
         if bad is not None:
             raise DependencyError(f"points of the batch disagree on candidate {j}, first at point {bad[0]}")
         if keep.flat[0]:
-            full.add(v / norm)
-    if len(full.cols) != n:
+            E = np.concatenate([E, (v / norm).swapaxes(-1, -2)], axis=-2)
+    if E.shape[-2] != n:
         raise DependencyError("could not complete frame to full dimension")
-    return OrthoFrame(full.vectors(), g)
+    return OrthoFrame(E, g)
 
 
 @dataclass(frozen=True)

@@ -12,10 +12,14 @@ chunk of its points, a single point being a chunk of one.
 and hangs it on the ``SceneSplit`` that every other function here takes;
 the split, B, T, A, the vertical bracket and the Gauss residuals keep
 the point axes, so a chunk computes each of them once for all its
-points, and each point reads its column.  Every contraction is one
-stacked product per point, shaped as a point without an axis would
-shape it, so a point in a chunk gets the bits it gets alone, and the
-public functions still take such a point.  The split holds one curvature
+points, and each point reads its column.  The source frame is one block
+orthonormalization (``geometry.gram_schmidt``, CholeskyQR2) of the
+kernel rows of dF's right singular vectors followed by its range rows,
+and the range frame is one more; only range_perp, the completion of
+the range frame, takes its candidates one at a time.  Every contraction
+is one stacked product per point, shaped as a point without an axis
+would shape it, so a point in a chunk gets the bits it gets alone, and
+the public functions still take such a point.  The split holds one curvature
 frame tensor per side, over [horizontal; vertical] in the source and
 [range; range_perp] in the target, and every Gauss residual reads its
 curvature blocks from those two arrays.
@@ -244,12 +248,14 @@ def differential(smap: SmoothMap, x) -> SceneSplit:
     either; the split has the same point axes.
 
     The vertical frame spans the numerical kernel of dF (singular values
-    below 1e-8), the horizontal frame is its metric-orthogonal
-    complement, the range frame is ``dF`` of the horizontal frame and
-    range_perp completes it.  ``dF`` of the horizontal frame must be
-    orthonormal in the target metric up to the isometry tolerance; that
-    residual is measured on the raw vectors, and the range frame is their
-    metric Gram-Schmidt, orthonormal to rounding.  Each check raises for
+    below 1e-8) and the horizontal frame is its metric-orthogonal
+    complement, both from one ``gram_schmidt`` of the kernel rows of
+    ``vt`` followed by its range rows; the range frame is ``dF`` of the
+    horizontal frame and range_perp completes it.  ``dF`` of the
+    horizontal frame must be orthonormal in the target metric up to the
+    isometry tolerance; that residual is measured on the raw vectors,
+    and the range frame is their metric Gram-Schmidt, orthonormal to
+    rounding.  Each check raises for
     the first point that fails it.
     """
     pt = x if isinstance(x, MapPoint) else MapPoint.at(smap, x)
@@ -269,9 +275,11 @@ def differential(smap: SmoothMap, x) -> SceneSplit:
         )
     rank = smap.rank
 
-    vertical = gram_schmidt(vt[..., rank:, :], g1)
-    full = complete_frame(vertical, vt[..., :rank, :])
-    horizontal = OrthoFrame(full.vectors[..., vertical.k :, :], g1)
+    # the kernel rows of vt, then its range rows, as one block
+    rows = np.concatenate([vt[..., rank:, :], vt[..., :rank, :]], axis=-2)
+    full = gram_schmidt(rows, g1).vectors
+    vertical = OrthoFrame(full[..., : n1 - rank, :], g1)
+    horizontal = OrthoFrame(full[..., n1 - rank :, :], g1)
 
     range_vectors = horizontal.vectors @ pt.dF.swapaxes(-1, -2)
     gram = range_vectors @ g2 @ range_vectors.swapaxes(-1, -2)
@@ -366,9 +374,7 @@ class _SubmersionPoint(NamedTuple):
 
 def _field(X, L) -> np.ndarray:
     """``S[k, m, n] = X^b_m L[b, k, n]``."""
-    # in einsum order: another rounding of T or A can move the equality
-    # diagnostics, which are read off whichever degenerate argmin comes back
-    return np.einsum("...bm,...bkn->...kmn", X, L)
+    return tail_transpose(tensordot(X, L, ((0,), (0,)), 2), 1, 0, 2)
 
 
 def _on_frames(S: np.ndarray, E: np.ndarray, F: np.ndarray) -> np.ndarray:
@@ -384,8 +390,8 @@ def _pairs(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
 def _oneill(split: SceneSplit, kind: str, tangent, normal) -> FundamentalTensor:
     g1 = split.point.source.G0
     vectors = _on_frames(getattr(split.point.submersion, kind), tangent.vectors, tangent.vectors)
-    # einsum order kept for the reason given in _field
-    coeffs = np.einsum("...ija,...ab,...vb->...vij", vectors, g1, normal.vectors)
+    coeffs = tensordot(vectors, g1 @ normal.vectors.swapaxes(-1, -2), ((2,), (0,)), 3)
+    coeffs = tail_transpose(coeffs, 2, 0, 1)
     return FundamentalTensor.from_raw(kind, coeffs, vectors, g1)
 
 

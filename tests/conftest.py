@@ -89,6 +89,38 @@ def orthonormal_rows(rng: np.random.Generator, n: int) -> np.ndarray:
     return Q.T
 
 
+def mgs2_frame(vectors, g: np.ndarray, candidates=()) -> np.ndarray:
+    """g-orthonormal rows of ``vectors`` (k, n) at one point, one vector at a time.
+
+    Each vector loses its g-projections on the rows before it, in order,
+    in two passes of modified Gram-Schmidt, and is then normalized.  The
+    ``candidates`` then complete the frame as ``complete_frame`` does:
+    each is projected the same way and kept when its remaining g-norm
+    exceeds 1e-8, until the frame has n rows.  This is the frame builder
+    the engine used before its block form, kept as that form's oracle.
+    """
+    n = g.shape[-1]
+    rows: list[np.ndarray] = []
+
+    def project(v):
+        for _ in range(2):
+            for e in rows:
+                v = v - (e @ g @ v) * e
+        return v
+
+    for v in np.asarray(vectors, dtype=float):
+        v = project(v)
+        rows.append(v / np.sqrt(v @ g @ v))
+    for v in np.asarray(candidates, dtype=float):
+        if len(rows) == n:
+            break
+        v = project(v)
+        norm = np.sqrt(max(v @ g @ v, 0.0))
+        if norm > 1e-8:
+            rows.append(v / norm)
+    return np.array(rows).reshape(-1, n)
+
+
 _DENSE_COUNT = 1 << 17  # 131072 >= 1e5 sphere directions
 _DENSE_TOP = 8  # sampled directions per side handed to the Newton polish
 

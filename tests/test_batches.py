@@ -393,6 +393,26 @@ def test_points_that_keep_other_candidates_run_their_chunk_alone(monkeypatch):
     assert shapes == [(3, 2)] + [(1, 2)] * 3
 
 
+@pytest.mark.parametrize("n", [8, 16])
+def test_the_split_orthonormalizes_each_side_once_per_chunk(n, monkeypatch):
+    """The source frame and the range frame are one block orthonormalization each,
+    whatever the dimension: no frame is built one vector at a time."""
+    calls = []
+    original = geometry._cholesky_qr
+
+    def counted(V, g, gram):
+        calls.append(V.shape)
+        return original(V, g, gram)
+
+    monkeypatch.setattr(geometry, "_cholesky_qr", counted)
+    smap = maps.SmoothMap(geometry.chart(f"flat:{n}"), geometry.chart("flat:4"),
+                          lambda c: list(c[:4]), "riemannian_submersion", 4)
+    points = np.random.default_rng(n).uniform(-1.0, 1.0, size=(3, n))
+    split = maps.differential(smap, points)
+    assert calls == [(3, n, n), (3, 4, 4)]
+    assert split.vertical.k == n - 4 and split.range_perp.k == 0
+
+
 # -- chunks --------------------------------------------------------------------
 
 

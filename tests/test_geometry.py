@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from casoratiq import jets
 from casoratiq.errors import DependencyError, DimensionError, DegenerateMetricError, DomainError
@@ -16,7 +17,7 @@ from casoratiq.geometry import (
 )
 from casoratiq.quaternionic import QSFOracle, quat_units
 
-from conftest import orthonormal_rows, sectional
+from conftest import mgs2_frame, orthonormal_rows, sectional
 
 
 def conformal_chart():
@@ -139,6 +140,58 @@ class TestFrames:
         full = complete_frame(fr, np.eye(4))
         assert full.k == 4
         assert full.orthonormality_residual() < 1e-10
+
+    @given(seed=st.integers(0, 10_000))
+    @settings(max_examples=60, deadline=None)
+    def test_dependent_rows_raise(self, seed):
+        """A row that is a combination of the rows before it raises, whether the
+        factorization fails or leaves a residual at rounding level."""
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 9))
+        k = int(rng.integers(1, n))
+        V = rng.normal(size=(k, n))
+        V = np.vstack([V, rng.normal(size=k) @ V, rng.normal(size=(n - k - 1, n))])
+        A = rng.normal(size=(n, n))
+        with pytest.raises(DependencyError, match="numerically dependent"):
+            gram_schmidt(V, A @ A.T + np.eye(n))
+
+    @given(seed=st.integers(0, 10_000), log_kappa=st.floats(0.0, 6.0))
+    @settings(max_examples=60, deadline=None)
+    def test_block_frames_match_the_one_vector_oracle(self, seed, log_kappa):
+        """Random SPD metrics of condition kappa and random full-rank rows, at 3 points."""
+        rng = np.random.default_rng(seed)
+        n, P = int(rng.integers(2, 13)), 3
+        k = int(rng.integers(1, n + 1))
+        kappa = 10.0**log_kappa
+
+        def metric():
+            ev = np.geomspace(1.0, kappa, n)
+            rng.shuffle(ev)
+            Q = orthonormal_rows(rng, n)
+            g = 10.0 ** rng.uniform(-1.0, 1.0) * (Q.T * ev) @ Q
+            return 0.5 * (g + g.T)
+
+        g = np.stack([metric() for _ in range(P)])
+        # rows with singular values in [1, 10]
+        V = np.stack([
+            (orthonormal_rows(rng, k) * rng.uniform(1.0, 10.0, k)) @ orthonormal_rows(rng, n)[:k]
+            for _ in range(P)
+        ])
+        frame = gram_schmidt(V, g)
+        full = complete_frame(frame, np.eye(n))
+        for i in range(P):
+            alone = gram_schmidt(V[i], g[i])
+            assert frame.vectors[i].tobytes() == alone.vectors.tobytes()
+            want = complete_frame(alone, np.eye(n)).vectors
+            assert full.vectors[i].tobytes() == want.tobytes()
+            oracle = mgs2_frame(V[i], g[i], np.eye(n))
+            assert np.abs(want - oracle).max() <= 1e-13 * kappa * np.abs(oracle).max()
+            # each leading span is kept: the frame is T V with T lower triangular
+            T = np.linalg.lstsq(V[i].T, alone.vectors.T, rcond=None)[0].T
+            assert np.abs(np.triu(T, 1)).max() <= 1e-13 * kappa * np.abs(T).max()
+            assert (np.diag(T) > 0).all()
+            # Q g Q^T itself rounds at about 1e-16 kappa
+            assert OrthoFrame(want, g[i]).orthonormality_residual() <= 1e-14 * kappa
 
 
 @pytest.mark.parametrize("kind", ["chart", "oracle"])

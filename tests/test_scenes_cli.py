@@ -13,8 +13,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from casoratiq import maps
 from casoratiq.cli import main, report_csv, report_json
-from casoratiq.errors import DomainError, SceneValidationError
+from casoratiq.errors import DependencyError, DomainError, SceneValidationError
 from casoratiq.expressions import compile_expression
 from casoratiq.scenes import (
     builtin_names,
@@ -580,6 +581,20 @@ class TestBadInput:
         assert code == 3
         errors = json.loads(out.read_text())["points"][0]["errors"]
         assert len(errors) == 1 and exprs[0] in errors[0]
+
+    def test_singular_gram_matrix_is_point_error(self, tmp_path):
+        """A metric of condition 1e40 rounds the Gram matrix of the split rows to
+        singular: the lone point's chunk raises a DependencyError, not a LinAlgError."""
+        doc = _chart_doc(points=[[0.1, 0.2]])
+        doc["map"] = {**doc["map"], "exprs": ["x1 + x2"], "target": "flat:1",
+                      "map_mode": "riemannian_submersion", "rank": 1}
+        doc["map"]["source"] = {**doc["map"]["source"], "metric": [["1e40", "0"], ["0", "1"]]}
+        with pytest.raises(DependencyError, match="numerically dependent"):
+            maps.differential(parse_scenario(doc).smap, np.array([0.1, 0.2]))
+        code, out = _run_file(tmp_path, doc)
+        assert code == 3
+        (errors,) = [p["errors"] for p in json.loads(out.read_text())["points"]]
+        assert len(errors) == 1 and "numerically dependent" in errors[0]
 
     @pytest.mark.parametrize(
         "path, value",
@@ -1148,8 +1163,6 @@ class TestComputeOnce:
         "name", ["product-projection:8to4", "hopf-radial:4to3", "flat-embedding:4in8"]
     )
     def test_frame_tensor_per_side(self, name, monkeypatch):
-        from casoratiq import maps
-
         scn = builtin_scenario(name)
         one_point = _first_point_only(scn)
         splits, contracted = [], []
