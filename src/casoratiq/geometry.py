@@ -7,6 +7,12 @@ Conventions used throughout the engine:
   ``R(X, Y, Z, W) = R[i, j, k, l] X^i Y^j Z^k W^l``;
 * the sign is fixed so that the round unit 2-sphere has sectional
   curvature +1, i.e. ``R(X, Y, Y, X) > 0`` on the sphere;
+* a chart point whose metric has zero first and second derivatives
+  (``ChartPoint.constant``) has exactly zero Christoffel symbols and
+  curvature, returned with no product; otherwise R is read from the
+  metric's second derivatives and the Christoffel symbols with one n^5
+  product (``ChartPoint.curvature``), and the n^5 chart-basis gradient
+  of the Christoffel symbols appears only in ``christoffel_with_grad``;
 * over an orthonormal frame with rows ``e_a`` the curvature is read from
   one frame tensor ``R_E[a, b, c, d] = R(e_a, e_b, e_c, e_d)``
   (``frame_contraction``); every ambient curvature sum is a block or
@@ -235,50 +241,49 @@ class ChartPoint:
         """Levi-Civita connection coefficients ``gamma[k, i, j] = Gamma^k_ij``."""
         n = self.G0.shape[-1]
         lead = self.G0.shape[:-2]
+        if self.constant:
+            return np.zeros(lead + (n, n, n))
         # the contraction over l is one (n x n) @ (n x n^2) product per point
         fk = tail_transpose(self._first_kind, 2, 0, 1).reshape(lead + (n, n * n))
         return 0.5 * (self.ginv_jet[0] @ fk).reshape(lead + (n, n, n))
 
     @cached_property
-    def dgamma(self) -> np.ndarray:
-        """``dgamma[m, k, i, j] = d_m Gamma^k_ij``, exact from the jets."""
-        n = self.G0.shape[-1]
-        lead = self.G0.shape[:-2]
-        # DD[m, i, j, l] = d_m d_i g_jl
-        DD = tail_transpose(self.G2, 3, 2, 0, 1)
-        Am = DD + DD.swapaxes(-3, -2) - tail_transpose(DD, 0, 2, 3, 1)
-        ginv, dginv = self.ginv_jet
-        fk = tail_transpose(self._first_kind, 2, 0, 1).reshape(lead + (n, n * n))
-        am = tail_transpose(Am, 3, 0, 1, 2).reshape(lead + (n, n**3))
-        return 0.5 * (
-            (dginv.reshape(lead + (n * n, n)) @ fk).reshape(lead + (n,) * 4)
-            + (ginv @ am).reshape(lead + (n,) * 4).swapaxes(-4, -3)
-        )
+    def constant(self) -> bool:
+        """True when the metric has zero first and second derivatives at every point.
+
+        The Christoffel symbols and the curvature are then exactly zero,
+        whatever the chart, and are returned as zeros with no product.
+        """
+        return not (self.G1.any() or self.G2.any())
 
     @cached_property
     def curvature(self) -> CurvaturePoint:
         """Fully covariant curvature, checked for the curvature symmetries.
 
-        The check raises for the first point whose worst relative defect
-        exceeds 1e-6.
+        In the convention here R_ijkl is the negative of do Carmo's
+        (*Riemannian Geometry*, ch. 4):
+
+            R_ijkl = 1/2 (d_i d_k g_jl + d_j d_l g_ik - d_i d_l g_jk - d_j d_k g_il)
+                     + Gamma^m_ik Gamma_m,jl - Gamma^m_jk Gamma_m,il,
+
+        whose only n^5 term is the product Gamma^m_ik Gamma_m,jl.  That
+        product is symmetric under (ik) <-> (jl), so R is half of
+        W_ijkl - W_ijlk with W_ijkl = d_i d_k g_jl + d_j d_l g_ik
+        + 2 Gamma^m_ik Gamma_m,jl.  The check raises for the first point
+        whose worst relative defect exceeds 1e-6.
         """
-        gamma, dgamma = self.gamma, self.dgamma
+        gamma = self.gamma
         n = self.G0.shape[-1]
         lead = self.G0.shape[:-2]
-        # Rup[i, j, k, m] = d_i Gamma^m_jk - d_j Gamma^m_ik
-        #                 + Gamma^p_jk Gamma^m_ip - Gamma^p_ik Gamma^m_jp
-        # and both products are read from GG[a, b, c, d] = Gamma^p_ab Gamma^c_dp
-        GG = (
-            tail_transpose(gamma, 1, 2, 0).reshape(lead + (n * n, n))
-            @ tail_transpose(gamma, 2, 0, 1).reshape(lead + (n, n * n))
-        ).reshape(lead + (n,) * 4)
-        rup = (
-            tail_transpose(dgamma, 0, 2, 3, 1)
-            - tail_transpose(dgamma, 2, 0, 3, 1)
-            + tail_transpose(GG, 3, 0, 1, 2)
-            - tail_transpose(GG, 0, 3, 1, 2)
-        )
-        R = rup @ self.G0[..., None, None, :, :]
+        if self.constant:
+            return CurvaturePoint(self.x, gamma, np.zeros(lead + (n,) * 4), self.G0)
+        # GF[i, k, j, l] = 2 Gamma^m_ik Gamma_m,jl = Gamma^m_ik (d_j g_lm + d_l g_jm - d_m g_jl)
+        fk = tail_transpose(self._first_kind, 2, 0, 1).reshape(lead + (n, n * n))
+        GF = (tail_transpose(gamma, 1, 2, 0).reshape(lead + (n * n, n)) @ fk).reshape(lead + (n,) * 4)
+        DD = tail_transpose(self.G2, 2, 0, 3, 1)  # DD[i, j, k, l] = d_i d_k g_jl
+        W = DD + tail_transpose(DD, 1, 0, 3, 2)
+        W += tail_transpose(GF, 0, 2, 1, 3)
+        R = 0.5 * (W - W.swapaxes(-1, -2))
         maxima, scale = _symmetry_defects(R)
         worst = maxima.max(axis=0) / scale
         bad = _first(worst > 1e-6)
@@ -300,9 +305,25 @@ def christoffel_with_grad(chart: MetricChart, x) -> tuple[np.ndarray, np.ndarray
 
     Returns ``(Gamma, dGamma)`` with ``dGamma[m, k, i, j] = d_m Gamma^k_ij``,
     assembled exactly from the metric jets (no differencing of Gamma).
+    This is the only place that forms the n^5 chart-basis gradient: the
+    curvature reads the metric's second derivatives directly, and the
+    mixed identity of a submersion reads the gradient along its frames
+    only (``maps._oneill_derivatives``).
     """
     pt = ChartPoint.at(chart, x)
-    return pt.gamma, pt.dgamma
+    n = pt.G0.shape[-1]
+    lead = pt.G0.shape[:-2]
+    # DD[m, i, j, l] = d_m d_i g_jl, and Am[m, i, j, l] = d_m of the first-kind symbols
+    DD = tail_transpose(pt.G2, 3, 2, 0, 1)
+    Am = DD + DD.swapaxes(-3, -2) - tail_transpose(DD, 0, 2, 3, 1)
+    ginv, dginv = pt.ginv_jet
+    fk = tail_transpose(pt._first_kind, 2, 0, 1).reshape(lead + (n, n * n))
+    am = tail_transpose(Am, 3, 0, 1, 2).reshape(lead + (n, n**3))
+    dgamma = 0.5 * (
+        (dginv.reshape(lead + (n * n, n)) @ fk).reshape(lead + (n,) * 4)
+        + (ginv @ am).reshape(lead + (n,) * 4).swapaxes(-4, -3)
+    )
+    return pt.gamma, dgamma
 
 
 def riemann(chart: MetricChart, x) -> CurvaturePoint:

@@ -344,8 +344,7 @@ def space_form_residual_from_tensor(
     leading point axes; the residual has them (a scalar for a lone point).
     ``blocks`` are the frame's J blocks when already computed.
     """
-    deviation = frame_tensor - oracle.curvature_tensor(frame_vectors, blocks)
-    return np.abs(deviation).max(axis=(-4, -3, -2, -1))
+    return oracle.residual(frame_tensor, frame_vectors, blocks)
 
 
 def _family_reports(

@@ -47,6 +47,7 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from .errors import (
+    DependencyError,
     DimensionError,
     NotRiemannianMapError,
     RankError,
@@ -89,6 +90,9 @@ __all__ = [
 
 _KERNEL_TOL = 1e-8
 _ISOMETRY_TOL = 1e-6
+# the split is supported for source metrics of condition number up to this;
+# a source frame that fails above it names the condition number
+_SOURCE_COND_MAX = 1e16
 
 RIEMANNIAN_MAP = "riemannian_map"
 RIEMANNIAN_SUBMERSION = "riemannian_submersion"
@@ -232,13 +236,20 @@ class SceneSplit:
     def source_curvature(self) -> np.ndarray:
         """``R1[a, b, c, d]`` over the source frame [horizontal; vertical]."""
         E = np.concatenate([self.horizontal.vectors, self.vertical.vectors], axis=-2)
-        return frame_contraction(self.point.source.curvature.riemann, E, E, E, E)
+        return _frame_tensor(self.point.source, E)
 
     @cached_property
     def target_curvature(self) -> np.ndarray:
         """``R2[a, b, c, d]`` over the target frame [range; range_perp]."""
         E = np.concatenate([self.range.vectors, self.range_perp.vectors], axis=-2)
-        return frame_contraction(self.point.target.curvature.riemann, E, E, E, E)
+        return _frame_tensor(self.point.target, E)
+
+
+def _frame_tensor(pt: ChartPoint, E: np.ndarray) -> np.ndarray:
+    """The curvature of ``pt`` over the rows of E; zeros, with no product, for a constant chart."""
+    if pt.constant:
+        return np.zeros(E.shape[:-2] + (E.shape[-2],) * 4)
+    return frame_contraction(pt.curvature.riemann, E, E, E, E)
 
 
 def differential(smap: SmoothMap, x) -> SceneSplit:
@@ -277,7 +288,18 @@ def differential(smap: SmoothMap, x) -> SceneSplit:
 
     # the kernel rows of vt, then its range rows, as one block
     rows = np.concatenate([vt[..., rank:, :], vt[..., :rank, :]], axis=-2)
-    full = gram_schmidt(rows, g1).vectors
+    try:
+        full = gram_schmidt(rows, g1).vectors
+    except DependencyError as e:
+        # the rows are orthonormal rows of vt, so they fail only on a nearly singular g1
+        cond = np.linalg.cond(g1)
+        bad = _first(cond > _SOURCE_COND_MAX)
+        if bad is None:
+            raise
+        raise DependencyError(
+            f"source metric too ill-conditioned (\u03ba \u2248 {cond[bad]:.1e}) "
+            f"at {pt.x[bad].tolist()}: {e}"
+        ) from e
     vertical = OrthoFrame(full[..., : n1 - rank, :], g1)
     horizontal = OrthoFrame(full[..., n1 - rank :, :], g1)
 
@@ -467,6 +489,50 @@ def _by_y(F: np.ndarray) -> np.ndarray:
     return F[..., None, :, :, :]
 
 
+def _gamma_derivatives(src: ChartPoint, E: np.ndarray, GE: np.ndarray, s: int) -> tuple:
+    """``DG_T[i, j] = (D_{h_i} Gamma)(v_j, .)`` and ``DG_A[j, i] = (D_{v_j} Gamma)(h_i, .)``.
+
+    Each is an (a, c) matrix, over the frame E = [H; V] with H its first
+    ``s`` rows, and ``GE[e]`` is Gamma_e (Gamma_e^a_c = Gamma^a_bc e^b)
+    along every frame vector.  With
+    d_m Gamma^a_bc = g^al (d_m Gamma_l,bc - d_m g_lq Gamma^q_bc) and
+    2 d_m Gamma_l,bc = d_m d_b g_lc + d_m d_c g_lb - d_m d_l g_bc, H is
+    contracted into the metric's second derivatives first, once on a
+    derivative slot and once on a metric slot, and V after: O(s n^4 +
+    s ell n^3) per point, where the chart-basis gradient of Gamma
+    (``christoffel_with_grad``) costs O(n^5).
+    """
+    H, V = E[..., :s, :], E[..., s:, :]
+    lead, n, ell = E.shape[:-2], E.shape[-1], V.shape[-2]
+    G2 = src.G2
+    # Kd[p, q, r, i] = d_r D_{h_i} g_pq and Km[i, q, r, t] = d_r d_t g(h_i, .)_q
+    Kd = (G2.reshape(lead + (-1, n)) @ H.swapaxes(-1, -2)).reshape(lead + (n, n, n, s))
+    Km = (H @ G2.reshape(lead + (n, -1))).reshape(lead + (s, n, n, n))
+    # both[c, l, i, j] = D_{h_i} D_{v_j} g_cl, in both sides
+    both = tensordot(Kd, V, ((2,), (1,)), 4)
+    # S[y, l, c, x] = D_x d_c g(y, .)_l, with x = h_i, y = v_j for T and x = v_j, y = h_i for A
+    S_T = (V @ Kd.reshape(lead + (n, -1))).reshape(lead + (ell, n, n, s))
+    S_A = (Km.reshape(lead + (-1, n)) @ V.swapaxes(-1, -2)).reshape(lead + (s, n, n, ell))
+    # dg[e, l, q] = D_e g_lq along every frame vector
+    dg = (src.G1.reshape(lead + (-1, n)) @ E.swapaxes(-1, -2)).reshape(lead + (n, n, -1))
+    dg = tail_transpose(dg, 2, 0, 1)
+    ginv = src.ginv_jet[0][..., None, None, :, :]
+
+    def side(x, y, both_xy, S):
+        # Zt[x, y, l, c] = D_x Gamma_l,(y, c) - (D_x g Gamma_y)_lc, and the result is g^-1 Zt
+        Zt = tail_transpose(S, 3, 0, 1, 2) - tail_transpose(S, 3, 0, 2, 1)
+        Zt += both_xy
+        Zt *= 0.5
+        Zt -= dg[..., x, None, :, :] @ GE[..., None, y, :, :]
+        return ginv @ Zt
+
+    H_, V_ = slice(0, s), slice(s, None)
+    return (
+        side(H_, V_, tail_transpose(both, 2, 3, 0, 1), S_T),
+        side(V_, H_, tail_transpose(both, 3, 2, 0, 1), S_A),
+    )
+
+
 def _oneill_derivatives(split: SceneSplit) -> tuple[np.ndarray, np.ndarray]:
     """The frame components of nabla T and nabla A, both indexed [i, j, k, l]:
     ``g((nabla_{h_i} T)(v_j, v_l), h_k)`` and ``g((nabla_{v_j} A)(h_i, h_k), v_l)``.
@@ -482,45 +548,48 @@ def _oneill_derivatives(split: SceneSplit) -> tuple[np.ndarray, np.ndarray]:
                    + N[tau N[x] y - Gamma(x, y)]) z + g(w, (D_x Gamma)(y, z)),
 
     read on the s x ell frame pairs only: O(s n^4 + s ell n^3) per point,
-    where the chart-basis derivatives of T and A cost O(n^5).
+    where the chart-basis derivatives of T and A cost O(n^5).  On a
+    constant source chart Gamma and its derivative vanish, and every term
+    that reads them is left out.
     """
     pt = split.point
-    sub = pt.submersion
+    src, sub = pt.source, pt.submersion
     H, V = split.horizontal.vectors, split.vertical.vectors
     lead, (s, n) = H.shape[:-2], H.shape[-2:]
-    g = pt.source.G0
+    g = src.G0
     E = np.concatenate([H, V], axis=-2)
     X = _mixed_projector(pt, E, s)
-    # D_e P_h, Gamma_e (Gamma_e^a_c = Gamma^a_bc e^b) and N[e] along every frame vector
+    # D_e P_h and N[e] along every frame vector
     PE = _along(sub.dPh, E)
-    GE = _along(pt.source.gamma.swapaxes(-3, -2), E)
     NE = _along(sub.N, E)
+    curved = not src.constant
+    if curved:
+        GE = _along(src.gamma.swapaxes(-3, -2), E)
+        DG_T, DG_A = _gamma_derivatives(src, E, GE, s)
+    else:
+        DG_T = DG_A = None
 
     def side(tau, x, y, XY, DG):
         # x and y slice the frame: w runs over the rows of x and z over those of y,
         # and the result is indexed [x, y, w, z]
-        Px, Gx, Nx = PE[..., x, :, :], GE[..., x, :, :], NE[..., x, :, :]
-        Gy, Ny = GE[..., y, :, :], NE[..., y, :, :]
+        Px, Nx, Ny = PE[..., x, :, :], NE[..., x, :, :], NE[..., y, :, :]
         wg, zt = E[..., x, :] @ g, E[..., y, :].swapaxes(-1, -2)
         # a[x, y] = tau N[x] y - Gamma(x, y)
-        a = (tau * Nx - Gx) @ zt[..., None, :, :]
+        a, M = tau * Nx, XY
+        if curved:
+            Gx, Gy = GE[..., x, :, :], GE[..., y, :, :]
+            a = a - Gx
+            M = (
+                M
+                + _by_y(Gy) @ _by_x(Px) - _by_x(Px) @ _by_y(Gy)
+                + _by_x(Gx) @ _by_y(Ny) - _by_y(Ny) @ _by_x(Gx)
+            )
+        a = a @ zt[..., None, :, :]
         Na = a.swapaxes(-1, -2).reshape(lead + (-1, n)) @ sub.N.reshape(lead + (n, n * n))
-        M = (
-            XY
-            + _by_y(Gy) @ _by_x(Px) - _by_x(Px) @ _by_y(Gy)
-            + _by_x(Gx) @ _by_y(Ny) - _by_y(Ny) @ _by_x(Gx)
-            + Na.reshape(XY.shape)
-        )
-        return wg[..., None, None, :, :] @ (tau * M + DG) @ zt[..., None, None, :, :]
-
-    # (D_x Gamma)(y, .) for x = h_i, y = v_j and for x = v_j, y = h_i; with
-    # dgamma[m, a, b, c] = d_m Gamma^a_bc symmetric in b, c, H goes first
-    dgamma = pt.source.dgamma
-    t = (H @ dgamma.reshape(lead + (n, -1))).reshape(lead + (s, n, n, n))  # [i, a, b, c]
-    DG_T = tail_transpose(tensordot(t, V, ((2,), (1,)), 4), 0, 3, 1, 2)
-    t = dgamma.reshape(lead + (-1, n)) @ H.swapaxes(-1, -2)  # [m a b, i]
-    t = (V @ t.reshape(lead + (n, -1))).reshape(lead + (-1, n, n, s))  # [j, a, b, i]
-    DG_A = tail_transpose(t, 0, 3, 1, 2)
+        M = tau * (M + Na.reshape(XY.shape))
+        if curved:
+            M = M + DG
+        return wg[..., None, None, :, :] @ M @ zt[..., None, None, :, :]
 
     H_, V_ = slice(0, s), slice(s, None)
     nabla_T = side(-1.0, H_, V_, X, DG_T)
@@ -567,12 +636,19 @@ class SubmersionResiduals:
     vertical_independent: bool  # True when an independent fiber curvature was used
 
 
-def _space_form_tensor(kappa, g: np.ndarray, frame: np.ndarray) -> np.ndarray:
-    """kappa (G_bc G_ad - G_ac G_bd) on the frame, formed in its first product's array."""
-    G = frame @ g @ frame.swapaxes(-1, -2)
-    out = np.einsum("...bc,...ad->...abcd", G, G)
-    out -= np.einsum("...ac,...bd->...abcd", G, G)
-    return np.multiply(np.asarray(kappa)[..., None, None, None, None], out, out=out)
+def _space_form_residual(R: np.ndarray, kappa, g: np.ndarray, frame: np.ndarray) -> np.ndarray:
+    """Largest entry of R - kappa (G_bc G_ad - G_ac G_bd) on the frame, at every point.
+
+    The model is subtracted from R in place.  With kappa = 0 at every
+    point the model is exactly zero, and R is read as it is.
+    """
+    kappa = np.asarray(kappa, dtype=float)
+    if kappa.any():
+        G = frame @ g @ frame.swapaxes(-1, -2)
+        model = np.einsum("...bc,...ad->...abcd", G, G)
+        model -= np.einsum("...ac,...bd->...abcd", G, G)
+        R -= np.multiply(kappa[..., None, None, None, None], model, out=model)
+    return _largest(R, 4)
 
 
 def gauss_residual_submersion(
@@ -617,9 +693,7 @@ def gauss_residual_submersion(
         recon -= tail_transpose(tt, 0, 2, 1, 3)
         del tt
         if fiber_kappa is not None:
-            defect = _space_form_tensor(fiber_kappa, g1, V)
-            defect -= recon
-            vertical = _largest(defect, 4)
+            vertical = _space_form_residual(recon, fiber_kappa, g1, V)
         else:
             sym_ij = _largest(recon + tail_transpose(recon, 1, 0, 2, 3), 4)
             sym_kl = _largest(recon + tail_transpose(recon, 0, 1, 3, 2), 4)

@@ -198,14 +198,39 @@ class QSFOracle:
         over the same rows).  The frame (..., k, n) and the metric may carry the
         same leading point axes; each point gets the bits it gets alone.
         """
+        P, XX = self._products(frame_vectors, blocks)
+        return 0.25 * self.c * (
+            tail_transpose(P, 2, 0, 1, 3) - tail_transpose(P, 0, 2, 1, 3) - 2.0 * XX
+        )
+
+    def residual(self, frame_tensor: np.ndarray, frame_vectors: np.ndarray, blocks=None):
+        """Largest entry of ``frame_tensor - curvature_tensor(frame_vectors, blocks)``, per point.
+
+        With c = 0 the model is exactly zero, and the residual is the
+        largest entry of the tensor.  Otherwise the model's terms are
+        subtracted from one copy of the tensor in place, and the model is
+        never formed.
+        """
+        if self.c == 0.0:
+            return np.abs(frame_tensor).max(axis=(-4, -3, -2, -1))
+        P, XX = self._products(frame_vectors, blocks)
+        k = 0.25 * self.c
+        XX *= 2.0 * k
+        P *= k
+        deviation = frame_tensor + XX
+        deviation -= tail_transpose(P, 2, 0, 1, 3)
+        deviation += tail_transpose(P, 0, 2, 1, 3)
+        return np.abs(deviation, out=deviation).max(axis=(-4, -3, -2, -1))
+
+    def _products(self, frame_vectors: np.ndarray, blocks) -> tuple:
+        """``P = G (x) G + XX`` and ``XX`` over the frame rows (``curvature_tensor``)."""
         E = np.atleast_2d(np.asarray(frame_vectors, dtype=float))
         G = E @ self.g @ E.swapaxes(-1, -2)
         X = _j_blocks(self.J, self.g, E) if blocks is None else blocks
         XX = tensordot(X, X, ((0,), (0,)), 3)
-        P = G[..., :, :, None, None] * G[..., None, None, :, :] + XX
-        return 0.25 * self.c * (
-            tail_transpose(P, 2, 0, 1, 3) - tail_transpose(P, 0, 2, 1, 3) - 2.0 * XX
-        )
+        P = G[..., :, :, None, None] * G[..., None, None, :, :]
+        P += XX
+        return P, XX
 
 
 def _j_blocks(J: np.ndarray, g: np.ndarray, E: np.ndarray) -> np.ndarray:

@@ -261,7 +261,7 @@ def oneill_reference(pt) -> dict:
     W = _jet_product(_jet_inverse(g), Jt)
     P0, P1, P2 = _jet_product(_jet_product(W, _jet_inverse(_jet_product(J, W))), J)
     Gb = np.swapaxes(src.gamma, 0, 1)  # Gb[b, a, n] = Gamma^a_bn
-    dGb = np.swapaxes(src.dgamma, 1, 2)
+    dGb = np.swapaxes(dgamma_reference(src.ginv_jet, src._first_kind, src.G2), 1, 2)
     Q0 = np.eye(len(P0)) - P0
     R = Q0 - P0
     N = P1 + np.einsum("ban,nc->bac", Gb, P0) - np.einsum("an,bnc->bac", P0, Gb)

@@ -43,7 +43,13 @@ from casoratiq.maps import MapPoint
 from casoratiq.quaternionic import QSFOracle, decompose_J, hermitian_residual, quat_units
 from casoratiq.scenes import builtin_scenario, evaluate_scenario, load_scenario, parse_scenario
 
-from conftest import orthonormal_rows, random_submersion
+from conftest import (
+    dgamma_reference,
+    gamma_reference,
+    orthonormal_rows,
+    random_submersion,
+    riemann_reference,
+)
 
 # the package exports the function casorati under the module's name
 casorati = sys.modules["casoratiq.casorati"]
@@ -599,9 +605,10 @@ def test_split_and_frame_tensors_once_per_chunk(count, chunks, monkeypatch):
     rep = evaluate_scenario(_sampled_hopf(count))
     assert rep.aggregate["point_errors"] == 0 and len(rep.points) == count
     assert svds == chunks
-    # one frame tensor per side, the source (n = 4) and the target (n = 3)
-    for n in (4, 3):
-        assert [lead for dim, lead in contracted if dim == n] == chunks
+    # one frame tensor per chunk on the curved target (hopf-base, n = 3), none on the
+    # constant source (flat-positive:4), whose frame tensor is zero without a product
+    assert [lead for dim, lead in contracted if dim == 3] == chunks
+    assert [lead for dim, lead in contracted if dim == 4] == []
 
 
 def _count_leads(monkeypatch) -> dict:
@@ -959,6 +966,58 @@ def test_curvature_check_fails_only_its_own_point():
     for i in (0, 2):
         alone = ChartPoint(X[i], cp.G0[i], cp.G1[i], G2[i]).curvature.riemann
         assert _bits(alone) == _bits(ChartPoint.at(smap.source, X[i]).curvature.riemann)
+
+
+def _random_jets(rng, P, n, constant=False):
+    """Metric jets of P points: G0 positive definite, G1 symmetric in its metric slots
+    and G2 in its metric and in its derivative slots, as a smooth metric's jets are."""
+    B = rng.normal(size=(P, n, n))
+    G0 = np.eye(n) + 0.2 * B @ B.swapaxes(-1, -2)
+    G1 = rng.normal(size=(P, n, n, n))
+    G1 = G1 + G1.swapaxes(1, 2)
+    G2 = rng.normal(size=(P, n, n, n, n))
+    G2 = G2 + G2.swapaxes(1, 2)
+    G2 = G2 + G2.swapaxes(3, 4)
+    if constant:
+        G1, G2 = np.zeros_like(G1), np.zeros_like(G2)
+    return rng.uniform(-1.0, 1.0, size=(P, n)), G0, G1, G2
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 8, 12])
+@pytest.mark.parametrize("constant", [False, True])
+def test_direct_riemann_matches_the_gradient_formula(n, constant):
+    # R from the second derivatives and Gamma, with one n^5 product, against R assembled
+    # from the chart-basis gradient of Gamma; each point of a chunk gets its bits alone
+    rng = np.random.default_rng(40 + n)
+    x, G0, G1, G2 = _random_jets(rng, 3, n, constant)
+    cp = ChartPoint(x, G0, G1, G2)
+    R = cp.curvature.riemann
+    for p in range(3):
+        alone = ChartPoint(x[p], G0[p], G1[p], G2[p])
+        gamma = gamma_reference(alone.ginv_jet[0], alone._first_kind)
+        dgamma = dgamma_reference(alone.ginv_jet, alone._first_kind, G2[p])
+        want = riemann_reference(gamma, dgamma, G0[p])
+        assert np.abs(R[p] - want).max() <= 1e-13 * max(1.0, np.abs(want).max())
+        assert _bits(alone.curvature.riemann) == _bits(R[p])
+        assert _bits(alone.gamma) == _bits(cp.gamma[p])
+        if constant:  # exact zeros, with no product
+            assert alone.constant and not np.any(R[p]) and not np.any(cp.gamma[p])
+        else:
+            assert not alone.constant and np.abs(want).max() > 0.1
+
+
+def test_no_pipeline_path_forms_the_chart_basis_gradient_of_gamma(monkeypatch):
+    # the n^5 d Gamma is formed only by christoffel_with_grad, which no scene reaches
+    def unreachable(*args):
+        raise AssertionError("the chart-basis gradient of Gamma was formed")
+
+    monkeypatch.setattr(ChartPoint, "dgamma", property(unreachable), raising=False)
+    monkeypatch.setattr(geometry, "christoffel_with_grad", unreachable)
+    scenes_run = [builtin_scenario(name) for name in scenes.builtin_names()]
+    scenes_run += [load_scenario(str(path)) for path in sorted(SCENARIOS.glob("*.json"))]
+    for scn in scenes_run:
+        rep = evaluate_scenario(scn)
+        assert rep.aggregate["point_errors"] == 0, scn.name
 
 
 def test_a_submersion_row_holds_its_oneill_fields():

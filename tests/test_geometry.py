@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 from casoratiq import jets
 from casoratiq.errors import DependencyError, DimensionError, DegenerateMetricError, DomainError
 from casoratiq.geometry import (
+    ChartPoint,
     MetricChart,
     OrthoFrame,
     chart,
@@ -108,6 +109,19 @@ class TestRiemann:
     def test_domain_error(self):
         with pytest.raises(DomainError):
             riemann(chart("sphere:1"), np.array([0.0, 0.0]))
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [([[1.0, 2.0], [2.0, 1.0]], "not positive definite"),
+         ([[1.0, 0.5], [0.0, 1.0]], "not symmetric")],
+    )
+    def test_constant_metric_keeps_its_checks(self, rows, message):
+        # a constant metric skips the curvature products, not the checks of G0
+        const = MetricChart(2, ((-1.0, 1.0), (-1.0, 1.0)), lambda coords: rows, name="const")
+        with pytest.raises(DegenerateMetricError, match=message):
+            riemann(const, np.zeros(2))
+        with pytest.raises(DegenerateMetricError, match=message):
+            ChartPoint.at(const, np.zeros((3, 2)))
 
 
 class TestFrames:

@@ -596,6 +596,29 @@ class TestBadInput:
         (errors,) = [p["errors"] for p in json.loads(out.read_text())["points"]]
         assert len(errors) == 1 and "numerically dependent" in errors[0]
 
+    @pytest.mark.parametrize("scale, ok", [("1e6", True), ("1e21", False)])
+    def test_ill_conditioned_source_metric_is_named(self, tmp_path, scale, ok):
+        """diag(a, 1) with F = x1 + x2 onto the metric a / (1 + a) is a Riemannian
+        submersion for every a > 0: a = 1e6 evaluates, and the failed split of
+        a = 1e21 names the condition number of the source metric."""
+        doc = _chart_doc(points=[[0.1, 0.2]])
+        doc["map"] = {**doc["map"], "exprs": ["x1 + x2"], "map_mode": "riemannian_submersion",
+                      "rank": 1, "target": {"dim": 1, "box": [[-10.0, 10.0]],
+                                            "metric": [[f"{scale}/(1 + {scale})"]]}}
+        doc["map"]["source"] = {**doc["map"]["source"], "metric": [[scale, "0"], ["0", "1"]]}
+        smap = parse_scenario(doc).smap
+        code, out = _run_file(tmp_path, doc)
+        (errors,) = [p["errors"] for p in json.loads(out.read_text())["points"]]
+        if ok:
+            assert code == 0 and errors == []
+            assert maps.differential(smap, np.array([0.1, 0.2])).isometry_residual < 1e-12
+            return
+        message = "source metric too ill-conditioned (\u03ba \u2248 1.0e+21) at [0.1, 0.2]: "
+        with pytest.raises(DependencyError, match=re.escape(message)):
+            maps.differential(smap, np.array([0.1, 0.2]))
+        assert code == 3
+        assert len(errors) == 1 and errors[0].startswith(message)
+
     @pytest.mark.parametrize(
         "path, value",
         [
@@ -1180,12 +1203,15 @@ class TestComputeOnce:
         rep = evaluate_scenario(one_point)
         assert rep.aggregate["point_errors"] == 0 and rep.points[0].reports
         (split,) = splits
-        # the structure, and so the theorems' ambient curvature, is on the curved side
-        curved = "source" if scn.kind == "submersion" else "target"
-        for side in ("source", "target"):
-            riemann = getattr(split.point, side).curvature.riemann
-            built = sum(R is riemann for R in contracted)
-            assert built == 1 if side == curved else built <= 1, (side, built)
+        # one frame contraction for each side whose chart is not constant, and none,
+        # nor any curvature product, for a constant side, whose frame tensor is zero
+        points = [split.point.source, split.point.target]
+        for pt in points:
+            if pt.constant:
+                assert "curvature" not in vars(pt)
+            else:
+                assert sum(R is pt.curvature.riemann for R in contracted) == 1
+        assert len(contracted) == sum(not pt.constant for pt in points)
 
     @pytest.mark.parametrize("name", builtin_names())
     def test_no_quadruple_calls(self, name, monkeypatch):
