@@ -205,9 +205,8 @@ class ChartPoint:
 
     Every array has the point axes first.  Built from one
     ``metric_jets`` call.  The inverse metric and its first derivative,
-    the Christoffel symbols, their gradient and the curvature are computed
-    from those jets on first use and kept, so every consumer shares one
-    copy.
+    the Christoffel symbols and the curvature are computed from those
+    jets on first use and kept, so every consumer shares one copy.
     """
 
     x: np.ndarray
