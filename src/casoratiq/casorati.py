@@ -489,8 +489,23 @@ def _extrema_rows(h: np.ndarray, kind: str, total_sq: list) -> list[HyperplaneEx
     ``total_sq[p]`` is |h[p]|^2.  Each stack takes its own path.  The
     matrices of the exact paths, M for skew or zero slices and the one
     nonzero slice otherwise, share one stacked ``eigh``, which gives each
-    the bits it gets alone; each multi-start runs alone.
+    the bits it gets alone; each multi-start runs alone.  Slices so large
+    that the quartic overflows raise ``DomainError``: an eigendecomposition
+    that fails, or the first stack whose extrema or normals are not finite.
     """
+    try:
+        out = _extrema_of(h, kind, total_sq)
+    except np.linalg.LinAlgError as e:
+        raise DomainError(f"hyperplane extremization failed: {e}") from e
+    for ex in out:
+        if not np.isfinite([ex.inf_CL, ex.sup_CL, *ex.argmin_normal, *ex.argmax_normal]).all():
+            raise DomainError(
+                f"hyperplane extrema are not finite (inf {ex.inf_CL!r}, sup {ex.sup_CL!r})"
+            )
+    return out
+
+
+def _extrema_of(h: np.ndarray, kind: str, total_sq: list) -> list[HyperplaneExtrema]:
     if kind == "skew":
         slices = [0] * len(h)  # as if zero: the quartic term of skew slices vanishes
     else:

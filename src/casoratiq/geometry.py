@@ -204,9 +204,9 @@ class ChartPoint:
     """The metric jets of a chart at P points, and what derives from them.
 
     Every array has the point axes first.  Built from one
-    ``metric_jets`` call.  The inverse metric and its first derivative,
-    the Christoffel symbols and the curvature are computed from those
-    jets on first use and kept, so every consumer shares one copy.
+    ``metric_jets`` call.  The inverse metric, the Christoffel symbols
+    and the curvature are computed from those jets on first use and kept,
+    so every consumer shares one copy.
     """
 
     x: np.ndarray
@@ -221,11 +221,10 @@ class ChartPoint:
         return cls(x, *chart.metric_jets(x))
 
     @cached_property
-    def ginv_jet(self) -> tuple:
-        """Matrix jet of g^-1: ``(g^kl, d_m g^kl)``, the derivative axis before k, l."""
-        g = (self.G0, tail_transpose(self.G1, 2, 0, 1))
+    def ginv(self) -> np.ndarray:
+        """The inverse metric g^kl."""
         try:
-            return matrix_inverse(g)
+            return np.linalg.inv(self.G0)
         except np.linalg.LinAlgError as e:
             raise DegenerateMetricError(f"singular metric at {self.x.tolist()}") from e
 
@@ -244,7 +243,7 @@ class ChartPoint:
             return np.zeros(lead + (n, n, n))
         # the contraction over l is one (n x n) @ (n x n^2) product per point
         fk = tail_transpose(self._first_kind, 2, 0, 1).reshape(lead + (n, n * n))
-        return 0.5 * (self.ginv_jet[0] @ fk).reshape(lead + (n, n, n))
+        return 0.5 * (self.ginv @ fk).reshape(lead + (n, n, n))
 
     @cached_property
     def constant(self) -> bool:
@@ -304,7 +303,8 @@ def christoffel_with_grad(chart: MetricChart, x) -> tuple[np.ndarray, np.ndarray
 
     Returns ``(Gamma, dGamma)`` with ``dGamma[m, k, i, j] = d_m Gamma^k_ij``,
     assembled exactly from the metric jets (no differencing of Gamma).
-    This is the only place that forms the n^5 chart-basis gradient: the
+    This is the only place that forms the derivative of the inverse
+    metric and the n^5 chart-basis gradient of Gamma: the
     curvature reads the metric's second derivatives directly, and the
     mixed identity of a submersion reads the gradient along its frames
     only (``maps._oneill_derivatives``).
@@ -315,7 +315,7 @@ def christoffel_with_grad(chart: MetricChart, x) -> tuple[np.ndarray, np.ndarray
     # DD[m, i, j, l] = d_m d_i g_jl, and Am[m, i, j, l] = d_m of the first-kind symbols
     DD = tail_transpose(pt.G2, 3, 2, 0, 1)
     Am = DD + DD.swapaxes(-3, -2) - tail_transpose(DD, 0, 2, 3, 1)
-    ginv, dginv = pt.ginv_jet
+    ginv, dginv = matrix_inverse((pt.G0, tail_transpose(pt.G1, 2, 0, 1)))
     fk = tail_transpose(pt._first_kind, 2, 0, 1).reshape(lead + (n, n * n))
     am = tail_transpose(Am, 3, 0, 1, 2).reshape(lead + (n, n**3))
     dgamma = 0.5 * (

@@ -10,7 +10,8 @@ horizontal equality case is exactly "A vanishes".
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, fields
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -156,8 +157,8 @@ def _diagnostic_arrays(h: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, ...]:
     each point gets the bits it gets alone.
     """
     n = h.shape[-1]
-    Q = _rotation_to_last(u)
-    rotated = np.einsum("...ia,...xab,...jb->...xij", Q, h, Q)
+    Q = _rotation_to_last(u)[..., None, :, :]  # against the slice axis
+    rotated = Q @ h @ Q.swapaxes(-1, -2)
     off = rotated.copy()
     off.reshape(off.shape[:-2] + (n * n,))[..., :: n + 1] = 0.0  # each slice's diagonal
     offdiag = np.abs(off).max(axis=(-3, -2, -1)) if off.size else np.zeros(off.shape[:-3])
@@ -182,7 +183,12 @@ def _diagnostics_rows(
 ) -> list[EqualityDiagnostics]:
     """``equality_diagnostics`` of every stack of slices ``h[p]`` (P, a, n, n) at once."""
     u = np.stack([np.asarray(ex.argmin_normal, dtype=float) for ex in extrema])
-    columns = (a.tolist() for a in _diagnostic_arrays(h, u))
+    columns = [a.tolist() for a in _diagnostic_arrays(h, u)]
+    # slices large enough to overflow a product give a residual that no report can hold
+    for f, column in zip(fields(EqualityDiagnostics), columns):
+        for value in column:
+            if not math.isfinite(value):
+                raise DomainError(f"equality diagnostic {f.name} is not finite ({value!r})")
     return [
         EqualityDiagnostics(
             *residuals,

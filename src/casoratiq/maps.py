@@ -3,11 +3,11 @@
 Everything at the source points of a chunk is read from one
 ``MapPoint``: the map jets, to third order for a submersion and to second
 for a Riemannian map, and the second-order source metric jets are
-computed once there, and the Christoffel symbols, the curvature of
-source and target and the horizontal projector with its exact derivative
-are derived from them on first use.  A ``MapPoint`` holds P points at
-once, the point axes first, as in ``geometry``; a scene builds one per
-chunk of its points, a single point being a chunk of one.
+computed once there, and the Christoffel symbols and the curvature of
+source and target are derived from them on first use.  A ``MapPoint``
+holds P points at once, the point axes first, as in ``geometry``; a
+scene builds one per chunk of its points, a single point being a chunk
+of one.
 ``differential`` takes a ``MapPoint``, or builds one from coordinates,
 and hangs it on the ``SceneSplit`` that every other function here takes;
 the split, B, T, A, the vertical bracket and the Gauss residuals keep
@@ -24,18 +24,19 @@ frame tensor per side, over [horizontal; vertical] in the source and
 [range; range_perp] in the target, and every Gauss residual reads its
 curvature blocks from those two arrays.
 
-The O'Neill tensors are evaluated through projected constant-component
-extensions: a chart vector is extended with constant components, the
-vertical/horizontal projector fields are applied to the extension, and
-the connection differentiates the product.  Tensoriality makes the
-result extension independent, which the tests assert rather than assume.
-At a submersion point the tensor fields ``T[k, m, n]`` and ``A[k, m, n]``
-(the k-th component of T_{e_m} e_n and A_{e_m} e_n) are held as arrays,
-and T, A and the vertical bracket are contractions of them.  The
+The O'Neill tensors are read off one frame jet of the horizontal
+projector P_h over the source frame E = [horizontal; vertical]
+(``SceneSplit.projector``): P_h, its derivative along every frame vector
+and its mixed second derivatives along the (horizontal, vertical) frame
+pairs.  With constant-component extensions both T and A collapse to
+(1 - 2 P_h)(nabla_X P_h) with X the vertical or horizontal part of the
+first argument, so T_{v_j} and A_{h_i} are that operator along one frame
+vector; tensoriality makes the result extension independent, which the
+tests assert rather than assume.  T, A, the vertical bracket and the
 covariant derivatives of T and A that the mixed curvature identity reads
-are assembled on the split frames from the projector's mixed second
-derivatives along the (horizontal, vertical) frame pairs
-(``_oneill_derivatives``).  No derivative is taken by finite differences.
+(``_oneill_derivatives``) are all taken on the split frames; nothing is
+built on the chart basis, and no derivative is taken by finite
+differences.
 """
 
 from __future__ import annotations
@@ -57,21 +58,14 @@ from .geometry import (
     MetricChart,
     OrthoFrame,
     _first,
+    _symmetry_defects,
     complete_frame,
     frame_contraction,
     gram_schmidt,
     tail_transpose,
     tensordot,
 )
-from .jets import (
-    frame_mixed,
-    frame_product,
-    frame_solve,
-    jet_arrays,
-    matrix_inverse,
-    matrix_product,
-    seed_point,
-)
+from .jets import frame_product, frame_solve, jet_arrays, seed_point
 
 __all__ = [
     "SmoothMap",
@@ -142,9 +136,8 @@ class MapPoint:
 
     Every array has the point axes first.  Built from one ``smap.jets``
     call.  The source and target chart points, which hold the checked
-    metrics, and the submersion projector are computed from jets on first
-    use and kept, so each is paid for once and only by the consumers that
-    need it.
+    metrics, are computed from jets on first use and kept, so each is
+    paid for once and only by the consumers that need it.
     """
 
     smap: SmoothMap
@@ -168,36 +161,6 @@ class MapPoint:
     @cached_property
     def target(self) -> ChartPoint:
         return ChartPoint(self.y, *self.smap.target.metric_jets(self.y))
-
-    @cached_property
-    def submersion(self) -> "_SubmersionPoint":
-        """The horizontal projector and the O'Neill tensor fields at the points.
-
-        P_h = g1^-1 dF^T (dF g1^-1 dF^T)^-1 dF projects onto the
-        g1-orthogonal complement of ker dF.  It is a product of matrix jets
-        of g1^-1 and dF, so its derivative is exact.  With Q = 1 - P_h
-        and constant extensions, T_E F = P_h nabla_{QE}(QF) + Q nabla_{QE}(P_h F)
-        and A_E F = Q nabla_{P_h E}(P_h F) + P_h nabla_{P_h E}(QF) both
-        collapse to (1 - 2 P_h)(nabla_X P_h) F with X = QE or P_h E, so
-        T and A need P_h to first order.  Their covariant derivatives are
-        read on the split frames only (``_oneill_derivatives``).
-        """
-        if self.smap.mode != RIEMANNIAN_SUBMERSION:
-            raise DimensionError("O'Neill tensors are defined for submersions only")
-        # matrix jet of dF: d_p dF[a, mu] = d2F[a, mu, p]
-        J = (self.dF, tail_transpose(self.d2F, 2, 0, 1))
-        Jt = tuple(m.swapaxes(-1, -2) for m in J)
-        W = matrix_product(self.source.ginv_jet, Jt)
-        P0, P1 = matrix_product(matrix_product(W, matrix_inverse(matrix_product(J, W))), J)
-
-        Gb = self.source.gamma.swapaxes(-3, -2)  # Gb[b, a, n] = Gamma^a_bn
-        Q0 = np.eye(P0.shape[-1]) - P0
-        R = Q0 - P0
-        # P0d and Rd stand against the derivative axis
-        P0d, Rd = P0[..., None, :, :], R[..., None, :, :]
-        N = P1 + Gb @ P0d - P0d @ Gb  # N[b] = nabla_b P_h
-        L = Rd @ N  # L[b, k, n] = ((1 - 2 P_h) nabla_b P_h)^k_n
-        return _SubmersionPoint(P0, P1, N, _field(Q0, L), _field(P0, L))
 
 
 def _largest(a: np.ndarray, ndim: int) -> np.ndarray:
@@ -233,10 +196,44 @@ class SceneSplit:
         return self.horizontal.k
 
     @cached_property
+    def source_frame(self) -> np.ndarray:
+        """The source frame E = [horizontal; vertical], one chart vector per row."""
+        return np.concatenate([self.horizontal.vectors, self.vertical.vectors], axis=-2)
+
+    @cached_property
     def source_curvature(self) -> np.ndarray:
         """``R1[a, b, c, d]`` over the source frame [horizontal; vertical]."""
-        E = np.concatenate([self.horizontal.vectors, self.vertical.vectors], axis=-2)
-        return _frame_tensor(self.point.source, E)
+        return _frame_tensor(self.point.source, self.source_frame)
+
+    @cached_property
+    def projector(self) -> "_Projector":
+        """The frame jet of the horizontal projector of a submersion over the source frame.
+
+        P_h = W (J W)^-1 J with J = dF and W = g1^-1 J^T projects onto
+        the g1-orthogonal complement of ker dF.  It is carried as a frame
+        jet (``jets.frame_solve``, ``jets.frame_product``): the metric's
+        second derivatives and the map's third are read along the
+        (horizontal, vertical) frame pairs only, and every derivative is
+        exact.  See ``_Projector`` for what it holds.
+        """
+        pt = self.point
+        if pt.smap.mode != RIEMANNIAN_SUBMERSION:
+            raise DimensionError("O'Neill tensors are defined for submersions only")
+        src, E, s = pt.source, self.source_frame, self.s
+        J = (pt.dF, *_frame_jet(pt.d2F, pt.d3F, E, s))
+        Jt = tuple(m.swapaxes(-1, -2) for m in J)
+        W = frame_solve((src.G0, *_frame_jet(src.G1, src.G2, E, s)), src.ginv, Jt, s)
+        M = frame_product(J, W, s)
+        C = frame_solve(M, np.linalg.inv(M[0]), J, s)  # C = (J W)^-1 J
+        Ph, dPh, X = frame_product(W, C, s)
+        N, gamma = dPh, None
+        if not src.constant:
+            gamma = _along(src.gamma.swapaxes(-3, -2), E)
+            Pd = Ph[..., None, :, :]  # P_h against the frame axis
+            N = dPh + gamma @ Pd - Pd @ gamma
+        Q = np.eye(Ph.shape[-1]) - Ph
+        L = (Q - Ph)[..., None, :, :] @ N
+        return _Projector(Ph, dPh, X, N, L, gamma)
 
     @cached_property
     def target_curvature(self) -> np.ndarray:
@@ -379,29 +376,29 @@ def second_fundamental_form(split: SceneSplit) -> FundamentalTensor:
 # -- O'Neill tensors of submersions -------------------------------------------
 
 
-class _SubmersionPoint(NamedTuple):
-    """Horizontal projector and O'Neill tensor fields at points of a submersion, point axes first.
+class _Projector(NamedTuple):
+    """The frame jet of the horizontal projector over E = [H; V], H its first s rows.
 
-    ``Ph`` and ``dPh[p] = d_p Ph`` are the projector and ``N[p] =
-    nabla_p Ph`` its covariant derivative; ``T[k, m, n]`` and
-    ``A[k, m, n]`` are the tensor fields on the chart basis.
+    Point axes first, then: ``Ph`` is P_h, ``dPh[e] = D_e P_h`` along
+    every frame vector and ``X[i, j] = D_{h_i} D_{v_j} P_h`` on the
+    (horizontal, vertical) pairs; ``N[e] = nabla_e P_h = D_e P_h +
+    [Gamma_e, P_h]`` and ``L[e] = (1 - 2 P_h) N[e]``, so that
+    ``T_{v_j} = L[s + j]`` and ``A_{h_i} = L[i]`` as operators; ``gamma[e]``
+    is Gamma_e (Gamma_e^a_c = Gamma^a_bc e^b), None on a constant source
+    chart, where it vanishes and N is D P_h.
     """
 
     Ph: np.ndarray
     dPh: np.ndarray
+    X: np.ndarray
     N: np.ndarray
-    T: np.ndarray
-    A: np.ndarray
+    L: np.ndarray
+    gamma: Optional[np.ndarray]
 
 
-def _field(X, L) -> np.ndarray:
-    """``S[k, m, n] = X^b_m L[b, k, n]``."""
-    return tail_transpose(tensordot(X, L, ((0,), (0,)), 2), 1, 0, 2)
-
-
-def _on_frames(S: np.ndarray, E: np.ndarray, F: np.ndarray) -> np.ndarray:
-    """``out[i, j] = S_{E_i} F_j``: the field ``S[k, m, n]`` on two frames, value last."""
-    return tail_transpose(tensordot(tensordot(E, S, ((1,), (1,)), 2), F, ((2,), (1,)), 3), 0, 2, 1)
+def _apply(F: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """``out[e, j] = F[e] y_j``: a stack of operators on the rows of Y, value last."""
+    return Y[..., None, :, :] @ F.swapaxes(-1, -2)
 
 
 def _pairs(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
@@ -409,9 +406,9 @@ def _pairs(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     return tensordot(X, Y, ((2,), (2,)), 3)
 
 
-def _oneill(split: SceneSplit, kind: str, tangent, normal) -> FundamentalTensor:
+def _oneill(split: SceneSplit, kind: str, L: np.ndarray, tangent, normal) -> FundamentalTensor:
     g1 = split.point.source.G0
-    vectors = _on_frames(getattr(split.point.submersion, kind), tangent.vectors, tangent.vectors)
+    vectors = _apply(L, tangent.vectors)
     coeffs = tensordot(vectors, g1 @ normal.vectors.swapaxes(-1, -2), ((2,), (0,)), 3)
     coeffs = tail_transpose(coeffs, 2, 0, 1)
     return FundamentalTensor.from_raw(kind, coeffs, vectors, g1)
@@ -419,12 +416,14 @@ def _oneill(split: SceneSplit, kind: str, tangent, normal) -> FundamentalTensor:
 
 def oneill_T(split: SceneSplit) -> FundamentalTensor:
     """T^alpha_{ij} = g1(T_{v_i} v_j, h_alpha) over the vertical frame."""
-    return _oneill(split, "T", split.vertical, split.horizontal)
+    L = split.projector.L[..., split.s :, :, :]
+    return _oneill(split, "T", L, split.vertical, split.horizontal)
 
 
 def oneill_A(split: SceneSplit) -> FundamentalTensor:
     """A^alpha_{ij} = g1(A_{h_i} h_j, v_alpha) over the horizontal frame."""
-    return _oneill(split, "A", split.horizontal, split.vertical)
+    L = split.projector.L[..., : split.s, :, :]
+    return _oneill(split, "A", L, split.horizontal, split.vertical)
 
 
 def vertical_bracket(split: SceneSplit) -> np.ndarray:
@@ -433,11 +432,10 @@ def vertical_bracket(split: SceneSplit) -> np.ndarray:
     ``H_i(y) = P_h(y) c_i`` with constant components c_i; the bracket is
     differentiated directly, giving the cross-check v[H_i, H_j] = 2 A_{h_i} h_j.
     """
-    sub = split.point.submersion
-    H = split.horizontal.vectors
-    # D[i, j] = (d_{H_i} P_h) H_j
-    D = _on_frames(tail_transpose(sub.dPh, 1, 0, 2), H, H)
-    Q = np.eye(sub.Ph.shape[-1]) - sub.Ph
+    proj = split.projector
+    # D[i, j] = (D_{h_i} P_h) h_j
+    D = _apply(proj.dPh[..., : split.s, :, :], split.horizontal.vectors)
+    Q = np.eye(proj.Ph.shape[-1]) - proj.Ph
     return (D - tail_transpose(D, 1, 0, 2)) @ Q.swapaxes(-1, -2)[..., None, :, :]
 
 
@@ -460,23 +458,6 @@ def _frame_jet(F1: np.ndarray, F2: np.ndarray, E: np.ndarray, s: int) -> tuple:
     d2 = (F2.reshape(lead + (-1, n)) @ E[..., :s, :].swapaxes(-1, -2)).reshape(lead + (a, b, n, s))
     d2 = tail_transpose(d2, 0, 1, 3, 2).reshape(lead + (-1, n)) @ E[..., s:, :].swapaxes(-1, -2)
     return tail_transpose(d1, 2, 0, 1), tail_transpose(d2.reshape(lead + (a, b, s, -1)), 2, 3, 0, 1)
-
-
-def _mixed_projector(pt: MapPoint, E: np.ndarray, s: int) -> np.ndarray:
-    """``X[i, j] = D_{h_i} D_{v_j} P_h`` over the frame E = [H; V], H its first ``s`` rows.
-
-    P_h = W (J W)^-1 J with W = g1^-1 J^T, carried as frame jets
-    (``jets.frame_solve``, ``jets.frame_product``): the metric's second
-    derivatives and the map's third are read along the (h_i, v_j) pairs
-    only.
-    """
-    src = pt.source
-    J = (pt.dF, *_frame_jet(pt.d2F, pt.d3F, E, s))
-    Jt = tuple(m.swapaxes(-1, -2) for m in J)
-    W = frame_solve((src.G0, *_frame_jet(src.G1, src.G2, E, s)), src.ginv_jet[0], Jt, s)
-    M = frame_product(J, W, s)
-    C = frame_solve(M, np.linalg.inv(M[0]), J, s)  # C = (J W)^-1 J
-    return frame_mixed(W, C, s)
 
 
 def _by_x(F: np.ndarray) -> np.ndarray:
@@ -516,7 +497,7 @@ def _gamma_derivatives(src: ChartPoint, E: np.ndarray, GE: np.ndarray, s: int) -
     # dg[e, l, q] = D_e g_lq along every frame vector
     dg = (src.G1.reshape(lead + (-1, n)) @ E.swapaxes(-1, -2)).reshape(lead + (n, n, -1))
     dg = tail_transpose(dg, 2, 0, 1)
-    ginv = src.ginv_jet[0][..., None, None, :, :]
+    ginv = src.ginv[..., None, None, :, :]
 
     def side(x, y, both_xy, S):
         # Zt[x, y, l, c] = D_x Gamma_l,(y, c) - (D_x g Gamma_y)_lc, and the result is g^-1 Zt
@@ -552,22 +533,20 @@ def _oneill_derivatives(split: SceneSplit) -> tuple[np.ndarray, np.ndarray]:
     constant source chart Gamma and its derivative vanish, and every term
     that reads them is left out.
     """
-    pt = split.point
-    src, sub = pt.source, pt.submersion
-    H, V = split.horizontal.vectors, split.vertical.vectors
-    lead, (s, n) = H.shape[:-2], H.shape[-2:]
+    src, proj = split.point.source, split.projector
+    E, s = split.source_frame, split.s
+    lead, n = E.shape[:-2], E.shape[-1]
     g = src.G0
-    E = np.concatenate([H, V], axis=-2)
-    X = _mixed_projector(pt, E, s)
-    # D_e P_h and N[e] along every frame vector
-    PE = _along(sub.dPh, E)
-    NE = _along(sub.N, E)
-    curved = not src.constant
+    # D_e P_h, N[e] and Gamma_e along every frame vector
+    PE, NE, GE = proj.dPh, proj.N, proj.gamma
+    curved = GE is not None
     if curved:
-        GE = _along(src.gamma.swapaxes(-3, -2), E)
         DG_T, DG_A = _gamma_derivatives(src, E, GE, s)
     else:
         DG_T = DG_A = None
+    # N along a chart vector a is sum_e g(a, e) N[e], E being a g-orthonormal basis
+    Eg = g @ E.swapaxes(-1, -2)
+    NE_flat = NE.reshape(lead + (n, n * n))
 
     def side(tau, x, y, XY, DG):
         # x and y slice the frame: w runs over the rows of x and z over those of y,
@@ -585,28 +564,19 @@ def _oneill_derivatives(split: SceneSplit) -> tuple[np.ndarray, np.ndarray]:
                 + _by_x(Gx) @ _by_y(Ny) - _by_y(Ny) @ _by_x(Gx)
             )
         a = a @ zt[..., None, :, :]
-        Na = a.swapaxes(-1, -2).reshape(lead + (-1, n)) @ sub.N.reshape(lead + (n, n * n))
+        Na = (a.swapaxes(-1, -2).reshape(lead + (-1, n)) @ Eg) @ NE_flat
         M = tau * (M + Na.reshape(XY.shape))
         if curved:
             M = M + DG
         return wg[..., None, None, :, :] @ M @ zt[..., None, None, :, :]
 
     H_, V_ = slice(0, s), slice(s, None)
-    nabla_T = side(-1.0, H_, V_, X, DG_T)
-    nabla_A = side(1.0, V_, H_, X.swapaxes(-4, -3), DG_A)
+    nabla_T = side(-1.0, H_, V_, proj.X, DG_T)
+    nabla_A = side(1.0, V_, H_, proj.X.swapaxes(-4, -3), DG_A)
     return nabla_T, tail_transpose(nabla_A, 1, 0, 3, 2)
 
 
 # -- Gauss-type residuals ---------------------------------------------------
-
-
-def _python_max(*values: np.ndarray) -> np.ndarray:
-    """``max(*values)`` at every point, picked as Python's ``max`` picks: a later value
-    replaces the running one only when it compares greater, so a NaN stays where it leads."""
-    out = values[0]
-    for v in values[1:]:
-        out = np.where(v > out, v, out)
-    return out
 
 
 def gauss_residual_map(split: SceneSplit, B: Optional[FundamentalTensor] = None) -> np.ndarray:
@@ -695,12 +665,7 @@ def gauss_residual_submersion(
         if fiber_kappa is not None:
             vertical = _space_form_residual(recon, fiber_kappa, g1, V)
         else:
-            sym_ij = _largest(recon + tail_transpose(recon, 1, 0, 2, 3), 4)
-            sym_kl = _largest(recon + tail_transpose(recon, 0, 1, 3, 2), 4)
-            pair = _largest(recon - tail_transpose(recon, 2, 3, 0, 1), 4)
-            bianchi = recon + tail_transpose(recon, 1, 2, 0, 3)
-            bianchi += tail_transpose(recon, 2, 0, 1, 3)
-            vertical = _python_max(sym_ij, sym_kl, pair, _largest(bianchi, 4))
+            vertical = _symmetry_defects(recon)[0].max(axis=0)
 
     # horizontal identity against the target curvature
     horizontal = zero
@@ -720,11 +685,11 @@ def gauss_residual_submersion(
     # O'Neill (1966) writes the left side <R_{h_i v_j} h_k, v_l> with the opposite
     # sign convention; in the convention here it is R1(h_i, v_j, v_l, h_k), which the
     # antisymmetry of the last two slots turns into -R1[i, j, k, l]
-    sub = pt.submersion
+    L = split.projector.L
     lhs = -R1[..., :s, s:, :s, s:]
     nabla_T, nabla_A = _oneill_derivatives(split)
-    T_vh = _on_frames(sub.T, V, H)  # T_vh[j, i] = T_{v_j} h_i
-    A_hv = _on_frames(sub.A, H, V)  # A_hv[i, j] = A_{h_i} v_j
+    T_vh = _apply(L[..., s:, :, :], H)  # T_vh[j, i] = T_{v_j} h_i
+    A_hv = _apply(L[..., :s, :, :], V)  # A_hv[i, j] = A_{h_i} v_j
     rhs = (
         nabla_T
         + nabla_A

@@ -18,7 +18,7 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from . import geometry, maps
-from .errors import CasoratiqError, RankError, SceneValidationError, StructureError
+from .errors import CasoratiqError, DomainError, RankError, SceneValidationError, StructureError
 from .expressions import compile_expression, compile_program
 from .geometry import MAX_DIM, MetricChart, OrthoFrame
 from .inequalities import (
@@ -668,12 +668,15 @@ def _point_rows(scn: Scenario, chunk: np.ndarray) -> list:
 
     A chunk of two or more points where any step raises runs each of its
     points again as a chunk of one, so a failing point keeps its own
-    error and the others their rows.
+    error and the others their rows.  A point's ``LinAlgError`` is kept
+    as a ``DomainError``, a point error like any other.
     """
     try:
         return _chunk_rows(scn, chunk)
     except (CasoratiqError, np.linalg.LinAlgError) as e:
         if len(chunk) == 1:
+            if isinstance(e, np.linalg.LinAlgError):
+                return [DomainError(f"linear algebra failed: {e}")]
             return [e]
         return [row for i in range(len(chunk)) for row in _point_rows(scn, chunk[i : i + 1])]
 

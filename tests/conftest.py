@@ -198,6 +198,12 @@ def gamma_reference(ginv: np.ndarray, first_kind: np.ndarray) -> np.ndarray:
     return 0.5 * np.einsum("kl,ijl->kij", ginv, first_kind)
 
 
+def ginv_jet_reference(G0: np.ndarray, G1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(g^kl, d_m g^kl)`` at one point, from d g^-1 = -g^-1 (d g) g^-1."""
+    ginv = np.linalg.inv(G0)
+    return ginv, -np.einsum("kl,lqm,qj->mkj", ginv, G1, ginv)
+
+
 def dgamma_reference(ginv_jet: tuple, first_kind: np.ndarray, G2: np.ndarray) -> np.ndarray:
     DD = np.transpose(G2, (3, 2, 0, 1))  # DD[m, i, j, l] = d_m d_i g_jl
     Am = DD + DD.transpose(0, 2, 1, 3) - DD.transpose(0, 2, 3, 1)
@@ -247,8 +253,9 @@ def _jet_inverse(a: tuple) -> tuple:
 
 
 def oneill_reference(pt) -> dict:
-    """The O'Neill fields of a submersion ``MapPoint`` on the chart basis, with their
-    coordinate derivatives: ``T``, ``dT``, ``A`` and ``dA``.
+    """The horizontal projector and the O'Neill fields of a submersion ``MapPoint`` on the
+    chart basis, with their coordinate derivatives: ``Ph``, ``dPh``, ``ddPh``, ``N``,
+    ``L``, ``T``, ``dT``, ``A`` and ``dA``, the derivative axes first.
 
     P_h = W (J W)^-1 J with W = g^-1 J^T to second order through full
     matrix jets, N[b] = nabla_b P_h, L[b] = (1 - 2 P_h) N[b], T = Q^b L[b]
@@ -261,7 +268,8 @@ def oneill_reference(pt) -> dict:
     W = _jet_product(_jet_inverse(g), Jt)
     P0, P1, P2 = _jet_product(_jet_product(W, _jet_inverse(_jet_product(J, W))), J)
     Gb = np.swapaxes(src.gamma, 0, 1)  # Gb[b, a, n] = Gamma^a_bn
-    dGb = np.swapaxes(dgamma_reference(src.ginv_jet, src._first_kind, src.G2), 1, 2)
+    ginv_jet = ginv_jet_reference(src.G0, src.G1)
+    dGb = np.swapaxes(dgamma_reference(ginv_jet, src._first_kind, src.G2), 1, 2)
     Q0 = np.eye(len(P0)) - P0
     R = Q0 - P0
     N = P1 + np.einsum("ban,nc->bac", Gb, P0) - np.einsum("an,bnc->bac", P0, Gb)
@@ -273,7 +281,9 @@ def oneill_reference(pt) -> dict:
     dL = np.einsum("ka,pban->pbkn", R, dN) - 2.0 * np.einsum("pka,ban->pbkn", P1, N)
     T, dT = field_reference(Q0, -P1, L, dL)
     A, dA = field_reference(P0, P1, L, dL)
-    return {"T": T, "dT": dT, "A": A, "dA": dA}
+    return {
+        "Ph": P0, "dPh": P1, "ddPh": P2, "N": N, "L": L, "T": T, "dT": dT, "A": A, "dA": dA,
+    }
 
 
 def covariant_reference(S: np.ndarray, dS: np.ndarray, gamma: np.ndarray) -> np.ndarray:

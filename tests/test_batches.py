@@ -46,6 +46,7 @@ from casoratiq.scenes import builtin_scenario, evaluate_scenario, load_scenario,
 from conftest import (
     dgamma_reference,
     gamma_reference,
+    ginv_jet_reference,
     orthonormal_rows,
     random_submersion,
     riemann_reference,
@@ -783,7 +784,7 @@ def _diagnostics_loops(h, u):
     v = u + sign * np.eye(n)[-1]
     v /= np.linalg.norm(v)
     Q = -sign * (np.eye(n) - 2.0 * np.outer(v, v))
-    rotated = np.einsum("ia,xab,jb->xij", Q, h, Q)
+    rotated = np.array([Q @ sl @ Q.T for sl in h]).reshape(h.shape)
     off = rotated.copy()
     for sl in off:
         np.fill_diagonal(sl, 0.0)
@@ -994,8 +995,9 @@ def test_direct_riemann_matches_the_gradient_formula(n, constant):
     R = cp.curvature.riemann
     for p in range(3):
         alone = ChartPoint(x[p], G0[p], G1[p], G2[p])
-        gamma = gamma_reference(alone.ginv_jet[0], alone._first_kind)
-        dgamma = dgamma_reference(alone.ginv_jet, alone._first_kind, G2[p])
+        ginv_jet = ginv_jet_reference(G0[p], G1[p])
+        gamma = gamma_reference(ginv_jet[0], alone._first_kind)
+        dgamma = dgamma_reference(ginv_jet, alone._first_kind, G2[p])
         want = riemann_reference(gamma, dgamma, G0[p])
         assert np.abs(R[p] - want).max() <= 1e-13 * max(1.0, np.abs(want).max())
         assert _bits(alone.curvature.riemann) == _bits(R[p])
@@ -1020,16 +1022,49 @@ def test_no_pipeline_path_forms_the_chart_basis_gradient_of_gamma(monkeypatch):
         assert rep.aggregate["point_errors"] == 0, scn.name
 
 
+def test_no_pipeline_path_forms_the_derivative_of_the_inverse_metric(monkeypatch):
+    # d g^-1 is formed only by christoffel_with_grad, through jets.matrix_inverse on
+    # every module binding of it, and no scene reaches it
+    def unreachable(*args):
+        raise AssertionError("the derivative of the inverse metric was formed")
+
+    original = jets.matrix_inverse
+    for module in list(sys.modules.values()):
+        if getattr(module, "__name__", "").startswith("casoratiq"):
+            if getattr(module, "matrix_inverse", None) is original:
+                monkeypatch.setattr(module, "matrix_inverse", unreachable)
+    scenes_run = [builtin_scenario(name) for name in scenes.builtin_names()]
+    scenes_run += [load_scenario(str(path)) for path in sorted(SCENARIOS.glob("*.json"))]
+    for scn in scenes_run:
+        rep = evaluate_scenario(scn)
+        assert rep.aggregate["point_errors"] == 0, scn.name
+    with pytest.raises(AssertionError, match="inverse metric"):
+        geometry.christoffel_with_grad(geometry.chart("flat:3"), np.full(3, 0.5))
+
+
 def test_a_submersion_row_holds_its_oneill_fields():
     smap = random_submersion(4, seed=3)
     X = np.array([[0.1, 0.2, -0.3, 0.4], [0.3, -0.1, 0.2, 0.0], [-0.4, 0.1, 0.1, 0.2]])
-    # the three points as one chunk and the second as a chunk of one
-    for chunk in (X, X[1:2]):
-        point = MapPoint.at(smap, chunk)
-        for i, x in enumerate(chunk):
-            alone = MapPoint.at(smap, x).submersion
-            for part, want in zip(point.submersion, alone):
-                assert _bits(part[i]) == _bits(want)
+    # the bent map is no Riemannian submersion, so its frames are the block
+    # orthonormalization of dF's kernel rows and then its range rows
+    vt = np.linalg.svd(MapPoint.at(smap, X).dF)[2]
+    rows = np.concatenate([vt[:, 2:], vt[:, :2]], axis=1)
+
+    def split_at(x, rows):
+        point = MapPoint.at(smap, x)
+        full = geometry.gram_schmidt(rows, point.source.G0).vectors
+        frames = (geometry.OrthoFrame(f, point.source.G0) for f in (full[..., :2, :], full[..., 2:, :]))
+        return maps.SceneSplit(point, *frames, None, None, 0.0, 0.0)
+
+    # the projector's frame jet of the three points as one chunk and of the second
+    # as a chunk of one, against each point as a chunk of one
+    for chunk, chunk_rows in ((X, rows), (X[1:2], rows[1:2])):
+        proj = split_at(chunk, chunk_rows).projector
+        assert proj.gamma is not None and np.abs(proj.X).max() > 0.0
+        for i in range(len(chunk)):
+            alone = split_at(chunk[i : i + 1], chunk_rows[i : i + 1]).projector
+            for part, want in zip(proj, alone):
+                assert _bits(part[i]) == _bits(want[0])
     # the split and the Gauss residuals of a Riemannian submersion, likewise
     scn = builtin_scenario("hopf-radial:4to3")
     X, smap = scn.evaluation_points(), scn.smap

@@ -18,6 +18,7 @@ from conftest import (
     covariant_reference,
     dgamma_reference,
     gamma_reference,
+    ginv_jet_reference,
     j_blocks_reference,
     on_frames_reference,
     oneill_reference,
@@ -44,40 +45,73 @@ def point(request) -> MapPoint:
     return MapPoint.at(random_submersion(n, seed=n), x)
 
 
-def test_christoffel_symbols(point):
-    src = point.source
-    assert_close(src.gamma, gamma_reference(src.ginv_jet[0], src._first_kind))
-    dgamma = christoffel_with_grad(point.smap.source, point.x)[1]
-    assert_close(dgamma, dgamma_reference(src.ginv_jet, src._first_kind, src.G2))
-
-
-def test_curvature(point):
-    # the direct formula against R assembled from the chart-basis gradient of Gamma
-    src = point.source
-    dgamma = dgamma_reference(src.ginv_jet, src._first_kind, src.G2)
-    assert_close(src.curvature.riemann, riemann_reference(src.gamma, dgamma, src.G0))
-
-
-def test_oneill_fields(point):
-    ref = oneill_reference(point)
-    for kind in ("T", "A"):
-        assert np.abs(ref["d" + kind]).max() > 0.0
-        assert_close(getattr(point.submersion, kind), ref[kind])
-
-
-@pytest.mark.parametrize("kind", ["T", "A"])
-def test_covariant_derivative(point, kind):
-    # the frame components of nabla T and nabla A, read off the frames alone,
-    # against the chart-basis covariant derivative contracted on the frames;
+@pytest.fixture(scope="module")
+def split(point) -> maps.SceneSplit:
     # the bent map is no Riemannian submersion, so the frames are built here
     g = point.source.G0
     rank = point.smap.rank
     vt = np.linalg.svd(point.dF)[2]
     vertical = gram_schmidt(vt[rank:], g)
     horizontal = OrthoFrame(complete_frame(vertical, vt[:rank]).vectors[vertical.k :], g)
-    split = maps.SceneSplit(point, vertical, horizontal, None, None, 0.0, 0.0)
-    H, V = horizontal.vectors, vertical.vectors
-    ref = oneill_reference(point)
+    return maps.SceneSplit(point, vertical, horizontal, None, None, 0.0, 0.0)
+
+
+@pytest.fixture(scope="module")
+def ref(point) -> dict:
+    return oneill_reference(point)
+
+
+def test_christoffel_symbols(point):
+    src = point.source
+    ginv_jet = ginv_jet_reference(src.G0, src.G1)
+    assert_close(src.ginv, ginv_jet[0])
+    assert_close(src.gamma, gamma_reference(ginv_jet[0], src._first_kind))
+    dgamma = christoffel_with_grad(point.smap.source, point.x)[1]
+    assert_close(dgamma, dgamma_reference(ginv_jet, src._first_kind, src.G2))
+
+
+def test_curvature(point):
+    # the direct formula against R assembled from the chart-basis gradient of Gamma
+    src = point.source
+    dgamma = dgamma_reference(ginv_jet_reference(src.G0, src.G1), src._first_kind, src.G2)
+    assert_close(src.curvature.riemann, riemann_reference(src.gamma, dgamma, src.G0))
+
+
+def test_oneill_fields(split, ref):
+    # T over the vertical frame and A over the horizontal one, against the
+    # chart-basis fields contracted on the split frames; the stored tensors carry
+    # the exact (anti)symmetry, which the bent map's raw A lacks; at n = 3 the one
+    # horizontal vector leaves no skew part
+    cases = (("T", maps.oneill_T, split.vertical, 1.0), ("A", maps.oneill_A, split.horizontal, -1.0))
+    for kind, fn, frame, sign in cases:
+        assert np.abs(ref["d" + kind]).max() > 0.0
+        E = frame.vectors
+        want = on_frames_reference(ref[kind], E, E)
+        want = 0.5 * (want + sign * want.transpose(1, 0, 2))
+        if frame.k > 1:
+            assert_close(fn(split).vectors, want)
+        else:
+            assert not np.any(fn(split).vectors) and not np.any(want)
+
+
+def test_projector_jet(split, ref):
+    # P_h, its derivative along every frame vector, its mixed second derivative on the
+    # (horizontal, vertical) pairs, N, L and Gamma_e, against the full chart-basis jets
+    proj, E, s = split.projector, split.source_frame, split.s
+    H, V = E[:s], E[s:]
+    assert_close(proj.Ph, ref["Ph"])
+    for key in ("dPh", "N", "L"):
+        assert_close(getattr(proj, key), np.einsum("pab,ep->eab", ref[key], E))
+    assert_close(proj.X, np.einsum("pqab,ip,jq->ijab", ref["ddPh"], H, V))
+    assert_close(proj.gamma, np.einsum("kij,ei->ekj", split.point.source.gamma, E))
+
+
+@pytest.mark.parametrize("kind", ["T", "A"])
+def test_covariant_derivative(point, split, ref, kind):
+    # the frame components of nabla T and nabla A, read off the frames alone,
+    # against the chart-basis covariant derivative contracted on the frames
+    g = point.source.G0
+    H, V = split.horizontal.vectors, split.vertical.vectors
     nabla = covariant_reference(ref[kind], ref["d" + kind], point.source.gamma)
     got = maps._oneill_derivatives(split)[kind == "A"]
     if kind == "T":  # g((nabla_{h_i} T)(v_j, v_l), h_k)
@@ -88,13 +122,17 @@ def test_covariant_derivative(point, kind):
 
 
 @pytest.mark.parametrize("kind", ["T", "A", "dPh"])
-def test_fields_on_frames(point, kind):
-    S = getattr(point.submersion, kind)
+def test_fields_on_frames(split, ref, kind):
+    # T_{v_j}, A_{h_i} and D_{h_i} P_h on every source frame vector, as the mixed
+    # identity and the vertical bracket read them, against the chart-basis fields
+    proj, E, s = split.projector, split.source_frame, split.s
     if kind == "dPh":
-        S = S.transpose(1, 0, 2)  # as vertical_bracket reads it
-    rng = np.random.default_rng(S.shape[0])
-    E, F = rng.normal(size=(2, S.shape[0] - 1, S.shape[0]))
-    assert_close(maps._on_frames(S, E, F), on_frames_reference(S, E, F))
+        S, along, got = ref["dPh"].transpose(1, 0, 2), E[:s], proj.dPh[:s]
+    elif kind == "T":
+        S, along, got = ref["T"], E[s:], proj.L[s:]
+    else:
+        S, along, got = ref["A"], E[:s], proj.L[:s]
+    assert_close(maps._apply(got, E), on_frames_reference(S, along, E))
 
 
 @pytest.mark.parametrize("n", DIMS)

@@ -6,7 +6,7 @@ import pytest
 
 from casoratiq.casorati import CasoratiInput
 from casoratiq.errors import DimensionError, NotRiemannianMapError, RankError
-from casoratiq import jets, maps
+from casoratiq import jets
 from casoratiq.geometry import (
     MetricChart,
     OrthoFrame,
@@ -28,7 +28,7 @@ from casoratiq.maps import (
     vertical_bracket,
 )
 
-from conftest import orthonormal_rows, sectional
+from conftest import oneill_reference, orthonormal_rows, sectional
 
 
 @pytest.fixture(scope="module")
@@ -55,11 +55,11 @@ def sheared_hopf_map(hopf_map) -> SmoothMap:
     return SmoothMap(src, hopf_map.target, F, "riemannian_submersion", 3, "sheared-hopf")
 
 
-def _oneill_by_definition(pt: MapPoint, kind: str, E, F) -> np.ndarray:
+def _oneill_by_definition(ref: dict, gamma, kind: str, E, F) -> np.ndarray:
     """T_E F = h nabla_{vE} vF + v nabla_{vE} hF, A_E F = v nabla_{hE} hF + h nabla_{hE} vF,
-    read off the definitions with constant-component extensions of E and F."""
-    sub, gamma = pt.submersion, pt.source.gamma
-    P = sub.Ph
+    read off the definitions with constant-component extensions of E and F, the
+    chart-basis projector ``ref`` of ``oneill_reference`` and the Christoffel symbols."""
+    P, dP = ref["Ph"], ref["dPh"]
     Q = np.eye(P.shape[0]) - P
     X = Q @ E if kind == "T" else P @ E
 
@@ -68,7 +68,7 @@ def _oneill_by_definition(pt: MapPoint, kind: str, E, F) -> np.ndarray:
 
     same, other = (Q, P) if kind == "T" else (P, Q)
     sign = -1.0 if kind == "T" else 1.0  # d(1 - P_h) = -dP_h
-    return other @ nabla(same, sign * sub.dPh) + same @ nabla(other, -sign * sub.dPh)
+    return other @ nabla(same, sign * dP) + same @ nabla(other, -sign * dP)
 
 
 class TestDifferential:
@@ -193,20 +193,12 @@ class TestONeillTensors:
         assert oneill_T(sp).symmetry_residual() < 1e-9
 
     def test_alternation_identities(self, hopf_map):
-        x = np.array([0.9, 0.2, 0.6, 0.3])
-        g1 = hopf_map.source.metric_jets(x)[0]
-        sub = MapPoint.at(hopf_map, x).submersion
-        rng = np.random.default_rng(21)
-        worst_t = worst_a = 0.0
-        for _ in range(20):
-            E, F, G = rng.normal(size=(3, 4))
-            tef = np.einsum("kmn,m,n->k", sub.T, E, F)
-            teg = np.einsum("kmn,m,n->k", sub.T, E, G)
-            worst_t = max(worst_t, abs(tef @ g1 @ G + F @ g1 @ teg))
-            aef = np.einsum("kmn,m,n->k", sub.A, E, F)
-            aeg = np.einsum("kmn,m,n->k", sub.A, E, G)
-            worst_a = max(worst_a, abs(aef @ g1 @ G + F @ g1 @ aeg))
-        assert worst_t < 1e-9 and worst_a < 1e-9
+        # every T_{v_j} and A_{h_i} is g-skew: g(S_E F, G) = -g(F, S_E G) on frame vectors
+        sp = differential(hopf_map, np.array([0.9, 0.2, 0.6, 0.3]))
+        E, g1 = sp.source_frame, sp.point.source.G0
+        forms = E @ g1 @ sp.projector.L @ E.T  # forms[e, a, b] = g(e_a, L[e] e_b)
+        assert np.abs(forms).max() > 0.1
+        assert np.abs(forms + forms.transpose(0, 2, 1)).max() < 1e-9
 
     def test_scalar_invariance_under_split_rotation(self, hopf_map):
         x = np.array([0.4, 0.4, 0.4, 0.4])
@@ -229,38 +221,38 @@ class TestONeillTensors:
         assert abs(a.norm_sq() - a2.norm_sq()) < 1e-9
 
     def test_fields_match_definitions(self, sheared_hopf_map):
-        pt = MapPoint.at(sheared_hopf_map, np.array([0.5, 0.3, 0.4, 0.2]))
+        # T_{v_j} and A_{h_i} on every frame vector, as the tensors and the mixed identity read them
+        sp = differential(sheared_hopf_map, np.array([0.5, 0.3, 0.4, 0.2]))
+        pt, s = sp.point, sp.s
         dgamma = christoffel_with_grad(sheared_hopf_map.source, pt.x)[1]
         assert np.abs(pt.source.gamma).max() > 0.1 and np.abs(dgamma).max() > 0.1
-        rng = np.random.default_rng(5)
-        for _ in range(5):
-            E, F = rng.normal(size=(2, 4))
-            for kind in ("T", "A"):
-                field = getattr(pt.submersion, kind)
-                got = np.einsum("kmn,m,n->k", field, E, F)
-                assert np.abs(got - _oneill_by_definition(pt, kind, E, F)).max() < 1e-12
+        E, L, ref = sp.source_frame, sp.projector.L, oneill_reference(pt)
+        for e, row in enumerate(E):
+            kind = "A" if e < s else "T"
+            for f, col in enumerate(E):
+                want = _oneill_by_definition(ref, pt.source.gamma, kind, row, col)
+                assert np.abs(L[e] @ col - want).max() < 1e-12, (e, f)
 
     @pytest.mark.parametrize("name", ["hopf_map", "radial_map", "sheared_hopf_map"])
     def test_field_derivatives_match_finite_differences(self, request, name):
         smap = request.getfixturevalue(name)
         x = np.array([0.5, 0.3, 0.4, 0.2])
-        sub = MapPoint.at(smap, x).submersion
-        h = 1e-5
-        for p in range(4):
-            e = np.zeros(4)
-            e[p] = h
-            plus, minus = MapPoint.at(smap, x + e).submersion, MapPoint.at(smap, x - e).submersion
-            fd = (plus.Ph - minus.Ph) / (2 * h)
-            assert np.abs(sub.dPh[p] - fd).max() < 1e-7, p
-        # D_{h_i} D_{v_j} P_h against central differences of D_{v_j} P_h along h_i
         sp = differential(smap, x)
-        H, V = sp.horizontal.vectors, sp.vertical.vectors
-        mixed = maps._mixed_projector(sp.point, np.concatenate([H, V]), sp.s)
-        assert mixed.shape == (sp.s, sp.ell, 4, 4) and np.abs(mixed).max() > 0.1
-        for i, hv in enumerate(H):
-            plus, minus = (MapPoint.at(smap, x + t * h * hv).submersion.dPh for t in (1, -1))
-            fd = np.tensordot(V, plus - minus, 1) / (2 * h)
-            assert np.abs(mixed[i] - fd).max() < 1e-7, i
+        proj, E, s = sp.projector, sp.source_frame, sp.s
+        h = 1e-5
+
+        def moved(t, direction):  # the projector's jet at x + t h direction on the frames at x
+            return dataclasses.replace(sp, point=MapPoint.at(smap, x + t * h * direction)).projector
+
+        # D_e P_h against central differences of P_h along every frame vector
+        for e, row in enumerate(E):
+            fd = (moved(1, row).Ph - moved(-1, row).Ph) / (2 * h)
+            assert np.abs(proj.dPh[e] - fd).max() < 1e-7, e
+        # D_{h_i} D_{v_j} P_h against central differences of D_{v_j} P_h along h_i
+        assert proj.X.shape == (sp.s, sp.ell, 4, 4) and np.abs(proj.X).max() > 0.1
+        for i, hv in enumerate(E[:s]):
+            fd = (moved(1, hv).dPh[s:] - moved(-1, hv).dPh[s:]) / (2 * h)
+            assert np.abs(proj.X[i] - fd).max() < 1e-7, i
 
     def test_map_mode_rejected(self, paraboloid_map):
         x = np.zeros(2)

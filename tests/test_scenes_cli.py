@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from casoratiq import maps
+from casoratiq import maps, scenes
 from casoratiq.cli import main, report_csv, report_json
 from casoratiq.errors import DependencyError, DomainError, SceneValidationError
 from casoratiq.expressions import compile_expression
@@ -645,6 +645,47 @@ class TestBadInput:
             parse_scenario(doc)
         assert _run_file(tmp_path, doc)[0] == 3
         assert main(["validate", str(tmp_path / "scene.json")]) == 3
+
+    def test_huge_pointwise_tensors_exit_cleanly(self, tmp_path):
+        """B = (G + G^T) 10^e near the float limit overflows the commutator diagnostic
+        (e = 151.25, 152) or fails the multi-start's eigh (e = 153), which once ended
+        in a traceback; every run exits 0, 2 or 3 and writes valid JSON."""
+
+        def no_constant(name):
+            raise ValueError(f"{name} in a report")
+
+        rng = np.random.default_rng(0)
+        doc = _builtin_doc("pw-equality-map:s4")
+        errors = {}
+        for k in range(17):
+            e = 150 + 0.25 * k
+            G = rng.normal(size=(4, 4, 4))
+            doc["tensors"] = {"B": ((G + G.transpose(0, 2, 1)) * 10**e).tolist()}
+            (tmp_path / "out.json").unlink(missing_ok=True)
+            code, out = _run_file(tmp_path, doc)
+            assert code in (0, 2, 3), e
+            if out.exists():
+                report = json.loads(out.read_text(), parse_constant=no_constant)
+                errors[e] = report["points"][0]["errors"]
+        assert errors[151.25] == errors[152.0] == [
+            "equality diagnostic commutator_max is not finite (inf)"
+        ]
+        assert errors[153.0] == ["hyperplane extremization failed: Eigenvalues did not converge"]
+
+    def test_chart_linalg_error_is_point_error(self, tmp_path, monkeypatch):
+        # a LinAlgError of a chart point's chunk becomes the point's error, under --strict too
+        def fail(scn, chunk):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(scenes, "_chunk_rows", fail)
+        report = evaluate_scenario(builtin_scenario("radial:4"))
+        assert [p.errors for p in report.points] == [["linear algebra failed: Singular matrix"]] * len(
+            report.points
+        )
+        with pytest.raises(DomainError, match="linear algebra failed"):
+            evaluate_scenario(builtin_scenario("radial:4"), strict=True)
+        for flag in ([], ["--strict"]):
+            assert main(["run", "radial:4", "-o", str(tmp_path / "out.json"), *flag]) == 3
 
     def test_non_numeric_tolerance_flag(self, tmp_path):
         out = str(tmp_path / "o.json")
