@@ -180,11 +180,6 @@ def _hess(Q: _Quartic, W: np.ndarray, r: np.ndarray) -> np.ndarray:
     return -2.0 * Q.S + quad + 2.0 * (V.transpose(0, 2, 1) @ V)
 
 
-def _phi_grad_batch(Q: _Quartic, U: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    W, r = Q.products(U)
-    return _phi(Q, r), _grad(W, r)
-
-
 def _signed_phi_grad(Q: _Quartic, U: np.ndarray, sign: np.ndarray):
     """sign[m] * phi and sign[m] * grad of an (m, n) block of rows.
 

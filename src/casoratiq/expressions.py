@@ -153,12 +153,15 @@ def _program(text: str) -> tuple:
 def _numbered(programs: list) -> tuple:
     """One program for the post-order ``programs``, by local value numbering.
 
-    Returns ``(code, outputs, owners, size)``.  ``code`` holds instructions
-    ``(kind, argument, a, b, slot)`` that read their operands from slots
-    ``a`` and ``b`` (None where there are fewer) and write ``slot``;
-    ``outputs`` is the slot of each program's result, ``owners`` the first
-    program that holds each instruction, and ``size`` the number of slots.
-    A slot is reused once its last reader has run; a result's never is.
+    Returns ``(code, outputs, owners, size, checked)``.  ``code`` holds
+    instructions ``(kind, argument, a, b, slot)`` that read their operands
+    from slots ``a`` and ``b`` (None where there are fewer) and write
+    ``slot``; ``outputs`` is the slot of each program's result, ``owners``
+    the first program that holds each instruction, and ``size`` the number
+    of slots.  ``checked`` holds ``(entry, slot)`` for the first program
+    with each distinct result that is not a literal: a literal is finite,
+    since the parser rejects one that overflows.  A slot is reused once
+    its last reader has run; a result's never is.
     """
     numbers, ssa, owners, results = {}, [], [], []
     for entry, program in enumerate(programs):
@@ -188,7 +191,11 @@ def _numbered(programs: list) -> tuple:
             size += 1
         slot.append(free.pop())
         code.append((kind, arg, a, b, slot[-1]))
-    return tuple(code), tuple(slot[v] for v in results), tuple(owners), size
+    first = {}
+    for entry, v in enumerate(results):
+        first.setdefault(v, entry)
+    checked = tuple((entry, slot[v]) for v, entry in first.items() if ssa[v][0] != "const")
+    return tuple(code), tuple(slot[v] for v in results), tuple(owners), size, checked
 
 
 @dataclass(frozen=True)
@@ -207,6 +214,7 @@ class CompiledProgram:
     outputs: tuple
     owners: tuple
     size: int
+    checked: tuple
 
     def __call__(self, coords) -> list:
         slots, i = [None] * self.size, 0
@@ -243,11 +251,9 @@ class CompiledProgram:
 
     def _require_finite(self, slots: list, count: int) -> None:
         """Raise for the first of the first ``count`` results that is not finite."""
-        checked = set()
-        for source, slot in zip(self.sources[:count], self.outputs):
-            if slot in checked:
-                continue
-            checked.add(slot)
+        for entry, slot in self.checked:
+            if entry >= count:
+                break
             out = slots[slot]
             if isinstance(out, jets.Jet2):
                 arrays = (out.value, out.grad, out.hess, out.d3)
@@ -256,6 +262,7 @@ class CompiledProgram:
             # a 1-d view keeps .all() on the array path for a 0-d value: a constant's,
             # or that of a point without an axis
             if not all(a is None or np.isfinite(np.reshape(a, -1)).all() for a in arrays):
+                source = self.sources[entry]
                 raise DomainError(f"expression {source!r} is not finite at this point")
 
 

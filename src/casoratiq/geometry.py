@@ -43,6 +43,7 @@ from .errors import (
     DependencyError,
     DomainError,
 )
+from .expressions import compile_program
 from .jets import jet_arrays, matrix_inverse, seed_point
 
 __all__ = [
@@ -54,7 +55,6 @@ __all__ = [
     "christoffel_with_grad",
     "riemann",
     "gram_schmidt",
-    "complete_frame",
     "frame_contraction",
     "curvature_sums",
     "chart",
@@ -99,13 +99,29 @@ class MetricChart:
     """A single coordinate domain with a smooth metric component field.
 
     ``g`` maps a list of coordinate jets (or floats) to an ``dim x dim``
-    nested sequence of jets / numbers.
+    nested sequence of jets / numbers.  Registry and scene-file charts
+    build it from expression texts (``from_exprs``).
     """
 
     dim: int
     domain: tuple[tuple[float, float], ...]
     g: Callable
     name: str = ""
+
+    @classmethod
+    def from_exprs(cls, dim: int, box, rows, name: str) -> "MetricChart":
+        """The chart whose metric is the ``dim x dim`` matrix ``rows`` of expression texts.
+
+        The entries compile into one program (``compile_program``), which
+        checks that every value and derivative it returns is finite.
+        """
+        program = compile_program(e for row in rows for e in row)
+
+        def g(coords):
+            values = program(coords)
+            return [values[i : i + dim] for i in range(0, dim * dim, dim)]
+
+        return cls(dim, box, g, name)
 
     @cached_property
     def _bounds(self) -> np.ndarray:
@@ -145,14 +161,15 @@ class MetricChart:
         flat = jet_arrays([rows[a][b] for a in range(n) for b in range(n)], x.shape)
         G0, G1, G2 = (m.reshape(x.shape[:-1] + (n, n) + m.shape[x.ndim :]) for m in flat)
         asym = np.abs(G0 - G0.swapaxes(-1, -2)).max(axis=(-2, -1))
-        bad = _first(asym > _SYM_TOL * np.maximum(1.0, np.abs(G0).max(axis=(-2, -1))))
+        # each check is written so that a NaN fails it
+        bad = _first(~(asym <= _SYM_TOL * np.maximum(1.0, np.abs(G0).max(axis=(-2, -1)))))
         if bad is not None:
             raise DegenerateMetricError(
                 f"metric not symmetric at {x[bad].tolist()} (chart {self.name!r})"
             )
         G0 = 0.5 * (G0 + G0.swapaxes(-1, -2))
         low = np.linalg.eigvalsh(G0).min(axis=-1)
-        bad = _first(low <= _PD_TOL)
+        bad = _first(~(low > _PD_TOL))
         if bad is not None:
             raise DegenerateMetricError(
                 f"metric not positive definite at {x[bad].tolist()}: min eigenvalue {low[bad]:.3e}"
@@ -160,9 +177,6 @@ class MetricChart:
         G1 = 0.5 * (G1 + G1.swapaxes(-3, -2))
         G2 = 0.5 * (G2 + G2.swapaxes(-4, -3))
         return G0, G1, G2
-
-
-_SYMMETRIES = ("antisym_12", "antisym_34", "pair_sym", "bianchi")
 
 
 def _symmetry_defects(R: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -193,10 +207,6 @@ class CurvaturePoint:
     gamma: np.ndarray  # gamma[k, i, j] = Gamma^k_ij, symmetric in (i, j)
     riemann: np.ndarray  # R[i, j, k, l] fully covariant
     metric: np.ndarray
-
-    def symmetry_residuals(self) -> dict[str, float]:
-        maxima, scale = _symmetry_defects(self.riemann)
-        return {name: float(m / scale) for name, m in zip(_SYMMETRIES, maxima)}
 
 
 @dataclass(frozen=True, eq=False)
@@ -268,7 +278,7 @@ class ChartPoint:
         product is symmetric under (ik) <-> (jl), so R is half of
         W_ijkl - W_ijlk with W_ijkl = d_i d_k g_jl + d_j d_l g_ik
         + 2 Gamma^m_ik Gamma_m,jl.  The check raises for the first point
-        whose worst relative defect exceeds 1e-6.
+        whose worst relative defect exceeds 1e-6 or is not a number.
         """
         gamma = self.gamma
         n = self.G0.shape[-1]
@@ -284,7 +294,7 @@ class ChartPoint:
         R = 0.5 * (W - W.swapaxes(-1, -2))
         maxima, scale = _symmetry_defects(R)
         worst = maxima.max(axis=0) / scale
-        bad = _first(worst > 1e-6)
+        bad = _first(~(worst <= 1e-6))
         if bad is not None:
             raise DegenerateMetricError(
                 f"curvature symmetries violated ({worst[bad]:.3e}) at {self.x[bad].tolist()}; "
@@ -422,39 +432,6 @@ def gram_schmidt(vectors, g_at: np.ndarray) -> "OrthoFrame":
     return OrthoFrame(E, g)
 
 
-def complete_frame(frame: "OrthoFrame", candidates) -> "OrthoFrame":
-    """Extend an orthonormal frame to a full frame of the ambient space.
-
-    The candidate rows (..., m, n) are taken in order.  Each is made
-    orthogonal to the frame built so far as one block, v - E^T (E g v)
-    done twice, and kept unless its remaining g-norm is 1e-8 or less.
-    Points of a batch keep the same candidates; raises for the first
-    point that would keep a candidate the first point drops, or drop one
-    it keeps, so that such a batch runs its points one by one.
-    """
-    g = frame.metric_at
-    n = g.shape[-1]
-    E = frame.vectors
-    candidates = np.asarray(candidates, dtype=float)
-    for j in range(candidates.shape[-2]):
-        if E.shape[-2] == n:
-            break
-        v = candidates[..., j, :, None]
-        Eg, Et = E @ g, E.swapaxes(-1, -2)
-        for _ in range(2):
-            v = v - Et @ (Eg @ v)
-        norm = np.sqrt(np.maximum(v.swapaxes(-1, -2) @ g @ v, 0.0))
-        keep = norm[..., 0, 0] > 1e-8
-        bad = _first(keep.ravel() != keep.flat[0])
-        if bad is not None:
-            raise DependencyError(f"points of the batch disagree on candidate {j}, first at point {bad[0]}")
-        if keep.flat[0]:
-            E = np.concatenate([E, (v / norm).swapaxes(-1, -2)], axis=-2)
-    if E.shape[-2] != n:
-        raise DependencyError("could not complete frame to full dimension")
-    return OrthoFrame(E, g)
-
-
 @dataclass(frozen=True)
 class OrthoFrame:
     """Rows of ``vectors`` are g-orthonormal chart components, point axes first."""
@@ -503,75 +480,49 @@ def curvature_sums(frame_tensor: np.ndarray, s: int) -> tuple:
 # -- builtin chart registry ----------------------------------------------
 
 
-def _flat(n: int) -> MetricChart:
-    def g(coords):
-        m = len(coords)
-        return [[1.0 if i == j else 0.0 for j in range(m)] for i in range(m)]
-
-    return MetricChart(n, tuple((-5.0, 5.0) for _ in range(n)), g, name=f"flat:{n}")
+def _euclidean(n: int) -> tuple:
+    """``(dim, box, rows)`` of flat:n."""
+    return n, ((-5.0, 5.0),) * n, [["1" if i == j else "0" for j in range(n)] for i in range(n)]
 
 
-def _sphere(r: float) -> MetricChart:
-    from . import jets
+def _round(r: float, box: tuple) -> tuple:
+    """``(dim, box, rows)`` of the round sphere of radius r in polar angles.
 
-    def g(coords):
-        theta = coords[0]
-        s = jets.sin(theta)
-        return [[r * r, 0.0], [0.0, r * r * s * s]]
-
-    return MetricChart(
-        2, ((0.15, math.pi - 0.15), (-3.0, 3.0)), g, name=f"sphere:{r:g}"
-    )
-
-
-def _sphere3(r: float) -> MetricChart:
-    from . import jets
-
-    def g(coords):
-        t1, t2 = coords[0], coords[1]
-        s1 = jets.sin(t1)
-        s2 = jets.sin(t2)
-        return [
-            [r * r, 0.0, 0.0],
-            [0.0, r * r * s1 * s1, 0.0],
-            [0.0, 0.0, r * r * s1 * s1 * s2 * s2],
-        ]
-
-    return MetricChart(
-        3,
-        ((0.2, math.pi - 0.2), (0.2, math.pi - 0.2), (-3.0, 3.0)),
-        g,
-        name=f"sphere3:{r:g}",
-    )
+    g_kk = r r sin(x1)^2 ... sin(x_{k-1})^2, each written as the
+    left-to-right product r*r*sin(x1)*sin(x1)*..., whose prefixes value
+    numbering shares between the entries.
+    """
+    n, entry, rows = len(box), f"{r!r}*{r!r}", []
+    for k in range(n):
+        rows.append(["0"] * k + [entry] + ["0"] * (n - k - 1))
+        entry += f"*sin(x{k + 1})*sin(x{k + 1})"
+    return n, box, rows
 
 
-def _half_plane() -> MetricChart:
-    def g(coords):
-        y = coords[1]
-        inv = 1.0 / (y * y)
-        return [[inv, 0.0], [0.0, inv]]
-
-    return MetricChart(2, ((-5.0, 5.0), (0.1, 10.0)), g, name="half-plane")
-
-
-def _polar() -> MetricChart:
-    def g(coords):
-        r = coords[0]
-        return [[1.0, 0.0], [0.0, r * r]]
-
-    return MetricChart(2, ((0.2, 6.0), (-3.0, 3.0)), g, name="polar")
+_PARAMETRIZED = {
+    "flat": (int, _euclidean),
+    "sphere": (float, lambda r: _round(r, ((0.15, math.pi - 0.15), (-3.0, 3.0)))),
+    "sphere3": (float, lambda r: _round(r, ((0.2, math.pi - 0.2),) * 2 + ((-3.0, 3.0),))),
+}
+_FIXED = {
+    "half-plane": (2, ((-5.0, 5.0), (0.1, 10.0)), [["1/(x2*x2)", "0"], ["0", "1/(x2*x2)"]]),
+    "polar": (2, ((0.2, 6.0), (-3.0, 3.0)), [["1", "0"], ["0", "x1*x1"]]),
+}
 
 
+@lru_cache(maxsize=64)
 def chart(name: str) -> MetricChart:
-    """Look up a builtin chart: flat:n (n <= MAX_DIM), sphere:r, sphere3:r, half-plane, polar."""
-    if name == "half-plane":
-        return _half_plane()
-    if name == "polar":
-        return _polar()
+    """Look up a builtin chart: flat:n (n <= MAX_DIM), sphere:r, sphere3:r, half-plane, polar.
+
+    Each name builds its chart once per process, from its metric texts
+    (``MetricChart.from_exprs``); the chart is immutable, so every caller
+    shares it.
+    """
+    if name in _FIXED:
+        return MetricChart.from_exprs(*_FIXED[name], name)
     kind, _, param = name.partition(":")
-    builders = {"flat": (_flat, int), "sphere": (_sphere, float), "sphere3": (_sphere3, float)}
-    if kind in builders:
-        build, number = builders[kind]
+    if kind in _PARAMETRIZED:
+        number, build = _PARAMETRIZED[kind]
         try:
             value = number(param)
         except ValueError:
@@ -579,6 +530,5 @@ def chart(name: str) -> MetricChart:
         if kind == "flat" and value > MAX_DIM:
             raise KeyError(f"chart {name!r} has dimension above {MAX_DIM}")
         if 0 < value < math.inf:
-            return build(value)
+            return MetricChart.from_exprs(*build(value), f"{kind}:{value:g}")
     raise KeyError(f"unknown chart {name!r}")
-

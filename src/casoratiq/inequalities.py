@@ -24,7 +24,7 @@ from .casorati import (
     delta_casorati,
 )
 from .errors import ConfigurationError, DimensionError, DomainError, OracleError
-from .geometry import OrthoFrame, curvature_sums
+from .geometry import curvature_sums
 from .quaternionic import JDecomposition, QSFOracle, decompose_J
 
 __all__ = [
@@ -247,22 +247,20 @@ class SceneData:
     """Everything the theorem checkers read at one point of a map or submersion scene.
 
     A record built once, by ``checker_inputs``, with every field filled.
-    ``frames`` maps each tag of ``FRAMES[kind]`` to the point's
-    orthonormal frame on the curved side, and ``tensors`` maps names of
-    ``TENSORS`` to checked ``CasoratiInput`` of the table's symmetry.
-    ``decomp`` holds the J blocks over both frames and ``sums`` the
-    ``curvature_sums`` of the ambient frame tensor, split after the first
-    frame.  ``extrema`` and ``diagnostics`` hold the hyperplane extrema and
-    the equality diagnostics of each tensor the requested families read,
-    over at least 3 vectors, shared by every family that reads it.  Chart
-    scenes give ``space_form_residual``, the deviation of the ambient
-    curvature from the space form; it must be small, and it selects the
-    chart-mode equality tolerance.  Chart submersions also give
-    ``bracket_residual``.
+    ``tensors`` maps names of ``TENSORS`` to checked ``CasoratiInput`` of
+    the table's symmetry.  ``decomp`` holds the J blocks over both frames
+    of ``FRAMES[kind]`` on the curved side, and their dimensions ``s`` and
+    ``ell``, and ``sums`` the ``curvature_sums`` of the ambient frame
+    tensor, split after the first frame.  ``extrema`` and ``diagnostics``
+    hold the hyperplane extrema and the equality diagnostics of each
+    tensor the requested families read, over at least 3 vectors, shared
+    by every family that reads it.  Chart scenes give
+    ``space_form_residual``, the deviation of the ambient curvature from
+    the space form; it must be small, and it selects the chart-mode
+    equality tolerance.  Chart submersions also give ``bracket_residual``.
     """
 
     kind: str
-    frames: dict
     tensors: dict
     c: float
     decomp: JDecomposition
@@ -331,8 +329,7 @@ def checker_inputs(
         diagnostics[key] = _diagnostics_rows(h, extrema[key], a_norm_sq, brackets)
     return [
         SceneData(
-            kind, {tag: OrthoFrame(frames[tag][i], g[i]) for tag in FRAMES[kind]},
-            {key: column[i] for key, column in inputs.items()}, c, point_decomp, sums[i],
+            kind, {key: column[i] for key, column in inputs.items()}, c, point_decomp, sums[i],
             {key: column[i] for key, column in extrema.items()},
             {key: column[i] for key, column in diagnostics.items()},
             deltaN, residuals[i], equality_tol, brackets[i],
@@ -448,13 +445,13 @@ def _distribution_reports(
 
 def check_map_theorem(data: SceneData) -> list[TheoremReport]:
     """Map-mode inequality (theorem and generic-lemma assemblies)."""
-    _check_input(data, "map", s=data.frames["range"].k)
+    _check_input(data, "map", s=data.decomp.s)
     return _distribution_reports(data, "map", "rho_range", "norms_P_range")
 
 
 def check_vertical_theorem(data: SceneData) -> list[TheoremReport]:
     """Vertical-distribution inequality for submersions."""
-    _check_input(data, "vertical", ell=data.frames["vertical"].k)
+    _check_input(data, "vertical", ell=data.decomp.ell)
     return _distribution_reports(data, "vertical", "rho_vertical_ambient", "norms_Q")
 
 
@@ -466,7 +463,7 @@ def _integrable(A: CasoratiInput, a_norm: float) -> bool:
 
 def check_horizontal_theorem(data: SceneData) -> list[TheoremReport]:
     """Horizontal-distribution inequality; equality means A vanishes."""
-    _check_input(data, "horizontal", s=data.frames["horizontal"].k)
+    _check_input(data, "horizontal", s=data.decomp.s)
     A = data.tensors["A"]
     a_norm = float(np.sqrt(A.norm_sq()))
     integrable = _integrable(A, a_norm)
@@ -480,7 +477,7 @@ def check_horizontal_theorem(data: SceneData) -> list[TheoremReport]:
 
 def check_combined_theorem(data: SceneData) -> list[TheoremReport]:
     """Combined vertical+horizontal inequality with the pluggable deltaN."""
-    s, ell = data.frames["horizontal"].k, data.frames["vertical"].k
+    s, ell = data.decomp.s, data.decomp.ell
     _check_input(data, "combined", s=s, ell=ell)
     if data.deltaN is None:
         raise ConfigurationError(
@@ -552,7 +549,7 @@ def _checked_scene(data: SceneData) -> tuple[float, Optional[float]]:
     else:
         # chart scenes come with a space-form residual; oracle scenes do not
         tol = CHART_EQUALITY_TOL if residual is not None else ORACLE_EQUALITY_TOL
-    if residual is not None and residual > SPACE_FORM_TOL:
+    if residual is not None and not residual <= SPACE_FORM_TOL:
         curvature = "target" if data.kind == "map" else "source"
         raise OracleError(
             f"{curvature} curvature deviates from the c={data.c} space form by {residual:.3e}"

@@ -15,14 +15,15 @@ the point axes, so a chunk computes each of them once for all its
 points, and each point reads its column.  The source frame is one block
 orthonormalization (``geometry.gram_schmidt``, CholeskyQR2) of the
 kernel rows of dF's right singular vectors followed by its range rows,
-and the range frame is one more; only range_perp, the completion of
-the range frame, takes its candidates one at a time.  Every contraction
-is one stacked product per point, shaped as a point without an axis
-would shape it, so a point in a chunk gets the bits it gets alone, and
-the public functions still take such a point.  The split holds one curvature
-frame tensor per side, over [horizontal; vertical] in the source and
-[range; range_perp] in the target, and every Gauss residual reads its
-curvature blocks from those two arrays.
+and the target frame [range; range_perp] is one more, of dF's image of
+the horizontal frame followed by a g2-orthonormal basis of the
+g2-complement of the range, read off dF's left singular vectors.
+Every contraction is one stacked product per point, shaped as a point
+without an axis would shape it, so a point in a chunk gets the bits it
+gets alone, and the public functions still take such a point.  The
+split holds one curvature frame tensor per side, over [horizontal;
+vertical] in the source and [range; range_perp] in the target, and every
+Gauss residual reads its curvature blocks from those two arrays.
 
 The O'Neill tensors are read off one frame jet of the horizontal
 projector P_h over the source frame E = [horizontal; vertical]
@@ -59,7 +60,6 @@ from .geometry import (
     OrthoFrame,
     _first,
     _symmetry_defects,
-    complete_frame,
     frame_contraction,
     gram_schmidt,
     tail_transpose,
@@ -258,13 +258,18 @@ def differential(smap: SmoothMap, x) -> SceneSplit:
     The vertical frame spans the numerical kernel of dF (singular values
     below 1e-8) and the horizontal frame is its metric-orthogonal
     complement, both from one ``gram_schmidt`` of the kernel rows of
-    ``vt`` followed by its range rows; the range frame is ``dF`` of the
-    horizontal frame and range_perp completes it.  ``dF`` of the
-    horizontal frame must be orthonormal in the target metric up to the
-    isometry tolerance; that residual is measured on the raw vectors,
-    and the range frame is their metric Gram-Schmidt, orthonormal to
-    rounding.  Each check raises for
-    the first point that fails it.
+    ``vt`` followed by its range rows.  ``dF`` of the horizontal frame
+    must be orthonormal in the target metric up to the isometry
+    tolerance; that residual is measured on the raw vectors.  The left
+    singular vectors U[:, rank:] past the rank span the Euclidean
+    complement of the range, so g2^-1 U[:, rank:] spans its
+    g2-complement.  That span is taken g2-orthonormal as L^-T Q, with
+    g2 = L L^T and L^-1 U[:, rank:] = Q R, which loses accuracy as
+    sqrt(kappa(g2)) where the Gram matrix of g2^-1 U[:, rank:] would
+    lose it as kappa(g2).  The target frame is one ``gram_schmidt`` of
+    the raw range vectors followed by those rows, split into range and
+    range_perp, orthonormal to rounding; a submersion has no such rows.
+    Each check raises for the first point that fails it.
     """
     pt = x if isinstance(x, MapPoint) else MapPoint.at(smap, x)
     g1 = pt.source.G0
@@ -272,7 +277,7 @@ def differential(smap: SmoothMap, x) -> SceneSplit:
     n1 = smap.source.dim
     lead = pt.x.shape[:-1]
 
-    _, svals, vt = np.linalg.svd(pt.dF)
+    U, svals, vt = np.linalg.svd(pt.dF)
     svals = np.concatenate([svals, np.zeros(lead + (n1 - svals.shape[-1],))], axis=-1)
     ranks = np.sum(svals > _KERNEL_TOL, axis=-1)
     bad = _first(ranks != smap.rank)
@@ -303,20 +308,29 @@ def differential(smap: SmoothMap, x) -> SceneSplit:
     range_vectors = horizontal.vectors @ pt.dF.swapaxes(-1, -2)
     gram = range_vectors @ g2 @ range_vectors.swapaxes(-1, -2)
     iso_residual = _largest(gram - np.eye(rank), 2)
-    bad = _first(iso_residual > _ISOMETRY_TOL)
+    bad = _first(~(iso_residual <= _ISOMETRY_TOL))
     if bad is not None:
         raise NotRiemannianMapError(
             f"differential is not isometric on the horizontal space at {pt.x[bad].tolist()} "
             f"(residual {iso_residual[bad]:.3e})"
         )
-    rng = gram_schmidt(range_vectors, g2)
-    perp = complete_frame(rng, np.eye(smap.target.dim)).vectors[..., rank:, :]
+    rows = range_vectors
+    if rank < smap.target.dim:
+        # with g2 = L L^T and L^-1 U[:, rank:] = Q R, the columns of L^-T Q are those of
+        # g2^-1 U[:, rank:] times R^-1, and g2-orthonormal; R's diagonal is made
+        # positive, so each keeps the orientation of its singular vector
+        L = np.linalg.cholesky(g2)
+        Q, R = np.linalg.qr(np.linalg.solve(L, U[..., rank:]))
+        Q *= np.where(np.diagonal(R, axis1=-2, axis2=-1) < 0.0, -1.0, 1.0)[..., None, :]
+        normal = np.linalg.solve(L.swapaxes(-1, -2), Q).swapaxes(-1, -2)
+        rows = np.concatenate([rows, normal], axis=-2)
+    target = gram_schmidt(rows, g2).vectors
     return SceneSplit(
         point=pt,
         vertical=vertical,
         horizontal=horizontal,
-        range=rng,
-        range_perp=OrthoFrame(perp, g2),
+        range=OrthoFrame(target[..., :rank, :], g2),
+        range_perp=OrthoFrame(target[..., rank:, :], g2),
         isometry_residual=iso_residual,
         kernel_residual=_largest(pt.dF @ vertical.vectors.swapaxes(-1, -2), 2),
     )
@@ -330,7 +344,7 @@ class FundamentalTensor:
     frame (range_perp for B, horizontal for T, vertical for A) and
     ``vectors[i, j]`` the full tensor value as a chart vector.  Stored
     components carry the exact (anti)symmetry of the tensor; the raw
-    pre-projection violation is what ``symmetry_residual`` reports.
+    pre-projection violation is ``raw_symmetry_residual``.
     """
 
     kind: str  # "B" | "T" | "A"
@@ -347,9 +361,6 @@ class FundamentalTensor:
         coeffs = 0.5 * (coeffs + sign * transposed)
         vectors = 0.5 * (vectors + sign * tail_transpose(vectors, 1, 0, 2))
         return cls(kind, coeffs, vectors, metric, residual)
-
-    def symmetry_residual(self) -> float:
-        return float(self.raw_symmetry_residual)
 
 
 def second_fundamental_form(split: SceneSplit) -> FundamentalTensor:

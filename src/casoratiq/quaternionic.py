@@ -288,7 +288,7 @@ def decompose_J(
     if E.shape[-2]:
         gram = E @ g @ E.swapaxes(-1, -2)
         residual = np.abs(gram - np.eye(E.shape[-2])).max(axis=(-2, -1))
-        bad = _first(residual > frame_tol)
+        bad = _first(~(residual <= frame_tol))
         if bad is not None:
             raise FrameError(
                 f"split frames are not jointly orthonormal (residual {residual[bad]:.3e})"

@@ -194,18 +194,7 @@ def _chart_from_spec(spec, where: str) -> MetricChart:
     rows = _require(spec, "metric", where, list)
     if len(rows) != dim or any(not isinstance(r, list) or len(r) != dim for r in rows):
         raise SceneValidationError(f"{where}.metric must be a {dim}x{dim} expression matrix")
-    program = compile_program(e for row in rows for e in row)
-
-    def g(coords, _program=program, _dim=dim):
-        values = _program(coords)
-        return [values[i : i + _dim] for i in range(0, _dim * _dim, _dim)]
-
-    return MetricChart(
-        dim,
-        box,
-        g,
-        name=str(spec.get("name", "custom")),
-    )
+    return MetricChart.from_exprs(dim, box, rows, str(spec.get("name", "custom")))
 
 
 def _structure_from_spec(spec, dim: int, where: str) -> QuaternionicStructure:
@@ -567,9 +556,11 @@ def _bracket_residual(split: maps.SceneSplit, A: maps.FundamentalTensor) -> np.n
     return np.sqrt(np.where(worst < 0.0, 0.0, worst))  # max(worst, 0.0) as Python picks it
 
 
-def _check_gauss(scn: Scenario, worst: float) -> None:
+def _check_gauss(scn: Scenario, *residuals: float) -> None:
+    """Raise when the largest of the point's Gauss residuals exceeds the tolerance or is NaN."""
     residual_tol = scn.tolerances.get("residual", 1e-6)
-    if worst > residual_tol:
+    worst = float(np.max(residuals))  # a NaN anywhere is the largest
+    if not worst <= residual_tol:
         raise SceneValidationError(
             f"Gauss residual {worst:.3e} exceeds the scene tolerance {residual_tol:.1e}"
         )
@@ -717,7 +708,7 @@ def _evaluate_chart_point(scn: Scenario, row) -> _PointRow:
         raise row
     gauss = row.gauss
     if scn.kind == "submersion":
-        _check_gauss(scn, max(gauss["vertical"], gauss["horizontal"], gauss["mixed"]))
+        _check_gauss(scn, gauss["vertical"], gauss["horizontal"], gauss["mixed"])
     else:
         _check_gauss(scn, gauss["map"])
     return row
@@ -734,12 +725,12 @@ def _evaluate_pointwise(scn: Scenario) -> _PointRow:
     for tag, fr in frames.items():
         res = fr.orthonormality_residual()
         validation[f"{tag}_frame_residual"] = res
-        if res > 1e-10:
+        if not res <= 1e-10:
             raise SceneValidationError(f"{tag} frame is not orthonormal ({res:.3e})")
     first, second = frames.values()
     cross = float(np.abs(first.vectors @ g @ second.vectors.T).max())
     validation["cross_orthogonality"] = cross
-    if cross > 1e-10:
+    if not cross <= 1e-10:
         raise SceneValidationError(f"frames are not mutually orthogonal ({cross:.3e})")
     (data,) = _checker_inputs(
         scn, {tag: fr.vectors[None] for tag, fr in frames.items()},

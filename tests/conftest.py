@@ -84,6 +84,44 @@ def projection_map() -> SmoothMap:
                      "riemannian_submersion", 4, "product-projection:8to4")
 
 
+def registry_closure(name: str) -> MetricChart:
+    """The registry chart ``name`` with its metric as the Python closure the engine
+    used before the registry compiled metric texts, kept as the oracle of their jets."""
+    kind, _, param = name.partition(":")
+    if kind == "flat":
+        def g(coords):
+            m = len(coords)
+            return [[1.0 if i == j else 0.0 for j in range(m)] for i in range(m)]
+    elif kind == "sphere":
+        r = float(param)
+
+        def g(coords):
+            s = jets.sin(coords[0])
+            return [[r * r, 0.0], [0.0, r * r * s * s]]
+    elif kind == "sphere3":
+        r = float(param)
+
+        def g(coords):
+            s1, s2 = jets.sin(coords[0]), jets.sin(coords[1])
+            return [
+                [r * r, 0.0, 0.0],
+                [0.0, r * r * s1 * s1, 0.0],
+                [0.0, 0.0, r * r * s1 * s1 * s2 * s2],
+            ]
+    elif kind == "half-plane":
+        def g(coords):
+            inv = 1.0 / (coords[1] * coords[1])
+            return [[inv, 0.0], [0.0, inv]]
+    elif kind == "polar":
+        def g(coords):
+            r = coords[0]
+            return [[1.0, 0.0], [0.0, r * r]]
+    else:
+        raise KeyError(name)
+    registry = chart(name)
+    return MetricChart(registry.dim, registry.domain, g, name=registry.name)
+
+
 def orthonormal_rows(rng: np.random.Generator, n: int) -> np.ndarray:
     Q, _ = np.linalg.qr(rng.normal(size=(n, n)))
     return Q.T
@@ -94,10 +132,10 @@ def mgs2_frame(vectors, g: np.ndarray, candidates=()) -> np.ndarray:
 
     Each vector loses its g-projections on the rows before it, in order,
     in two passes of modified Gram-Schmidt, and is then normalized.  The
-    ``candidates`` then complete the frame as ``complete_frame`` does:
-    each is projected the same way and kept when its remaining g-norm
-    exceeds 1e-8, until the frame has n rows.  This is the frame builder
-    the engine used before its block form, kept as that form's oracle.
+    ``candidates`` then complete the frame: each is projected the same
+    way and kept when its remaining g-norm exceeds 1e-8, until the frame
+    has n rows.  This is the frame construction the engine used before its
+    block form, kept as that form's oracle.
     """
     n = g.shape[-1]
     rows: list[np.ndarray] = []

@@ -28,7 +28,6 @@ from casoratiq import geometry, inequalities, jets, maps, scenes
 from casoratiq.casorati import CasoratiInput, hyperplane_extrema
 from casoratiq.errors import (
     DegenerateMetricError,
-    DependencyError,
     DimensionError,
     DomainError,
     NotRiemannianMapError,
@@ -388,16 +387,14 @@ def test_the_batched_split_names_its_failing_point():
             assert _bits(gauss[i]) == _bits(maps.gauss_residual_map(alone))
 
 
-def test_points_that_keep_other_candidates_run_their_chunk_alone(monkeypatch):
-    """At the paraboloid vertex the range holds e1, so completing its normal frame
-    drops the candidate e1 that the other points keep: the chunk runs point by point."""
+def test_paraboloid_vertex_runs_as_one_chunk(monkeypatch):
+    """At the paraboloid vertex the range holds the coordinate vector e1, which the
+    other points' ranges do not; the normal rows come from dF's own SVD, not from
+    coordinate candidates, so all the points share one split."""
     scn = builtin_scenario("paraboloid-vertex")
-    with pytest.raises(DependencyError) as info:
-        maps.differential(scn.smap, scn.evaluation_points())
-    assert str(info.value) == "points of the batch disagree on candidate 0, first at point 1"
     shapes = _map_point_shapes(monkeypatch)
     assert evaluate_scenario(scn).aggregate["point_errors"] == 0
-    assert shapes == [(3, 2)] + [(1, 2)] * 3
+    assert shapes == [(3, 2)]
 
 
 @pytest.mark.parametrize("n", [8, 16])
@@ -418,6 +415,14 @@ def test_the_split_orthonormalizes_each_side_once_per_chunk(n, monkeypatch):
     split = maps.differential(smap, points)
     assert calls == [(3, n, n), (3, 4, 4)]
     assert split.vertical.k == n - 4 and split.range_perp.k == 0
+
+    # a map's target frame, range and range_perp together, is one block too
+    calls.clear()
+    smap = maps.SmoothMap(geometry.chart("flat:4"), geometry.chart(f"flat:{n}"),
+                          lambda c: list(c) + [0.0] * (n - 4), "riemannian_map", 4)
+    split = maps.differential(smap, points[:, :4])
+    assert calls == [(3, 4, 4), (3, n, n)]
+    assert split.range.k == 4 and split.range_perp.k == n - 4
 
 
 # -- chunks --------------------------------------------------------------------

@@ -25,8 +25,8 @@ from casoratiq.casorati import (
     _multistart_extrema,
     _newton_steps,
     _phi,
-    _phi_grad_batch,
     _search,
+    _signed_phi_grad,
     _sphere_starts,
     _starts,
 )
@@ -220,7 +220,7 @@ def _oracle_descent(Q, U, sign, iters, tol=0.0):
     A row stops once its gradient meets ``tol`` or its step stalls.  With
     ``tol = 0`` and ``_BURN_IN`` steps no row stops: that is the burn-in.
     """
-    vals, grad = _phi_grad_batch(Q, U)
+    vals, grad = _signed_phi_grad(Q, U, np.ones(len(U)))
     vals, grad = sign * vals, sign * grad
     steps = np.full(U.shape[0], 0.1)
     done = np.zeros(U.shape[0], dtype=bool)
@@ -231,7 +231,7 @@ def _oracle_descent(Q, U, sign, iters, tol=0.0):
             break
         cand = U - steps[:, None] * rgrad
         cand /= np.sqrt(np.einsum("mn,mn->m", cand, cand))[:, None]
-        cand_vals, cand_grad = _phi_grad_batch(Q, cand)
+        cand_vals, cand_grad = _signed_phi_grad(Q, cand, np.ones(len(cand)))
         cand_vals *= sign
         accept = ~done & (cand_vals < vals)
         U = np.where(accept[:, None], cand, U)

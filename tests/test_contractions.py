@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from casoratiq import maps
-from casoratiq.geometry import OrthoFrame, christoffel_with_grad, complete_frame, gram_schmidt
+from casoratiq.geometry import OrthoFrame, christoffel_with_grad, gram_schmidt
 from casoratiq.maps import MapPoint
 from casoratiq.quaternionic import QSFOracle, decompose_J, quat_units
 
@@ -47,12 +47,14 @@ def point(request) -> MapPoint:
 
 @pytest.fixture(scope="module")
 def split(point) -> maps.SceneSplit:
-    # the bent map is no Riemannian submersion, so the frames are built here
+    # the bent map is no Riemannian submersion, so the frames are built here, as
+    # differential builds them: one gram_schmidt of the kernel rows, then the range rows
     g = point.source.G0
     rank = point.smap.rank
     vt = np.linalg.svd(point.dF)[2]
-    vertical = gram_schmidt(vt[rank:], g)
-    horizontal = OrthoFrame(complete_frame(vertical, vt[:rank]).vectors[vertical.k :], g)
+    full = gram_schmidt(np.concatenate([vt[rank:], vt[:rank]]), g).vectors
+    ell = len(vt) - rank
+    vertical, horizontal = OrthoFrame(full[:ell], g), OrthoFrame(full[ell:], g)
     return maps.SceneSplit(point, vertical, horizontal, None, None, 0.0, 0.0)
 
 

@@ -775,6 +775,53 @@ class TestBadInput:
         assert errors == [f"expression {entry!r} is not finite at this point"]
 
 
+    @staticmethod
+    def _both_exit_3(tmp_path, capsys, doc) -> list:
+        """``run`` and ``validate`` of ``doc`` each exit 3 with valid JSON; the point errors."""
+
+        def no_constant(name):
+            raise ValueError(f"{name} in a report")
+
+        path = tmp_path / "scene.json"
+        path.write_text(json.dumps(doc))
+        errors = []
+        for command in ("run", "validate"):
+            capsys.readouterr()
+            assert main([command, str(path)]) == 3
+            report = json.loads(capsys.readouterr().out, parse_constant=no_constant)
+            errors.append(report["points"][0]["errors"])
+        return errors
+
+    def test_registry_metric_that_overflows_is_point_error(self, tmp_path, capsys):
+        """r r is inf for sphere:1e200; the registry chart's program names it."""
+        doc = _chart_doc(points=[[1.0, 0.5]])
+        doc["map"] = {**doc["map"], "source": "sphere:1e200"}
+        want = ["expression '1e+200*1e+200' is not finite at this point"]
+        assert self._both_exit_3(tmp_path, capsys, doc) == [want, want]
+
+    @pytest.mark.parametrize("S", [2e306, 2.5e306, 3e306, 3.5e306, 4e306])
+    def test_nan_curvature_residual_is_point_error(self, tmp_path, capsys, S):
+        """A finite Hessian of the metric whose symmetrization overflows gives a NaN
+        curvature symmetry defect, which fails its check instead of passing it."""
+        metric = f"{S!r}*exp(3*x2)"
+        doc = _chart_doc(points=[[0.5, 0.5]], deltaN="zero")
+        doc["map"] = {
+            "source": {"dim": 2, "box": [[0.1, 2.0], [0.1, 2.0]],
+                       "metric": [[metric, "0"], ["0", metric]]},
+            "target": {"dim": 1, "box": [[0.1, 2.0]], "metric": [[f"{S!r}*exp(3*x1)"]]},
+            "exprs": ["x2"], "map_mode": "riemannian_submersion", "rank": 1,
+        }
+        for errors in self._both_exit_3(tmp_path, capsys, doc):
+            assert len(errors) == 1 and errors[0].startswith("curvature symmetries violated (nan)")
+
+    def test_nan_gauss_residual_fails_its_check(self):
+        scn = builtin_scenario("radial:4")
+        for residuals in ((0.0, math.nan, 0.0), (math.nan, 0.0, 0.0), (0.0, 0.0, 2e-6)):
+            with pytest.raises(SceneValidationError, match="exceeds the scene tolerance"):
+                scenes._check_gauss(scn, *residuals)
+        scenes._check_gauss(scn, 0.0, 1e-7, 0.0)
+
+
 def _set(path, value):
     """A change to a scenario document that puts ``value`` at ``path``."""
 
