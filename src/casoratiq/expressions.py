@@ -34,7 +34,8 @@ import math
 import operator
 import re
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from typing import Optional
 
 import numpy as np
 
@@ -206,7 +207,9 @@ class CompiledProgram:
     A coordinate is a jet, a float, or an array of floats with one entry
     per point.  A value or derivative that is undefined or not finite at
     a point raises :class:`DomainError` naming the first expression, in
-    order, that has one.
+    order, that has one.  A program whose every result is a literal or a
+    bare coordinate is passive (``passive``): its callers can write its
+    jets down without running it.
     """
 
     sources: tuple
@@ -248,6 +251,27 @@ class CompiledProgram:
             ) from e
         self._require_finite(slots, len(self.sources))
         return [slots[s] for s in self.outputs]
+
+    @cached_property
+    def passive(self) -> Optional[tuple]:
+        """``(index, values)`` when every result is a literal or a bare coordinate, else None.
+
+        Result k is then the coordinate ``index[k]``, or the literal
+        ``values[k]`` where ``index[k]`` is -1.  No result reads a
+        coordinate through an operation, so its derivatives are known
+        before anything is evaluated: a unit vector for a coordinate and
+        zero for a literal.  That is the activity analysis of automatic
+        differentiation (Griewank & Walther, *Evaluating Derivatives*, SIAM
+        2008).  Worked out once per program; a result's slot is never
+        reused, so the last instruction that writes it computes the result.
+        """
+        writer = {slot: (kind, arg) for kind, arg, _, _, slot in self.code}
+        leaves = [writer[slot] for slot in self.outputs]
+        if any(kind not in ("const", "coord") for kind, _ in leaves):
+            return None
+        index = np.array([arg if kind == "coord" else -1 for kind, arg in leaves], dtype=np.intp)
+        values = np.array([arg if kind == "const" else 0.0 for kind, arg in leaves])
+        return index, values
 
     def _require_finite(self, slots: list, count: int) -> None:
         """Raise for the first of the first ``count`` results that is not finite."""

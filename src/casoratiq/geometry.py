@@ -7,6 +7,10 @@ Conventions used throughout the engine:
   ``R(X, Y, Z, W) = R[i, j, k, l] X^i Y^j Z^k W^l``;
 * the sign is fixed so that the round unit 2-sphere has sectional
   curvature +1, i.e. ``R(X, Y, Y, X) > 0`` on the sphere;
+* a chart whose metric entries are all literals is passive: its matrix
+  is built and checked once per compiled program
+  (``_ProgramMetric.literal``), and ``metric_jets`` returns it with zero
+  derivatives, seeding and evaluating nothing;
 * a chart point whose metric has zero first and second derivatives
   (``ChartPoint.constant``) has exactly zero Christoffel symbols and
   curvature, returned with no product; otherwise R is read from the
@@ -94,13 +98,78 @@ def batch_size(n: int) -> int:
     return MAX_DIM**5 // n**5
 
 
+class _ProgramMetric:
+    """The ``g`` of a chart whose metric is a ``dim x dim`` matrix of expression texts.
+
+    Its entries run as one program (``compile_program``), which checks
+    that every value and derivative it returns is finite.  There is one
+    per tuple of texts (``_program_metric``), so what it works out is
+    worked out once per program, whichever chart holds it.
+    """
+
+    def __init__(self, program, dim: int):
+        self.program = program
+        self.dim = dim
+
+    def __call__(self, coords) -> list:
+        values, n = self.program(coords), self.dim
+        return [values[i : i + n] for i in range(0, n * n, n)]
+
+    @cached_property
+    def literal(self) -> Optional[np.ndarray]:
+        """The metric when every entry is a literal and it passes ``metric_jets``' checks.
+
+        It is the symmetrized matrix that ``metric_jets`` would return at
+        any point.  None when an entry reads a coordinate, and when the
+        literal matrix fails a check: ``metric_jets`` then runs the program,
+        so the error and the point it names are those of any other metric.
+        """
+        passive = self.program.passive
+        if passive is None or (passive[0] >= 0).any():
+            return None
+        G0 = passive[1].reshape(self.dim, self.dim)
+        try:
+            # a failure is not reported here, so the point and chart it would name are unused
+            G0 = _checked_metric(G0, G0[0], "")
+        except (DegenerateMetricError, np.linalg.LinAlgError):
+            return None
+        return G0 if np.isfinite(G0).all() else None
+
+
+@lru_cache(maxsize=1024)
+def _program_metric(texts: tuple, dim: int) -> _ProgramMetric:
+    return _ProgramMetric(compile_program(texts), dim)
+
+
+def _checked_metric(G0: np.ndarray, x: np.ndarray, name: str) -> np.ndarray:
+    """``G0`` (..., n, n) symmetrized, checked for symmetry before and for definiteness after.
+
+    Each check raises for the first of the points ``x`` that fails it,
+    and is written so that a NaN fails it.
+    """
+    asym = np.abs(G0 - G0.swapaxes(-1, -2)).max(axis=(-2, -1))
+    bad = _first(~(asym <= _SYM_TOL * np.maximum(1.0, np.abs(G0).max(axis=(-2, -1)))))
+    if bad is not None:
+        raise DegenerateMetricError(f"metric not symmetric at {x[bad].tolist()} (chart {name!r})")
+    G0 = 0.5 * (G0 + G0.swapaxes(-1, -2))
+    low = np.linalg.eigvalsh(G0).min(axis=-1)
+    bad = _first(~(low > _PD_TOL))
+    if bad is not None:
+        raise DegenerateMetricError(
+            f"metric not positive definite at {x[bad].tolist()}: min eigenvalue {low[bad]:.3e}"
+        )
+    return G0
+
+
 @dataclass(frozen=True)
 class MetricChart:
     """A single coordinate domain with a smooth metric component field.
 
     ``g`` maps a list of coordinate jets (or floats) to an ``dim x dim``
     nested sequence of jets / numbers.  Registry and scene-file charts
-    build it from expression texts (``from_exprs``).
+    build it from expression texts (``from_exprs``); when every entry is
+    a literal, the metric is built and checked once per program, and
+    ``metric_jets`` returns it with no jets.
     """
 
     dim: int
@@ -115,13 +184,7 @@ class MetricChart:
         The entries compile into one program (``compile_program``), which
         checks that every value and derivative it returns is finite.
         """
-        program = compile_program(e for row in rows for e in row)
-
-        def g(coords):
-            values = program(coords)
-            return [values[i : i + dim] for i in range(0, dim * dim, dim)]
-
-        return cls(dim, box, g, name)
+        return cls(dim, box, _program_metric(tuple(str(e) for row in rows for e in row), dim), name)
 
     @cached_property
     def _bounds(self) -> np.ndarray:
@@ -151,31 +214,38 @@ class MetricChart:
         with ``G1[..., a, b, c] = d_c g_ab`` and ``G2[..., a, b, c, d] =
         d_c d_d g_ab``, the point axes first.  The metric ``G0`` is checked
         for symmetry before it is symmetrized, and for definiteness after;
-        either check raises for the first point that fails it.  The box is
-        checked before, by ``ChartPoint.at`` or ``SmoothMap.jets``.
+        either check raises for the first point that fails it, and so does
+        the check that G1 and G2 are finite.  A literal metric (every entry
+        a literal, ``_ProgramMetric.literal``) was checked once for its
+        program: it is returned at every point, with zero G1 and G2, and
+        nothing is seeded or evaluated.  The box is checked before, by
+        ``ChartPoint.at`` or ``SmoothMap.jets``.
         """
         x = self._as_points(x)
         n = self.dim
+        lead = x.shape[:-1]
+        literal = getattr(self.g, "literal", None)
+        if literal is not None:
+            return (
+                np.broadcast_to(literal, lead + (n, n)).copy(),
+                np.zeros(lead + (n,) * 3),
+                np.zeros(lead + (n,) * 4),
+            )
         # nothing reads a metric's third derivatives, so its jets are seeded at order 2
         rows = self.g(seed_point(x, order=2))
         flat = jet_arrays([rows[a][b] for a in range(n) for b in range(n)], x.shape)
-        G0, G1, G2 = (m.reshape(x.shape[:-1] + (n, n) + m.shape[x.ndim :]) for m in flat)
-        asym = np.abs(G0 - G0.swapaxes(-1, -2)).max(axis=(-2, -1))
-        # each check is written so that a NaN fails it
-        bad = _first(~(asym <= _SYM_TOL * np.maximum(1.0, np.abs(G0).max(axis=(-2, -1)))))
-        if bad is not None:
-            raise DegenerateMetricError(
-                f"metric not symmetric at {x[bad].tolist()} (chart {self.name!r})"
-            )
-        G0 = 0.5 * (G0 + G0.swapaxes(-1, -2))
-        low = np.linalg.eigvalsh(G0).min(axis=-1)
-        bad = _first(~(low > _PD_TOL))
-        if bad is not None:
-            raise DegenerateMetricError(
-                f"metric not positive definite at {x[bad].tolist()}: min eigenvalue {low[bad]:.3e}"
-            )
+        G0, G1, G2 = (m.reshape(lead + (n, n) + m.shape[x.ndim :]) for m in flat)
+        G0 = _checked_metric(G0, x, self.name)
         G1 = 0.5 * (G1 + G1.swapaxes(-3, -2))
         G2 = 0.5 * (G2 + G2.swapaxes(-4, -3))
+        # a Hessian entry near the largest float overflows when it is symmetrized
+        finite = np.isfinite(G1).all(axis=(-3, -2, -1)) & np.isfinite(G2).all(axis=(-4, -3, -2, -1))
+        bad = _first(~finite)
+        if bad is not None:
+            raise DomainError(
+                f"metric jets not finite at {x[bad].tolist()} (chart {self.name!r}): "
+                "a derivative of the metric overflows"
+            )
         return G0, G1, G2
 
 
@@ -278,7 +348,9 @@ class ChartPoint:
         product is symmetric under (ik) <-> (jl), so R is half of
         W_ijkl - W_ijlk with W_ijkl = d_i d_k g_jl + d_j d_l g_ik
         + 2 Gamma^m_ik Gamma_m,jl.  The check raises for the first point
-        whose worst relative defect exceeds 1e-6 or is not a number.
+        whose worst relative defect exceeds 1e-6 or is not a number; a
+        defect that is not a number means that R is not finite, and the
+        error says so.
         """
         gamma = self.gamma
         n = self.G0.shape[-1]
@@ -295,6 +367,12 @@ class ChartPoint:
         maxima, scale = _symmetry_defects(R)
         worst = maxima.max(axis=0) / scale
         bad = _first(~(worst <= 1e-6))
+        if bad is not None and math.isnan(worst[bad]):
+            # the jets are finite, so a NaN defect is a term of the formula that overflows
+            raise DomainError(
+                f"curvature not finite at {self.x[bad].tolist()}: "
+                "the metric's derivatives overflow in its formula"
+            )
         if bad is not None:
             raise DegenerateMetricError(
                 f"curvature symmetries violated ({worst[bad]:.3e}) at {self.x[bad].tolist()}; "

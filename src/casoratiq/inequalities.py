@@ -154,9 +154,13 @@ def _diagnostic_arrays(h: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, ...]:
 
     ``h`` (..., a, n, n) holds the slices and ``u`` (..., n) the argmin
     normals, with the same point axes; every residual has those axes, and
-    each point gets the bits it gets alone.
+    each point gets the bits it gets alone.  Slices that are all exactly
+    zero give exactly zero residuals, with no product.
     """
     n = h.shape[-1]
+    if not h.any():
+        zero = np.zeros(h.shape[:-3])
+        return zero, zero, zero, zero
     Q = _rotation_to_last(u)[..., None, :, :]  # against the slice axis
     rotated = Q @ h @ Q.swapaxes(-1, -2)
     off = rotated.copy()

@@ -4,7 +4,9 @@ Everything at the source points of a chunk is read from one
 ``MapPoint``: the map jets, to third order for a submersion and to second
 for a Riemannian map, and the second-order source metric jets are
 computed once there, and the Christoffel symbols and the curvature of
-source and target are derived from them on first use.  A ``MapPoint``
+source and target are derived from them on first use.  A coordinate
+map, whose components are bare coordinates or literals, and a literal
+metric are not run: their jets are read off the compiled program.  A ``MapPoint``
 holds P points at once, the point axes first, as in ``geometry``; a
 scene builds one per chunk of its points, a single point being a chunk
 of one.
@@ -37,14 +39,17 @@ tests assert rather than assume.  T, A, the vertical bracket and the
 covariant derivatives of T and A that the mixed curvature identity reads
 (``_oneill_derivatives``) are all taken on the split frames; nothing is
 built on the chart basis, and no derivative is taken by finite
-differences.
+differences.  On a constant source chart under a map with zero second
+and third derivatives (a flat product projection) the projector is P_h
+alone and every derivative is an exact zero, so T = A = 0 and the
+covariant derivatives come with no product.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, NamedTuple, NoReturn, Optional
 
 import numpy as np
 
@@ -84,9 +89,9 @@ __all__ = [
 
 _KERNEL_TOL = 1e-8
 _ISOMETRY_TOL = 1e-6
-# the split is supported for source metrics of condition number up to this;
-# a source frame that fails above it names the condition number
-_SOURCE_COND_MAX = 1e16
+# the split is supported for metrics of condition number up to this; a source
+# frame or a target factor that fails above it names the condition number
+_COND_MAX = 1e16
 
 RIEMANNIAN_MAP = "riemannian_map"
 RIEMANNIAN_SUBMERSION = "riemannian_submersion"
@@ -119,13 +124,31 @@ class SmoothMap:
         ``d3F[..., a, mu, nu, la] = d_mu d_nu d_la F^a``, the point axes first.
         Only a submersion's projector reads the third derivatives; a
         Riemannian map's jets are seeded at order 2, and its ``d3F`` is None.
+        A coordinate map, whose components are bare coordinates or literals
+        with at least one coordinate (``CompiledProgram.passive``), is not
+        run: y is read off x, dF is its fixed 0/1 matrix, and the higher
+        derivatives are zeros.
         The box checks of source and target raise for the first point outside.
         """
         x = self.source.require_inside(x)
-        order = 3 if self.mode == RIEMANNIAN_SUBMERSION else 2
+        submersion = self.mode == RIEMANNIAN_SUBMERSION
+        passive = getattr(self.F, "passive", None)
+        lead, n = x.shape[:-1], x.shape[-1]
+        # at least one coordinate, and a coordinate beyond the source dimension is
+        # named when the program runs
+        if passive is not None and 0 <= passive[0].max() < n:
+            index, values = passive
+            read = index >= 0
+            y = np.where(read, x[..., index], values)
+            self.target.require_inside(y)
+            m = len(index)
+            dF = np.zeros(lead + (m, n))
+            dF[..., read, index[read]] = 1.0
+            d3F = np.zeros(lead + (m, n, n, n)) if submersion else None
+            return y, dF, np.zeros(lead + (m, n, n)), d3F
         # components that are all constants carry no third derivatives; their
         # differential fails the rank check before anything could read them
-        y, dF, d2F, *third = jet_arrays(self.F(seed_point(x, order)), x.shape)
+        y, dF, d2F, *third = jet_arrays(self.F(seed_point(x, 3 if submersion else 2)), x.shape)
         self.target.require_inside(y)
         return y, dF, d2F, third[0] if third else None
 
@@ -214,12 +237,24 @@ class SceneSplit:
         jet (``jets.frame_solve``, ``jets.frame_product``): the metric's
         second derivatives and the map's third are read along the
         (horizontal, vertical) frame pairs only, and every derivative is
-        exact.  See ``_Projector`` for what it holds.
+        exact.  See ``_Projector`` for what it holds.  On a constant source
+        chart (``ChartPoint.constant``) under a map whose second and third
+        derivatives are all zero, the projector is constant: P_h is formed
+        with the products the general path forms, so it keeps its bits,
+        and D P_h, X, N and L are zeros, with ``gamma`` None.
         """
         pt = self.point
         if pt.smap.mode != RIEMANNIAN_SUBMERSION:
             raise DimensionError("O'Neill tensors are defined for submersions only")
         src, E, s = pt.source, self.source_frame, self.s
+        if src.constant and not (pt.d2F.any() or pt.d3F.any()):
+            # the products the general path forms for P_h; every derivative is zero
+            W = src.ginv @ pt.dF.swapaxes(-1, -2)
+            Ph = W @ (np.linalg.inv(pt.dF @ W) @ pt.dF)
+            lead, n = Ph.shape[:-2], Ph.shape[-1]
+            dPh = np.zeros(lead + (n, n, n))
+            X = np.zeros(lead + (s, n - s, n, n))
+            return _Projector(Ph, dPh, X, dPh, dPh, None)
         J = (pt.dF, *_frame_jet(pt.d2F, pt.d3F, E, s))
         Jt = tuple(m.swapaxes(-1, -2) for m in J)
         W = frame_solve((src.G0, *_frame_jet(src.G1, src.G2, E, s)), src.ginv, Jt, s)
@@ -247,6 +282,19 @@ def _frame_tensor(pt: ChartPoint, E: np.ndarray) -> np.ndarray:
     if pt.constant:
         return np.zeros(E.shape[:-2] + (E.shape[-2],) * 4)
     return frame_contraction(pt.curvature.riemann, E, E, E, E)
+
+
+def _raise_ill_conditioned(side: str, g: np.ndarray, x: np.ndarray, e: Exception) -> NoReturn:
+    """Raise ``DependencyError`` naming the first point whose metric ``g`` has a
+    condition number above the supported range; re-raise ``e`` when none has."""
+    cond = np.linalg.cond(g)
+    bad = _first(cond > _COND_MAX)
+    if bad is None:
+        raise e
+    raise DependencyError(
+        f"{side} metric too ill-conditioned (\u03ba \u2248 {cond[bad]:.1e}) "
+        f"at {x[bad].tolist()}: {e}"
+    ) from e
 
 
 def differential(smap: SmoothMap, x) -> SceneSplit:
@@ -294,14 +342,7 @@ def differential(smap: SmoothMap, x) -> SceneSplit:
         full = gram_schmidt(rows, g1).vectors
     except DependencyError as e:
         # the rows are orthonormal rows of vt, so they fail only on a nearly singular g1
-        cond = np.linalg.cond(g1)
-        bad = _first(cond > _SOURCE_COND_MAX)
-        if bad is None:
-            raise
-        raise DependencyError(
-            f"source metric too ill-conditioned (\u03ba \u2248 {cond[bad]:.1e}) "
-            f"at {pt.x[bad].tolist()}: {e}"
-        ) from e
+        _raise_ill_conditioned("source", g1, pt.x, e)
     vertical = OrthoFrame(full[..., : n1 - rank, :], g1)
     horizontal = OrthoFrame(full[..., n1 - rank :, :], g1)
 
@@ -319,7 +360,10 @@ def differential(smap: SmoothMap, x) -> SceneSplit:
         # with g2 = L L^T and L^-1 U[:, rank:] = Q R, the columns of L^-T Q are those of
         # g2^-1 U[:, rank:] times R^-1, and g2-orthonormal; R's diagonal is made
         # positive, so each keeps the orientation of its singular vector
-        L = np.linalg.cholesky(g2)
+        try:
+            L = np.linalg.cholesky(g2)
+        except np.linalg.LinAlgError as e:
+            _raise_ill_conditioned("target", g2, pt.x, e)
         Q, R = np.linalg.qr(np.linalg.solve(L, U[..., rank:]))
         Q *= np.where(np.diagonal(R, axis1=-2, axis2=-1) < 0.0, -1.0, 1.0)[..., None, :]
         normal = np.linalg.solve(L.swapaxes(-1, -2), Q).swapaxes(-1, -2)
@@ -542,11 +586,16 @@ def _oneill_derivatives(split: SceneSplit) -> tuple[np.ndarray, np.ndarray]:
     read on the s x ell frame pairs only: O(s n^4 + s ell n^3) per point,
     where the chart-basis derivatives of T and A cost O(n^5).  On a
     constant source chart Gamma and its derivative vanish, and every term
-    that reads them is left out.
+    that reads them is left out; when N and X vanish too, nothing is left,
+    and both are zeros with no product.
     """
     src, proj = split.point.source, split.projector
     E, s = split.source_frame, split.s
     lead, n = E.shape[:-2], E.shape[-1]
+    if proj.gamma is None and not (proj.N.any() or proj.X.any()):
+        # every term reads Gamma, N or X, so both derivatives are exactly zero
+        zero = np.zeros(lead + (s, n - s, s, n - s))
+        return zero, zero
     g = src.G0
     # D_e P_h, N[e] and Gamma_e along every frame vector
     PE, NE, GE = proj.dPh, proj.N, proj.gamma

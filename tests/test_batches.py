@@ -660,9 +660,9 @@ def test_checker_inputs_once_per_chunk(count, chunks, monkeypatch):
     assert rep.aggregate["point_errors"] == 0 and len(rep.points) == count
     assert all(p.reports for p in rep.points)
     sizes = [math.prod(lead) for lead in chunks]
-    # the map's 3 components and each chart's metric entries (16 and 9) run as one
-    # program each, once per chunk
-    assert sorted(calls.pop("__call__")) == sorted((m, p) for p in sizes for m in (3, 16, 9))
+    # the map's 3 components and the target's 9 metric entries run as one program
+    # each, once per chunk; the source's 16 are literals, which never run
+    assert sorted(calls.pop("__call__")) == sorted((m, p) for p in sizes for m in (3, 9))
     assert calls == {
         "hermitian_residual": chunks,
         "space_form_residual_from_tensor": chunks,
