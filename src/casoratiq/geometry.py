@@ -54,7 +54,6 @@ __all__ = [
     "MetricChart",
     "ChartPoint",
     "CurvaturePoint",
-    "OrthoFrame",
     "christoffel",
     "christoffel_with_grad",
     "riemann",
@@ -476,20 +475,21 @@ def _cholesky_qr(V: np.ndarray, g: np.ndarray, gram: np.ndarray) -> np.ndarray:
     return np.linalg.solve(np.linalg.cholesky(Q @ g @ Q.swapaxes(-1, -2)), Q)
 
 
-def gram_schmidt(vectors, g_at: np.ndarray) -> "OrthoFrame":
+def gram_schmidt(vectors, g_at: np.ndarray) -> np.ndarray:
     """Metric Gram-Schmidt of the rows of ``vectors`` (..., k, n), as one block; preserves span.
 
-    The rows are orthonormalized together by CholeskyQR2
-    (``_cholesky_qr``), so the cost is a fixed number of stacked calls
-    whatever k is.  Row v_j is numerically dependent on the rows before it
-    when g(v_j, e_j), the g-norm of its part orthogonal to them, is at
-    most 1e-10 of its own g-norm.  That is read off the finished frame
-    e: the first Cholesky diagonal is the same number in exact
-    arithmetic, but rounding leaves it near 1e-8 of the norm for a row
-    that is exactly dependent.  Raises ``DependencyError`` then, and when
-    a factorization fails, which a zero row, or rows dependent to about
-    1e-8 or closer, make it do.  The residual is named for the first
-    point that has one.
+    Returns the g-orthonormal rows (..., k, n) as one array; its first j
+    rows span what the first j rows of ``vectors`` span.  The rows are
+    orthonormalized together by CholeskyQR2 (``_cholesky_qr``), so the
+    cost is a fixed number of stacked calls whatever k is.  Row v_j is
+    numerically dependent on the rows before it when g(v_j, e_j), the
+    g-norm of its part orthogonal to them, is at most 1e-10 of its own
+    g-norm.  That is read off the finished frame e: the first Cholesky
+    diagonal is the same number in exact arithmetic, but rounding leaves
+    it near 1e-8 of the norm for a row that is exactly dependent.  Raises
+    ``DependencyError`` then, and when a factorization fails, which a
+    zero row, or rows dependent to about 1e-8 or closer, make it do.  The
+    residual is named for the first point that has one.
     """
     g = np.asarray(g_at, dtype=float)
     V = np.asarray(vectors, dtype=float).reshape(g.shape[:-2] + (-1, g.shape[-1]))
@@ -507,34 +507,7 @@ def gram_schmidt(vectors, g_at: np.ndarray) -> "OrthoFrame":
         raise DependencyError(
             f"vector numerically dependent on predecessors (residual {residual[bad]:.3e})"
         )
-    return OrthoFrame(E, g)
-
-
-@dataclass(frozen=True)
-class OrthoFrame:
-    """Rows of ``vectors`` are g-orthonormal chart components, point axes first."""
-
-    vectors: np.ndarray  # (..., k, n)
-    metric_at: np.ndarray  # (..., n, n)
-
-    def __post_init__(self):
-        object.__setattr__(self, "vectors", np.atleast_2d(np.asarray(self.vectors, float)))
-        object.__setattr__(self, "metric_at", np.asarray(self.metric_at, float))
-        if self.vectors.size == 0:
-            empty = self.metric_at.shape[:-2] + (0, self.metric_at.shape[-1])
-            object.__setattr__(self, "vectors", self.vectors.reshape(empty))
-
-    @property
-    def k(self) -> int:
-        return self.vectors.shape[-2]
-
-    def gram(self) -> np.ndarray:
-        return self.vectors @ self.metric_at @ self.vectors.swapaxes(-1, -2)
-
-    def orthonormality_residual(self) -> float:
-        if self.k == 0:
-            return 0.0
-        return float(np.abs(self.gram() - np.eye(self.k)).max())
+    return E
 
 
 def curvature_sums(frame_tensor: np.ndarray, s: int) -> tuple:

@@ -234,8 +234,8 @@ class TensorLayout(NamedTuple):
 
 
 # the two frame tags of each scene kind, on the curved side of the scene
-# (the target of a map, the source of a submersion), in the order of the
-# ambient curvature frame tensor
+# (the target of a map, the source of a submersion), in the order of their
+# rows in that side's split frame
 FRAMES = {"map": ("range", "range_perp"), "submersion": ("horizontal", "vertical")}
 TENSORS = {
     "B": TensorLayout("range_perp", "range", "symmetric"),
@@ -252,13 +252,14 @@ class SceneData:
 
     A record built once, by ``checker_inputs``, with every field filled.
     ``tensors`` maps names of ``TENSORS`` to checked ``CasoratiInput`` of
-    the table's symmetry.  ``decomp`` holds the J blocks over both frames
-    of ``FRAMES[kind]`` on the curved side, and their dimensions ``s`` and
-    ``ell``, and ``sums`` the ``curvature_sums`` of the ambient frame
-    tensor, split after the first frame.  ``extrema`` and ``diagnostics``
-    hold the hyperplane extrema and the equality diagnostics of each
-    tensor the requested families read, over at least 3 vectors, shared
-    by every family that reads it.  Chart scenes give
+    the table's symmetry, one for each tensor over a non-empty tangent
+    frame.  ``decomp`` holds the J blocks over the split frame of the
+    curved side, [first; second] of ``FRAMES[kind]``, and the dimensions
+    ``s`` and ``ell`` of its two parts, and ``sums`` the
+    ``curvature_sums`` of the ambient frame tensor, split after the first
+    part.  ``extrema`` and ``diagnostics`` hold the hyperplane extrema and
+    the equality diagnostics of each tensor the requested families read,
+    over at least 3 vectors, shared by every family that reads it.  Chart scenes give
     ``space_form_residual``, the deviation of the ambient curvature from
     the space form; it must be small, and it selects the chart-mode
     equality tolerance.  Chart submersions also give ``bracket_residual``.
@@ -279,7 +280,8 @@ class SceneData:
 
 def checker_inputs(
     kind: str,
-    frames: dict,
+    E: np.ndarray,
+    s: int,
     tensors: dict,
     g: np.ndarray,
     J: np.ndarray,
@@ -293,23 +295,24 @@ def checker_inputs(
 ) -> list[SceneData]:
     """Each point's ``SceneData``, computed for a stack of points at once.
 
-    ``frames`` maps both tags of ``FRAMES[kind]`` to frame vectors
-    (P, k, n), orthonormal for the metrics ``g`` (P, n, n) of the curved
-    side, whose quaternionic structure is ``J``.  ``tensors`` maps names of
-    ``TENSORS`` to coefficients (P, a, k, k).  A chart scene passes its
-    ambient frame tensor (P, n, n, n, n), whose space-form residual each
-    point then carries; without one the ambient curvature is the space
-    form itself, with no residual.  In order: the J blocks, the ambient
-    tensor or its residual (sharing the blocks), each tensor's check as a
-    stack (``CasoratiInput.rows``), the curvature sums and, for each tensor
-    the requested ``families`` read over at least 3 vectors, the hyperplane
-    extrema and the equality diagnostics.  Each point gets the bits it
-    would compute alone; each check raises for the first point that fails
-    it.  ``bracket_residual`` (P,) comes with chart submersions.
+    ``E`` (P, k, n) is the split frame of the curved side, orthonormal for
+    the metrics ``g`` (P, n, n), whose quaternionic structure is ``J``:
+    its first ``s`` rows are the first frame of ``FRAMES[kind]`` and the
+    rest the second.  ``tensors`` maps names of ``TENSORS`` to
+    coefficients (P, a, m, m), m the size of the tensor's tangent frame; a
+    tensor with m = 0, as T is when ell = 0, is left out, and every family
+    that would read it rejects that dimension first.  A chart scene passes
+    its ambient frame tensor (P, k, k, k, k) over E, whose space-form
+    residual each point then carries; without one the ambient curvature is
+    the space form itself, with no residual.  In order: the J blocks, the
+    ambient tensor or its residual (sharing the blocks), each tensor's
+    check as a stack (``CasoratiInput.rows``), the curvature sums and, for
+    each tensor the requested ``families`` read over at least 3 vectors,
+    the hyperplane extrema and the equality diagnostics.  Each point gets
+    the bits it would compute alone; each check raises for the first point
+    that fails it.  ``bracket_residual`` (P,) comes with chart submersions.
     """
-    first, second = (frames[tag] for tag in FRAMES[kind])
-    decomp = decompose_J(J, g, first, second)
-    E = np.concatenate([first, second], axis=-2)
+    decomp = decompose_J(J, g, E, s)
     oracle = QSFOracle(c, J, g)
     if ambient is None:
         ambient = oracle.curvature_tensor(E, decomp.blocks)
@@ -318,8 +321,12 @@ def checker_inputs(
         residuals = space_form_residual_from_tensor(
             ambient, oracle, E, blocks=decomp.blocks
         ).tolist()
-    inputs = {key: CasoratiInput.rows(h, TENSORS[key].symmetry) for key, h in tensors.items()}
-    sums = list(zip(*(v.tolist() for v in curvature_sums(ambient, first.shape[-2]))))
+    inputs = {
+        key: CasoratiInput.rows(h, TENSORS[key].symmetry)
+        for key, h in tensors.items()
+        if h.shape[-1]
+    }
+    sums = list(zip(*(v.tolist() for v in curvature_sums(ambient, s))))
     brackets = [None] * len(g) if bracket_residual is None else bracket_residual.tolist()
     a_norm_sq = [A.norm_sq() for A in inputs["A"]] if "A" in inputs else [0.0] * len(g)
     extrema, diagnostics = {}, {}
@@ -461,7 +468,7 @@ def check_vertical_theorem(data: SceneData) -> list[TheoremReport]:
 
 def _integrable(A: CasoratiInput, a_norm: float) -> bool:
     """Whether A vanishes relative to its largest coefficient."""
-    a_scale = max(1.0, float(np.abs(A.coeffs).max()))
+    a_scale = max(1.0, float(np.abs(A.coeffs).max(initial=0.0)))
     return a_norm / a_scale < A_VANISHING_TOL
 
 

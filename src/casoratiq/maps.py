@@ -23,9 +23,9 @@ g2-complement of the range, read off dF's left singular vectors.
 Every contraction is one stacked product per point, shaped as a point
 without an axis would shape it, so a point in a chunk gets the bits it
 gets alone, and the public functions still take such a point.  The
-split holds one curvature frame tensor per side, over [horizontal;
-vertical] in the source and [range; range_perp] in the target, and every
-Gauss residual reads its curvature blocks from those two arrays.
+split holds one frame array per side, [horizontal; vertical] in the
+source and [range; range_perp] in the target, and one curvature frame
+tensor over each, from which every Gauss residual reads its blocks.
 
 The O'Neill tensors are read off one frame jet of the horizontal
 projector P_h over the source frame E = [horizontal; vertical]
@@ -62,7 +62,6 @@ from .errors import (
 from .geometry import (
     ChartPoint,
     MetricChart,
-    OrthoFrame,
     _first,
     _symmetry_defects,
     frame_contraction,
@@ -195,33 +194,47 @@ def _largest(a: np.ndarray, ndim: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SceneSplit:
-    """Vertical/horizontal frames in the source plus range frames in the target.
+    """The split frame of each side of the map, one g-orthonormal array per side.
 
-    ``point`` is the context the split was taken at; every quantity that
-    depends only on the point is read from it.  Like the point, a split
-    holds P points at once, point axes first.
+    ``source_frame`` is E1 = [horizontal; vertical] (..., n1, n1), in the
+    source metric, and ``target_frame`` is E2 = [range; range_perp]
+    (..., n2, n2), in the target metric, one chart vector per row.  Each
+    splits after its first ``s`` rows, s being the rank of the map, and
+    ``horizontal``, ``vertical``, ``range`` and ``range_perp`` are views
+    of those rows.  ``point`` is the context the split was taken at; every
+    quantity that depends only on the point is read from it.  Like the
+    point, a split holds P points at once, point axes first.
     """
 
     point: MapPoint
-    vertical: OrthoFrame
-    horizontal: OrthoFrame
-    range: OrthoFrame
-    range_perp: OrthoFrame
+    source_frame: np.ndarray
+    target_frame: np.ndarray
     isometry_residual: np.ndarray
     kernel_residual: np.ndarray
 
     @property
-    def ell(self) -> int:
-        return self.vertical.k
+    def s(self) -> int:
+        return self.point.smap.rank
 
     @property
-    def s(self) -> int:
-        return self.horizontal.k
+    def ell(self) -> int:
+        return self.source_frame.shape[-2] - self.s
 
-    @cached_property
-    def source_frame(self) -> np.ndarray:
-        """The source frame E = [horizontal; vertical], one chart vector per row."""
-        return np.concatenate([self.horizontal.vectors, self.vertical.vectors], axis=-2)
+    @property
+    def horizontal(self) -> np.ndarray:
+        return self.source_frame[..., : self.s, :]
+
+    @property
+    def vertical(self) -> np.ndarray:
+        return self.source_frame[..., self.s :, :]
+
+    @property
+    def range(self) -> np.ndarray:
+        return self.target_frame[..., : self.s, :]
+
+    @property
+    def range_perp(self) -> np.ndarray:
+        return self.target_frame[..., self.s :, :]
 
     @cached_property
     def source_curvature(self) -> np.ndarray:
@@ -273,8 +286,7 @@ class SceneSplit:
     @cached_property
     def target_curvature(self) -> np.ndarray:
         """``R2[a, b, c, d]`` over the target frame [range; range_perp]."""
-        E = np.concatenate([self.range.vectors, self.range_perp.vectors], axis=-2)
-        return _frame_tensor(self.point.target, E)
+        return _frame_tensor(self.point.target, self.target_frame)
 
 
 def _frame_tensor(pt: ChartPoint, E: np.ndarray) -> np.ndarray:
@@ -339,14 +351,15 @@ def differential(smap: SmoothMap, x) -> SceneSplit:
     # the kernel rows of vt, then its range rows, as one block
     rows = np.concatenate([vt[..., rank:, :], vt[..., :rank, :]], axis=-2)
     try:
-        full = gram_schmidt(rows, g1).vectors
+        full = gram_schmidt(rows, g1)
     except DependencyError as e:
         # the rows are orthonormal rows of vt, so they fail only on a nearly singular g1
         _raise_ill_conditioned("source", g1, pt.x, e)
-    vertical = OrthoFrame(full[..., : n1 - rank, :], g1)
-    horizontal = OrthoFrame(full[..., n1 - rank :, :], g1)
+    # E1 = [horizontal; vertical]: the frame's range rows, then its kernel rows
+    ell = n1 - rank
+    source_frame = np.concatenate([full[..., ell:, :], full[..., :ell, :]], axis=-2)
 
-    range_vectors = horizontal.vectors @ pt.dF.swapaxes(-1, -2)
+    range_vectors = source_frame[..., :rank, :] @ pt.dF.swapaxes(-1, -2)
     gram = range_vectors @ g2 @ range_vectors.swapaxes(-1, -2)
     iso_residual = _largest(gram - np.eye(rank), 2)
     bad = _first(~(iso_residual <= _ISOMETRY_TOL))
@@ -368,15 +381,12 @@ def differential(smap: SmoothMap, x) -> SceneSplit:
         Q *= np.where(np.diagonal(R, axis1=-2, axis2=-1) < 0.0, -1.0, 1.0)[..., None, :]
         normal = np.linalg.solve(L.swapaxes(-1, -2), Q).swapaxes(-1, -2)
         rows = np.concatenate([rows, normal], axis=-2)
-    target = gram_schmidt(rows, g2).vectors
     return SceneSplit(
         point=pt,
-        vertical=vertical,
-        horizontal=horizontal,
-        range=OrthoFrame(target[..., :rank, :], g2),
-        range_perp=OrthoFrame(target[..., rank:, :], g2),
+        source_frame=source_frame,
+        target_frame=gram_schmidt(rows, g2),
         isometry_residual=iso_residual,
-        kernel_residual=_largest(pt.dF @ vertical.vectors.swapaxes(-1, -2), 2),
+        kernel_residual=_largest(pt.dF @ source_frame[..., rank:, :].swapaxes(-1, -2), 2),
     )
 
 
@@ -412,8 +422,8 @@ def second_fundamental_form(split: SceneSplit) -> FundamentalTensor:
     pt = split.point
     gamma1 = pt.source.gamma
     gamma2 = pt.target.gamma
-    H = split.horizontal.vectors
-    g2 = split.range.metric_at
+    H = split.horizontal
+    g2 = pt.target.G0
 
     # nabla dF in chart components:
     #   B^a_{mu nu} = d2F^a_{mu nu} + Gamma2^a_{bc} dF^b_mu dF^c_nu
@@ -424,7 +434,7 @@ def second_fundamental_form(split: SceneSplit) -> FundamentalTensor:
         - np.einsum("...al,...lmn->...amn", pt.dF, gamma1)
     )
     vectors = np.einsum("...amn,...im,...jn->...ija", core, H, H)
-    coeffs = np.einsum("...ija,...ab,...vb->...vij", vectors, g2, split.range_perp.vectors)
+    coeffs = np.einsum("...ija,...ab,...vb->...vij", vectors, g2, split.range_perp)
     return FundamentalTensor.from_raw("B", coeffs, vectors, g2)
 
 
@@ -461,10 +471,12 @@ def _pairs(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     return tensordot(X, Y, ((2,), (2,)), 3)
 
 
-def _oneill(split: SceneSplit, kind: str, L: np.ndarray, tangent, normal) -> FundamentalTensor:
+def _oneill(
+    split: SceneSplit, kind: str, L: np.ndarray, tangent: np.ndarray, normal: np.ndarray
+) -> FundamentalTensor:
     g1 = split.point.source.G0
-    vectors = _apply(L, tangent.vectors)
-    coeffs = tensordot(vectors, g1 @ normal.vectors.swapaxes(-1, -2), ((2,), (0,)), 3)
+    vectors = _apply(L, tangent)
+    coeffs = tensordot(vectors, g1 @ normal.swapaxes(-1, -2), ((2,), (0,)), 3)
     coeffs = tail_transpose(coeffs, 2, 0, 1)
     return FundamentalTensor.from_raw(kind, coeffs, vectors, g1)
 
@@ -489,7 +501,7 @@ def vertical_bracket(split: SceneSplit) -> np.ndarray:
     """
     proj = split.projector
     # D[i, j] = (D_{h_i} P_h) h_j
-    D = _apply(proj.dPh[..., : split.s, :, :], split.horizontal.vectors)
+    D = _apply(proj.dPh[..., : split.s, :, :], split.horizontal)
     Q = np.eye(proj.Ph.shape[-1]) - proj.Ph
     return (D - tail_transpose(D, 1, 0, 2)) @ Q.swapaxes(-1, -2)[..., None, :, :]
 
@@ -707,9 +719,7 @@ def gauss_residual_submersion(
     R1 = split.source_curvature
     g1 = pt.source.G0
     G1 = g1[..., None, :, :]  # g1 against a stack of frame vectors
-    V = split.vertical.vectors
-    H = split.horizontal.vectors
-    ell, s = V.shape[-2], H.shape[-2]
+    V, H, ell, s = split.vertical, split.horizontal, split.ell, split.s
     zero = np.zeros(pt.x.shape[:-1])
 
     # vertical identity

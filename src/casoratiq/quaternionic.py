@@ -23,6 +23,8 @@ __all__ = [
 ]
 
 _STRUCT_TOL = 1e-10
+# largest deviation of a split frame's Gram matrix from the identity
+FRAME_TOL = 1e-10
 
 
 def quat_units(m: int) -> np.ndarray:
@@ -260,43 +262,28 @@ class JDecomposition:
         return [JDecomposition(*row, self.s, self.ell) for row in zip(*parts)]
 
 
-def decompose_J(
-    J: np.ndarray,
-    g_at: np.ndarray,
-    primary: np.ndarray,
-    secondary: np.ndarray,
-    frame_tol: float = 1e-10,
-) -> JDecomposition:
-    """Block decomposition of g(., J .) over a split orthonormal frame.
+def decompose_J(J: np.ndarray, g_at: np.ndarray, E: np.ndarray, s: int) -> JDecomposition:
+    """Block decomposition of g(., J .) over a split orthonormal frame E (..., k, n).
 
-    For submersions ``primary`` is the horizontal frame and ``secondary``
-    the vertical one, giving ``|P_a|^2``, ``|Q_a|^2`` and ``|P_a^V|^2``.
-    In map mode pass the range frame and the range-perp frame of the
-    target space.  The metric and the frames (..., s, n) may carry the same
-    leading point axes; the check raises for the first point that fails it.
+    The frame's first ``s`` rows are the primary vectors and the rest the
+    secondary ones.  For a submersion E is [horizontal; vertical] in the
+    source, giving ``|P_a|^2``, ``|Q_a|^2`` and ``|P_a^V|^2``; for a map it
+    is [range; range_perp] in the target.  The metric and the frame may
+    carry the same leading point axes; the frame must be orthonormal to
+    ``FRAME_TOL``, and the check raises for the first point that fails it.
     """
     J = np.asarray(J, dtype=float)
     g = np.asarray(g_at, dtype=float)
-    P = np.atleast_2d(np.asarray(primary, dtype=float))
-    S = np.atleast_2d(np.asarray(secondary, dtype=float))
-    if P.size == 0:
-        P = P.reshape(P.shape[:-2] + (0, g.shape[-1]))
-    if S.size == 0:
-        S = S.reshape(S.shape[:-2] + (0, g.shape[-1]))
-    E = np.concatenate([P, S], axis=-2)
-    s, ell = P.shape[-2], S.shape[-2]
-    if E.shape[-2]:
-        gram = E @ g @ E.swapaxes(-1, -2)
-        residual = np.abs(gram - np.eye(E.shape[-2])).max(axis=(-2, -1))
-        bad = _first(~(residual <= frame_tol))
-        if bad is not None:
-            raise FrameError(
-                f"split frames are not jointly orthonormal (residual {residual[bad]:.3e})"
-            )
+    E = np.asarray(E, dtype=float)
+    gram = E @ g @ E.swapaxes(-1, -2)
+    residual = np.abs(gram - np.eye(E.shape[-2])).max(axis=(-2, -1))
+    bad = _first(~(residual <= FRAME_TOL))
+    if bad is not None:
+        raise FrameError(f"split frames are not jointly orthonormal (residual {residual[bad]:.3e})")
     blocks = _j_blocks(J, g, E)
     return JDecomposition(
         np.sum(blocks[..., :s, :s] ** 2, axis=(-2, -1)),
         np.sum(blocks[..., s:, s:] ** 2, axis=(-2, -1)),
         np.sum(blocks[..., :s, s:] ** 2, axis=(-2, -1)),
-        blocks, s, ell,
+        blocks, s, E.shape[-2] - s,
     )

@@ -20,7 +20,7 @@ import numpy as np
 from . import geometry, maps
 from .errors import CasoratiqError, DomainError, RankError, SceneValidationError, StructureError
 from .expressions import compile_expression, compile_program
-from .geometry import MAX_DIM, MetricChart, OrthoFrame
+from .geometry import MAX_DIM, MetricChart
 from .inequalities import (
     FAMILIES,
     FAMILY_TENSORS,
@@ -35,6 +35,7 @@ from .inequalities import (
     checker_inputs,
 )
 from .quaternionic import (
+    FRAME_TOL,
     QuaternionicStructure,
     StructureReport,
     hermitian_residual,
@@ -577,18 +578,21 @@ class _PointRow(NamedTuple):
     data: Optional[SceneData]
 
 
-def _ambient(scn: Scenario, split: maps.SceneSplit) -> np.ndarray:
-    """The curvature frame tensor of the scene's curved side."""
-    return split.target_curvature if scn.kind == "map" else split.source_curvature
+def _curved_side(scn: Scenario, split: maps.SceneSplit) -> tuple[np.ndarray, np.ndarray]:
+    """The split frame of the scene's curved side and the curvature frame tensor over it."""
+    if scn.kind == "map":
+        return split.target_frame, split.target_curvature
+    return split.source_frame, split.source_curvature
 
 
 def _checker_inputs(
-    scn: Scenario, frames: dict, tensors: dict, g: np.ndarray, ambient=None, bracket=None
+    scn: Scenario, E: np.ndarray, s: int, tensors: dict, g: np.ndarray, ambient=None,
+    bracket=None,
 ) -> list[SceneData]:
     """Each point's ``SceneData``: ``checker_inputs`` with the scene's kind,
     structure, c, families, deltaN and equality tolerance."""
     return checker_inputs(
-        scn.kind, frames, tensors, g, scn.structure.J_const, scn.c,
+        scn.kind, E, s, tensors, g, scn.structure.J_const, scn.c,
         _requested_families(scn.theorems), ambient, deltaN=scn.delta_n,
         equality_tol=scn.tolerances.get("equality"), bracket_residual=bracket,
     )
@@ -638,10 +642,10 @@ def _chunk_rows(scn: Scenario, chunk: np.ndarray) -> list[_PointRow]:
     data = [None] * len(chunk)
     if scn.theorems:
         # the parse-time fit check put the structure on the curved side
+        E, ambient = _curved_side(scn, split)
         data = _checker_inputs(
-            scn, {tag: getattr(split, tag).vectors for tag in FRAMES[scn.kind]},
-            {key: t.coeffs for key, t in tensors.items()}, _structure_metric(scn, split),
-            _ambient(scn, split), bracket,
+            scn, E, split.s, {key: t.coeffs for key, t in tensors.items()},
+            _structure_metric(scn, split), ambient, bracket,
         )
     return [
         _PointRow(
@@ -721,20 +725,19 @@ def _evaluate_pointwise(scn: Scenario) -> _PointRow:
     """
     g = scn.g
     validation = {"structure": _structure_report(scn.structure, g)}
-    frames = {tag: OrthoFrame(scn.frames[tag], g) for tag in FRAMES[scn.kind]}
-    for tag, fr in frames.items():
-        res = fr.orthonormality_residual()
+    first, second = (scn.frames[tag] for tag in FRAMES[scn.kind])
+    for tag, F in zip(FRAMES[scn.kind], (first, second)):
+        res = float(np.abs(F @ g @ F.T - np.eye(len(F))).max())
         validation[f"{tag}_frame_residual"] = res
-        if not res <= 1e-10:
+        if not res <= FRAME_TOL:
             raise SceneValidationError(f"{tag} frame is not orthonormal ({res:.3e})")
-    first, second = frames.values()
-    cross = float(np.abs(first.vectors @ g @ second.vectors.T).max())
+    cross = float(np.abs(first @ g @ second.T).max())
     validation["cross_orthogonality"] = cross
-    if not cross <= 1e-10:
+    if not cross <= FRAME_TOL:
         raise SceneValidationError(f"frames are not mutually orthogonal ({cross:.3e})")
+    E = np.concatenate([first, second])  # the split frame [first; second], as a chart's
     (data,) = _checker_inputs(
-        scn, {tag: fr.vectors[None] for tag, fr in frames.items()},
-        {key: h[None] for key, h in scn.tensors.items()}, g[None],
+        scn, E[None], len(first), {key: h[None] for key, h in scn.tensors.items()}, g[None]
     )
     return _PointRow(None, validation, None, data)
 

@@ -127,6 +127,11 @@ def orthonormal_rows(rng: np.random.Generator, n: int) -> np.ndarray:
     return Q.T
 
 
+def orthonormality_residual(E: np.ndarray, g: np.ndarray) -> float:
+    """Largest entry of E g E^T - I: how far the rows of E (k, n) are from g-orthonormal."""
+    return float(np.abs(E @ g @ E.T - np.eye(len(E))).max())
+
+
 def mgs2_frame(vectors, g: np.ndarray, candidates=()) -> np.ndarray:
     """g-orthonormal rows of ``vectors`` (k, n) at one point, one vector at a time.
 
@@ -163,17 +168,18 @@ _DENSE_COUNT = 1 << 17  # 131072 >= 1e5 sphere directions
 _DENSE_TOP = 8  # sampled directions per side handed to the Newton polish
 
 
-def scene_data(kind, frames, tensors, g, J, c, ambient=None, **settings) -> SceneData:
+def scene_data(kind, E, s, tensors, g, J, c, ambient=None, **settings) -> SceneData:
     """The ``SceneData`` of one point, built by ``checker_inputs`` as a chunk of one.
 
-    ``frames`` maps tags to frame vectors (k, n), ``tensors`` names to
-    coefficients (a, k, k) and ``ambient`` is a chart's frame tensor, or
-    None for the space form.  The extrema and the diagnostics are those
-    that every family of the kind reads.
+    ``E`` is the split frame (k, n), its first ``s`` rows the first frame
+    of the kind, ``tensors`` maps names to coefficients (a, m, m) and
+    ``ambient`` is a chart's frame tensor, or None for the space form.
+    The extrema and the diagnostics are those that every family of the
+    kind reads.
     """
     families = [f for f in FAMILIES if (f == "map") == (kind == "map")]
     (data,) = checker_inputs(
-        kind, {tag: np.asarray(v, dtype=float)[None] for tag, v in frames.items()},
+        kind, np.asarray(E, dtype=float)[None], s,
         {key: np.asarray(h, dtype=float)[None] for key, h in tensors.items()}, g[None], J, c,
         families, None if ambient is None else ambient[None], **settings,
     )

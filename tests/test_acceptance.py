@@ -51,7 +51,7 @@ def test_c01_curvature_engine():
             assert (maxima / scale).max() < 1e-9
             if name == "sphere:1":
                 fr = gram_schmidt(list(np.eye(2)), cp.metric)
-                assert abs(sectional(cp, fr.vectors[0], fr.vectors[1]) - 1.0) < 1e-8
+                assert abs(sectional(cp, fr[0], fr[1]) - 1.0) < 1e-8
     elapsed = time.monotonic() - start
     assert elapsed < 10.0
     print(f"\n[criterion 1] curvature engine: PASS ({elapsed:.1f}s)")
@@ -167,7 +167,7 @@ def _random_map_data(rng, s, c):
     g = np.eye(8)
     raw = rng.uniform(-1.0, 1.0, size=(8 - s, s, s))
     B = 0.5 * (raw + raw.transpose(0, 2, 1))
-    return scene_data("map", {"range": rows[:s], "range_perp": rows[s:]}, {"B": B}, g, J, c)
+    return scene_data("map", rows, s, {"B": B}, g, J, c)
 
 
 def _random_submersion_data(rng, s, ell, c, deltaN=None):
@@ -178,7 +178,7 @@ def _random_submersion_data(rng, s, ell, c, deltaN=None):
     raw_t = rng.uniform(-1.0, 1.0, size=(s, ell, ell))
     raw_a = rng.uniform(-1.0, 1.0, size=(ell, s, s))
     return scene_data(
-        "submersion", {"horizontal": rows[:s], "vertical": rows[s : s + ell]},
+        "submersion", rows[: s + ell], s,
         {
             "T": 0.5 * (raw_t + raw_t.transpose(0, 2, 1)),
             "A": 0.5 * (raw_a - raw_a.transpose(0, 2, 1)),

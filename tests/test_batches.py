@@ -380,8 +380,7 @@ def test_the_batched_split_names_its_failing_point():
         for i, x in enumerate(chunk):
             alone = maps.differential(smap, np.array(x))
             for frame in ("vertical", "horizontal", "range", "range_perp"):
-                want = getattr(alone, frame).vectors
-                assert _bits(getattr(split, frame).vectors[i]) == _bits(want)
+                assert _bits(getattr(split, frame)[i]) == _bits(getattr(alone, frame))
             for part in ("isometry_residual", "kernel_residual", "target_curvature"):
                 assert _bits(getattr(split, part)[i]) == _bits(getattr(alone, part))
             assert _bits(gauss[i]) == _bits(maps.gauss_residual_map(alone))
@@ -414,7 +413,7 @@ def test_the_split_orthonormalizes_each_side_once_per_chunk(n, monkeypatch):
     points = np.random.default_rng(n).uniform(-1.0, 1.0, size=(3, n))
     split = maps.differential(smap, points)
     assert calls == [(3, n, n), (3, 4, 4)]
-    assert split.vertical.k == n - 4 and split.range_perp.k == 0
+    assert split.vertical.shape[-2] == n - 4 and split.range_perp.shape[-2] == 0
 
     # a map's target frame, range and range_perp together, is one block too
     calls.clear()
@@ -422,7 +421,7 @@ def test_the_split_orthonormalizes_each_side_once_per_chunk(n, monkeypatch):
                           lambda c: list(c) + [0.0] * (n - 4), "riemannian_map", 4)
     split = maps.differential(smap, points[:, :4])
     assert calls == [(3, 4, 4), (3, n, n)]
-    assert split.range.k == 4 and split.range_perp.k == n - 4
+    assert split.range.shape[-2] == 4 and split.range_perp.shape[-2] == n - 4
 
 
 # -- chunks --------------------------------------------------------------------
@@ -637,7 +636,7 @@ def _count_leads(monkeypatch) -> dict:
 
     count(scenes, "hermitian_residual", lambda J, g: g.shape[:-2])
     count(inequalities, "space_form_residual_from_tensor", lambda R, oracle, E: R.shape[:-4])
-    count(inequalities, "decompose_J", lambda J, g, *frames: g.shape[:-2])
+    count(inequalities, "decompose_J", lambda J, g, E, s: g.shape[:-2])
     count(inequalities, "curvature_sums", lambda R, s: R.shape[:-4])
     for module in (casorati, inequalities):  # the one-point form and the batched path
         count(module, "_extrema_rows", lambda h, kind, total_sq: len(h))
@@ -854,7 +853,7 @@ def test_stacked_space_form_and_J_blocks_match_each_point_alone():
         c = -4.0
         tensor = QSFOracle(c, J, g).curvature_tensor(E)
         residual = inequalities.space_form_residual_from_tensor(R, QSFOracle(c, J, g), E)
-        decomp = decompose_J(J, g, E[:, :s], E[:, s:])
+        decomp = decompose_J(J, g, E, s)
         sums = geometry.curvature_sums(R, s)
         herm = hermitian_residual(J, g)
         for p in range(len(g)):
@@ -864,7 +863,7 @@ def test_stacked_space_form_and_J_blocks_match_each_point_alone():
             assert float(residual[p]) == inequalities.space_form_residual_from_tensor(
                 R[p], oracle, E[p]
             )
-            alone = decompose_J(J, g[p], E[p, :s], E[p, s:])
+            alone = decompose_J(J, g[p], E[p], s)
             row = decomp.rows()[p]
             for part in ("norms_P", "norms_Q", "norms_PV", "blocks"):
                 assert _bits(getattr(decomp, part)[p]) == _bits(getattr(alone, part))
@@ -1057,9 +1056,9 @@ def test_a_submersion_row_holds_its_oneill_fields():
 
     def split_at(x, rows):
         point = MapPoint.at(smap, x)
-        full = geometry.gram_schmidt(rows, point.source.G0).vectors
-        frames = (geometry.OrthoFrame(f, point.source.G0) for f in (full[..., :2, :], full[..., 2:, :]))
-        return maps.SceneSplit(point, *frames, None, None, 0.0, 0.0)
+        full = geometry.gram_schmidt(rows, point.source.G0)
+        E = np.concatenate([full[..., 2:, :], full[..., :2, :]], axis=-2)  # [horizontal; vertical]
+        return maps.SceneSplit(point, E, None, 0.0, 0.0)
 
     # the projector's frame jet of the three points as one chunk and of the second
     # as a chunk of one, against each point as a chunk of one
@@ -1079,8 +1078,7 @@ def test_a_submersion_row_holds_its_oneill_fields():
         for i, x in enumerate(chunk):
             alone = maps.differential(smap, x)
             for frame in ("vertical", "horizontal", "range", "range_perp"):
-                want = getattr(alone, frame).vectors
-                assert _bits(getattr(split, frame).vectors[i]) == _bits(want)
+                assert _bits(getattr(split, frame)[i]) == _bits(getattr(alone, frame))
             want = maps.gauss_residual_submersion(alone)
             for part in ("vertical", "horizontal", "mixed"):
                 assert _bits(getattr(gauss, part)[i]) == _bits(getattr(want, part))

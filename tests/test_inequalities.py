@@ -36,7 +36,7 @@ def submersion_data(rng, s, ell, c, T=None, A=None, deltaN=None, dim=12):
         raw = rng.uniform(-1, 1, size=(ell, s, s))
         A = 0.5 * (raw - raw.transpose(0, 2, 1))
     return scene_data(
-        "submersion", {"horizontal": rows[:s], "vertical": rows[s : s + ell]},
+        "submersion", rows[: s + ell], s,
         {"T": T, "A": A}, g, J, c, deltaN=deltaN,
     )
 
@@ -74,7 +74,7 @@ class TestMapTheorem:
         rng = rng or np.random.default_rng(7)
         rows = orthonormal_rows(rng, 8)
         return scene_data(
-            "map", {"range": rows[:4], "range_perp": rows[4:]}, {"B": B}, np.eye(8),
+            "map", rows, 4, {"B": B}, np.eye(8),
             quat_units(2), c, ambient,
         )
 
@@ -121,7 +121,7 @@ class TestMapTheorem:
         rng = np.random.default_rng(1)
         rows = orthonormal_rows(rng, 8)
         data = scene_data(
-            "map", {"range": rows[:2], "range_perp": rows[2:]}, {"B": np.zeros((1, 2, 2))},
+            "map", rows, 2, {"B": np.zeros((1, 2, 2))},
             np.eye(8), quat_units(2), 0.0, np.zeros((8,) * 4),
         )
         with pytest.raises(DimensionError):

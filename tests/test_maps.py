@@ -6,10 +6,9 @@ import pytest
 
 from casoratiq.casorati import CasoratiInput
 from casoratiq.errors import DimensionError, NotRiemannianMapError, RankError
-from casoratiq import jets
+from casoratiq import jets, maps
 from casoratiq.geometry import (
     MetricChart,
-    OrthoFrame,
     chart,
     christoffel_with_grad,
     gram_schmidt,
@@ -71,6 +70,16 @@ def _oneill_by_definition(ref: dict, gamma, kind: str, E, F) -> np.ndarray:
     return other @ nabla(same, sign * dP) + same @ nabla(other, -sign * dP)
 
 
+def _rotate_horizontal(sp, Q: np.ndarray):
+    """The split with its horizontal frame turned by Q and its range frame turned with it."""
+    horizontal = Q @ sp.horizontal
+    return dataclasses.replace(
+        sp,
+        source_frame=np.concatenate([horizontal, sp.vertical]),
+        target_frame=np.concatenate([horizontal @ sp.point.dF.T, sp.range_perp]),
+    )
+
+
 class TestDifferential:
     def test_projection_split(self, projection_map):
         x = np.array([0.3, -0.2, 1.1, 0.5, 0.1, 0.2, -0.7, 0.4])
@@ -79,27 +88,61 @@ class TestDifferential:
         assert sp.isometry_residual < 1e-12
         assert sp.kernel_residual < 1e-12
         # vertical = last four coordinates
-        assert np.abs(sp.vertical.vectors[:, :4]).max() < 1e-12
-        assert np.abs(sp.horizontal.vectors[:, 4:]).max() < 1e-12
+        assert np.abs(sp.vertical[:, :4]).max() < 1e-12
+        assert np.abs(sp.horizontal[:, 4:]).max() < 1e-12
 
     def test_radial_split(self, radial_map):
         x = np.array([0.5, 0.5, 0.5, 0.5])
         sp = differential(radial_map, x)
         assert sp.s == 1 and sp.ell == 3
         # horizontal is the radial line
-        h = sp.horizontal.vectors[0]
+        h = sp.horizontal[0]
         xhat = x / np.linalg.norm(x)
         assert abs(abs(h @ xhat) - 1.0) < 1e-10
         # vertical vectors are tangent to the sphere |x| = r
-        assert np.abs(sp.vertical.vectors @ xhat).max() < 1e-10
+        assert np.abs(sp.vertical @ xhat).max() < 1e-10
 
     def test_embedding_split(self):
         emb = SmoothMap(chart("flat:2"), chart("flat:4"),
                         lambda c: [c[0], c[1], 0.0, 0.0], "riemannian_map", 2)
         sp = differential(emb, np.array([0.7, -0.4]))
         assert sp.ell == 0 and sp.s == 2
-        assert np.abs(sp.range.vectors[:, 2:]).max() < 1e-12
-        assert sp.range_perp.k == 2
+        assert np.abs(sp.range[:, 2:]).max() < 1e-12
+        assert len(sp.range_perp) == 2
+
+    def test_each_side_is_one_frame_array(self, monkeypatch):
+        """E1 = [horizontal; vertical] holds the source rows gram_schmidt gives and E2 =
+        [range; range_perp] is the target array it gives; the four named frames are
+        views of them."""
+        made = []
+
+        def recorded(V, g):
+            made.append((V, gram_schmidt(V, g)))
+            return made[-1][1]
+
+        monkeypatch.setattr(maps, "gram_schmidt", recorded)
+        emb = SmoothMap(chart("flat:3"), chart("flat:4"),
+                        lambda c: [c[0], c[1], 0.0, 0.0], "riemannian_map", 2)
+        sp = differential(emb, np.array([[0.7, -0.4, 0.2], [0.1, 0.3, -0.5]]))
+        (rows, full), (target_rows, target) = made
+        s, ell = sp.s, sp.ell
+        assert (s, ell, sp.target_frame.shape[-2] - s) == (2, 1, 2)
+        # the source rows are the kernel rows, then the range rows
+        assert np.abs(sp.point.dF @ rows[..., :ell, :].swapaxes(-1, -2)).max() < 1e-14
+        want = np.concatenate([full[..., ell:, :], full[..., :ell, :]], axis=-2)
+        assert sp.source_frame.tobytes() == want.tobytes()
+        # the target rows are dF of the horizontal frame, then the normal rows
+        range_rows = sp.horizontal @ sp.point.dF.swapaxes(-1, -2)
+        assert target_rows[..., :s, :].tobytes() == range_rows.tobytes()
+        assert sp.target_frame is target
+        views = {"horizontal": (sp.source_frame, slice(None, s)),
+                 "vertical": (sp.source_frame, slice(s, None)),
+                 "range": (sp.target_frame, slice(None, s)),
+                 "range_perp": (sp.target_frame, slice(s, None))}
+        for name, (side, rows) in views.items():
+            frame = getattr(sp, name)
+            assert np.shares_memory(frame, side), name
+            assert frame.tobytes() == side[..., rows, :].tobytes(), name
 
     def test_rank_error(self):
         bad = SmoothMap(chart("flat:2"), chart("flat:2"),
@@ -148,12 +191,7 @@ class TestSecondFundamentalForm:
         sp = differential(paraboloid_map, x)
         B = second_fundamental_form(sp)
         rng = np.random.default_rng(2)
-        Q = orthonormal_rows(rng, 2)
-        g1 = paraboloid_map.source.metric_jets(x)[0]
-        hor2 = OrthoFrame(Q @ sp.horizontal.vectors, g1)
-        rng2 = OrthoFrame(hor2.vectors @ sp.point.dF.T, sp.range.metric_at)
-        sp2 = dataclasses.replace(sp, horizontal=hor2, range=rng2)
-        B2 = second_fundamental_form(sp2)
+        B2 = second_fundamental_form(_rotate_horizontal(sp, orthonormal_rows(rng, 2)))
         h, h2 = CasoratiInput(B.coeffs), CasoratiInput(B2.coeffs)
         assert abs(h.norm_sq() - h2.norm_sq()) < 1e-9
         assert abs(h.trace_norm_sq() - h2.trace_norm_sq()) < 1e-9
@@ -206,12 +244,7 @@ class TestONeillTensors:
         T = oneill_T(sp)
         A = oneill_A(sp)
         rng = np.random.default_rng(9)
-        Qh = orthonormal_rows(rng, sp.s)
-        hor2 = OrthoFrame(Qh @ sp.horizontal.vectors, sp.horizontal.metric_at)
-        sp2 = dataclasses.replace(
-            sp, horizontal=hor2,
-            range=OrthoFrame(hor2.vectors @ sp.point.dF.T, sp.range.metric_at),
-        )
+        sp2 = _rotate_horizontal(sp, orthonormal_rows(rng, sp.s))
         T2 = oneill_T(sp2)
         A2 = oneill_A(sp2)
         t, t2 = CasoratiInput(T.coeffs), CasoratiInput(T2.coeffs)
@@ -280,8 +313,8 @@ class TestGaussResiduals:
         sp = differential(paraboloid_map, x)
         B = second_fundamental_form(sp)
         vecs = B.vectors.copy()
-        vecs[0, 0] = vecs[0, 0] + 0.1 * sp.range_perp.vectors[0]
-        coeffs = np.einsum("ija,ab,vb->vij", vecs, B.metric, sp.range_perp.vectors)
+        vecs[0, 0] = vecs[0, 0] + 0.1 * sp.range_perp[0]
+        coeffs = np.einsum("ija,ab,vb->vij", vecs, B.metric, sp.range_perp)
         bad = FundamentalTensor("B", coeffs, vecs, B.metric)
         assert gauss_residual_map(sp, bad) >= 0.005
 
@@ -388,7 +421,7 @@ class TestGaussResiduals:
             fr = gram_schmidt(list(np.eye(3)), cp.metric)
             for i in range(3):
                 for j in range(i + 1, 3):
-                    assert sectional(cp, fr.vectors[i], fr.vectors[j]) == pytest.approx(
+                    assert sectional(cp, fr[i], fr[j]) == pytest.approx(
                         1.0 / r**2, abs=1e-9
                     )
 

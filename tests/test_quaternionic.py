@@ -138,7 +138,7 @@ class TestDecomposition:
     def test_full_frame_norms(self):
         # the defining sum over a full 4-frame is the squared Frobenius
         # norm of each J, which is 4 (not 2: each J has four unit entries)
-        d = decompose_J(quat_units(1), np.eye(4), np.eye(4), np.zeros((0, 4)))
+        d = decompose_J(quat_units(1), np.eye(4), np.eye(4), 4)
         assert np.allclose(d.norms_P, 4.0)
         assert np.allclose(d.norms_Q, 0.0)
         assert np.allclose(d.norms_PV, 0.0)
@@ -147,7 +147,7 @@ class TestDecomposition:
         J = quat_units(1)
         e1 = np.zeros(4); e1[0] = 1.0
         span = np.array([e1, J[0] @ e1])
-        d = decompose_J(J, np.eye(4), span, np.zeros((0, 4)))
+        d = decompose_J(J, np.eye(4), span, 2)
         assert d.norms_P[0] == pytest.approx(2.0, abs=1e-12)
         assert d.norms_P[1] == pytest.approx(0.0, abs=1e-12)
         assert d.norms_P[2] == pytest.approx(0.0, abs=1e-12)
@@ -158,7 +158,7 @@ class TestDecomposition:
         vert = np.array([e1, J[0] @ e1])  # J1-invariant plane
         e3 = np.zeros(4); e3[2] = 1.0
         hor = np.array([e3, J[0] @ e3])
-        d = decompose_J(J, np.eye(4), hor, vert)
+        d = decompose_J(J, np.eye(4), np.concatenate([hor, vert]), 2)
         assert d.norms_PV[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_completeness_identity(self):
@@ -168,7 +168,7 @@ class TestDecomposition:
         for _ in range(10):
             rows = orthonormal_rows(rng, 12)
             k = int(rng.integers(1, 12))
-            d = decompose_J(J, g, rows[:k], rows[k:])
+            d = decompose_J(J, g, rows, k)
             total = d.norms_P + d.norms_Q + 2.0 * d.norms_PV
             assert np.abs(total - j_totals(d)).max() < 1e-10
 
@@ -176,7 +176,7 @@ class TestDecomposition:
         J = quat_units(2)
         rng = np.random.default_rng(8)
         rows = orthonormal_rows(rng, 8)
-        d = decompose_J(J, np.eye(8), rows[:5], rows[5:])
+        d = decompose_J(J, np.eye(8), rows, 5)
         for blk in d.blocks:
             assert np.abs(blk + blk.T).max() < 1e-12
 
@@ -184,4 +184,4 @@ class TestDecomposition:
         J = quat_units(1)
         bad = np.array([[1.0, 0, 0, 0], [1.0, 1.0, 0, 0]])
         with pytest.raises(FrameError):
-            decompose_J(J, np.eye(4), bad, np.zeros((0, 4)))
+            decompose_J(J, np.eye(4), bad, 2)

@@ -855,6 +855,36 @@ class TestBadInput:
         scenes._check_gauss(scn, 0.0, 1e-7, 0.0)
 
 
+@pytest.mark.parametrize(
+    "theorems, error",
+    [
+        (["horizontal_6_2", "lemma_horizontal_6_1"], None),
+        (["vertical_5_2", "lemma_vertical_5_1"], "vertical theorem needs ell >= 3, got ell=0"),
+        (["combined_7_2"], "combined theorem needs s, ell >= 3, got s=4, ell=0"),
+    ],
+    ids=["horizontal", "vertical", "combined"],
+)
+def test_a_submersion_with_0_dimensional_fibres_reads_each_family(tmp_path, theorems, error):
+    """flat:4 -> flat:4 by its coordinates is a local isometry: T lies over an empty
+    vertical frame, the horizontal family reads A = 0 as an equality, and the
+    vertical and combined families name ell = 0."""
+    doc = _chart_doc(
+        points=[[0.1, 0.2, 0.3, 0.4]], theorems=theorems,
+        structure={"on": "source", "name": "quat-flat:1"},
+    )
+    doc["map"] = {"source": "flat:4", "target": "flat:4", "exprs": ["x1", "x2", "x3", "x4"],
+                  "map_mode": "riemannian_submersion", "rank": 4}
+    code, out = _run_file(tmp_path, doc)
+    (point,) = json.loads(out.read_text())["points"]
+    if error is None:
+        assert code == 0 and point["errors"] == []
+        assert len(point["reports"]) == 4
+        for r in point["reports"]:
+            assert (r["lhs"], r["rhs"], r["verdict"]) == (0.0, 0.0, "equality")
+    else:
+        assert code == 3 and point["errors"] == [error] and point["reports"] == []
+
+
 def _set(path, value):
     """A change to a scenario document that puts ``value`` at ``path``."""
 
