@@ -13,10 +13,6 @@ class DegenerateMetricError(CasoratiqError):
     """Metric failed symmetry or positive-definiteness at a point."""
 
 
-class DependencyError(CasoratiqError):
-    """Vectors handed to Gram-Schmidt are numerically dependent."""
-
-
 class FrameError(CasoratiqError):
     """A frame violates orthonormality or mutual orthogonality."""
 

@@ -1,4 +1,4 @@
-"""Charts, connections, curvature and orthonormal frames.
+"""Charts, connections, curvature and frame tensors.
 
 Conventions used throughout the engine:
 
@@ -44,7 +44,6 @@ import numpy as np
 
 from .errors import (
     DegenerateMetricError,
-    DependencyError,
     DomainError,
 )
 from .expressions import compile_program
@@ -57,7 +56,6 @@ __all__ = [
     "christoffel",
     "christoffel_with_grad",
     "riemann",
-    "gram_schmidt",
     "frame_contraction",
     "curvature_sums",
     "chart",
@@ -458,56 +456,6 @@ def frame_contraction(R: np.ndarray, E1, E2, E3, E4) -> np.ndarray:
     for E in (E1, E2, E3, E4):
         out = tensordot(out, E, ((0,), (1,)), 4)
     return out
-
-
-def _cholesky_qr(V: np.ndarray, g: np.ndarray, gram: np.ndarray) -> np.ndarray:
-    """CholeskyQR2 of the rows of ``V`` (..., k, n) in the metric g, given ``gram`` = V g V^T.
-
-    Factors V g V^T = L L^T and takes L^-1 V, then repeats once on the
-    result, which brings the rows to orthonormal in g up to rounding when
-    V is g-conditioned below about 1e8 (Yamamoto, Nakatsukasa, Yanagisawa
-    & Fukaya, ETNA 2015).  L^-1 V is lower triangular times V, so each
-    leading span is kept.  Raises ``LinAlgError`` when a factorization
-    fails.  The stacked factors and solves run LAPACK on each point's
-    matrix alone, so a point in a batch gets the bits it gets alone.
-    """
-    Q = np.linalg.solve(np.linalg.cholesky(gram), V)
-    return np.linalg.solve(np.linalg.cholesky(Q @ g @ Q.swapaxes(-1, -2)), Q)
-
-
-def gram_schmidt(vectors, g_at: np.ndarray) -> np.ndarray:
-    """Metric Gram-Schmidt of the rows of ``vectors`` (..., k, n), as one block; preserves span.
-
-    Returns the g-orthonormal rows (..., k, n) as one array; its first j
-    rows span what the first j rows of ``vectors`` span.  The rows are
-    orthonormalized together by CholeskyQR2 (``_cholesky_qr``), so the
-    cost is a fixed number of stacked calls whatever k is.  Row v_j is
-    numerically dependent on the rows before it when g(v_j, e_j), the
-    g-norm of its part orthogonal to them, is at most 1e-10 of its own
-    g-norm.  That is read off the finished frame e: the first Cholesky
-    diagonal is the same number in exact arithmetic, but rounding leaves
-    it near 1e-8 of the norm for a row that is exactly dependent.  Raises
-    ``DependencyError`` then, and when a factorization fails, which a
-    zero row, or rows dependent to about 1e-8 or closer, make it do.  The
-    residual is named for the first point that has one.
-    """
-    g = np.asarray(g_at, dtype=float)
-    V = np.asarray(vectors, dtype=float).reshape(g.shape[:-2] + (-1, g.shape[-1]))
-    Vg = V @ g
-    gram = Vg @ V.swapaxes(-1, -2)
-    try:
-        E = _cholesky_qr(V, g, gram)
-    except np.linalg.LinAlgError as e:
-        raise DependencyError(
-            "vectors numerically dependent: Gram matrix not positive definite"
-        ) from e
-    residual = (Vg * E).sum(axis=-1)
-    bad = _first(residual <= 1e-10 * np.sqrt(np.diagonal(gram, axis1=-2, axis2=-1)))
-    if bad is not None:
-        raise DependencyError(
-            f"vector numerically dependent on predecessors (residual {residual[bad]:.3e})"
-        )
-    return E
 
 
 def curvature_sums(frame_tensor: np.ndarray, s: int) -> tuple:

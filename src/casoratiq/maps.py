@@ -14,12 +14,9 @@ of one.
 and hangs it on the ``SceneSplit`` that every other function here takes;
 the split, B, T, A, the vertical bracket and the Gauss residuals keep
 the point axes, so a chunk computes each of them once for all its
-points, and each point reads its column.  The source frame is one block
-orthonormalization (``geometry.gram_schmidt``, CholeskyQR2) of the
-kernel rows of dF's right singular vectors followed by its range rows,
-and the target frame [range; range_perp] is one more, of dF's image of
-the horizontal frame followed by a g2-orthonormal basis of the
-g2-complement of the range, read off dF's left singular vectors.
+points, and each point reads its column.  Both frames come from one
+SVD of dF between g-orthonormal frames (``differential``), which decides
+the rank and the isometry too.
 Every contraction is one stacked product per point, shaped as a point
 without an axis would shape it, so a point in a chunk gets the bits it
 gets alone, and the public functions still take such a point.  The
@@ -49,12 +46,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, NamedTuple, NoReturn, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
 from .errors import (
-    DependencyError,
+    DegenerateMetricError,
     DimensionError,
     NotRiemannianMapError,
     RankError,
@@ -65,7 +62,6 @@ from .geometry import (
     _first,
     _symmetry_defects,
     frame_contraction,
-    gram_schmidt,
     tail_transpose,
     tensordot,
 )
@@ -88,9 +84,6 @@ __all__ = [
 
 _KERNEL_TOL = 1e-8
 _ISOMETRY_TOL = 1e-6
-# the split is supported for metrics of condition number up to this; a source
-# frame or a target factor that fails above it names the condition number
-_COND_MAX = 1e16
 
 RIEMANNIAN_MAP = "riemannian_map"
 RIEMANNIAN_SUBMERSION = "riemannian_submersion"
@@ -201,9 +194,13 @@ class SceneSplit:
     (..., n2, n2), in the target metric, one chart vector per row.  Each
     splits after its first ``s`` rows, s being the rank of the map, and
     ``horizontal``, ``vertical``, ``range`` and ``range_perp`` are views
-    of those rows.  ``point`` is the context the split was taken at; every
-    quantity that depends only on the point is read from it.  Like the
-    point, a split holds P points at once, point axes first.
+    of those rows.  ``isometry_residual`` is the spectral norm of Gram - I,
+    Gram being the target-metric Gram matrix of dF of the horizontal
+    frame, so it does not depend on the horizontal basis;
+    ``kernel_residual`` is the largest entry of dF of the vertical frame.
+    ``point`` is the context the split was taken at; every quantity that
+    depends only on the point is read from it.  Like the point, a split
+    holds P points at once, point axes first.
     """
 
     point: MapPoint
@@ -296,17 +293,26 @@ def _frame_tensor(pt: ChartPoint, E: np.ndarray) -> np.ndarray:
     return frame_contraction(pt.curvature.riemann, E, E, E, E)
 
 
-def _raise_ill_conditioned(side: str, g: np.ndarray, x: np.ndarray, e: Exception) -> NoReturn:
-    """Raise ``DependencyError`` naming the first point whose metric ``g`` has a
-    condition number above the supported range; re-raise ``e`` when none has."""
-    cond = np.linalg.cond(g)
-    bad = _first(cond > _COND_MAX)
-    if bad is None:
-        raise e
-    raise DependencyError(
-        f"{side} metric too ill-conditioned (\u03ba \u2248 {cond[bad]:.1e}) "
-        f"at {x[bad].tolist()}: {e}"
-    ) from e
+def _factor(side: str, g: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The Cholesky factor L of g = L L^T, at every point.
+
+    A metric that passed its definiteness check can still fail the
+    factor when it is too ill-conditioned for it; that raises
+    ``DegenerateMetricError`` for the first point whose own factor fails,
+    naming its condition number.
+    """
+    try:
+        return np.linalg.cholesky(g)
+    except np.linalg.LinAlgError:
+        for i in np.ndindex(g.shape[:-2]):
+            try:
+                np.linalg.cholesky(g[i])
+            except np.linalg.LinAlgError as e:
+                raise DegenerateMetricError(
+                    f"{side} metric too ill-conditioned (\u03ba \u2248 {np.linalg.cond(g[i]):.1e}) "
+                    f"at {x[i].tolist()}: {e}"
+                ) from e
+        raise
 
 
 def differential(smap: SmoothMap, x) -> SceneSplit:
@@ -315,29 +321,27 @@ def differential(smap: SmoothMap, x) -> SceneSplit:
     ``x`` is a source point (n,), points (P, n) or the ``MapPoint`` of
     either; the split has the same point axes.
 
-    The vertical frame spans the numerical kernel of dF (singular values
-    below 1e-8) and the horizontal frame is its metric-orthogonal
-    complement, both from one ``gram_schmidt`` of the kernel rows of
-    ``vt`` followed by its range rows.  ``dF`` of the horizontal frame
-    must be orthonormal in the target metric up to the isometry
-    tolerance; that residual is measured on the raw vectors.  The left
-    singular vectors U[:, rank:] past the rank span the Euclidean
-    complement of the range, so g2^-1 U[:, rank:] spans its
-    g2-complement.  That span is taken g2-orthonormal as L^-T Q, with
-    g2 = L L^T and L^-1 U[:, rank:] = Q R, which loses accuracy as
-    sqrt(kappa(g2)) where the Gram matrix of g2^-1 U[:, rank:] would
-    lose it as kappa(g2).  The target frame is one ``gram_schmidt`` of
-    the raw range vectors followed by those rows, split into range and
-    range_perp, orthonormal to rounding; a submersion has no such rows.
-    Each check raises for the first point that fails it.
+    The split is one SVD of dF between g-orthonormal frames: with
+    g1 = L1 L1^T and g2 = L2 L2^T, M = L2^T dF L1^-T = U S V^T.  The rank
+    is the number of singular values above 1e-8, the source frame
+    [horizontal; vertical] is the rows of V^T L1^-1 and the target frame
+    [range; range_perp] is the rows of U^T L2^-1, each g-orthonormal and
+    already in that order.  dF maps the i-th horizontal row to s_i times
+    the i-th range row, so the horizontal Gram matrix of dF is diag(s^2)
+    in the target metric, and the isometry residual is its distance from
+    the identity in the spectral norm, max |s_i^2 - 1| over the rank,
+    whatever the basis; it must be at most 1e-6.  None of this depends on
+    the units of either side's coordinates.  Each check raises for the
+    first point that fails it.
     """
     pt = x if isinstance(x, MapPoint) else MapPoint.at(smap, x)
-    g1 = pt.source.G0
-    g2 = pt.target.G0
+    L1 = _factor("source", pt.source.G0, pt.x)
+    L2 = _factor("target", pt.target.G0, pt.x)
     n1 = smap.source.dim
     lead = pt.x.shape[:-1]
 
-    U, svals, vt = np.linalg.svd(pt.dF)
+    M = L2.swapaxes(-1, -2) @ np.linalg.solve(L1, pt.dF.swapaxes(-1, -2)).swapaxes(-1, -2)
+    U, svals, Vt = np.linalg.svd(M)
     svals = np.concatenate([svals, np.zeros(lead + (n1 - svals.shape[-1],))], axis=-1)
     ranks = np.sum(svals > _KERNEL_TOL, axis=-1)
     bad = _first(ranks != smap.rank)
@@ -347,44 +351,18 @@ def differential(smap: SmoothMap, x) -> SceneSplit:
             f"at {pt.x[bad].tolist()} (singular values {svals[bad].tolist()})"
         )
     rank = smap.rank
-
-    # the kernel rows of vt, then its range rows, as one block
-    rows = np.concatenate([vt[..., rank:, :], vt[..., :rank, :]], axis=-2)
-    try:
-        full = gram_schmidt(rows, g1)
-    except DependencyError as e:
-        # the rows are orthonormal rows of vt, so they fail only on a nearly singular g1
-        _raise_ill_conditioned("source", g1, pt.x, e)
-    # E1 = [horizontal; vertical]: the frame's range rows, then its kernel rows
-    ell = n1 - rank
-    source_frame = np.concatenate([full[..., ell:, :], full[..., :ell, :]], axis=-2)
-
-    range_vectors = source_frame[..., :rank, :] @ pt.dF.swapaxes(-1, -2)
-    gram = range_vectors @ g2 @ range_vectors.swapaxes(-1, -2)
-    iso_residual = _largest(gram - np.eye(rank), 2)
+    iso_residual = _largest(svals[..., :rank] ** 2 - 1.0, 1)
     bad = _first(~(iso_residual <= _ISOMETRY_TOL))
     if bad is not None:
         raise NotRiemannianMapError(
             f"differential is not isometric on the horizontal space at {pt.x[bad].tolist()} "
             f"(residual {iso_residual[bad]:.3e})"
         )
-    rows = range_vectors
-    if rank < smap.target.dim:
-        # with g2 = L L^T and L^-1 U[:, rank:] = Q R, the columns of L^-T Q are those of
-        # g2^-1 U[:, rank:] times R^-1, and g2-orthonormal; R's diagonal is made
-        # positive, so each keeps the orientation of its singular vector
-        try:
-            L = np.linalg.cholesky(g2)
-        except np.linalg.LinAlgError as e:
-            _raise_ill_conditioned("target", g2, pt.x, e)
-        Q, R = np.linalg.qr(np.linalg.solve(L, U[..., rank:]))
-        Q *= np.where(np.diagonal(R, axis1=-2, axis2=-1) < 0.0, -1.0, 1.0)[..., None, :]
-        normal = np.linalg.solve(L.swapaxes(-1, -2), Q).swapaxes(-1, -2)
-        rows = np.concatenate([rows, normal], axis=-2)
+    source_frame = np.linalg.solve(L1.swapaxes(-1, -2), Vt.swapaxes(-1, -2)).swapaxes(-1, -2)
     return SceneSplit(
         point=pt,
         source_frame=source_frame,
-        target_frame=gram_schmidt(rows, g2),
+        target_frame=np.linalg.solve(L2.swapaxes(-1, -2), U).swapaxes(-1, -2),
         isometry_residual=iso_residual,
         kernel_residual=_largest(pt.dF @ source_frame[..., rank:, :].swapaxes(-1, -2), 2),
     )

@@ -139,8 +139,9 @@ def mgs2_frame(vectors, g: np.ndarray, candidates=()) -> np.ndarray:
     in two passes of modified Gram-Schmidt, and is then normalized.  The
     ``candidates`` then complete the frame: each is projected the same
     way and kept when its remaining g-norm exceeds 1e-8, until the frame
-    has n rows.  This is the frame construction the engine used before its
-    block form, kept as that form's oracle.
+    has n rows.  The engine once built its frames this way; the tests use it
+    to build frames where no split applies and as the oracle of the span of
+    range_perp.
     """
     n = g.shape[-1]
     rows: list[np.ndarray] = []

@@ -10,7 +10,7 @@ import pytest
 
 from casoratiq.casorati import CasoratiInput, hyperplane_extrema
 from casoratiq.cli import report_json
-from casoratiq.geometry import _symmetry_defects, chart, gram_schmidt, riemann
+from casoratiq.geometry import _symmetry_defects, chart, riemann
 from casoratiq.inequalities import (
     check_combined_theorem,
     check_horizontal_theorem,
@@ -25,6 +25,7 @@ from conftest import (
     TripathiInstance,
     algebraic_gap,
     dense_extrema,
+    mgs2_frame,
     orthonormal_rows,
     scene_data,
     sectional,
@@ -50,7 +51,7 @@ def test_c01_curvature_engine():
             maxima, scale = _symmetry_defects(cp.riemann)
             assert (maxima / scale).max() < 1e-9
             if name == "sphere:1":
-                fr = gram_schmidt(list(np.eye(2)), cp.metric)
+                fr = mgs2_frame(np.eye(2), cp.metric)
                 assert abs(sectional(cp, fr[0], fr[1]) - 1.0) < 1e-8
     elapsed = time.monotonic() - start
     assert elapsed < 10.0

@@ -46,6 +46,7 @@ from conftest import (
     dgamma_reference,
     gamma_reference,
     ginv_jet_reference,
+    mgs2_frame,
     orthonormal_rows,
     random_submersion,
     riemann_reference,
@@ -310,7 +311,7 @@ ONE_BAD_POINT = {
         [[0.3, 0.3], [0.5, -0.2], [0.7, 0.7]],
         NotRiemannianMapError,
         "differential is not isometric on the horizontal space at [0.5, -0.2] "
-        "(residual 1.383e-01)",
+        "(residual 1.622e-01)",
     ),
     "Gauss residual": (
         _off_fiber_curvature,
@@ -373,6 +374,12 @@ def test_the_batched_split_names_its_failing_point():
     with pytest.raises(error) as info:
         maps.differential(smap, np.array(points))
     assert str(info.value) == message
+    # the residual is the spectral norm of Gram - I: at rank 2 = n1, the largest
+    # |lambda - 1| over the eigenvalues of g1^-1 dF^T g2 dF at the failing point
+    bad = MapPoint.at(smap, np.array(points[1]))
+    pullback = bad.dF.T @ bad.target.G0 @ bad.dF
+    lam = np.linalg.eigvals(np.linalg.solve(bad.source.G0, pullback)).real
+    assert message.endswith(f"(residual {np.abs(lam - 1.0).max():.3e})")
     # the two good points as one chunk and each as a chunk of one
     for chunk in (points[::2], points[:1], points[2:]):
         split = maps.differential(smap, np.array(chunk))
@@ -398,29 +405,34 @@ def test_paraboloid_vertex_runs_as_one_chunk(monkeypatch):
 
 @pytest.mark.parametrize("n", [8, 16])
 def test_the_split_orthonormalizes_each_side_once_per_chunk(n, monkeypatch):
-    """The source frame and the range frame are one block orthonormalization each,
-    whatever the dimension: no frame is built one vector at a time."""
+    """Both frames come from one Cholesky factor per side and one SVD, whatever the
+    dimension: no frame is built one vector at a time."""
     calls = []
-    original = geometry._cholesky_qr
 
-    def counted(V, g, gram):
-        calls.append(V.shape)
-        return original(V, g, gram)
+    def counted(name):
+        original = getattr(np.linalg, name)
 
-    monkeypatch.setattr(geometry, "_cholesky_qr", counted)
+        def call(a, *args, **kwargs):
+            calls.append((name, a.shape))
+            return original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, call)
+
+    counted("cholesky")
+    counted("svd")
     smap = maps.SmoothMap(geometry.chart(f"flat:{n}"), geometry.chart("flat:4"),
                           lambda c: list(c[:4]), "riemannian_submersion", 4)
     points = np.random.default_rng(n).uniform(-1.0, 1.0, size=(3, n))
     split = maps.differential(smap, points)
-    assert calls == [(3, n, n), (3, 4, 4)]
+    assert calls == [("cholesky", (3, n, n)), ("cholesky", (3, 4, 4)), ("svd", (3, 4, n))]
     assert split.vertical.shape[-2] == n - 4 and split.range_perp.shape[-2] == 0
 
-    # a map's target frame, range and range_perp together, is one block too
+    # a map's frames take the same three calls, range_perp included
     calls.clear()
     smap = maps.SmoothMap(geometry.chart("flat:4"), geometry.chart(f"flat:{n}"),
                           lambda c: list(c) + [0.0] * (n - 4), "riemannian_map", 4)
     split = maps.differential(smap, points[:, :4])
-    assert calls == [(3, 4, 4), (3, n, n)]
+    assert calls == [("cholesky", (3, 4, 4)), ("cholesky", (3, n, n)), ("svd", (3, n, 4))]
     assert split.range.shape[-2] == 4 and split.range_perp.shape[-2] == n - 4
 
 
@@ -1049,14 +1061,14 @@ def test_no_pipeline_path_forms_the_derivative_of_the_inverse_metric(monkeypatch
 def test_a_submersion_row_holds_its_oneill_fields():
     smap = random_submersion(4, seed=3)
     X = np.array([[0.1, 0.2, -0.3, 0.4], [0.3, -0.1, 0.2, 0.0], [-0.4, 0.1, 0.1, 0.2]])
-    # the bent map is no Riemannian submersion, so its frames are the block
-    # orthonormalization of dF's kernel rows and then its range rows
+    # the bent map is no Riemannian submersion, which differential refuses, so its
+    # frames are the g-orthonormal kernel rows of dF and then its range rows, point by point
     vt = np.linalg.svd(MapPoint.at(smap, X).dF)[2]
     rows = np.concatenate([vt[:, 2:], vt[:, :2]], axis=1)
 
     def split_at(x, rows):
         point = MapPoint.at(smap, x)
-        full = geometry.gram_schmidt(rows, point.source.G0)
+        full = np.stack([mgs2_frame(r, g) for r, g in zip(rows, point.source.G0)])
         E = np.concatenate([full[..., 2:, :], full[..., :2, :]], axis=-2)  # [horizontal; vertical]
         return maps.SceneSplit(point, E, None, 0.0, 0.0)
 

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from casoratiq import maps
-from casoratiq.geometry import christoffel_with_grad, gram_schmidt
+from casoratiq.geometry import christoffel_with_grad
 from casoratiq.maps import MapPoint
 from casoratiq.quaternionic import QSFOracle, decompose_J, quat_units
 
@@ -20,6 +20,7 @@ from conftest import (
     gamma_reference,
     ginv_jet_reference,
     j_blocks_reference,
+    mgs2_frame,
     on_frames_reference,
     oneill_reference,
     qsf_tensor_reference,
@@ -47,12 +48,12 @@ def point(request) -> MapPoint:
 
 @pytest.fixture(scope="module")
 def split(point) -> maps.SceneSplit:
-    # the bent map is no Riemannian submersion, so the frames are built here, as
-    # differential builds them: one gram_schmidt of the kernel rows, then the range rows
+    # the bent map is no Riemannian submersion, which differential refuses, so the
+    # frames are built here: the g-orthonormal kernel rows of dF, then its range rows
     g = point.source.G0
     rank = point.smap.rank
     vt = np.linalg.svd(point.dF)[2]
-    full = gram_schmidt(np.concatenate([vt[rank:], vt[:rank]]), g)
+    full = mgs2_frame(np.concatenate([vt[rank:], vt[:rank]]), g)
     ell = len(vt) - rank
     return maps.SceneSplit(point, np.concatenate([full[ell:], full[:ell]]), None, 0.0, 0.0)
 
@@ -143,7 +144,7 @@ def test_quaternionic_space_form_and_j_blocks(n):
     J = quat_units(m)
     B = rng.normal(size=(4 * m, 4 * m))
     g = np.eye(4 * m) + 0.1 * B @ B.T
-    E = gram_schmidt(rng.normal(size=(n, 4 * m)), g)
+    E = mgs2_frame(rng.normal(size=(n, 4 * m)), g)
     got = QSFOracle(-3.0, J, g).curvature_tensor(E)
     assert_close(got, qsf_tensor_reference(-3.0, J, g, E))
     blocks = decompose_J(J, g, E, n // 2).blocks

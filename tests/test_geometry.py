@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from casoratiq import jets, maps
-from casoratiq.errors import DependencyError, DimensionError, DegenerateMetricError, DomainError
+from casoratiq.errors import DimensionError, DegenerateMetricError, DomainError
 from casoratiq.geometry import (
     ChartPoint,
     MetricChart,
@@ -14,7 +14,6 @@ from casoratiq.geometry import (
     christoffel,
     curvature_sums,
     frame_contraction,
-    gram_schmidt,
     riemann,
 )
 from casoratiq.quaternionic import QSFOracle, quat_units
@@ -124,12 +123,12 @@ class TestRiemann:
         for _ in range(5):
             x = np.array([0.3 + 2.4 * rng.random(), -2.0 + 4.0 * rng.random()])
             cp = riemann(ch, x)
-            fr = gram_schmidt(list(np.eye(2)), cp.metric)
+            fr = mgs2_frame(np.eye(2), cp.metric)
             assert sectional(cp, fr[0], fr[1]) == pytest.approx(1.0 / r**2, abs=1e-9)
 
     def test_half_plane_sectional(self):
         cp = riemann(chart("half-plane"), np.array([1.3, 0.8]))
-        fr = gram_schmidt(list(np.eye(2)), cp.metric)
+        fr = mgs2_frame(np.eye(2), cp.metric)
         assert sectional(cp, fr[0], fr[1]) == pytest.approx(-1.0, abs=1e-9)
 
     @pytest.mark.parametrize("name", ["sphere:1", "half-plane", "polar", "sphere3:2"])
@@ -159,80 +158,6 @@ class TestRiemann:
             riemann(const, np.zeros(2))
         with pytest.raises(DegenerateMetricError, match=message):
             ChartPoint.at(const, np.zeros((3, 2)))
-
-
-class TestFrames:
-    def test_gram_schmidt_identity(self):
-        fr = gram_schmidt(list(np.eye(3)), np.eye(3))
-        assert np.allclose(fr, np.eye(3))
-
-    def test_gram_schmidt_orthogonalizes(self):
-        fr = gram_schmidt([np.array([1.0, 0.0]), np.array([1.0, 1.0])], np.eye(2))
-        assert np.allclose(fr, [[1.0, 0.0], [0.0, 1.0]])
-
-    def test_gram_schmidt_metric_normalization(self):
-        fr = gram_schmidt([np.array([1.0, 0.0])], np.diag([4.0, 1.0]))
-        assert np.allclose(fr, [[0.5, 0.0]])
-
-    def test_rank_deficiency(self):
-        with pytest.raises(DependencyError):
-            gram_schmidt([np.array([1.0, 1.0]), np.array([2.0, 2.0])], np.eye(2))
-
-    def test_orthonormality_invariant(self):
-        rng = np.random.default_rng(3)
-        A = rng.normal(size=(3, 3))
-        g = A @ A.T + 3.0 * np.eye(3)
-        fr = gram_schmidt(list(rng.normal(size=(3, 3))), g)
-        assert orthonormality_residual(fr, g) < 1e-10
-
-    @given(seed=st.integers(0, 10_000))
-    @settings(max_examples=60, deadline=None)
-    def test_dependent_rows_raise(self, seed):
-        """A row that is a combination of the rows before it raises, whether the
-        factorization fails or leaves a residual at rounding level."""
-        rng = np.random.default_rng(seed)
-        n = int(rng.integers(2, 9))
-        k = int(rng.integers(1, n))
-        V = rng.normal(size=(k, n))
-        V = np.vstack([V, rng.normal(size=k) @ V, rng.normal(size=(n - k - 1, n))])
-        A = rng.normal(size=(n, n))
-        with pytest.raises(DependencyError, match="numerically dependent"):
-            gram_schmidt(V, A @ A.T + np.eye(n))
-
-    @given(seed=st.integers(0, 10_000), log_kappa=st.floats(0.0, 6.0))
-    @settings(max_examples=60, deadline=None)
-    def test_block_frames_match_the_one_vector_oracle(self, seed, log_kappa):
-        """Random SPD metrics of condition kappa and random full-rank rows, at 3 points."""
-        rng = np.random.default_rng(seed)
-        n, P = int(rng.integers(2, 13)), 3
-        k = int(rng.integers(1, n + 1))
-        kappa = 10.0**log_kappa
-
-        def metric():
-            ev = np.geomspace(1.0, kappa, n)
-            rng.shuffle(ev)
-            Q = orthonormal_rows(rng, n)
-            g = 10.0 ** rng.uniform(-1.0, 1.0) * (Q.T * ev) @ Q
-            return 0.5 * (g + g.T)
-
-        g = np.stack([metric() for _ in range(P)])
-        # rows with singular values in [1, 10]
-        V = np.stack([
-            (orthonormal_rows(rng, k) * rng.uniform(1.0, 10.0, k)) @ orthonormal_rows(rng, n)[:k]
-            for _ in range(P)
-        ])
-        frame = gram_schmidt(V, g)
-        for i in range(P):
-            alone = gram_schmidt(V[i], g[i])
-            assert frame[i].tobytes() == alone.tobytes()
-            oracle = mgs2_frame(V[i], g[i])
-            assert np.abs(alone - oracle).max() <= 1e-13 * kappa * np.abs(oracle).max()
-            # each leading span is kept: the frame is T V with T lower triangular
-            T = np.linalg.lstsq(V[i].T, alone.T, rcond=None)[0].T
-            assert np.abs(np.triu(T, 1)).max() <= 1e-13 * kappa * np.abs(T).max()
-            assert (np.diag(T) > 0).all()
-            # Q g Q^T itself rounds at about 1e-16 kappa
-            assert orthonormality_residual(alone, g[i]) <= 1e-14 * kappa
 
 
 def riemannian_linear_map(rng: np.random.Generator, kappa: float) -> maps.SmoothMap:
@@ -301,6 +226,86 @@ class TestTargetFrame:
             assert np.abs(got - want).max() <= 1e-13 * kappa * np.abs(want).max()
 
 
+def _bits(a) -> bytes:
+    return np.ascontiguousarray(a, dtype=float).tobytes()
+
+
+def stretched_linear_map(rng: np.random.Generator, kappa: float) -> maps.SmoothMap:
+    """A linear map F = A x of rank r from n1 to m dimensions, 2 <= n1, m <= 6, that
+    stretches each horizontal direction by a factor within 3e-7 of 1.
+
+    The metrics are exp(w . F(x)) C1 on the source and exp(w . y) C2 on the
+    target, with |w . F(x)| <= 0.1 and C1, C2 rotated metrics of condition kappa
+    and random scale.  A = L2^-T U S V^T L1^T with Ci = Li Li^T, U and V random
+    rotations, and S holding the r factors and zeros past them.
+    """
+    n1, m = int(rng.integers(2, 7)), int(rng.integers(2, 7))
+    r = int(rng.integers(1, min(n1, m) + 1))
+
+    def metric(n):
+        Q = orthonormal_rows(rng, n)
+        ev = np.geomspace(1.0, kappa, n)[rng.permutation(n)]
+        C = 10.0 ** rng.uniform(-1.0, 1.0) * (Q.T * ev) @ Q
+        return 0.5 * (C + C.T)
+
+    C1, C2 = metric(n1), metric(m)
+    S = np.zeros((m, n1))
+    S[range(r), range(r)] = 1.0 + rng.uniform(-3e-7, 3e-7, r)
+    M = orthonormal_rows(rng, m) @ S @ orthonormal_rows(rng, n1)
+    A = np.linalg.solve(np.linalg.cholesky(C2).T, M) @ np.linalg.cholesky(C1).T
+    w = rng.normal(size=m)
+    w *= 0.1 / np.abs(w @ A).sum()  # |w . F(x)| <= 0.1 on the source box
+    reach = np.abs(A).sum(axis=1).max() + 1.0
+
+    def image(c):
+        return [sum(a * x for a, x in zip(row, c)) for row in A.tolist()]
+
+    def scaled(C):
+        def g(y):
+            f = jets.exp(sum(wa * ya for wa, ya in zip(w.tolist(), y)))
+            return [[f * v for v in row] for row in C.tolist()]
+        return g
+
+    g1 = scaled(C1)
+    src = MetricChart(n1, ((-1.0, 1.0),) * n1, lambda c: g1(image(c)), name="stretched")
+    tgt = MetricChart(m, ((-reach, reach),) * m, scaled(C2), name="rotated")
+    return maps.SmoothMap(src, tgt, image, "riemannian_map", r)
+
+
+class TestWhitenedSplit:
+    @given(seed=st.integers(0, 10_000), log_kappa=st.floats(0.0, 6.0))
+    @settings(max_examples=60, deadline=None)
+    def test_split_of_random_maps(self, seed, log_kappa):
+        """Random metrics of condition kappa and a random linear map, at 3 points: each
+        chunk row has the bits of its point alone, both frames are g-orthonormal to
+        1e-14 kappa (about 45 kappa eps), the vertical rows span ker dF, and the
+        isometry residual is the largest |lambda - 1| over the r largest eigenvalues
+        of g1^-1 dF^T g2 dF."""
+        rng = np.random.default_rng(seed)
+        kappa = 10.0**log_kappa
+        smap = stretched_linear_map(rng, kappa)
+        r, n1 = smap.rank, smap.source.dim
+        X = rng.uniform(-0.9, 0.9, size=(3, n1))
+        split = maps.differential(smap, X)
+        bound = 1e-14 * kappa
+        for i in range(3):
+            alone = maps.differential(smap, X[i])
+            for part in ("source_frame", "target_frame", "isometry_residual", "kernel_residual"):
+                assert _bits(getattr(split, part)[i]) == _bits(getattr(alone, part)), part
+            pt = alone.point
+            g1, g2, dF = pt.source.G0, pt.target.G0, pt.dF
+            assert orthonormality_residual(alone.source_frame, g1) <= bound
+            assert orthonormality_residual(alone.target_frame, g2) <= bound
+            # n1 - r g1-orthonormal rows that dF takes to zero span its kernel
+            V = alone.vertical
+            assert V.shape == (n1 - r, n1)
+            if r < n1:
+                assert np.abs(dF @ V.T).max() <= bound * np.linalg.norm(dF, 2) * np.abs(V).max()
+            lam = np.sort(np.linalg.eigvals(np.linalg.solve(g1, dF.T @ g2 @ dF)).real)[::-1]
+            oracle = np.abs(lam[:r] - 1.0).max()
+            assert abs(alone.isometry_residual - oracle) <= bound
+
+
 @pytest.mark.parametrize("kind", ["chart", "oracle"])
 def test_sectional_of_degenerate_plane_raises(kind):
     if kind == "chart":
@@ -335,13 +340,13 @@ def pairwise_sums(quad, vectors, s):
 class TestCurvatureSums:
     def test_flat_zero(self):
         cp = riemann(chart("flat:4"), np.full(4, 0.1))
-        fr = gram_schmidt(list(np.eye(4)), cp.metric)
+        fr = mgs2_frame(np.eye(4), cp.metric)
         for s in range(5):
             assert curvature_sums(frame_tensor(cp, fr), s) == (0.0, 0.0, 0.0)
 
     def test_sphere_full_frame(self):
         cp = riemann(chart("sphere:1"), np.array([1.0, 0.2]))
-        fr = gram_schmidt(list(np.eye(2)), cp.metric)
+        fr = mgs2_frame(np.eye(2), cp.metric)
         two_tau, rest, mixed = curvature_sums(frame_tensor(cp, fr), 2)
         assert two_tau == pytest.approx(2.0, abs=1e-9)
         assert rest == mixed == 0.0
@@ -356,13 +361,13 @@ class TestCurvatureSums:
         x = np.array([0.5, 0.5, 0.5, 0.5])
         x = x / np.linalg.norm(x)
         basis = [v - (v @ x) * x for v in np.eye(4)[:3]]
-        fr = gram_schmidt(basis, cp.metric)
+        fr = mgs2_frame(basis, cp.metric)
         assert len(fr) == 3
         assert curvature_sums(frame_tensor(cp, fr), 3)[0] == 0.0
 
     def test_rotation_invariance(self):
         cp = riemann(chart("sphere3:2"), np.array([1.0, 0.9, 0.3]))
-        fr = gram_schmidt(list(np.eye(3)), cp.metric)
+        fr = mgs2_frame(np.eye(3), cp.metric)
         val = curvature_sums(frame_tensor(cp, fr), 3)[0]
         rng = np.random.default_rng(11)
         for _ in range(5):
@@ -373,7 +378,7 @@ class TestCurvatureSums:
 
     def test_degenerate_blocks(self):
         cp = riemann(chart("sphere3:2"), np.array([1.0, 0.9, 0.3]))
-        fr = gram_schmidt(list(np.eye(3)), cp.metric)
+        fr = mgs2_frame(np.eye(3), cp.metric)
         R_E = frame_tensor(cp, fr)
         empty = np.zeros((0, 3))
         assert curvature_sums(frame_tensor(cp, empty), 0) == (0.0, 0.0, 0.0)
@@ -406,7 +411,7 @@ class TestCurvatureSums:
     def test_matches_pairwise_loops_on_charts(self, name, x):
         cp = riemann(chart(name), np.array(x))
         n = cp.metric.shape[0]
-        fr = gram_schmidt(list(orthonormal_rows(np.random.default_rng(4), n)), cp.metric)
+        fr = mgs2_frame(orthonormal_rows(np.random.default_rng(4), n), cp.metric)
 
         def quad(*z):
             return float(np.einsum("ijkl,i,j,k,l->", cp.riemann, *z))

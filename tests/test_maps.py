@@ -11,7 +11,6 @@ from casoratiq.geometry import (
     MetricChart,
     chart,
     christoffel_with_grad,
-    gram_schmidt,
     riemann,
 )
 from casoratiq.maps import (
@@ -27,7 +26,7 @@ from casoratiq.maps import (
     vertical_bracket,
 )
 
-from conftest import oneill_reference, orthonormal_rows, sectional
+from conftest import mgs2_frame, oneill_reference, orthonormal_rows, sectional
 
 
 @pytest.fixture(scope="module")
@@ -110,31 +109,31 @@ class TestDifferential:
         assert np.abs(sp.range[:, 2:]).max() < 1e-12
         assert len(sp.range_perp) == 2
 
-    def test_each_side_is_one_frame_array(self, monkeypatch):
-        """E1 = [horizontal; vertical] holds the source rows gram_schmidt gives and E2 =
-        [range; range_perp] is the target array it gives; the four named frames are
-        views of them."""
-        made = []
-
-        def recorded(V, g):
-            made.append((V, gram_schmidt(V, g)))
-            return made[-1][1]
-
-        monkeypatch.setattr(maps, "gram_schmidt", recorded)
-        emb = SmoothMap(chart("flat:3"), chart("flat:4"),
+    def test_each_side_is_one_frame_array(self):
+        """With g1 = L1 L1^T, g2 = L2 L2^T and L2^T dF L1^-T = U S V^T, E1 = [horizontal;
+        vertical] is the rows of V^T L1^-1 and E2 = [range; range_perp] the rows of
+        U^T L2^-1; the four named frames are views of them."""
+        g1 = [[2.0, 1.0, 0.0], [1.0, 2.0, 0.0], [0.0, 0.0, 1.0]]
+        g2 = [[2.0, 1.0, 0.0, 0.0], [1.0, 2.0, 0.0, 0.0],
+              [0.0, 0.0, 1.0, 0.5], [0.0, 0.0, 0.5, 1.0]]
+        box = ((-1.0, 1.0),)
+        emb = SmoothMap(MetricChart(3, box * 3, lambda c: g1, name="skew:3"),
+                        MetricChart(4, box * 4, lambda c: g2, name="skew:4"),
                         lambda c: [c[0], c[1], 0.0, 0.0], "riemannian_map", 2)
         sp = differential(emb, np.array([[0.7, -0.4, 0.2], [0.1, 0.3, -0.5]]))
-        (rows, full), (target_rows, target) = made
         s, ell = sp.s, sp.ell
         assert (s, ell, sp.target_frame.shape[-2] - s) == (2, 1, 2)
-        # the source rows are the kernel rows, then the range rows
-        assert np.abs(sp.point.dF @ rows[..., :ell, :].swapaxes(-1, -2)).max() < 1e-14
-        want = np.concatenate([full[..., ell:, :], full[..., :ell, :]], axis=-2)
-        assert sp.source_frame.tobytes() == want.tobytes()
-        # the target rows are dF of the horizontal frame, then the normal rows
-        range_rows = sp.horizontal @ sp.point.dF.swapaxes(-1, -2)
-        assert target_rows[..., :s, :].tobytes() == range_rows.tobytes()
-        assert sp.target_frame is target
+        dF = sp.point.dF
+        L1, L2 = (np.linalg.cholesky(side.G0) for side in (sp.point.source, sp.point.target))
+        M = L2.swapaxes(-1, -2) @ np.linalg.solve(L1, dF.swapaxes(-1, -2)).swapaxes(-1, -2)
+        U, _, Vt = np.linalg.svd(M)
+        E1 = np.linalg.solve(L1.swapaxes(-1, -2), Vt.swapaxes(-1, -2)).swapaxes(-1, -2)
+        E2 = np.linalg.solve(L2.swapaxes(-1, -2), U).swapaxes(-1, -2)
+        assert sp.source_frame.tobytes() == E1.tobytes()
+        assert sp.target_frame.tobytes() == E2.tobytes()
+        # the vertical row spans ker dF, and dF maps each horizontal row to its range row
+        assert np.abs(dF @ sp.vertical.swapaxes(-1, -2)).max() < 1e-15
+        assert np.abs(sp.horizontal @ dF.swapaxes(-1, -2) - sp.range).max() < 1e-15
         views = {"horizontal": (sp.source_frame, slice(None, s)),
                  "vertical": (sp.source_frame, slice(s, None)),
                  "range": (sp.target_frame, slice(None, s)),
@@ -418,7 +417,7 @@ class TestGaussResiduals:
         # same constant sectional curvature, justifying the kappa formula
         for r in (0.5, 2.0):
             cp = riemann(chart(f"sphere3:{r:g}"), np.array([1.2, 0.8, 0.4]))
-            fr = gram_schmidt(list(np.eye(3)), cp.metric)
+            fr = mgs2_frame(np.eye(3), cp.metric)
             for i in range(3):
                 for j in range(i + 1, 3):
                     assert sectional(cp, fr[i], fr[j]) == pytest.approx(

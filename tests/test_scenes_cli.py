@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from casoratiq import maps, scenes
 from casoratiq.cli import main, report_csv, report_json
-from casoratiq.errors import DependencyError, DomainError, SceneValidationError
+from casoratiq.errors import DegenerateMetricError, DomainError, SceneValidationError
 from casoratiq.expressions import compile_expression
 from casoratiq.scenes import (
     builtin_names,
@@ -563,6 +563,17 @@ def _chart_doc(**overrides):
     return doc
 
 
+# R diag(1, 1e18) R^T for a rotation R by 0.274 rad, as the float texts of its
+# entries: its eigenvalues read 8 and 1e18, so it passes the definiteness check, and
+# its Cholesky factor fails
+ROTATED_METRIC = [["7.321590461401246e+16", "-2.60490567824565e+17"],
+                  ["-2.60490567824565e+17", "9.267840953859876e+17"]]
+# the point error of a source metric that fails its factor at [0.1, 0.2] that way
+ROTATED_AT_POINT = re.compile(
+    r"source metric too ill-conditioned \(\u03ba \u2248 \d\.\de\+1[6-9]\) at \[0\.1, 0\.2\]: "
+)
+
+
 def _run_file(tmp_path, doc):
     path = tmp_path / "scene.json"
     path.write_text(json.dumps(doc))
@@ -583,29 +594,40 @@ class TestBadInput:
         assert len(errors) == 1 and exprs[0] in errors[0]
 
     def test_singular_gram_matrix_is_point_error(self, tmp_path):
-        """A metric of condition 1e40 rounds the Gram matrix of the split rows to
-        singular: the lone point's chunk raises a DependencyError, not a LinAlgError."""
-        doc = _chart_doc(points=[[0.1, 0.2]])
-        doc["map"] = {**doc["map"], "exprs": ["x1 + x2"], "target": "flat:1",
-                      "map_mode": "riemannian_submersion", "rank": 1}
-        doc["map"]["source"] = {**doc["map"]["source"], "metric": [["1e40", "0"], ["0", "1"]]}
-        with pytest.raises(DependencyError, match="numerically dependent"):
-            maps.differential(parse_scenario(doc).smap, np.array([0.1, 0.2]))
+        """A source metric that passes its definiteness check but is singular to its
+        Cholesky factor at x1 = 0.1 (ROTATED_METRIC there, better conditioned elsewhere):
+        a chunk names that point in a DegenerateMetricError, not a LinAlgError, and the
+        run reports it as that point's error while the other points evaluate."""
+        metric = [[f"{v}+(x1-0.1)*1e18" if i == j else v for j, v in enumerate(row)]
+                  for i, row in enumerate(ROTATED_METRIC)]
+        chart = {"dim": 2, "box": [[-1.0, 1.0]] * 2, "metric": metric}
+        points = [[0.5, 0.2], [0.1, 0.2], [0.7, 0.2]]
+        doc = _chart_doc(points=points)
+        doc["map"] = {**doc["map"], "source": chart, "target": chart}
+        with pytest.raises(DegenerateMetricError, match=ROTATED_AT_POINT):
+            maps.differential(parse_scenario(doc).smap, np.array(points))
         code, out = _run_file(tmp_path, doc)
         assert code == 3
-        (errors,) = [p["errors"] for p in json.loads(out.read_text())["points"]]
-        assert len(errors) == 1 and "numerically dependent" in errors[0]
+        first, bad, last = [p["errors"] for p in json.loads(out.read_text())["points"]]
+        assert first == last == [] and len(bad) == 1 and ROTATED_AT_POINT.match(bad[0]), bad
 
-    @pytest.mark.parametrize("scale, ok", [("1e6", True), ("1e21", False)])
+    @pytest.mark.parametrize(
+        "scale, ok",
+        [("1e6", True), ("1e21", True), ("1e40", True), ("1e120", True), ("rotated", False)],
+    )
     def test_ill_conditioned_source_metric_is_named(self, tmp_path, scale, ok):
         """diag(a, 1) with F = x1 + x2 onto the metric a / (1 + a) is a Riemannian
-        submersion for every a > 0: a = 1e6 evaluates, and the failed split of
-        a = 1e21 names the condition number of the source metric."""
+        submersion for every a > 0, and evaluates for a up to 1e120; the rotated source
+        metric ROTATED_METRIC, of nominal condition 1e18, fails its Cholesky factor, and
+        the point error names its condition number."""
         doc = _chart_doc(points=[[0.1, 0.2]])
+        metric, target = [[scale, "0"], ["0", "1"]], f"{scale}/(1 + {scale})"
+        if not ok:
+            metric, target = ROTATED_METRIC, "1"
         doc["map"] = {**doc["map"], "exprs": ["x1 + x2"], "map_mode": "riemannian_submersion",
                       "rank": 1, "target": {"dim": 1, "box": [[-10.0, 10.0]],
-                                            "metric": [[f"{scale}/(1 + {scale})"]]}}
-        doc["map"]["source"] = {**doc["map"]["source"], "metric": [[scale, "0"], ["0", "1"]]}
+                                            "metric": [[target]]}}
+        doc["map"]["source"] = {**doc["map"]["source"], "metric": metric}
         smap = parse_scenario(doc).smap
         code, out = _run_file(tmp_path, doc)
         (errors,) = [p["errors"] for p in json.loads(out.read_text())["points"]]
@@ -613,11 +635,10 @@ class TestBadInput:
             assert code == 0 and errors == []
             assert maps.differential(smap, np.array([0.1, 0.2])).isometry_residual < 1e-12
             return
-        message = "source metric too ill-conditioned (\u03ba \u2248 1.0e+21) at [0.1, 0.2]: "
-        with pytest.raises(DependencyError, match=re.escape(message)):
+        with pytest.raises(DegenerateMetricError, match=ROTATED_AT_POINT):
             maps.differential(smap, np.array([0.1, 0.2]))
         assert code == 3
-        assert len(errors) == 1 and errors[0].startswith(message)
+        assert len(errors) == 1 and ROTATED_AT_POINT.match(errors[0]), errors
 
     def test_ill_conditioned_target_metric_is_named(self, tmp_path, capsys):
         """A rank-1 map onto a rotated constant target metric of nominal condition
@@ -644,6 +665,54 @@ class TestBadInput:
         )
         for errors in self._both_exit_3(tmp_path, capsys, doc):
             assert len(errors) == 1 and message.match(errors[0]), errors
+
+    @pytest.mark.parametrize("unit", [("1", "1"), ("1e-9", "1e18")], ids=["unit", "rescaled"])
+    @pytest.mark.parametrize(
+        "exprs, rank, error",
+        [
+            (["x1", "(1+5e-8)*x2"], 2, None),
+            (["x1", "(1+5e-6)*x2"], 2, "(residual 1.000e-05)"),
+            (["x1", "1e-9*x2"], 1, None),
+            (["x1", "1e-7*x2"], 1, "differential rank 2 does not match declared rank 1"),
+        ],
+        ids=["isometric", "stretched", "kernel", "rank"],
+    )
+    def test_split_tolerances_act_on_the_whitened_singular_values(
+        self, tmp_path, exprs, rank, error, unit
+    ):
+        """flat:2 -> flat:2 with singular values 1 and 1 + eps, or 1 and delta: the
+        isometry tolerance 1e-6 lies between the residuals 1e-7 and 1e-5, and the kernel
+        tolerance 1e-8 between delta = 1e-9 and 1e-7.  F scaled by 1e-9 onto the target
+        metric scaled by 1e18 is the same map with its target in another unit, and is
+        decided alike."""
+        factor, metric = unit
+        doc = _chart_doc(points=[[0.1, 0.2]])
+        doc["map"] = {**doc["map"], "exprs": [f"{factor}*{e}" for e in exprs], "rank": rank,
+                      "target": {"dim": 2, "box": [[-10.0, 10.0]] * 2,
+                                 "metric": [[metric, "0"], ["0", metric]]}}
+        code, out = _run_file(tmp_path, doc)
+        (errors,) = [p["errors"] for p in json.loads(out.read_text())["points"]]
+        if error is None:
+            assert code == 0 and errors == []
+        else:
+            assert code == 3 and len(errors) == 1 and error in errors[0], errors
+
+    @pytest.mark.parametrize("k", [9, 12, 30])
+    def test_radial_submersion_in_another_target_unit(self, k):
+        """radial-4.json with F = 10^-k norm(x) onto the target metric 10^2k is the same
+        Riemannian submersion, its target coordinate in another unit: it evaluates, and
+        every slack is that of k = 0 to 1e-12 relative."""
+        doc = json.loads((_SCENARIO_DIR / "radial-4.json").read_text())
+        want = evaluate_scenario(parse_scenario(doc))
+        doc["map"]["exprs"] = [f"1e-{k}*norm(x)"]
+        doc["map"]["target"] = {**doc["map"]["target"], "metric": [[f"1e{2 * k}"]],
+                                "box": [[0.05 * 10.0**-k, 6.0 * 10.0**-k]]}
+        got = evaluate_scenario(parse_scenario(doc))
+        assert got.aggregate["point_errors"] == 0
+        for p, q in zip(got.points, want.points, strict=True):
+            for r, w in zip(p.reports, q.reports, strict=True):
+                assert r.equality_verdict == w.equality_verdict
+                assert abs(r.slack - w.slack) <= 1e-12 * abs(w.slack)
 
     @pytest.mark.parametrize(
         "path, value",

@@ -4,8 +4,9 @@ Usage: python tools/flat_scaling.py [CHECKOUT] [--repeats N] [--count P]
 
 CHECKOUT is the root of a casoratiq checkout (default: the one holding
 this script); its ``src/`` goes first on ``sys.path``, so two checkouts,
-say a parent and a change, can be compared run against run.  For each n
-the scene is the chart-product benchmark's document
+say a parent and a change, can be compared run against run; BLAS and
+OpenMP run on one thread.  For each n the scene is the chart-product
+benchmark's document
 (``bench/workloads.product_projection`` of the checkout: flat:n onto
 flat:4 with quat-flat:n/4 on the source and the six submersion theorems)
 at P points (1 by default) drawn from ``default_rng(n)`` in [-1, 1]^n.
@@ -21,6 +22,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
 import time
 from pathlib import Path
@@ -29,6 +31,11 @@ DIMS = (8, 12, 16, 24)
 
 
 def main(argv=None) -> int:
+    # one BLAS / OpenMP thread, as bench/run.py sets it before numpy is first imported
+    # (below): the engine's arrays are small, and a thread pool only adds noise
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+                "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS"):
+        os.environ[var] = "1"
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("checkout", nargs="?", default=str(Path(__file__).resolve().parents[1]))
     parser.add_argument("--repeats", type=int, default=12)

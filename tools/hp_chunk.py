@@ -4,9 +4,10 @@ Usage: python tools/hp_chunk.py [CHECKOUT] [--repeats N] [--count P]
 
 CHECKOUT is the root of a casoratiq checkout (default: the one holding
 this script); its ``src/`` goes first on ``sys.path``, so two checkouts,
-say a parent and a change, can be compared run against run.  The scene
-maps the affine chart of HP^1 onto the first quaternionic line of the
-affine chart of HP^2, with ``quat-flat:2`` on the target.  Both metrics
+say a parent and a change, can be compared run against run; BLAS and
+OpenMP run on one thread.  The scene maps the affine chart of HP^1 onto
+the first quaternionic line of the affine chart of HP^2, with
+``quat-flat:2`` on the target.  Both metrics
 are written as expression entries (``hp_metric``), 16 and 64 of them,
 and the P sampled points (32 by default) make one chunk.  The script
 prints one JSON line: the milliseconds per point of ``evaluate_scenario``
@@ -19,6 +20,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
 import time
 from pathlib import Path
@@ -73,6 +75,11 @@ def hp_line_scene(quat_units, count: int = 32, seed: int = 23) -> dict:
 
 
 def main(argv=None) -> int:
+    # one BLAS / OpenMP thread, as bench/run.py sets it before numpy is first imported
+    # (below): the engine's arrays are small, and a thread pool only adds noise
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+                "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS"):
+        os.environ[var] = "1"
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("checkout", nargs="?", default=str(Path(__file__).resolve().parents[1]))
     parser.add_argument("--repeats", type=int, default=5)
