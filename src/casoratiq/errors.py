@@ -10,7 +10,7 @@ class DomainError(CasoratiqError):
 
 
 class DegenerateMetricError(CasoratiqError):
-    """Metric failed symmetry or positive-definiteness at a point."""
+    """Metric failed symmetry, or its Cholesky factor (positive definiteness) failed, at a point."""
 
 
 class FrameError(CasoratiqError):

@@ -8,9 +8,10 @@ Conventions used throughout the engine:
 * the sign is fixed so that the round unit 2-sphere has sectional
   curvature +1, i.e. ``R(X, Y, Y, X) > 0`` on the sphere;
 * a chart whose metric entries are all literals is passive: its matrix
-  is built and checked once per compiled program
+  is built and checked for symmetry once per compiled program
   (``_ProgramMetric.literal``), and ``metric_jets`` returns it with zero
-  derivatives, seeding and evaluating nothing;
+  derivatives, seeding and evaluating nothing; a chart point's Cholesky
+  factor (``ChartPoint.L``) decides definiteness, whatever the units;
 * a chart point whose metric has zero first and second derivatives
   (``ChartPoint.constant``) has exactly zero Christoffel symbols and
   curvature, returned with no product; otherwise R is read from the
@@ -36,7 +37,7 @@ Conventions used throughout the engine:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import Callable, Optional
 
@@ -66,7 +67,6 @@ __all__ = [
 # budgeted n^5 floats per point (batch_size)
 MAX_DIM = 32
 _SYM_TOL = 1e-14
-_PD_TOL = 1e-10
 
 
 @lru_cache(maxsize=None)
@@ -114,12 +114,13 @@ class _ProgramMetric:
 
     @cached_property
     def literal(self) -> Optional[np.ndarray]:
-        """The metric when every entry is a literal and it passes ``metric_jets``' checks.
+        """The metric when every entry is a literal, symmetric and finite.
 
         It is the symmetrized matrix that ``metric_jets`` would return at
         any point.  None when an entry reads a coordinate, and when the
         literal matrix fails a check: ``metric_jets`` then runs the program,
-        so the error and the point it names are those of any other metric.
+        so the error and the point it names are those of any other metric,
+        as they are when the chart point's factor fails (``ChartPoint.L``).
         """
         passive = self.program.passive
         if passive is None or (passive[0] >= 0).any():
@@ -128,7 +129,7 @@ class _ProgramMetric:
         try:
             # a failure is not reported here, so the point and chart it would name are unused
             G0 = _checked_metric(G0, G0[0], "")
-        except (DegenerateMetricError, np.linalg.LinAlgError):
+        except DegenerateMetricError:
             return None
         return G0 if np.isfinite(G0).all() else None
 
@@ -139,23 +140,16 @@ def _program_metric(texts: tuple, dim: int) -> _ProgramMetric:
 
 
 def _checked_metric(G0: np.ndarray, x: np.ndarray, name: str) -> np.ndarray:
-    """``G0`` (..., n, n) symmetrized, checked for symmetry before and for definiteness after.
+    """``G0`` (..., n, n) symmetrized, checked for symmetry before.
 
-    Each check raises for the first of the points ``x`` that fails it,
-    and is written so that a NaN fails it.
+    The check raises for the first of the points ``x`` that fails it, and
+    is written so that a NaN fails it.  ``ChartPoint.L`` decides definiteness.
     """
     asym = np.abs(G0 - G0.swapaxes(-1, -2)).max(axis=(-2, -1))
     bad = _first(~(asym <= _SYM_TOL * np.maximum(1.0, np.abs(G0).max(axis=(-2, -1)))))
     if bad is not None:
         raise DegenerateMetricError(f"metric not symmetric at {x[bad].tolist()} (chart {name!r})")
-    G0 = 0.5 * (G0 + G0.swapaxes(-1, -2))
-    low = np.linalg.eigvalsh(G0).min(axis=-1)
-    bad = _first(~(low > _PD_TOL))
-    if bad is not None:
-        raise DegenerateMetricError(
-            f"metric not positive definite at {x[bad].tolist()}: min eigenvalue {low[bad]:.3e}"
-        )
-    return G0
+    return 0.5 * (G0 + G0.swapaxes(-1, -2))
 
 
 @dataclass(frozen=True)
@@ -210,13 +204,13 @@ class MetricChart:
         ``x`` is one point (n,) or points (P, n).  Returns ``(G0, G1, G2)``
         with ``G1[..., a, b, c] = d_c g_ab`` and ``G2[..., a, b, c, d] =
         d_c d_d g_ab``, the point axes first.  The metric ``G0`` is checked
-        for symmetry before it is symmetrized, and for definiteness after;
-        either check raises for the first point that fails it, and so does
-        the check that G1 and G2 are finite.  A literal metric (every entry
-        a literal, ``_ProgramMetric.literal``) was checked once for its
+        for symmetry before it is symmetrized, and G1 and G2 for being
+        finite; each check raises for the first point that fails it.  A
+        literal metric (``_ProgramMetric.literal``) was checked once for its
         program: it is returned at every point, with zero G1 and G2, and
         nothing is seeded or evaluated.  The box is checked before, by
-        ``ChartPoint.at`` or ``SmoothMap.jets``.
+        ``ChartPoint.at`` or ``SmoothMap.jets``, and definiteness after, by
+        the chart point's factor (``ChartPoint.L``).
         """
         x = self._as_points(x)
         n = self.dim
@@ -281,21 +275,46 @@ class ChartPoint:
     """The metric jets of a chart at P points, and what derives from them.
 
     Every array has the point axes first.  Built from one
-    ``metric_jets`` call.  The inverse metric, the Christoffel symbols
-    and the curvature are computed from those jets on first use and kept,
-    so every consumer shares one copy.
+    ``metric_jets`` call.  The stacked Cholesky factor ``L`` of G0 = L L^T,
+    taken as the point is built, is its definiteness check: it completes
+    when the condition number of the diagonally scaled G0 is below about
+    1/(n^(3/2) u) (Demmel, LAPACK Working Note 14, 1989), which no unit
+    moves.  The first point whose own factor fails raises; only its
+    eigenvalues are computed, to say whether it is not positive definite
+    or too ill-conditioned, naming kappa and the ``label``.  The inverse
+    metric, Christoffel symbols and curvature are computed from the jets
+    on first use and kept, so every consumer shares one copy.
     """
 
     x: np.ndarray
     G0: np.ndarray
     G1: np.ndarray  # G1[..., a, b, c] = d_c g_ab
     G2: np.ndarray  # G2[..., a, b, c, d] = d_c d_d g_ab
+    label: str  # names the chart (and its side in a map) in the kappa message
+    L: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        try:
+            object.__setattr__(self, "L", np.linalg.cholesky(self.G0))
+        except np.linalg.LinAlgError:
+            for i in np.ndindex(self.G0.shape[:-2]):
+                try:
+                    np.linalg.cholesky(self.G0[i])
+                except np.linalg.LinAlgError as e:
+                    low, at = np.linalg.eigvalsh(self.G0[i])[0], self.x[i].tolist()
+                    if not low > 0.0:
+                        message = f"metric not positive definite at {at}: min eigenvalue {low:.3e}"
+                    else:
+                        message = (f"metric too ill-conditioned (\u03ba \u2248 "
+                                   f"{np.linalg.cond(self.G0[i]):.1e}) at {at} ({self.label}): {e}")
+                    raise DegenerateMetricError(message) from e
+            raise
 
     @classmethod
     def at(cls, chart: MetricChart, x) -> "ChartPoint":
         """The chart at a point (n,) or at points (P, n), checked against its box."""
         x = chart.require_inside(x)
-        return cls(x, *chart.metric_jets(x))
+        return cls(x, *chart.metric_jets(x), f"chart {chart.name!r}")
 
     @cached_property
     def ginv(self) -> np.ndarray:

@@ -51,7 +51,6 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from .errors import (
-    DegenerateMetricError,
     DimensionError,
     NotRiemannianMapError,
     RankError,
@@ -171,11 +170,13 @@ class MapPoint:
     # SmoothMap.jets has checked x and y against the boxes
     @cached_property
     def source(self) -> ChartPoint:
-        return ChartPoint(self.x, *self.smap.source.metric_jets(self.x))
+        chart = self.smap.source
+        return ChartPoint(self.x, *chart.metric_jets(self.x), f"source chart {chart.name!r}")
 
     @cached_property
     def target(self) -> ChartPoint:
-        return ChartPoint(self.y, *self.smap.target.metric_jets(self.y))
+        chart = self.smap.target
+        return ChartPoint(self.y, *chart.metric_jets(self.y), f"target chart {chart.name!r}")
 
 
 def _largest(a: np.ndarray, ndim: int) -> np.ndarray:
@@ -293,50 +294,27 @@ def _frame_tensor(pt: ChartPoint, E: np.ndarray) -> np.ndarray:
     return frame_contraction(pt.curvature.riemann, E, E, E, E)
 
 
-def _factor(side: str, g: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """The Cholesky factor L of g = L L^T, at every point.
-
-    A metric that passed its definiteness check can still fail the
-    factor when it is too ill-conditioned for it; that raises
-    ``DegenerateMetricError`` for the first point whose own factor fails,
-    naming its condition number.
-    """
-    try:
-        return np.linalg.cholesky(g)
-    except np.linalg.LinAlgError:
-        for i in np.ndindex(g.shape[:-2]):
-            try:
-                np.linalg.cholesky(g[i])
-            except np.linalg.LinAlgError as e:
-                raise DegenerateMetricError(
-                    f"{side} metric too ill-conditioned (\u03ba \u2248 {np.linalg.cond(g[i]):.1e}) "
-                    f"at {x[i].tolist()}: {e}"
-                ) from e
-        raise
-
-
 def differential(smap: SmoothMap, x) -> SceneSplit:
     """Split the tangent spaces at ``x`` along the differential of the map.
 
     ``x`` is a source point (n,), points (P, n) or the ``MapPoint`` of
     either; the split has the same point axes.
 
-    The split is one SVD of dF between g-orthonormal frames: with
-    g1 = L1 L1^T and g2 = L2 L2^T, M = L2^T dF L1^-T = U S V^T.  The rank
-    is the number of singular values above 1e-8, the source frame
-    [horizontal; vertical] is the rows of V^T L1^-1 and the target frame
-    [range; range_perp] is the rows of U^T L2^-1, each g-orthonormal and
-    already in that order.  dF maps the i-th horizontal row to s_i times
-    the i-th range row, so the horizontal Gram matrix of dF is diag(s^2)
-    in the target metric, and the isometry residual is its distance from
-    the identity in the spectral norm, max |s_i^2 - 1| over the rank,
-    whatever the basis; it must be at most 1e-6.  None of this depends on
-    the units of either side's coordinates.  Each check raises for the
-    first point that fails it.
+    The split is one SVD of dF between g-orthonormal frames: with the chart
+    points' factors g1 = L1 L1^T and g2 = L2 L2^T (``ChartPoint.L``),
+    M = L2^T dF L1^-T = U S V^T.  The rank is the number of singular values
+    above 1e-8, the source frame [horizontal; vertical] is the rows of
+    V^T L1^-1 and the target frame [range; range_perp] is the rows of
+    U^T L2^-1, each g-orthonormal and already in that order.  dF maps the
+    i-th horizontal row to s_i times the i-th range row, so the horizontal
+    Gram matrix of dF is diag(s^2) in the target metric, and the isometry
+    residual is its distance from the identity in the spectral norm,
+    max |s_i^2 - 1| over the rank, whatever the basis; it must be at most
+    1e-6.  None of this depends on the units of either side's coordinates.
+    Each check raises for the first point that fails it.
     """
     pt = x if isinstance(x, MapPoint) else MapPoint.at(smap, x)
-    L1 = _factor("source", pt.source.G0, pt.x)
-    L2 = _factor("target", pt.target.G0, pt.x)
+    L1, L2 = pt.source.L, pt.target.L
     n1 = smap.source.dim
     lead = pt.x.shape[:-1]
 

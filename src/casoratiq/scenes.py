@@ -721,23 +721,26 @@ def _evaluate_chart_point(scn: Scenario, row) -> _PointRow:
 def _evaluate_pointwise(scn: Scenario) -> _PointRow:
     """The row of a pointwise scene, whose checker input is that of a chunk of one.
 
-    The tensors are checked whether or not the scene requests theorems.
+    The frame residuals are read off one Gram matrix E g E^T.  The tensors
+    are checked whether or not the scene requests theorems.
     """
     g = scn.g
     validation = {"structure": _structure_report(scn.structure, g)}
     first, second = (scn.frames[tag] for tag in FRAMES[scn.kind])
-    for tag, F in zip(FRAMES[scn.kind], (first, second)):
-        res = float(np.abs(F @ g @ F.T - np.eye(len(F))).max())
+    E = np.concatenate([first, second])  # the split frame [first; second], as a chart's
+    s = len(first)
+    gram = E @ g @ E.T
+    for tag, block in zip(FRAMES[scn.kind], (gram[:s, :s], gram[s:, s:])):
+        res = float(np.abs(block - np.eye(len(block))).max())
         validation[f"{tag}_frame_residual"] = res
         if not res <= FRAME_TOL:
             raise SceneValidationError(f"{tag} frame is not orthonormal ({res:.3e})")
-    cross = float(np.abs(first @ g @ second.T).max())
+    cross = float(np.abs(gram[:s, s:]).max())
     validation["cross_orthogonality"] = cross
     if not cross <= FRAME_TOL:
         raise SceneValidationError(f"frames are not mutually orthogonal ({cross:.3e})")
-    E = np.concatenate([first, second])  # the split frame [first; second], as a chart's
     (data,) = _checker_inputs(
-        scn, E[None], len(first), {key: h[None] for key, h in scn.tensors.items()}, g[None]
+        scn, E[None], s, {key: h[None] for key, h in scn.tensors.items()}, g[None]
     )
     return _PointRow(None, validation, None, data)
 

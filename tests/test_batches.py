@@ -977,11 +977,11 @@ def test_curvature_check_fails_only_its_own_point():
     G2[1, 0, 0, 1, 2] += 0.5  # d1 d2 g_00 != d2 d1 g_00: no smooth metric has these jets
     message = re.escape(f"at {X[1].tolist()};")
     with pytest.raises(DegenerateMetricError, match=message):
-        ChartPoint(cp.x, cp.G0, cp.G1, G2).curvature
+        ChartPoint(cp.x, cp.G0, cp.G1, G2, "chart").curvature
     with pytest.raises(DegenerateMetricError, match=message):
-        ChartPoint(X[1], cp.G0[1], cp.G1[1], G2[1]).curvature
+        ChartPoint(X[1], cp.G0[1], cp.G1[1], G2[1], "chart").curvature
     for i in (0, 2):
-        alone = ChartPoint(X[i], cp.G0[i], cp.G1[i], G2[i]).curvature.riemann
+        alone = ChartPoint(X[i], cp.G0[i], cp.G1[i], G2[i], "chart").curvature.riemann
         assert _bits(alone) == _bits(ChartPoint.at(smap.source, X[i]).curvature.riemann)
 
 
@@ -1007,10 +1007,10 @@ def test_direct_riemann_matches_the_gradient_formula(n, constant):
     # from the chart-basis gradient of Gamma; each point of a chunk gets its bits alone
     rng = np.random.default_rng(40 + n)
     x, G0, G1, G2 = _random_jets(rng, 3, n, constant)
-    cp = ChartPoint(x, G0, G1, G2)
+    cp = ChartPoint(x, G0, G1, G2, "chart")
     R = cp.curvature.riemann
     for p in range(3):
-        alone = ChartPoint(x[p], G0[p], G1[p], G2[p])
+        alone = ChartPoint(x[p], G0[p], G1[p], G2[p], "chart")
         ginv_jet = ginv_jet_reference(G0[p], G1[p])
         gamma = gamma_reference(ginv_jet[0], alone._first_kind)
         dgamma = dgamma_reference(ginv_jet, alone._first_kind, G2[p])

@@ -149,7 +149,9 @@ class TestRiemann:
     @pytest.mark.parametrize(
         "rows, message",
         [([[1.0, 2.0], [2.0, 1.0]], "not positive definite"),
-         ([[1.0, 0.5], [0.0, 1.0]], "not symmetric")],
+         ([[1.0, 0.5], [0.0, 1.0]], "not symmetric"),
+         ([[1.0, 0.0], [0.0, -1e-300]], "not positive definite"),
+         ([[1.0, 0.0], [0.0, 0.0]], "not positive definite")],
     )
     def test_constant_metric_keeps_its_checks(self, rows, message):
         # a constant metric skips the curvature products, not the checks of G0
@@ -158,6 +160,10 @@ class TestRiemann:
             riemann(const, np.zeros(2))
         with pytest.raises(DegenerateMetricError, match=message):
             ChartPoint.at(const, np.zeros((3, 2)))
+        # definiteness has no absolute floor: diag(1, 1e-300) factors, whatever its unit
+        tiny = MetricChart(2, const.domain, lambda coords: [[1.0, 0.0], [0.0, 1e-300]])
+        L = ChartPoint.at(tiny, np.zeros((3, 2))).L
+        assert np.allclose(L[:, 1, 1], 1e-150, rtol=1e-15, atol=0.0) and (L[:, 0, 0] == 1.0).all()
 
 
 def riemannian_linear_map(rng: np.random.Generator, kappa: float) -> maps.SmoothMap:

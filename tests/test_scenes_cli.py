@@ -564,13 +564,14 @@ def _chart_doc(**overrides):
 
 
 # R diag(1, 1e18) R^T for a rotation R by 0.274 rad, as the float texts of its
-# entries: its eigenvalues read 8 and 1e18, so it passes the definiteness check, and
-# its Cholesky factor fails
+# entries: its eigenvalues read 8 and 1e18, both positive, and its Cholesky factor fails
 ROTATED_METRIC = [["7.321590461401246e+16", "-2.60490567824565e+17"],
                   ["-2.60490567824565e+17", "9.267840953859876e+17"]]
-# the point error of a source metric that fails its factor at [0.1, 0.2] that way
+# the point error of a source chart (a scene-file chart, named 'custom') whose metric
+# fails its factor at [0.1, 0.2] that way
 ROTATED_AT_POINT = re.compile(
-    r"source metric too ill-conditioned \(\u03ba \u2248 \d\.\de\+1[6-9]\) at \[0\.1, 0\.2\]: "
+    r"metric too ill-conditioned \(\u03ba \u2248 \d\.\de\+1[6-9]\) at \[0\.1, 0\.2\] "
+    r"\(source chart 'custom'\): "
 )
 
 
@@ -594,7 +595,7 @@ class TestBadInput:
         assert len(errors) == 1 and exprs[0] in errors[0]
 
     def test_singular_gram_matrix_is_point_error(self, tmp_path):
-        """A source metric that passes its definiteness check but is singular to its
+        """A source metric whose eigenvalues are positive but which is singular to its
         Cholesky factor at x1 = 0.1 (ROTATED_METRIC there, better conditioned elsewhere):
         a chunk names that point in a DegenerateMetricError, not a LinAlgError, and the
         run reports it as that point's error while the other points evaluate."""
@@ -613,11 +614,13 @@ class TestBadInput:
 
     @pytest.mark.parametrize(
         "scale, ok",
-        [("1e6", True), ("1e21", True), ("1e40", True), ("1e120", True), ("rotated", False)],
+        [("1e6", True), ("1e21", True), ("1e40", True), ("1e120", True), ("rotated", False),
+         ("1e-6", True), ("1e-21", True), ("1e-120", True)],
     )
     def test_ill_conditioned_source_metric_is_named(self, tmp_path, scale, ok):
         """diag(a, 1) with F = x1 + x2 onto the metric a / (1 + a) is a Riemannian
-        submersion for every a > 0, and evaluates for a up to 1e120; the rotated source
+        submersion for every a > 0, and evaluates for a from 1e-120 to 1e120, whatever
+        the size of the metric's entries; the rotated source
         metric ROTATED_METRIC, of nominal condition 1e18, fails its Cholesky factor, and
         the point error names its condition number."""
         doc = _chart_doc(points=[[0.1, 0.2]])
@@ -644,7 +647,8 @@ class TestBadInput:
         """A rank-1 map onto a rotated constant target metric of nominal condition
         1e18 (eigenvalues 1, 1e9, 1e18; the source metric is its pullback plus the
         kernel's) fails the target's Cholesky factor; the point error names the target
-        metric's condition number as a failed source frame names the source's."""
+        chart, its point and its metric's condition number, as a failed source metric
+        names the source's."""
         doc = _chart_doc(points=[[0.1, 0.2]])
         C = [["6.306730069291114e+17", "4.8256851919336115e+17", "7224221922933264.0"],
              ["4.8256851919336115e+17", "3.692442416375628e+17", "5527716653316790.0"],
@@ -653,15 +657,17 @@ class TestBadInput:
             "source": {"dim": 2, "box": [[-1.0, 1.0]] * 2,
                        "metric": [["3.666694600307949e+17", "-8.011376732700864e+17"],
                                   ["-8.011376732700864e+17", "1.750409132734164e+18"]]},
-            "target": {"dim": 3, "box": [[-100.0, 100.0]] * 3, "metric": C},
+            "target": {"dim": 3, "box": [[-100.0, 100.0]] * 3, "metric": C, "name": "rotated"},
             "exprs": ["(0.571063469992082)*x1+(-1.247719020833028)*x2",
                       "(0.24553584586142468)*x1+(-0.5364723209871467)*x2",
                       "(0.3101910155790714)*x1+(-0.6777376781514107)*x2"],
             "map_mode": "riemannian_map", "rank": 1,
         }
+        # the target chart's point, F(0.1, 0.2)
         message = re.compile(
-            r"target metric too ill-conditioned \(\u03ba \u2248 \d\.\de\+1[6-9]\) "
-            r"at \[0\.1, 0\.2\]: "
+            r"metric too ill-conditioned \(\u03ba \u2248 \d\.\de\+1[6-9]\) "
+            r"at \[-0\.192437457\d*, -0\.082740879\d*, -0\.104528434\d*\] "
+            r"\(target chart 'rotated'\): "
         )
         for errors in self._both_exit_3(tmp_path, capsys, doc):
             assert len(errors) == 1 and message.match(errors[0]), errors
@@ -697,14 +703,15 @@ class TestBadInput:
         else:
             assert code == 3 and len(errors) == 1 and error in errors[0], errors
 
-    @pytest.mark.parametrize("k", [9, 12, 30])
+    @pytest.mark.parametrize("k", [9, 12, 30, -5, -30, -150])
     def test_radial_submersion_in_another_target_unit(self, k):
         """radial-4.json with F = 10^-k norm(x) onto the target metric 10^2k is the same
         Riemannian submersion, its target coordinate in another unit: it evaluates, and
-        every slack is that of k = 0 to 1e-12 relative."""
+        every slack is that of k = 0 to 1e-12 relative.  For k < 0 the target metric is
+        as small as 1e-300, which its factor takes as it takes 1."""
         doc = json.loads((_SCENARIO_DIR / "radial-4.json").read_text())
         want = evaluate_scenario(parse_scenario(doc))
-        doc["map"]["exprs"] = [f"1e-{k}*norm(x)"]
+        doc["map"]["exprs"] = [f"1e{-k}*norm(x)"]
         doc["map"]["target"] = {**doc["map"]["target"], "metric": [[f"1e{2 * k}"]],
                                 "box": [[0.05 * 10.0**-k, 6.0 * 10.0**-k]]}
         got = evaluate_scenario(parse_scenario(doc))
@@ -1208,6 +1215,39 @@ class TestRunReports:
         rep = evaluate_scenario(parse_scenario(doc, name_hint="bad-c"))
         assert rep.aggregate["point_errors"] == len(rep.points)
         assert all("space form" in p.errors[0] for p in rep.points)
+
+    @pytest.mark.parametrize("delta, ok", [(1e-7, True), (1e-5, False)])
+    def test_space_form_tolerance_sits_between_1e_7_and_1e_5(self, delta, ok):
+        """s4-radial.json declared with c = 1 + delta, off the round S^4 by delta: within
+        the space-form tolerance 1e-6 it evaluates with residual 1.0e-7, and outside it
+        every point fails.  (1e-6 itself is on the boundary, where rounding decides.)"""
+        doc = json.loads((_SCENARIO_DIR / "s4-radial.json").read_text())
+        doc["c"] = 1.0 + delta
+        rep = evaluate_scenario(parse_scenario(doc))
+        if ok:
+            assert rep.aggregate["point_errors"] == 0
+            residuals = [r.extras["space_form_residual"] for p in rep.points for r in p.reports]
+            assert residuals and all(abs(r - delta) <= 1e-6 * delta for r in residuals)
+            return
+        assert rep.aggregate["point_errors"] == len(rep.points)
+        message = "source curvature deviates from the c=1.00001 space form by 1.000e-05"
+        assert all(p.errors == [message] for p in rep.points)
+
+    @pytest.mark.parametrize("eps, verdict", [(1e-9, "equality"), (1e-7, "strict")])
+    def test_a_vanishing_tolerance_decides_the_horizontal_equality(self, eps, verdict):
+        """pw-equality-combined:s4l4 with A = eps A0, A0 a seeded skew tensor with entries
+        in [-1, 1]: |A| is about 3 eps, so A vanishes to the tolerance 1e-8 at eps = 1e-9,
+        and the horizontal family reads equality, and not at eps = 1e-7, where it reads
+        strict although its slack is still within the equality tolerance."""
+        A0 = np.random.default_rng(0).uniform(-1.0, 1.0, (4, 4, 4))
+        A0 = 0.5 * (A0 - A0.swapaxes(-1, -2))
+        doc = dict(builtin_scenario("pw-equality-combined:s4l4").raw)
+        doc["tensors"] = {**doc["tensors"], "A": (eps * A0).tolist()}
+        (point,) = evaluate_scenario(parse_scenario(doc)).points
+        horizontal = [r for r in point.reports if "horizontal" in r.theorem_id]
+        assert point.errors == [] and len(horizontal) == 4
+        assert all(r.equality_verdict == verdict for r in horizontal)
+        assert all(abs(r.slack) < 1e-12 for r in horizontal)
 
     def test_equality_fixture_reports(self):
         rep = evaluate_scenario(builtin_scenario("pw-equality-combined:s4l4"))

@@ -114,14 +114,17 @@ def test_product_projection_does_no_passive_work(monkeypatch):
     ],
 )
 def test_a_failing_literal_metric_keeps_its_message(monkeypatch, rows, message):
+    """A literal metric that is not symmetric runs the program, as any other metric;
+    one that is symmetric is literal, and its chart point's factor fails at the first
+    point of the chunk, with the message of the general path."""
     chart = MetricChart.from_exprs(2, ((-1.0, 1.0),) * 2, rows, "literal")
     X = np.array([[0.3, -0.2], [0.1, 0.1], [-0.5, 0.4]])
-    assert chart.g.literal is None
+    assert (chart.g.literal is None) == ("not symmetric" in message)
     for general in (False, True):
         if general:
             _general_path(monkeypatch)
         with pytest.raises(DegenerateMetricError) as err:
-            chart.metric_jets(X)
+            ChartPoint.at(chart, X)
         assert str(err.value) == message
 
 
