@@ -123,24 +123,47 @@ def casorati(inp: CasoratiInput) -> float:
 class _Quartic:
     """phi(u) = |h|^2 - u^T S u + sum_a (u^T h_a u)^2, built once per call.
 
-    ``S`` is sum_a (h_a^T h_a + h_a h_a^T) and ``sym`` holds the
-    symmetric parts h_a + h_a^T.  ``stacked`` puts S and every sym_a
-    side by side as one (n, (a+1)*n) matrix, so one product gives all of
-    them at once.  The formula holds for any slices, symmetric or skew.
+    ``S`` is sum_a (h_a^T h_a + h_a h_a^T); with the symmetric parts
+    sym_a = h_a + h_a^T it makes the blocks (S, sym_1, ...).
+    ``stacked`` puts the blocks side by side as one (n, (a+1)*n)
+    matrix, so one product gives all of them at once, and ``blocks``
+    holds them flattened as the rows of an (a+1, n*n) matrix, which the
+    Hessian's coefficients weigh.  The formula holds for any slices,
+    symmetric or skew.
+
+    ``of(h, k)`` builds the quartic of h / 2**k, whose phi is that of h
+    times 4**-k, exactly.  The search states its tolerances in the units
+    of h through ``scaled``, and its step length and eigenvalue floor
+    through ``absolute``, so it takes the steps it would take on h.
     """
 
     total_sq: float
     S: np.ndarray
-    sym: np.ndarray
     stacked: np.ndarray
+    blocks: np.ndarray
+    k: int = 0
 
     @classmethod
-    def of(cls, h: np.ndarray) -> "_Quartic":
-        sym = h + h.transpose(0, 2, 1)
+    def of(cls, h: np.ndarray, k: int = 0) -> "_Quartic":
+        if k:
+            h = np.ldexp(h, -k)
         S = np.einsum("aji,ajk->ik", h, h) + np.einsum("aij,akj->ik", h, h)
-        blocks = np.concatenate([S[None], sym])
+        blocks = np.concatenate([S[None], h + h.transpose(0, 2, 1)])
         stacked = blocks.transpose(1, 0, 2).reshape(S.shape[0], -1)
-        return cls(float(np.sum(h**2)), S, sym, stacked)
+        return cls(float(np.sum(h**2)), S, stacked, blocks.reshape(len(blocks), -1), k)
+
+    def scaled(self, value: float) -> float:
+        """A value in the units of phi of h, in the units of this quartic's phi (exact)."""
+        return math.ldexp(value, -2 * self.k)
+
+    def absolute(self, value: float) -> float:
+        """An absolute constant of the search, in the units of phi of h, in this quartic's units.
+
+        That is ``scaled`` up to k = 128.  Past it the constant keeps its
+        k = 128 value: there a step of the burn-in already jumps to its
+        gradient's direction, and a longer one would square out of range.
+        """
+        return math.ldexp(value, -2 * min(self.k, 128))
 
     def products(self, U: np.ndarray):
         """W[m] = (S u, sym_1 u, ...) and r[m] = (u^T S u, 2 u^T h_1 u, ...).
@@ -161,36 +184,40 @@ def _phi(Q: _Quartic, r: np.ndarray) -> np.ndarray:
     return Q.total_sq - r[:, 0] + 0.25 * np.einsum("ma,ma->m", q2, q2)
 
 
-def _grad(W: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """-2 S u + 2 sum_a (u^T h_a u) sym_a u from ``_Quartic.products``."""
-    coef = r.copy()
-    coef[:, 0] = -2.0
+def _coef(r: np.ndarray, sign: np.ndarray) -> np.ndarray:
+    """sign[m] * (-2, u^T sym_1 u, ...), the weights of sign * phi's derivatives on the blocks.
+
+    The weights overwrite ``r``, which its caller has read.  Folding the
+    signs (+-1) into the weights is exact: each derivative rounds as
+    sign * its unsigned form does.
+    """
+    r[:, 0] = -2.0
+    r *= sign[:, None]
+    return r
+
+
+def _grad(W: np.ndarray, coef: np.ndarray) -> np.ndarray:
+    """sign * (-2 S u + 2 sum_a (u^T h_a u) sym_a u) from ``products`` and ``_coef``."""
     return np.einsum("mk,mkn->mn", coef, W)
 
 
-def _hess(Q: _Quartic, W: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """Stacked Euclidean Hessians -2 S + sum_a (2 u^T h_a u) sym_a + 2 V^T V.
+def _hess(Q: _Quartic, W: np.ndarray, coef: np.ndarray, sign: np.ndarray) -> np.ndarray:
+    """Stacked Euclidean Hessians sign * (-2 S + sum_a (2 u^T h_a u) sym_a + 2 V^T V).
 
-    ``W`` and ``r`` come from ``products`` of an (m, 1, n) block; V[m]
-    holds the rows sym_a u.
+    ``W`` comes from ``products`` of an (m, 1, n) block and ``coef`` from
+    ``_coef``; V[m] holds the rows sym_a u.  The weighted blocks take one
+    vector product per row, so every row rounds as it does alone.
     """
-    a, n = Q.sym.shape[:2]
+    m, n = W.shape[0], W.shape[-1]
     V = W[:, 1:]
-    quad = (r[:, None, 1:] @ Q.sym.reshape(a, -1)).reshape(-1, n, n)
-    return -2.0 * Q.S + quad + 2.0 * (V.transpose(0, 2, 1) @ V)
+    weighted = (coef[:, None, :] @ Q.blocks).reshape(m, n, n)
+    return weighted + (2.0 * sign)[:, None, None] * (V.transpose(0, 2, 1) @ V)
 
 
 def _signed_phi_grad(Q: _Quartic, U: np.ndarray, sign: np.ndarray):
-    """sign[m] * phi and sign[m] * grad of an (m, n) block of rows.
-
-    The signs (+-1) are folded into the gradient coefficients, which is
-    exact: each gradient rounds as sign * grad does.
-    """
+    """sign[m] * phi and sign[m] * grad of an (m, n) block of rows."""
     W, r = Q.products(U)
-    vals = sign * _phi(Q, r)
-    r[:, 0] = -2.0
-    r *= sign[:, None]
-    return vals, np.einsum("mk,mkn->mn", r, W)
+    return sign * _phi(Q, r), _grad(W, _coef(r, sign))
 
 
 def _dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -226,35 +253,52 @@ def _starts(Q: _Quartic) -> np.ndarray:
 
 
 def _tangent_frames(U: np.ndarray) -> np.ndarray:
-    """Columns of frame m span the tangent space of the sphere at U[m] (Householder)."""
-    n = U.shape[1]
-    E = np.zeros_like(U)
-    E[:, 0] = 1.0
-    V = np.where(U[:, :1] >= 0, U + E, U - E)
-    V /= np.sqrt(_dot(V, V))[:, None]
-    return (np.eye(n) - 2.0 * (V[:, :, None] * V[:, None, :]))[:, :, 1:]
+    """Columns of frame m span the tangent space of the sphere at U[m].
 
-
-def _newton_steps(Ht: np.ndarray, gt: np.ndarray) -> np.ndarray:
-    """Modified Newton steps: solve |Ht[m]| z = -gt[m] in the eigenbasis of Ht[m].
-
-    Every eigenvalue is replaced by its absolute value, at least 1e-14,
-    so each step descends even where Ht[m] is indefinite or singular.
+    They are the last n - 1 columns of the Householder reflection
+    I - c w w^T, w = U[m] +- e_1 with the sign (bit) of U[m, 0] and
+    c = 2 / |w|^2, taken as one rank-1 update of those columns of I.
     """
-    lam, V = np.linalg.eigh(Ht)
-    lam = np.maximum(np.abs(lam), 1e-14)
-    return -(V @ ((V.transpose(0, 2, 1) @ gt[:, :, None]) / lam[:, :, None]))[:, :, 0]
+    w = U.copy()
+    w[:, 0] += np.copysign(1.0, U[:, 0])
+    cw = (2.0 / _dot(w, w))[:, None] * w
+    return np.eye(U.shape[1])[:, 1:] - cw[:, :, None] * w[:, None, 1:]
+
+
+def _newton_steps(Ht: np.ndarray, gt: np.ndarray, floor: float) -> np.ndarray:
+    """Modified Newton steps: Ht[m] z = -gt[m], or |Ht[m]| z = -gt[m] where Ht[m] is not definite.
+
+    The stacked Cholesky factorization is the definiteness test: a stack
+    that factors takes one stacked ``solve``.  When it does not, each row
+    takes the step it takes alone, so no row's step depends on the rows
+    stacked with it.  A row that does not factor is solved in the
+    eigenbasis of Ht[m], every eigenvalue replaced by its absolute
+    value, at least ``floor``, so each step descends even where Ht[m]
+    is indefinite or singular.
+    """
+    try:
+        np.linalg.cholesky(Ht)
+    except np.linalg.LinAlgError:
+        if len(Ht) > 1:
+            return np.concatenate(
+                [_newton_steps(Ht[m : m + 1], gt[m : m + 1], floor) for m in range(len(Ht))]
+            )
+        lam, V = np.linalg.eigh(Ht)
+        lam = np.maximum(np.abs(lam), floor)
+        return -(V @ ((V.transpose(0, 2, 1) @ gt[:, :, None]) / lam[:, :, None]))[:, :, 0]
+    return -np.linalg.solve(Ht, gt[:, :, None])[:, :, 0]
 
 
 class _RowState(NamedTuple):
     """sign[m] * phi and its Riemannian gradient at the unit rows U[m], in row form.
 
-    ``W`` and ``r`` are the ``products`` of the (m, 1, n) block, ``gu``
-    is grad . u and ``gnorm`` the norm of ``rgrad``.
+    ``W`` holds the ``products`` of the (m, 1, n) block and ``coef`` the
+    signed weights of its derivatives (``_coef``); ``gu`` is grad . u
+    and ``gnorm`` the norm of ``rgrad``.
     """
 
     W: np.ndarray
-    r: np.ndarray
+    coef: np.ndarray
     value: np.ndarray
     gu: np.ndarray
     rgrad: np.ndarray
@@ -262,12 +306,18 @@ class _RowState(NamedTuple):
 
     @classmethod
     def at(cls, Q: _Quartic, U: np.ndarray, sign: np.ndarray) -> "_RowState":
-        """Every entry is row-wise, so a row rounds as it would alone, in any block."""
+        """Every entry is row-wise, so a row rounds as it would alone, in any block.
+
+        grad . u is read off r: sum_a r_a^2 - 2 r_0, times the sign.
+        """
         W, r = Q.products(U[:, None, :])
-        grad = sign[:, None] * _grad(W, r)
-        gu = _dot(grad, U)
-        rgrad = grad - gu[:, None] * U
-        return cls(W, r, sign * _phi(Q, r), gu, rgrad, np.sqrt(_dot(rgrad, rgrad)))
+        q2 = r[:, 1:]
+        sq = np.einsum("ma,ma->m", q2, q2)
+        value = sign * (Q.total_sq - r[:, 0] + 0.25 * sq)  # sign * _phi(Q, r)
+        gu = sign * (sq - 2.0 * r[:, 0])
+        coef = _coef(r, sign)
+        rgrad = _grad(W, coef) - gu[:, None] * U
+        return cls(W, coef, value, gu, rgrad, np.sqrt(_dot(rgrad, rgrad)))
 
 
 def _newton_polish(Q, U, sign, tol):
@@ -279,13 +329,13 @@ def _newton_polish(Q, U, sign, tol):
     Hessian gives quadratic tail convergence at nondegenerate extrema.
     Each iteration takes one modified Newton step (``_newton_steps``)
     for every live row: its Householder tangent frame, its Hessian and
-    its eigendecomposition are stacked, and its line search halves the
-    step (up to 30 times) until the Riemannian gradient shrinks or
-    sign * phi falls by the Armijo amount.  The second test carries a
-    row across nearly flat, indefinite stretches (clustered eigenvalues),
-    where the gradient norm alone stalls.  A row stops converged once
-    its gradient is below ``tol``, and unconverged when its line search
-    fails or after ``_POLISH_ITERS`` steps.
+    its factorization are stacked, and its line search halves the step
+    (up to 30 times) until the Riemannian gradient shrinks or sign * phi
+    falls by the Armijo amount.  The second test carries a row across
+    nearly flat, indefinite stretches (clustered eigenvalues), where the
+    gradient norm alone stalls.  A row stops converged once its gradient
+    is below ``tol``, and unconverged when its line search fails or
+    after ``_POLISH_ITERS`` steps.
 
     Each iterate is evaluated once (``_RowState.at``): the given rows,
     then every line-search candidate.  The full step is tried on the
@@ -294,16 +344,16 @@ def _newton_polish(Q, U, sign, tol):
     into its convergence test and its next step.  Every per-row product
     is row-wise, so a row rounds as it would alone, and a carried state
     has the bits a second evaluation would give.  Returns
-    (U, ok, steps, r): steps[m] counts the Newton steps row m took, and
-    r[m] is the ``products`` form r at U[m], from which ``_phi`` reads
-    its value.
+    (U, ok, steps, value): steps[m] counts the Newton steps row m took,
+    and value[m] is sign[m] * phi at U[m].
     """
     cand, U = U, U.copy()  # the given rows are the first iterates
     eye = np.eye(U.shape[1] - 1)
+    floor = Q.absolute(1e-14)  # the eigenvalue floor of a modified step
     steps = np.zeros(U.shape[0], dtype=int)
     live, sg = np.arange(U.shape[0]), sign
     state = _RowState.at(Q, cand, sg)
-    R = state.r.copy()
+    values = state.value.copy()
     ok = state.gnorm < tol
     go = ~ok
     for it in range(1, _POLISH_ITERS + 1):
@@ -313,13 +363,12 @@ def _newton_polish(Q, U, sign, tol):
         if not live.size:
             break
         u = cand
-        W, r, value, gu, rgrad, gnorm = state
+        W, coef, value, gu, rgrad, gnorm = state
         Qt = _tangent_frames(u)
         QtT = Qt.transpose(0, 2, 1)
-        H = sg[:, None, None] * _hess(Q, W, r)
-        Ht = QtT @ H @ Qt - gu[:, None, None] * eye
+        Ht = QtT @ _hess(Q, W, coef, sg) @ Qt - gu[:, None, None] * eye
         gt = (QtT @ rgrad[:, :, None])[:, :, 0]
-        z = _newton_steps(Ht, gt)
+        z = _newton_steps(Ht, gt, floor)
         slope = 1e-4 * _dot(z, gt)  # Armijo fraction of the directional derivative
         d = (Qt @ z[:, :, None])[:, :, 0]
         cand = u + d  # the full step, on every live row
@@ -343,11 +392,11 @@ def _newton_polish(Q, U, sign, tol):
             better[rows] = True
             s = s[~took]
         moved = live[better]  # a failed line search stops its row unconverged
-        U[moved], R[moved], steps[moved] = cand[better], state.r[better], it
+        U[moved], values[moved], steps[moved] = cand[better], state.value[better], it
         conv = state.gnorm < tol
         ok[live[better & conv]] = True
         go = better & ~conv
-    return U, ok, steps, R
+    return U, ok, steps, values
 
 
 def _projected_descent(Q, U, sign):
@@ -366,7 +415,7 @@ def _projected_descent(Q, U, sign):
     """
     U = U.copy()
     vals, grad = _signed_phi_grad(Q, U, sign)
-    steps = np.full((U.shape[0], 1), 0.1)
+    steps = np.full((U.shape[0], 1), 0.1 / Q.absolute(1.0))  # 0.1 against h's gradient
     for _ in range(_BURN_IN):
         rgrad = grad - np.einsum("mn,mn->m", grad, U)[:, None] * U
         cand = U - steps * rgrad
@@ -396,10 +445,10 @@ class HyperplaneExtrema:
 
 @dataclass(frozen=True)
 class _Side:
-    """Polished candidates of one side of a search, best first."""
+    """Polished candidates of one side of a search, in the burn-in's order."""
 
     U: np.ndarray
-    phi: np.ndarray
+    value: np.ndarray  # sign * phi
     ok: np.ndarray
     start: np.ndarray  # index of each candidate's start among its side's starts
     iterations: int  # Newton steps of the side's slowest candidate
@@ -411,56 +460,56 @@ def _search(Q: _Quartic, starts: np.ndarray, tol: float) -> list[_Side]:
     Every start of both sides takes the burn-in as one block
     (``_projected_descent``), and one Newton polish then takes the
     ``_POLISH_COUNT`` best rows of each side to the gradient tolerance
-    ``tol``.  The polished rows are ranked by the phi of their carried
-    ``r``, so no polished point is evaluated again.
+    ``tol``.  Each side keeps its polished rows in the order the burn-in
+    ranked them, with the values the polish carried, so no polished
+    point is evaluated again.
     """
     _, m, n = starts.shape
     signs = np.repeat([1.0, -1.0], m)
     U, vals = _projected_descent(Q, starts.reshape(2 * m, n), signs)
     picks = [np.argsort(v)[:_POLISH_COUNT] for v in vals.reshape(2, m)]
     rows = np.concatenate([picks[0], m + picks[1]])
-    P, ok, steps, r = _newton_polish(Q, U[rows], signs[rows], tol)
-    phi = _phi(Q, r)
-    sides = []
-    for k, sign in enumerate((1.0, -1.0)):
-        part = slice(k * _POLISH_COUNT, (k + 1) * _POLISH_COUNT)
-        order = np.argsort(sign * phi[part], kind="stable")
-        sides.append(
-            _Side(
-                P[part][order],
-                phi[part][order],
-                ok[part][order],
-                picks[k][order],
-                int(steps[part].max()),
-            )
-        )
-    return sides
+    P, ok, steps, value = _newton_polish(Q, U[rows], signs[rows], tol)
+    parts = (slice(0, _POLISH_COUNT), slice(_POLISH_COUNT, None))
+    return [
+        _Side(P[part], value[part], ok[part], pick, int(steps[part].max()))
+        for part, pick in zip(parts, picks)
+    ]
 
 
-def _best(Q: _Quartic, side: _Side, tol: float):
-    """The side's extremum, its direction, its tie flag and its audit counters."""
-    n = side.U.shape[1]
-    if not side.ok.any():
-        raise OptimizationError(
-            f"no start reached gradient tolerance {tol:.1e}",
-            best=float(side.phi[0]) / (n - 1),
-        )
-    best_val, best_u = float(side.phi[0]), side.U[0]
-    scale = max(1.0, Q.total_sq)
-    align = _dot(side.U[1:], best_u).tolist()
-    degenerate = False
-    for val, dot in zip(side.phi[1:].tolist(), align):
-        if abs(val - best_val) >= _TIE_VALUE * scale:
-            break
-        if 1.0 - abs(dot) > _TIE_DIRECTION:
-            degenerate = True
-            break
+def _best(side: _Side, window: float):
+    """The side's best sign * phi, its normal, its tie flag and its audit counters.
+
+    The rows whose value lies within ``window`` of the best form the tie
+    set.  The normal and the start index come from the tie-set row with
+    the lowest start index: polished rows that reach one extremum tie to
+    the last bit, and often so do their burn-in values, so a rule that
+    ranked them by either would move with the rounding.  The extremum is
+    degenerate when a tie-set row's normal is off that row's by more
+    than ``_TIE_DIRECTION``.
+    """
+    best = np.fmin.reduce(side.value)  # a NaN row is never the best
+    ties = np.flatnonzero(side.value - best < window)
+    first = ties[side.start[ties].argmin()]
+    u = side.U[first]
+    degenerate = bool(np.abs(side.U[ties] @ u).min() < 1.0 - _TIE_DIRECTION)
     audit = {
-        "start_index": int(side.start[0]),
+        "start_index": int(side.start[first]),
         "iterations": side.iterations,
         "converged_starts": int(side.ok.sum()),
     }
-    return best_val, best_u, degenerate, audit
+    return float(best), u, degenerate, audit
+
+
+def _scale_exponents(h: np.ndarray) -> np.ndarray:
+    """k for every stack of slices h[..., a, n, n]: 2**k > max |h|, or k = 0 where max |h| <= 1.
+
+    Dividing a stack by 2**k and multiplying its results back is exact
+    (barring underflow), and keeps the squares and products of slices
+    near the float limit in range.
+    """
+    top = np.abs(h).max(axis=(-3, -2, -1), initial=0.0)
+    return np.where(top > 1.0, np.frexp(top)[1], 0)
 
 
 def hyperplane_extrema(inp: CasoratiInput) -> HyperplaneExtrema:
@@ -604,18 +653,33 @@ def _multistart_extrema(h: np.ndarray) -> HyperplaneExtrema:
 
     The 64 min starts and the 64 max starts (``_starts``) take the
     burn-in as one block and the best 12 of each side are polished as
-    one block (``_search``).  Valid for any slices, so it also serves as
-    the test oracle of ``_exact_extrema`` and ``_one_slice_extrema``.
+    one block (``_search``); ``_best`` reads each side's extremum and
+    tie set.  The search runs on h / 2**k (``_scale_exponents``), so
+    that phi's squares stay in range near the float limit, and its
+    values are scaled back by 4**k, exactly.  Its tolerances, tie
+    window, step and floor keep their definitions in the units of h, so
+    wherever the search on h itself stays in range it takes the same
+    steps, bit for bit.  Valid for any slices, so it also serves as the
+    test oracle of ``_exact_extrema`` and ``_one_slice_extrema``.
     """
     n = h.shape[1]
-    Q = _Quartic.of(h)
-    tol = _GRAD_TOL * max(1.0, Q.total_sq)
-    lo, hi = _search(Q, _starts(Q), tol)
-    inf_phi, u_min, deg_min, audit_min = _best(Q, lo, tol)
-    sup_phi, u_max, deg_max, audit_max = _best(Q, hi, tol)
+    Q = _Quartic.of(h, int(_scale_exponents(h)))
+    scale = max(1.0, math.ldexp(Q.total_sq, 2 * Q.k))  # max(1, |h|^2)
+    tol = _GRAD_TOL * scale
+    sides = _search(Q, _starts(Q), Q.scaled(tol))
+    found = []
+    for side, sign in zip(sides, (1.0, -1.0)):
+        if not side.ok.any():
+            best = math.ldexp(sign * float(np.fmin.reduce(side.value)), 2 * Q.k)
+            raise OptimizationError(
+                f"no start reached gradient tolerance {tol:.1e}", best=best / (n - 1)
+            )
+        best, u, degenerate, audit = _best(side, Q.scaled(_TIE_VALUE * scale))
+        found.append((math.ldexp(sign * best, 2 * Q.k) / (n - 1), u, degenerate, audit))
+    (inf_cl, u_min, deg_min, audit_min), (sup_cl, u_max, deg_max, audit_max) = found
     return HyperplaneExtrema(
-        inf_CL=inf_phi / (n - 1),
-        sup_CL=sup_phi / (n - 1),
+        inf_CL=inf_cl,
+        sup_CL=sup_cl,
         argmin_normal=u_min,
         argmax_normal=u_max,
         degenerate_min=deg_min,

@@ -17,6 +17,7 @@ import csv
 import dataclasses
 import io
 import json
+import re
 import sys
 
 from .errors import CasoratiqError, SceneValidationError
@@ -33,14 +34,74 @@ __all__ = ["main", "report_json", "report_csv"]
 
 
 def report_json(report) -> str:
-    """The report as one line of compact JSON with sorted keys."""
-    return _json_line(report.as_dict())
+    """The report as one line of compact JSON with sorted keys.
+
+    The bytes are those of ``_json_line(report.as_dict())``.  The theorem
+    rows of a point share their extras dicts and diagnostics blocks, so
+    the document is encoded piecewise (``_rows_text``): each distinct
+    shared dict is encoded once per report, and its text is spliced into
+    every row that holds it.
+    """
+    return _rows_text([report.as_dict()], {})[1:-1] + "\n"  # the one row, without brackets
+
+
+# json.dumps(doc, sort_keys=True, separators=(",", ": "), allow_nan=False) of a tree;
+# no indent, which would switch json to its pure-Python encoder, and ": " keeps each
+# "key": value pair spelled as in an indented dump
+_ENCODER = json.JSONEncoder(
+    sort_keys=True, separators=(",", ": "), allow_nan=False, check_circular=False
+)
 
 
 def _json_line(doc) -> str:
-    # no indent, which would switch json to its pure-Python encoder; ": " keeps
-    # each "key": value pair spelled as in an indented dump
-    return json.dumps(doc, sort_keys=True, separators=(",", ": "), allow_nan=False) + "\n"
+    return _ENCODER.encode(doc) + "\n"
+
+
+def _rows_text(rows: list, texts: dict) -> str:
+    """``_ENCODER.encode(rows)`` of a list of dicts, each shared dict encoded once.
+
+    The values of a key are spliced in when the first row holds a list
+    of dicts under it, encoded as rows in turn, or when the first two
+    rows hold one dict under it.  Each distinct dict is encoded once and
+    kept in ``texts`` under its id (the entry holds the dict, so the id
+    stays its own).  The rows, with those values set to None, take one
+    encode, and each of their ``"key": null`` pairs is replaced by its
+    row's text.  The pairs are all found before any text is spliced in:
+    a row that holds the key holds the pair once at its top level, and
+    should a dict left in place hold one more, or a row lack the key,
+    the rows are encoded whole.
+    """
+    first, second = rows[0], rows[1] if len(rows) > 1 else {}
+    nested = dict.fromkeys(
+        key for key, value in first.items()
+        if (isinstance(value, list) and value and isinstance(value[0], dict))
+        or (isinstance(value, dict) and second.get(key) is value)
+    )
+    if not nested or not all(key in row for row in rows for key in nested):
+        return _ENCODER.encode(rows)
+    fills = {
+        _ENCODER.encode(key): iter([_text(row[key], texts) for row in rows]) for key in nested
+    }
+    flat = _ENCODER.encode([row | nested for row in rows])
+    pieces = re.split("(" + "|".join(map(re.escape, fills)) + "): null", flat)
+    if len(pieces) // 2 != len(rows) * len(nested):
+        return _ENCODER.encode(rows)
+    out = [pieces[0]]
+    for name, rest in zip(pieces[1::2], pieces[2::2]):
+        out += [name, ": ", next(fills[name]), rest]
+    return "".join(out)
+
+
+def _text(value, texts: dict) -> str:
+    """The text of one spliced value: a list of dicts as rows, a dict once per report."""
+    if isinstance(value, list) and value and all(isinstance(x, dict) for x in value):
+        return _rows_text(value, texts)
+    if not isinstance(value, dict):
+        return _ENCODER.encode(value)
+    entry = texts.get(id(value))
+    if entry is None:
+        entry = texts[id(value)] = (value, _ENCODER.encode(value))
+    return entry[1]
 
 
 def report_csv(report) -> str:

@@ -10,6 +10,7 @@ horizontal equality case is exactly "A vanishes".
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, fields
 from typing import NamedTuple, Optional
@@ -20,6 +21,7 @@ from .casorati import (
     CasoratiInput,
     HyperplaneExtrema,
     _extrema_rows,
+    _scale_exponents,
     casorati,
     delta_casorati,
 )
@@ -78,6 +80,12 @@ class EqualityDiagnostics:
     degenerate_extrema: bool = False
 
     def as_dict(self) -> dict:
+        """The block's JSON object, built once: the rows that hold this block share it,
+        as the rows of a family share their extras dict."""
+        return self._doc
+
+    @functools.cached_property
+    def _doc(self) -> dict:
         return {
             "offdiag_max": self.offdiag_max,
             "eigen_pattern_residual": self.eigen_pattern_residual,
@@ -155,12 +163,19 @@ def _diagnostic_arrays(h: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, ...]:
     ``h`` (..., a, n, n) holds the slices and ``u`` (..., n) the argmin
     normals, with the same point axes; every residual has those axes, and
     each point gets the bits it gets alone.  Slices that are all exactly
-    zero give exactly zero residuals, with no product.
+    zero give exactly zero residuals, with no product.  Each point's
+    residuals are taken on its slices over 2**k (``_scale_exponents``)
+    and scaled back, by 2**k and by 4**k for the commutator, which is
+    exact, so slices near the float limit keep their products in range.
     """
     n = h.shape[-1]
     if not h.any():
         zero = np.zeros(h.shape[:-3])
         return zero, zero, zero, zero
+    k = _scale_exponents(h)
+    scaled = k.any()
+    if scaled:
+        h = np.ldexp(h, -k[..., None, None, None])
     Q = _rotation_to_last(u)[..., None, :, :]  # against the slice axis
     rotated = Q @ h @ Q.swapaxes(-1, -2)
     off = rotated.copy()
@@ -179,7 +194,11 @@ def _diagnostic_arrays(h: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, ...]:
     products = h[..., :, None, :, :] @ h[..., None, :, :, :]
     comm = products - products.swapaxes(-4, -3)
     norms = np.sqrt(_dots(comm.reshape(comm.shape[:-4] + (-1, n * n))))
-    return offdiag, pattern, common, _running_max(norms)
+    comm_max = _running_max(norms)
+    if not scaled:
+        return offdiag, pattern, common, comm_max
+    offdiag, pattern, common = (np.ldexp(x, k) for x in (offdiag, pattern, common))
+    return offdiag, pattern, common, np.ldexp(comm_max, 2 * k)
 
 
 def _diagnostics_rows(

@@ -837,6 +837,20 @@ def test_stacked_diagnostics_match_the_slice_loops():
                 d.commutator_max) == want
 
 
+def test_scaled_diagnostics_keep_the_unscaled_bits(monkeypatch):
+    # slices above 1 are measured over 2^k and scaled back, which is exact: every
+    # residual keeps the bits of the unscaled computation, point by point
+    rng = np.random.default_rng(22)
+    h = np.stack([g + g.transpose(0, 2, 1) for g in rng.normal(size=(5, 3, 4, 4))])
+    h *= 10.0 ** np.array([-3.0, 0.5, 4.0, 30.0, 70.0])[:, None, None, None]
+    u = rng.normal(size=(5, 4))
+    u /= np.linalg.norm(u, axis=-1, keepdims=True)
+    scaled = _diagnostic_arrays(h, u)
+    monkeypatch.setattr(inequalities, "_scale_exponents", lambda h: np.zeros(h.shape[:-3], int))
+    for got, want in zip(scaled, _diagnostic_arrays(h, u)):
+        assert np.array_equal(got, want)
+
+
 def _space_form_cases(count=12):
     """Random metrics, orthonormal frames and curvature tensors at P points."""
     rng = np.random.default_rng(21)

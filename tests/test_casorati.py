@@ -1,5 +1,6 @@
 import importlib
 import json
+import math
 import subprocess
 import sys
 
@@ -19,12 +20,16 @@ from casoratiq.casorati import (
     _POLISH_ITERS,
     _START_COUNT,
     _START_SEED,
+    _TIE_VALUE,
+    _RowState,
+    _coef,
     _dot,
     _grad,
     _hess,
     _multistart_extrema,
     _newton_steps,
     _phi,
+    _scale_exponents,
     _search,
     _signed_phi_grad,
     _sphere_starts,
@@ -42,6 +47,9 @@ from conftest import (
     tripathi_minimize_numeric,
     tripathi_objective,
 )
+
+# the package attribute ``casoratiq.casorati`` is the function of that name
+casorati_module = importlib.import_module("casoratiq.casorati")
 
 
 def skew_coeffs(rng, n_alpha, n):
@@ -190,9 +198,12 @@ class TestQuartic:
             Q = _Quartic.of(h)
             U = rng.normal(size=(6, n))
             U /= np.linalg.norm(U, axis=1, keepdims=True)
+            ones = np.ones(len(U))
             W, r = Q.products(U)
-            phi, grad = _phi(Q, r), _grad(W, r)
-            hess = _hess(Q, *Q.products(U[:, None, :]))
+            phi, grad = _phi(Q, r), _grad(W, _coef(r, ones))
+            W1, r1 = Q.products(U[:, None, :])
+            hess = _hess(Q, W1, _coef(r1, ones), ones)
+            state = _RowState.at(Q, U, ones)
             for m, u in enumerate(U):
                 want_phi, want_grad, want_hess = self._loops(h, u)
                 assert phi[m] == pytest.approx(want_phi, abs=1e-12)
@@ -201,14 +212,17 @@ class TestQuartic:
                 )
                 np.testing.assert_allclose(grad[m], want_grad, rtol=0, atol=1e-12)
                 np.testing.assert_allclose(hess[m], want_hess, rtol=0, atol=1e-12)
+                # grad . u read off r
+                assert state.gu[m] == pytest.approx(want_grad @ u, abs=1e-12)
 
 
 # -- single-row oracle of the batched search ----------------------------------
 # The search as it ran before both sides and every polish candidate were
 # stacked: one descent per side and one Newton polish per candidate, each
-# on a single row.  The batched search must round exactly as this does.
-# With ``full=True`` the burn-in gives way to a full descent of every row
-# to the gradient tolerance, the reference that a short burn-in must not
+# on a single row, on h itself.  The batched search, on h / 2**k, must
+# round exactly as this does, its values scaled back by 4**k.  With
+# ``full=True`` the burn-in gives way to a full descent of every row to
+# the gradient tolerance, the reference that a short burn-in must not
 # fall behind.
 
 _FULL_DESCENT_ITERS = 200
@@ -242,65 +256,76 @@ def _oracle_descent(Q, U, sign, iters, tol=0.0):
     return U, vals
 
 
-def _oracle_hess(Q, u):
+def _oracle_state(Q, u, sign):
+    """(sign * phi, Riemannian gradient, its norm, grad . u, Euclidean Hessian) of one row."""
     W, r = Q.products(u[None, :])
+    q2 = r[:, 1:]
+    sq = np.einsum("ma,ma->m", q2, q2)[0]
+    gu = sign * (sq - 2.0 * r[0, 0])  # -2 u^T S u + sum_a (u^T sym_a u)^2
+    coef = np.concatenate([[-2.0 * sign], sign * r[0, 1:]])
+    rgrad = np.einsum("k,kn->n", coef, W[0]) - gu * u
     V = W[0, 1:]
-    return -2.0 * Q.S + np.tensordot(r[0, 1:], Q.sym, axes=1) + 2.0 * (V.T @ V)
+    hess = np.tensordot(coef, Q.blocks, axes=1).reshape(len(u), -1) + 2.0 * sign * (V.T @ V)
+    return sign * float(_phi(Q, r)[0]), rgrad, np.sqrt(rgrad @ rgrad), gu, hess
 
 
 def _oracle_tangent_basis(u):
-    n = u.shape[0]
-    e = np.zeros(n)
-    e[0] = 1.0
-    v = u + e if u[0] >= 0 else u - e
-    v /= np.linalg.norm(v)
-    return (np.eye(n) - 2.0 * np.outer(v, v))[:, 1:]
+    w = u.copy()
+    w[0] += math.copysign(1.0, u[0])
+    return np.eye(len(u))[:, 1:] - np.outer(2.0 / (w @ w) * w, w[1:])
+
+
+def _oracle_step(Ht, gt, floor):
+    """Newton where Ht factors, else |eigenvalues| of at least ``floor``."""
+    try:
+        np.linalg.cholesky(Ht)
+    except np.linalg.LinAlgError:
+        lam, V = np.linalg.eigh(Ht)
+        return -(V @ ((V.T @ gt) / np.maximum(np.abs(lam), floor)))
+    return -np.linalg.solve(Ht, gt)
 
 
 def _oracle_polish(Q, u, sign, tol):
-    """(u, converged, Newton steps taken) of one row."""
+    """(u, converged, Newton steps taken, sign * phi) of one row."""
+    value, rgrad, gnorm, gu, hess = _oracle_state(Q, u, sign)
     for it in range(_POLISH_ITERS):
-        grad = sign * _grad(*Q.products(u[None, :]))[0]
-        rgrad = grad - (grad @ u) * u
-        gnorm = np.linalg.norm(rgrad)
         if gnorm < tol:
-            return u, True, it
+            return u, True, it, value
         Qt = _oracle_tangent_basis(u)
-        H = sign * _oracle_hess(Q, u)
-        Ht = Qt.T @ H @ Qt - (grad @ u) * np.eye(Qt.shape[1])
+        Ht = Qt.T @ hess @ Qt - gu * np.eye(Qt.shape[1])
         gt = Qt.T @ rgrad
-        lam, V = np.linalg.eigh(Ht)
-        z = -(V @ ((V.T @ gt) / np.maximum(np.abs(lam), 1e-14)))
-        value = sign * float(_phi(Q, Q.products(u[None, :])[1])[0])
+        z = _oracle_step(Ht, gt, 1e-14)
         step = 1.0
         for _ in range(30):
             cand = u + step * (Qt @ z)
             cand /= np.linalg.norm(cand)
-            cgrad = sign * _grad(*Q.products(cand[None, :]))[0]
-            crg = cgrad - (cgrad @ cand) * cand
-            cvalue = sign * float(_phi(Q, Q.products(cand[None, :])[1])[0])
-            if np.linalg.norm(crg) < gnorm or cvalue < value + step * 1e-4 * (z @ gt):
-                u = cand
+            cstate = _oracle_state(Q, cand, sign)
+            if cstate[2] < gnorm or cstate[0] < value + step * 1e-4 * (z @ gt):
+                u, (value, rgrad, gnorm, gu, hess) = cand, cstate
                 break
             step *= 0.5
         else:
-            return u, False, it
-    grad = sign * _grad(*Q.products(u[None, :]))[0]
-    rgrad = grad - (grad @ u) * u
-    return u, bool(np.linalg.norm(rgrad) < tol), _POLISH_ITERS
+            return u, False, it, value
+    return u, bool(gnorm < tol), _POLISH_ITERS, value
 
 
 def _oracle_side(Q, starts, sign, tol, full=False):
+    """The polished rows of one side, in the order the burn-in ranked them."""
     if full:
         U, vals = _oracle_descent(Q, starts, sign, _FULL_DESCENT_ITERS, tol)
     else:
         U, vals = _oracle_descent(Q, starts, sign, _BURN_IN)
     polished = []
     for idx in np.argsort(vals)[:_POLISH_COUNT]:
-        u, ok, steps = _oracle_polish(Q, U[idx].copy(), sign, tol)
-        polished.append((float(_phi(Q, Q.products(u[None, :])[1])[0]), u, ok, int(idx), steps))
-    polished.sort(key=lambda rec: sign * rec[0])
+        u, ok, steps, value = _oracle_polish(Q, U[idx].copy(), sign, tol)
+        polished.append((value, u, ok, int(idx), steps))
     return polished
+
+
+def _oracle_pick(polished, window):
+    """Best sign * phi, and the row of its tie set with the lowest start index."""
+    best = min(rec[0] for rec in polished)
+    return best, min((rec for rec in polished if rec[0] - best < window), key=lambda rec: rec[3])
 
 
 def _random_symmetric(seed):
@@ -314,22 +339,33 @@ class TestBatchedSearchOracle:
 
     @pytest.mark.parametrize("seed", range(32))
     def test_multistart_matches_oracle(self, seed):
-        h = _random_symmetric(seed)
-        Q = _Quartic.of(h)
-        tol = _GRAD_TOL * max(1.0, Q.total_sq)
-        starts = _starts(Q)
-        sides = _search(Q, starts, tol)
-        for side, sign, want_starts in zip(sides, (1.0, -1.0), starts):
+        # every fourth input is scaled by 10^seed and searched on h / 2^k
+        h = _random_symmetric(seed) * (10.0**seed if seed % 4 == 3 else 1.0)
+        k = int(_scale_exponents(h))
+        assert (k > 0) == (seed % 4 == 3)
+        Q, Qk = _Quartic.of(h), _Quartic.of(h, k)
+        scale = max(1.0, Q.total_sq)
+        tol = _GRAD_TOL * scale
+        starts = _starts(Qk)
+        sides = _search(Qk, starts, Qk.scaled(tol))
+        ex = _multistart_extrema(h)
+        n = h.shape[1]
+        for side, sign, want_starts, key in zip(sides, (1.0, -1.0), starts, ("min", "max")):
             polished = _oracle_side(Q, want_starts, sign, tol)
             assert side.iterations == max(rec[4] for rec in polished)
-            assert np.array_equal(side.phi, [rec[0] for rec in polished])
+            assert np.array_equal(np.ldexp(side.value, 2 * k), [rec[0] for rec in polished])
             assert np.array_equal(side.U, np.stack([rec[1] for rec in polished]))
             assert np.array_equal(side.ok, [rec[2] for rec in polished])
             assert np.array_equal(side.start, [rec[3] for rec in polished])
+            best, pick = _oracle_pick(polished, _TIE_VALUE * scale)
+            got = ex.inf_CL if sign > 0 else ex.sup_CL
+            assert got == sign * best / (n - 1)
+            assert np.array_equal(ex.argmin_normal if sign > 0 else ex.argmax_normal, pick[1])
+            assert ex.audit[key]["start_index"] == pick[3]
 
     def test_row_form_rounds_row_by_row(self):
         # the polish carries a row's state from whichever block evaluated it, so a
-        # row's products, gradient, value and dots may not depend on the other rows
+        # row's products, gradient, Hessian, value and dots may not depend on the other rows
         rng = np.random.default_rng(2024)
         for _ in range(300):
             n, n_alpha, m = int(rng.integers(3, 9)), int(rng.integers(1, 6)), int(rng.integers(2, 25))
@@ -337,13 +373,18 @@ class TestBatchedSearchOracle:
             U = rng.normal(size=(m, n))
             U /= np.linalg.norm(U, axis=1, keepdims=True)
             V = rng.normal(size=(m, n))
+            sign = rng.choice([-1.0, 1.0], size=m)
             idx = np.sort(rng.choice(m, size=int(rng.integers(1, m + 1)), replace=False))
             W, r = Q.products(U[:, None, :])
             Ws, rs = Q.products(U[idx][:, None, :])
             assert np.array_equal(Ws, W[idx]) and np.array_equal(rs, r[idx])
-            assert np.array_equal(_grad(Ws, rs), _grad(W, r)[idx])
             assert np.array_equal(_phi(Q, rs), _phi(Q, r)[idx])
+            coef, coefs = _coef(r, sign), _coef(rs, sign[idx])
+            assert np.array_equal(_grad(Ws, coefs), _grad(W, coef)[idx])
+            assert np.array_equal(_hess(Q, Ws, coefs, sign[idx]), _hess(Q, W, coef, sign)[idx])
             assert np.array_equal(_dot(U[idx], V[idx]), _dot(U, V)[idx])
+            whole, part = _RowState.at(Q, U, sign), _RowState.at(Q, U[idx], sign[idx])
+            assert all(np.array_equal(x[idx], y) for x, y in zip(whole, part))
 
     @pytest.mark.parametrize("seed", range(32))
     def test_each_iterate_is_evaluated_once(self, seed, monkeypatch):
@@ -353,19 +394,18 @@ class TestBatchedSearchOracle:
         # a point is only checked against the evaluations before its own
         h = _random_symmetric(seed)
         rows, blocks, newton = [], [], []
-        products, newton_steps = _Quartic.products, _newton_steps
+        products, frames = _Quartic.products, casorati_module._tangent_frames
 
         def counted_products(Q, U):
             (rows if U.ndim == 3 else blocks).append(U.reshape(len(U), -1).copy())
             return products(Q, U)
 
-        def counted_steps(Ht, gt):
-            newton.append(len(gt))
-            return newton_steps(Ht, gt)
+        def counted_frames(U):  # one stack of frames per Newton iteration
+            newton.append(len(U))
+            return frames(U)
 
-        casorati_module = importlib.import_module("casoratiq.casorati")
         monkeypatch.setattr(_Quartic, "products", counted_products)
-        monkeypatch.setattr(casorati_module, "_newton_steps", counted_steps)
+        monkeypatch.setattr(casorati_module, "_tangent_frames", counted_frames)
         _multistart_extrema(h)
         assert len(blocks) == _BURN_IN + 1
         assert len(rows[0]) == 2 * _POLISH_COUNT
@@ -381,12 +421,62 @@ class TestBatchedSearchOracle:
         Ht = np.stack([np.diag([2.0, 4.0, 8.0]), np.diag([-1.0, 0.0, 3.0]), np.zeros((3, 3))])
         Ht[0, 0, 1] = Ht[0, 1, 0] = 1.0
         gt = np.arange(9.0).reshape(3, 3) + 1.0
-        z = _newton_steps(Ht, gt)
+        # a positive definite stack takes the factor path: one stacked solve
+        z = _newton_steps(Ht[:1].repeat(2, axis=0), gt[:2], 1e-14)
+        assert np.array_equal(z, -np.linalg.solve(Ht[:1].repeat(2, axis=0), gt[:2, :, None])[:, :, 0])
         np.testing.assert_allclose(z[0], np.linalg.solve(Ht[0], -gt[0]), rtol=1e-14)
-        # indefinite and singular rows: |eigenvalue|, at least 1e-14
+        # a mixed stack falls back row by row: each row takes the step it takes alone
+        z = _newton_steps(Ht, gt, 1e-14)
+        for m in range(3):
+            assert np.array_equal(z[m], _newton_steps(Ht[m : m + 1], gt[m : m + 1], 1e-14)[0])
+        np.testing.assert_allclose(z[0], np.linalg.solve(Ht[0], -gt[0]), rtol=1e-14)
+        # indefinite and singular rows: |eigenvalue|, at least the floor
         np.testing.assert_allclose(z[1], -gt[1] / np.array([1.0, 1e-14, 3.0]), rtol=1e-14)
         np.testing.assert_allclose(z[2], -gt[2] / 1e-14, rtol=1e-14)
+        np.testing.assert_allclose(_newton_steps(Ht[2:], gt[2:], 0.5)[0], -gt[2] / 0.5, rtol=1e-14)
         assert np.all(np.einsum("mk,mk->m", z, gt) < 0)
+
+
+class TestScaleAndTies:
+    """The search on h / 2**k is the search on h, and a last-bit change moves no report field."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_scaled_search_takes_the_unscaled_steps(self, seed, monkeypatch):
+        # 2**k > max|h| > 1: the scaled search returns the unscaled one's bits
+        h = _random_symmetric(seed) * 10.0 ** (1 + 3 * seed)
+        assert _scale_exponents(h) > 0
+        scaled = _multistart_extrema(h)
+        monkeypatch.setattr(casorati_module, "_scale_exponents", lambda h: np.zeros((), int))
+        plain = _multistart_extrema(h)
+        assert (scaled.inf_CL, scaled.sup_CL) == (plain.inf_CL, plain.sup_CL)
+        assert np.array_equal(scaled.argmin_normal, plain.argmin_normal)
+        assert np.array_equal(scaled.argmax_normal, plain.argmax_normal)
+        assert scaled.audit == plain.audit
+        assert (scaled.degenerate_min, scaled.degenerate_max) == (plain.degenerate_min, plain.degenerate_max)
+
+    def test_scale_exponents(self):
+        h = np.zeros((5, 2, 3, 3))
+        for p, top in enumerate([0.0, 0.5, 1.0, 2.0, 3.0e100]):
+            h[p, 1, 2, 0] = -top
+        k = _scale_exponents(h)
+        assert k.tolist() == [0, 0, 0, 2, 334]
+        assert np.all(np.ldexp(1.0, k[3:]) > [2.0, 3.0e100])
+
+    def test_reversed_slices_move_no_audit(self):
+        # reversing the slices changes only the order of the sums over them, so
+        # each burn-in and polished value moves in its last bits; the tie rule
+        # keeps every audit field, tie flag and normal.  Input 51 ties two starts
+        # in the burn-in: a pick by burn-in rank moved its min start_index 38 -> 2
+        rng = np.random.default_rng(33)
+        for _ in range(200):
+            n, n_alpha = int(rng.integers(3, 6)), int(rng.integers(2, 6))
+            h = sym_input(rng, n_alpha, n).coeffs
+            a, b = _multistart_extrema(h), _multistart_extrema(h[::-1].copy())
+            assert a.audit == b.audit
+            assert (a.degenerate_min, a.degenerate_max) == (b.degenerate_min, b.degenerate_max)
+            assert abs(a.inf_CL - b.inf_CL) <= 1e-14 and abs(a.sup_CL - b.sup_CL) <= 1e-14
+            for u, v in ((a.argmin_normal, b.argmin_normal), (a.argmax_normal, b.argmax_normal)):
+                assert min(np.abs(u - v).max(), np.abs(u + v).max()) <= 1e-14
 
 
 _FAMILIES = ("uniform", "commuting", "clustered", "scaled", "heavy-tailed")
@@ -428,7 +518,7 @@ def _oracle_extremum(h, sign):
     polished = _oracle_side(Q, starts, sign, tol, full=True)
     if not any(rec[2] for rec in polished):
         return None
-    return polished[0][0] / (n - 1)
+    return sign * min(rec[0] for rec in polished) / (n - 1)
 
 
 class TestBasinHandoffAccuracy:
@@ -479,7 +569,10 @@ def _reference_extrema(h):
     tol = _GRAD_TOL * max(1.0, Q.total_sq)
     starts = np.stack([_sphere_starts(n, _REFERENCE_STARTS, seed) for seed in (1, 2)])
     sides = _search(Q, starts, tol)
-    return [float(side.phi[0]) / (n - 1) if side.ok.any() else None for side in sides]
+    return [
+        sign * float(side.value.min()) / (n - 1) if side.ok.any() else None
+        for side, sign in zip(sides, (1.0, -1.0))
+    ]
 
 
 class TestStartSet:

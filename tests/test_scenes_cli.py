@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from casoratiq import maps, scenes
+from casoratiq import cli, maps, scenes
 from casoratiq.cli import main, report_csv, report_json
 from casoratiq.errors import DegenerateMetricError, DomainError, SceneValidationError
 from casoratiq.expressions import compile_expression
@@ -23,6 +23,7 @@ from casoratiq.scenes import (
     evaluate_scenario,
     load_scenario,
     parse_scenario,
+    random_pointwise_submersion,
     validate_scenario,
 )
 
@@ -749,9 +750,11 @@ class TestBadInput:
         assert main(["validate", str(tmp_path / "scene.json")]) == 3
 
     def test_huge_pointwise_tensors_exit_cleanly(self, tmp_path):
-        """B = (G + G^T) 10^e near the float limit overflows the commutator diagnostic
-        (e = 151.25, 152) or fails the multi-start's eigh (e = 153), which once ended
-        in a traceback; every run exits 0, 2 or 3 and writes valid JSON."""
+        """B = (G + G^T) 10^e near the float limit, which once ended in a traceback.
+
+        The multi-start and the diagnostics run on B / 2^k, so every exponent up
+        to 153 evaluates; from 153.25 on |B|^2 itself overflows, and the point
+        names it.  Every run exits 0, 2 or 3 and writes valid JSON."""
 
         def no_constant(name):
             raise ValueError(f"{name} in a report")
@@ -769,10 +772,34 @@ class TestBadInput:
             if out.exists():
                 report = json.loads(out.read_text(), parse_constant=no_constant)
                 errors[e] = report["points"][0]["errors"]
-        assert errors[151.25] == errors[152.0] == [
-            "equality diagnostic commutator_max is not finite (inf)"
-        ]
-        assert errors[153.0] == ["hyperplane extremization failed: Eigenvalues did not converge"]
+        assert sorted(errors) == [150 + 0.25 * k for k in range(17)]
+        for e, got in errors.items():
+            want = [] if e <= 153.0 else ["coefficient array has non-finite squared norm inf"]
+            assert got == want, e
+
+    @pytest.mark.parametrize("e", [80, 100, 150])
+    def test_huge_pointwise_tensor_scales_its_report(self, tmp_path, e):
+        """B = (G + G^T) 10^e once failed with "commutator_max is not finite" (e = 80)
+        and "no start reached gradient tolerance" (e = 100, 150).  Now every
+        extremum scales as 10^2e, the commutator as 10^2e and the residuals read
+        off the argmin normal as 10^e."""
+        G = np.random.default_rng(0).normal(size=(4, 4, 4))
+        reports = []
+        for scale in (1.0, 10.0**e):
+            doc = _builtin_doc("pw-equality-map:s4")
+            doc["tensors"] = {"B": ((G + G.transpose(0, 2, 1)) * scale).tolist()}
+            _, out = _run_file(tmp_path, doc)
+            (point,) = json.loads(out.read_text())["points"]
+            assert point["errors"] == []
+            reports.append(point["reports"])
+        for base, big in zip(*reports):
+            assert big["verdict"] == base["verdict"]
+            for key in ("inf_CL", "sup_CL"):
+                assert big["extras"][key] == pytest.approx(base["extras"][key] * 10.0 ** (2 * e), rel=1e-12)
+            d0, d = base["diagnostics"], big["diagnostics"]
+            assert d["commutator_max"] == pytest.approx(d0["commutator_max"] * 10.0 ** (2 * e), rel=1e-12)
+            for key in ("offdiag_max", "eigen_pattern_residual", "common_eigendirection_residual"):
+                assert d[key] == pytest.approx(d0[key] * 10.0**e, rel=1e-9)
 
     def test_chart_linalg_error_is_point_error(self, tmp_path, monkeypatch):
         # a LinAlgError of a chart point's chunk becomes the point's error, under --strict too
@@ -1562,6 +1589,36 @@ class TestDeterminismAndEmission:
             return [doc.hex()] if isinstance(doc, float) else []
 
         assert floats(got) == floats(want) and floats(want)
+
+    def test_report_json_is_json_dumps_of_the_report(self, scenario_dir):
+        # the spliced encoder writes the bytes of one json.dumps of the whole report,
+        # on every builtin, every shipped scene and a round of the pointwise sweep
+        reports = [evaluate_scenario(builtin_scenario(name)) for name in builtin_names()]
+        reports += [evaluate_scenario(load_scenario(str(p))) for p in sorted(scenario_dir.glob("*.json"))]
+        reports += [
+            evaluate_scenario(parse_scenario(random_pointwise_submersion(s, ell, -4.0, seed=s * ell)))
+            for s, ell in ((3, 3), (4, 5), (5, 4))
+        ]
+        for rep in reports:
+            want = json.dumps(rep.as_dict(), sort_keys=True, separators=(",", ": "), allow_nan=False)
+            assert report_json(rep) == want + "\n"
+
+    def test_spliced_rows_fall_back_to_one_encode(self):
+        # a dict left in place that holds a spliced key set to null, a row that lacks
+        # a spliced key, and dicts shared across levels: the text is still that of
+        # one encode
+        shared, other = {"v": [1.5, None], "w": "x\"y"}, {"v": None}
+        cases = [
+            [{"a": shared, "b": {"a": None}}, {"a": shared, "b": {}}],
+            [{"a": shared, "b": 1}, {"b": 2}, {"a": shared}],
+            [{"rows": [{"a": shared, "n": -0.0}, {"a": shared, "n": 1e300}], "a": other}],
+            [{"rows": [{"a": shared}, {"a": other}, {"a": None}]}],
+        ]
+        for rows in cases:
+            want = json.dumps(rows, sort_keys=True, separators=(",", ": "), allow_nan=False)
+            assert cli._rows_text(rows, {}) == want
+        with pytest.raises(ValueError):
+            cli._rows_text([{"a": shared, "n": math.nan}, {"a": shared}], {})
 
     def test_csv_json_numeric_agreement(self):
         rep = evaluate_scenario(builtin_scenario("radial:4"))

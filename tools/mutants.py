@@ -122,6 +122,23 @@ MUTANTS = (
          "test_a_vanishing_tolerance_decides_the_horizontal_equality[1e-07-strict]",),
         "an A of norm about 3e-7 is not integrable, so the horizontal family is strict",
     ),
+    Mutant(
+        "tie-window-off",
+        "src/casoratiq/casorati.py",
+        "ties = np.flatnonzero(side.value - best < window)",
+        "ties = np.flatnonzero(side.value - best <= 0.0)",
+        ("tests/test_casorati.py::TestScaleAndTies::test_reversed_slices_move_no_audit",),
+        "polished rows that reach one extremum tie to the last bit; the normal and start "
+        "index must not follow the rounding",
+    ),
+    Mutant(
+        "overflow-scale-off",
+        "src/casoratiq/casorati.py",
+        "return np.where(top > 1.0, np.frexp(top)[1], 0)",
+        "return np.zeros_like(top, dtype=int)",
+        ("tests/test_scenes_cli.py::TestBadInput::test_huge_pointwise_tensor_scales_its_report[150]",),
+        "slices near 1e150 square out of range unless the search and the diagnostics run on h / 2^k",
+    ),
 )
 
 _IGNORED = shutil.ignore_patterns(".git", "__pycache__", ".hypothesis", ".pytest_cache",
