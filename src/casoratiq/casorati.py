@@ -533,9 +533,11 @@ def _extrema_rows(h: np.ndarray, kind: str, total_sq: list) -> list[HyperplaneEx
     ``total_sq[p]`` is |h[p]|^2.  Each stack takes its own path.  The
     matrices of the exact paths, M for skew or zero slices and the one
     nonzero slice otherwise, share one stacked ``eigh``, which gives each
-    the bits it gets alone; each multi-start runs alone.  Slices so large
-    that the quartic overflows raise ``DomainError``: an eigendecomposition
-    that fails, or the first stack whose extrema or normals are not finite.
+    the bits it gets alone; an all-zero stack takes the eigenpairs (0, I)
+    that ``eigh`` gives its zero M, with no ``eigh``.  Each multi-start
+    runs alone.  Slices so large that the quartic overflows raise
+    ``DomainError``: an eigendecomposition that fails, or the first stack
+    whose extrema or normals are not finite.
     """
     try:
         out = _extrema_of(h, kind, total_sq)
@@ -550,12 +552,17 @@ def _extrema_rows(h: np.ndarray, kind: str, total_sq: list) -> list[HyperplaneEx
 
 
 def _extrema_of(h: np.ndarray, kind: str, total_sq: list) -> list[HyperplaneExtrema]:
+    out = [None] * len(h)
+    # an all-zero stack, which has |h|^2 = 0, has M = 0, whose eigenpairs eigh gives as (0, I)
+    n = h.shape[-1]
+    for p, t in enumerate(total_sq):
+        if t == 0.0 and not h[p].any():
+            out[p] = _exact_extrema(t, np.zeros(n), np.eye(n))
     if kind == "skew":
         slices = [0] * len(h)  # as if zero: the quartic term of skew slices vanishes
     else:
         slices = h.any(axis=(-2, -1)).sum(axis=-1).tolist()
-    closed = [p for p, k in enumerate(slices) if k < 2]
-    out = [None] * len(h)
+    closed = [p for p, k in enumerate(slices) if k < 2 and out[p] is None]
     if closed:
         hc = h if len(closed) == len(h) else h[closed]
         mats = np.einsum("...aji,...ajk->...ik", hc, hc)

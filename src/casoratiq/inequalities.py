@@ -311,6 +311,7 @@ def checker_inputs(
     deltaN: Optional[float] = None,
     equality_tol: Optional[float] = None,
     bracket_residual: Optional[np.ndarray] = None,
+    flat: bool = False,
 ) -> list[SceneData]:
     """Each point's ``SceneData``, computed for a stack of points at once.
 
@@ -330,12 +331,17 @@ def checker_inputs(
     the hyperplane extrema and the equality diagnostics.  Each point gets
     the bits it would compute alone; each check raises for the first point
     that fails it.  ``bracket_residual`` (P,) comes with chart submersions.
+    ``flat`` says that the ambient tensor is exactly zero, as a constant
+    chart's is: its curvature sums are zeros, and at c = 0 so is its
+    residual, with no pass over it.
     """
     decomp = decompose_J(J, g, E, s)
     oracle = QSFOracle(c, J, g)
     if ambient is None:
         ambient = oracle.curvature_tensor(E, decomp.blocks)
         residuals = [None] * len(g)
+    elif flat and c == 0.0:
+        residuals = [0.0] * len(g)
     else:
         residuals = space_form_residual_from_tensor(
             ambient, oracle, E, blocks=decomp.blocks
@@ -345,7 +351,10 @@ def checker_inputs(
         for key, h in tensors.items()
         if h.shape[-1]
     }
-    sums = list(zip(*(v.tolist() for v in curvature_sums(ambient, s))))
+    if flat:
+        sums = [(0.0, 0.0, 0.0)] * len(g)
+    else:
+        sums = list(zip(*(v.tolist() for v in curvature_sums(ambient, s))))
     brackets = [None] * len(g) if bracket_residual is None else bracket_residual.tolist()
     a_norm_sq = [A.norm_sq() for A in inputs["A"]] if "A" in inputs else [0.0] * len(g)
     extrema, diagnostics = {}, {}

@@ -37,9 +37,10 @@ covariant derivatives of T and A that the mixed curvature identity reads
 (``_oneill_derivatives``) are all taken on the split frames; nothing is
 built on the chart basis, and no derivative is taken by finite
 differences.  On a constant source chart under a map with zero second
-and third derivatives (a flat product projection) the projector is P_h
-alone and every derivative is an exact zero, so T = A = 0 and the
-covariant derivatives come with no product.
+and third derivatives (a flat product projection) the projector is
+constant, and ``SceneSplit.projector`` is None: T, A, the bracket, the
+covariant derivatives and every Gauss term that reads them are exact
+zeros, and each consumer gives them with no product.
 """
 
 from __future__ import annotations
@@ -240,7 +241,7 @@ class SceneSplit:
         return _frame_tensor(self.point.source, self.source_frame)
 
     @cached_property
-    def projector(self) -> "_Projector":
+    def projector(self) -> Optional["_Projector"]:
         """The frame jet of the horizontal projector of a submersion over the source frame.
 
         P_h = W (J W)^-1 J with J = dF and W = g1^-1 J^T projects onto
@@ -250,22 +251,18 @@ class SceneSplit:
         (horizontal, vertical) frame pairs only, and every derivative is
         exact.  See ``_Projector`` for what it holds.  On a constant source
         chart (``ChartPoint.constant``) under a map whose second and third
-        derivatives are all zero, the projector is constant: P_h is formed
-        with the products the general path forms, so it keeps its bits,
-        and D P_h, X, N and L are zeros, with ``gamma`` None.
+        derivatives are all zero (a flat product projection) the projector
+        is constant, and this is None: every derivative of P_h is zero, so
+        T = A = 0, the vertical bracket is zero and so are the covariant
+        derivatives of T and A.  Each consumer reads that fact and forms
+        none of them, and nothing reads P_h itself, so it is not formed.
         """
         pt = self.point
         if pt.smap.mode != RIEMANNIAN_SUBMERSION:
             raise DimensionError("O'Neill tensors are defined for submersions only")
         src, E, s = pt.source, self.source_frame, self.s
         if src.constant and not (pt.d2F.any() or pt.d3F.any()):
-            # the products the general path forms for P_h; every derivative is zero
-            W = src.ginv @ pt.dF.swapaxes(-1, -2)
-            Ph = W @ (np.linalg.inv(pt.dF @ W) @ pt.dF)
-            lead, n = Ph.shape[:-2], Ph.shape[-1]
-            dPh = np.zeros(lead + (n, n, n))
-            X = np.zeros(lead + (s, n - s, n, n))
-            return _Projector(Ph, dPh, X, dPh, dPh, None)
+            return None
         J = (pt.dF, *_frame_jet(pt.d2F, pt.d3F, E, s))
         Jt = tuple(m.swapaxes(-1, -2) for m in J)
         W = frame_solve((src.G0, *_frame_jet(src.G1, src.G2, E, s)), src.ginv, Jt, s)
@@ -428,10 +425,16 @@ def _pairs(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
 
 
 def _oneill(
-    split: SceneSplit, kind: str, L: np.ndarray, tangent: np.ndarray, normal: np.ndarray
+    split: SceneSplit, kind: str, rows: slice, tangent: np.ndarray, normal: np.ndarray
 ) -> FundamentalTensor:
-    g1 = split.point.source.G0
-    vectors = _apply(L, tangent)
+    """T or A over ``tangent`` from the operators L[rows]; exact zeros, with no
+    product, under a constant projector."""
+    g1, proj = split.point.source.G0, split.projector
+    if proj is None:
+        lead, (m, n), k = tangent.shape[:-2], tangent.shape[-2:], normal.shape[-2]
+        coeffs, vectors = np.zeros(lead + (k, m, m)), np.zeros(lead + (m, m, n))
+        return FundamentalTensor(kind, coeffs, vectors, g1, np.zeros(lead))
+    vectors = _apply(proj.L[..., rows, :, :], tangent)
     coeffs = tensordot(vectors, g1 @ normal.swapaxes(-1, -2), ((2,), (0,)), 3)
     coeffs = tail_transpose(coeffs, 2, 0, 1)
     return FundamentalTensor.from_raw(kind, coeffs, vectors, g1)
@@ -439,14 +442,12 @@ def _oneill(
 
 def oneill_T(split: SceneSplit) -> FundamentalTensor:
     """T^alpha_{ij} = g1(T_{v_i} v_j, h_alpha) over the vertical frame."""
-    L = split.projector.L[..., split.s :, :, :]
-    return _oneill(split, "T", L, split.vertical, split.horizontal)
+    return _oneill(split, "T", slice(split.s, None), split.vertical, split.horizontal)
 
 
 def oneill_A(split: SceneSplit) -> FundamentalTensor:
     """A^alpha_{ij} = g1(A_{h_i} h_j, v_alpha) over the horizontal frame."""
-    L = split.projector.L[..., : split.s, :, :]
-    return _oneill(split, "A", L, split.horizontal, split.vertical)
+    return _oneill(split, "A", slice(None, split.s), split.horizontal, split.vertical)
 
 
 def vertical_bracket(split: SceneSplit) -> np.ndarray:
@@ -454,10 +455,13 @@ def vertical_bracket(split: SceneSplit) -> np.ndarray:
 
     ``H_i(y) = P_h(y) c_i`` with constant components c_i; the bracket is
     differentiated directly, giving the cross-check v[H_i, H_j] = 2 A_{h_i} h_j.
+    Under a constant projector it is zero, with no product.
     """
-    proj = split.projector
+    proj, H = split.projector, split.horizontal
+    if proj is None:
+        return np.zeros(H.shape[:-1] + H.shape[-2:])
     # D[i, j] = (D_{h_i} P_h) h_j
-    D = _apply(proj.dPh[..., : split.s, :, :], split.horizontal)
+    D = _apply(proj.dPh[..., : split.s, :, :], H)
     Q = np.eye(proj.Ph.shape[-1]) - proj.Ph
     return (D - tail_transpose(D, 1, 0, 2)) @ Q.swapaxes(-1, -2)[..., None, :, :]
 
@@ -554,16 +558,13 @@ def _oneill_derivatives(split: SceneSplit) -> tuple[np.ndarray, np.ndarray]:
     read on the s x ell frame pairs only: O(s n^4 + s ell n^3) per point,
     where the chart-basis derivatives of T and A cost O(n^5).  On a
     constant source chart Gamma and its derivative vanish, and every term
-    that reads them is left out; when N and X vanish too, nothing is left,
-    and both are zeros with no product.
+    that reads them is left out.  Under a constant projector N and X
+    vanish too and nothing is left, so the caller, the mixed residual,
+    reads both as zero and does not call this.
     """
     src, proj = split.point.source, split.projector
     E, s = split.source_frame, split.s
     lead, n = E.shape[:-2], E.shape[-1]
-    if proj.gamma is None and not (proj.N.any() or proj.X.any()):
-        # every term reads Gamma, N or X, so both derivatives are exactly zero
-        zero = np.zeros(lead + (s, n - s, s, n - s))
-        return zero, zero
     g = src.G0
     # D_e P_h, N[e] and Gamma_e along every frame vector
     PE, NE, GE = proj.dPh, proj.N, proj.gamma
@@ -666,21 +667,33 @@ def gauss_residual_submersion(
     * mixed: the mixed identity with the covariant derivatives of T and A,
       read on the frames from the projector's mixed second derivatives
       along the (horizontal, vertical) frame pairs (``_oneill_derivatives``).
+
+    Under a constant projector T = A = 0 on a constant source chart, so
+    R1 = 0: every term that reads T, A or R1 is left out, the mixed
+    residual is zero, and so are the horizontal one on a constant target
+    chart and the vertical one against a zero (or no) fiber curvature.
     """
-    if T is None:
-        T = oneill_T(split)
-    if A is None:
-        A = oneill_A(split)
     pt = split.point
     R1 = split.source_curvature
     g1 = pt.source.G0
     G1 = g1[..., None, :, :]  # g1 against a stack of frame vectors
     V, H, ell, s = split.vertical, split.horizontal, split.ell, split.s
     zero = np.zeros(pt.x.shape[:-1])
+    vertical_independent = fiber_kappa is not None
+    if split.projector is None:
+        vertical = horizontal = zero
+        if ell >= 2 and np.any(fiber_kappa):
+            vertical = _space_form_residual(R1[..., s:, s:, s:, s:].copy(), fiber_kappa, g1, V)
+        if s >= 2 and not pt.target.constant:
+            horizontal = _largest(split.target_curvature[..., :s, :s, :s, :s], 4)
+        return SubmersionResiduals(vertical, horizontal, zero, vertical_independent)
+    if T is None:
+        T = oneill_T(split)
+    if A is None:
+        A = oneill_A(split)
 
     # vertical identity
     vertical = zero
-    vertical_independent = fiber_kappa is not None
     if ell >= 2:
         # each l^4 array is formed in place and reduced as soon as it exists
         tt = _pairs(T.vectors @ G1, T.vectors)

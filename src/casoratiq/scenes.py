@@ -195,7 +195,7 @@ def _chart_from_spec(spec, where: str) -> MetricChart:
     rows = _require(spec, "metric", where, list)
     if len(rows) != dim or any(not isinstance(r, list) or len(r) != dim for r in rows):
         raise SceneValidationError(f"{where}.metric must be a {dim}x{dim} expression matrix")
-    return MetricChart.from_exprs(dim, box, rows, str(spec.get("name", "custom")))
+    return MetricChart.from_exprs(dim, box, rows, str(spec.get("name", where)))
 
 
 def _structure_from_spec(spec, dim: int, where: str) -> QuaternionicStructure:
@@ -548,7 +548,10 @@ def _structure_metric(scn: Scenario, split: maps.SceneSplit) -> np.ndarray:
 
 
 def _bracket_residual(split: maps.SceneSplit, A: maps.FundamentalTensor) -> np.ndarray:
-    """Largest g1-length of v[h_i, h_j] - 2 A_{h_i} h_j, at every point."""
+    """Largest g1-length of v[h_i, h_j] - 2 A_{h_i} h_j, at every point; zero, with no
+    product, under a constant projector, where both terms are."""
+    if split.projector is None:
+        return np.zeros(A.metric.shape[:-2])
     diff = maps.vertical_bracket(split) - 2.0 * A.vectors
     sq = np.einsum("...ija,...ab,...ijb->...ij", diff, A.metric, diff)
     if not sq.size:
@@ -578,23 +581,24 @@ class _PointRow(NamedTuple):
     data: Optional[SceneData]
 
 
-def _curved_side(scn: Scenario, split: maps.SceneSplit) -> tuple[np.ndarray, np.ndarray]:
-    """The split frame of the scene's curved side and the curvature frame tensor over it."""
+def _curved_side(scn: Scenario, split: maps.SceneSplit) -> tuple[np.ndarray, np.ndarray, bool]:
+    """The split frame of the scene's curved side, the curvature frame tensor over it
+    and whether its chart is constant, so that the tensor is exactly zero."""
     if scn.kind == "map":
-        return split.target_frame, split.target_curvature
-    return split.source_frame, split.source_curvature
+        return split.target_frame, split.target_curvature, split.point.target.constant
+    return split.source_frame, split.source_curvature, split.point.source.constant
 
 
 def _checker_inputs(
     scn: Scenario, E: np.ndarray, s: int, tensors: dict, g: np.ndarray, ambient=None,
-    bracket=None,
+    bracket=None, flat=False,
 ) -> list[SceneData]:
     """Each point's ``SceneData``: ``checker_inputs`` with the scene's kind,
     structure, c, families, deltaN and equality tolerance."""
     return checker_inputs(
         scn.kind, E, s, tensors, g, scn.structure.J_const, scn.c,
         _requested_families(scn.theorems), ambient, deltaN=scn.delta_n,
-        equality_tol=scn.tolerances.get("equality"), bracket_residual=bracket,
+        equality_tol=scn.tolerances.get("equality"), bracket_residual=bracket, flat=flat,
     )
 
 
@@ -642,10 +646,10 @@ def _chunk_rows(scn: Scenario, chunk: np.ndarray) -> list[_PointRow]:
     data = [None] * len(chunk)
     if scn.theorems:
         # the parse-time fit check put the structure on the curved side
-        E, ambient = _curved_side(scn, split)
+        E, ambient, flat = _curved_side(scn, split)
         data = _checker_inputs(
             scn, E, split.s, {key: t.coeffs for key, t in tensors.items()},
-            _structure_metric(scn, split), ambient, bracket,
+            _structure_metric(scn, split), ambient, bracket, flat,
         )
     return [
         _PointRow(

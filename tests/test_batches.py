@@ -674,16 +674,34 @@ def test_checker_inputs_once_per_chunk(count, chunks, monkeypatch):
     # the map's 3 components and the target's 9 metric entries run as one program
     # each, once per chunk; the source's 16 are literals, which never run
     assert sorted(calls.pop("__call__")) == sorted((m, p) for p in sizes for m in (3, 9))
+    # the ambient of the submersion families is the constant source at c = 0, whose
+    # zero curvature sums and space-form residual take no pass (see the test below)
     assert calls == {
         "hermitian_residual": chunks,
-        "space_form_residual_from_tensor": chunks,
         "decompose_J": chunks,
-        "curvature_sums": chunks,
         "_extrema_rows": sizes,  # A only: the horizontal family reads nothing else
         "_diagnostics_rows": sizes,
         # T and A are each checked once per chunk, as a stack
         "_checked_norms": [(kind, p) for p in sizes for kind in ("symmetric", "skew")],
     }
+
+
+def test_a_curved_ambient_is_read_once_per_chunk(monkeypatch):
+    """s4-radial's source is curved: its sums and residual are taken once per chunk."""
+    monkeypatch.setattr(geometry, "batch_size", lambda n: 5)
+    calls = []
+    for name in ("space_form_residual_from_tensor", "curvature_sums"):
+        def counted(R, *rest, _name=name, _original=getattr(inequalities, name), **kwargs):
+            calls.append((_name, R.shape[:-4]))
+            return _original(R, *rest, **kwargs)
+
+        monkeypatch.setattr(inequalities, name, counted)
+    rep = evaluate_scenario(_sampled_s4())
+    assert rep.aggregate["point_errors"] == 0 and len(rep.points) == 12
+    assert sorted(calls) == sorted(
+        (name, lead) for name in ("space_form_residual_from_tensor", "curvature_sums")
+        for lead in [(5,), (5,), (2,)]
+    )
 
 
 POINTWISE = {

@@ -148,6 +148,24 @@ class TestExtrema:
         ex = hyperplane_extrema(CasoratiInput(np.zeros((1, 3, 3))))
         assert ex.inf_CL == 0.0 and ex.sup_CL == 0.0
 
+    @pytest.mark.parametrize("n", range(3, 13))
+    def test_zero_stacks_take_the_eigenpairs_of_eigh(self, n):
+        """An all-zero stack's M = 0 takes (0, I) with no eigh: the bits that eigh gives
+        it, alone and among other matrices in one stacked call."""
+        rng = np.random.default_rng(n)
+        mats = np.zeros((3, n, n))
+        mats[0] = rng.normal(size=(n, n))
+        mats[0] += mats[0].T
+        for stack in (mats[1:2], mats):
+            lam, V = np.linalg.eigh(stack)
+            assert lam[-1].tobytes() == np.zeros(n).tobytes()
+            assert V[-1].tobytes() == np.eye(n).tobytes()
+        for kind, h in (("symmetric", np.zeros((2, n, n))), ("skew", np.zeros((n, n, n)))):
+            got = hyperplane_extrema(CasoratiInput(h, kind))
+            assert got.inf_CL == got.sup_CL == 0.0 and got.audit["path"] == "exact"
+            assert got.argmin_normal.tobytes() == np.eye(n)[:, -1].tobytes()
+            assert got.argmax_normal.tobytes() == np.eye(n)[:, 0].tobytes()
+
     def test_umbilical_constant(self):
         ex = hyperplane_extrema(CasoratiInput(np.eye(4)))
         assert ex.inf_CL == pytest.approx(1.0, abs=1e-10)

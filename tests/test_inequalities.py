@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -162,6 +164,15 @@ class TestHorizontalTheorem:
         for r in check_horizontal_theorem(data):
             assert r.equality_verdict == "equality"
             assert abs(r.slack) < 1e-10
+
+    @pytest.mark.parametrize("bracket, verdict", [(1e-7, "equality"), (1e-5, "strict")])
+    def test_bracket_cross_check_sits_between_1e_7_and_1e_5(self, bracket, verdict):
+        """An exactly-zero A reads equality only when the bracket residual backs it."""
+        rng = np.random.default_rng(12)
+        data = submersion_data(rng, 4, 4, 4.0, A=np.zeros((4, 4, 4)))
+        data = dataclasses.replace(data, bracket_residual=bracket)
+        for r in check_horizontal_theorem(data):
+            assert r.equality_verdict == verdict
 
     def test_nonzero_A_strict(self):
         rng = np.random.default_rng(13)

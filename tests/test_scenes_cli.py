@@ -568,11 +568,11 @@ def _chart_doc(**overrides):
 # entries: its eigenvalues read 8 and 1e18, both positive, and its Cholesky factor fails
 ROTATED_METRIC = [["7.321590461401246e+16", "-2.60490567824565e+17"],
                   ["-2.60490567824565e+17", "9.267840953859876e+17"]]
-# the point error of a source chart (a scene-file chart, named 'custom') whose metric
-# fails its factor at [0.1, 0.2] that way
+# the point error of a source chart (an unnamed scene-file chart, named after its
+# place in the scene, 'map.source') whose metric fails its factor at [0.1, 0.2] that way
 ROTATED_AT_POINT = re.compile(
     r"metric too ill-conditioned \(\u03ba \u2248 \d\.\de\+1[6-9]\) at \[0\.1, 0\.2\] "
-    r"\(source chart 'custom'\): "
+    r"\(source chart 'map\.source'\): "
 )
 
 
@@ -945,7 +945,7 @@ class TestBadInput:
         }
         for errors in self._both_exit_3(tmp_path, capsys, doc):
             if 18.0 * math.exp(1.5) * S > sys.float_info.max:
-                want = "metric jets not finite at [0.5, 0.5] (chart 'custom'): a derivative"
+                want = "metric jets not finite at [0.5, 0.5] (chart 'map.source'): a derivative"
             else:
                 want = "curvature not finite at [0.5, 0.5]: the metric's derivatives overflow"
             assert len(errors) == 1 and errors[0].startswith(want)

@@ -3,8 +3,9 @@
 A metric program whose entries are all literals, and a map program whose
 components are bare coordinates or literals, get their jets without being
 run (``CompiledProgram.passive``, ``geometry._ProgramMetric.literal``);
-a constant chart under such a map gets its projector, the O'Neill
-derivatives and the zero stacks' equality diagnostics with no product.
+a constant chart under such a map has a constant projector, and gets T,
+A, the bracket, the O'Neill derivatives, the Gauss terms that read them
+and the zero stacks' extrema and equality diagnostics with no product.
 Each shortcut must give the reports of the general path bit for bit, and
 keep its errors.
 """
@@ -72,8 +73,10 @@ def test_passive_facts_are_worked_out_once_per_program():
 
 def test_product_projection_does_no_passive_work(monkeypatch):
     """product-projection:8to4 seeds no jets, runs no metric or map program, makes no
-    frame jet of its projector and forms no equality-diagnostic product.  Its literal
-    metrics were checked when their programs were first used, here by a first run."""
+    frame jet of its projector, forms no product of its zero T, A and their covariant
+    derivatives, and forms no equality-diagnostic product and no eigendecomposition of
+    its zero stacks.  Its literal metrics were checked when their programs were first
+    used, here by a first run."""
     scn = scenes.builtin_scenario("product-projection:8to4")
     scenes.evaluate_scenario(scn)
     calls = {}
@@ -96,8 +99,11 @@ def test_product_projection_does_no_passive_work(monkeypatch):
     for module in (geometry, maps):
         count(module, "seed_point")
     count(maps, "frame_solve")
+    count(maps, "_pairs")
+    count(maps, "_apply")
     count(inequalities, "_rotation_to_last")
     count(np.linalg, "eigvalsh")
+    count(np.linalg, "eigh")
     monkeypatch.setattr(CompiledProgram, "__call__", program_call)
     rep = scenes.evaluate_scenario(scn)
     assert rep.aggregate["point_errors"] == 0 and len(rep.points) == 4

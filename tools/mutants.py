@@ -139,6 +139,32 @@ MUTANTS = (
         ("tests/test_scenes_cli.py::TestBadInput::test_huge_pointwise_tensor_scales_its_report[150]",),
         "slices near 1e150 square out of range unless the search and the diagnostics run on h / 2^k",
     ),
+    Mutant(
+        "bracket-cross-check-loose",
+        "src/casoratiq/inequalities.py",
+        "data.bracket_residual < 1e-6",
+        "data.bracket_residual < 1e-1",
+        ("tests/test_inequalities.py::TestHorizontalTheorem::"
+         "test_bracket_cross_check_sits_between_1e_7_and_1e_5[1e-05-strict]",),
+        "a bracket residual of 1e-5 does not back an exactly-zero A",
+    ),
+    Mutant(
+        "constant-projector-forced",
+        "src/casoratiq/maps.py",
+        "if src.constant and not (pt.d2F.any() or pt.d3F.any()):",
+        "if True:",
+        ("tests/test_golden.py::test_report_matches_golden[radial:4]",
+         "tests/test_golden.py::test_report_matches_golden[hopf-radial:4to3]"),
+        "a curved chart or map has a projector that moves, so T, A and their terms are not zero",
+    ),
+    Mutant(
+        "constant-projector-off",
+        "src/casoratiq/maps.py",
+        "if src.constant and not (pt.d2F.any() or pt.d3F.any()):",
+        "if False:",
+        ("tests/test_shortcuts.py::test_product_projection_does_no_passive_work",),
+        "a flat product projection forms no product of its zero T, A, bracket and residual terms",
+    ),
 )
 
 _IGNORED = shutil.ignore_patterns(".git", "__pycache__", ".hypothesis", ".pytest_cache",
