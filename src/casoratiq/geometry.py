@@ -20,8 +20,8 @@ Conventions used throughout the engine:
   of the Christoffel symbols appears only in ``christoffel_with_grad``;
 * over an orthonormal frame with rows ``e_a`` the curvature is read from
   one frame tensor ``R_E[a, b, c, d] = R(e_a, e_b, e_c, e_d)``
-  (``frame_contraction``); every ambient curvature sum is a block or
-  trace of it (``curvature_sums``);
+  (``frame_contraction``); every ambient curvature sum is a block sum of
+  its pairs R_E[a, b, b, a] (``curvature_sums``);
 * the metric jets and everything ``ChartPoint`` derives from them, the
   orthonormal frames and the frame tensors carry leading point axes: a
   batch of P points is (P, n), and the scenes pass every chart point in
@@ -477,17 +477,17 @@ def frame_contraction(R: np.ndarray, E1, E2, E3, E4) -> np.ndarray:
     return out
 
 
-def curvature_sums(frame_tensor: np.ndarray, s: int) -> tuple:
+def curvature_sums(pairs: np.ndarray, s: int) -> tuple:
     """Scalar curvature sums of a frame split after its first ``s`` vectors.
 
-    With ``K[a, b] = R_E[a, b, b, a]`` over an orthonormal frame, returns
-    ``2 tau`` of the first block, ``2 tau`` of the rest (each the sum of K
-    over the block's ordered pairs a != b) and the mixed sum of K over
-    (first, rest) pairs.  Blocks of fewer than two vectors give 0.  Each
-    sum has the point axes of the frame tensor (..., n, n, n, n): one
-    float for a lone point.
+    ``pairs`` (..., k, k) holds K[a, b] = R(e_a, e_b, e_b, e_a) over an
+    orthonormal frame: R_E[a, b, b, a] of a frame tensor, or the closed form
+    ``quaternionic.space_form_pairs``.  Returns ``2 tau`` of the first block,
+    ``2 tau`` of the rest (each the sum of K over the block's ordered pairs
+    a != b) and the mixed sum of K over (first, rest) pairs.  Blocks of fewer
+    than two vectors give 0.  Each sum has the point axes of K.
     """
-    K = np.einsum("...abba->...ab", frame_tensor).copy()
+    K = np.array(pairs, dtype=float)
     n = K.shape[-1]
     K.reshape(K.shape[:-2] + (n * n,))[..., :: n + 1] = 0.0  # the diagonal a = b
     first, rest = slice(None, s), slice(s, None)

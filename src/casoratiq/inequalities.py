@@ -27,7 +27,7 @@ from .casorati import (
 )
 from .errors import ConfigurationError, DimensionError, DomainError, OracleError
 from .geometry import curvature_sums
-from .quaternionic import JDecomposition, QSFOracle, decompose_J
+from .quaternionic import JDecomposition, QSFOracle, decompose_J, space_form_pairs
 
 __all__ = [
     "TheoremReport",
@@ -86,15 +86,7 @@ class EqualityDiagnostics:
 
     @functools.cached_property
     def _doc(self) -> dict:
-        return {
-            "offdiag_max": self.offdiag_max,
-            "eigen_pattern_residual": self.eigen_pattern_residual,
-            "common_eigendirection_residual": self.common_eigendirection_residual,
-            "commutator_max": self.commutator_max,
-            "A_norm": self.A_norm,
-            "bracket_verticality_residual": self.bracket_verticality_residual,
-            "degenerate_extrema": self.degenerate_extrema,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 @dataclass(frozen=True)
@@ -272,13 +264,13 @@ class SceneData:
     A record built once, by ``checker_inputs``, with every field filled.
     ``tensors`` maps names of ``TENSORS`` to checked ``CasoratiInput`` of
     the table's symmetry, one for each tensor over a non-empty tangent
-    frame.  ``decomp`` holds the J blocks over the split frame of the
-    curved side, [first; second] of ``FRAMES[kind]``, and the dimensions
-    ``s`` and ``ell`` of its two parts, and ``sums`` the
-    ``curvature_sums`` of the ambient frame tensor, split after the first
-    part.  ``extrema`` and ``diagnostics`` hold the hyperplane extrema and
-    the equality diagnostics of each tensor the requested families read,
-    over at least 3 vectors, shared by every family that reads it.  Chart scenes give
+    frame.  ``decomp`` holds the Gram matrix and J blocks over the split
+    frame of the curved side, [first; second] of ``FRAMES[kind]``, and the
+    dimensions ``s`` and ``ell`` of its two parts, and ``sums`` the
+    ``curvature_sums`` of the ambient pairs, split after the first part.
+    ``extrema`` and ``diagnostics`` hold the hyperplane extrema and the
+    equality diagnostics of each tensor the requested families read, over
+    at least 3 vectors, shared by every family that reads it.  Chart scenes give
     ``space_form_residual``, the deviation of the ambient curvature from
     the space form; it must be small, and it selects the chart-mode
     equality tolerance.  Chart submersions also give ``bracket_residual``.
@@ -312,6 +304,7 @@ def checker_inputs(
     equality_tol: Optional[float] = None,
     bracket_residual: Optional[np.ndarray] = None,
     flat: bool = False,
+    gram: Optional[np.ndarray] = None,
 ) -> list[SceneData]:
     """Each point's ``SceneData``, computed for a stack of points at once.
 
@@ -324,8 +317,10 @@ def checker_inputs(
     that would read it rejects that dimension first.  A chart scene passes
     its ambient frame tensor (P, k, k, k, k) over E, whose space-form
     residual each point then carries; without one the ambient curvature is
-    the space form itself, with no residual.  In order: the J blocks, the
-    ambient tensor or its residual (sharing the blocks), each tensor's
+    the space form itself, with no residual, whose pairs take the closed
+    form (``space_form_pairs``) over ``gram`` (P, k, k), E g E^T, which
+    ``decompose_J`` forms unless the caller holds it.  In order: the J
+    blocks, the ambient pairs or residual (sharing the blocks), each tensor's
     check as a stack (``CasoratiInput.rows``), the curvature sums and, for
     each tensor the requested ``families`` read over at least 3 vectors,
     the hyperplane extrema and the equality diagnostics.  Each point gets
@@ -335,16 +330,15 @@ def checker_inputs(
     chart's is: its curvature sums are zeros, and at c = 0 so is its
     residual, with no pass over it.
     """
-    decomp = decompose_J(J, g, E, s)
-    oracle = QSFOracle(c, J, g)
+    decomp = decompose_J(J, g, E, s, gram=gram)
     if ambient is None:
-        ambient = oracle.curvature_tensor(E, decomp.blocks)
-        residuals = [None] * len(g)
+        pairs, residuals = space_form_pairs(c, decomp.gram, decomp.blocks), [None] * len(g)
     elif flat and c == 0.0:
-        residuals = [0.0] * len(g)
+        pairs, residuals = None, [0.0] * len(g)
     else:
+        pairs = np.einsum("...abba->...ab", ambient)
         residuals = space_form_residual_from_tensor(
-            ambient, oracle, E, blocks=decomp.blocks
+            ambient, QSFOracle(c, J, g), E, blocks=decomp.blocks
         ).tolist()
     inputs = {
         key: CasoratiInput.rows(h, TENSORS[key].symmetry)
@@ -354,7 +348,7 @@ def checker_inputs(
     if flat:
         sums = [(0.0, 0.0, 0.0)] * len(g)
     else:
-        sums = list(zip(*(v.tolist() for v in curvature_sums(ambient, s))))
+        sums = list(zip(*(v.tolist() for v in curvature_sums(pairs, s))))
     brackets = [None] * len(g) if bracket_residual is None else bracket_residual.tolist()
     a_norm_sq = [A.norm_sq() for A in inputs["A"]] if "A" in inputs else [0.0] * len(g)
     extrema, diagnostics = {}, {}

