@@ -63,8 +63,14 @@ class CasoratiInput:
         c = np.asarray(coeffs, dtype=float)
         if c.ndim != 4 or c.shape[2] != c.shape[3]:
             raise DimensionError(f"coefficient stack has shape {c.shape}")
+        return cls._of_rows(c, kind, _checked_norms(c, kind))
+
+    @classmethod
+    def _of_rows(cls, c: np.ndarray, kind: str, norms: list) -> list["CasoratiInput"]:
+        """One input per point of the stack ``c`` (P, n_codist, n, n), whose checked
+        squared norms are ``norms``; nothing is checked here."""
         out = []
-        for row, norm_sq in zip(c, _checked_norms(c, kind)):
+        for row, norm_sq in zip(c, norms):
             inp = object.__new__(cls)
             for name, value in (("coeffs", row), ("kind", kind), ("_norm_sq", norm_sq)):
                 object.__setattr__(inp, name, value)
@@ -530,12 +536,8 @@ def hyperplane_extrema(inp: CasoratiInput) -> HyperplaneExtrema:
 def _extrema_rows(h: np.ndarray, kind: str, total_sq: list) -> list[HyperplaneExtrema]:
     """``hyperplane_extrema`` of every stack of slices ``h[p]`` (P, a, n, n), n >= 3.
 
-    ``total_sq[p]`` is |h[p]|^2.  Each stack takes its own path.  The
-    matrices of the exact paths, M for skew or zero slices and the one
-    nonzero slice otherwise, share one stacked ``eigh``, which gives each
-    the bits it gets alone; an all-zero stack takes the eigenpairs (0, I)
-    that ``eigh`` gives its zero M, with no ``eigh``.  Each multi-start
-    runs alone.  Slices so large that the quartic overflows raise
+    ``total_sq[p]`` is |h[p]|^2.  Each stack takes its own path
+    (``_extrema_of``).  Slices so large that the quartic overflows raise
     ``DomainError``: an eigendecomposition that fails, or the first stack
     whose extrema or normals are not finite.
     """
@@ -552,17 +554,21 @@ def _extrema_rows(h: np.ndarray, kind: str, total_sq: list) -> list[HyperplaneEx
 
 
 def _extrema_of(h: np.ndarray, kind: str, total_sq: list) -> list[HyperplaneExtrema]:
-    out = [None] * len(h)
-    # an all-zero stack, which has |h|^2 = 0, has M = 0, whose eigenpairs eigh gives as (0, I)
-    n = h.shape[-1]
-    for p, t in enumerate(total_sq):
-        if t == 0.0 and not h[p].any():
-            out[p] = _exact_extrema(t, np.zeros(n), np.eye(n))
+    """The extrema of every stack h[p], by the path its nonzero slices choose.
+
+    The matrices of the exact paths, M for skew or zero slices and the one
+    nonzero slice otherwise, share one stacked ``eigh``, which gives each
+    the bits it gets alone: a zero M, of a zero point among others, gets
+    the eigenpairs (0, I) of ``_zero_extrema``.  A stack that is all zeros
+    takes ``_zero_extrema`` from its caller (``checker_inputs``) instead.
+    Each multi-start runs alone.
+    """
     if kind == "skew":
         slices = [0] * len(h)  # as if zero: the quartic term of skew slices vanishes
     else:
         slices = h.any(axis=(-2, -1)).sum(axis=-1).tolist()
-    closed = [p for p, k in enumerate(slices) if k < 2 and out[p] is None]
+    out = [None] * len(h)
+    closed = [p for p, k in enumerate(slices) if k < 2]
     if closed:
         hc = h if len(closed) == len(h) else h[closed]
         mats = np.einsum("...aji,...ajk->...ik", hc, hc)
@@ -613,6 +619,16 @@ def _exact_extrema(total_sq: float, lam: np.ndarray, V: np.ndarray) -> Hyperplan
         2.0 * (lam[1] - lam[0]) < tie,
         V.shape[0],
     )
+
+
+def _zero_extrema(n: int) -> HyperplaneExtrema:
+    """The extrema of all-zero slices over n >= 3 vectors, with no product.
+
+    Their M is zero, and ``eigh`` gives a zero matrix the eigenpairs
+    (0, I): inf = sup = 0, at the last and first columns of I, with both
+    tie flags set and the audit of the exact path.
+    """
+    return _exact_extrema(0.0, np.zeros(n), np.eye(n))
 
 
 def _one_slice_extrema(lam: np.ndarray, V: np.ndarray) -> HyperplaneExtrema:

@@ -22,6 +22,7 @@ from .casorati import (
     HyperplaneExtrema,
     _extrema_rows,
     _scale_exponents,
+    _zero_extrema,
     casorati,
     delta_casorati,
 )
@@ -154,16 +155,14 @@ def _diagnostic_arrays(h: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, ...]:
 
     ``h`` (..., a, n, n) holds the slices and ``u`` (..., n) the argmin
     normals, with the same point axes; every residual has those axes, and
-    each point gets the bits it gets alone.  Slices that are all exactly
-    zero give exactly zero residuals, with no product.  Each point's
-    residuals are taken on its slices over 2**k (``_scale_exponents``)
-    and scaled back, by 2**k and by 4**k for the commutator, which is
-    exact, so slices near the float limit keep their products in range.
+    each point gets the bits it gets alone: slices that are all exactly
+    zero get exactly zero residuals, the values that ``checker_inputs``
+    gives a stack of them with no call here.  Each point's residuals are
+    taken on its slices over 2**k (``_scale_exponents``) and scaled back,
+    by 2**k and by 4**k for the commutator, which is exact, so slices
+    near the float limit keep their products in range.
     """
     n = h.shape[-1]
-    if not h.any():
-        zero = np.zeros(h.shape[:-3])
-        return zero, zero, zero, zero
     k = _scale_exponents(h)
     scaled = k.any()
     if scaled:
@@ -204,10 +203,18 @@ def _diagnostics_rows(
         for value in column:
             if not math.isfinite(value):
                 raise DomainError(f"equality diagnostic {f.name} is not finite ({value!r})")
+    return _diagnostics_records(columns, extrema, A_norm_sq, bracket_residual)
+
+
+def _diagnostics_records(
+    columns: list, extrema: list, A_norm_sq: list, bracket_residual: list
+) -> list[EqualityDiagnostics]:
+    """Each point's ``EqualityDiagnostics`` from its four residual ``columns``, its
+    extrema, the squared norm of its A and its bracket residual."""
     return [
         EqualityDiagnostics(
             *residuals,
-            A_norm=float(np.sqrt(max(a_sq, 0.0))),
+            A_norm=math.sqrt(max(a_sq, 0.0)),
             bracket_verticality_residual=bracket,
             degenerate_extrema=ex.degenerate_min,
         )
@@ -257,6 +264,44 @@ TENSORS = {
 FAMILY_TENSORS = {"map": ("B",), "vertical": ("T",), "horizontal": ("A",), "combined": ("T", "A")}
 
 
+class CasoratiTerms(NamedTuple):
+    """What the checkers read of one tensor h at one point, worked out once.
+
+    ``block`` holds the Casorati curvature, the hyperplane extrema, the
+    delta pair and the optimizer audit, under the names of a one-tensor
+    family's extras; ``norm`` is |h|.  A symmetric h (B or T) has its
+    ``trace_norm_sq``, |trace h|^2, and a skew one (A) its ``integrable``
+    flag: whether h vanishes relative to its largest coefficient.
+    """
+
+    block: dict
+    norm: float
+    trace_norm_sq: Optional[float] = None
+    integrable: Optional[bool] = None
+
+
+def _casorati_terms(inp: CasoratiInput, ex: HyperplaneExtrema, zero: bool) -> CasoratiTerms:
+    """The ``CasoratiTerms`` of one point's checked tensor and its extrema.
+
+    An all-zero tensor (``zero``) has zero trace and is integrable, with
+    no pass over its coefficients.
+    """
+    C = casorati(inp)
+    delta, delta_hat = delta_casorati(C, ex, inp.n)
+    block = {
+        "casorati": C,
+        "inf_CL": ex.inf_CL,
+        "sup_CL": ex.sup_CL,
+        "delta_C": delta,
+        "delta_C_hat": delta_hat,
+        "optimizer_audit": ex.audit,
+    }
+    norm = math.sqrt(inp.norm_sq())
+    if inp.kind == "symmetric":
+        return CasoratiTerms(block, norm, trace_norm_sq=0.0 if zero else inp.trace_norm_sq())
+    return CasoratiTerms(block, norm, integrable=zero or _integrable(inp, norm))
+
+
 @dataclass(frozen=True)
 class SceneData:
     """Everything the theorem checkers read at one point of a map or submersion scene.
@@ -268,7 +313,7 @@ class SceneData:
     frame of the curved side, [first; second] of ``FRAMES[kind]``, and the
     dimensions ``s`` and ``ell`` of its two parts, and ``sums`` the
     ``curvature_sums`` of the ambient pairs, split after the first part.
-    ``extrema`` and ``diagnostics`` hold the hyperplane extrema and the
+    ``terms`` and ``diagnostics`` hold the ``CasoratiTerms`` and the
     equality diagnostics of each tensor the requested families read, over
     at least 3 vectors, shared by every family that reads it.  Chart scenes give
     ``space_form_residual``, the deviation of the ambient curvature from
@@ -281,7 +326,7 @@ class SceneData:
     c: float
     decomp: JDecomposition
     sums: tuple
-    extrema: dict
+    terms: dict
     diagnostics: dict
     deltaN: Optional[float] = None
     space_form_residual: Optional[float] = None  # chart scenes only
@@ -323,12 +368,24 @@ def checker_inputs(
     blocks, the ambient pairs or residual (sharing the blocks), each tensor's
     check as a stack (``CasoratiInput.rows``), the curvature sums and, for
     each tensor the requested ``families`` read over at least 3 vectors,
-    the hyperplane extrema and the equality diagnostics.  Each point gets
-    the bits it would compute alone; each check raises for the first point
-    that fails it.  ``bracket_residual`` (P,) comes with chart submersions.
-    ``flat`` says that the ambient tensor is exactly zero, as a constant
-    chart's is: its curvature sums are zeros, and at c = 0 so is its
-    residual, with no pass over it.
+    the hyperplane extrema, the equality diagnostics and the
+    ``CasoratiTerms`` that every family reading the tensor shares.  Each
+    point gets the bits it would compute alone; each check raises for the
+    first point that fails it.  ``bracket_residual`` (P,) comes with
+    chart submersions.  ``flat`` says that the ambient tensor is exactly
+    zero, as a constant chart's is: its curvature sums are zeros, and at
+    c = 0 so is its residual, with no pass over it.
+
+    Whether a tensor's stack is all exact zeros (``not h.any()``, as a
+    constant projector's T and A are, or zeros given in a pointwise file)
+    is decided here, once per stack.  Such a stack passes every check,
+    and each of its points gets, with no product: the squared norm 0.0,
+    the extrema of a zero M (``_zero_extrema``: eigenpairs (0, I),
+    inf = sup = 0, both tie flags set), zero equality residuals beside
+    its own |A| and bracket residual, zero trace and, for A, the
+    integrable flag.  Those are the bits the general path gives each
+    point, alone or in a stack; a zero point among nonzero ones takes
+    the general path.
     """
     decomp = decompose_J(J, g, E, s, gram=gram)
     if ambient is None:
@@ -340,8 +397,12 @@ def checker_inputs(
         residuals = space_form_residual_from_tensor(
             ambient, QSFOracle(c, J, g), E, blocks=decomp.blocks
         ).tolist()
+    zero = _zero_stacks(tensors)  # they pass every check, each with squared norm 0.0
     inputs = {
-        key: CasoratiInput.rows(h, TENSORS[key].symmetry)
+        key: (
+            CasoratiInput._of_rows(h, TENSORS[key].symmetry, [0.0] * len(h)) if key in zero
+            else CasoratiInput.rows(h, TENSORS[key].symmetry)
+        )
         for key, h in tensors.items()
         if h.shape[-1]
     }
@@ -351,24 +412,39 @@ def checker_inputs(
         sums = list(zip(*(v.tolist() for v in curvature_sums(pairs, s))))
     brackets = [None] * len(g) if bracket_residual is None else bracket_residual.tolist()
     a_norm_sq = [A.norm_sq() for A in inputs["A"]] if "A" in inputs else [0.0] * len(g)
-    extrema, diagnostics = {}, {}
+    terms, diagnostics = {}, {}
     for key in dict.fromkeys(k for f in families for k in FAMILY_TENSORS[f]):
         h = tensors[key]
-        if h.shape[-1] < 3:  # the checkers reject the family before they read the extrema
+        n = h.shape[-1]
+        if n < 3:  # the checkers reject the family before they read the extrema
             continue
-        extrema[key] = _extrema_rows(
-            h, TENSORS[key].symmetry, [inp.norm_sq() for inp in inputs[key]]
-        )
-        diagnostics[key] = _diagnostics_rows(h, extrema[key], a_norm_sq, brackets)
+        if key in zero:
+            extrema = [_zero_extrema(n) for _ in h]
+            diagnostics[key] = _diagnostics_records(
+                [[0.0] * len(h)] * 4, extrema, a_norm_sq, brackets
+            )
+        else:
+            extrema = _extrema_rows(
+                h, TENSORS[key].symmetry, [inp.norm_sq() for inp in inputs[key]]
+            )
+            diagnostics[key] = _diagnostics_rows(h, extrema, a_norm_sq, brackets)
+        terms[key] = [
+            _casorati_terms(inp, ex, key in zero) for inp, ex in zip(inputs[key], extrema)
+        ]
     return [
         SceneData(
             kind, {key: column[i] for key, column in inputs.items()}, c, point_decomp, sums[i],
-            {key: column[i] for key, column in extrema.items()},
+            {key: column[i] for key, column in terms.items()},
             {key: column[i] for key, column in diagnostics.items()},
             deltaN, residuals[i], equality_tol, brackets[i],
         )
         for i, point_decomp in enumerate(decomp.rows())
     ]
+
+
+def _zero_stacks(tensors: dict) -> set:
+    """The names of the tensors whose stack of slices is all exact zeros."""
+    return {key for key, h in tensors.items() if not h.any()}
 
 
 def space_form_residual_from_tensor(
@@ -394,7 +470,7 @@ def _family_reports(
     that is not finite is a ``DomainError`` naming the theorem.
     """
     for theorem_id, pair in zip(FAMILIES[family], rhs):
-        if not np.isfinite([lhs, *pair, *(r - lhs for r in pair)]).all():
+        if not all(map(math.isfinite, (lhs, *pair, *(r - lhs for r in pair)))):
             raise DomainError(f"{theorem_id}: lhs {lhs!r} or rhs {list(pair)!r} is not finite")
     return [
         TheoremReport(
@@ -404,21 +480,6 @@ def _family_reports(
         for theorem_id, pair in zip(FAMILIES[family], rhs)
         for variant, r in zip(("delta", "delta_hat"), pair)
     ]
-
-
-def _casorati_terms(data: SceneData, key: str) -> dict:
-    """Casorati curvature, hyperplane extrema and delta pair of one tensor."""
-    h, ex = data.tensors[key], data.extrema[key]
-    C = casorati(h)
-    delta, delta_hat = delta_casorati(C, ex, h.n)
-    return {
-        "casorati": C,
-        "inf_CL": ex.inf_CL,
-        "sup_CL": ex.sup_CL,
-        "delta_C": delta,
-        "delta_C_hat": delta_hat,
-        "optimizer_audit": ex.audit,
-    }
 
 
 def _c_term(c: float, k: int, norms: np.ndarray) -> float:
@@ -451,16 +512,15 @@ def _distribution_reports(
     """
     tol, sf_residual = _checked_scene(data)
     (key,) = FAMILY_TENSORS[family]
-    h = data.tensors[key]
+    h, terms = data.tensors[key], data.terms[key]
     k = h.n
     block = FRAMES[data.kind].index(TENSORS[key].tangent)
     rho = data.sums[block] / (k * (k - 1))
     if TENSORS[key].symmetry == "symmetric":
-        lhs = rho + (h.trace_norm_sq() - h.norm_sq()) / (k * (k - 1))
+        lhs = rho + (terms.trace_norm_sq - h.norm_sq()) / (k * (k - 1))
     else:
         lhs = rho - 3.0 * h.norm_sq() / (k * (k - 1))
 
-    terms = _casorati_terms(data, key)
     norms = (data.decomp.norms_P, data.decomp.norms_Q)[block]
     c_term = _c_term(data.c, k, norms)
     extras = {
@@ -469,10 +529,11 @@ def _distribution_reports(
         rho_key: rho,
         "space_form_residual": sf_residual,
         norms_key: norms.tolist(),
-        **terms,
+        **terms.block,
         **extras,
     }
-    rhs = [(terms["delta_C"] + amb, terms["delta_C_hat"] + amb) for amb in (c_term, rho)]
+    delta, delta_hat = terms.block["delta_C"], terms.block["delta_C_hat"]
+    rhs = [(delta + amb, delta_hat + amb) for amb in (c_term, rho)]
     return _family_reports(family, lhs, rhs, tol, data.diagnostics[key], extras, extra_equality)
 
 
@@ -497,14 +558,13 @@ def _integrable(A: CasoratiInput, a_norm: float) -> bool:
 def check_horizontal_theorem(data: SceneData) -> list[TheoremReport]:
     """Horizontal-distribution inequality; equality means A vanishes."""
     _check_input(data, "horizontal", s=data.decomp.s)
-    A = data.tensors["A"]
-    a_norm = float(np.sqrt(A.norm_sq()))
-    integrable = _integrable(A, a_norm)
+    A = data.terms["A"]
+    integrable = A.integrable
     if data.bracket_residual is not None:
         # chart scenes: the bracket cross-check must back the A = 0 reading
         integrable = integrable and data.bracket_residual < 1e-6
     return _distribution_reports(
-        data, "horizontal", "rho_horizontal_ambient", "norms_P", integrable, A_norm=a_norm
+        data, "horizontal", "rho_horizontal_ambient", "norms_P", integrable, A_norm=A.norm
     )
 
 
@@ -526,12 +586,9 @@ def check_combined_theorem(data: SceneData) -> list[TheoremReport]:
 
     t_norm = T.norm_sq()
     a_norm = A.norm_sq()
-    rho_v = rho_v_amb + (T.trace_norm_sq() - t_norm) / (ell * (ell - 1))
+    rho_v = rho_v_amb + (data.terms["T"].trace_norm_sq - t_norm) / (ell * (ell - 1))
     rho_h = rho_h_amb - 3.0 * a_norm / (s * (s - 1))
     lhs = rho_h / (ell * (ell - 1)) + rho_v / (s * (s - 1))
-
-    vert = _casorati_terms(data, "T")
-    hor = _casorati_terms(data, "A")
 
     decomp = data.decomp
     tail = (2.0 * data.deltaN - t_norm + a_norm) / D
@@ -543,7 +600,7 @@ def check_combined_theorem(data: SceneData) -> list[TheoremReport]:
         (decomp.norms_Q + decomp.norms_P + 2.0 * decomp.norms_PV).sum()
     )
 
-    integrable = _integrable(A, float(np.sqrt(a_norm)))
+    vert, hor = data.terms["T"].block, data.terms["A"].block
     extras = {
         "c": data.c,
         "equality_tol": tol,
@@ -568,7 +625,9 @@ def check_combined_theorem(data: SceneData) -> list[TheoremReport]:
         )
         for amb in (closed_amb, generic_amb)
     ]
-    return _family_reports("combined", lhs, rhs, tol, data.diagnostics["T"], extras, integrable)
+    return _family_reports(
+        "combined", lhs, rhs, tol, data.diagnostics["T"], extras, data.terms["A"].integrable
+    )
 
 
 def _checked_scene(data: SceneData) -> tuple[float, Optional[float]]:

@@ -1448,11 +1448,14 @@ class TestComputeOnce:
 
     def test_equality_diagnostics_per_point(self, monkeypatch):
         # the vertical and combined families share T's diagnostics; the
-        # horizontal family reads A's.  The point is a chunk of one, whose
-        # diagnostics are counted by the kind of the extrema they read
+        # horizontal family reads A's.  A pointwise scene is a chunk of one, whose
+        # diagnostics are counted by the kind of the extrema they read; its T and A
+        # are not zero, so neither takes the closed form of an all-zero stack
         from casoratiq import inequalities
 
-        one_point = _first_point_only(builtin_scenario("product-projection:8to4"))
+        doc = scenes.random_pointwise_submersion(4, 4, -4.0, seed=1331)
+        doc["theorems"].append("combined_7_2")
+        one_point = parse_scenario(doc)
         kinds, calls = {}, []
 
         def extrema(h, kind, *args, _original=inequalities._extrema_rows):

@@ -4,13 +4,19 @@ A metric program whose entries are all literals, and a map program whose
 components are bare coordinates or literals, get their jets without being
 run (``CompiledProgram.passive``, ``geometry._ProgramMetric.literal``);
 a constant chart under such a map has a constant projector, and gets T,
-A, the bracket, the O'Neill derivatives, the Gauss terms that read them
-and the zero stacks' extrema and equality diagnostics with no product.
-Each shortcut must give the reports of the general path bit for bit, and
-keep its errors.
+A, the bracket, the O'Neill derivatives and the Gauss terms that read
+them with no product.  A tensor whose stack of slices is all exact zeros,
+as such a T and A are, is found once by ``checker_inputs``
+(``inequalities._zero_stacks``), and each of its points gets its squared
+norm, extrema, equality diagnostics and Casorati terms in closed form,
+with no check, no eigendecomposition and no product.  Each shortcut must
+give the reports of the general path bit for bit, and keep its errors; a
+zero point in a chunk of nonzero ones takes the general path, and must
+get the bits it gets alone.
 """
 
 import dataclasses
+import json
 import sys
 from pathlib import Path
 
@@ -23,6 +29,7 @@ from casoratiq.errors import DegenerateMetricError
 from casoratiq.expressions import CompiledProgram, compile_program
 from casoratiq.geometry import ChartPoint, MetricChart
 from casoratiq.jets import Jet2
+from casoratiq.quaternionic import QuaternionicStructure
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "bench"))
@@ -31,11 +38,13 @@ import workloads  # noqa: E402
 
 def _general_path(monkeypatch, constant=True):
     """Turn the passive-program detection off, and with ``constant`` the exact zeros of
-    constant charts too; a class-level property hides what an instance has cached."""
+    constant charts and of all-zero tensor stacks too; a class-level property hides what
+    an instance has cached."""
     monkeypatch.setattr(CompiledProgram, "passive", property(lambda self: None))
     monkeypatch.setattr(geometry._ProgramMetric, "literal", property(lambda self: None))
     if constant:
         monkeypatch.setattr(ChartPoint, "constant", property(lambda self: False))
+        monkeypatch.setattr(inequalities, "_zero_stacks", lambda tensors: set())
 
 
 def _shipped_reports() -> dict:
@@ -74,9 +83,10 @@ def test_passive_facts_are_worked_out_once_per_program():
 def test_product_projection_does_no_passive_work(monkeypatch):
     """product-projection:8to4 seeds no jets, runs no metric or map program, makes no
     frame jet of its projector, forms no product of its zero T, A and their covariant
-    derivatives, and forms no equality-diagnostic product and no eigendecomposition of
-    its zero stacks.  Its literal metrics were checked when their programs were first
-    used, here by a first run."""
+    derivatives, and neither checks nor extremizes its zero stacks: no coefficient
+    check, no extrema or equality-diagnostic call, no product and no eigendecomposition.
+    Its literal metrics were checked when their programs were first used, here by a
+    first run."""
     scn = scenes.builtin_scenario("product-projection:8to4")
     scenes.evaluate_scenario(scn)
     calls = {}
@@ -101,6 +111,9 @@ def test_product_projection_does_no_passive_work(monkeypatch):
     count(maps, "frame_solve")
     count(maps, "_pairs")
     count(maps, "_apply")
+    count(sys.modules["casoratiq.casorati"], "_checked_norms")
+    count(inequalities, "_extrema_rows")
+    count(inequalities, "_diagnostics_rows")
     count(inequalities, "_rotation_to_last")
     count(np.linalg, "eigvalsh")
     count(np.linalg, "eigh")
@@ -109,6 +122,48 @@ def test_product_projection_does_no_passive_work(monkeypatch):
     assert rep.aggregate["point_errors"] == 0 and len(rep.points) == 4
     assert rep.aggregate["equality_tally"] == {"equality": 48}
     assert calls == {}
+
+
+def test_a_chunk_with_some_zero_stacks_gives_each_point_its_bits_alone():
+    """T is zero at points 1 and 3 of a chunk of four, A at points 0 and 3: in the chunk
+    both stacks take the general path, and a zero point alone takes the closed form.
+    Every point's reports, diagnostics and Casorati terms are the same bits either way."""
+    rng = np.random.default_rng(36)
+    P, s, ell = 4, 4, 4
+    n = s + ell
+    T = rng.uniform(-1.0, 1.0, size=(P, s, ell, ell))
+    T += T.swapaxes(-1, -2)
+    A = rng.uniform(-1.0, 1.0, size=(P, ell, s, s))
+    A -= A.swapaxes(-1, -2)
+    T[[1, 3]] = 0.0
+    A[[0, 3]] = 0.0
+    E = np.stack([np.linalg.qr(rng.normal(size=(n, n)))[0].T for _ in range(P)])
+    g = np.broadcast_to(np.eye(n), (P, n, n))
+    bracket = np.array([0.0, 2e-9, 0.0, 1e-9])
+    J = QuaternionicStructure.quat_flat(n // 4).J_const
+    families = ("vertical", "horizontal", "combined")
+    checkers = (inequalities.check_vertical_theorem, inequalities.check_horizontal_theorem,
+                inequalities.check_combined_theorem)
+
+    def inputs(points):
+        return inequalities.checker_inputs(
+            "submersion", E[points], s, {"T": T[points], "A": A[points]}, g[points], J, -4.0,
+            families, deltaN=0.0, bracket_residual=bracket[points],
+        )
+
+    def text(data):
+        reports = [r.as_dict() for check in checkers for r in check(data)]
+        terms = {key: t._asdict() for key, t in data.terms.items()}
+        return json.dumps([reports, terms], sort_keys=True, default=repr)
+
+    chunk = inputs(slice(None))
+    assert not inequalities._zero_stacks({"T": T, "A": A})  # the chunk takes the general path
+    for p, data in enumerate(chunk):
+        (alone,) = inputs(slice(p, p + 1))
+        assert text(data) == text(alone), p
+    (both_zero,) = inputs(slice(3, 4))
+    assert both_zero.terms["T"].block["optimizer_audit"]["path"] == "exact"
+    assert both_zero.terms["A"].integrable and both_zero.diagnostics["T"].A_norm == 0.0
 
 
 @pytest.mark.parametrize(

@@ -183,6 +183,65 @@ MUTANTS = (
          "test_closed_form_sums_match_the_reference_tensor[4]",),
         "the closed form holds over any frame rows, where G_ab is not zero off the diagonal",
     ),
+    Mutant(
+        "zero-stack-forced",
+        "src/casoratiq/inequalities.py",
+        "return {key for key, h in tensors.items() if not h.any()}",
+        "return set(tensors)",
+        ("tests/test_golden.py::test_report_matches_golden[radial:4]",
+         "tests/test_acceptance.py::test_c08_radial_regression"),
+        "a tensor with a nonzero slice has its own norm, extrema and diagnostics, not zeros",
+    ),
+    Mutant(
+        "zero-stack-off",
+        "src/casoratiq/inequalities.py",
+        "return {key for key, h in tensors.items() if not h.any()}",
+        "return set()",
+        ("tests/test_shortcuts.py::test_product_projection_does_no_passive_work",
+         "tests/test_batches.py::test_a_pointwise_scene_is_a_chunk_of_one[pw-equality-combined:s4l4]"),
+        "an all-zero stack is neither checked nor extremized, and has no diagnostic product",
+    ),
+    Mutant(
+        "literal-metric-off",
+        "src/casoratiq/geometry.py",
+        "if literal is not None:",
+        "if False:",
+        ("tests/test_shortcuts.py::test_product_projection_does_no_passive_work",
+         "tests/test_scenes_cli.py::TestComputeOnce::test_expression_calls_per_scene"),
+        "a metric of literals is checked once per program and never seeded or run",
+    ),
+    Mutant(
+        "literal-metric-forced",
+        "src/casoratiq/geometry.py",
+        "if passive is None or (passive[0] >= 0).any():",
+        "if passive is None:",
+        ("tests/test_scenes_cli.py::TestValidation::test_corrupted_metric_reported",),
+        "a metric entry that is a bare coordinate varies, so the metric is not literal",
+    ),
+    Mutant(
+        "passive-map-off",
+        "src/casoratiq/maps.py",
+        "if passive is not None and 0 <= passive[0].max() < n:",
+        "if False:",
+        ("tests/test_shortcuts.py::test_product_projection_does_no_passive_work",),
+        "a coordinate map reads y off x and runs no program",
+    ),
+    Mutant(
+        "flat-residual-forced",
+        "src/casoratiq/inequalities.py",
+        "elif flat and c == 0.0:",
+        "elif flat:",
+        ("tests/test_scenes_cli.py::TestRunReports::test_false_space_form_declaration_fails",),
+        "a flat curved side is the space form only at c = 0; elsewhere its residual is the model",
+    ),
+    Mutant(
+        "flat-residual-off",
+        "src/casoratiq/inequalities.py",
+        "elif flat and c == 0.0:",
+        "elif False:",
+        ("tests/test_batches.py::test_checker_inputs_once_per_chunk[1-chunks0]",),
+        "at c = 0 a flat curved side has a zero residual, with no pass over its tensor",
+    ),
 )
 
 _IGNORED = shutil.ignore_patterns(".git", "__pycache__", ".hypothesis", ".pytest_cache",
