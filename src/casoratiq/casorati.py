@@ -129,13 +129,16 @@ def casorati(inp: CasoratiInput) -> float:
 class _Quartic:
     """phi(u) = |h|^2 - u^T S u + sum_a (u^T h_a u)^2, built once per call.
 
-    ``S`` is sum_a (h_a^T h_a + h_a h_a^T); with the symmetric parts
-    sym_a = h_a + h_a^T it makes the blocks (S, sym_1, ...).
-    ``stacked`` puts the blocks side by side as one (n, (a+1)*n)
-    matrix, so one product gives all of them at once, and ``blocks``
-    holds them flattened as the rows of an (a+1, n*n) matrix, which the
-    Hessian's coefficients weigh.  The formula holds for any slices,
-    symmetric or skew.
+    ``blocks`` (a+1, n, n) holds S = sum_a (h_a^T h_a + h_a h_a^T), one
+    Gram product over the slices and their transposes, and the
+    symmetric parts sym_a = h_a + h_a^T.  Every block is exactly
+    symmetric, so B u and u^T B are one vector and each layout reads
+    the blocks as they lie: the burn-in multiplies the (a+1)n x n matrix
+    of all of them by its columns (``_column_state``), the polish
+    multiplies each of its rows by that matrix's transpose
+    (``_RowState.at``), and the Hessian's coefficients weigh them
+    flattened (``_hess``).  The formula holds for any slices, symmetric
+    or skew.
 
     ``of(h, k)`` builds the quartic of h / 2**k, whose phi is that of h
     times 4**-k, exactly.  The search states its tolerances in the units
@@ -144,8 +147,6 @@ class _Quartic:
     """
 
     total_sq: float
-    S: np.ndarray
-    stacked: np.ndarray
     blocks: np.ndarray
     k: int = 0
 
@@ -153,10 +154,15 @@ class _Quartic:
     def of(cls, h: np.ndarray, k: int = 0) -> "_Quartic":
         if k:
             h = np.ldexp(h, -k)
-        S = np.einsum("aji,ajk->ik", h, h) + np.einsum("aij,akj->ik", h, h)
-        blocks = np.concatenate([S[None], h + h.transpose(0, 2, 1)])
-        stacked = blocks.transpose(1, 0, 2).reshape(S.shape[0], -1)
-        return cls(float(np.sum(h**2)), S, stacked, blocks.reshape(len(blocks), -1), k)
+        n = h.shape[-1]
+        hT = h.transpose(0, 2, 1)
+        G = np.concatenate([h, hT]).reshape(-1, n)
+        blocks = np.concatenate([(G.T @ G)[None], h + hT])
+        return cls(float(np.sum(h**2)), blocks, k)
+
+    @property
+    def S(self) -> np.ndarray:
+        return self.blocks[0]
 
     def scaled(self, value: float) -> float:
         """A value in the units of phi of h, in the units of this quartic's phi (exact)."""
@@ -171,59 +177,48 @@ class _Quartic:
         """
         return math.ldexp(value, -2 * min(self.k, 128))
 
-    def products(self, U: np.ndarray):
-        """W[m] = (S u, sym_1 u, ...) and r[m] = (u^T S u, 2 u^T h_1 u, ...).
 
-        A (m, n) block of rows takes one matrix product for all of them,
-        and every row rounds the same whatever m is (m >= 2).  A
-        (m, 1, n) block takes one vector product per row, so every row
-        rounds as it does alone; the Newton polish uses that form.
-        """
-        m, n = U.shape[0], U.shape[-1]
-        W = (U @ self.stacked).reshape(m, -1, n)
-        return W, np.einsum("mkn,mn->mk", W, U.reshape(m, n))
+def _signed_terms(Q: _Quartic, r: np.ndarray, sign: np.ndarray):
+    """sign * phi, sign * grad . u and the signed weights of sign * phi's derivatives.
 
-
-def _phi(Q: _Quartic, r: np.ndarray) -> np.ndarray:
-    """phi from the quadratic forms ``r`` of ``_Quartic.products``."""
-    q2 = r[:, 1:]
-    return Q.total_sq - r[:, 0] + 0.25 * np.einsum("ma,ma->m", q2, q2)
-
-
-def _coef(r: np.ndarray, sign: np.ndarray) -> np.ndarray:
-    """sign[m] * (-2, u^T sym_1 u, ...), the weights of sign * phi's derivatives on the blocks.
-
-    The weights overwrite ``r``, which its caller has read.  Folding the
-    signs (+-1) into the weights is exact: each derivative rounds as
-    sign * its unsigned form does.
+    ``r[k]`` holds the quadratic forms u^T B_k u, block axis first, so
+    phi = |h|^2 - r_0 + sum_a r_a^2 / 4 and grad . u = sum_a r_a^2 - 2 r_0.
+    The weights sign * (-2, r_1, ...) overwrite ``r``; grad = sum_k
+    weight_k B_k u.  Folding the signs (+-1) in is exact: each term
+    rounds as sign * its unsigned form does.
     """
-    r[:, 0] = -2.0
-    r *= sign[:, None]
-    return r
+    q2 = r[1:]
+    sq = np.einsum("k...,k...->...", q2, q2)
+    value = sign * (Q.total_sq - r[0] + 0.25 * sq)
+    gu = sign * (sq - 2.0 * r[0])
+    r[0] = -2.0
+    r *= sign
+    return value, gu, r
 
 
-def _grad(W: np.ndarray, coef: np.ndarray) -> np.ndarray:
-    """sign * (-2 S u + 2 sum_a (u^T h_a u) sym_a u) from ``products`` and ``_coef``."""
-    return np.einsum("mk,mkn->mn", coef, W)
+def _column_state(Q: _Quartic, U: np.ndarray, sign: np.ndarray):
+    """sign[m] * phi and its Riemannian gradient at the unit columns U[:, m] of an (n, m) block.
+
+    One matrix product gives every block's product with every column,
+    and each column rounds the same in any block of two or more.
+    """
+    n, m = U.shape
+    W = (Q.blocks.reshape(-1, n) @ U).reshape(-1, n, m)
+    value, gu, coef = _signed_terms(Q, np.einsum("knm,nm->km", W, U), sign)
+    return value, np.einsum("km,knm->nm", coef, W) - gu * U
 
 
 def _hess(Q: _Quartic, W: np.ndarray, coef: np.ndarray, sign: np.ndarray) -> np.ndarray:
     """Stacked Euclidean Hessians sign * (-2 S + sum_a (2 u^T h_a u) sym_a + 2 V^T V).
 
-    ``W`` comes from ``products`` of an (m, 1, n) block and ``coef`` from
-    ``_coef``; V[m] holds the rows sym_a u.  The weighted blocks take one
-    vector product per row, so every row rounds as it does alone.
+    ``W`` and ``coef`` come from ``_RowState.at``; V[m] holds the rows
+    sym_a u.  The weighted blocks take one vector product per row, so
+    every row rounds as it does alone.
     """
     m, n = W.shape[0], W.shape[-1]
     V = W[:, 1:]
-    weighted = (coef[:, None, :] @ Q.blocks).reshape(m, n, n)
+    weighted = (coef[:, None, :] @ Q.blocks.reshape(len(Q.blocks), -1)).reshape(m, n, n)
     return weighted + (2.0 * sign)[:, None, None] * (V.transpose(0, 2, 1) @ V)
-
-
-def _signed_phi_grad(Q: _Quartic, U: np.ndarray, sign: np.ndarray):
-    """sign[m] * phi and sign[m] * grad of an (m, n) block of rows."""
-    W, r = Q.products(U)
-    return sign * _phi(Q, r), _grad(W, _coef(r, sign))
 
 
 def _dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -232,13 +227,14 @@ def _dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=None)
-def _sphere_starts(n: int, count: int, seed: int) -> np.ndarray:
-    """``count`` standard Gaussian points of R^n pushed to the unit sphere.
+def _sphere_starts(n: int, count: int, seeds: tuple) -> np.ndarray:
+    """Per seed, ``count`` standard Gaussian points of R^n on the unit sphere.
 
-    Built once per (n, count, seed) and read-only.
+    An array (len(seeds), count, n), built once per (n, count, seeds) and
+    read-only.
     """
-    z = np.random.default_rng(seed).standard_normal((count, n))
-    starts = z / np.linalg.norm(z, axis=1, keepdims=True)
+    z = np.stack([np.random.default_rng(seed).standard_normal((count, n)) for seed in seeds])
+    starts = z / np.linalg.norm(z, axis=-1, keepdims=True)
     starts.setflags(write=False)
     return starts
 
@@ -252,42 +248,46 @@ def _starts(Q: _Quartic) -> np.ndarray:
     that a sphere sample alone can miss.
     """
     n = Q.S.shape[0]
-    starts = np.stack([_sphere_starts(n, _START_COUNT, _START_SEED + k) for k in (0, 1)])
+    starts = _sphere_starts(n, _START_COUNT, (_START_SEED, _START_SEED + 1)).copy()
     eig = np.linalg.eigh(Q.S)[1].T[:_START_COUNT]
     starts[:, : eig.shape[0]] = eig
     return starts
 
 
-def _tangent_frames(U: np.ndarray) -> np.ndarray:
+def _tangent_frames(U: np.ndarray, eye: np.ndarray) -> np.ndarray:
     """Columns of frame m span the tangent space of the sphere at U[m].
 
     They are the last n - 1 columns of the Householder reflection
     I - c w w^T, w = U[m] +- e_1 with the sign (bit) of U[m, 0] and
-    c = 2 / |w|^2, taken as one rank-1 update of those columns of I.
+    c = 2 / |w|^2, taken as one rank-1 update of those columns of I,
+    the n x n identity ``eye``.
     """
-    w = U.copy()
-    w[:, 0] += np.copysign(1.0, U[:, 0])
+    w = U + np.copysign(eye[0], U[:, :1])
     cw = (2.0 / _dot(w, w))[:, None] * w
-    return np.eye(U.shape[1])[:, 1:] - cw[:, :, None] * w[:, None, 1:]
+    return eye[:, 1:] - cw[:, :, None] * w[:, None, 1:]
 
 
 def _newton_steps(Ht: np.ndarray, gt: np.ndarray, floor: float) -> np.ndarray:
     """Modified Newton steps: Ht[m] z = -gt[m], or |Ht[m]| z = -gt[m] where Ht[m] is not definite.
 
     The stacked Cholesky factorization is the definiteness test: a stack
-    that factors takes one stacked ``solve``.  When it does not, each row
-    takes the step it takes alone, so no row's step depends on the rows
-    stacked with it.  A row that does not factor is solved in the
-    eigenbasis of Ht[m], every eigenvalue replaced by its absolute
-    value, at least ``floor``, so each step descends even where Ht[m]
-    is indefinite or singular.
+    that factors takes one stacked ``solve``.  When it does not, each
+    half of the stack takes its own steps, recursively.  A half factors
+    exactly when each of its rows does, and a stacked ``solve`` rounds
+    each row as it would alone, so every row takes the step it takes
+    alone; one row that does not factor among m costs at most
+    2 ceil(log2 m) + 1 factorizations.  A row that does not factor is
+    solved in the eigenbasis of Ht[m], every eigenvalue replaced by its
+    absolute value, at least ``floor``, so each step descends even where
+    Ht[m] is indefinite or singular.
     """
     try:
         np.linalg.cholesky(Ht)
     except np.linalg.LinAlgError:
         if len(Ht) > 1:
+            h = len(Ht) // 2
             return np.concatenate(
-                [_newton_steps(Ht[m : m + 1], gt[m : m + 1], floor) for m in range(len(Ht))]
+                [_newton_steps(Ht[:h], gt[:h], floor), _newton_steps(Ht[h:], gt[h:], floor)]
             )
         lam, V = np.linalg.eigh(Ht)
         lam = np.maximum(np.abs(lam), floor)
@@ -298,9 +298,9 @@ def _newton_steps(Ht: np.ndarray, gt: np.ndarray, floor: float) -> np.ndarray:
 class _RowState(NamedTuple):
     """sign[m] * phi and its Riemannian gradient at the unit rows U[m], in row form.
 
-    ``W`` holds the ``products`` of the (m, 1, n) block and ``coef`` the
-    signed weights of its derivatives (``_coef``); ``gu`` is grad . u
-    and ``gnorm`` the norm of ``rgrad``.
+    ``W[m]`` holds the block products (S u, sym_1 u, ...) and ``coef[m]``
+    the signed weights of its derivatives (``_signed_terms``); ``gu`` is
+    grad . u and ``gnorm`` the norm of ``rgrad``.
     """
 
     W: np.ndarray
@@ -314,16 +314,18 @@ class _RowState(NamedTuple):
     def at(cls, Q: _Quartic, U: np.ndarray, sign: np.ndarray) -> "_RowState":
         """Every entry is row-wise, so a row rounds as it would alone, in any block.
 
-        grad . u is read off r: sum_a r_a^2 - 2 r_0, times the sign.
+        Each row of the (m, 1, n) block takes its own vector product: a
+        row in an (m, n) block would round as it does alone only for m >= 2.
         """
-        W, r = Q.products(U[:, None, :])
-        q2 = r[:, 1:]
-        sq = np.einsum("ma,ma->m", q2, q2)
-        value = sign * (Q.total_sq - r[:, 0] + 0.25 * sq)  # sign * _phi(Q, r)
-        gu = sign * (sq - 2.0 * r[:, 0])
-        coef = _coef(r, sign)
-        rgrad = _grad(W, coef) - gu[:, None] * U
-        return cls(W, coef, value, gu, rgrad, np.sqrt(_dot(rgrad, rgrad)))
+        m, n = U.shape
+        W = (U[:, None, :] @ Q.blocks.reshape(-1, n).T).reshape(m, -1, n)
+        value, gu, coef = _signed_terms(Q, np.einsum("mkn,mn->mk", W, U).T, sign)
+        rgrad = np.einsum("km,mkn->mn", coef, W) - gu[:, None] * U
+        return cls(W, coef.T, value, gu, rgrad, np.sqrt(_dot(rgrad, rgrad)))
+
+    def take(self, rows: np.ndarray) -> "_RowState":
+        """The state of the given rows only."""
+        return _RowState(*(x.take(rows, 0) for x in self))
 
 
 def _newton_polish(Q, U, sign, tol):
@@ -353,26 +355,24 @@ def _newton_polish(Q, U, sign, tol):
     (U, ok, steps, value): steps[m] counts the Newton steps row m took,
     and value[m] is sign[m] * phi at U[m].
     """
-    cand, U = U, U.copy()  # the given rows are the first iterates
-    eye = np.eye(U.shape[1] - 1)
+    u, U = U, U.copy()  # the given rows are the first iterates
+    eye = np.eye(U.shape[1])
     floor = Q.absolute(1e-14)  # the eigenvalue floor of a modified step
-    steps = np.zeros(U.shape[0], dtype=int)
-    live, sg = np.arange(U.shape[0]), sign
-    state = _RowState.at(Q, cand, sg)
+    steps = np.zeros(len(U), dtype=int)
+    state = _RowState.at(Q, u, sign)
     values = state.value.copy()
     ok = state.gnorm < tol
-    go = ~ok
+    live, sg, go = np.arange(len(U)), sign, ~ok
     for it in range(1, _POLISH_ITERS + 1):
-        if not go.all():  # rows that converged or failed leave the block
-            live, cand, sg = live[go], cand[go], sg[go]
-            state = _RowState(*(x[go] for x in state))
+        keep = np.flatnonzero(go)
+        if keep.size < live.size:  # rows that converged or failed leave the block
+            live, u, sg, state = live[keep], u.take(keep, 0), sg[keep], state.take(keep)
         if not live.size:
             break
-        u = cand
         W, coef, value, gu, rgrad, gnorm = state
-        Qt = _tangent_frames(u)
+        Qt = _tangent_frames(u, eye)
         QtT = Qt.transpose(0, 2, 1)
-        Ht = QtT @ _hess(Q, W, coef, sg) @ Qt - gu[:, None, None] * eye
+        Ht = QtT @ _hess(Q, W, coef, sg) @ Qt - gu[:, None, None] * eye[1:, 1:]
         gt = (QtT @ rgrad[:, :, None])[:, :, 0]
         z = _newton_steps(Ht, gt, floor)
         slope = 1e-4 * _dot(z, gt)  # Armijo fraction of the directional derivative
@@ -380,9 +380,8 @@ def _newton_polish(Q, U, sign, tol):
         cand = u + d  # the full step, on every live row
         cand /= np.sqrt(_dot(cand, cand))[:, None]
         state = _RowState.at(Q, cand, sg)
-        better = (state.gnorm < gnorm) | (state.value < value + slope)
+        s = np.flatnonzero(~((state.gnorm < gnorm) | (state.value < value + slope)))
         step = 1.0
-        s = np.flatnonzero(~better)
         for _ in range(29):  # 30 passes with the full step
             if not s.size:
                 break
@@ -395,44 +394,42 @@ def _newton_polish(Q, U, sign, tol):
             cand[rows] = c[took]
             for x, cx in zip(state, cs):
                 x[rows] = cx[took]
-            better[rows] = True
             s = s[~took]
-        moved = live[better]  # a failed line search stops its row unconverged
-        U[moved], values[moved], steps[moved] = cand[better], state.value[better], it
-        conv = state.gnorm < tol
-        ok[live[better & conv]] = True
-        go = better & ~conv
+        go = ~(state.gnorm < tol)
+        U[live], values[live], steps[live], ok[live] = cand, state.value, it, ~go
+        if s.size:  # a failed line search stops its row unconverged where it was
+            U[live[s]], values[live[s]], steps[live[s]] = u[s], value[s], it - 1
+            go[s] = False
+        u = cand
     return U, ok, steps, values
 
 
 def _projected_descent(Q, U, sign):
     """A fixed burn-in of projected-gradient steps on sign[m] * phi over the sphere.
 
-    Row m minimizes phi for sign[m] = +1 and maximizes it for -1, and
-    every row takes ``_BURN_IN`` steps.  A step moves the row against
-    its Riemannian gradient and back onto the sphere, and is kept only
-    where it lowers sign * phi: the row's step length then grows by
-    1.2, and otherwise halves.  The burn-in only ranks the starts'
-    basins; the Newton polish converges the best rows, quadratically
-    once they sit in a basin.  Each step evaluates its candidates as
-    one block (``_signed_phi_grad``), and one mask keeps the accepted
-    rows' points, values and gradients.  Returns (U, values) with
-    values = sign * phi.
+    The rows to descend are the columns of U (n, m).  Row m minimizes
+    phi for sign[m] = +1 and maximizes it for -1, and every row takes
+    ``_BURN_IN`` steps.  A step moves the row against its Riemannian
+    gradient and back onto the sphere, and is kept only where it lowers
+    sign * phi: the row's step length then grows by 1.2, and otherwise
+    halves.  The burn-in only ranks the starts' basins; the Newton
+    polish converges the best rows, quadratically once they sit in a
+    basin.  Each step evaluates its candidates as one block
+    (``_column_state``), and one mask keeps the accepted rows' points,
+    values and gradients.  Returns (U, values) with values = sign * phi.
     """
     U = U.copy()
-    vals, grad = _signed_phi_grad(Q, U, sign)
-    steps = np.full((U.shape[0], 1), 0.1 / Q.absolute(1.0))  # 0.1 against h's gradient
+    vals, rgrad = _column_state(Q, U, sign)
+    steps = np.full(U.shape[1], 0.1 / Q.absolute(1.0))  # 0.1 against h's gradient
     for _ in range(_BURN_IN):
-        rgrad = grad - np.einsum("mn,mn->m", grad, U)[:, None] * U
         cand = U - steps * rgrad
-        cand /= np.sqrt(np.einsum("mn,mn->m", cand, cand))[:, None]
-        cand_vals, cand_grad = _signed_phi_grad(Q, cand, sign)
+        cand /= np.sqrt(np.einsum("nm,nm->m", cand, cand))
+        cand_vals, cand_rgrad = _column_state(Q, cand, sign)
         accept = cand_vals < vals
-        keep = accept[:, None]
-        np.copyto(U, cand, where=keep)
+        np.copyto(U, cand, where=accept)
         np.copyto(vals, cand_vals, where=accept)
-        np.copyto(grad, cand_grad, where=keep)
-        steps *= np.where(keep, 1.2, 0.5)
+        np.copyto(rgrad, cand_rgrad, where=accept)
+        steps *= np.where(accept, 1.2, 0.5)
     return U, vals
 
 
@@ -450,17 +447,17 @@ class HyperplaneExtrema:
 
 
 @dataclass(frozen=True)
-class _Side:
-    """Polished candidates of one side of a search, in the burn-in's order."""
+class _Sides:
+    """Polished candidates of the min side [0] and the max side [1], in the burn-in's order."""
 
-    U: np.ndarray
+    U: np.ndarray  # (2, c, n)
     value: np.ndarray  # sign * phi
     ok: np.ndarray
     start: np.ndarray  # index of each candidate's start among its side's starts
-    iterations: int  # Newton steps of the side's slowest candidate
+    iterations: np.ndarray  # (2,) Newton steps of each side's slowest candidate
 
 
-def _search(Q: _Quartic, starts: np.ndarray, tol: float) -> list[_Side]:
+def _search(Q: _Quartic, starts: np.ndarray, tol: float) -> _Sides:
     """Both sides at once: starts[0] minimize phi, starts[1] maximize it.
 
     Every start of both sides takes the burn-in as one block
@@ -472,39 +469,35 @@ def _search(Q: _Quartic, starts: np.ndarray, tol: float) -> list[_Side]:
     """
     _, m, n = starts.shape
     signs = np.repeat([1.0, -1.0], m)
-    U, vals = _projected_descent(Q, starts.reshape(2 * m, n), signs)
-    picks = [np.argsort(v)[:_POLISH_COUNT] for v in vals.reshape(2, m)]
-    rows = np.concatenate([picks[0], m + picks[1]])
-    P, ok, steps, value = _newton_polish(Q, U[rows], signs[rows], tol)
-    parts = (slice(0, _POLISH_COUNT), slice(_POLISH_COUNT, None))
-    return [
-        _Side(P[part], value[part], ok[part], pick, int(steps[part].max()))
-        for part, pick in zip(parts, picks)
-    ]
+    U, vals = _projected_descent(Q, starts.reshape(2 * m, n).T, signs)
+    picks = np.argsort(vals.reshape(2, m), axis=1)[:, :_POLISH_COUNT]
+    rows = (picks + [[0], [m]]).ravel()
+    P, ok, steps, value = _newton_polish(Q, U.T[rows], signs[rows], tol)
+    shape = picks.shape
+    return _Sides(
+        P.reshape(*shape, n), value.reshape(shape), ok.reshape(shape), picks,
+        steps.reshape(shape).max(axis=1),
+    )
 
 
-def _best(side: _Side, window: float):
-    """The side's best sign * phi, its normal, its tie flag and its audit counters.
+def _best(sides: _Sides, window: float):
+    """Each side's best sign * phi, its normal, its tie flag and the start index of that normal.
 
-    The rows whose value lies within ``window`` of the best form the tie
-    set.  The normal and the start index come from the tie-set row with
-    the lowest start index: polished rows that reach one extremum tie to
-    the last bit, and often so do their burn-in values, so a rule that
-    ranked them by either would move with the rounding.  The extremum is
+    The rows whose value lies within ``window`` of their side's best form
+    its tie set.  The normal comes from the tie-set row with the lowest
+    start index: polished rows that reach one extremum tie to the last
+    bit, and often so do their burn-in values, so a rule that ranked
+    them by either would move with the rounding.  The extremum is
     degenerate when a tie-set row's normal is off that row's by more
-    than ``_TIE_DIRECTION``.
+    than ``_TIE_DIRECTION``.  Both sides take one pass.
     """
-    best = np.fmin.reduce(side.value)  # a NaN row is never the best
-    ties = np.flatnonzero(side.value - best < window)
-    first = ties[side.start[ties].argmin()]
-    u = side.U[first]
-    degenerate = bool(np.abs(side.U[ties] @ u).min() < 1.0 - _TIE_DIRECTION)
-    audit = {
-        "start_index": int(side.start[first]),
-        "iterations": side.iterations,
-        "converged_starts": int(side.ok.sum()),
-    }
-    return float(best), u, degenerate, audit
+    best = np.fmin.reduce(sides.value, axis=1)  # a NaN row is never the best
+    ties = sides.value - best[:, None] < window
+    start = np.where(ties, sides.start, np.iinfo(sides.start.dtype).max)
+    u = sides.U[[0, 1], start.argmin(axis=1)]
+    cos = np.abs(np.einsum("scn,sn->sc", sides.U, u))
+    degenerate = np.where(ties, cos, 1.0).min(axis=1) < 1.0 - _TIE_DIRECTION
+    return best.tolist(), u, degenerate.tolist(), start.min(axis=1).tolist()
 
 
 def _scale_exponents(h: np.ndarray) -> np.ndarray:
@@ -690,24 +683,25 @@ def _multistart_extrema(h: np.ndarray) -> HyperplaneExtrema:
     scale = max(1.0, math.ldexp(Q.total_sq, 2 * Q.k))  # max(1, |h|^2)
     tol = _GRAD_TOL * scale
     sides = _search(Q, _starts(Q), Q.scaled(tol))
-    found = []
-    for side, sign in zip(sides, (1.0, -1.0)):
-        if not side.ok.any():
-            best = math.ldexp(sign * float(np.fmin.reduce(side.value)), 2 * Q.k)
-            raise OptimizationError(
-                f"no start reached gradient tolerance {tol:.1e}", best=best / (n - 1)
-            )
-        best, u, degenerate, audit = _best(side, Q.scaled(_TIE_VALUE * scale))
-        found.append((math.ldexp(sign * best, 2 * Q.k) / (n - 1), u, degenerate, audit))
-    (inf_cl, u_min, deg_min, audit_min), (sup_cl, u_max, deg_max, audit_max) = found
+    best, u, degenerate, start = _best(sides, Q.scaled(_TIE_VALUE * scale))
+    extrema = [math.ldexp(sign * b, 2 * Q.k) / (n - 1) for sign, b in zip((1.0, -1.0), best)]
+    audit = {"path": "multistart"}
+    per_side = zip(
+        ("min", "max"), extrema, start, sides.iterations.tolist(), sides.ok.sum(1).tolist()
+    )
+    for key, extremum, index, iterations, converged in per_side:
+        if not converged:
+            raise OptimizationError(f"no start reached gradient tolerance {tol:.1e}", best=extremum)
+        audit[key] = {"start_index": index, "iterations": iterations, "converged_starts": converged}
+    audit["starts"] = _START_COUNT
     return HyperplaneExtrema(
-        inf_CL=inf_cl,
-        sup_CL=sup_cl,
-        argmin_normal=u_min,
-        argmax_normal=u_max,
-        degenerate_min=deg_min,
-        degenerate_max=deg_max,
-        audit={"path": "multistart", "min": audit_min, "max": audit_max, "starts": _START_COUNT},
+        inf_CL=extrema[0],
+        sup_CL=extrema[1],
+        argmin_normal=u[0],
+        argmax_normal=u[1],
+        degenerate_min=degenerate[0],
+        degenerate_max=degenerate[1],
+        audit=audit,
     )
 
 

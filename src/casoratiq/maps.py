@@ -117,18 +117,17 @@ class SmoothMap:
         Only a submersion's projector reads the third derivatives; a
         Riemannian map's jets are seeded at order 2, and its ``d3F`` is None.
         A coordinate map, whose components are bare coordinates or literals
-        with at least one coordinate (``CompiledProgram.passive``), is not
-        run: y is read off x, dF is its fixed 0/1 matrix, and the higher
-        derivatives are zeros.
+        (``CompiledProgram.passive``), is not run: y is read off x, dF is
+        its fixed 0/1 matrix, and the higher derivatives are zeros.  A map
+        of literals alone has dF = 0, which the rank check then rejects.
         The box checks of source and target raise for the first point outside.
         """
         x = self.source.require_inside(x)
         submersion = self.mode == RIEMANNIAN_SUBMERSION
         passive = getattr(self.F, "passive", None)
         lead, n = x.shape[:-1], x.shape[-1]
-        # at least one coordinate, and a coordinate beyond the source dimension is
-        # named when the program runs
-        if passive is not None and 0 <= passive[0].max() < n:
+        # a coordinate beyond the source dimension is named when the program runs
+        if passive is not None and passive[0].max() < n:
             index, values = passive
             read = index >= 0
             y = np.where(read, x[..., index], values)

@@ -11,8 +11,9 @@ from casoratiq.casorati import (
     _GRAD_TOL,
     CasoratiInput,
     _Quartic,
+    _RowState,
+    _column_state,
     _newton_polish,
-    _phi,
     casorati,
     delta_casorati,
     hyperplane_extrema,
@@ -191,7 +192,7 @@ def dense_extrema(h: np.ndarray) -> tuple[float, float]:
     """inf and sup C^L of a dense sphere sweep, its best directions Newton-polished.
 
     An evaluation path independent of the multi-start: 131072 fixed
-    Gaussian directions, phi through ``_Quartic.products``, and the top 8
+    Gaussian directions, phi through ``_column_state``, and the top 8
     of each side polished with ``_newton_polish``.  Every value it
     reports is phi at a unit normal, so it brackets the true extrema
     from inside.
@@ -200,11 +201,11 @@ def dense_extrema(h: np.ndarray) -> tuple[float, float]:
     Q = _Quartic.of(h)
     z = np.random.default_rng(20240915 + 7 * n).standard_normal((_DENSE_COUNT, n))
     U = z / np.linalg.norm(z, axis=1, keepdims=True)
-    vals = _phi(Q, Q.products(U)[1])
+    vals = _column_state(Q, U.T, np.ones(len(U)))[0]
     top = np.concatenate([U[np.argsort(sign * vals)[:_DENSE_TOP]] for sign in (1.0, -1.0)])
     signs = np.repeat([1.0, -1.0], _DENSE_TOP)
     P = _newton_polish(Q, top, signs, _GRAD_TOL * max(1.0, Q.total_sq))[0]
-    polished = _phi(Q, Q.products(P[:, None, :])[1])
+    polished = _RowState.at(Q, P, np.ones(len(P))).value
     return (
         min(vals.min(), polished[:_DENSE_TOP].min()) / (n - 1),
         max(vals.max(), polished[_DENSE_TOP:].max()) / (n - 1),

@@ -22,16 +22,13 @@ from casoratiq.casorati import (
     _START_SEED,
     _TIE_VALUE,
     _RowState,
-    _coef,
+    _column_state,
     _dot,
-    _grad,
     _hess,
     _multistart_extrema,
     _newton_steps,
-    _phi,
     _scale_exponents,
     _search,
-    _signed_phi_grad,
     _sphere_starts,
     _starts,
 )
@@ -214,23 +211,24 @@ class TestQuartic:
             else:
                 h = skew_coeffs(rng, n_alpha, n)
             Q = _Quartic.of(h)
+            assert np.array_equal(Q.blocks, Q.blocks.transpose(0, 2, 1))
             U = rng.normal(size=(6, n))
             U /= np.linalg.norm(U, axis=1, keepdims=True)
             ones = np.ones(len(U))
-            W, r = Q.products(U)
-            phi, grad = _phi(Q, r), _grad(W, _coef(r, ones))
-            W1, r1 = Q.products(U[:, None, :])
-            hess = _hess(Q, W1, _coef(r1, ones), ones)
+            phi, rgrad = _column_state(Q, U.T.copy(), ones)
             state = _RowState.at(Q, U, ones)
+            hess = _hess(Q, state.W, state.coef, ones)
             for m, u in enumerate(U):
                 want_phi, want_grad, want_hess = self._loops(h, u)
-                assert phi[m] == pytest.approx(want_phi, abs=1e-12)
-                assert phi[m] == pytest.approx(
-                    (n - 1) * casorati_subspace(CasoratiInput(h, kind=kind), normal=u), abs=1e-12
-                )
-                np.testing.assert_allclose(grad[m], want_grad, rtol=0, atol=1e-12)
+                want_rgrad = want_grad - (want_grad @ u) * u
+                subspace = (n - 1) * casorati_subspace(CasoratiInput(h, kind=kind), normal=u)
+                for got in (phi[m], state.value[m]):
+                    assert got == pytest.approx(want_phi, abs=1e-12)
+                    assert got == pytest.approx(subspace, abs=1e-12)
+                for got in (rgrad[:, m], state.rgrad[m]):
+                    np.testing.assert_allclose(got, want_rgrad, rtol=0, atol=1e-12)
                 np.testing.assert_allclose(hess[m], want_hess, rtol=0, atol=1e-12)
-                # grad . u read off r
+                # grad . u read off the quadratic forms
                 assert state.gu[m] == pytest.approx(want_grad @ u, abs=1e-12)
 
 
@@ -247,44 +245,46 @@ _FULL_DESCENT_ITERS = 200
 
 
 def _oracle_descent(Q, U, sign, iters, tol=0.0):
-    """Value-gated descent of one side for at most ``iters`` steps.
+    """Value-gated descent of one side's rows U for at most ``iters`` steps.
 
     A row stops once its gradient meets ``tol`` or its step stalls.  With
     ``tol = 0`` and ``_BURN_IN`` steps no row stops: that is the burn-in.
+    The rows are evaluated as the columns of one block, as the burn-in does.
     """
-    vals, grad = _signed_phi_grad(Q, U, np.ones(len(U)))
-    vals, grad = sign * vals, sign * grad
-    steps = np.full(U.shape[0], 0.1)
-    done = np.zeros(U.shape[0], dtype=bool)
+    U = U.T.copy()
+    signs = np.full(U.shape[1], sign)
+    vals, rgrad = _column_state(Q, U, signs)
+    steps = np.full(U.shape[1], 0.1)
+    done = np.zeros(U.shape[1], dtype=bool)
     for _ in range(iters):
-        rgrad = grad - np.einsum("mn,mn->m", grad, U)[:, None] * U
-        done |= np.einsum("mn,mn->m", rgrad, rgrad) < tol * tol
+        done |= np.einsum("nm,nm->m", rgrad, rgrad) < tol * tol
         if done.all():
             break
-        cand = U - steps[:, None] * rgrad
-        cand /= np.sqrt(np.einsum("mn,mn->m", cand, cand))[:, None]
-        cand_vals, cand_grad = _signed_phi_grad(Q, cand, np.ones(len(cand)))
-        cand_vals *= sign
+        cand = U - steps * rgrad
+        cand /= np.sqrt(np.einsum("nm,nm->m", cand, cand))
+        cand_vals, cand_rgrad = _column_state(Q, cand, signs)
         accept = ~done & (cand_vals < vals)
-        U = np.where(accept[:, None], cand, U)
+        U = np.where(accept, cand, U)
         vals = np.where(accept, cand_vals, vals)
-        grad = np.where(accept[:, None], sign * cand_grad, grad)
+        rgrad = np.where(accept, cand_rgrad, rgrad)
         steps *= np.where(accept, 1.2, np.where(done, 1.0, 0.5))
         done |= steps < 1e-13
-    return U, vals
+    return U.T, vals
 
 
 def _oracle_state(Q, u, sign):
     """(sign * phi, Riemannian gradient, its norm, grad . u, Euclidean Hessian) of one row."""
-    W, r = Q.products(u[None, :])
-    q2 = r[:, 1:]
-    sq = np.einsum("ma,ma->m", q2, q2)[0]
-    gu = sign * (sq - 2.0 * r[0, 0])  # -2 u^T S u + sum_a (u^T sym_a u)^2
-    coef = np.concatenate([[-2.0 * sign], sign * r[0, 1:]])
-    rgrad = np.einsum("k,kn->n", coef, W[0]) - gu * u
-    V = W[0, 1:]
-    hess = np.tensordot(coef, Q.blocks, axes=1).reshape(len(u), -1) + 2.0 * sign * (V.T @ V)
-    return sign * float(_phi(Q, r)[0]), rgrad, np.sqrt(rgrad @ rgrad), gu, hess
+    n = len(u)
+    W = (u @ Q.blocks.reshape(-1, n).T).reshape(-1, n)  # the products B_k u
+    r = np.einsum("kn,n->k", W, u)
+    sq = np.einsum("k,k->", r[1:], r[1:])
+    gu = sign * (sq - 2.0 * r[0])  # -2 u^T S u + sum_a (u^T sym_a u)^2
+    coef = np.concatenate([[-2.0 * sign], sign * r[1:]])
+    rgrad = np.einsum("k,kn->n", coef, W) - gu * u
+    V = W[1:]
+    hess = np.tensordot(coef, Q.blocks, axes=1) + 2.0 * sign * (V.T @ V)
+    value = sign * (Q.total_sq - r[0] + 0.25 * sq)
+    return value, rgrad, np.sqrt(rgrad @ rgrad), gu, hess
 
 
 def _oracle_tangent_basis(u):
@@ -368,13 +368,13 @@ class TestBatchedSearchOracle:
         sides = _search(Qk, starts, Qk.scaled(tol))
         ex = _multistart_extrema(h)
         n = h.shape[1]
-        for side, sign, want_starts, key in zip(sides, (1.0, -1.0), starts, ("min", "max")):
+        for s, (sign, want_starts, key) in enumerate(zip((1.0, -1.0), starts, ("min", "max"))):
             polished = _oracle_side(Q, want_starts, sign, tol)
-            assert side.iterations == max(rec[4] for rec in polished)
-            assert np.array_equal(np.ldexp(side.value, 2 * k), [rec[0] for rec in polished])
-            assert np.array_equal(side.U, np.stack([rec[1] for rec in polished]))
-            assert np.array_equal(side.ok, [rec[2] for rec in polished])
-            assert np.array_equal(side.start, [rec[3] for rec in polished])
+            assert sides.iterations[s] == max(rec[4] for rec in polished)
+            assert np.array_equal(np.ldexp(sides.value[s], 2 * k), [rec[0] for rec in polished])
+            assert np.array_equal(sides.U[s], np.stack([rec[1] for rec in polished]))
+            assert np.array_equal(sides.ok[s], [rec[2] for rec in polished])
+            assert np.array_equal(sides.start[s], [rec[3] for rec in polished])
             best, pick = _oracle_pick(polished, _TIE_VALUE * scale)
             got = ex.inf_CL if sign > 0 else ex.sup_CL
             assert got == sign * best / (n - 1)
@@ -393,16 +393,28 @@ class TestBatchedSearchOracle:
             V = rng.normal(size=(m, n))
             sign = rng.choice([-1.0, 1.0], size=m)
             idx = np.sort(rng.choice(m, size=int(rng.integers(1, m + 1)), replace=False))
-            W, r = Q.products(U[:, None, :])
-            Ws, rs = Q.products(U[idx][:, None, :])
-            assert np.array_equal(Ws, W[idx]) and np.array_equal(rs, r[idx])
-            assert np.array_equal(_phi(Q, rs), _phi(Q, r)[idx])
-            coef, coefs = _coef(r, sign), _coef(rs, sign[idx])
-            assert np.array_equal(_grad(Ws, coefs), _grad(W, coef)[idx])
-            assert np.array_equal(_hess(Q, Ws, coefs, sign[idx]), _hess(Q, W, coef, sign)[idx])
-            assert np.array_equal(_dot(U[idx], V[idx]), _dot(U, V)[idx])
             whole, part = _RowState.at(Q, U, sign), _RowState.at(Q, U[idx], sign[idx])
             assert all(np.array_equal(x[idx], y) for x, y in zip(whole, part))
+            assert all(np.array_equal(x, y) for x, y in zip(whole.take(idx), part))
+            hess = _hess(Q, whole.W, whole.coef, sign)
+            assert np.array_equal(_hess(Q, part.W, part.coef, sign[idx]), hess[idx])
+            assert np.array_equal(_dot(U[idx], V[idx]), _dot(U, V)[idx])
+
+    def test_burn_in_columns_round_column_by_column(self):
+        # the burn-in evaluates both sides' starts as one block: a column's value and
+        # gradient may not depend on the other columns of a block of two or more
+        rng = np.random.default_rng(2025)
+        for _ in range(100):
+            n, n_alpha = int(rng.integers(3, 13)), int(rng.integers(1, 6))
+            m = int(rng.integers(2, 129))
+            Q = _Quartic.of(sym_input(rng, n_alpha, n).coeffs)
+            U = rng.normal(size=(n, m))
+            U /= np.linalg.norm(U, axis=0)
+            sign = rng.choice([-1.0, 1.0], size=m)
+            idx = np.sort(rng.choice(m, size=int(rng.integers(2, m + 1)), replace=False))
+            whole, part = _column_state(Q, U, sign), _column_state(Q, U[:, idx], sign[idx])
+            assert np.array_equal(whole[0][idx], part[0])
+            assert np.array_equal(whole[1][:, idx], part[1])
 
     @pytest.mark.parametrize("seed", range(32))
     def test_each_iterate_is_evaluated_once(self, seed, monkeypatch):
@@ -412,17 +424,23 @@ class TestBatchedSearchOracle:
         # a point is only checked against the evaluations before its own
         h = _random_symmetric(seed)
         rows, blocks, newton = [], [], []
-        products, frames = _Quartic.products, casorati_module._tangent_frames
+        row_state, frames = _RowState.at, casorati_module._tangent_frames
+        column_state = casorati_module._column_state
 
-        def counted_products(Q, U):
-            (rows if U.ndim == 3 else blocks).append(U.reshape(len(U), -1).copy())
-            return products(Q, U)
+        def counted_rows(cls, Q, U, sign):
+            rows.append(U.copy())
+            return row_state(Q, U, sign)
 
-        def counted_frames(U):  # one stack of frames per Newton iteration
+        def counted_columns(Q, U, sign):
+            blocks.append(U.T.copy())
+            return column_state(Q, U, sign)
+
+        def counted_frames(U, eye):  # one stack of frames per Newton iteration
             newton.append(len(U))
-            return frames(U)
+            return frames(U, eye)
 
-        monkeypatch.setattr(_Quartic, "products", counted_products)
+        monkeypatch.setattr(_RowState, "at", classmethod(counted_rows))
+        monkeypatch.setattr(casorati_module, "_column_state", counted_columns)
         monkeypatch.setattr(casorati_module, "_tangent_frames", counted_frames)
         _multistart_extrema(h)
         assert len(blocks) == _BURN_IN + 1
@@ -453,6 +471,28 @@ class TestBatchedSearchOracle:
         np.testing.assert_allclose(z[2], -gt[2] / 1e-14, rtol=1e-14)
         np.testing.assert_allclose(_newton_steps(Ht[2:], gt[2:], 0.5)[0], -gt[2] / 0.5, rtol=1e-14)
         assert np.all(np.einsum("mk,mk->m", z, gt) < 0)
+
+    @pytest.mark.parametrize("bad", [0, 7, 23])
+    def test_a_stack_that_fails_to_factor_splits_in_halves(self, bad, monkeypatch):
+        # one indefinite row among 24: every row takes its step alone, bit for bit,
+        # and the halving takes at most 2 ceil(log2 24) + 1 factorizations
+        rng = np.random.default_rng(bad)
+        X = rng.normal(size=(24, 4, 4))
+        Ht = X @ X.transpose(0, 2, 1) + 0.1 * np.eye(4)
+        Ht[bad] = np.diag([-1.0, 2.0, 3.0, 4.0])
+        gt = rng.normal(size=(24, 4))
+        alone = [_newton_steps(Ht[m : m + 1], gt[m : m + 1], 1e-14)[0] for m in range(24)]
+        calls = []
+        cholesky = np.linalg.cholesky
+
+        def counted(a):
+            calls.append(len(a))
+            return cholesky(a)
+
+        monkeypatch.setattr(np.linalg, "cholesky", counted)
+        z = _newton_steps(Ht, gt, 1e-14)
+        assert all(np.array_equal(z[m], alone[m]) for m in range(24))
+        assert len(calls) <= 2 * math.ceil(math.log2(24)) + 1
 
 
 class TestScaleAndTies:
@@ -585,11 +625,10 @@ def _reference_extrema(h):
     n = h.shape[1]
     Q = _Quartic.of(h)
     tol = _GRAD_TOL * max(1.0, Q.total_sq)
-    starts = np.stack([_sphere_starts(n, _REFERENCE_STARTS, seed) for seed in (1, 2)])
-    sides = _search(Q, starts, tol)
+    sides = _search(Q, _sphere_starts(n, _REFERENCE_STARTS, (1, 2)).copy(), tol)
     return [
-        sign * float(side.value.min()) / (n - 1) if side.ok.any() else None
-        for side, sign in zip(sides, (1.0, -1.0))
+        sign * float(value.min()) / (n - 1) if ok.any() else None
+        for value, ok, sign in zip(sides.value, sides.ok, (1.0, -1.0))
     ]
 
 
@@ -619,10 +658,12 @@ class TestStartSet:
         starts = _starts(Q)
         assert starts.shape == (2, _START_COUNT, n)
         eig = np.linalg.eigh(Q.S)[1].T
+        gaussian = _sphere_starts(n, _START_COUNT, (_START_SEED, _START_SEED + 1))
         for k in (0, 1):
             assert np.array_equal(starts[k, :n], eig)
-            gaussian = _sphere_starts(n, _START_COUNT, _START_SEED + k)
-            assert np.array_equal(starts[k, n:], gaussian[n:])
+            assert np.array_equal(starts[k, n:], gaussian[k, n:])
+            own = np.random.default_rng(_START_SEED + k).standard_normal((_START_COUNT, n))
+            assert np.array_equal(gaussian[k], own / np.linalg.norm(own, axis=1, keepdims=True))
 
 
 def _noisy_slice(lams):
@@ -726,7 +767,7 @@ class TestOneSlicePath:
         U = np.random.default_rng(seed).normal(size=(20_000, n))
         U /= np.linalg.norm(U, axis=1, keepdims=True)
         Q = _Quartic.of(h)
-        vals = _phi(Q, Q.products(U)[1]) / (n - 1)
+        vals = _column_state(Q, U.T, np.ones(len(U)))[0] / (n - 1)
         tol = 1e-12 * max(1.0, float(np.sum(h**2))) / (n - 1)
         assert vals.min() >= exact.inf_CL - tol
         assert vals.max() <= exact.sup_CL + tol
@@ -762,12 +803,13 @@ class TestSearchFailureAndCache:
         assert err.value.best == pytest.approx(inf_cl, abs=1e-8)
 
     def test_starts_are_cached_and_read_only(self):
-        first = _sphere_starts(4, _START_COUNT, _START_SEED)
-        assert _sphere_starts(4, _START_COUNT, _START_SEED) is first
-        assert first.shape == (_START_COUNT, 4)
-        np.testing.assert_allclose(np.linalg.norm(first, axis=1), 1.0, rtol=0, atol=1e-15)
+        seeds = (_START_SEED, _START_SEED + 1)
+        first = _sphere_starts(4, _START_COUNT, seeds)
+        assert _sphere_starts(4, _START_COUNT, seeds) is first
+        assert first.shape == (2, _START_COUNT, 4)
+        np.testing.assert_allclose(np.linalg.norm(first, axis=-1), 1.0, rtol=0, atol=1e-15)
         with pytest.raises(ValueError):
-            first[0, 0] = 0.0
+            first[0, 0, 0] = 0.0
 
     def test_starts_built_once_per_dimension_and_seed(self):
         _sphere_starts.cache_clear()

@@ -80,6 +80,38 @@ def test_passive_facts_are_worked_out_once_per_program():
     assert first.source.g.literal is second.source.g.literal is not None
 
 
+@pytest.mark.parametrize("shortcut", [True, False])
+def test_a_map_of_literals_runs_no_program_and_fails_its_rank(monkeypatch, shortcut):
+    """A map whose components are all literals has dF = 0: it takes the coordinate-map
+    shortcut, runs no program, and fails the rank check with the message of the
+    general path."""
+    doc = {
+        "version": 1,
+        "name": "literals",
+        "mode": "chart",
+        "map": {"source": "flat:3", "target": "flat:3", "exprs": ["1", "2", "0.5"],
+                "map_mode": "riemannian_map", "rank": 2},
+        "c": 0.0,
+        "points": [[0.1, 0.2, 0.3]],
+        "theorems": [],
+    }
+    runs = []
+
+    def program_call(prog, coords, _original=CompiledProgram.__call__):
+        runs.append(len(coords))
+        return _original(prog, coords)
+
+    if not shortcut:
+        _general_path(monkeypatch, constant=False)
+    monkeypatch.setattr(CompiledProgram, "__call__", program_call)
+    rep = scenes.evaluate_scenario(scenes.parse_scenario(doc))
+    assert [p.errors for p in rep.points] == [[
+        "differential rank 0 does not match declared rank 2 at [0.1, 0.2, 0.3] "
+        "(singular values [0.0, 0.0, 0.0])"
+    ]]
+    assert (runs == []) == shortcut
+
+
 def test_product_projection_does_no_passive_work(monkeypatch):
     """product-projection:8to4 seeds no jets, runs no metric or map program, makes no
     frame jet of its projector, forms no product of its zero T, A and their covariant

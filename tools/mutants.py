@@ -125,11 +125,20 @@ MUTANTS = (
     Mutant(
         "tie-window-off",
         "src/casoratiq/casorati.py",
-        "ties = np.flatnonzero(side.value - best < window)",
-        "ties = np.flatnonzero(side.value - best <= 0.0)",
+        "ties = sides.value - best[:, None] < window",
+        "ties = sides.value - best[:, None] <= 0.0",
         ("tests/test_casorati.py::TestScaleAndTies::test_reversed_slices_move_no_audit",),
         "polished rows that reach one extremum tie to the last bit; the normal and start "
         "index must not follow the rounding",
+    ),
+    Mutant(
+        "row-form-as-a-block",
+        "src/casoratiq/casorati.py",
+        "W = (U[:, None, :] @ Q.blocks.reshape(-1, n).T).reshape(m, -1, n)",
+        "W = (U @ Q.blocks.reshape(-1, n).T).reshape(m, -1, n)",
+        ("tests/test_casorati.py::TestBatchedSearchOracle::test_row_form_rounds_row_by_row",),
+        "a row of the polish carries the state of whichever block evaluated it, so its "
+        "products must round as the row's alone",
     ),
     Mutant(
         "overflow-scale-off",
@@ -221,7 +230,7 @@ MUTANTS = (
     Mutant(
         "passive-map-off",
         "src/casoratiq/maps.py",
-        "if passive is not None and 0 <= passive[0].max() < n:",
+        "if passive is not None and passive[0].max() < n:",
         "if False:",
         ("tests/test_shortcuts.py::test_product_projection_does_no_passive_work",),
         "a coordinate map reads y off x and runs no program",
