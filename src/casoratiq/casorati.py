@@ -8,6 +8,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .errors import DimensionError, DomainError, OptimizationError
 
@@ -129,16 +130,13 @@ def casorati(inp: CasoratiInput) -> float:
 class _Quartic:
     """phi(u) = |h|^2 - u^T S u + sum_a (u^T h_a u)^2, built once per call.
 
-    ``blocks`` (a+1, n, n) holds S = sum_a (h_a^T h_a + h_a h_a^T), one
-    Gram product over the slices and their transposes, and the
-    symmetric parts sym_a = h_a + h_a^T.  Every block is exactly
-    symmetric, so B u and u^T B are one vector and each layout reads
-    the blocks as they lie: the burn-in multiplies the (a+1)n x n matrix
-    of all of them by its columns (``_column_state``), the polish
-    multiplies each of its rows by that matrix's transpose
-    (``_RowState.at``), and the Hessian's coefficients weigh them
-    flattened (``_hess``).  The formula holds for any slices, symmetric
-    or skew.
+    ``blocks`` (a+2, n, n) holds S = sum_a (h_a^T h_a + h_a h_a^T), one
+    Gram product over the slices and their transposes, the parts
+    sym_a = h_a + h_a^T, and the identity, whose weight -grad . u turns
+    the gradient and Hessian Riemannian.  Every block is exactly
+    symmetric, so each layout reads them as they lie: the burn-in's
+    columns (``_column_state``), the polish's rows (``_RowState.at``)
+    and its Hessians (``_hess``).  This holds for skew slices too.
 
     ``of(h, k)`` builds the quartic of h / 2**k, whose phi is that of h
     times 4**-k, exactly.  The search states its tolerances in the units
@@ -157,12 +155,16 @@ class _Quartic:
         n = h.shape[-1]
         hT = h.transpose(0, 2, 1)
         G = np.concatenate([h, hT]).reshape(-1, n)
-        blocks = np.concatenate([(G.T @ G)[None], h + hT])
+        blocks = np.concatenate([(G.T @ G)[None], h + hT, np.eye(n)[None]])
         return cls(float(np.sum(h**2)), blocks, k)
 
     @property
     def S(self) -> np.ndarray:
         return self.blocks[0]
+
+    def signs(self, sign: np.ndarray) -> np.ndarray:
+        """sign, sign * |h|^2 and 2 * sign for rows of signs +-1; a product by +-1 is exact."""
+        return np.multiply.outer([1.0, self.total_sq, 2.0], sign)
 
     def scaled(self, value: float) -> float:
         """A value in the units of phi of h, in the units of this quartic's phi (exact)."""
@@ -178,25 +180,25 @@ class _Quartic:
         return math.ldexp(value, -2 * min(self.k, 128))
 
 
-def _signed_terms(Q: _Quartic, r: np.ndarray, sign: np.ndarray):
-    """sign * phi, sign * grad . u and the signed weights of sign * phi's derivatives.
+def _signed_terms(r: np.ndarray, signs: np.ndarray):
+    """sign * phi and the signed weights of the derivatives of sign * phi on the sphere.
 
     ``r[k]`` holds the quadratic forms u^T B_k u, block axis first, so
-    phi = |h|^2 - r_0 + sum_a r_a^2 / 4 and grad . u = sum_a r_a^2 - 2 r_0.
-    The weights sign * (-2, r_1, ...) overwrite ``r``; grad = sum_k
-    weight_k B_k u.  Folding the signs (+-1) in is exact: each term
-    rounds as sign * its unsigned form does.
+    phi = |h|^2 - r_0 + sum_a r_a^2 / 4 and grad . u = sum_a r_a^2 - 2 r_0;
+    ``signs`` comes from ``_Quartic.signs``.  The weights are
+    sign * (-2, r_1, ..., r_a) and, for the identity, -sign * grad . u,
+    so that sum_k weight_k B_k u is the Riemannian gradient.
     """
-    q2 = r[1:]
-    sq = np.einsum("k...,k...->...", q2, q2)
-    value = sign * (Q.total_sq - r[0] + 0.25 * sq)
-    gu = sign * (sq - 2.0 * r[0])
-    r[0] = -2.0
-    r *= sign
-    return value, gu, r
+    sr = r * signs[0]
+    sq = np.einsum("k...,k...->...", sr[1:-1], r[1:-1])
+    value = signs[1] - sr[0]
+    value += 0.25 * sq
+    np.subtract(2.0 * sr[0], sq, out=sr[-1])
+    np.negative(signs[2], out=sr[0])
+    return value, sr
 
 
-def _column_state(Q: _Quartic, U: np.ndarray, sign: np.ndarray):
+def _column_state(Q: _Quartic, U: np.ndarray, signs: np.ndarray):
     """sign[m] * phi and its Riemannian gradient at the unit columns U[:, m] of an (n, m) block.
 
     One matrix product gives every block's product with every column,
@@ -204,21 +206,21 @@ def _column_state(Q: _Quartic, U: np.ndarray, sign: np.ndarray):
     """
     n, m = U.shape
     W = (Q.blocks.reshape(-1, n) @ U).reshape(-1, n, m)
-    value, gu, coef = _signed_terms(Q, np.einsum("knm,nm->km", W, U), sign)
-    return value, np.einsum("km,knm->nm", coef, W) - gu * U
+    value, coef = _signed_terms(np.einsum("knm,nm->km", W, U), signs)
+    return value, np.einsum("km,knm->nm", coef, W)
 
 
-def _hess(Q: _Quartic, W: np.ndarray, coef: np.ndarray, sign: np.ndarray) -> np.ndarray:
-    """Stacked Euclidean Hessians sign * (-2 S + sum_a (2 u^T h_a u) sym_a + 2 V^T V).
+def _hess(Q: _Quartic, W: np.ndarray, coef: np.ndarray, signs: np.ndarray) -> np.ndarray:
+    """Stacked sign * (-2 S + sum_a (2 u^T h_a u) sym_a + 2 V^T V) - (grad . u) I.
 
     ``W`` and ``coef`` come from ``_RowState.at``; V[m] holds the rows
     sym_a u.  The weighted blocks take one vector product per row, so
     every row rounds as it does alone.
     """
     m, n = W.shape[0], W.shape[-1]
-    V = W[:, 1:]
+    V = W[:, 1:-1]
     weighted = (coef[:, None, :] @ Q.blocks.reshape(len(Q.blocks), -1)).reshape(m, n, n)
-    return weighted + (2.0 * sign)[:, None, None] * (V.transpose(0, 2, 1) @ V)
+    return weighted + signs[2][:, None, None] * (V.transpose(0, 2, 1) @ V)
 
 
 def _dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -270,48 +272,45 @@ def _tangent_frames(U: np.ndarray, eye: np.ndarray) -> np.ndarray:
 def _newton_steps(Ht: np.ndarray, gt: np.ndarray, floor: float) -> np.ndarray:
     """Modified Newton steps: Ht[m] z = -gt[m], or |Ht[m]| z = -gt[m] where Ht[m] is not definite.
 
-    The stacked Cholesky factorization is the definiteness test: a stack
-    that factors takes one stacked ``solve``.  When it does not, each
-    half of the stack takes its own steps, recursively.  A half factors
-    exactly when each of its rows does, and a stacked ``solve`` rounds
-    each row as it would alone, so every row takes the step it takes
-    alone; one row that does not factor among m costs at most
-    2 ceil(log2 m) + 1 factorizations.  A row that does not factor is
-    solved in the eigenbasis of Ht[m], every eigenvalue replaced by its
-    absolute value, at least ``floor``, so each step descends even where
-    Ht[m] is indefinite or singular.
+    One stacked Cholesky factorization tests every row: the gufunc under
+    ``np.linalg.cholesky``, which raises for the whole stack, fills a
+    row that does not factor with NaN, above the diagonal too, where a
+    row that factors has zeros (for n - 1 >= 2).  The rows that factor
+    take one stacked ``solve``; the others are solved in the eigenbasis
+    of Ht[m], every eigenvalue replaced by its absolute value, at least
+    ``floor``, so each step descends even where Ht[m] is indefinite or
+    singular.  Stacked LAPACK calls round each row as it would alone.
     """
-    try:
-        np.linalg.cholesky(Ht)
-    except np.linalg.LinAlgError:
-        if len(Ht) > 1:
-            h = len(Ht) // 2
-            return np.concatenate(
-                [_newton_steps(Ht[:h], gt[:h], floor), _newton_steps(Ht[h:], gt[h:], floor)]
-            )
-        lam, V = np.linalg.eigh(Ht)
-        lam = np.maximum(np.abs(lam), floor)
-        return -(V @ ((V.transpose(0, 2, 1) @ gt[:, :, None]) / lam[:, :, None]))[:, :, 0]
-    return -np.linalg.solve(Ht, gt[:, :, None])[:, :, 0]
+    with np.errstate(invalid="ignore"):
+        factors = _umath_linalg.cholesky_lo(Ht)[:, 0, -1] == 0.0
+    if factors.all():
+        return -_umath_linalg.solve1(Ht, gt)
+    z = np.empty_like(gt)
+    if factors.any():
+        z[factors] = -_umath_linalg.solve1(Ht[factors], gt[factors])
+    bad = ~factors
+    lam, V = np.linalg.eigh(Ht[bad])
+    lam = np.maximum(np.abs(lam), floor)
+    z[bad] = -(V @ ((V.transpose(0, 2, 1) @ gt[bad, :, None]) / lam[:, :, None]))[:, :, 0]
+    return z
 
 
 class _RowState(NamedTuple):
     """sign[m] * phi and its Riemannian gradient at the unit rows U[m], in row form.
 
-    ``W[m]`` holds the block products (S u, sym_1 u, ...) and ``coef[m]``
-    the signed weights of its derivatives (``_signed_terms``); ``gu`` is
-    grad . u and ``gnorm`` the norm of ``rgrad``.
+    ``W[m]`` holds the block products (S u, sym_1 u, ..., u) and
+    ``coef[m]`` the signed weights of its derivatives (``_signed_terms``);
+    ``gnorm`` is the norm of ``rgrad``.
     """
 
     W: np.ndarray
     coef: np.ndarray
     value: np.ndarray
-    gu: np.ndarray
     rgrad: np.ndarray
     gnorm: np.ndarray
 
     @classmethod
-    def at(cls, Q: _Quartic, U: np.ndarray, sign: np.ndarray) -> "_RowState":
+    def at(cls, Q: _Quartic, U: np.ndarray, signs: np.ndarray) -> "_RowState":
         """Every entry is row-wise, so a row rounds as it would alone, in any block.
 
         Each row of the (m, 1, n) block takes its own vector product: a
@@ -319,9 +318,9 @@ class _RowState(NamedTuple):
         """
         m, n = U.shape
         W = (U[:, None, :] @ Q.blocks.reshape(-1, n).T).reshape(m, -1, n)
-        value, gu, coef = _signed_terms(Q, np.einsum("mkn,mn->mk", W, U).T, sign)
-        rgrad = np.einsum("km,mkn->mn", coef, W) - gu[:, None] * U
-        return cls(W, coef.T, value, gu, rgrad, np.sqrt(_dot(rgrad, rgrad)))
+        value, coef = _signed_terms(np.einsum("mkn,mn->mk", W, U).T, signs)
+        rgrad = np.einsum("km,mkn->mn", coef, W)
+        return cls(W, coef.T, value, rgrad, np.sqrt(_dot(rgrad, rgrad)))
 
     def take(self, rows: np.ndarray) -> "_RowState":
         """The state of the given rows only."""
@@ -359,20 +358,21 @@ def _newton_polish(Q, U, sign, tol):
     eye = np.eye(U.shape[1])
     floor = Q.absolute(1e-14)  # the eigenvalue floor of a modified step
     steps = np.zeros(len(U), dtype=int)
-    state = _RowState.at(Q, u, sign)
+    sg = Q.signs(sign)
+    state = _RowState.at(Q, u, sg)
     values = state.value.copy()
     ok = state.gnorm < tol
-    live, sg, go = np.arange(len(U)), sign, ~ok
+    live, go = np.arange(len(U)), ~ok
     for it in range(1, _POLISH_ITERS + 1):
         keep = np.flatnonzero(go)
         if keep.size < live.size:  # rows that converged or failed leave the block
-            live, u, sg, state = live[keep], u.take(keep, 0), sg[keep], state.take(keep)
+            live, u, sg, state = live[keep], u.take(keep, 0), sg.take(keep, 1), state.take(keep)
         if not live.size:
             break
-        W, coef, value, gu, rgrad, gnorm = state
+        W, coef, value, rgrad, gnorm = state
         Qt = _tangent_frames(u, eye)
         QtT = Qt.transpose(0, 2, 1)
-        Ht = QtT @ _hess(Q, W, coef, sg) @ Qt - gu[:, None, None] * eye[1:, 1:]
+        Ht = QtT @ _hess(Q, W, coef, sg) @ Qt
         gt = (QtT @ rgrad[:, :, None])[:, :, 0]
         z = _newton_steps(Ht, gt, floor)
         slope = 1e-4 * _dot(z, gt)  # Armijo fraction of the directional derivative
@@ -388,15 +388,16 @@ def _newton_polish(Q, U, sign, tol):
             step *= 0.5
             c = u[s] + step * d[s]
             c /= np.sqrt(_dot(c, c))[:, None]
-            cs = _RowState.at(Q, c, sg[s])
+            cs = _RowState.at(Q, c, sg[:, s])
             took = (cs.gnorm < gnorm[s]) | (cs.value < value[s] + step * slope[s])
             rows = s[took]
             cand[rows] = c[took]
             for x, cx in zip(state, cs):
                 x[rows] = cx[took]
             s = s[~took]
-        go = ~(state.gnorm < tol)
-        U[live], values[live], steps[live], ok[live] = cand, state.value, it, ~go
+        done = state.gnorm < tol
+        U[live], values[live], steps[live], ok[live] = cand, state.value, it, done
+        go = ~done
         if s.size:  # a failed line search stops its row unconverged where it was
             U[live[s]], values[live[s]], steps[live[s]] = u[s], value[s], it - 1
             go[s] = False
@@ -418,13 +419,13 @@ def _projected_descent(Q, U, sign):
     (``_column_state``), and one mask keeps the accepted rows' points,
     values and gradients.  Returns (U, values) with values = sign * phi.
     """
-    U = U.copy()
-    vals, rgrad = _column_state(Q, U, sign)
+    U, signs = U.copy(), Q.signs(sign)
+    vals, rgrad = _column_state(Q, U, signs)
     steps = np.full(U.shape[1], 0.1 / Q.absolute(1.0))  # 0.1 against h's gradient
     for _ in range(_BURN_IN):
         cand = U - steps * rgrad
         cand /= np.sqrt(np.einsum("nm,nm->m", cand, cand))
-        cand_vals, cand_rgrad = _column_state(Q, cand, sign)
+        cand_vals, cand_rgrad = _column_state(Q, cand, signs)
         accept = cand_vals < vals
         np.copyto(U, cand, where=accept)
         np.copyto(vals, cand_vals, where=accept)

@@ -201,11 +201,11 @@ def dense_extrema(h: np.ndarray) -> tuple[float, float]:
     Q = _Quartic.of(h)
     z = np.random.default_rng(20240915 + 7 * n).standard_normal((_DENSE_COUNT, n))
     U = z / np.linalg.norm(z, axis=1, keepdims=True)
-    vals = _column_state(Q, U.T, np.ones(len(U)))[0]
+    vals = _column_state(Q, U.T, Q.signs(np.ones(len(U))))[0]
     top = np.concatenate([U[np.argsort(sign * vals)[:_DENSE_TOP]] for sign in (1.0, -1.0)])
     signs = np.repeat([1.0, -1.0], _DENSE_TOP)
     P = _newton_polish(Q, top, signs, _GRAD_TOL * max(1.0, Q.total_sq))[0]
-    polished = _RowState.at(Q, P, np.ones(len(P))).value
+    polished = _RowState.at(Q, P, Q.signs(np.ones(len(P)))).value
     return (
         min(vals.min(), polished[:_DENSE_TOP].min()) / (n - 1),
         max(vals.max(), polished[_DENSE_TOP:].max()) / (n - 1),

@@ -5,6 +5,7 @@ import subprocess
 import sys
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -215,9 +216,9 @@ class TestQuartic:
             U = rng.normal(size=(6, n))
             U /= np.linalg.norm(U, axis=1, keepdims=True)
             ones = np.ones(len(U))
-            phi, rgrad = _column_state(Q, U.T.copy(), ones)
-            state = _RowState.at(Q, U, ones)
-            hess = _hess(Q, state.W, state.coef, ones)
+            phi, rgrad = _column_state(Q, U.T.copy(), Q.signs(ones))
+            state = _RowState.at(Q, U, Q.signs(ones))
+            hess = _hess(Q, state.W, state.coef, Q.signs(ones))
             for m, u in enumerate(U):
                 want_phi, want_grad, want_hess = self._loops(h, u)
                 want_rgrad = want_grad - (want_grad @ u) * u
@@ -227,9 +228,11 @@ class TestQuartic:
                     assert got == pytest.approx(subspace, abs=1e-12)
                 for got in (rgrad[:, m], state.rgrad[m]):
                     np.testing.assert_allclose(got, want_rgrad, rtol=0, atol=1e-12)
-                np.testing.assert_allclose(hess[m], want_hess, rtol=0, atol=1e-12)
-                # grad . u read off the quadratic forms
-                assert state.gu[m] == pytest.approx(want_grad @ u, abs=1e-12)
+                # the identity's weight: -grad . u, read off the quadratic forms
+                assert -state.coef[m, -1] == pytest.approx(want_grad @ u, abs=1e-12)
+                np.testing.assert_allclose(
+                    hess[m], want_hess - (want_grad @ u) * np.eye(n), rtol=0, atol=1e-12
+                )
 
 
 # -- single-row oracle of the batched search ----------------------------------
@@ -252,7 +255,7 @@ def _oracle_descent(Q, U, sign, iters, tol=0.0):
     The rows are evaluated as the columns of one block, as the burn-in does.
     """
     U = U.T.copy()
-    signs = np.full(U.shape[1], sign)
+    signs = Q.signs(np.full(U.shape[1], sign))
     vals, rgrad = _column_state(Q, U, signs)
     steps = np.full(U.shape[1], 0.1)
     done = np.zeros(U.shape[1], dtype=bool)
@@ -275,16 +278,16 @@ def _oracle_descent(Q, U, sign, iters, tol=0.0):
 def _oracle_state(Q, u, sign):
     """(sign * phi, Riemannian gradient, its norm, grad . u, Euclidean Hessian) of one row."""
     n = len(u)
-    W = (u @ Q.blocks.reshape(-1, n).T).reshape(-1, n)  # the products B_k u
+    W = (u @ Q.blocks.reshape(-1, n).T).reshape(-1, n)  # the products B_k u, the last u
     r = np.einsum("kn,n->k", W, u)
-    sq = np.einsum("k,k->", r[1:], r[1:])
-    gu = sign * (sq - 2.0 * r[0])  # -2 u^T S u + sum_a (u^T sym_a u)^2
-    coef = np.concatenate([[-2.0 * sign], sign * r[1:]])
-    rgrad = np.einsum("k,kn->n", coef, W) - gu * u
-    V = W[1:]
+    sq = np.einsum("k,k->", r[1:-1], r[1:-1])
+    gu = sign * (2.0 * r[0] - sq)  # minus grad . u = 2 u^T S u - sum_a (u^T sym_a u)^2
+    coef = np.concatenate([[-2.0 * sign], sign * r[1:-1], [gu]])
+    rgrad = np.einsum("k,kn->n", coef, W)  # the identity's weight projects out u
+    V = W[1:-1]
     hess = np.tensordot(coef, Q.blocks, axes=1) + 2.0 * sign * (V.T @ V)
     value = sign * (Q.total_sq - r[0] + 0.25 * sq)
-    return value, rgrad, np.sqrt(rgrad @ rgrad), gu, hess
+    return value, rgrad, np.sqrt(rgrad @ rgrad), hess
 
 
 def _oracle_tangent_basis(u):
@@ -305,12 +308,12 @@ def _oracle_step(Ht, gt, floor):
 
 def _oracle_polish(Q, u, sign, tol):
     """(u, converged, Newton steps taken, sign * phi) of one row."""
-    value, rgrad, gnorm, gu, hess = _oracle_state(Q, u, sign)
+    value, rgrad, gnorm, hess = _oracle_state(Q, u, sign)
     for it in range(_POLISH_ITERS):
         if gnorm < tol:
             return u, True, it, value
         Qt = _oracle_tangent_basis(u)
-        Ht = Qt.T @ hess @ Qt - gu * np.eye(Qt.shape[1])
+        Ht = Qt.T @ hess @ Qt
         gt = Qt.T @ rgrad
         z = _oracle_step(Ht, gt, 1e-14)
         step = 1.0
@@ -319,7 +322,7 @@ def _oracle_polish(Q, u, sign, tol):
             cand /= np.linalg.norm(cand)
             cstate = _oracle_state(Q, cand, sign)
             if cstate[2] < gnorm or cstate[0] < value + step * 1e-4 * (z @ gt):
-                u, (value, rgrad, gnorm, gu, hess) = cand, cstate
+                u, (value, rgrad, gnorm, hess) = cand, cstate
                 break
             step *= 0.5
         else:
@@ -391,13 +394,13 @@ class TestBatchedSearchOracle:
             U = rng.normal(size=(m, n))
             U /= np.linalg.norm(U, axis=1, keepdims=True)
             V = rng.normal(size=(m, n))
-            sign = rng.choice([-1.0, 1.0], size=m)
+            sign = Q.signs(rng.choice([-1.0, 1.0], size=m))
             idx = np.sort(rng.choice(m, size=int(rng.integers(1, m + 1)), replace=False))
-            whole, part = _RowState.at(Q, U, sign), _RowState.at(Q, U[idx], sign[idx])
+            whole, part = _RowState.at(Q, U, sign), _RowState.at(Q, U[idx], sign[:, idx])
             assert all(np.array_equal(x[idx], y) for x, y in zip(whole, part))
             assert all(np.array_equal(x, y) for x, y in zip(whole.take(idx), part))
             hess = _hess(Q, whole.W, whole.coef, sign)
-            assert np.array_equal(_hess(Q, part.W, part.coef, sign[idx]), hess[idx])
+            assert np.array_equal(_hess(Q, part.W, part.coef, sign[:, idx]), hess[idx])
             assert np.array_equal(_dot(U[idx], V[idx]), _dot(U, V)[idx])
 
     def test_burn_in_columns_round_column_by_column(self):
@@ -410,9 +413,9 @@ class TestBatchedSearchOracle:
             Q = _Quartic.of(sym_input(rng, n_alpha, n).coeffs)
             U = rng.normal(size=(n, m))
             U /= np.linalg.norm(U, axis=0)
-            sign = rng.choice([-1.0, 1.0], size=m)
+            sign = Q.signs(rng.choice([-1.0, 1.0], size=m))
             idx = np.sort(rng.choice(m, size=int(rng.integers(2, m + 1)), replace=False))
-            whole, part = _column_state(Q, U, sign), _column_state(Q, U[:, idx], sign[idx])
+            whole, part = _column_state(Q, U, sign), _column_state(Q, U[:, idx], sign[:, idx])
             assert np.array_equal(whole[0][idx], part[0])
             assert np.array_equal(whole[1][:, idx], part[1])
 
@@ -472,27 +475,32 @@ class TestBatchedSearchOracle:
         np.testing.assert_allclose(_newton_steps(Ht[2:], gt[2:], 0.5)[0], -gt[2] / 0.5, rtol=1e-14)
         assert np.all(np.einsum("mk,mk->m", z, gt) < 0)
 
-    @pytest.mark.parametrize("bad", [0, 7, 23])
-    def test_a_stack_that_fails_to_factor_splits_in_halves(self, bad, monkeypatch):
-        # one indefinite row among 24: every row takes its step alone, bit for bit,
-        # and the halving takes at most 2 ceil(log2 24) + 1 factorizations
-        rng = np.random.default_rng(bad)
+    @pytest.mark.parametrize("bad", [[0], [7], [23], [1, 2, 3, 5, 8, 13, 21], list(range(24))])
+    def test_a_stack_that_fails_to_factor_takes_one_factorization(self, bad, monkeypatch):
+        # indefinite rows among 24: every row takes its step alone, bit for bit, after
+        # one stacked factorization, one solve for the rows that factor and one
+        # eigendecomposition for those that do not
+        rng = np.random.default_rng(len(bad) + bad[0])
         X = rng.normal(size=(24, 4, 4))
         Ht = X @ X.transpose(0, 2, 1) + 0.1 * np.eye(4)
         Ht[bad] = np.diag([-1.0, 2.0, 3.0, 4.0])
         gt = rng.normal(size=(24, 4))
         alone = [_newton_steps(Ht[m : m + 1], gt[m : m + 1], 1e-14)[0] for m in range(24)]
         calls = []
-        cholesky = np.linalg.cholesky
 
-        def counted(a):
-            calls.append(len(a))
-            return cholesky(a)
+        def counted(name, fn):
+            def call(a, *args, **kwargs):
+                calls.append((name, len(a)))
+                return fn(a, *args, **kwargs)
+            return call
 
-        monkeypatch.setattr(np.linalg, "cholesky", counted)
+        monkeypatch.setattr(_umath_linalg, "cholesky_lo", counted("cholesky", _umath_linalg.cholesky_lo))
+        monkeypatch.setattr(_umath_linalg, "solve1", counted("solve", _umath_linalg.solve1))
+        monkeypatch.setattr(np.linalg, "eigh", counted("eigh", np.linalg.eigh))
         z = _newton_steps(Ht, gt, 1e-14)
         assert all(np.array_equal(z[m], alone[m]) for m in range(24))
-        assert len(calls) <= 2 * math.ceil(math.log2(24)) + 1
+        want = [("cholesky", 24), ("solve", 24 - len(bad)), ("eigh", len(bad))]
+        assert calls == [call for call in want if call[1]]
 
 
 class TestScaleAndTies:
@@ -767,7 +775,7 @@ class TestOneSlicePath:
         U = np.random.default_rng(seed).normal(size=(20_000, n))
         U /= np.linalg.norm(U, axis=1, keepdims=True)
         Q = _Quartic.of(h)
-        vals = _column_state(Q, U.T, np.ones(len(U)))[0] / (n - 1)
+        vals = _column_state(Q, U.T, Q.signs(np.ones(len(U))))[0] / (n - 1)
         tol = 1e-12 * max(1.0, float(np.sum(h**2))) / (n - 1)
         assert vals.min() >= exact.inf_CL - tol
         assert vals.max() <= exact.sup_CL + tol

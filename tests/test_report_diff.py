@@ -22,10 +22,9 @@ def test_head_against_itself_is_identical():
     records = report_diff.diff(ROOT, ROOT, corpus)
     assert records == [{"scene": name, "status": "identical"} for name, _ in corpus]
     assert report_diff.summary(records) == {
-        "summary": {"scenes": 3, "identical": 3, "float-only": 0, "expected": 0, "structural": 0},
+        "summary": {"scenes": 3, "identical": 3, "float-only": 0, "structural": 0},
         "max_rel": 0.0,
         "at": None,
-        "expected_keys": {},
     }
 
 
@@ -73,47 +72,3 @@ def test_the_same_values_in_other_bytes_are_structural():
     parent = _outputs(REPORT)
     change = {**parent, "run": [json.dumps(REPORT, indent=1), 0, ""]}
     assert report_diff.compare(parent, change)["status"] == "structural"
-
-
-@pytest.mark.parametrize(
-    "change, expect, want",
-    [
-        # a key that --expect names may change; the floats are still measured
-        (_outputs(_moved(count=4, slack=2.0 + 2**-50)), ["count"],
-         {"status": "expected", "max_rel": 2**-51, "path": "run/points/0/reports/0/slack",
-          "expected": [{"key": "count", "path": "run/points/0/reports/0/count", "why": "3 -> 4"}]}),
-        # a key path matches the end of a change's path, its list indices left out
-        (_outputs(_moved(verdict="equality")), ["reports/verdict"],
-         {"status": "expected", "max_rel": 0.0, "path": None,
-          "expected": [{"key": "reports/verdict", "path": "run/points/0/reports/0/verdict",
-                        "why": "'strict' -> 'equality'"}]}),
-        # an added key matches by its own path, and so does an exit code
-        (_outputs(_moved(extra=None), code=2), ["reports/extra", "run:exit"],
-         {"status": "expected", "max_rel": 0.0, "path": None,
-          "expected": [{"key": "run:exit", "path": "run:exit", "why": "0 -> 2"},
-                       {"key": "reports/extra", "path": "run/points/0/reports/0/extra",
-                        "why": "added"}]}),
-        # a change that no key names stays structural, past an expected one
-        (_outputs(_moved(count=4, verdict="equality")), ["count"],
-         {"status": "structural", "path": "run/points/0/reports/0/verdict",
-          "why": "'strict' -> 'equality'"}),
-        (_outputs(_moved(count=4)), ["reports/0/count"],
-         {"status": "structural", "path": "run/points/0/reports/0/count", "why": "3 -> 4"}),
-    ],
-)
-def test_expected_keys_may_change(change, expect, want):
-    assert report_diff.compare(_outputs(REPORT), change, expect) == want
-
-
-def test_the_summary_counts_expected_and_unexpected_changes_apart():
-    base, expect = _outputs(REPORT), ["count"]
-    changes = [REPORT, _moved(count=4), _moved(count=5, slack=3.0), _moved(verdict="equality"),
-               _moved(slack=2.5)]
-    records = [{"scene": f"s{i}", **report_diff.compare(base, _outputs(doc), expect)}
-               for i, doc in enumerate(changes)]
-    assert report_diff.summary(records) == {
-        "summary": {"scenes": 5, "identical": 1, "float-only": 1, "expected": 2, "structural": 1},
-        "max_rel": 0.5,
-        "at": "s2 run/points/0/reports/0/slack",
-        "expected_keys": {"count": 2},
-    }

@@ -1,6 +1,6 @@
 """Compare the reports of two casoratiq checkouts, scene by scene.
 
-Usage: python tools/report_diff.py PARENT CHANGE [--expect KEY ...]
+Usage: python tools/report_diff.py PARENT CHANGE
 
 PARENT and CHANGE are roots of casoratiq checkouts.  The corpus is built
 once, from CHANGE (``_corpus_worker``):
@@ -24,19 +24,7 @@ is one of:
   ``command/key/index/...``;
 - ``structural``: anything else moved, a verdict, a flag, a path, an int,
   a string, a key set, a list length, an exit code or stderr; the line
-  gives the first such key path and what moved there;
-- ``expected``: every structural change sits at a key that ``--expect``
-  names, and nothing else moved but floats; the line gives the largest
-  float change, as ``float-only`` does, and the expected changes.
-
-``--expect KEY`` (repeatable) names a key path whose value may change
-structurally: ``KEY`` matches a change whose path, with its list indices
-left out, ends with it, so ``optimizer_audit/min/start_index`` matches
-``run/points/3/reports/0/extras/optimizer_audit/min/start_index``, and
-``run:exit`` matches a changed exit code of ``run``.  A key added or
-removed matches by its own path.  The summary counts expected and
-unexpected (``structural``) scenes apart, and names each key that
-matched with its number of scenes.
+  gives the first such key path and what moved there.
 
 It exits 1 when any scene is ``structural``, else 0.  The script itself
 needs only the stdlib; each checkout's engine needs numpy.
@@ -44,7 +32,6 @@ needs only the stdlib; each checkout's engine needs numpy.
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import io
 import json
@@ -126,115 +113,81 @@ class _Structural(Exception):
         self.path, self.why = path, why
 
 
-class _Walk:
-    """One scene's walk: the largest float difference, as [relative difference, path],
-    the number of float differences, and the structural differences at the key paths
-    that ``expect`` names."""
-
-    def __init__(self, expect):
-        self.expect = [key.split("/") for key in expect]
-        self.worst, self.floats, self.expected = [0.0, None], 0, []
-
-    def _match(self, path: str):
-        """The key of ``expect`` that ``path`` ends with, its list indices left out, or None."""
-        keys = [key for key in path.split("/") if not key.isdigit()]
-        return next(("/".join(e) for e in self.expect if keys[-len(e):] == e), None)
-
-    def structural(self, path: str, why: str) -> None:
-        """Record an expected structural difference; raise ``_Structural`` for any other."""
-        key = self._match(path)
-        if key is None:
-            raise _Structural(path, why)
-        self.expected.append({"key": key, "path": path, "why": why})
-
-    def walk(self, a, b, path: str) -> None:
-        """Compare two JSON trees below ``path``."""
-        if isinstance(a, float) and isinstance(b, float):
-            if a.hex() != b.hex():
-                self.floats += 1
-                rel = abs(a - b) / max(1.0, abs(a))
-                if rel > self.worst[0] or self.worst[1] is None:
-                    self.worst = [rel, path]
-        elif type(a) is not type(b):
-            self.structural(path, f"{type(a).__name__} -> {type(b).__name__}")
-        elif isinstance(a, dict):
+def _walk(a, b, path: str, worst: list) -> None:
+    """Raise ``_Structural`` at the first non-float difference of two JSON trees; keep
+    the largest float difference in ``worst`` as [relative difference, path]."""
+    if isinstance(a, float) and isinstance(b, float):
+        if a.hex() != b.hex():
+            rel = abs(a - b) / max(1.0, abs(a))
+            if rel > worst[0] or worst[1] is None:
+                worst[:] = [rel, path]
+    elif type(a) is not type(b):
+        raise _Structural(path, f"{type(a).__name__} -> {type(b).__name__}")
+    elif isinstance(a, dict):
+        if a.keys() != b.keys():
             moved = sorted(a.keys() ^ b.keys())
-            unexpected = [key for key in moved if self._match(f"{path}/{key}") is None]
-            if unexpected:
-                raise _Structural(path, f"keys {unexpected} added or removed")
-            for key in moved:
-                self.structural(f"{path}/{key}", "added" if key in b else "removed")
-            for key in a:
-                if key in b:
-                    self.walk(a[key], b[key], f"{path}/{key}")
-        elif isinstance(a, list):
-            if len(a) != len(b):
-                self.structural(path, f"length {len(a)} -> {len(b)}")
-            else:
-                for i, (x, y) in enumerate(zip(a, b)):
-                    self.walk(x, y, f"{path}/{i}")
-        elif a != b:
-            self.structural(path, f"{a!r} -> {b!r}")
+            raise _Structural(path, f"keys {moved} added or removed")
+        for key in a:
+            _walk(a[key], b[key], f"{path}/{key}", worst)
+    elif isinstance(a, list):
+        if len(a) != len(b):
+            raise _Structural(path, f"length {len(a)} -> {len(b)}")
+        for i, (x, y) in enumerate(zip(a, b)):
+            _walk(x, y, f"{path}/{i}", worst)
+    elif a != b:
+        raise _Structural(path, f"{a!r} -> {b!r}")
 
 
-def compare(parent: dict, change: dict, expect=()) -> dict:
+def compare(parent: dict, change: dict) -> dict:
     """The record of one scene from its {command: [stdout, exit code, stderr]} in each
-    checkout: its status, the key path of the largest float change or of the first
-    unexpected structural one, and the structural changes at the keys ``expect`` names."""
-    walk = _Walk(expect)
+    checkout: its status, and the key path of the largest float change or of the
+    first structural one."""
+    worst = [0.0, None]
     try:
         for command in sorted(parent.keys() | change.keys()):
             if command not in parent or command not in change:
                 raise _Structural(command, "missing")
             (out_a, code_a, err_a), (out_b, code_b, err_b) = parent[command], change[command]
             if code_a != code_b:
-                walk.structural(f"{command}:exit", f"{code_a!r} -> {code_b!r}")
+                raise _Structural(f"{command}:exit", f"{code_a!r} -> {code_b!r}")
             if err_a != err_b:
-                walk.structural(f"{command}:stderr", f"{err_a!r} -> {err_b!r}")
+                raise _Structural(f"{command}:stderr", f"{err_a!r} -> {err_b!r}")
             if out_a == out_b:
                 continue
             try:
                 doc_a, doc_b = json.loads(out_a), json.loads(out_b)
             except ValueError:
                 raise _Structural(f"{command}:stdout", "not JSON, and not the same bytes")
-            before = (walk.floats, len(walk.expected))
-            walk.walk(doc_a, doc_b, command)
-            if (walk.floats, len(walk.expected)) == before:
+            moved = [0.0, None]
+            _walk(doc_a, doc_b, command, moved)
+            if moved[1] is None:
                 raise _Structural(f"{command}:stdout", "the same values in other bytes")
+            if worst[1] is None or moved[0] > worst[0]:
+                worst = moved
     except _Structural as e:
         return {"status": "structural", "path": e.path, "why": e.why}
-    floats = {"max_rel": walk.worst[0], "path": walk.worst[1]}
-    if walk.expected:
-        return {"status": "expected", **floats, "expected": walk.expected}
-    if walk.worst[1] is None:
+    if worst[1] is None:
         return {"status": "identical"}
-    return {"status": "float-only", **floats}
+    return {"status": "float-only", "max_rel": worst[0], "path": worst[1]}
 
 
-def diff(parent: Path, change: Path, corpus: list, expect=()) -> list:
+def diff(parent: Path, change: Path, corpus: list) -> list:
     """Each scene's record, with its name, over ``corpus``."""
     runs = [_worker(root, "run", corpus) for root in (parent, change)]
-    return [
-        {"scene": name, **compare(runs[0][name], runs[1][name], expect)} for name, _ in corpus
-    ]
+    return [{"scene": name, **compare(runs[0][name], runs[1][name])} for name, _ in corpus]
 
 
 def summary(records: list) -> dict:
-    """The counts of each status, the largest float change over all scenes, and the
-    number of scenes in which each expected key changed."""
-    counts = {status: 0 for status in ("identical", "float-only", "expected", "structural")}
-    keys = {}
+    """The counts of each status and the largest float change over all scenes."""
+    counts = {status: 0 for status in ("identical", "float-only", "structural")}
     for record in records:
         counts[record["status"]] += 1
-        for key in dict.fromkeys(change["key"] for change in record.get("expected", ())):
-            keys[key] = keys.get(key, 0) + 1
-    floats = [r for r in records if r.get("path") and r["status"] != "structural"]
+    floats = [r for r in records if r["status"] == "float-only"]
     top = max(floats, key=lambda r: r["max_rel"], default=None)
     return {
         "summary": {"scenes": len(records), **counts},
         "max_rel": top["max_rel"] if top else 0.0,
         "at": f"{top['scene']} {top['path']}" if top else None,
-        "expected_keys": dict(sorted(keys.items())),
     }
 
 
@@ -246,16 +199,13 @@ def main(argv=None) -> int:
         result = _corpus_worker(root, payload) if mode == "corpus" else _run_worker(root, payload)
         sys.stdout.write(json.dumps(result))
         return 0
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("parent", type=Path)
-    parser.add_argument("change", type=Path)
-    parser.add_argument("--expect", action="append", default=[], metavar="KEY",
-                        help="a key path that may change structurally (repeatable)")
-    args = parser.parse_args(argv)
-    parent, change = args.parent.resolve(), args.change.resolve()
+    if len(argv) != 2:
+        print(__doc__.split("\n\n")[1], file=sys.stderr)
+        return 2
+    parent, change = (Path(a).resolve() for a in argv)
     with tempfile.TemporaryDirectory(prefix="report-diff-") as tmp:
         corpus = _worker(change, "corpus", tmp)
-        records = diff(parent, change, corpus, args.expect)
+        records = diff(parent, change, corpus)
     for record in records:
         print(json.dumps(record), flush=True)
     print(json.dumps(summary(records)))
