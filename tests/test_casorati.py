@@ -494,9 +494,10 @@ class TestBatchedSearchOracle:
                 return fn(a, *args, **kwargs)
             return call
 
-        monkeypatch.setattr(_umath_linalg, "cholesky_lo", counted("cholesky", _umath_linalg.cholesky_lo))
-        monkeypatch.setattr(_umath_linalg, "solve1", counted("solve", _umath_linalg.solve1))
-        monkeypatch.setattr(np.linalg, "eigh", counted("eigh", np.linalg.eigh))
+        cholesky, solve, eigh = _umath_linalg.cholesky_lo, _umath_linalg.solve1, np.linalg.eigh
+        monkeypatch.setattr(_umath_linalg, "cholesky_lo", counted("cholesky", cholesky))
+        monkeypatch.setattr(_umath_linalg, "solve1", counted("solve", solve))
+        monkeypatch.setattr(np.linalg, "eigh", counted("eigh", eigh))
         z = _newton_steps(Ht, gt, 1e-14)
         assert all(np.array_equal(z[m], alone[m]) for m in range(24))
         want = [("cholesky", 24), ("solve", 24 - len(bad)), ("eigh", len(bad))]
