@@ -9,10 +9,13 @@ points, and every numeric knob is echoed into the run report.
 
 from __future__ import annotations
 
+import copy
+import functools
 import json
 import math
 import time
 from dataclasses import dataclass, field, replace
+from importlib import resources
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -446,8 +449,8 @@ def parse_scenario(doc: dict, name_hint: str = "") -> Scenario:
 
 
 def load_scenario(path_or_name: str) -> Scenario:
-    """Load from a JSON file path, or fall back to the builtin registry."""
-    if path_or_name in _BUILTINS:
+    """Load a builtin by name, else the JSON scene file at that path."""
+    if path_or_name in _registry():
         return builtin_scenario(path_or_name)
     try:
         with open(path_or_name, "r", encoding="utf-8") as fh:
@@ -847,227 +850,23 @@ def _aggregate(points) -> dict:
 # -- builtin registry --------------------------------------------------------
 
 
-def _identity_metric_exprs(n: int) -> list[list[str]]:
-    return [["1" if i == j else "0" for j in range(n)] for i in range(n)]
+@functools.cache
+def _registry() -> dict[str, dict]:
+    """Every shipped scene document by name, in ``casoratiq list`` order, read from the
+    package's ``builtins.json`` on first use."""
+    text = resources.files(__package__).joinpath("builtins.json").read_text(encoding="utf-8")
+    return json.loads(text)
 
 
-def _builtin_product_projection() -> dict:
-    return {
-        "version": 1,
-        "name": "product-projection:8to4",
-        "mode": "chart",
-        "map": {
-            "source": "flat:8",
-            "target": "flat:4",
-            "exprs": ["x1", "x2", "x3", "x4"],
-            "map_mode": "riemannian_submersion",
-            "rank": 4,
-        },
-        "structure": {"on": "source", "name": "quat-flat:2"},
-        "fiber_curvature": {"space_form_kappa": "0"},
-        "c": 0.0,
-        "deltaN": "zero",
-        "points": {"sample": {"count": 4, "seed": 2024, "box": [[-1.0, 1.0]] * 8}},
-        "theorems": [
-            "vertical_5_2",
-            "horizontal_6_2",
-            "combined_7_2",
-            "lemma_vertical_5_1",
-            "lemma_horizontal_6_1",
-            "lemma_combined_7_1",
-        ],
-    }
+def builtin_names() -> list[str]:
+    return list(_registry())
 
 
-def _builtin_radial() -> dict:
-    return {
-        "version": 1,
-        "name": "radial:4",
-        "mode": "chart",
-        "map": {
-            "source": {
-                "dim": 4,
-                "box": [[0.05, 3.0]] * 4,
-                "metric": _identity_metric_exprs(4),
-                "name": "flat-positive:4",
-            },
-            "target": {
-                "dim": 1,
-                "box": [[0.05, 6.0]],
-                "metric": [["1"]],
-                "name": "flat-line",
-            },
-            "exprs": ["norm(x)"],
-            "map_mode": "riemannian_submersion",
-            "rank": 1,
-        },
-        "structure": {"on": "source", "name": "quat-flat:1"},
-        "fiber_curvature": {"space_form_kappa": "1/(norm(x)^2)"},
-        "c": 0.0,
-        "deltaN": "zero",
-        "points": [[0.25, 0.25, 0.25, 0.25], [0.5, 0.5, 0.5, 0.5], [1.0, 1.0, 1.0, 1.0]],
-        "theorems": ["vertical_5_2", "lemma_vertical_5_1"],
-    }
-
-
-def _builtin_paraboloid() -> dict:
-    return {
-        "version": 1,
-        "name": "paraboloid-vertex",
-        "mode": "chart",
-        "map": {
-            "source": {
-                "dim": 2,
-                "box": [[-2.0, 2.0], [-2.0, 2.0]],
-                "metric": [["1+x1^2", "x1*x2"], ["x1*x2", "1+x2^2"]],
-                "name": "paraboloid-graph",
-            },
-            "target": "flat:3",
-            "exprs": ["x1", "x2", "0.5*(x1^2+x2^2)"],
-            "map_mode": "riemannian_map",
-            "rank": 2,
-        },
-        "c": 0.0,
-        "points": [[0.0, 0.0], [0.4, -0.3], [1.0, 0.7]],
-        "theorems": [],
-    }
-
-
-def _builtin_flat_embedding_2in4() -> dict:
-    return {
-        "version": 1,
-        "name": "flat-embedding:2in4",
-        "mode": "chart",
-        "map": {
-            "source": "flat:2",
-            "target": "flat:4",
-            "exprs": ["x1", "x2", "0", "0"],
-            "map_mode": "riemannian_map",
-            "rank": 2,
-        },
-        "c": 0.0,
-        "points": [[0.0, 0.0], [0.7, -0.4], [-1.2, 0.9]],
-        "theorems": [],
-    }
-
-
-def _builtin_flat_embedding_4in8() -> dict:
-    return {
-        "version": 1,
-        "name": "flat-embedding:4in8",
-        "mode": "chart",
-        "map": {
-            "source": "flat:4",
-            "target": "flat:8",
-            "exprs": ["x1", "x2", "x3", "x4", "0", "0", "0", "0"],
-            "map_mode": "riemannian_map",
-            "rank": 4,
-        },
-        "structure": {"on": "target", "name": "quat-flat:2"},
-        "c": 0.0,
-        "points": [[0.1, 0.2, -0.3, 0.4], [0.0, 0.0, 0.0, 0.0]],
-        "theorems": ["map_3_2", "lemma_map_3_1"],
-    }
-
-
-def _builtin_hopf() -> dict:
-    return {
-        "version": 1,
-        "name": "hopf-radial:4to3",
-        "mode": "chart",
-        "map": {
-            "source": {
-                "dim": 4,
-                "box": [[0.1, 1.5]] * 4,
-                "metric": _identity_metric_exprs(4),
-                "name": "flat-positive:4",
-            },
-            "target": {
-                "dim": 3,
-                "box": [[-4.0, 4.0], [0.02, 7.0], [-4.0, 4.0]],
-                "metric": [
-                    ["1/(4*norm(x))", "0", "0"],
-                    ["0", "1/(4*norm(x))", "0"],
-                    ["0", "0", "1/(4*norm(x))"],
-                ],
-                "name": "hopf-base",
-            },
-            "exprs": [
-                "x1^2+x2^2-x3^2-x4^2",
-                "2*(x1*x4+x2*x3)",
-                "2*(x2*x4-x1*x3)",
-            ],
-            "map_mode": "riemannian_submersion",
-            "rank": 3,
-        },
-        "structure": {"on": "source", "name": "quat-flat:1"},
-        "c": 0.0,
-        "deltaN": "zero",
-        "points": [[0.5, 0.3, 0.4, 0.2], [0.9, 0.2, 0.6, 0.3], [0.4, 0.4, 0.4, 0.4]],
-        "theorems": ["horizontal_6_2", "lemma_horizontal_6_1"],
-    }
-
-
-def _equality_pattern(n: int, lams) -> list:
-    out = []
-    for lam in lams:
-        sl = np.zeros((n, n))
-        np.fill_diagonal(sl, lam)
-        sl[-1, -1] = 2.0 * lam
-        out.append(sl.tolist())
-    return out
-
-
-def _builtin_pw_equality_map() -> dict:
-    B = _equality_pattern(4, [1.0, 0.0, 0.0, 0.0])
-    return {
-        "version": 1,
-        "name": "pw-equality-map:s4",
-        "mode": "pointwise",
-        "dim": 8,
-        "kind": "map",
-        "structure": {"name": "quat-flat:2"},
-        "c": 4.0,
-        "frames": {
-            "range": np.eye(8)[:4].tolist(),
-            "range_perp": np.eye(8)[4:].tolist(),
-        },
-        "tensors": {"B": B},
-        "theorems": ["map_3_2", "lemma_map_3_1"],
-    }
-
-
-def _builtin_pw_equality_combined() -> dict:
-    lams = [1.0, 0.5, 0.25, 0.0]
-    T = _equality_pattern(4, lams)
-    t_norm_sq = 7.0 * sum(l * l for l in lams)
-    # c = 0 makes the mixed term vanish; deltaN = |T|^2 / 2 closes the identity
-    return {
-        "version": 1,
-        "name": "pw-equality-combined:s4l4",
-        "mode": "pointwise",
-        "dim": 8,
-        "kind": "submersion",
-        "structure": {"name": "quat-flat:2"},
-        "c": 0.0,
-        "deltaN": f"user:{t_norm_sq / 2.0!r}",
-        "frames": {
-            "horizontal": np.eye(8)[:4].tolist(),
-            "vertical": np.eye(8)[4:].tolist(),
-        },
-        "tensors": {
-            "T": T,
-            "A": np.zeros((4, 4, 4)).tolist(),
-        },
-        "theorems": [
-            "vertical_5_2",
-            "horizontal_6_2",
-            "combined_7_2",
-            "lemma_vertical_5_1",
-            "lemma_horizontal_6_1",
-            "lemma_combined_7_1",
-        ],
-    }
+def builtin_scenario(name: str) -> Scenario:
+    if name not in _registry():
+        raise SceneValidationError(f"unknown builtin scenario {name!r}")
+    # a copy, because callers mutate ``Scenario.raw``
+    return parse_scenario(copy.deepcopy(_registry()[name]), name_hint=name)
 
 
 def random_pointwise_submersion(
@@ -1101,32 +900,3 @@ def random_pointwise_submersion(
             "lemma_horizontal_6_1",
         ],
     }
-
-
-def _builtin_pw_random() -> dict:
-    doc = random_pointwise_submersion(s=4, ell=4, c=-4.0, seed=1331)
-    doc["name"] = "pw-random-mix:c-4"
-    return doc
-
-
-_BUILTINS: dict[str, Callable[[], dict]] = {
-    "product-projection:8to4": _builtin_product_projection,
-    "radial:4": _builtin_radial,
-    "paraboloid-vertex": _builtin_paraboloid,
-    "flat-embedding:2in4": _builtin_flat_embedding_2in4,
-    "flat-embedding:4in8": _builtin_flat_embedding_4in8,
-    "hopf-radial:4to3": _builtin_hopf,
-    "pw-equality-map:s4": _builtin_pw_equality_map,
-    "pw-equality-combined:s4l4": _builtin_pw_equality_combined,
-    "pw-random-mix:c-4": _builtin_pw_random,
-}
-
-
-def builtin_names() -> list[str]:
-    return list(_BUILTINS)
-
-
-def builtin_scenario(name: str) -> Scenario:
-    if name not in _BUILTINS:
-        raise SceneValidationError(f"unknown builtin scenario {name!r}")
-    return parse_scenario(_BUILTINS[name](), name_hint=name)

@@ -20,7 +20,6 @@ import math
 import re
 import sys
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -47,7 +46,7 @@ from casoratiq.quaternionic import (
     quat_units,
     space_form_pairs,
 )
-from casoratiq.scenes import builtin_scenario, evaluate_scenario, load_scenario, parse_scenario
+from casoratiq.scenes import builtin_scenario, evaluate_scenario, parse_scenario
 
 from conftest import (
     dgamma_reference,
@@ -61,7 +60,6 @@ from conftest import (
 
 # the package exports the function casorati under the module's name
 casorati = sys.modules["casoratiq.casorati"]
-SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 SYMMETRIES = ("antisym_12", "antisym_34", "pair_sym", "bianchi")
 
 
@@ -99,8 +97,7 @@ def _sampled(name, count, seed, box=None):
 
 def _sampled_s4():
     """s4-radial, a submersion with a fiber curvature, at 12 sampled points."""
-    doc = json.loads((SCENARIOS / "s4-radial.json").read_text())
-    doc["points"] = {"sample": {"count": 12, "seed": 17, "box": [[0.1, 1.5]] * 4}}
+    doc = _with_points("s4-radial", {"sample": {"count": 12, "seed": 17, "box": [[0.1, 1.5]] * 4}})
     return parse_scenario(doc)
 
 
@@ -178,7 +175,7 @@ MULTI_POINT = {
     "hopf-radial:4to3": lambda: builtin_scenario("hopf-radial:4to3"),
     "paraboloid-vertex": lambda: builtin_scenario("paraboloid-vertex"),
     "hopf-sampled": _sampled_hopf,
-    "s4-radial": lambda: load_scenario(str(SCENARIOS / "s4-radial.json")),
+    "s4-radial": lambda: builtin_scenario("s4-radial"),
     "s4-sampled": _sampled_s4,
     # T = A = 0 at n = 8, the largest multi-point split
     "product-sampled": lambda: _sampled("product-projection:8to4", 6, 18, [[-1.0, 1.0]] * 8),
@@ -278,7 +275,7 @@ def _curved_normal_bundle(points) -> dict:
     structure stays hermitian, and the target is flat to second order, as the
     space form c = 0 needs, only where y1 is 0.3 or 1."""
     doc = _with_points("flat-embedding:4in8", points)
-    metric = scenes._identity_metric_exprs(8)
+    metric = [["1" if i == j else "0" for j in range(8)] for i in range(8)]
     for i in range(4, 8):
         metric[i][i] = "1+(x1-0.3)^3*(x1-1.0)^3"
     doc["map"]["target"] = {"dim": 8, "box": [[-5.0, 5.0]] * 8, "metric": metric,
@@ -492,16 +489,7 @@ def test_a_failing_chunk_runs_its_points_alone(monkeypatch):
     assert sorted(set(lone)) == ["flat-positive:4", "hopf-base"] and len(lone) == 2 * 12
 
 
-def _shipped(name):
-    """A builtin scene, or a scene file of ``scenarios/`` by its file name."""
-    return load_scenario(str(SCENARIOS / name) if name.endswith(".json") else name)
-
-
-CHART_SCENES = [
-    name
-    for name in scenes.builtin_names() + sorted(p.name for p in SCENARIOS.glob("*.json"))
-    if _shipped(name).mode == "chart"
-]
+CHART_SCENES = [name for name in scenes.builtin_names() if builtin_scenario(name).mode == "chart"]
 
 
 def _count_chunks(monkeypatch) -> list:
@@ -518,7 +506,7 @@ def _count_chunks(monkeypatch) -> list:
 
 @pytest.mark.parametrize("name", CHART_SCENES)
 def test_a_single_point_is_a_chunk_of_one(name, monkeypatch):
-    scn = _shipped(name)
+    scn = builtin_scenario(name)
     x = scn.evaluation_points()[0]
     shapes = _count_chunks(monkeypatch)
     rep = evaluate_scenario(_alone(scn, x))
@@ -570,7 +558,7 @@ def test_metric_jets_see_only_chunks(monkeypatch):
 
     monkeypatch.setattr(MetricChart, "metric_jets", counted)
     for name in CHART_SCENES:
-        assert evaluate_scenario(_shipped(name)).points
+        assert evaluate_scenario(builtin_scenario(name)).points
     for build, points, _, _ in ONE_BAD_POINT.values():
         assert evaluate_scenario(parse_scenario(build(points))).aggregate["point_errors"] == 1
     assert ndims and set(ndims) == {2}
@@ -1106,7 +1094,6 @@ def test_no_pipeline_path_forms_the_chart_basis_gradient_of_gamma(monkeypatch):
     monkeypatch.setattr(ChartPoint, "dgamma", property(unreachable), raising=False)
     monkeypatch.setattr(geometry, "christoffel_with_grad", unreachable)
     scenes_run = [builtin_scenario(name) for name in scenes.builtin_names()]
-    scenes_run += [load_scenario(str(path)) for path in sorted(SCENARIOS.glob("*.json"))]
     for scn in scenes_run:
         rep = evaluate_scenario(scn)
         assert rep.aggregate["point_errors"] == 0, scn.name
@@ -1124,7 +1111,6 @@ def test_no_pipeline_path_forms_the_derivative_of_the_inverse_metric(monkeypatch
             if getattr(module, "matrix_inverse", None) is original:
                 monkeypatch.setattr(module, "matrix_inverse", unreachable)
     scenes_run = [builtin_scenario(name) for name in scenes.builtin_names()]
-    scenes_run += [load_scenario(str(path)) for path in sorted(SCENARIOS.glob("*.json"))]
     for scn in scenes_run:
         rep = evaluate_scenario(scn)
         assert rep.aggregate["point_errors"] == 0, scn.name

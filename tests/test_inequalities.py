@@ -225,6 +225,26 @@ class TestCombinedTheorem:
             for r in check_combined_theorem(data):
                 assert r.extras["assembly_agreement"] < 1e-9
 
+    @pytest.mark.parametrize("c", [-4.0, 0.0, 4.0])
+    def test_lemma_is_the_weighted_sum_of_the_distribution_lemmas(self, c):
+        """The combined lemma's slack is the vertical lemma's over s(s - 1), plus the
+        horizontal lemma's over l(l - 1), plus (2 mixed + 2 deltaN - |T|^2 + |A|^2) / D,
+        in both delta variants: each family adds the same Gauss terms to its rho."""
+        rng = np.random.default_rng(20)
+        s, ell, delta_n = 4, 3, 0.7
+        data = submersion_data(rng, s, ell, c, deltaN=delta_n)
+        reports = [r for check in (check_vertical_theorem, check_horizontal_theorem,
+                                   check_combined_theorem) for r in check(data)]
+        slack = {(r.theorem_id, r.variant): r.slack for r in reports}
+        x = reports[-1].extras
+        assert x["A_norm_sq"] > 0.1 and x["T_norm_sq"] > 0.1
+        tail = 2.0 * x["mixed_scalar"] + 2.0 * delta_n - x["T_norm_sq"] + x["A_norm_sq"]
+        for variant in ("delta", "delta_hat"):
+            want = (slack["lemma_vertical_5_1", variant] / (s * (s - 1))
+                    + slack["lemma_horizontal_6_1", variant] / (ell * (ell - 1))
+                    + tail / (s * (s - 1) * ell * (ell - 1)))
+            assert slack["lemma_combined_7_1", variant] == pytest.approx(want, rel=1e-12)
+
     def test_equality_fixture(self):
         rng = np.random.default_rng(19)
         T = pattern_slices(4, [1.0, 0.5, 0.25, 0.0])

@@ -7,7 +7,6 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,9 +25,6 @@ from casoratiq.scenes import (
     random_pointwise_submersion,
     validate_scenario,
 )
-
-_SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
-_SCENARIO_FILES = sorted(p.name for p in _SCENARIO_DIR.glob("*.json"))
 
 
 def _wrap(node, level):
@@ -706,11 +702,11 @@ class TestBadInput:
 
     @pytest.mark.parametrize("k", [9, 12, 30, -5, -30, -150])
     def test_radial_submersion_in_another_target_unit(self, k):
-        """radial-4.json with F = 10^-k norm(x) onto the target metric 10^2k is the same
+        """radial:4 with F = 10^-k norm(x) onto the target metric 10^2k is the same
         Riemannian submersion, its target coordinate in another unit: it evaluates, and
         every slack is that of k = 0 to 1e-12 relative.  For k < 0 the target metric is
         as small as 1e-300, which its factor takes as it takes 1."""
-        doc = json.loads((_SCENARIO_DIR / "radial-4.json").read_text())
+        doc = _builtin_doc("radial:4")
         want = evaluate_scenario(parse_scenario(doc))
         doc["map"]["exprs"] = [f"1e{-k}*norm(x)"]
         doc["map"]["target"] = {**doc["map"]["target"], "metric": [[f"1e{2 * k}"]],
@@ -1202,6 +1198,23 @@ class TestRegistry:
             assert required in chart_scenes
         assert len(pointwise) >= 3
 
+    def test_registry_file_is_the_list_of_builtins(self):
+        from importlib import resources
+
+        text = resources.files("casoratiq").joinpath("builtins.json").read_text(encoding="utf-8")
+        docs = json.loads(text)
+        assert list(docs) == builtin_names() and len(text.splitlines()) == len(docs)
+        for name, doc in docs.items():
+            assert doc["name"] == name
+            scn = builtin_scenario(name)
+            assert scn.raw == doc
+            scn.raw["theorems"].clear()
+            scn.raw["name"] = "mutated"
+            assert builtin_scenario(name).raw == doc
+        # no scene is shipped twice under two names
+        bodies = [json.dumps({**doc, "name": None}, sort_keys=True) for doc in docs.values()]
+        assert len(set(bodies)) == len(bodies)
+
 
 class TestRunReports:
     def test_product_projection_all_equality(self):
@@ -1221,17 +1234,13 @@ class TestRunReports:
                 # the Gauss-reconstructed fiber curvature is the round-sphere value
                 assert r.lhs == pytest.approx(1.0 / r_val**2, abs=1e-6)
 
-    @pytest.mark.parametrize("name", ["hopf-radial:4to3", "radial:4", "twisted-submersion.json"])
+    @pytest.mark.parametrize("name", ["hopf-radial:4to3", "radial:4", "twisted-submersion"])
     def test_mixed_residual_is_exact(self, name):
         # the mixed O'Neill identity is assembled from exact jets, so it
         # holds to rounding, far below the finite-difference floor of 1e-9;
         # Hopf has T = 0 and radial A = 0, the twisted plane bundle over
         # flat:3 has both nonzero on a curved source
-        if name.endswith(".json"):
-            scn = load_scenario(str(_SCENARIO_DIR / name))
-        else:
-            scn = builtin_scenario(name)
-        points = evaluate_scenario(scn).points
+        points = evaluate_scenario(builtin_scenario(name)).points
         assert not any(p.errors for p in points), [p.errors for p in points]
         mixed = [p.gauss_residuals["mixed"] for p in points]
         assert mixed and max(mixed) <= 1e-13
@@ -1245,10 +1254,10 @@ class TestRunReports:
 
     @pytest.mark.parametrize("delta, ok", [(1e-7, True), (1e-5, False)])
     def test_space_form_tolerance_sits_between_1e_7_and_1e_5(self, delta, ok):
-        """s4-radial.json declared with c = 1 + delta, off the round S^4 by delta: within
+        """s4-radial declared with c = 1 + delta, off the round S^4 by delta: within
         the space-form tolerance 1e-6 it evaluates with residual 1.0e-7, and outside it
         every point fails.  (1e-6 itself is on the boundary, where rounding decides.)"""
-        doc = json.loads((_SCENARIO_DIR / "s4-radial.json").read_text())
+        doc = _builtin_doc("s4-radial")
         doc["c"] = 1.0 + delta
         rep = evaluate_scenario(parse_scenario(doc))
         if ok:
@@ -1336,10 +1345,9 @@ class TestRunReports:
         # raw delta slack -5e-8 on a scene with lhs 16.4: the normalized slack
         # is inside the equality tolerance, so no report is violated and the
         # exit code must say so
-        from casoratiq.scenes import _equality_pattern
-
         doc = dict(builtin_scenario("pw-equality-combined:s4l4").raw)
-        T = _equality_pattern(4, [10.0, 5.0, 2.5, 0.0])
+        # T's slices are the equality pattern diag(l, l, l, 2l)
+        T = [np.diag([lam, lam, lam, 2.0 * lam]).tolist() for lam in (10.0, 5.0, 2.5, 0.0)]
         doc["tensors"] = {**doc["tensors"], "T": T}
         doc["deltaN"] = f"user:{float(np.sum(np.square(T))) / 2.0 - 3.6e-6!r}"
         doc["theorems"] = ["combined_7_2"]
@@ -1523,37 +1531,28 @@ class TestComputeOnce:
         assert not calls
 
 
-@pytest.fixture()
-def scenario_dir():
-    from pathlib import Path
-
-    d = Path(__file__).resolve().parent.parent / "scenarios"
-    assert d.is_dir()
-    return d
-
-
 class TestShippedScenarioFiles:
-    """The scenarios/ directory ships regression fixtures as plain files."""
+    """The equality scenes and the curved-source radial scene of the registry."""
 
-    def test_equality_combined_file(self, scenario_dir):
-        scn = load_scenario(str(scenario_dir / "equality-combined-s4l4.json"))
+    def test_equality_combined_file(self):
+        scn = builtin_scenario("pw-equality-combined:s4l4")
         rep = evaluate_scenario(scn)
         by_key = {(r.theorem_id, r.variant): r for r in rep.points[0].reports}
         assert abs(by_key[("combined_7_2", "delta")].slack) < 1e-10
         assert by_key[("combined_7_2", "delta")].equality_verdict == "equality"
 
-    def test_equality_map_file(self, scenario_dir):
-        scn = load_scenario(str(scenario_dir / "equality-map-s4.json"))
+    def test_equality_map_file(self):
+        scn = builtin_scenario("pw-equality-map:s4")
         rep = evaluate_scenario(scn)
         by_key = {(r.theorem_id, r.variant): r for r in rep.points[0].reports}
         assert abs(by_key[("map_3_2", "delta")].slack) < 1e-10
 
-    def test_s4_radial_file_on_a_curved_source(self, scenario_dir):
+    def test_s4_radial_file_on_a_curved_source(self):
         # radial distance |x| in the stereographic chart of the round S^4: the
         # fibers are geodesic spheres of radius r with t = |x| = tan(r / 2), umbilical
         # with principal curvature cot r = (1 - t^2) / (2 t), so each vertical slack
         # is cot^2 r / 6, as 1/(6 |x|^2) is on flat radial:4
-        rep = evaluate_scenario(load_scenario(str(scenario_dir / "s4-radial.json")))
+        rep = evaluate_scenario(builtin_scenario("s4-radial"))
         assert rep.aggregate["point_errors"] == 0 and len(rep.points) > 1
         for p in rep.points:
             assert p.gauss_residuals["mixed"] <= 1e-13
@@ -1562,11 +1561,6 @@ class TestShippedScenarioFiles:
             for r in p.reports:
                 assert r.slack == pytest.approx(((1 - t * t) / (2 * t)) ** 2 / 6, abs=1e-10)
                 assert r.equality_verdict != "violated"
-
-    def test_radial_file_matches_builtin(self, scenario_dir):
-        file_rep = evaluate_scenario(load_scenario(str(scenario_dir / "radial-4.json")))
-        builtin_rep = evaluate_scenario(builtin_scenario("radial:4"))
-        assert file_rep.aggregate["min_slack"] == builtin_rep.aggregate["min_slack"]
 
 
 class TestDeterminismAndEmission:
@@ -1593,11 +1587,10 @@ class TestDeterminismAndEmission:
 
         assert floats(got) == floats(want) and floats(want)
 
-    def test_report_json_is_json_dumps_of_the_report(self, scenario_dir):
+    def test_report_json_is_json_dumps_of_the_report(self):
         # the spliced encoder writes the bytes of one json.dumps of the whole report,
-        # on every builtin, every shipped scene and a round of the pointwise sweep
+        # on every builtin and a round of the pointwise sweep
         reports = [evaluate_scenario(builtin_scenario(name)) for name in builtin_names()]
-        reports += [evaluate_scenario(load_scenario(str(p))) for p in sorted(scenario_dir.glob("*.json"))]
         reports += [
             evaluate_scenario(parse_scenario(random_pointwise_submersion(s, ell, -4.0, seed=s * ell)))
             for s, ell in ((3, 3), (4, 5), (5, 4))
@@ -1665,15 +1658,14 @@ class TestCli:
         out = capsys.readouterr().out
         assert out.count("\n") == 1 and json.loads(out)["valid"] is True
 
-    @pytest.mark.parametrize("scene", builtin_names() + _SCENARIO_FILES)
+    @pytest.mark.parametrize("scene", builtin_names())
     def test_validate_every_shipped_scene(self, tmp_path, capsys, scene):
-        path = _SCENARIO_DIR / scene if scene in _SCENARIO_FILES else scene
-        assert main(["validate", str(path)]) == 0
+        assert main(["validate", scene]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["valid"] is True and doc["points"]
         # a scene that validates also runs without a point error
         out = tmp_path / "r.json"
-        assert main(["run", str(path), "-o", str(out)]) == 0
+        assert main(["run", scene, "-o", str(out)]) == 0
         assert json.loads(out.read_text())["aggregate"]["point_errors"] == 0
 
     def test_validate_bad_file_exit_3(self, tmp_path):

@@ -48,10 +48,8 @@ def _general_path(monkeypatch, constant=True):
 
 
 def _shipped_reports() -> dict:
-    """Every builtin, every ``scenarios/*.json`` and one round of each bench workload."""
+    """Every builtin and one round of each bench workload."""
     scns = {name: scenes.builtin_scenario(name) for name in scenes.builtin_names()}
-    for path in sorted((ROOT / "scenarios").glob("*.json")):
-        scns[path.name] = scenes.load_scenario(str(path))
     for workload in workloads.WORKLOADS:
         for i, doc in enumerate(next(workloads.rounds(workload, 11))):
             scns[f"{workload}:{i}"] = scenes.parse_scenario(doc)

@@ -251,6 +251,109 @@ MUTANTS = (
         ("tests/test_batches.py::test_checker_inputs_once_per_chunk[1-chunks0]",),
         "at c = 0 a flat curved side has a zero residual, with no pass over its tensor",
     ),
+    Mutant(
+        "c-term-quarter",
+        "src/casoratiq/inequalities.py",
+        "return c / 4.0 + (3.0 * c",
+        "return c / 2.0 + (3.0 * c",
+        ("tests/test_inequalities.py::TestVerticalTheorem::test_equality_pattern",
+         "tests/test_scenes_cli.py::TestShippedScenarioFiles::test_equality_map_file"),
+        "the space-form part of a distribution's right side starts at c / 4",
+    ),
+    Mutant(
+        "distribution-rho-weight",
+        "src/casoratiq/inequalities.py",
+        "rho = data.sums[block] / (k * (k - 1))",
+        "rho = data.sums[block] / (k * k)",
+        ("tests/test_scenes_cli.py::TestShippedScenarioFiles::test_s4_radial_file_on_a_curved_source",
+         "tests/test_inequalities.py::TestMapTheorem::test_equality_pattern_delta"),
+        "a distribution's rho is its curvature sum over its k(k - 1) ordered pairs",
+    ),
+    Mutant(
+        "symmetric-gauss-norm-dropped",
+        "src/casoratiq/inequalities.py",
+        "lhs = rho + (terms.trace_norm_sq - h.norm_sq()) / (k * (k - 1))",
+        "lhs = rho + terms.trace_norm_sq / (k * (k - 1))",
+        ("tests/test_acceptance.py::test_c08_radial_regression",
+         "tests/test_inequalities.py::TestVerticalTheorem::test_equality_pattern"),
+        "the Gauss term of a symmetric B or T is |trace h|^2 - |h|^2",
+    ),
+    Mutant(
+        "skew-gauss-weight",
+        "src/casoratiq/inequalities.py",
+        "lhs = rho - 3.0 * h.norm_sq() / (k * (k - 1))",
+        "lhs = rho - 2.0 * h.norm_sq() / (k * (k - 1))",
+        ("tests/test_inequalities.py::TestCombinedTheorem::test_lemma_is_the_weighted_sum_of_the_distribution_lemmas[0.0]",
+         "tests/test_golden.py::test_report_matches_golden[hopf-radial:4to3]"),
+        "the horizontal family's Gauss term is -3 |A|^2, as the combined family's is",
+    ),
+    Mutant(
+        "combined-rho-h-A-weight",
+        "src/casoratiq/inequalities.py",
+        "rho_h = rho_h_amb - 3.0 * a_norm / (s * (s - 1))",
+        "rho_h = rho_h_amb - 2.0 * a_norm / (s * (s - 1))",
+        ("tests/test_inequalities.py::TestCombinedTheorem::test_lemma_is_the_weighted_sum_of_the_distribution_lemmas[0.0]",),
+        "the combined lhs takes the horizontal family's -3 |A|^2",
+    ),
+    Mutant(
+        "combined-tail-A-sign",
+        "src/casoratiq/inequalities.py",
+        "tail = (2.0 * data.deltaN - t_norm + a_norm) / D",
+        "tail = (2.0 * data.deltaN - t_norm - a_norm) / D",
+        ("tests/test_inequalities.py::TestCombinedTheorem::test_lemma_is_the_weighted_sum_of_the_distribution_lemmas[0.0]",),
+        "the combined right side adds |A|^2 / D",
+    ),
+    Mutant(
+        "combined-closed-poly",
+        "src/casoratiq/inequalities.py",
+        "poly = ell * ell + s * s + 2 * s * ell - ell - s",
+        "poly = ell * ell + s * s + 2 * s * ell - ell",
+        ("tests/test_inequalities.py::TestCombinedTheorem::test_pure_c_surplus",
+         "tests/test_inequalities.py::TestCombinedTheorem::test_assemblies_agree"),
+        "the closed space-form part of the combined right side counts (s + l)(s + l - 1) pairs",
+    ),
+    Mutant(
+        "combined-rho-v-weight",
+        "src/casoratiq/inequalities.py",
+        "rho_v_amb = two_tau_v / (ell * (ell - 1))",
+        "rho_v_amb = two_tau_v / (ell * ell)",
+        ("tests/test_inequalities.py::TestCombinedTheorem::test_assemblies_agree",),
+        "the generic assembly's vertical rho is over l(l - 1) ordered pairs",
+    ),
+    Mutant(
+        "delta-hat-weight",
+        "src/casoratiq/casorati.py",
+        "delta_hat = 2.0 * C - (2.0 * n - 1) / (2.0 * n) * extrema.sup_CL",
+        "delta_hat = 2.0 * C - (2.0 * n + 1) / (2.0 * n) * extrema.sup_CL",
+        ("tests/test_casorati.py::TestDelta::test_umbilical_hat",),
+        "delta_C_hat weighs sup C^L by (2n - 1) / (2n)",
+    ),
+    Mutant(
+        "gauss-horizontal-A-weight",
+        "src/casoratiq/maps.py",
+        "rhs = base + 2.0 * aa - tail_transpose",
+        "rhs = base + 3.0 * aa - tail_transpose",
+        ("tests/test_maps.py::TestGaussResiduals::test_hopf_horizontal_and_mixed",),
+        "the horizontal O'Neill identity adds 2 g(A(i, j), A(k, l))",
+    ),
+    Mutant(
+        "gauss-mixed-nabla-A-dropped",
+        "src/casoratiq/maps.py",
+        "        nabla_T\n        + nabla_A\n",
+        "        nabla_T\n",
+        ("tests/test_scenes_cli.py::TestRunReports::test_mixed_residual_is_exact[twisted-submersion]",),
+        "the mixed identity reads the covariant derivative of A, which is not zero where "
+        "T and A both are not",
+    ),
+    Mutant(
+        "gauss-vertical-T-term-dropped",
+        "src/casoratiq/maps.py",
+        "        recon -= tail_transpose(tt, 0, 2, 1, 3)\n",
+        "",
+        ("tests/test_acceptance.py::test_c03_gauss_self_validation",
+         "tests/test_acceptance.py::test_c08_radial_regression"),
+        "the fiber Gauss equation subtracts g(T(i, k), T(j, l))",
+    ),
 )
 
 _IGNORED = shutil.ignore_patterns(".git", "__pycache__", ".hypothesis", ".pytest_cache",

@@ -5,7 +5,6 @@ Usage: python tools/report_diff.py PARENT CHANGE
 PARENT and CHANGE are roots of casoratiq checkouts.  The corpus is built
 once, from CHANGE (``_corpus_worker``):
 - every builtin scene, by name;
-- every ``scenarios/*.json``;
 - three rounds of each ``bench/workloads.py`` workload at each of the
   seeds ``SEEDS``, written to a temporary directory.
 
@@ -70,7 +69,6 @@ def _corpus_worker(root: Path, directory: str) -> list:
     from casoratiq.scenes import builtin_names
 
     corpus = [[name, name] for name in builtin_names()]
-    corpus += [[path.name, str(path)] for path in sorted((root / "scenarios").glob("*.json"))]
     for workload in workloads.WORKLOADS:
         for seed in SEEDS:
             docs = workloads.rounds(workload, seed)
