@@ -1,12 +1,16 @@
 """Every builtin report against its frozen golden copy.
 
-A golden file is the report exactly as ``casoratiq run <builtin> -o
-tests/golden/<builtin>.json`` writes it.  Keys, strings, booleans,
-integers and verdicts must match exactly; a float may move by at most
-1e-12 * max(1, |golden|), so a refactor that only reorders rounding
-passes and any change of behaviour fails.  A change to a numeric path
-regenerates the goldens with that command and states its largest
+**Written.** A golden file holds the bytes that ``casoratiq run <builtin>
+-o tests/golden/<builtin>.json`` writes, so ``cmp`` against a fresh run of
+that command checks a claim that a change keeps every builtin report
+byte-identical.  A change whose reports move, by rounding alone too,
+rewrites the goldens it moves with that command, and states its largest
 deviation in CHANGES.md.
+
+**Compared.** The test parses both reports.  Keys, strings, booleans,
+integers and verdicts must match exactly; a float may move by at most
+1e-12 * max(1, |golden|), so a numpy build that rounds a last bit
+differently passes and any change of behaviour fails.
 """
 
 import json
