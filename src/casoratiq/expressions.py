@@ -283,9 +283,8 @@ class CompiledProgram:
                 arrays = (out.value, out.grad, out.hess, out.d3)
             else:
                 arrays = (out,)
-            # a 1-d view keeps .all() on the array path for a 0-d value: a constant's,
-            # or that of a point without an axis
-            if not all(a is None or np.isfinite(np.reshape(a, -1)).all() for a in arrays):
+            # a known zero is finite by construction
+            if not all(a is None or jets.known_zero(a) or np.isfinite(a).all() for a in arrays):
                 source = self.sources[entry]
                 raise DomainError(f"expression {source!r} is not finite at this point")
 

@@ -20,6 +20,21 @@ broadcast.  Metric components, map components and scene expressions are
 all evaluated on jets, so curvature and the O'Neill tensor derivatives
 downstream are exact instead of finite differences.
 
+Jets carry their known zeros.  A derivative that vanishes at every point
+by construction is the marker: one shared, read-only array of zeros per
+shape (``_zero``), which ``known_zero`` tells apart and nothing writes.
+A seeded variable carries it for its Hessian and third derivative, and
+a constant (``Jet2.constant``, which an operation makes of a plain-number
+operand) for all three derivatives.  Every operation leaves out the
+terms that the marker multiplies, adds the others in the same order, and
+gives back the marker for a result known to be zero, so it propagates:
+the third derivative of x1*x4, of x1^2 and of any quadratic is the
+marker, and no array is formed for it.  A left-out term is an exact zero
+wherever its other factor is finite, so leaving it out moves only the
+sign of a zero.  Where that factor is not finite, an array of the
+operation's own result is not either, and a program's finiteness check
+raises for the same entry.
+
 The ring operations act on whole arrays and round every point as it
 would be rounded alone.  The scalar factors of a power, a reciprocal and
 the elementary functions are computed value by value with Python's float
@@ -57,6 +72,7 @@ __all__ = [
     "sqrt",
     "jet_norm",
     "jet_arrays",
+    "known_zero",
     "per_value",
     "matrix_product",
     "matrix_inverse",
@@ -64,6 +80,51 @@ __all__ = [
     "frame_product",
     "frame_solve",
 ]
+
+
+_MARKERS: dict = {}  # shape -> the known-zero marker of that shape
+_MARKED: set = set()  # ids of the markers, which _MARKERS keeps alive
+
+
+def _zero(shape: tuple) -> np.ndarray:
+    """The known-zero marker of ``shape``: one shared, read-only array of zeros."""
+    z = _MARKERS.get(shape)
+    if z is None:
+        z = _MARKERS[shape] = np.zeros(shape)
+        z.flags.writeable = False
+        _MARKED.add(id(z))
+    return z
+
+
+def known_zero(a) -> bool:
+    """Whether ``a`` is a known-zero marker, a derivative that vanishes at every point."""
+    return id(a) in _MARKED
+
+
+def _total(terms: list, shape: tuple) -> np.ndarray:
+    """The sum of ``terms`` from left to right; the marker of ``shape`` when there is none."""
+    if not terms:
+        return _zero(shape)
+    out = terms[0]
+    for t in terms[1:]:
+        out = out + t
+    return out
+
+
+def _plus(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    if known_zero(b):
+        return a
+    return b if known_zero(a) else a + b
+
+
+def _minus(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    if known_zero(b):
+        return a
+    return -b if known_zero(a) else a - b
+
+
+def _negative(a: np.ndarray) -> np.ndarray:
+    return a if known_zero(a) else -a
 
 
 def _sym3(h: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -112,8 +173,7 @@ class Jet2:
 
     @classmethod
     def constant(cls, value, n: int, order: int = 3) -> "Jet2":
-        d3 = np.zeros((n, n, n)) if order == 3 else None
-        return cls(value, np.zeros(n), np.zeros((n, n)), d3)
+        return cls(value, _zero((n,)), _zero((n, n)), _zero((n, n, n)) if order == 3 else None)
 
     def _coerce(self, other) -> "Jet2":
         if isinstance(other, Jet2):
@@ -124,39 +184,51 @@ class Jet2:
 
     def __add__(self, other):
         o = self._coerce(other)
-        d3 = None if self.d3 is None or o.d3 is None else self.d3 + o.d3
-        return Jet2(self.value + o.value, self.grad + o.grad, self.hess + o.hess, d3)
+        d3 = None if self.d3 is None or o.d3 is None else _plus(self.d3, o.d3)
+        return Jet2(self.value + o.value, _plus(self.grad, o.grad), _plus(self.hess, o.hess), d3)
 
     __radd__ = __add__
 
     def __sub__(self, other):
         o = self._coerce(other)
-        d3 = None if self.d3 is None or o.d3 is None else self.d3 - o.d3
-        return Jet2(self.value - o.value, self.grad - o.grad, self.hess - o.hess, d3)
+        d3 = None if self.d3 is None or o.d3 is None else _minus(self.d3, o.d3)
+        return Jet2(self.value - o.value, _minus(self.grad, o.grad), _minus(self.hess, o.hess), d3)
 
     def __rsub__(self, other):
         o = self._coerce(other)
         return o - self
 
     def __neg__(self):
-        return Jet2(-self.value, -self.grad, -self.hess, None if self.d3 is None else -self.d3)
+        d3 = None if self.d3 is None else _negative(self.d3)
+        return Jet2(-self.value, _negative(self.grad), _negative(self.hess), d3)
 
     def __mul__(self, other):
         o = self._coerce(other)
         a, b = self.value, o.value
-        outer = self.grad[..., :, None] * o.grad[..., None, :]
+        n = self.n
+        # a term with a known-zero factor is left out of each sum
+        zero_ga, zero_gb = known_zero(self.grad), known_zero(o.grad)
+        zero_ha, zero_hb = known_zero(self.hess), known_zero(o.hess)
+        grad = [] if zero_gb else [_against(a, 1) * o.grad]
+        if not zero_ga:
+            grad.append(_against(b, 1) * self.grad)
+        hess = [] if zero_hb else [_against(a, 2) * o.hess]
+        if not zero_ha:
+            hess.append(_against(b, 2) * self.hess)
+        if not (zero_ga or zero_gb):
+            outer = self.grad[..., :, None] * o.grad[..., None, :]
+            hess += [outer, outer.swapaxes(-1, -2)]
         d3 = None
         if self.d3 is not None and o.d3 is not None:
-            d3 = (
-                _against(a, 3) * o.d3 + _against(b, 3) * self.d3
-                + _sym3(self.hess, o.grad) + _sym3(o.hess, self.grad)
-            )
-        return Jet2(
-            a * b,
-            _against(a, 1) * o.grad + _against(b, 1) * self.grad,
-            _against(a, 2) * o.hess + _against(b, 2) * self.hess + outer + outer.swapaxes(-1, -2),
-            d3,
-        )
+            d3 = [] if known_zero(o.d3) else [_against(a, 3) * o.d3]
+            if not known_zero(self.d3):
+                d3.append(_against(b, 3) * self.d3)
+            if not (zero_ha or zero_gb):
+                d3.append(_sym3(self.hess, o.grad))
+            if not (zero_hb or zero_ga):
+                d3.append(_sym3(o.hess, self.grad))
+            d3 = _total(d3, (n, n, n))
+        return Jet2(a * b, _total(grad, (n,)), _total(hess, (n, n)), d3)
 
     __rmul__ = __mul__
 
@@ -196,20 +268,24 @@ class Jet2:
         up to the jet's order, and no higher one is computed."""
         f = per_value(factors, self.value)
         f0, f1, f2 = f[..., 0], f[..., 1], f[..., 2]
-        g = self.grad
-        outer = g[..., :, None] * g[..., None, :]
+        g, n = self.grad, self.n
+        # a term with a known-zero factor is left out of each sum
+        flat, linear = known_zero(g), known_zero(self.hess)
+        hess = [] if linear else [_against(f1, 2) * self.hess]
+        if not flat:
+            outer = g[..., :, None] * g[..., None, :]
+            hess.append(_against(f2, 2) * outer)
         d3 = None
         if self.d3 is not None:
-            d3 = (
-                _against(f1, 3) * self.d3 + _against(f2, 3) * _sym3(self.hess, g)
-                + _against(f[..., 3], 3) * (outer[..., None] * g[..., None, None, :])
-            )
-        return Jet2(
-            f0,
-            _against(f1, 1) * g,
-            _against(f1, 2) * self.hess + _against(f2, 2) * outer,
-            d3,
-        )
+            d3 = [] if known_zero(self.d3) else [_against(f1, 3) * self.d3]
+            if not (linear or flat):
+                d3.append(_against(f2, 3) * _sym3(self.hess, g))
+            # so is the term of a third-derivative factor that is zero at every point, a square's
+            if not flat and f[..., 3].any():
+                d3.append(_against(f[..., 3], 3) * (outer[..., None] * g[..., None, None, :]))
+            d3 = _total(d3, (n, n, n))
+        grad = g if flat else _against(f1, 1) * g
+        return Jet2(f0, grad, _total(hess, (n, n)), d3)
 
 
 def _lift(f_plain: Callable[[float], float], d1, d2, d3) -> Callable:
@@ -265,9 +341,13 @@ def jet_arrays(entries: Sequence, shape: tuple) -> tuple:
     d3 = np.zeros((*lead, m, n, n, n)) if third else None
     for i, e in enumerate(entries):
         if isinstance(e, Jet2):
-            value[..., i], d1[..., i, :] = e.value, e.grad
-            d2[..., i, :, :] = 0.5 * (e.hess + e.hess.swapaxes(-1, -2))
-            if third:
+            # the arrays hold zeros already, so a known zero is not written
+            value[..., i] = e.value
+            if not known_zero(e.grad):
+                d1[..., i, :] = e.grad
+            if not known_zero(e.hess):
+                d2[..., i, :, :] = 0.5 * (e.hess + e.hess.swapaxes(-1, -2))
+            if third and not known_zero(e.d3):
                 d3[..., i, :, :, :] = e.d3
         elif (v := float(e)) or math.copysign(1.0, v) < 0:
             # a plain +0.0 is already in place
@@ -279,9 +359,8 @@ def seed_point(x, order: int = 3) -> list[Jet2]:
     """Independent jet variables of ``order`` 2 or 3 at a point (n,) or at points (P, n)."""
     x = np.asarray(x, dtype=float)
     n = x.shape[-1]
-    # jets are never written in place, so the variables share their zero derivatives
-    grads, hess = np.eye(n), np.zeros((n, n))
-    d3 = np.zeros((n, n, n)) if order == 3 else None
+    grads, hess = np.eye(n), _zero((n, n))
+    d3 = _zero((n, n, n)) if order == 3 else None
     return [Jet2(x[..., i], grads[i], hess, d3) for i in range(n)]
 
 

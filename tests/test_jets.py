@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from casoratiq import jets
 from casoratiq.errors import DomainError
-from casoratiq.expressions import compile_expression
+from casoratiq.expressions import compile_expression, compile_program
 from casoratiq.jets import Jet2
 
 from conftest import eval_jet2
@@ -193,3 +193,99 @@ def test_matrix_jets_match_finite_differences():
     e = np.array([h, 0.0])
     fd = jets.matrix_inverse(matrix_jet(x + e))[1][1] - jets.matrix_inverse(matrix_jet(x - e))[1][1]
     assert np.abs(inv[2][0, 0] - fd / (2 * h)).max() < 1e-8
+
+
+# -- known zeros: one shared read-only marker, and no term formed through it ---------
+
+_OPERATIONS = {
+    "x+y": lambda x: x[0] + x[1],
+    "x+2": lambda x: x[0] + 2.0,
+    "2-x": lambda x: 2.0 - x[0],
+    "x-y": lambda x: x[0] - x[1],
+    "-x": lambda x: -x[0],
+    "x*y": lambda x: x[0] * x[1],
+    "2*x": lambda x: 2.0 * x[0],
+    "x*x*y": lambda x: x[0] * x[0] * x[1],
+    "2*(x*z+y*y)-z": lambda x: 2.0 * (x[0] * x[2] + x[1] * x[1]) - x[2],
+    "x/y": lambda x: x[0] / x[1],
+    "x/2": lambda x: x[0] / 2.0,
+    "2/x": lambda x: 2.0 / x[0],
+    "x^2": lambda x: x[0] ** 2,
+    "x^3": lambda x: x[0] ** 3,
+    "x^0.5": lambda x: x[0] ** 0.5,
+    "x^0": lambda x: x[0] ** 0,
+    "sqrt(1+x^2)": lambda x: jets.sqrt(1.0 + x[0] ** 2),
+    "exp(x*y)": lambda x: jets.exp(x[0] * x[1]),
+    "log(2+x)/y": lambda x: jets.log(2.0 + x[0]) / x[1],
+    "sin(x)*cos(y)": lambda x: jets.sin(x[0]) * jets.cos(x[1]),
+    "norm": jets.jet_norm,
+    "3*c": lambda x: 3.0 * Jet2.constant(2.0, len(x), x[0].order),
+    "c*x": lambda x: Jet2.constant(2.0, len(x), x[0].order) * x[2],
+    "sin(c)": lambda x: jets.sin(Jet2.constant(0.5, len(x), x[0].order)),
+}
+
+
+@pytest.mark.parametrize("order", [2, 3])
+@pytest.mark.parametrize("name", _OPERATIONS)
+def test_known_zeros_give_the_arrays_of_fresh_zeros(monkeypatch, name, order):
+    """Every operation on jets that carry the marker equals the same operation on jets
+    whose zero derivatives are fresh arrays, and so forms every term."""
+    x = np.array([[0.3, 0.7, 1.1], [0.6, 0.5, 0.2]])
+    op = _OPERATIONS[name]
+    marked = op(jets.seed_point(x, order))
+    monkeypatch.setattr(jets, "_zero", lambda shape: np.zeros(shape))
+    fresh = op(jets.seed_point(x, order))
+    assert not any(jets.known_zero(getattr(fresh, part)) for part in Jet2.__slots__)
+    for part in Jet2.__slots__:
+        a, b = getattr(marked, part), getattr(fresh, part)
+        if a is None or b is None:
+            assert a is b is None and order == 2
+            continue
+        # a derivative without the point axes broadcasts
+        shape = np.broadcast_shapes(a.shape, b.shape)
+        assert np.array_equal(np.broadcast_to(a, shape), np.broadcast_to(b, shape)), part
+
+
+def test_the_marker_propagates_through_quadratics_and_is_read_only():
+    x1, x2, x3, x4 = jets.seed_point(np.array([[0.3, 0.7, 0.2, 0.9], [1.1, -0.4, 0.5, 0.1]]))
+    zero2, zero3 = jets._zero((4, 4)), jets._zero((4, 4, 4))
+    assert x1.hess is zero2 and x1.d3 is zero3
+    c = Jet2.constant(2.0, 4)
+    assert (c.grad, c.hess, c.d3) == (jets._zero((4,)), zero2, zero3)
+    # a product of degree-1 jets and a square have no third derivative, and a cube has one
+    assert (x1 * x4).d3 is zero3 and (x1**2).d3 is zero3
+    assert not jets.known_zero((x1 * x4).hess) and not jets.known_zero((x1**3).d3)
+    # the quadratic Hopf map forms no third-derivative array
+    hopf = compile_program(["x1^2+x2^2-x3^2-x4^2", "2*(x1*x4+x2*x3)", "2*(x2*x4-x1*x3)"])
+    assert all(y.d3 is zero3 for y in hopf([x1, x2, x3, x4]))
+    for marker in (jets._zero((4,)), zero2, zero3):
+        assert not marker.any()
+        with pytest.raises(ValueError):
+            marker[(0,) * marker.ndim] = 1.0
+
+
+@pytest.mark.parametrize(
+    "texts, x, order, entry",
+    [
+        # a product's outer Hessian term overflows, and a literal factor's gradient
+        (["x1 + x2", "(x1*1e160)*(x2*1e160)", "x1*1e308*10"], [1e-200, 1e-200], 3, 1),
+        (["x1 + x2", "x1*1e308*10", "(x1*1e160)*(x2*1e160)"], [1e-200, 1e-200], 3, 1),
+        # the third derivative alone overflows; at order 2 nothing does
+        (["x1*x2", "(x1*1e110)^3"], [1e-100, 0.5], 3, 1),
+        (["x1*x2", "(x1*1e110)^3"], [1e-100, 0.5], 2, None),
+    ],
+)
+def test_a_non_finite_result_names_the_same_entry(monkeypatch, texts, x, order, entry):
+    """Known zeros are finite and left unchecked; every other array is checked, and the
+    error names the first entry that is not finite, with or without the marker."""
+    prog = compile_program(texts)
+    X = np.array([x, 2.0 * np.array(x)])
+    for fresh in (False, True):
+        if fresh:
+            monkeypatch.setattr(jets, "_zero", lambda shape: np.zeros(shape))
+        if entry is None:
+            prog(jets.seed_point(X, order))
+            continue
+        with pytest.raises(DomainError) as err:
+            prog(jets.seed_point(X, order))
+        assert str(err.value) == f"expression {texts[entry]!r} is not finite at this point"

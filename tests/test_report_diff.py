@@ -25,6 +25,13 @@ def test_head_against_itself_is_identical():
     }
 
 
+def test_the_corpus_holds_the_hp_scene(tmp_path):
+    corpus = report_diff._corpus_worker(ROOT, str(tmp_path))
+    (path,) = [arg for name, arg in corpus if name == "hp-line:1in2"]
+    doc = json.loads(Path(path).read_text())
+    assert doc["points"]["sample"]["count"] == 32 and len(doc["map"]["target"]["metric"]) == 8
+
+
 def _outputs(doc, code=0, stderr=""):
     return {"run": [json.dumps(doc), code, stderr], "validate": ["{}\n", 0, ""]}
 

@@ -9,10 +9,13 @@ them with no product.  A tensor whose stack of slices is all exact zeros,
 as such a T and A are, is found once by ``checker_inputs``
 (``inequalities._zero_stacks``), and each of its points gets its squared
 norm, extrema, equality diagnostics and Casorati terms in closed form,
-with no check, no eigendecomposition and no product.  Each shortcut must
-give the reports of the general path bit for bit, and keep its errors; a
-zero point in a chunk of nonzero ones takes the general path, and must
-get the bits it gets alone.
+with no check, no eigendecomposition and no product.  A jet's derivative
+that is known to vanish, a seed's Hessian and third derivative and every
+derivative of a literal, is one shared marker (``jets._zero``), and no
+jet operation forms a term it multiplies.  Each shortcut must give the
+reports of the general path bit for bit, and keep its errors; a zero
+point in a chunk of nonzero ones takes the general path, and must get
+the bits it gets alone.
 """
 
 import dataclasses
@@ -23,7 +26,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from casoratiq import geometry, inequalities, maps, scenes
+from casoratiq import geometry, inequalities, jets, maps, scenes
 from casoratiq.cli import report_json
 from casoratiq.errors import DegenerateMetricError
 from casoratiq.expressions import CompiledProgram, compile_program
@@ -37,9 +40,11 @@ import workloads  # noqa: E402
 
 
 def _general_path(monkeypatch, constant=True):
-    """Turn the passive-program detection off, and with ``constant`` the exact zeros of
-    constant charts and of all-zero tensor stacks too; a class-level property hides what
-    an instance has cached."""
+    """Turn the passive-program detection and the jets' known zeros off, and with
+    ``constant`` the exact zeros of constant charts and of all-zero tensor stacks too; a
+    class-level property hides what an instance has cached.  Without known zeros every
+    zero derivative is a fresh array, and every jet operation forms all its terms."""
+    monkeypatch.setattr(jets, "_zero", lambda shape: np.zeros(shape))
     monkeypatch.setattr(CompiledProgram, "passive", property(lambda self: None))
     monkeypatch.setattr(geometry._ProgramMetric, "literal", property(lambda self: None))
     if constant:

@@ -354,6 +354,17 @@ MUTANTS = (
          "tests/test_acceptance.py::test_c08_radial_regression"),
         "the fiber Gauss equation subtracts g(T(i, k), T(j, l))",
     ),
+    Mutant(
+        "jet-product-outer-dropped-by-hessian-marker",
+        "src/casoratiq/jets.py",
+        "        if not (zero_ga or zero_gb):\n",
+        "        if not (zero_ga or zero_gb or zero_ha or zero_hb):\n",
+        ("tests/test_jets.py::test_polynomial_example",
+         "tests/test_jets.py::test_known_zeros_give_the_arrays_of_fresh_zeros[x*y-3]",
+         "tests/test_golden.py::test_report_matches_golden[hopf-radial:4to3]"),
+        "a product's g x g Hessian term is zero only where a factor's gradient is known "
+        "to be; a factor whose Hessian is the marker, as a seed's, still has one",
+    ),
 )
 
 _IGNORED = shutil.ignore_patterns(".git", "__pycache__", ".hypothesis", ".pytest_cache",

@@ -6,7 +6,11 @@ PARENT and CHANGE are roots of casoratiq checkouts.  The corpus is built
 once, from CHANGE (``_corpus_worker``):
 - every builtin scene, by name;
 - three rounds of each ``bench/workloads.py`` workload at each of the
-  seeds ``SEEDS``, written to a temporary directory.
+  seeds ``SEEDS``;
+- the HP^1 in HP^2 scene of ``tools/hp_chunk.py`` (``hp_line_scene``, 32
+  points), whose 16 and 64 rational metric entries make it the most
+  jet-heavy scene in the repository.
+The documents of the last two are written to a temporary directory.
 
 Each checkout's engine then runs the whole corpus in a subprocess of its
 own (``_run_worker``), with its ``src/`` as the only ``PYTHONPATH`` and
@@ -64,9 +68,11 @@ def _worker(root: Path, mode: str, payload) -> object:
 def _corpus_worker(root: Path, directory: str) -> list:
     """The corpus as [scene name, argument of ``casoratiq run``] pairs; workload
     documents are written to ``directory``."""
-    sys.path.insert(0, str(root / "bench"))
+    sys.path[:0] = [str(root / "bench"), str(Path(__file__).resolve().parent)]
     import workloads
+    from casoratiq.quaternionic import quat_units
     from casoratiq.scenes import builtin_names
+    from hp_chunk import hp_line_scene
 
     corpus = [[name, name] for name in builtin_names()]
     for workload in workloads.WORKLOADS:
@@ -78,6 +84,10 @@ def _corpus_worker(root: Path, directory: str) -> list:
                     path = Path(directory) / f"{name.replace(':', '_')}.json"
                     path.write_text(json.dumps(doc))
                     corpus.append([name, str(path)])
+    doc = hp_line_scene(quat_units)
+    path = Path(directory) / f"{doc['name'].replace(':', '_')}.json"
+    path.write_text(json.dumps(doc))
+    corpus.append([doc["name"], str(path)])
     return corpus
 
 
