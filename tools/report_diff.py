@@ -66,8 +66,8 @@ def _worker(root: Path, mode: str, payload) -> object:
 
 
 def _corpus_worker(root: Path, directory: str) -> list:
-    """The corpus as [scene name, argument of ``casoratiq run``] pairs; workload
-    documents are written to ``directory``."""
+    """The corpus as [scene name, argument of ``casoratiq run``] pairs; the workload
+    documents and the HP scene's are written to ``directory``."""
     sys.path[:0] = [str(root / "bench"), str(Path(__file__).resolve().parent)]
     import workloads
     from casoratiq.quaternionic import quat_units
